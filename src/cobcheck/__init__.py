@@ -5,8 +5,8 @@ exact-sequence constraints, yielding machine-checkable nonexistence
 certificates."""
 
 from .abgroup import (FgAbGroup, GroupHom, IntMatrix, cokernel, direct_sum,
-                      enumerate_homs, hom_images, smith_normal_form, tensor, tor)
-from .graded import GradedGroup, LaurentGrading, coefficient_change, impose_periodicity, shift
+                      hom_images, smith_normal_form, tensor, tor)
+from .graded import GradedGroup, LaurentGrading, coefficient_change, impose_periodicity
 from .topology import (Circle, Explicit, LagrangianDescriptor, Product, RealProjective,
                        Sphere, homology, mayer_vietoris_spin_check, monotonicity_constant,
                        pair_maslov)
@@ -15,6 +15,6 @@ from .spectra import (BigradedPage, BranchTree, DifferentialAssignment, abutment
 from .exactness import (ExactSequenceProblem, FeasibilityVerdict, Known, Unknown,
                         build_cobordism_sequences, certify_nonexistence,
                         check_feasibility, verify_certificate, verify_witness)
-from .cli import ObstructionScenario, RunReport, parse_scenario, run, serialize_scenario
+from .cli import ObstructionScenario, RunReport, parse_scenario, run
 
 __version__ = "0.1.0"

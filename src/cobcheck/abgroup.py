@@ -24,7 +24,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, prod
+from math import prod
+from operator import mul
 
 
 class HomValidationError(ValueError):
@@ -46,13 +47,19 @@ def _factorize(n: int) -> dict[int, int]:
     return result
 
 
-def _invariant_chain(orders) -> tuple[int, ...]:
-    """Recombine arbitrary finite cyclic orders (each >= 2) into the
-    invariant-factor chain d1 | d2 | ... | dk."""
+def _prime_powers(orders) -> dict[int, list[int]]:
+    """prime -> exponent list (with multiplicity) of finite cyclic orders."""
     by_prime: dict[int, list[int]] = {}
     for n in orders:
         for p, e in _factorize(n).items():
             by_prime.setdefault(p, []).append(e)
+    return by_prime
+
+
+def _invariant_chain(orders) -> tuple[int, ...]:
+    """Recombine arbitrary finite cyclic orders (each >= 2) into the
+    invariant-factor chain d1 | d2 | ... | dk."""
+    by_prime = _prime_powers(orders)
     if not by_prime:
         return ()
     depth = max(len(v) for v in by_prime.values())
@@ -158,22 +165,13 @@ def direct_sum(*groups: FgAbGroup) -> FgAbGroup:
     return FgAbGroup(rank, _invariant_chain(orders))
 
 
-def _elementary_divisors(g: FgAbGroup) -> dict[int, list[int]]:
-    """prime -> exponent list (with multiplicity) of the torsion part."""
-    by_prime: dict[int, list[int]] = {}
-    for d in g.torsion:
-        for p, e in _factorize(d).items():
-            by_prime.setdefault(p, []).append(e)
-    return by_prime
-
-
 def tensor(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
     """Tensor product over Z.
 
     Bilinear over direct sums with Z (x) A = A and
     Z/m (x) Z/n = Z/gcd(m, n); computed prime by prime.
     """
-    ea, eb = _elementary_divisors(a), _elementary_divisors(b)
+    ea, eb = _prime_powers(a.torsion), _prime_powers(b.torsion)
     orders: list[int] = []
     for p in ea.keys() | eb.keys():
         xs, ys = ea.get(p, []), eb.get(p, [])
@@ -185,7 +183,7 @@ def tensor(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
 
 def tor(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
     """Tor over Z: Tor(Z, A) = 0 and Tor(Z/m, Z/n) = Z/gcd(m, n)."""
-    ea, eb = _elementary_divisors(a), _elementary_divisors(b)
+    ea, eb = _prime_powers(a.torsion), _prime_powers(b.torsion)
     orders: list[int] = []
     for p in ea.keys() & eb.keys():
         xs, ys = ea[p], eb[p]
@@ -241,36 +239,8 @@ class IntMatrix:
         data = tuple(self.entries[i] + other.entries[i] for i in range(self.rows))
         return IntMatrix(self.rows, self.cols + other.cols, data)
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
-    def determinant(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
 
 
 @lru_cache(maxsize=None)
@@ -415,24 +385,34 @@ class GroupHom:
             raise HomValidationError("matrix rows do not match target generators")
         if self.matrix.cols != self.source.generator_count():
             raise HomValidationError("matrix cols do not match source generators")
-        t_orders = self.target.generator_orders()
-        for j, d in enumerate(self.source.generator_orders()):
-            if d == 0:
-                continue
-            for i, o in enumerate(t_orders):
-                x = d * self.matrix.entries[i][j]
-                if (o == 0 and x != 0) or (o != 0 and x % o != 0):
-                    raise HomValidationError(
-                        f"generator {j} of order {d} maps to an element not killed by {d}")
+        # the matrix with each column scaled by its source generator's
+        # order must be zero; free columns scale to 0, so only the
+        # torsion columns (which come last) are scaled and tested
+        tors, free = self.source.torsion, self.source.free_rank
+        if tors:
+            scaled = (map(mul, tors, row[free:]) for row in self.matrix.entries)
+            if not _zero_mod_orders(scaled, self.target.generator_orders()):
+                raise HomValidationError(
+                    "a torsion generator maps to an element its order does not kill")
 
     def is_zero(self) -> bool:
-        t_orders = self.target.generator_orders()
-        for j in range(self.matrix.cols):
-            for i, o in enumerate(t_orders):
-                x = self.matrix.entries[i][j]
-                if (o == 0 and x != 0) or (o != 0 and x % o != 0):
+        return _zero_mod_orders(self.matrix.entries, self.target.generator_orders())
+
+
+def _zero_mod_orders(rows, orders: tuple[int, ...]) -> bool:
+    """Whether a matrix into a group with these generator orders is the
+    zero map: row i vanishes modulo orders[i] (order 0: exactly).  Plain
+    loops; this is the innermost test of the differential search."""
+    for row, o in zip(rows, orders):
+        if o:
+            for x in row:
+                if x % o:
                     return False
-        return True
+        else:
+            for x in row:
+                if x:
+                    return False
+    return True
 
 
 def zero_hom(source: FgAbGroup, target: FgAbGroup) -> GroupHom:
@@ -458,10 +438,8 @@ def lattice_quotient(ambient: IntMatrix, sub: IntMatrix) -> FgAbGroup:
     rank = sum(1 for x in diag if x != 0)
     # write each generator of L2 in the basis d_ii * (u^-1 e_i) of L1
     x_rows = [[0] * sub.cols for _ in range(rank)]
-    for j in range(sub.cols):
-        y = u.mul(IntMatrix(sub.rows, 1, tuple((e,) for e in sub.column(j))))
-        for i in range(ambient.rows):
-            yi = y.entries[i][0]
+    for i, row in enumerate(u.mul(sub).entries):
+        for j, yi in enumerate(row):
             if i >= rank:
                 if yi != 0:
                     raise HomValidationError("sublattice is not contained in the ambient lattice")
@@ -505,13 +483,7 @@ def composite_is_zero(first: GroupHom, second: GroupHom) -> bool:
     if first.target != second.source:
         raise HomValidationError("homs are not composable")
     m = second.matrix.mul(first.matrix)
-    orders = second.target.generator_orders()
-    for j in range(m.cols):
-        for i, o in enumerate(orders):
-            x = m.entries[i][j]
-            if (o == 0 and x != 0) or (o != 0 and x % o != 0):
-                return False
-    return True
+    return _zero_mod_orders(m.entries, second.target.generator_orders())
 
 
 def homology_at(incoming: GroupHom | None, outgoing: GroupHom | None,
@@ -572,26 +544,6 @@ def hom_matrix_space(source: FgAbGroup, target: FgAbGroup, bound: int) -> tuple[
         except HomValidationError:
             continue
     return tuple(homs)
-
-
-@lru_cache(maxsize=None)
-def enumerate_homs(source: FgAbGroup, target: FgAbGroup, entry_bound: int) -> tuple[GroupHom, ...]:
-    """Homs source -> target with entries in [-entry_bound, entry_bound],
-    deduplicated so no two returned homs share the same
-    (image, kernel, cokernel) isomorphism-class triple.
-
-    For maps between finite groups whose orders are all <= entry_bound
-    the list is exhaustive up to that equivalence; maps with free parts
-    may be truncated by the bound (see ``bound_may_truncate``).
-    """
-    if entry_bound < 1:
-        raise ValueError("entry_bound must be >= 1")
-    seen: dict[tuple[FgAbGroup, FgAbGroup, FgAbGroup], GroupHom] = {}
-    for h in hom_matrix_space(source, target, entry_bound):
-        triple = hom_images(h)
-        if triple not in seen:
-            seen[triple] = h
-    return tuple(seen.values())
 
 
 def bound_may_truncate(source: FgAbGroup, target: FgAbGroup, entry_bound: int) -> bool:

@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .abgroup import FgAbGroup
 from .graded import GradedGroup, GradingError, LaurentGrading, coefficient_change
@@ -33,6 +33,7 @@ from .topology import (Circle, Explicit, LagrangianDescriptor, Product,
                        monotonicity_constant, pair_maslov, z2_cohomology_dims)
 from .exactness import (AdmissibilityError, CobordismClaim, ClaimVerdict,
                         UnsupportedProblemError, certify_nonexistence,
+                        check_cobordism_grading, check_probe_hypothesis,
                         common_grading_check)
 
 
@@ -159,28 +160,6 @@ def _parse_space(raw, names: dict[str, SpaceExpr], path: str) -> SpaceExpr:
     raise ScenarioError(f"{path}: unknown space constructor {kind!r}")
 
 
-def _serialize_space(expr: SpaceExpr):
-    if isinstance(expr, Sphere):
-        return {"sphere": expr.n}
-    if isinstance(expr, RealProjective):
-        return {"rp": expr.n}
-    if isinstance(expr, Circle):
-        return "circle"
-    if isinstance(expr, Product):
-        factors = []
-        node = expr
-        while isinstance(node, Product):
-            factors.append(node.right)
-            node = node.left
-        factors.append(node)
-        return {"product": [_serialize_space(f) for f in reversed(factors)]}
-    return {"explicit": {
-        "dim": expr.dimension,
-        "homology": {str(d): {"free": g.free_rank, "torsion": list(g.torsion)}
-                     for d, g in expr.homology.entries},
-    }}
-
-
 def describe_space(expr: SpaceExpr) -> str:
     if isinstance(expr, Sphere):
         return f"S^{expr.n}"
@@ -191,6 +170,14 @@ def describe_space(expr: SpaceExpr) -> str:
     if isinstance(expr, Product):
         return f"{describe_space(expr.left)} x {describe_space(expr.right)}"
     return f"explicit(dim {expr.dimension})"
+
+
+def _at_least(field: str, value: int, least: int) -> int:
+    """Validate an entry_bound or window value, from the document or a
+    command-line override."""
+    if value < least:
+        raise ScenarioError(f"{field}: must be >= {least}, got {value}")
+    return value
 
 
 def parse_scenario(data) -> ObstructionScenario:
@@ -301,12 +288,8 @@ def parse_scenario(data) -> ObstructionScenario:
     except GradingError as exc:
         raise ScenarioError(f"grading: {exc}") from exc
 
-    entry_bound = int(data.get("entry_bound", 4))
-    if entry_bound < 1:
-        raise ScenarioError(f"entry_bound: must be >= 1, got {entry_bound}")
-    window = int(data.get("window", 2))
-    if window < 2:
-        raise ScenarioError(f"window: must be >= 2, got {window}")
+    entry_bound = _at_least("entry_bound", int(data.get("entry_bound", 4)), 1)
+    window = _at_least("window", int(data.get("window", 2)), 2)
 
     pins = []
     for i, raw in enumerate(data.get("pins", [])):
@@ -332,53 +315,6 @@ def parse_scenario(data) -> ObstructionScenario:
         window=window,
         pins=tuple(pins),
     )
-
-
-def serialize_scenario(sc: ObstructionScenario) -> dict:
-    """Inverse of parse_scenario up to inlining of space references."""
-    out = {
-        "schema": 1,
-        "name": sc.name,
-        "spaces": {k: _serialize_space(v) for k, v in sc.spaces},
-        "lagrangians": [
-            {
-                "name": lag.name,
-                "space": None if lag.space is None else _serialize_space(lag.space),
-                "ambient": lag.ambient_dim,
-                "maslov": lag.maslov,
-                "orientable": lag.orientable,
-                "spin": lag.spin,
-                "monotone": lag.monotone,
-            }
-            for lag in sc.lagrangians
-        ],
-        "intersections": [
-            {
-                "pair": list(decl.pair),
-                "clean": decl.clean,
-                "connected": decl.connected,
-                "space": _serialize_space(decl.space),
-                "restriction_surjective_degrees": list(decl.restriction_surjective_degrees),
-            }
-            for decl in sc.intersections
-        ],
-        "claims": [
-            {"source": c.source, "ends": list(c.ends), "spin": c.spin, "monotone": c.monotone}
-            for c in sc.claims
-        ],
-        "grading": sc.grading.t_degree,
-        "entry_bound": sc.entry_bound,
-        "window": sc.window,
-    }
-    if sc.probe:
-        out["probe"] = sc.probe
-    if sc.pins:
-        out["pins"] = [
-            {"pair": list(p.pair), "degree": p.degree,
-             "group": {"free": p.group.free_rank, "torsion": list(p.group.torsion)}}
-            for p in sc.pins
-        ]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +426,12 @@ class RunReport:
         return "\n".join(lines)
 
 
+def _z2_table(space: SpaceExpr) -> GradedGroup:
+    """Z/2-cohomology of a space in degrees 1 and 2, as (Z/2)^dim groups."""
+    dims = z2_cohomology_dims(homology(space), [1, 2])
+    return GradedGroup.from_dict({k: FgAbGroup(0, (2,) * v) for k, v in dims.items()})
+
+
 def run(sc: ObstructionScenario) -> RunReport:
     """Execute the whole pipeline; raises on the first failing stage,
     naming the stage."""
@@ -499,7 +441,8 @@ def run(sc: ObstructionScenario) -> RunReport:
     adm.append(f"ambient CP^{ambient}; shared monotonicity constant tau = {tau}")
     adm.append(f"grading deg T = {sc.grading.t_degree} (step {sc.grading.step}, even): ok")
 
-    granted_of: dict[ClaimDecl, bool] = {}
+    # the clean connected intersection that grants each claim, if any
+    granted_of: dict[ClaimDecl, IntersectionDecl | None] = {}
     with _stage("admissibility"):
         for claim in sc.claims:
             if not (claim.spin and claim.monotone):
@@ -508,7 +451,7 @@ def run(sc: ObstructionScenario) -> RunReport:
                     "applies to spin monotone cobordisms only")
             decl = next((d for d in sc.intersections
                          if d.pair == claim.ends and d.clean and d.connected), None)
-            granted_of[claim] = decl is not None
+            granted_of[claim] = decl
             if decl is not None:
                 adm.append(f"claim {claim.source} ~> ({claim.ends[0]}, {claim.ends[1]}): "
                            f"granted by surgery along the clean connected intersection "
@@ -530,9 +473,7 @@ def run(sc: ObstructionScenario) -> RunReport:
             end_names = sorted(partners)
         pair_list = [(sc.probe, end) for end in end_names] if probe else []
         if probe is not None:
-            if probe.maslov is None or probe.maslov <= 3:
-                raise AdmissibilityError(
-                    f"probe hypothesis: N_K > 3 required, but N({sc.probe}) = {probe.maslov}")
+            check_probe_hypothesis(probe)
             adm.append(f"probe K = {sc.probe} with N_K = {probe.maslov} > 3: ok")
             for end in end_names:
                 lag = sc.lagrangian(end)
@@ -546,11 +487,7 @@ def run(sc: ObstructionScenario) -> RunReport:
                 if source.maslov is None:
                     adm.append(f"source {source.name}: Maslov number unknown (orientable, "
                                f"even); step {sc.grading.step} certified")
-                if sc.grading.step != 2:
-                    raise AdmissibilityError(
-                        "common-divisor hypothesis: the cobordism Maslov number N_V is "
-                        f"unknown (even), so only grading step 2 is certified, "
-                        f"not {sc.grading.step}")
+                check_cobordism_grading(sc.grading)
                 adm.append("cobordism Maslov numbers: unknown (orientable, even); "
                            "step 2 certified")
 
@@ -568,9 +505,9 @@ def run(sc: ObstructionScenario) -> RunReport:
     spin_lines = []
     with _stage("spin"):
         for claim in sc.claims:
-            if not granted_of[claim] or not claim.spin:
+            decl = granted_of[claim]
+            if decl is None:
                 continue
-            decl = sc.intersection_of(*claim.ends)
             first = sc.lagrangian(decl.pair[0])
             second = sc.lagrangian(decl.pair[1])
             for lag in (first, second):
@@ -583,17 +520,10 @@ def run(sc: ObstructionScenario) -> RunReport:
                         f"spin check for ({claim.ends[0]}, {claim.ends[1]}): end {lag.name} "
                         "has no homology data")
             s_dims = z2_cohomology_dims(homology(decl.space), [1, 2])
-            tables = {}
-            for lag in (first, second):
-                dims = z2_cohomology_dims(homology(lag.space), [1, 2])
-                tables[lag.name] = GradedGroup.from_dict(
-                    {k: FgAbGroup(0, (2,) * v) for k, v in dims.items() if v})
-            s_table = GradedGroup.from_dict(
-                {k: FgAbGroup(0, (2,) * v) for k, v in s_dims.items() if v})
             ranks = {k: (s_dims[k] if k in decl.restriction_surjective_degrees else 0)
                      for k in (1, 2)}
-            ok = mayer_vietoris_spin_check(tables[first.name], tables[second.name],
-                                           s_table, ranks)
+            ok = mayer_vietoris_spin_check(_z2_table(first.space), _z2_table(second.space),
+                                           _z2_table(decl.space), ranks)
             if not ok:
                 raise AdmissibilityError(
                     f"spin check for ({claim.ends[0]}, {claim.ends[1]}): restriction to the "
@@ -647,7 +577,7 @@ def run(sc: ObstructionScenario) -> RunReport:
                 CobordismClaim(
                     source=source,
                     ends=(sc.lagrangian(c.ends[0]), sc.lagrangian(c.ends[1])),
-                    granted=granted_of[c],
+                    granted=granted_of[c] is not None,
                 )
                 for c in sc.claims
             ]
@@ -687,13 +617,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             sc = parse_scenario(fh.read())
-        if args.branch_bound is not None or args.window is not None:
-            raw = serialize_scenario(sc)
-            if args.branch_bound is not None:
-                raw["entry_bound"] = args.branch_bound
-            if args.window is not None:
-                raw["window"] = args.window
-            sc = parse_scenario(raw)
+        if args.branch_bound is not None:
+            sc = replace(sc, entry_bound=_at_least("entry_bound", args.branch_bound, 1))
+        if args.window is not None:
+            sc = replace(sc, window=_at_least("window", args.window, 2))
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 1
@@ -703,8 +630,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run(sc)
-    except (ScenarioError, AdmissibilityError, TopologyError, GradingError,
-            UnsupportedProblemError) as exc:
+    except _STAGE_ERRORS as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except SolverLimitError as exc:

@@ -514,6 +514,23 @@ def common_grading_check(probe: LagrangianDescriptor, other: LagrangianDescripto
             f"N({probe.name},{other.name}) = {n}")
 
 
+def check_probe_hypothesis(probe: LagrangianDescriptor) -> None:
+    """The probe K must have minimal Maslov number N_K > 3."""
+    if probe.maslov is None or probe.maslov <= 3:
+        raise AdmissibilityError(
+            f"probe hypothesis: N_K > 3 required, but N({probe.name}) = {probe.maslov}")
+
+
+def check_cobordism_grading(grading: LaurentGrading) -> None:
+    """A cobordism's own minimal Maslov number is never declared;
+    orientability certifies divisibility by 2 only, so the common
+    grading must have step 2."""
+    if grading.step != 2:
+        raise AdmissibilityError(
+            f"common-divisor hypothesis: the cobordism Maslov number N_V is unknown "
+            f"(even), so only grading step 2 is certified, not {grading.step}")
+
+
 def build_cobordism_sequences(probe: LagrangianDescriptor,
                               ends: tuple[LagrangianDescriptor, LagrangianDescriptor],
                               source: LagrangianDescriptor,
@@ -527,17 +544,10 @@ def build_cobordism_sequences(probe: LagrangianDescriptor,
 
     hf maps each end name to its (HF_0, HF_1) at the common grading; X
     is the named unknown HF_1(K, source)."""
-    if probe.maslov is None or probe.maslov <= 3:
-        raise AdmissibilityError(
-            f"probe hypothesis: N_K > 3 required, but N({probe.name}) = {probe.maslov}")
+    check_probe_hypothesis(probe)
     for lag in (*ends, source):
         common_grading_check(probe, lag, grading)
-    if grading.step != 2:
-        # the cobordism's own minimal Maslov number is never declared;
-        # orientability certifies divisibility by 2 only
-        raise AdmissibilityError(
-            f"common-divisor hypothesis: the cobordism Maslov number N_V is unknown "
-            f"(even), so only grading step 2 is certified, not {grading.step}")
+    check_cobordism_grading(grading)
     first, second = ends
     h1_second = Known(hf[second.name][1])
     h1_first = Known(hf[first.name][1])

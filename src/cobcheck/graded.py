@@ -12,17 +12,13 @@ identified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .abgroup import FgAbGroup, ZERO, direct_sum
 
 
 class GradingError(ValueError):
     """Raised on invalid gradings or coefficient-change preconditions."""
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a * b // gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -109,13 +105,6 @@ class PeriodConflict:
                 f"{self.value_a} but degree {self.degree_b} has {self.value_b}")
 
 
-def shift(g: GradedGroup, k: int) -> GradedGroup:
-    """Shift degrees up by k: result at n equals input at n - k."""
-    if g.period is not None:
-        return GradedGroup(tuple(((deg + k) % g.period, grp) for deg, grp in g.entries), g.period)
-    return GradedGroup(tuple((deg + k, grp) for deg, grp in g.entries))
-
-
 def impose_periodicity(g: GradedGroup, period: int) -> GradedGroup | PeriodConflict:
     """Fold g to the given period if its entries allow it.
 
@@ -132,7 +121,7 @@ def impose_periodicity(g: GradedGroup, period: int) -> GradedGroup | PeriodConfl
             # already at least this periodic; keep the finer statement
             return g
         # expand enough of the periodic group to observe every comparison
-        span = 2 * _lcm(g.period, period)
+        span = 2 * lcm(g.period, period)
         window = {n: g.entry(n) for n in range(span)}
         g = GradedGroup.from_dict({n: grp for n, grp in window.items() if not grp.is_trivial()})
     if g.is_zero():

@@ -87,9 +87,6 @@ class BigradedPage:
                 return grp
         return ZERO
 
-    def entry_dict(self) -> dict[Position, FgAbGroup]:
-        return dict(self.entries)
-
 
 def build_e1(s_homology: GradedGroup, column_step: int, col_span: int = 2,
              row_max: int | None = None) -> BigradedPage:
@@ -149,17 +146,23 @@ def _live_rows(page: BigradedPage) -> frozenset[int]:
     return frozenset(rows)
 
 
-def trivial_pages(page: BigradedPage) -> int | None:
-    """Index of the first page that can carry a nonzero differential, by
-    column and row support alone; pages below it are all equal.  None
-    when no differential can ever be nonzero."""
+def _support_page_from(page: BigradedPage, start: int) -> int | None:
+    """First page index r >= start, stepping by the column step, whose
+    differentials join two live rows; None when there is none."""
     rows = _live_rows(page)
-    r = page.column_step
+    r = start
     while r - 1 <= page.row_max:
         if any(q in rows and (q + r - 1) in rows for q in range(page.row_max + 1)):
             return r
         r += page.column_step
     return None
+
+
+def trivial_pages(page: BigradedPage) -> int | None:
+    """Index of the first page that can carry a nonzero differential, by
+    column and row support alone; pages below it are all equal.  None
+    when no differential can ever be nonzero."""
+    return _support_page_from(page, page.column_step)
 
 
 def _first_active_page(page: BigradedPage) -> int | None:
@@ -226,12 +229,6 @@ class DifferentialAssignment:
 
     page_index: int
     homs: tuple[tuple[Position, GroupHom], ...]
-
-    def hom_at(self, pos: Position) -> GroupHom | None:
-        for src, h in self.homs:
-            if src == pos:
-                return h
-        return None
 
 
 def _validate_assignment(page: BigradedPage, d: DifferentialAssignment) -> dict[Position, GroupHom]:
@@ -535,13 +532,12 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
         skip = page.unresolved | newly_unresolved
         class_lists = [_enumerate_component(page, comp, entry_bound, skip) for comp in comps]
 
-        rows = _live_rows(page)
-        further = any(
-            q in rows and (q + rr - 1) in rows
-            for rr in range(r + page.column_step, page.row_max + 2, page.column_step)
-            for q in range(page.row_max + 1)
-        )
-        pruner = None if further else _build_pruner(page, r, comps, newly_unresolved, pins)
+        # the pruner checks the final abutment, so it only applies when no
+        # later page can carry a differential
+        if _support_page_from(page, r + page.column_step) is None:
+            pruner = _build_pruner(page, r, comps, newly_unresolved, pins)
+        else:
+            pruner = _accept_all
 
         def emit(chosen: list[_ComponentClass]) -> None:
             homs = tuple((pos, h) for cls in chosen for pos, h in cls.homs)
@@ -558,21 +554,13 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
                 emit(chosen)
                 return
             for cls in class_lists[i]:
-                if pruner is not None:
-                    nxt = pruner(i, chosen, cls, state)
-                    if nxt is None:
-                        continue
-                else:
-                    nxt = state
-                dfs(i + 1, chosen + [cls], nxt)
+                nxt = pruner(i, chosen, cls, state)
+                if nxt is not None:
+                    dfs(i + 1, chosen + [cls], nxt)
 
-        if pruner is not None:
-            seed = pruner(-1, [], None, None)
-            if seed is None:
-                return
+        seed = pruner(-1, [], None, None)
+        if seed is not None:
             dfs(0, [], seed)
-        else:
-            dfs(0, [], None)
 
     explore(root, [f"E^1: columns at multiples of {column_step}, "
                    f"rows 0..{root.row_max} carry the intersection homology"], [])
@@ -591,6 +579,11 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
         leaves=ordered,
         bound_may_truncate=truncation,
     )
+
+
+def _accept_all(i, chosen, cls, state):
+    """Pruner for a turn that later pages may still change: no check."""
+    return ()
 
 
 def _build_pruner(page: BigradedPage, r: int, comps, newly_unresolved, pins):

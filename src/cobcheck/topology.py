@@ -183,10 +183,6 @@ def homology(space: SpaceExpr) -> GradedGroup:
     return space.homology
 
 
-def euler_characteristic(h: GradedGroup) -> int:
-    return sum((-1) ** deg * grp.free_rank for deg, grp in h.entries)
-
-
 def z2_cohomology_dims(h: GradedGroup, degrees) -> dict[int, int]:
     """dim_F2 H^k(X; Z_2) from integral homology via universal
     coefficients: rank H_k plus the 2-torsion counts of H_k and

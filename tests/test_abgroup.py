@@ -6,9 +6,11 @@ import pytest
 import cobcheck.abgroup as abgroup
 from cobcheck.abgroup import (FgAbGroup, GroupHom, HomValidationError, IntMatrix,
                               Z, ZERO, bound_may_truncate, cokernel, composite_is_zero,
-                              cyclic, direct_sum, enumerate_homs, from_orders,
+                              cyclic, direct_sum, from_orders,
                               hom_images, hom_matrix_space, homology_at,
                               smith_normal_form, tensor, tor, zero_hom)
+
+from oracles import determinant
 
 
 def test_doctests():
@@ -99,8 +101,8 @@ def test_snf_reconstruction_and_unimodularity_randomized():
         m = _random_matrix(rng)
         u, d, v = smith_normal_form(m)
         assert u.mul(m).mul(v) == d
-        assert abs(u.determinant()) == 1
-        assert abs(v.determinant()) == 1
+        assert abs(determinant(u)) == 1
+        assert abs(determinant(v)) == 1
         diag = d.diagonal()
         assert all(x >= 0 for x in diag)
         nonzero = [x for x in diag if x != 0]
@@ -274,36 +276,6 @@ def test_homology_at_subquotient():
 
 # ---------------------------------------------------------------------------
 # enumeration
-
-
-def test_enumerate_homs_z2_z2():
-    homs = enumerate_homs(cyclic(2), cyclic(2), 1)
-    assert len(homs) == 2  # zero and the isomorphism
-
-
-def test_enumerate_homs_z_z():
-    triples = {hom_images(h) for h in enumerate_homs(Z, Z, 2)}
-    assert triples == {
-        (ZERO, Z, Z),          # zero map
-        (Z, ZERO, ZERO),       # multiplication by a unit
-        (Z, ZERO, cyclic(2)),  # multiplication by 2
-    }
-
-
-def test_enumerate_homs_z_to_z2_rank():
-    homs = enumerate_homs(Z, from_orders(0, 0), 1)
-    triples = {hom_images(h) for h in homs}
-    assert triples == {
-        (ZERO, Z, from_orders(0, 0)),
-        (Z, ZERO, Z),  # every primitive column, e.g. (1, 1)
-    }
-
-
-def test_enumerate_homs_exhaustive_for_small_finite():
-    # all homs Z/2 -> Z/4 have entries mod 4; bound 4 covers every map
-    homs = enumerate_homs(cyclic(2), cyclic(4), 4)
-    triples = {hom_images(h) for h in homs}
-    assert triples == {(ZERO, cyclic(2), cyclic(4)), (cyclic(2), ZERO, cyclic(2))}
 
 
 def test_bound_truncation_flag():

@@ -18,6 +18,7 @@ from cobcheck.topology import (Product, RealProjective, Sphere, homology,
                                rp_homology_cellular)
 from cobcheck.exactness import UnsupportedProblemError, check_feasibility
 
+from oracles import determinant
 from test_exactness import _random_problem, oracle_feasible
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -125,7 +126,7 @@ def test_criterion_6_property_suites():
                 [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)])
             u, d, v = smith_normal_form(m)
             assert u.mul(m).mul(v) == d
-            assert abs(u.determinant()) == 1 and abs(v.determinant()) == 1
+            assert abs(determinant(u)) == 1 and abs(determinant(v)) == 1
             nz = [x for x in d.diagonal() if x]
             assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
 

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from cobcheck.abgroup import FgAbGroup
 from cobcheck.cli import (ObstructionScenario, ScenarioError, main,
-                          parse_scenario, run, serialize_scenario)
+                          parse_scenario, run)
+from cobcheck.topology import Circle, Explicit, Product
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -85,14 +87,6 @@ def test_parse_rejects_mixed_ambients():
         })
 
 
-def test_roundtrip_parse_serialize_parse():
-    sc = load_bundled_scenario()
-    again = parse_scenario(serialize_scenario(sc))
-    assert again == sc
-    # and a second lap is byte-stable on the document too
-    assert serialize_scenario(again) == serialize_scenario(sc)
-
-
 def test_roundtrip_covers_explicit_spaces_pins_and_products():
     raw = {
         "schema": 1,
@@ -119,14 +113,18 @@ def test_roundtrip_covers_explicit_spaces_pins_and_products():
                   "group": {"free": 0, "torsion": [2]}}],
     }
     sc = parse_scenario(raw)
-    again = parse_scenario(serialize_scenario(sc))
-    assert again == sc
-    # the ternary product folds left and re-flattens on serialization
     spaces = dict(sc.spaces)
-    assert serialize_scenario(sc)["spaces"]["T3"] == {
-        "product": ["circle", "circle", "circle"]}
-    from cobcheck.topology import dimension
-    assert dimension(spaces["T3"]) == 3
+    # the ternary product folds left
+    assert spaces["T3"] == Product(Product(Circle(), Circle()), Circle())
+    assert sc.lagrangian("A").space == spaces["T3"]
+    explicit = spaces["E"]
+    assert isinstance(explicit, Explicit) and explicit.dimension == 2
+    assert explicit.homology.entry(0) == FgAbGroup(1)
+    assert explicit.homology.entry(1) == FgAbGroup(0, (2, 4))
+    assert sc.intersections[0].space == explicit
+    assert sc.intersections[0].restriction_surjective_degrees == (1,)
+    (pin,) = sc.pins
+    assert (pin.pair, pin.degree, pin.group) == (("A", "B"), 0, FgAbGroup(0, (2,)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +188,57 @@ def test_cli_emit_trace_and_json(tmp_path, capsys):
     assert payload["claims"][1]["verdict"] == "INFEASIBLE"
 
 
-def test_cli_window_and_bound_overrides(capsys):
+def test_cli_window_and_bound_overrides(tmp_path, capsys):
     code = main(["check", str(bundled("paper_cp7.json")),
                  "--branch-bound", "3", "--window", "3"])
     out = capsys.readouterr().out
     assert code == 10
     assert "INFEASIBLE" in out
+    # the overrides act exactly like editing the document
+    raw = json.loads(bundled("paper_cp7.json").read_text())
+    raw["entry_bound"], raw["window"] = 3, 3
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path)]) == 10
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--branch-bound", "0", "entry_bound"),
+    ("--window", "1", "window"),
+])
+def test_cli_rejects_invalid_overrides(capsys, flag, value, field):
+    code = main(["check", str(bundled("paper_cp7.json")), flag, value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"validation error: {field}: must be" in err
+
+
+def test_cli_window_too_small_is_a_validation_error(tmp_path, capsys):
+    # an S^6 intersection at grading step 2 needs more than 2 column steps
+    raw = {
+        "schema": 1,
+        "name": "narrow-window",
+        "lagrangians": [
+            {"name": "P5", "space": {"rp": 7}, "ambient": 7, "maslov": 8},
+            {"name": "L3", "space": {"product": ["circle", "circle"]}, "ambient": 7,
+             "maslov": 2},
+        ],
+        "intersections": [
+            {"pair": ["P5", "L3"], "clean": True, "connected": True, "space": {"sphere": 6}},
+        ],
+        "claims": [],
+        "probe": "P5",
+        "grading": -2,
+        "entry_bound": 1,
+        "window": 2,
+    }
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(raw))
+    code = main(["check", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "validation error: stage floer: window too small" in err
 
 
 def test_cli_missing_file(capsys):
@@ -242,6 +285,42 @@ def test_stage_errors_name_the_stage(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "stage admissibility" in err
+
+
+def test_spin_check_uses_the_granting_intersection(tmp_path, capsys):
+    # (B, A) is declared first but does not grant the claim; the spin
+    # check must read the clean connected (A, B) declaration
+    end = {"product": ["R", "circle"]}
+    raw = {
+        "schema": 1,
+        "name": "granting-order",
+        "spaces": {"R": {"product": [{"rp": 3}, {"sphere": 3}]}},
+        "lagrangians": [
+            {"name": "K", "space": {"rp": 7}, "ambient": 7, "maslov": 8},
+            {"name": "A", "space": end, "ambient": 7, "maslov": 4},
+            {"name": "B", "space": end, "ambient": 7, "maslov": 4},
+            {"name": "L", "space": None, "ambient": 7, "maslov": None},
+        ],
+        "intersections": [
+            {"pair": ["B", "A"], "clean": False, "connected": True, "space": "R",
+             "restriction_surjective_degrees": []},
+            {"pair": ["A", "B"], "clean": True, "connected": True, "space": "R",
+             "restriction_surjective_degrees": [1, 2]},
+            {"pair": ["K", "A"], "clean": True, "connected": True, "space": "R"},
+            {"pair": ["K", "B"], "clean": True, "connected": True, "space": "R"},
+        ],
+        "claims": [{"source": "L", "ends": ["A", "B"]}],
+        "probe": "K",
+        "grading": -2,
+    }
+    path = tmp_path / "granting.json"
+    path.write_text(json.dumps(raw))
+    code = main(["check", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert ("cobordism L ~> (A, B): restriction H^k(A) -> H^k(S) surjective "
+            "for k in {1, 2}; Mayer-Vietoris forces w_1(V) = w_2(V) = 0: "
+            "spin certified") in out
 
 
 def test_unclean_probe_intersection_rejected():

@@ -5,7 +5,7 @@ import pytest
 from cobcheck.abgroup import FgAbGroup, Z, ZERO, cyclic, from_orders
 from cobcheck.graded import (GradedGroup, GradingError, LaurentGrading,
                              PeriodConflict, coefficient_change,
-                             impose_periodicity, shift)
+                             impose_periodicity)
 
 
 def test_laurent_grading_validation():
@@ -29,15 +29,6 @@ def test_periodic_lookup():
     g = GradedGroup.from_dict({1: cyclic(2)}, period=2)
     assert g.entry(-7) == cyclic(2)
     assert g.entry(4) == ZERO
-
-
-def test_shift_examples():
-    g = GradedGroup.from_dict({0: Z})
-    assert shift(g, 0) == g
-    assert shift(g, 3) == GradedGroup.from_dict({3: Z})
-    p = GradedGroup.from_dict({1: cyclic(2)}, period=2)
-    assert shift(p, 2) == p
-    assert shift(p, 1).entry(0) == cyclic(2)
 
 
 def test_impose_periodicity_fold():
