@@ -415,11 +415,6 @@ def _zero_mod_orders(rows, orders: tuple[int, ...]) -> bool:
     return True
 
 
-def zero_hom(source: FgAbGroup, target: FgAbGroup) -> GroupHom:
-    return GroupHom(source, target, IntMatrix.zero(target.generator_count(),
-                                                   source.generator_count()))
-
-
 def _kernel_lattice(m: IntMatrix) -> IntMatrix:
     """Basis (as columns) of the integer kernel of m, living in Z^cols."""
     _, d, v = smith_normal_form(m)
@@ -451,7 +446,7 @@ def lattice_quotient(ambient: IntMatrix, sub: IntMatrix) -> FgAbGroup:
     return cokernel(IntMatrix(rank, sub.cols, tuple(tuple(r) for r in x_rows)))
 
 
-def _preimage_lattice(h: GroupHom) -> IntMatrix:
+def preimage_lattice(h: GroupHom) -> IntMatrix:
     """Generators (columns) of {x in Z^s : h(x) = 0 in the target},
     i.e. the kernel of the composite Z^s -> target."""
     r_t = relation_matrix(h.target)
@@ -471,7 +466,7 @@ def hom_images(h: GroupHom) -> tuple[FgAbGroup, FgAbGroup, FgAbGroup]:
     >>> tuple(str(g) for g in hom_images(h))
     ('Z', '0', 'Z/2')
     """
-    p = _preimage_lattice(h)
+    p = preimage_lattice(h)
     image = cokernel(p)  # source / kernel
     kernel = lattice_quotient(p, relation_matrix(h.source))
     coker = cokernel(h.matrix.hstack(relation_matrix(h.target)))
@@ -506,11 +501,19 @@ def homology_at(incoming: GroupHom | None, outgoing: GroupHom | None,
         if not composite_is_zero(incoming, outgoing):
             raise HomValidationError("consecutive differentials do not compose to zero")
     k = middle.generator_count()
-    p = _preimage_lattice(outgoing) if outgoing is not None else IntMatrix.identity(k)
+    p = preimage_lattice(outgoing) if outgoing is not None else IntMatrix.identity(k)
+    return subquotient(p, incoming, middle)
+
+
+def subquotient(kernel: IntMatrix, incoming: GroupHom | None, middle: FgAbGroup) -> FgAbGroup:
+    """kernel / (im(incoming) + relations of middle), for a kernel lattice
+    given on the generators of ``middle`` (a ``preimage_lattice``, or the
+    identity for the zero map).  Raises HomValidationError when the image
+    does not lie in the kernel."""
     sub = relation_matrix(middle)
     if incoming is not None:
         sub = incoming.matrix.hstack(sub)
-    return lattice_quotient(p, sub)
+    return lattice_quotient(kernel, sub)
 
 
 # ---------------------------------------------------------------------------

@@ -11,21 +11,26 @@ Undetermined differentials are enumerated exhaustively: arrows between
 known nonzero entries are grouped into connected chains, every chain is
 labeled with all bounded integer matrices whose consecutive composites
 vanish, and labelings are deduplicated by the isomorphism classes of the
-entries they produce.  The abutment of every stable page must be
-2-periodic; branches that violate periodicity (or a pinned value) are
-pruned, and surviving branches are deduplicated by their abutment in
-degrees 0 and 1.
+entries they produce.  A chain is labeled by a depth-first search over
+its arrows that extends each partial labeling only with maps composing
+to zero with the ones already placed, visiting labelings in the order
+of the full product of hom spaces; the homology at each position is
+memoized by the maps on its own arrows.  The abutment of every stable
+page must be 2-periodic; branches that violate periodicity (or a pinned
+value) are pruned, and surviving branches are deduplicated by their
+abutment in degrees 0 and 1.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 
-from .abgroup import (FgAbGroup, GroupHom, ZERO, bound_may_truncate,
+from .abgroup import (FgAbGroup, GroupHom, IntMatrix, ZERO, bound_may_truncate,
                       composite_is_zero, direct_sum, hom_images,
-                      hom_matrix_space, homology_at)
+                      hom_matrix_space, homology_at, preimage_lattice,
+                      subquotient)
 from .graded import GradedGroup
 
 
@@ -58,6 +63,9 @@ class BigradedPage:
     entries: tuple[tuple[Position, FgAbGroup], ...]
     unresolved: frozenset[Position] = frozenset()
     base_row_support: frozenset[int] = frozenset()
+    _by_position: dict[Position, FgAbGroup] = field(init=False, compare=False, repr=False)
+    _arrows: dict[int, tuple[tuple[Position, Position], ...]] = field(
+        init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.column_step <= 0 or self.column_step % 2 != 0:
@@ -73,6 +81,7 @@ class BigradedPage:
             if not grp.is_trivial():
                 cleaned.append(((p, q), grp))
         object.__setattr__(self, "entries", tuple(sorted(cleaned)))
+        object.__setattr__(self, "_by_position", dict(self.entries))
 
     def window_columns(self) -> tuple[int, ...]:
         n = self.column_step
@@ -82,10 +91,7 @@ class BigradedPage:
         return p % self.column_step == 0 and abs(p) <= self.col_span * self.column_step
 
     def entry(self, p: int, q: int) -> FgAbGroup:
-        for pos, grp in self.entries:
-            if pos == (p, q):
-                return grp
-        return ZERO
+        return self._by_position.get((p, q), ZERO)
 
 
 def build_e1(s_homology: GradedGroup, column_step: int, col_span: int = 2,
@@ -177,9 +183,13 @@ def _first_active_page(page: BigradedPage) -> int | None:
     return None
 
 
-def _arrows_at(page: BigradedPage, r: int) -> list[tuple[Position, Position]]:
+def _arrows_at(page: BigradedPage, r: int) -> tuple[tuple[Position, Position], ...]:
     """Arrows (src, tgt) of page r between possibly-nonzero positions
-    with at least one endpoint inside the window."""
+    with at least one endpoint inside the window; computed once per page
+    and r."""
+    cached = page._arrows.get(r)
+    if cached is not None:
+        return cached
     cols = set(page.window_columns())
     src_cols = sorted(cols | {c + r for c in cols})
     arrows = []
@@ -190,7 +200,8 @@ def _arrows_at(page: BigradedPage, r: int) -> list[tuple[Position, Position]]:
                 continue
             if _possibly_nonzero(page, src) and _possibly_nonzero(page, tgt):
                 arrows.append((src, tgt))
-    return arrows
+    page._arrows[r] = tuple(arrows)
+    return page._arrows[r]
 
 
 def _slots_and_unresolved(page: BigradedPage, r: int) -> tuple[
@@ -351,34 +362,135 @@ def _component_classes(arrows: tuple[tuple[Position, Position], ...],
     vanishing consecutive composites, deduplicated by the resulting
     homology groups at ``signature_positions`` (positions whose next
     entry is unknowable are excluded by the caller).  Positions are
-    pre-normalized by the caller so equal shapes share cache entries."""
+    pre-normalized by the caller so equal shapes share cache entries.
+
+    A depth-first search places one hom per arrow, in ``arrows`` order,
+    and extends arrow k only with homs whose composite with every
+    already placed neighbour vanishes (bitmask tables over positions in
+    ``hom_matrix_space``).  It visits the surviving labelings in the
+    lexicographic order of the full product, so each class keeps the
+    same first representative.  Homology is memoized per call: at a
+    chain end by the single hom index, in the middle by the (incoming,
+    outgoing) index pair; the kernel lattice of each outgoing hom is
+    computed once.
+    """
     group_of = dict(groups)
     spaces = [hom_matrix_space(group_of[s], group_of[t], bound) for s, t in arrows]
     incoming_idx = {t: i for i, (_, t) in enumerate(arrows)}
     outgoing_idx = {s: i for i, (s, _) in enumerate(arrows)}
-    classes: dict[tuple, _ComponentClass] = {}
-    for labeling in itertools.product(*spaces):
-        ok = True
-        for i, (src, tgt) in enumerate(arrows):
-            j = outgoing_idx.get(tgt)
-            if j is not None and not composite_is_zero(labeling[i], labeling[j]):
-                ok = False
-                break
-        if not ok:
+    # constraints[k]: (i, masks) for each placed-before neighbour i of
+    # arrow k; masks[h] has bit b set when hom b of arrow k composes to
+    # zero with hom h of arrow i
+    constraints: list[list[tuple[int, list[int]]]] = [[] for _ in arrows]
+    for i, (_, tgt) in enumerate(arrows):
+        j = outgoing_idx.get(tgt)
+        if j is None:
             continue
-        results = []
-        for pos in signature_positions:
-            inc = labeling[incoming_idx[pos]] if pos in incoming_idx else None
-            out = labeling[outgoing_idx[pos]] if pos in outgoing_idx else None
-            results.append((pos, homology_at(inc, out, group_of[pos])))
-        key = tuple(results)
+        masks = _vanishing_masks(spaces[i], spaces[j], group_of[arrows[j][1]])
+        if i < j:
+            constraints[j].append((i, masks))
+        else:
+            constraints[i].append((j, _transpose_masks(masks, len(spaces[j]))))
+    sites = [(pos, incoming_idx.get(pos), outgoing_idx.get(pos), {})
+             for pos in signature_positions]
+    kernels: dict[tuple[int, int], IntMatrix] = {}
+    interned: dict[FgAbGroup, FgAbGroup] = {}
+    chosen = [0] * len(arrows)
+    classes: dict[tuple, _ComponentClass] = {}
+
+    def homology(pos, i, o, memo):
+        key = (-1 if i is None else chosen[i], -1 if o is None else chosen[o])
+        grp = memo.get(key)
+        if grp is None:
+            if o is None:
+                kernel = IntMatrix.identity(group_of[pos].generator_count())
+            else:
+                kernel = kernels.get((o, key[1]))
+                if kernel is None:
+                    kernel = kernels[o, key[1]] = preimage_lattice(spaces[o][key[1]])
+            inc = spaces[i][key[0]] if i is not None else None
+            grp = subquotient(kernel, inc, group_of[pos])
+            # one object per distinct group: a middle memo holds an entry
+            # for every surviving pair
+            grp = memo[key] = interned.setdefault(grp, grp)
+        return grp
+
+    def allowed(k: int) -> int:
+        mask = (1 << len(spaces[k])) - 1
+        for i, masks in constraints[k]:
+            mask &= masks[chosen[i]]
+        return mask
+
+    # pending[k]: homs of arrow k not yet tried under the current prefix;
+    # taking the lowest bit first keeps the product order
+    pending = [allowed(0)] + [0] * (len(arrows) - 1)
+    k = 0
+    while k >= 0:
+        if not pending[k]:
+            k -= 1
+            continue
+        low = pending[k] & -pending[k]
+        pending[k] ^= low
+        chosen[k] = low.bit_length() - 1
+        if k + 1 < len(arrows):
+            k += 1
+            pending[k] = allowed(k)
+            continue
+        key = tuple((site[0], homology(*site)) for site in sites)
         if key not in classes:
+            labeling = [sp[h] for sp, h in zip(spaces, chosen)]
             classes[key] = _ComponentClass(
                 results=key,
-                homs=tuple((arrows[i][0], labeling[i]) for i in range(len(arrows))
-                           if not labeling[i].is_zero()),
+                homs=tuple((arrow[0], h) for arrow, h in zip(arrows, labeling)
+                           if not h.is_zero()),
             )
     return tuple(classes.values())
+
+
+def _vanishing_masks(first: tuple[GroupHom, ...], second: tuple[GroupHom, ...],
+                     target: FgAbGroup) -> list[int]:
+    """For each hom f in ``first``: the bitmask of positions of homs g in
+    ``second`` with g o f = 0 in ``target``.
+
+    g o f vanishes exactly when g kills every column of f's matrix, so
+    the test runs once per distinct column, in plain integer arithmetic
+    modulo the target generator orders."""
+    orders = target.generator_orders()
+    rows = [g.matrix.entries for g in second]
+    kills: dict[tuple[int, ...], int] = {}
+
+    def killers(col: tuple[int, ...]) -> int:
+        mask = 0
+        for b, g_rows in enumerate(rows):
+            for row, o in zip(g_rows, orders):
+                x = sum(map(mul, row, col))
+                if (x % o if o else x):
+                    break
+            else:
+                mask |= 1 << b
+        return mask
+
+    out = []
+    for f in first:
+        mask = (1 << len(second)) - 1
+        for col in zip(*f.matrix.entries):
+            m = kills.get(col)
+            if m is None:
+                m = kills[col] = killers(col)
+            mask &= m
+        out.append(mask)
+    return out
+
+
+def _transpose_masks(masks: list[int], width: int) -> list[int]:
+    """Bit-matrix transpose: bit a of out[b] is bit b of masks[a]."""
+    out = [0] * width
+    for a, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1] |= 1 << a
+            mask ^= low
+    return out
 
 
 def _components(slots: list[tuple[Position, Position]]) -> list[list[tuple[Position, Position]]]:

@@ -8,9 +8,9 @@ from cobcheck.abgroup import (FgAbGroup, GroupHom, HomValidationError, IntMatrix
                               Z, ZERO, bound_may_truncate, cokernel, composite_is_zero,
                               cyclic, direct_sum, from_orders,
                               hom_images, hom_matrix_space, homology_at,
-                              smith_normal_form, tensor, tor, zero_hom)
+                              smith_normal_form, tensor, tor)
 
-from oracles import determinant
+from oracles import determinant, zero_hom
 
 
 def test_doctests():

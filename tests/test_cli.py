@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 from pathlib import Path
@@ -174,6 +175,44 @@ def test_cli_golden_byte_identical(capsys):
     golden = bundled("golden/paper_cp7_report.txt").read_text()
     assert out == golden
     assert code == 10
+
+
+RP3_RP3_TABLE = {
+    "schema": 1,
+    "name": "rp3xrp3-table",
+    "lagrangians": [
+        {"name": "P", "space": {"rp": 7}, "ambient": 7, "maslov": 8},
+        {"name": "Q", "space": {"product": [{"rp": 3}, {"rp": 3}]}, "ambient": 7, "maslov": 4},
+    ],
+    "intersections": [
+        {"pair": ["Q", "P"], "clean": True, "connected": True,
+         "space": {"product": [{"rp": 3}, {"rp": 3}]}},
+    ],
+    "claims": [],
+    "probe": "P",
+    "grading": -2,
+    "entry_bound": 4,
+    "window": 2,
+}
+
+
+@pytest.mark.parametrize("args, code, digest", [
+    # the golden report is at entry bound 4; bound 6 reaches the longest
+    # differential chains (Z^2 -> Z -> Z^2 at 169 x 169 labelings)
+    (["--branch-bound", "6", "--window", "8"], 10,
+     "7ebb04af18df31b89e4e94b5f17ffb4de166aaa87709ceec23da4200a805822a"),
+    (None, 0, "81e1baae11511b1f98015a9b499ef7c7d3bdf67ff1b715a02d826bb0991df787"),
+], ids=["cp7-bound6-window8", "rp3xrp3-table"])
+def test_cli_reports_pinned(tmp_path, capsys, args, code, digest):
+    if args is None:
+        path = tmp_path / "rp3xrp3.json"
+        path.write_text(json.dumps(RP3_RP3_TABLE))
+        argv = ["check", str(path)]
+    else:
+        argv = ["check", str(bundled("paper_cp7.json"))] + args
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_emit_trace_and_json(tmp_path, capsys):

@@ -4,9 +4,12 @@ from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, cyclic,
                               hom_images)
 from cobcheck.graded import GradedGroup
 from cobcheck.spectra import (BigradedPage, DifferentialAssignment, SpectraError,
+                              _component_classes,
                               abutment, build_e1, certified_degrees, solve_floer,
                               trivial_pages, turn_page)
 from cobcheck.topology import Product, RealProjective, Sphere, homology
+
+from oracles import component_classes_by_product
 
 
 H_RP7 = homology(RealProjective(7))
@@ -292,3 +295,31 @@ def test_two_stage_turning_hand_derived():
     # every leaf that needed both stages records both page indices
     multi = [l for l in tree.leaves if (str(l.hf_even), str(l.hf_odd)) == ("0", "0")]
     assert {r for r, _, _ in multi[0].assignments} == {2, 4}
+
+
+# ---------------------------------------------------------------------------
+# component enumeration against the full-product oracle
+
+CHAIN = ((8, 0), (4, 3), (0, 6), (-4, 9))
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@pytest.mark.parametrize("shape", [
+    (Z, FgAbGroup(2)),
+    (cyclic(2), cyclic(2)),
+    (FgAbGroup(2), Z, FgAbGroup(2)),
+    (Z, FgAbGroup(2), Z),
+    (cyclic(4), cyclic(2), cyclic(4)),
+    (Z, FgAbGroup(2), Z, cyclic(2)),
+    (cyclic(2), cyclic(4), cyclic(2), cyclic(4)),
+], ids=lambda shape: "->".join(map(str, shape)))
+def test_component_classes_match_product_enumeration(shape, bound):
+    positions = CHAIN[:len(shape)]
+    groups = tuple(zip(positions, shape))
+    forward = tuple(zip(positions, positions[1:]))
+    orders = {forward, forward[::-1], forward[1:] + forward[:1]}
+    signatures = [positions, positions[1:], positions[:1] + positions[2:]]
+    for arrows in orders:
+        for signature in signatures:
+            got = _component_classes(arrows, groups, bound, signature)
+            assert got == component_classes_by_product(arrows, groups, bound, signature)
