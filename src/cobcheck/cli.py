@@ -120,12 +120,34 @@ class ObstructionScenario:
 # Parsing
 
 
+def _expect(raw, kind: type, path: str):
+    """A document object (``dict``) or array (``list``) at path."""
+    if not isinstance(raw, kind):
+        raise ScenarioError(f"{path}: expected {'an object' if kind is dict else 'a list'}")
+    return raw
+
+
+def _required(raw: dict, key: str, path: str):
+    """The value of a required key of the object at path."""
+    if key not in raw:
+        raise ScenarioError(f"{path}: missing field {key!r}")
+    return raw[key]
+
+
+def _integer(raw, path: str) -> int:
+    """An integer document value at path (anything ``int`` accepts)."""
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{path}: expected an integer, got {raw!r}") from None
+
+
 def _parse_group(raw, path: str) -> FgAbGroup:
     if not isinstance(raw, dict) or set(raw) - {"free", "torsion"}:
         raise ScenarioError(f"{path}: group must be {{'free': n, 'torsion': [...]}}")
     try:
         return FgAbGroup(int(raw.get("free", 0)), tuple(int(d) for d in raw.get("torsion", ())))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
@@ -141,9 +163,9 @@ def _parse_space(raw, names: dict[str, SpaceExpr], path: str) -> SpaceExpr:
     (kind, value), = raw.items()
     try:
         if kind == "sphere":
-            return Sphere(int(value))
+            return Sphere(_integer(value, f"{path}.sphere"))
         if kind == "rp":
-            return RealProjective(int(value))
+            return RealProjective(_integer(value, f"{path}.rp"))
         if kind == "product":
             if not isinstance(value, list) or len(value) < 2:
                 raise ScenarioError(f"{path}.product: needs at least two factors")
@@ -152,9 +174,13 @@ def _parse_space(raw, names: dict[str, SpaceExpr], path: str) -> SpaceExpr:
                 expr = Product(expr, _parse_space(item, names, f"{path}.product[{i}]"))
             return expr
         if kind == "explicit":
-            table = {int(k): _parse_group(v, f"{path}.explicit.homology[{k}]")
-                     for k, v in value.get("homology", {}).items()}
-            return Explicit(GradedGroup.from_dict(table), int(value["dim"]))
+            at = f"{path}.explicit"
+            value = _expect(value, dict, at)
+            homology = _expect(value.get("homology", {}), dict, f"{at}.homology")
+            table = {_integer(k, f"{at}.homology"): _parse_group(v, f"{at}.homology[{k}]")
+                     for k, v in homology.items()}
+            return Explicit(GradedGroup.from_dict(table),
+                            _integer(_required(value, "dim", at), f"{at}.dim"))
     except TopologyError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     raise ScenarioError(f"{path}: unknown space constructor {kind!r}")
@@ -188,28 +214,30 @@ def parse_scenario(data) -> ObstructionScenario:
             data = json.loads(data)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError("top level: expected an object")
+    _expect(data, dict, "top level")
     if data.get("schema") != 1:
         raise ScenarioError(f"schema: expected 1, got {data.get('schema')!r}")
     name = data.get("name", "scenario")
 
     names: dict[str, SpaceExpr] = {}
-    for key, raw in data.get("spaces", {}).items():
+    for key, raw in _expect(data.get("spaces", {}), dict, "spaces").items():
         if key == "circle":
             raise ScenarioError("spaces.circle: name shadows the built-in circle")
         names[key] = _parse_space(raw, names, f"spaces.{key}")
 
-    raw_lagrangians = data.get("lagrangians", [])
+    raw_lagrangians = _expect(data.get("lagrangians", []), list, "lagrangians")
     if not raw_lagrangians:
         raise ScenarioError("lagrangians: no Lagrangians declared")
     lagrangians = []
     seen = set()
     for i, raw in enumerate(raw_lagrangians):
         path = f"lagrangians[{i}]"
+        raw = _expect(raw, dict, path)
         lag_name = raw.get("name")
         if not lag_name:
             raise ScenarioError(f"{path}.name: missing")
+        if not isinstance(lag_name, str):
+            raise ScenarioError(f"{path}.name: expected a string")
         if lag_name in seen:
             raise ScenarioError(f"{path}.name: duplicate {lag_name!r}")
         seen.add(lag_name)
@@ -221,14 +249,12 @@ def parse_scenario(data) -> ObstructionScenario:
             lagrangians.append(LagrangianDescriptor(
                 name=lag_name,
                 space=space,
-                ambient_dim=int(raw["ambient"]),
-                maslov=None if maslov is None else int(maslov),
+                ambient_dim=_integer(_required(raw, "ambient", path), f"{path}.ambient"),
+                maslov=None if maslov is None else _integer(maslov, f"{path}.maslov"),
                 orientable=bool(raw.get("orientable", True)),
                 spin=bool(raw.get("spin", True)),
                 monotone=bool(raw.get("monotone", True)),
             ))
-        except KeyError as exc:
-            raise ScenarioError(f"{path}: missing field {exc}") from exc
         except TopologyError as exc:
             raise ScenarioError(f"{path}: {exc}") from exc
     ambients = {lag.ambient_dim for lag in lagrangians}
@@ -238,36 +264,40 @@ def parse_scenario(data) -> ObstructionScenario:
             "one scenario lives in one CP^n")
 
     def check_name(ref: str, path: str) -> str:
-        if ref not in seen:
+        if not isinstance(ref, str) or ref not in seen:
             raise ScenarioError(f"{path}: dangling Lagrangian name {ref!r}")
         return ref
 
+    def check_pair(raw: dict, key: str, path: str, what: str = "two names") -> tuple[str, str]:
+        pair = raw.get(key, [])
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ScenarioError(f"{path}.{key}: expected {what}")
+        return check_name(pair[0], f"{path}.{key}[0]"), check_name(pair[1], f"{path}.{key}[1]")
+
     intersections = []
-    for i, raw in enumerate(data.get("intersections", [])):
+    for i, raw in enumerate(_expect(data.get("intersections", []), list, "intersections")):
         path = f"intersections[{i}]"
-        pair = raw.get("pair", [])
-        if len(pair) != 2:
-            raise ScenarioError(f"{path}.pair: expected two names")
-        degrees = tuple(int(d) for d in raw.get("restriction_surjective_degrees", []))
+        raw = _expect(raw, dict, path)
+        degrees_path = f"{path}.restriction_surjective_degrees"
+        degrees = tuple(_integer(d, degrees_path) for d in
+                        _expect(raw.get("restriction_surjective_degrees", []), list, degrees_path))
         if any(d < 0 for d in degrees):
             raise ScenarioError(f"{path}.restriction_surjective_degrees: negative degree")
         intersections.append(IntersectionDecl(
-            pair=(check_name(pair[0], f"{path}.pair[0]"), check_name(pair[1], f"{path}.pair[1]")),
+            pair=check_pair(raw, "pair", path),
             clean=bool(raw.get("clean", False)),
             connected=bool(raw.get("connected", False)),
-            space=_parse_space(raw["space"], names, f"{path}.space"),
+            space=_parse_space(_required(raw, "space", path), names, f"{path}.space"),
             restriction_surjective_degrees=degrees,
         ))
 
     claims = []
-    for i, raw in enumerate(data.get("claims", [])):
+    for i, raw in enumerate(_expect(data.get("claims", []), list, "claims")):
         path = f"claims[{i}]"
-        ends = raw.get("ends", [])
-        if len(ends) != 2:
-            raise ScenarioError(f"{path}.ends: expected two names (ordered)")
+        raw = _expect(raw, dict, path)
         claims.append(ClaimDecl(
-            source=check_name(raw["source"], f"{path}.source"),
-            ends=(check_name(ends[0], f"{path}.ends[0]"), check_name(ends[1], f"{path}.ends[1]")),
+            source=check_name(_required(raw, "source", path), f"{path}.source"),
+            ends=check_pair(raw, "ends", path, "two names (ordered)"),
             spin=bool(raw.get("spin", True)),
             monotone=bool(raw.get("monotone", True)),
         ))
@@ -284,23 +314,21 @@ def parse_scenario(data) -> ObstructionScenario:
         check_name(probe, "probe")
 
     try:
-        grading = LaurentGrading(int(data.get("grading", -2)))
+        grading = LaurentGrading(_integer(data.get("grading", -2), "grading"))
     except GradingError as exc:
         raise ScenarioError(f"grading: {exc}") from exc
 
-    entry_bound = _at_least("entry_bound", int(data.get("entry_bound", 4)), 1)
-    window = _at_least("window", int(data.get("window", 2)), 2)
+    entry_bound = _at_least("entry_bound", _integer(data.get("entry_bound", 4), "entry_bound"), 1)
+    window = _at_least("window", _integer(data.get("window", 2), "window"), 2)
 
     pins = []
-    for i, raw in enumerate(data.get("pins", [])):
+    for i, raw in enumerate(_expect(data.get("pins", []), list, "pins")):
         path = f"pins[{i}]"
-        pair = raw.get("pair", [])
-        if len(pair) != 2:
-            raise ScenarioError(f"{path}.pair: expected two names")
+        raw = _expect(raw, dict, path)
         pins.append(PinDecl(
-            pair=(check_name(pair[0], f"{path}.pair[0]"), check_name(pair[1], f"{path}.pair[1]")),
-            degree=int(raw["degree"]),
-            group=_parse_group(raw["group"], f"{path}.group"),
+            pair=check_pair(raw, "pair", path),
+            degree=_integer(_required(raw, "degree", path), f"{path}.degree"),
+            group=_parse_group(_required(raw, "group", path), f"{path}.group"),
         ))
 
     return ObstructionScenario(

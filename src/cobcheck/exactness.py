@@ -602,24 +602,28 @@ def certify_nonexistence(claims: list[CobordismClaim],
     for name in end_names:
         if name not in branch_sets or not branch_sets[name]:
             raise ValueError(f"no Floer homology branches for end {name}")
-    granted = [c for c in claims if c.granted]
-
-    combos = list(itertools.product(*(branch_sets[name] for name in end_names)))
+    # each claim's sequence is built once per branch combination, and each
+    # distinct problem is checked once
+    granted = [k for k, c in enumerate(claims) if c.granted]
+    combos = []
+    for combo in itertools.product(*(branch_sets[name] for name in end_names)):
+        hf = {name: value for name, (_, value) in zip(end_names, combo)}
+        label = ", ".join(f"HF({probe.name},{name}) = ({value[0]}, {value[1]})"
+                          for name, (_, value) in zip(end_names, combo))
+        combos.append((label, [build_cobordism_sequences(probe, c.ends, c.source, hf,
+                                                         unknown, grading).sequences
+                               for c in claims]))
+    verdicts: dict[ExactSequenceProblem, FeasibilityVerdict] = {}
     out = []
-    for claim in claims:
+    for k, claim in enumerate(claims):
+        used = granted + ([k] if not claim.granted else [])
         outcomes = []
-        for combo in combos:
-            hf = {name: value for name, (_, value) in zip(end_names, combo)}
-            label = ", ".join(f"HF({probe.name},{name}) = ({value[0]}, {value[1]})"
-                              for name, (_, value) in zip(end_names, combo))
-            used = granted + ([claim] if not claim.granted else [])
-            sequences = []
-            for c in used:
-                prob = build_cobordism_sequences(probe, c.ends, c.source, hf,
-                                                 unknown, grading)
-                sequences.extend(prob.sequences)
-            problem = ExactSequenceProblem(sequences=tuple(dict.fromkeys(sequences)))
-            outcomes.append(BranchOutcome(label, check_feasibility(problem)))
+        for label, built in combos:
+            problem = ExactSequenceProblem(
+                sequences=tuple(dict.fromkeys(seq for j in used for seq in built[j])))
+            if problem not in verdicts:
+                verdicts[problem] = check_feasibility(problem)
+            outcomes.append(BranchOutcome(label, verdicts[problem]))
         infeasible = all(not oc.verdict.feasible for oc in outcomes)
         out.append(ClaimVerdict(
             ends=(claim.ends[0].name, claim.ends[1].name),

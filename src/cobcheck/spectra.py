@@ -15,16 +15,21 @@ entries they produce.  A chain is labeled by a depth-first search over
 its arrows that extends each partial labeling only with maps composing
 to zero with the ones already placed, visiting labelings in the order
 of the full product of hom spaces; the homology at each position is
-memoized by the maps on its own arrows.  The abutment of every stable
-page must be 2-periodic; branches that violate periodicity (or a pinned
-value) are pruned, and surviving branches are deduplicated by their
-abutment in degrees 0 and 1.
+memoized by the maps on its own arrows.  The solver turns each page
+once: the next page is the untouched entries plus the homology the
+chosen classes already computed (``turn_page`` is the validated public
+path to the same page).  The abutment of every stable page must be
+2-periodic; branches that violate periodicity (or a pinned value) are
+pruned, surviving branches are deduplicated by their abutment in
+degrees 0 and 1, and trace text is rendered only for the branches kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import chain
 from operator import mul
 
 from .abgroup import (FgAbGroup, GroupHom, IntMatrix, ZERO, bound_may_truncate,
@@ -268,27 +273,19 @@ def _validate_assignment(page: BigradedPage, d: DifferentialAssignment) -> dict[
 
 def turn_page(page: BigradedPage, d: DifferentialAssignment) -> BigradedPage:
     """Homology of the page at the assigned differentials: the next page
-    holds ker(outgoing)/im(incoming) at every resolved position."""
+    holds ker(outgoing)/im(incoming) at every resolved position.
+
+    This is the validated public path (the page, the skipped pages and
+    every composite are checked); the branch solver builds the same
+    pages from the homology its component classes already computed."""
     homs = _validate_assignment(page, d)
     r = d.page_index
     _, newly_unresolved = _slots_and_unresolved(page, r)
     unresolved = page.unresolved | newly_unresolved
-    entries: dict[Position, FgAbGroup] = {}
-    for (p, q), grp in page.entries:
-        if (p, q) in unresolved:
-            continue
-        incoming = homs.get((p + r, q - r + 1))
-        outgoing = homs.get((p, q))
-        entries[(p, q)] = homology_at(incoming, outgoing, grp)
-    return BigradedPage(
-        page_index=r + 1,
-        column_step=page.column_step,
-        col_span=page.col_span,
-        row_max=page.row_max,
-        entries=tuple(entries.items()),
-        unresolved=unresolved,
-        base_row_support=page.base_row_support,
-    )
+    entries = tuple(
+        ((p, q), homology_at(homs.get((p + r, q - r + 1)), homs.get((p, q)), grp))
+        for (p, q), grp in page.entries if (p, q) not in unresolved)
+    return replace(page, page_index=r + 1, unresolved=unresolved, entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +574,11 @@ class BranchTree:
         return "ok" if self.leaves else "empty"
 
 
+# one page turn of a branch: the page index and its nonzero differentials
+# by source position, sorted
+_Turn = tuple[int, list[tuple[Position, GroupHom]]]
+
+
 def _describe_hom(r: int, src: Position, tgt: Position, h: GroupHom) -> str:
     image, kernel, coker = hom_images(h)
     rows = [list(row) for row in h.matrix.entries]
@@ -587,6 +589,21 @@ def _describe_hom(r: int, src: Position, tgt: Position, h: GroupHom) -> str:
         if m:
             text += f" (image index {m} in Z)"
     return text
+
+
+def _fold_parity(values: Iterable[tuple[int, FgAbGroup]], slots=(None, None)):
+    """Fold (degree, group) values into the (even, odd) slots of a
+    2-periodic abutment; None as soon as two values of one parity
+    differ.  Consumes ``values`` lazily, so a clash stops the work that
+    produces the remaining values."""
+    out = list(slots)
+    for deg, grp in values:
+        seen = out[deg % 2]
+        if seen is None:
+            out[deg % 2] = grp
+        elif seen != grp:
+            return None
+    return tuple(out)
 
 
 def solve_floer(s_homology: GradedGroup, column_step: int,
@@ -601,88 +618,80 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     """
     root = build_e1(s_homology, column_step, col_span, row_max)
     pins = tuple(constraints)
-    leaves: list[BranchLeaf] = []
+    # first leaf per (HF_even, HF_odd), in search order
+    leaves: dict[tuple[FgAbGroup, FgAbGroup], BranchLeaf] = {}
     truncation = False
 
-    def finish(page: BigradedPage, trace: list[str],
-               assignments: list[tuple[int, Position, GroupHom]]) -> None:
+    def finish(page: BigradedPage, turns: list[_Turn]) -> None:
         table = abutment(page)
         degs = certified_degrees(page)
-        even = {table.entry(d) for d in degs if d % 2 == 0}
-        odd = {table.entry(d) for d in degs if d % 2 == 1}
-        if len(even) > 1 or len(odd) > 1:
+        key = _fold_parity(chain(pins, ((d, table.entry(d)) for d in degs)))
+        if key is None or key in leaves:
             return
-        hf0 = even.pop() if even else ZERO
-        hf1 = odd.pop() if odd else ZERO
-        for deg, grp in pins:
-            if (hf0 if deg % 2 == 0 else hf1) != grp:
-                return
-        hf = GradedGroup.from_dict({0: hf0, 1: hf1}, period=2)
-        lines = trace + [
+        hf0, hf1 = key
+        lines = [f"E^1: columns at multiples of {column_step}, "
+                 f"rows 0..{root.row_max} carry the intersection homology"]
+        for r, homs in turns:
+            lines.append(f"page {r} differentials:" if homs
+                         else f"page {r}: all differentials vanish")
+            lines += [_describe_hom(r, src, (src[0] - r, src[1] + r - 1), h) for src, h in homs]
+        lines += [
             f"stable at page {page.page_index}; certified degrees {degs[0]}..{degs[-1]}",
             f"2-periodic abutment: HF_even = {hf0}, HF_odd = {hf1}",
         ]
-        leaves.append(BranchLeaf(
-            hf=hf,
+        leaves[key] = BranchLeaf(
+            hf=GradedGroup.from_dict({0: hf0, 1: hf1}, period=2),
             certified=tuple((d, table.entry(d)) for d in degs),
-            assignments=tuple(assignments),
+            assignments=tuple((r, src, h) for r, homs in turns for src, h in homs),
             trace=tuple(lines),
-        ))
+        )
 
-    def explore(page: BigradedPage, trace: list[str],
-                assignments: list[tuple[int, Position, GroupHom]]) -> None:
+    def explore(page: BigradedPage, turns: list[_Turn]) -> None:
         nonlocal truncation
         r = _first_active_page(page)
         if r is None:
-            finish(page, trace, assignments)
+            finish(page, turns)
             return
         slots, newly_unresolved = _slots_and_unresolved(page, r)
         comps = _components(slots)
         for s, t in slots:
             if bound_may_truncate(page.entry(*s), page.entry(*t), entry_bound):
                 truncation = True
-        skip = page.unresolved | newly_unresolved
-        class_lists = [_enumerate_component(page, comp, entry_bound, skip) for comp in comps]
+        unresolved = page.unresolved | newly_unresolved
+        touched = {pos for s, t in slots for pos in (s, t)}
+        # the next page without the components' entries; each branch adds
+        # the homology its chosen classes computed
+        base = replace(page, page_index=r + 1, unresolved=unresolved,
+                       entries=tuple((pos, grp) for pos, grp in page.entries
+                                     if pos not in touched and pos not in unresolved))
+        class_lists = [_enumerate_component(page, comp, entry_bound, unresolved)
+                       for comp in comps]
 
         # the pruner checks the final abutment, so it only applies when no
         # later page can carry a differential
         if _support_page_from(page, r + page.column_step) is None:
-            pruner = _build_pruner(page, r, comps, newly_unresolved, pins)
+            pruner = _build_pruner(base, comps, pins)
         else:
             pruner = _accept_all
 
-        def emit(chosen: list[_ComponentClass]) -> None:
-            homs = tuple((pos, h) for cls in chosen for pos, h in cls.homs)
-            d = DifferentialAssignment(page_index=r, homs=homs)
-            next_page = turn_page(page, d)
-            lines = [f"page {r} differentials:"] if homs else [f"page {r}: all differentials vanish"]
-            lines += [_describe_hom(r, src, (src[0] - r, src[1] + r - 1), h)
-                      for src, h in sorted(homs)]
-            explore(next_page, trace + lines,
-                    assignments + [(r, src, h) for src, h in sorted(homs)])
-
         def dfs(i: int, chosen: list[_ComponentClass], state) -> None:
             if i == len(class_lists):
-                emit(chosen)
+                homs = sorted(hom for cls in chosen for hom in cls.homs)
+                results = tuple(res for cls in chosen for res in cls.results)
+                explore(replace(base, entries=base.entries + results), turns + [(r, homs)])
                 return
             for cls in class_lists[i]:
-                nxt = pruner(i, chosen, cls, state)
+                placed = chosen + [cls]
+                nxt = pruner(i, placed, state)
                 if nxt is not None:
-                    dfs(i + 1, chosen + [cls], nxt)
+                    dfs(i + 1, placed, nxt)
 
-        seed = pruner(-1, [], None, None)
+        seed = pruner(-1, [], None)
         if seed is not None:
             dfs(0, [], seed)
 
-    explore(root, [f"E^1: columns at multiples of {column_step}, "
-                   f"rows 0..{root.row_max} carry the intersection homology"], [])
-
-    deduped: dict[tuple[FgAbGroup, FgAbGroup], BranchLeaf] = {}
-    for leaf in leaves:
-        key = (leaf.hf_even, leaf.hf_odd)
-        if key not in deduped:
-            deduped[key] = leaf
-    ordered = tuple(sorted(deduped.values(), key=lambda lf: (str(lf.hf_even), str(lf.hf_odd))))
+    explore(root, [])
+    ordered = tuple(sorted(leaves.values(), key=lambda lf: (str(lf.hf_even), str(lf.hf_odd))))
     return BranchTree(
         column_step=column_step,
         entry_bound=entry_bound,
@@ -693,75 +702,43 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     )
 
 
-def _accept_all(i, chosen, cls, state):
+def _accept_all(i, placed, state):
     """Pruner for a turn that later pages may still change: no check."""
     return ()
 
 
-def _build_pruner(page: BigradedPage, r: int, comps, newly_unresolved, pins):
+def _build_pruner(base: BigradedPage, comps, pins):
     """Incremental 2-periodicity checking for a final page turn.
 
-    Precomputes, per certified degree of the post-turn page, the fixed
-    contribution from untouched entries and which components cover the
-    rest; as the DFS places components, completed degrees must agree
-    with their parity class and any pins.  The DFS state is the pair of
-    parity values discovered so far (None = not yet seen).
+    ``base`` is the next page without the components' entries: it fixes
+    the certified degrees and the contribution of untouched entries.
+    Each degree is checked once the last component with an entry on its
+    antidiagonal is placed (degrees no component reaches are checked
+    with the pins before any is placed).  The DFS state is the pair of
+    parity values found so far.
     """
-    shadow = BigradedPage(
-        page_index=r + 1,
-        column_step=page.column_step,
-        col_span=page.col_span,
-        row_max=page.row_max,
-        entries=page.entries,
-        unresolved=page.unresolved | newly_unresolved,
-        base_row_support=page.base_row_support,
-    )
-    degs = certified_degrees(shadow)
+    degs = certified_degrees(base)
     if 0 not in degs or 1 not in degs:
         raise WindowError("window cannot certify abutment degrees 0 and 1")
-    comp_of_pos = {}
+    fixed: dict[int, list[FgAbGroup]] = {deg: [] for deg in degs}
+    for (p, q), grp in base.entries:
+        if p + q in fixed:
+            fixed[p + q].append(grp)
+    last_comp: dict[int, int] = {}
     for i, comp in enumerate(comps):
         for arrow in comp:
             for pos in arrow:
-                comp_of_pos[pos] = i
-    info = {}
-    for deg in degs:
-        fixed = []
-        pending: set[int] = set()
-        for (p, q), grp in page.entries:
-            if p + q != deg or (p, q) in shadow.unresolved:
-                continue
-            i = comp_of_pos.get((p, q))
-            if i is None:
-                fixed.append(grp)
-            else:
-                pending.add(i)
-        info[deg] = (direct_sum(*fixed) if fixed else ZERO, pending)
-    pin_of = {0: None, 1: None}
-    for deg, grp in pins:
-        parity = deg % 2
-        if pin_of[parity] is not None and pin_of[parity] != grp:
-            return lambda *a: None  # contradictory pins: nothing survives
-        pin_of[parity] = grp
-    completed_at: dict[int, list[int]] = {}
-    for deg, (_, pending) in info.items():
-        stage = max(pending) if pending else -1
-        completed_at.setdefault(stage, []).append(deg)
+                if sum(pos) in fixed and pos not in base.unresolved:
+                    last_comp[sum(pos)] = i
+    completed_at: dict[int, list[tuple[int, FgAbGroup]]] = {}
+    for deg, parts in fixed.items():
+        completed_at.setdefault(last_comp.get(deg, -1), []).append(
+            (deg, direct_sum(*parts) if parts else ZERO))
 
-    def check(i, chosen, cls, state):
-        parity_val = dict(state) if state else {0: pin_of[0], 1: pin_of[1]}
-        placed = chosen + ([cls] if cls is not None else [])
-        for deg in completed_at.get(i, ()):
-            fixed, pending = info[deg]
-            parts = [fixed]
-            for j in sorted(pending):
-                parts.extend(grp for (p, q), grp in placed[j].results if p + q == deg)
-            val = direct_sum(*parts)
-            parity = deg % 2
-            if parity_val[parity] is None:
-                parity_val[parity] = val
-            elif parity_val[parity] != val:
-                return None
-        return tuple(parity_val.items())
+    def check(i, placed, state):
+        values = ((deg, direct_sum(grp, *(g for cls in placed for (p, q), g in cls.results
+                                          if p + q == deg)))
+                  for deg, grp in completed_at.get(i, ()))
+        return _fold_parity(values, state) if i >= 0 else _fold_parity(chain(pins, values))
 
     return check

@@ -1,10 +1,8 @@
 """Homology catalog for the manifolds the scenarios use.
 
-Spheres and real projective spaces come from closed-form tables; real
-projective space is additionally implemented as a cellular chain complex
-(one cell per dimension, boundary alternating 0 and 2) so the table can
-be cross-checked by an independent oracle.  Products go through the
-Kunneth formula
+Spheres and real projective spaces come from closed-form tables (the
+tests cross-check the real projective table against a cellular chain
+complex).  Products go through the Kunneth formula
 
     H_n(X x Y) = sum_{i+j=n} H_i (x) H_j  +  sum_{i+j=n-1} Tor(H_i, H_j).
 
@@ -22,8 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, cyclic,
-                      direct_sum, homology_at, tensor, tor)
+from .abgroup import FgAbGroup, Z, ZERO, cyclic, direct_sum, tensor, tor
 from .graded import GradedGroup
 
 
@@ -114,40 +111,6 @@ def _rp_homology_table(n: int) -> dict[int, FgAbGroup]:
     if n >= 1 and n % 2 == 1:
         out[n] = Z
     return out
-
-
-def rp_boundary_matrices(n: int) -> list[IntMatrix]:
-    """Cellular boundary maps of RP^n: one cell per dimension 0..n,
-    d_k = multiplication by 1 + (-1)^k.  Entry k is d_k: C_k -> C_{k-1}."""
-    mats = [IntMatrix(0, 1, ())]  # d_0: C_0 -> 0
-    for k in range(1, n + 1):
-        mats.append(IntMatrix.from_rows([[1 + (-1) ** k]]))
-    return mats
-
-
-def cellular_homology(boundaries: list[IntMatrix]) -> dict[int, FgAbGroup]:
-    """Homology of a chain complex given by boundary matrices
-    d_k: C_k -> C_{k-1} (entry k of the list); an independent oracle
-    built on kernels and images only."""
-    out = {}
-    top = len(boundaries) - 1
-    for k in range(top + 1):
-        d_k = boundaries[k]
-        free_k = FgAbGroup(d_k.cols)
-        outgoing = None
-        if d_k.rows > 0:
-            outgoing = GroupHom(free_k, FgAbGroup(d_k.rows), d_k)
-        incoming = None
-        if k + 1 <= top and boundaries[k + 1].cols > 0:
-            incoming = GroupHom(FgAbGroup(boundaries[k + 1].cols), free_k, boundaries[k + 1])
-        grp = homology_at(incoming, outgoing, free_k)
-        if not grp.is_trivial():
-            out[k] = grp
-    return out
-
-
-def rp_homology_cellular(n: int) -> dict[int, FgAbGroup]:
-    return cellular_homology(rp_boundary_matrices(n))
 
 
 def kunneth(hx: GradedGroup, hy: GradedGroup) -> GradedGroup:

@@ -71,3 +71,37 @@ def component_classes_by_product(arrows, groups, bound, signature_positions):
                            if not labeling[i].is_zero()),
             )
     return tuple(classes.values())
+
+
+def rp_boundary_matrices(n: int) -> list[IntMatrix]:
+    """Cellular boundary maps of RP^n: one cell per dimension 0..n,
+    d_k = multiplication by 1 + (-1)^k.  Entry k is d_k: C_k -> C_{k-1}."""
+    mats = [IntMatrix(0, 1, ())]  # d_0: C_0 -> 0
+    for k in range(1, n + 1):
+        mats.append(IntMatrix.from_rows([[1 + (-1) ** k]]))
+    return mats
+
+
+def cellular_homology(boundaries: list[IntMatrix]) -> dict[int, FgAbGroup]:
+    """Homology of a chain complex given by boundary matrices
+    d_k: C_k -> C_{k-1} (entry k of the list); an independent oracle
+    built on kernels and images only."""
+    out = {}
+    top = len(boundaries) - 1
+    for k in range(top + 1):
+        d_k = boundaries[k]
+        free_k = FgAbGroup(d_k.cols)
+        outgoing = None
+        if d_k.rows > 0:
+            outgoing = GroupHom(free_k, FgAbGroup(d_k.rows), d_k)
+        incoming = None
+        if k + 1 <= top and boundaries[k + 1].cols > 0:
+            incoming = GroupHom(FgAbGroup(boundaries[k + 1].cols), free_k, boundaries[k + 1])
+        grp = homology_at(incoming, outgoing, free_k)
+        if not grp.is_trivial():
+            out[k] = grp
+    return out
+
+
+def rp_homology_cellular(n: int) -> dict[int, FgAbGroup]:
+    return cellular_homology(rp_boundary_matrices(n))

@@ -14,11 +14,10 @@ from cobcheck.abgroup import (FgAbGroup, IntMatrix, Z, ZERO, cyclic, direct_sum,
 from cobcheck.cli import main, parse_scenario, run
 from cobcheck.graded import LaurentGrading, coefficient_change
 from cobcheck.spectra import solve_floer
-from cobcheck.topology import (Product, RealProjective, Sphere, homology,
-                               rp_homology_cellular)
+from cobcheck.topology import Product, RealProjective, Sphere, homology
 from cobcheck.exactness import UnsupportedProblemError, check_feasibility
 
-from oracles import determinant
+from oracles import determinant, rp_homology_cellular
 from test_exactness import _random_problem, oracle_feasible
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -196,21 +196,62 @@ RP3_RP3_TABLE = {
 }
 
 
-@pytest.mark.parametrize("args, code, digest", [
+# catalog-table scenarios as in the benchmark corpus: RP^7 at window 4
+# turns 258 pages; T^2 at bound 4 renders the most trace text
+RP7_S4_W4 = {
+    "schema": 1,
+    "name": "rp7-s4-w4",
+    "spaces": {},
+    "lagrangians": [
+        {"name": "M3", "space": {"rp": 7}, "ambient": 7, "maslov": 8},
+        {"name": "Q9", "space": {"rp": 7}, "ambient": 7, "maslov": 4},
+    ],
+    "intersections": [
+        {"pair": ["Q9", "M3"], "clean": True, "connected": True, "space": {"rp": 7}},
+    ],
+    "claims": [],
+    "probe": "M3",
+    "grading": -2,
+    "entry_bound": 4,
+    "window": 4,
+}
+
+T2_S2_B4 = {
+    "schema": 1,
+    "name": "t2-s2-b4",
+    "spaces": {},
+    "lagrangians": [
+        {"name": "N9", "space": {"rp": 7}, "ambient": 7, "maslov": 8},
+        {"name": "N1", "space": {"product": ["circle", "circle"]}, "ambient": 7, "maslov": 2},
+    ],
+    "intersections": [
+        {"pair": ["N9", "N1"], "clean": True, "connected": True,
+         "space": {"product": ["circle", "circle"]}},
+    ],
+    "claims": [],
+    "probe": "N9",
+    "grading": -2,
+    "entry_bound": 4,
+    "window": 2,
+}
+
+
+@pytest.mark.parametrize("document, args, code, digest", [
     # the golden report is at entry bound 4; bound 6 reaches the longest
     # differential chains (Z^2 -> Z -> Z^2 at 169 x 169 labelings)
-    (["--branch-bound", "6", "--window", "8"], 10,
+    (None, ["--branch-bound", "6", "--window", "8"], 10,
      "7ebb04af18df31b89e4e94b5f17ffb4de166aaa87709ceec23da4200a805822a"),
-    (None, 0, "81e1baae11511b1f98015a9b499ef7c7d3bdf67ff1b715a02d826bb0991df787"),
-], ids=["cp7-bound6-window8", "rp3xrp3-table"])
-def test_cli_reports_pinned(tmp_path, capsys, args, code, digest):
-    if args is None:
-        path = tmp_path / "rp3xrp3.json"
-        path.write_text(json.dumps(RP3_RP3_TABLE))
-        argv = ["check", str(path)]
+    (RP3_RP3_TABLE, [], 0, "81e1baae11511b1f98015a9b499ef7c7d3bdf67ff1b715a02d826bb0991df787"),
+    (RP7_S4_W4, [], 0, "7f64a45c54c509a8df6799a2679d82ebb31cb0b301b7418df6cf2d232be2373b"),
+    (T2_S2_B4, [], 0, "6572f615a773c40cfc9df579574e90514494125008e39e633cfdfccd94e02ade"),
+], ids=["cp7-bound6-window8", "rp3xrp3-table", "rp7-s4-w4", "t2-s2-b4"])
+def test_cli_reports_pinned(tmp_path, capsys, document, args, code, digest):
+    if document is None:
+        path = bundled("paper_cp7.json")
     else:
-        argv = ["check", str(bundled("paper_cp7.json"))] + args
-    assert main(argv) == code
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(document))
+    assert main(["check", str(path)] + args) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -278,6 +319,27 @@ def test_cli_window_too_small_is_a_validation_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "validation error: stage floer: window too small" in err
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["claims"][0].pop("source"), "claims[0]: missing field 'source'"),
+    (lambda d: d["intersections"][0].pop("space"), "intersections[0]: missing field 'space'"),
+    (lambda d: d.update(spaces=[]), "spaces: expected an object"),
+    (lambda d: d["lagrangians"].__setitem__(0, "L2"), "lagrangians[0]: expected an object"),
+    (lambda d: d.update(pins=[{"pair": ["L2", "L1"], "group": {"free": 1}}]),
+     "pins[0]: missing field 'degree'"),
+    (lambda d: d.update(entry_bound="x"), "entry_bound: expected an integer, got 'x'"),
+    (lambda d: d["spaces"].update(E={"explicit": {"homology": {}}}),
+     "spaces.E.explicit: missing field 'dim'"),
+], ids=["claim-source", "intersection-space", "spaces-list", "lagrangian-string",
+        "pin-degree", "entry-bound-string", "explicit-dim"])
+def test_cli_malformed_documents_are_validation_errors(tmp_path, capsys, mutate, message):
+    raw = json.loads(bundled("paper_cp7.json").read_text())
+    mutate(raw)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
 def test_cli_missing_file(capsys):

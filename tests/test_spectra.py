@@ -249,6 +249,7 @@ def test_leaf_assignments_replay_through_page_turns():
         (H_RP7, 8, {}),
         (H_R, 4, {}),
         (GradedGroup.from_dict({0: Z, 1: cyclic(2), 3: Z}), 2, {"col_span": 3}),
+        (H_RP7, 4, {"col_span": 4}),
     ]
     from cobcheck.spectra import _first_active_page
 
