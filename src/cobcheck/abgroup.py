@@ -8,8 +8,10 @@ Presentations and homomorphisms are integer matrices over Python ints
 (arbitrary precision; Smith normal form can blow up intermediate entries
 even on small inputs).  Everything downstream - cokernels, kernels,
 images, and the subquotients that drive spectral-sequence differentials -
-reduces to one exact Smith normal form routine with unimodular
-transforms.
+reduces to one exact Smith elimination loop whose unimodular transforms
+are optional: cokernels need only the diagonal, kernel lattices only the
+column transform, and lattice quotients the row transform of the
+ambient lattice (through the cached ``smith_normal_form``).
 
 >>> str(direct_sum(cyclic(2), cyclic(3)))
 'Z/6'
@@ -243,49 +245,33 @@ class IntMatrix:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
 
-@lru_cache(maxsize=None)
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: returns (u, d, v) with d = u * m * v.
-
-    u and v are unimodular; d is diagonal with nonnegative entries
-    satisfying the divisibility chain d1 | d2 | ...  Total function:
-    empty matrices are fine.
-
-    >>> m = IntMatrix.from_rows([[2, 4], [6, 8]])
-    >>> u, d, v = smith_normal_form(m)
-    >>> d.diagonal()
-    (2, 4)
-    >>> u.mul(m).mul(v) == d
-    True
-    """
-    rows, cols = m.rows, m.cols
-    a = [list(r) for r in m.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+def _eliminate(a: list[list[int]], u: list[list[int]] | None = None,
+               v: list[list[int]] | None = None) -> tuple[int, ...]:
+    """Reduce the list matrix ``a`` in place to Smith normal form and
+    return the nonzero part of its diagonal.  Row operations are applied
+    to ``u`` and column operations to ``v`` when they are given."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    col_mats = (a,) if v is None else (a, v)
 
     def row_add(i, j, c):  # row i += c * row j
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        if u is not None:
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def col_add(i, j, c):  # col i += c * col j
-        for r in range(rows):
-            a[r][i] += c * a[r][j]
-        for r in range(cols):
-            v[r][i] += c * v[r][j]
+        for mat in col_mats:
+            for row in mat:
+                row[i] += c * row[j]
 
     def col_swap(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
+        for mat in col_mats:
+            for row in mat:
+                row[i], row[j] = row[j], row[i]
 
     t = 0
     while t < min(rows, cols):
@@ -324,10 +310,35 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             continue
         t += 1
 
-    for i in range(min(rows, cols)):
+    for i in range(t):
         if a[i][i] < 0:
-            row_neg(i)
+            row_add(i, i, -2)  # negate row i
+    return tuple(a[i][i] for i in range(t))
 
+
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@lru_cache(maxsize=None)
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form: returns (u, d, v) with d = u * m * v.
+
+    u and v are unimodular; d is diagonal with nonnegative entries
+    satisfying the divisibility chain d1 | d2 | ...  Total function:
+    empty matrices are fine.
+
+    >>> m = IntMatrix.from_rows([[2, 4], [6, 8]])
+    >>> u, d, v = smith_normal_form(m)
+    >>> d.diagonal()
+    (2, 4)
+    >>> u.mul(m).mul(v) == d
+    True
+    """
+    rows, cols = m.rows, m.cols
+    a = [list(r) for r in m.entries]
+    u, v = _identity_rows(rows), _identity_rows(cols)
+    _eliminate(a, u, v)
     return (
         IntMatrix.from_rows(u) if rows else IntMatrix(0, 0, ()),
         IntMatrix.from_rows(a) if rows else IntMatrix(0, cols, ()),
@@ -335,20 +346,23 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
+def _cokernel(a: list[list[int]]) -> FgAbGroup:
+    """Z^len(a) / (column span of the list matrix a); consumes a."""
+    diag = _eliminate(a)
+    return FgAbGroup(len(a) - len(diag), tuple(x for x in diag if x >= 2))
+
+
 def cokernel(m: IntMatrix) -> FgAbGroup:
     """The group Z^rows / (column span of m), in canonical form.
 
-    Diagonal 1s are dropped, diagonal 0s (and missing diagonal slots)
+    Only the Smith diagonal is needed, so no transforms are built:
+    diagonal 1s are dropped, diagonal 0s (and missing diagonal slots)
     contribute free rank.
 
     >>> str(cokernel(IntMatrix.from_rows([[2]])))
     'Z/2'
     """
-    _, d, _ = smith_normal_form(m)
-    diag = d.diagonal()
-    nonzero = [x for x in diag if x != 0]
-    free = m.rows - len(nonzero)
-    return FgAbGroup(free, tuple(x for x in nonzero if x >= 2))
+    return _cokernel([list(r) for r in m.entries])
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +430,11 @@ def _zero_mod_orders(rows, orders: tuple[int, ...]) -> bool:
 
 
 def _kernel_lattice(m: IntMatrix) -> IntMatrix:
-    """Basis (as columns) of the integer kernel of m, living in Z^cols."""
-    _, d, v = smith_normal_form(m)
-    rank = sum(1 for x in d.diagonal() if x != 0)
-    data = tuple(tuple(v.entries[i][j] for j in range(rank, m.cols)) for i in range(m.cols))
-    return IntMatrix(m.cols, m.cols - rank, data)
+    """Basis (as columns) of the integer kernel of m, living in Z^cols:
+    the columns of the column transform past the Smith rank."""
+    v = _identity_rows(m.cols)
+    rank = len(_eliminate([list(r) for r in m.entries], v=v))
+    return IntMatrix(m.cols, m.cols - rank, tuple(tuple(row[rank:]) for row in v))
 
 
 def lattice_quotient(ambient: IntMatrix, sub: IntMatrix) -> FgAbGroup:
@@ -429,21 +443,18 @@ def lattice_quotient(ambient: IntMatrix, sub: IntMatrix) -> FgAbGroup:
     if ambient.rows != sub.rows:
         raise ValueError("lattices live in different ambient ranks")
     u, d, _ = smith_normal_form(ambient)
-    diag = d.diagonal()
-    rank = sum(1 for x in diag if x != 0)
+    diag = [x for x in d.diagonal() if x]
     # write each generator of L2 in the basis d_ii * (u^-1 e_i) of L1
-    x_rows = [[0] * sub.cols for _ in range(rank)]
-    for i, row in enumerate(u.mul(sub).entries):
-        for j, yi in enumerate(row):
-            if i >= rank:
-                if yi != 0:
-                    raise HomValidationError("sublattice is not contained in the ambient lattice")
-            else:
-                q, r = divmod(yi, diag[i])
-                if r != 0:
-                    raise HomValidationError("sublattice is not contained in the ambient lattice")
-                x_rows[i][j] = q
-    return cokernel(IntMatrix(rank, sub.cols, tuple(tuple(r) for r in x_rows)))
+    sub_cols = list(zip(*sub.entries))
+    x_rows = []
+    for i, u_row in enumerate(u.entries):
+        y = [sum(map(mul, u_row, col)) for col in sub_cols]
+        di = diag[i] if i < len(diag) else 0
+        if any(yi % di if di else yi for yi in y):
+            raise HomValidationError("sublattice is not contained in the ambient lattice")
+        if di:
+            x_rows.append([yi // di for yi in y])
+    return _cokernel(x_rows)
 
 
 def preimage_lattice(h: GroupHom) -> IntMatrix:

@@ -145,9 +145,12 @@ def _integer(raw, path: str) -> int:
 def _parse_group(raw, path: str) -> FgAbGroup:
     if not isinstance(raw, dict) or set(raw) - {"free", "torsion"}:
         raise ScenarioError(f"{path}: group must be {{'free': n, 'torsion': [...]}}")
+    free = _integer(raw.get("free", 0), f"{path}.free")
+    torsion = _expect(raw.get("torsion", []), list, f"{path}.torsion")
+    orders = tuple(_integer(d, f"{path}.torsion[{i}]") for i, d in enumerate(torsion))
     try:
-        return FgAbGroup(int(raw.get("free", 0)), tuple(int(d) for d in raw.get("torsion", ())))
-    except (TypeError, ValueError) as exc:
+        return FgAbGroup(free, orders)
+    except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 

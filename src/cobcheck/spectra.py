@@ -14,8 +14,11 @@ vanish, and labelings are deduplicated by the isomorphism classes of the
 entries they produce.  A chain is labeled by a depth-first search over
 its arrows that extends each partial labeling only with maps composing
 to zero with the ones already placed, visiting labelings in the order
-of the full product of hom spaces; the homology at each position is
-memoized by the maps on its own arrows.  The solver turns each page
+of the full product of hom spaces.  The homology at each position comes
+from invariants computed once per hom: M / im(in) for the incoming map,
+and the rank of im(out) for the outgoing one; when that image is free
+it splits off M / im(in), and only a torsion image falls back to the
+kernel-lattice subquotient.  The solver turns each page
 once: the next page is the untouched entries plus the homology the
 chosen classes already computed (``turn_page`` is the validated public
 path to the same page).  The abutment of every stable page must be
@@ -33,9 +36,9 @@ from itertools import chain
 from operator import mul
 
 from .abgroup import (FgAbGroup, GroupHom, IntMatrix, ZERO, bound_may_truncate,
-                      composite_is_zero, direct_sum, hom_images,
+                      cokernel, composite_is_zero, direct_sum, hom_images,
                       hom_matrix_space, homology_at, preimage_lattice,
-                      subquotient)
+                      relation_matrix, subquotient)
 from .graded import GradedGroup
 
 
@@ -366,10 +369,16 @@ def _component_classes(arrows: tuple[tuple[Position, Position], ...],
     already placed neighbour vanishes (bitmask tables over positions in
     ``hom_matrix_space``).  It visits the surviving labelings in the
     lexicographic order of the full product, so each class keeps the
-    same first representative.  Homology is memoized per call: at a
-    chain end by the single hom index, in the middle by the (incoming,
-    outgoing) index pair; the kernel lattice of each outgoing hom is
-    computed once.
+    same first representative.
+
+    Homology ker(out) / im(in) at M comes from per-hom invariants,
+    each computed once per call: coker(in) = M / im(in) (M at a chain
+    start), and the rank r of im(out) with whether it is torsion-free
+    (r = 0 at a chain end; the matrix rank into a free target, else the
+    cokernel of the outgoing kernel lattice).  A free im(out) splits off
+    M / im(in), leaving coker(in) with r fewer free generators; only a
+    torsion image falls back to ``subquotient`` on the kernel lattice.
+    Results are memoized per position by the (incoming, outgoing) pair.
     """
     group_of = dict(groups)
     spaces = [hom_matrix_space(group_of[s], group_of[t], bound) for s, t in arrows]
@@ -390,23 +399,47 @@ def _component_classes(arrows: tuple[tuple[Position, Position], ...],
             constraints[i].append((j, _transpose_masks(masks, len(spaces[j]))))
     sites = [(pos, incoming_idx.get(pos), outgoing_idx.get(pos), {})
              for pos in signature_positions]
+    # by (arrow, hom index): M / im(in); (rank, torsion-free) of im(out);
+    # the kernel lattice of out when its target has torsion
+    cokernels: dict[tuple[int, int], FgAbGroup] = {}
+    images: dict[tuple[int, int], tuple[int, bool]] = {}
     kernels: dict[tuple[int, int], IntMatrix] = {}
     interned: dict[FgAbGroup, FgAbGroup] = {}
     chosen = [0] * len(arrows)
     classes: dict[tuple, _ComponentClass] = {}
 
+    def coker_in(i: int, h: int) -> FgAbGroup:
+        grp = cokernels.get((i, h))
+        if grp is None:
+            hom = spaces[i][h]
+            grp = cokernels[i, h] = cokernel(hom.matrix.hstack(relation_matrix(hom.target)))
+        return grp
+
+    def image_out(o: int, h: int) -> tuple[int, bool]:
+        img = images.get((o, h))
+        if img is None:
+            hom = spaces[o][h]
+            if not hom.target.torsion:
+                # a subgroup of a free group: its rank is the matrix rank
+                img = (hom.target.free_rank - cokernel(hom.matrix).free_rank, True)
+            else:
+                kernel = kernels[o, h] = preimage_lattice(hom)
+                grp = cokernel(kernel)  # source / kernel
+                img = (grp.free_rank, not grp.torsion)
+            images[o, h] = img
+        return img
+
     def homology(pos, i, o, memo):
         key = (-1 if i is None else chosen[i], -1 if o is None else chosen[o])
         grp = memo.get(key)
         if grp is None:
-            if o is None:
-                kernel = IntMatrix.identity(group_of[pos].generator_count())
+            rank, free = (0, True) if o is None else image_out(o, key[1])
+            if free:
+                coker = group_of[pos] if i is None else coker_in(i, key[0])
+                grp = FgAbGroup(coker.free_rank - rank, coker.torsion)
             else:
-                kernel = kernels.get((o, key[1]))
-                if kernel is None:
-                    kernel = kernels[o, key[1]] = preimage_lattice(spaces[o][key[1]])
-            inc = spaces[i][key[0]] if i is not None else None
-            grp = subquotient(kernel, inc, group_of[pos])
+                inc = spaces[i][key[0]] if i is not None else None
+                grp = subquotient(kernels[o, key[1]], inc, group_of[pos])
             # one object per distinct group: a middle memo holds an entry
             # for every surviving pair
             grp = memo[key] = interned.setdefault(grp, grp)

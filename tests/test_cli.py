@@ -321,6 +321,11 @@ def test_cli_window_too_small_is_a_validation_error(tmp_path, capsys):
     assert "validation error: stage floer: window too small" in err
 
 
+def _explicit_degree_0(group):
+    """A mutation adding an explicit space with this degree 0 group."""
+    return lambda d: d["spaces"].update(E={"explicit": {"homology": {"0": group}, "dim": 3}})
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda d: d["claims"][0].pop("source"), "claims[0]: missing field 'source'"),
     (lambda d: d["intersections"][0].pop("space"), "intersections[0]: missing field 'space'"),
@@ -331,8 +336,17 @@ def test_cli_window_too_small_is_a_validation_error(tmp_path, capsys):
     (lambda d: d.update(entry_bound="x"), "entry_bound: expected an integer, got 'x'"),
     (lambda d: d["spaces"].update(E={"explicit": {"homology": {}}}),
      "spaces.E.explicit: missing field 'dim'"),
+    (_explicit_degree_0({"free": "x"}),
+     "spaces.E.explicit.homology[0].free: expected an integer, got 'x'"),
+    (_explicit_degree_0({"free": [1]}),
+     "spaces.E.explicit.homology[0].free: expected an integer, got [1]"),
+    (_explicit_degree_0({"torsion": ["a"]}),
+     "spaces.E.explicit.homology[0].torsion[0]: expected an integer, got 'a'"),
+    (_explicit_degree_0({"torsion": 5}),
+     "spaces.E.explicit.homology[0].torsion: expected a list"),
 ], ids=["claim-source", "intersection-space", "spaces-list", "lagrangian-string",
-        "pin-degree", "entry-bound-string", "explicit-dim"])
+        "pin-degree", "entry-bound-string", "explicit-dim", "group-free-string",
+        "group-free-list", "group-torsion-entry", "group-torsion-int"])
 def test_cli_malformed_documents_are_validation_errors(tmp_path, capsys, mutate, message):
     raw = json.loads(bundled("paper_cp7.json").read_text())
     mutate(raw)

@@ -1,7 +1,8 @@
 import pytest
 
+from cobcheck import spectra
 from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, cyclic,
-                              hom_images)
+                              hom_images, subquotient)
 from cobcheck.graded import GradedGroup
 from cobcheck.spectra import (BigradedPage, DifferentialAssignment, SpectraError,
                               _component_classes,
@@ -303,6 +304,14 @@ def test_two_stage_turning_hand_derived():
 
 CHAIN = ((8, 0), (4, 3), (0, 6), (-4, 9))
 
+# shapes whose torsion middle Z + Z/2 checks the choice of homology path:
+# its outgoing image is free in Z (cokernel rule only) and can be Z/2 in
+# Z/4 (the lattice fallback must run)
+FALLBACK_AT_MIDDLE = {
+    (Z, FgAbGroup(1, (2,)), Z): False,
+    (Z, FgAbGroup(1, (2,)), cyclic(4)): True,
+}
+
 
 @pytest.mark.parametrize("bound", [1, 2, 3])
 @pytest.mark.parametrize("shape", [
@@ -313,8 +322,12 @@ CHAIN = ((8, 0), (4, 3), (0, 6), (-4, 9))
     (cyclic(4), cyclic(2), cyclic(4)),
     (Z, FgAbGroup(2), Z, cyclic(2)),
     (cyclic(2), cyclic(4), cyclic(2), cyclic(4)),
+    *FALLBACK_AT_MIDDLE,
 ], ids=lambda shape: "->".join(map(str, shape)))
-def test_component_classes_match_product_enumeration(shape, bound):
+def test_component_classes_match_product_enumeration(shape, bound, monkeypatch):
+    fallback_middles = []
+    monkeypatch.setattr(spectra, "subquotient", lambda kernel, incoming, middle: (
+        fallback_middles.append(middle) or subquotient(kernel, incoming, middle)))
     positions = CHAIN[:len(shape)]
     groups = tuple(zip(positions, shape))
     forward = tuple(zip(positions, positions[1:]))
@@ -322,5 +335,8 @@ def test_component_classes_match_product_enumeration(shape, bound):
     signatures = [positions, positions[1:], positions[:1] + positions[2:]]
     for arrows in orders:
         for signature in signatures:
-            got = _component_classes(arrows, groups, bound, signature)
+            # uncached, so that every homology computation is observed
+            got = _component_classes.__wrapped__(arrows, groups, bound, signature)
             assert got == component_classes_by_product(arrows, groups, bound, signature)
+    if shape in FALLBACK_AT_MIDDLE:
+        assert (shape[1] in fallback_middles) == FALLBACK_AT_MIDDLE[shape]
