@@ -138,7 +138,7 @@ def _integer(raw, path: str) -> int:
     """An integer document value at path (anything ``int`` accepts)."""
     try:
         return int(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{path}: expected an integer, got {raw!r}") from None
 
 

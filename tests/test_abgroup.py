@@ -1,17 +1,14 @@
 import doctest
 import random
-from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import cobcheck.abgroup as abgroup
 from cobcheck.abgroup import (FgAbGroup, GroupHom, HomValidationError, IntMatrix,
                               Z, ZERO, bound_may_truncate, cokernel, composite_is_zero,
                               cyclic, direct_sum, from_orders,
                               hom_images, hom_matrix_space, homology_at,
-                              preimage_lattice, relation_matrix, smith_normal_form,
-                              subquotient, tensor, tor)
+                              smith_normal_form, tensor, tor)
 
 from oracles import determinant, zero_hom
 
@@ -275,79 +272,6 @@ def test_homology_at_subquotient():
     assert homology_at(None, g) == Z
     assert homology_at(f, None) == direct_sum(Z, cyclic(2))
     assert homology_at(None, None, cyclic(4)) == cyclic(4)
-
-
-# ---------------------------------------------------------------------------
-# properties
-
-ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12))
-
-
-@st.composite
-def matrices(draw, max_dim=5):
-    """Integer matrices of any shape up to max_dim, empty ones included,
-    some rows and columns forced to zero."""
-    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
-    zero_rows = draw(st.sets(st.integers(0, max_dim - 1)))
-    zero_cols = draw(st.sets(st.integers(0, max_dim - 1)))
-    data = tuple(tuple(0 if i in zero_rows or j in zero_cols else draw(ENTRIES)
-                       for j in range(cols)) for i in range(rows))
-    return IntMatrix(rows, cols, data)
-
-
-@st.composite
-def groups(draw, max_rank=3):
-    return from_orders(*[0] * draw(st.integers(0, max_rank)),
-                       *draw(st.lists(st.sampled_from([2, 3, 4, 6]), max_size=2)))
-
-
-@st.composite
-def homs(draw, source, target, bound=3):
-    """A valid hom: a source generator of order d > 0 moves a target
-    generator of order o by a multiple of o / gcd(d, o), so d kills its
-    image (and it cannot reach a free target generator at all)."""
-    def step(d, o):
-        return 1 if d == 0 else (o // gcd(d, o) if o else 0)
-
-    data = tuple(tuple(step(d, o) * draw(st.integers(-bound, bound))
-                       for d in source.generator_orders())
-                 for o in target.generator_orders())
-    return GroupHom(source, target,
-                    IntMatrix(len(data), source.generator_count(), data))
-
-
-@settings(deadline=None, database=None)
-@given(matrices())
-def test_transform_free_diagonal_matches_smith_normal_form(m):
-    _, d, _ = smith_normal_form(m)
-    diag = abgroup._eliminate([list(r) for r in m.entries])
-    assert diag == tuple(x for x in d.diagonal() if x)
-
-
-@settings(deadline=None, database=None)
-@given(st.data())
-def test_homology_from_cokernel_when_outgoing_image_is_free(data):
-    # H = ker(out) / im(in) at M; when im(out) = M / ker(out) is free of
-    # rank r, M / im(in) is H plus Z^r
-    middle = data.draw(groups())
-    out = data.draw(homs(middle, data.draw(groups(max_rank=2))))
-    kernel = preimage_lattice(out)
-    # H depends only on im(in), and every subgroup of ker(out) is the
-    # image of a free group: columns are combinations of the kernel lattice
-    rank_in = data.draw(st.integers(0, 3))
-    coeffs = tuple(tuple(data.draw(st.integers(-2, 2)) for _ in range(rank_in))
-                   for _ in range(kernel.cols))
-    inc = GroupHom(FgAbGroup(rank_in), middle,
-                   kernel.mul(IntMatrix(kernel.cols, rank_in, coeffs)))
-    assert composite_is_zero(inc, out)
-    image = cokernel(kernel)
-    if not out.target.torsion:
-        # into a free group the image is free, of the matrix rank
-        assert image == FgAbGroup(out.target.free_rank - cokernel(out.matrix).free_rank)
-    if not image.torsion:
-        coker = cokernel(inc.matrix.hstack(relation_matrix(middle)))
-        assert (FgAbGroup(coker.free_rank - image.free_rank, coker.torsion)
-                == subquotient(kernel, inc, middle))
 
 
 # ---------------------------------------------------------------------------

@@ -344,9 +344,12 @@ def _explicit_degree_0(group):
      "spaces.E.explicit.homology[0].torsion[0]: expected an integer, got 'a'"),
     (_explicit_degree_0({"torsion": 5}),
      "spaces.E.explicit.homology[0].torsion: expected a list"),
+    # written as the JSON token Infinity, read back as a float int() overflows on
+    (_explicit_degree_0({"free": float("inf")}),
+     "spaces.E.explicit.homology[0].free: expected an integer, got inf"),
 ], ids=["claim-source", "intersection-space", "spaces-list", "lagrangian-string",
         "pin-degree", "entry-bound-string", "explicit-dim", "group-free-string",
-        "group-free-list", "group-torsion-entry", "group-torsion-int"])
+        "group-free-list", "group-torsion-entry", "group-torsion-int", "group-free-infinity"])
 def test_cli_malformed_documents_are_validation_errors(tmp_path, capsys, mutate, message):
     raw = json.loads(bundled("paper_cp7.json").read_text())
     mutate(raw)
