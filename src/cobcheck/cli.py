@@ -383,12 +383,17 @@ class RunReport:
             for label, (h0, h1) in pr.folded:
                 lines.append(f"  folded to deg T = {self.scenario.grading.t_degree}: "
                              f"{label}: HF_0 = {h0}, HF_1 = {h1}")
+        rendered: dict[int, list[str]] = {}  # branches share verdict objects
         for cv in self.claim_verdicts:
             src = self.scenario.claims[0].source if self.scenario.claims else "?"
             lines.append(f"claim {src} ~> ({cv.ends[0]}, {cv.ends[1]})"
                          f"{' [granted by surgery]' if cv.granted else ''}: {cv.verdict}")
             for branch in cv.branches:
                 lines.append(f"  {branch.label}:")
+                if id(branch.verdict) in rendered:
+                    lines.extend(rendered[id(branch.verdict)])
+                    continue
+                start = len(lines)
                 if branch.verdict.feasible:
                     w = branch.verdict.witness
                     dims = ", ".join(f"{k} = {v}" for k, v in sorted(w["dims"].items())) or "none"
@@ -397,6 +402,7 @@ class RunReport:
                 else:
                     lines.append("    infeasible:")
                     lines.extend(f"      {ln}" for ln in branch.verdict.certificate.lines())
+                rendered[id(branch.verdict)] = lines[start:]
         return lines
 
     def verdict_json(self) -> dict:
@@ -532,6 +538,9 @@ def run(sc: ObstructionScenario) -> RunReport:
             else:
                 hom_lines.append(f"lagrangian {lag.name} = {describe_space(lag.space)}: "
                                  f"{homology(lag.space)}")
+        for i, decl in enumerate(sc.intersections):
+            if decl.connected and (h0 := homology(decl.space).entry(0)) != FgAbGroup(1):
+                raise ScenarioError(f"intersections[{i}]: connected, but H_0 = {h0} is not Z")
 
     spin_lines = []
     with _stage("spin"):
@@ -566,6 +575,7 @@ def run(sc: ObstructionScenario) -> RunReport:
                 "forces w_1(V) = w_2(V) = 0: spin certified")
 
     pair_results: list[PairResult] = []
+    trees: dict[tuple, BranchTree] = {}  # one solve per (homology, step, pins)
     with _stage("floer"):
         for _, end in pair_list:
             lag = sc.lagrangian(end)
@@ -581,8 +591,9 @@ def run(sc: ObstructionScenario) -> RunReport:
             native = pair_maslov(probe, lag)
             pins = tuple((p.degree, p.group) for p in sc.pins
                          if tuple(sorted(p.pair)) == tuple(sorted((sc.probe, end))))
-            tree = solve_floer(homology(decl.space), native, constraints=pins,
-                               entry_bound=sc.entry_bound, col_span=sc.window)
+            if (key := (homology(decl.space), native, pins)) not in trees:
+                trees[key] = solve_floer(*key, entry_bound=sc.entry_bound, col_span=sc.window)
+            tree = trees[key]
             if tree.status == "empty":
                 raise SolverLimitError(
                     f"no consistent spectral sequence for pair ({sc.probe}, {end}) under "

@@ -22,7 +22,9 @@ probe K contributes the five-term window
 
 of its long exact sequence, with the source's Floer homology a shared
 unknown; a claimed cobordism is infeasible when its window together with
-the windows of all granted cobordisms admits no exact solution.
+the windows of all granted cobordisms admits no exact solution.  Windows
+are built once per pair of end branches and interned; each problem, keyed
+by window ids, is solved once and its verdict replayed by the verifier.
 """
 
 from __future__ import annotations
@@ -206,17 +208,27 @@ class _State:
     def interval(self, x: int | str) -> tuple[int, int]:
         return (x, x) if isinstance(x, int) else self.iv[x]
 
-    def tighten(self, var: str, lo: int, hi: int, kind: str, seq, pos, why: str) -> bool:
+    def tighten(self, var: str, lo: int, hi: int, kind: str, seq, pos) -> bool:
         cur_lo, cur_hi = self.iv[var]
         lo, hi = max(lo, cur_lo), min(hi, cur_hi)
         if (lo, hi) == (cur_lo, cur_hi):
             return False
         self.iv[var] = (lo, hi)
         rel = f"{var} in [{lo}, {hi}]" if lo <= hi else f"{var} has no possible value"
-        self.steps.append(CertStep(kind, seq, pos, var, lo, hi, f"{rel}  [{why}]"))
+        self.steps.append(CertStep(kind, seq, pos, var, lo, hi,
+                                   f"{rel}  [{self._why(kind, seq, pos, var, lo)}]"))
         if lo > hi:
             self.contradiction = True
         return True
+
+    def _why(self, kind: str, s, j, var: str, value: int) -> str:
+        """The cited constraint of a step, worded only once it is logged."""
+        if kind == "le":
+            return f"rank bound by term {j} of sequence {s}: {_term_label(self.dims, s, j)}"
+        if kind == "eq":
+            return (f"exactness at term {j} of sequence {s}: {_rank_var(s, j - 1)} + "
+                    f"{_rank_var(s, j)} = {_term_label(self.dims, s, j)}")
+        return f"case hypothesis {var} = {value}"
 
     def snapshot(self):
         return dict(self.iv), list(self.steps)
@@ -242,8 +254,7 @@ def _propagate(state: _State) -> None:
                 rv = _rank_var(s, i)
                 for j in (i, i + 1):
                     lo_d, hi_d = state.interval(seq[j])
-                    why = f"rank bound by term {j} of sequence {s}: {_term_label(dims, s, j)}"
-                    changed |= state.tighten(rv, 0, hi_d, "le", s, j, why)
+                    changed |= state.tighten(rv, 0, hi_d, "le", s, j)
                     if state.contradiction:
                         return
             for j in range(1, length - 1):
@@ -251,17 +262,16 @@ def _propagate(state: _State) -> None:
                 lo_a, hi_a = state.iv[a]
                 lo_b, hi_b = state.iv[b]
                 lo_d, hi_d = state.interval(seq[j])
-                why = f"exactness at term {j} of sequence {s}: {a} + {b} = {_term_label(dims, s, j)}"
-                changed |= state.tighten(a, lo_d - hi_b, hi_d - lo_b, "eq", s, j, why)
+                changed |= state.tighten(a, lo_d - hi_b, hi_d - lo_b, "eq", s, j)
                 if state.contradiction:
                     return
                 lo_a, hi_a = state.iv[a]
-                changed |= state.tighten(b, lo_d - hi_a, hi_d - lo_a, "eq", s, j, why)
+                changed |= state.tighten(b, lo_d - hi_a, hi_d - lo_a, "eq", s, j)
                 if state.contradiction:
                     return
                 lo_b, hi_b = state.iv[b]
                 if isinstance(seq[j], str):
-                    changed |= state.tighten(seq[j], lo_a + lo_b, hi_a + hi_b, "eq", s, j, why)
+                    changed |= state.tighten(seq[j], lo_a + lo_b, hi_a + hi_b, "eq", s, j)
                     if state.contradiction:
                         return
         if not changed:
@@ -357,7 +367,7 @@ def _split_certificate(dims, state: _State) -> Certificate:
     for value in range(lo, hi + 1):
         state.restore(base)
         mark = len(state.steps)
-        state.tighten(var, value, value, "case", None, None, f"case hypothesis {var} = {value}")
+        state.tighten(var, value, value, "case", None, None)
         case_step = state.steps[mark]
         _propagate(state)
         if state.contradiction:
@@ -582,6 +592,10 @@ class ClaimVerdict:
     branches: tuple[BranchOutcome, ...]
 
 
+class UnverifiedVerdictError(RuntimeError):
+    """A verdict failed its re-check by the verifier: an internal fault."""
+
+
 def certify_nonexistence(claims: list[CobordismClaim],
                          branch_sets: dict[str, list[tuple[str, tuple[FgAbGroup, FgAbGroup]]]],
                          probe: LagrangianDescriptor,
@@ -592,38 +606,53 @@ def certify_nonexistence(claims: list[CobordismClaim],
 
     branch_sets lists, per end name, the possible (HF_0, HF_1) of the
     probe pair at the common grading - one entry per spectral-sequence
-    outcome, covering all relative spin structures."""
+    outcome, covering all relative spin structures.  Windows are built
+    per (claim, end branch, end branch) and interned to int ids; problems
+    are keyed by those ids, and every new verdict is verified."""
     sources = {c.source.name for c in claims}
     if len(sources) != 1:
         raise ValueError(f"claims must share one source, got {sorted(sources)}")
-    source = claims[0].source
-    unknown = f"HF1({probe.name},{source.name})"
+    unknown = f"HF1({probe.name},{claims[0].source.name})"
     end_names = sorted({lag.name for c in claims for lag in c.ends})
     for name in end_names:
         if name not in branch_sets or not branch_sets[name]:
             raise ValueError(f"no Floer homology branches for end {name}")
-    # each claim's sequence is built once per branch combination, and each
-    # distinct problem is checked once
-    granted = [k for k, c in enumerate(claims) if c.granted]
+    ends_at = [[end_names.index(lag.name) for lag in c.ends] for c in claims]
+    windows: dict[tuple[int, int, int], int] = {}
+    ids: dict[tuple[Term, ...], int] = {}
     combos = []
-    for combo in itertools.product(*(branch_sets[name] for name in end_names)):
-        hf = {name: value for name, (_, value) in zip(end_names, combo)}
-        label = ", ".join(f"HF({probe.name},{name}) = ({value[0]}, {value[1]})"
-                          for name, (_, value) in zip(end_names, combo))
-        combos.append((label, [build_cobordism_sequences(probe, c.ends, c.source, hf,
-                                                         unknown, grading).sequences
-                               for c in claims]))
-    verdicts: dict[ExactSequenceProblem, FeasibilityVerdict] = {}
+    for combo in itertools.product(*(range(len(branch_sets[name])) for name in end_names)):
+        label = ", ".join("HF({},{}) = ({}, {})".format(probe.name, name, *branch_sets[name][b][1])
+                          for name, b in zip(end_names, combo))
+        row = []
+        for k, c in enumerate(claims):
+            key = (k, combo[ends_at[k][0]], combo[ends_at[k][1]])
+            if key not in windows:
+                hf = {lag.name: branch_sets[lag.name][b][1] for lag, b in zip(c.ends, key[1:])}
+                (seq,) = build_cobordism_sequences(probe, c.ends, c.source, hf, unknown,
+                                                   grading).sequences
+                windows[key] = ids.setdefault(seq, len(ids))
+            row.append(windows[key])
+        combos.append((label, row))
+    sequences = list(ids)
+    granted = [k for k, c in enumerate(claims) if c.granted]
+    verdicts: dict[tuple[int, ...], FeasibilityVerdict] = {}
     out = []
     for k, claim in enumerate(claims):
         used = granted + ([k] if not claim.granted else [])
         outcomes = []
-        for label, built in combos:
-            problem = ExactSequenceProblem(
-                sequences=tuple(dict.fromkeys(seq for j in used for seq in built[j])))
-            if problem not in verdicts:
-                verdicts[problem] = check_feasibility(problem)
-            outcomes.append(BranchOutcome(label, verdicts[problem]))
+        for label, row in combos:
+            key = tuple(dict.fromkeys(row[j] for j in used))
+            if key not in verdicts:
+                problem = ExactSequenceProblem(tuple(sequences[i] for i in key))
+                verdict = check_feasibility(problem)
+                if not (verify_witness(problem, verdict.witness) if verdict.feasible
+                        else verify_certificate(problem, verdict.certificate)):
+                    raise UnverifiedVerdictError(
+                        f"claim ({claim.ends[0].name}, {claim.ends[1].name}), {label}: the "
+                        f"{'witness' if verdict.feasible else 'certificate'} does not verify")
+                verdicts[key] = verdict
+            outcomes.append(BranchOutcome(label, verdicts[key]))
         infeasible = all(not oc.verdict.feasible for oc in outcomes)
         out.append(ClaimVerdict(
             ends=(claim.ends[0].name, claim.ends[1].name),

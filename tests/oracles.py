@@ -4,6 +4,8 @@ import itertools
 
 from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, composite_is_zero,
                               hom_matrix_space, homology_at)
+from cobcheck.exactness import (BranchOutcome, ClaimVerdict, ExactSequenceProblem,
+                                build_cobordism_sequences, check_feasibility)
 from cobcheck.spectra import _ComponentClass
 
 
@@ -105,3 +107,40 @@ def cellular_homology(boundaries: list[IntMatrix]) -> dict[int, FgAbGroup]:
 
 def rp_homology_cellular(n: int) -> dict[int, FgAbGroup]:
     return cellular_homology(rp_boundary_matrices(n))
+
+
+def certify_nonexistence_per_branch(claims, branch_sets, probe, grading):
+    """Reference for ``exactness.certify_nonexistence``: every claim's
+    window is rebuilt in every branch combination, and problems are
+    keyed by their full term sequences."""
+    source = claims[0].source
+    unknown = f"HF1({probe.name},{source.name})"
+    end_names = sorted({lag.name for c in claims for lag in c.ends})
+    granted = [k for k, c in enumerate(claims) if c.granted]
+    combos = []
+    for combo in itertools.product(*(branch_sets[name] for name in end_names)):
+        hf = {name: value for name, (_, value) in zip(end_names, combo)}
+        label = ", ".join(f"HF({probe.name},{name}) = ({value[0]}, {value[1]})"
+                          for name, (_, value) in zip(end_names, combo))
+        combos.append((label, [build_cobordism_sequences(probe, c.ends, c.source, hf,
+                                                         unknown, grading).sequences
+                               for c in claims]))
+    verdicts = {}
+    out = []
+    for k, claim in enumerate(claims):
+        used = granted + ([k] if not claim.granted else [])
+        outcomes = []
+        for label, built in combos:
+            problem = ExactSequenceProblem(
+                sequences=tuple(dict.fromkeys(seq for j in used for seq in built[j])))
+            if problem not in verdicts:
+                verdicts[problem] = check_feasibility(problem)
+            outcomes.append(BranchOutcome(label, verdicts[problem]))
+        infeasible = all(not oc.verdict.feasible for oc in outcomes)
+        out.append(ClaimVerdict(
+            ends=(claim.ends[0].name, claim.ends[1].name),
+            granted=claim.granted,
+            verdict="INFEASIBLE" if infeasible else "NOT OBSTRUCTED",
+            branches=tuple(outcomes),
+        ))
+    return out

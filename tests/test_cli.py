@@ -1,14 +1,16 @@
 import hashlib
 import json
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from cobcheck import cli, exactness
 from cobcheck.abgroup import FgAbGroup
 from cobcheck.cli import (ObstructionScenario, ScenarioError, main,
                           parse_scenario, run)
-from cobcheck.topology import Circle, Explicit, Product
+from cobcheck.topology import Circle, Explicit, Product, homology, pair_maslov
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -236,6 +238,52 @@ T2_S2_B4 = {
 }
 
 
+# claims-fanout scenarios as in the benchmark corpus: fan6-two-branch has
+# 7 probe pairs over 3 distinct intersections and 64 branch combinations
+RP3, S3 = {"rp": 3}, {"sphere": 3}
+
+
+def fan_document(name, probe, source, ends, cross):
+    """A claims-fanout document as the benchmark corpus writes it: each
+    end's space is its intersection with the probe times a circle, and
+    each end is claimed in both orders against the probe, then the
+    cross claims."""
+    claims = [pair for end, _ in ends for pair in ((end, probe), (probe, end))] + cross
+    return {
+        "schema": 1,
+        "name": name,
+        "spaces": {},
+        "lagrangians": [{"name": probe, "space": {"rp": 7}, "ambient": 7, "maslov": 8},
+                        {"name": source, "space": None, "ambient": 7, "maslov": None}]
+                       + [{"name": end, "space": {"product": [space, "circle"]}, "ambient": 7,
+                           "maslov": 4} for end, space in ends],
+        "intersections": [{"pair": [probe, probe], "clean": True, "connected": True,
+                           "space": {"rp": 7}, "restriction_surjective_degrees": []}]
+                         + [{"pair": [end, probe], "clean": True, "connected": True,
+                             "space": space, "restriction_surjective_degrees": [1, 2]}
+                            for end, space in ends],
+        "claims": [{"source": source, "ends": list(pair)} for pair in claims],
+        "probe": probe,
+        "grading": -2,
+        "entry_bound": 4,
+        "window": 2,
+    }
+
+
+RP3_S3, RP3_RP3 = {"product": [RP3, S3]}, {"product": [RP3, RP3]}
+FAN6_TWO_BRANCH = fan_document(
+    "fan6-two-branch", "P7", "P2",
+    [("L8", RP3_S3), ("K3", RP3_S3), ("N6", RP3_S3),
+     ("P4", RP3_RP3), ("Q2", RP3_RP3), ("Q6", RP3_RP3)],
+    [("Q6", "N6"), ("L8", "Q6"), ("Q6", "L8"), ("K3", "Q2"), ("P4", "L8"), ("P4", "Q2")])
+FAN7_MIXED = fan_document(
+    "fan7-mixed", "N6", "L8",
+    [("K3", RP3), ("L3", RP3_S3), ("K5", RP3_S3), ("P6", {"product": [RP3, "circle"]}),
+     ("K2", RP3_S3), ("P9", RP3_RP3), ("P0", RP3_RP3)],
+    [("P9", "P0"), ("P6", "P0"), ("P6", "P9"), ("L3", "K2"), ("K2", "K3"), ("P0", "P9"),
+     ("K3", "P6")])
+
+
 @pytest.mark.parametrize("document, args, code, digest", [
     # the golden report is at entry bound 4; bound 6 reaches the longest
     # differential chains (Z^2 -> Z -> Z^2 at 169 x 169 labelings)
@@ -244,7 +292,11 @@ T2_S2_B4 = {
     (RP3_RP3_TABLE, [], 0, "81e1baae11511b1f98015a9b499ef7c7d3bdf67ff1b715a02d826bb0991df787"),
     (RP7_S4_W4, [], 0, "7f64a45c54c509a8df6799a2679d82ebb31cb0b301b7418df6cf2d232be2373b"),
     (T2_S2_B4, [], 0, "6572f615a773c40cfc9df579574e90514494125008e39e633cfdfccd94e02ade"),
-], ids=["cp7-bound6-window8", "rp3xrp3-table", "rp7-s4-w4", "t2-s2-b4"])
+    (FAN6_TWO_BRANCH, [], 10,
+     "8715b276051e2637f22466d972fc401f2ec0cdc5a5cae83cb3724c2180976e06"),
+    (FAN7_MIXED, [], 10, "f3a3ac9d2c844ff78168eaea689b4f6c144ae072513e93c9dab3bbb94f2a4c67"),
+], ids=["cp7-bound6-window8", "rp3xrp3-table", "rp7-s4-w4", "t2-s2-b4", "fan6-two-branch",
+        "fan7-mixed"])
 def test_cli_reports_pinned(tmp_path, capsys, document, args, code, digest):
     if document is None:
         path = bundled("paper_cp7.json")
@@ -254,6 +306,58 @@ def test_cli_reports_pinned(tmp_path, capsys, document, args, code, digest):
     assert main(["check", str(path)] + args) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_claims_work_is_done_once_per_distinct_unit(monkeypatch):
+    solves, builds = [], []
+    solve_floer, build = cli.solve_floer, exactness.build_cobordism_sequences
+    monkeypatch.setattr(cli, "solve_floer",
+                        lambda *args, **kw: solves.append(args) or solve_floer(*args, **kw))
+    monkeypatch.setattr(exactness, "build_cobordism_sequences",
+                        lambda *args: builds.append(args) or build(*args))
+    sc = parse_scenario(json.dumps(FAN6_TWO_BRANCH))
+    report = run(sc)
+    probe = sc.lagrangian(sc.probe)
+    pairs = {(homology(sc.intersection_of(sc.probe, pr.end).space),
+              pair_maslov(probe, sc.lagrangian(pr.end)), ()) for pr in report.pair_results}
+    assert len(report.pair_results) == 7 and len(pairs) == 3
+    assert len(solves) == len(set(solves)) and set(solves) == pairs
+    branches = {pr.end: len(pr.folded) for pr in report.pair_results}
+    windows = sum(branches[a] * (branches[b] if a != b else 1) for a, b in
+                  (claim.ends for claim in sc.claims))
+    assert len(builds) == windows == 48
+
+
+def test_probe_pairs_share_a_solve_only_under_the_same_pins():
+    # N1 and N2 meet the probe in the same T^2; only (N9, N1) is pinned
+    torus = {"product": ["circle", "circle"]}
+    doc = {**T2_S2_B4, "entry_bound": 1,
+           "lagrangians": T2_S2_B4["lagrangians"] + [
+               {"name": "N2", "space": torus, "ambient": 7, "maslov": 2}],
+           "intersections": T2_S2_B4["intersections"] + [
+               {"pair": ["N9", "N2"], "clean": True, "connected": True, "space": torus}],
+           "pins": [{"pair": ["N1", "N9"], "degree": 0, "group": {"free": 1}}]}
+    report = run(parse_scenario(json.dumps(doc)))
+    assert [(pr.end, len(pr.tree.leaves)) for pr in report.pair_results] == [("N1", 1),
+                                                                             ("N2", 3)]
+
+
+def test_a_verdict_failing_its_own_check_is_an_internal_error(capsys, monkeypatch):
+    check_feasibility = exactness.check_feasibility
+
+    def tampered(problem):
+        verdict = check_feasibility(problem)
+        if verdict.feasible:
+            return verdict
+        cert = verdict.certificate
+        first = replace(cert.steps[0], hi=cert.steps[0].hi + 1)
+        return replace(verdict, certificate=replace(cert, steps=(first,) + cert.steps[1:]))
+
+    monkeypatch.setattr(exactness, "check_feasibility", tampered)
+    assert main(["check", str(bundled("paper_cp7.json"))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: claim (")
+    assert err.endswith(": the certificate does not verify\n")
 
 
 def test_cli_emit_trace_and_json(tmp_path, capsys):
@@ -321,6 +425,27 @@ def test_cli_window_too_small_is_a_validation_error(tmp_path, capsys):
     assert "validation error: stage floer: window too small" in err
 
 
+# the t2-s2-b1 corpus document with S^0 (H_0 = Z^2) as L3 and as the
+# intersection declared connected
+S0_DECLARED_CONNECTED = {
+    "schema": 1,
+    "name": "t2-s2-b1",
+    "spaces": {},
+    "lagrangians": [
+        {"name": "P5", "space": {"rp": 7}, "ambient": 7, "maslov": 8},
+        {"name": "L3", "space": {"sphere": 0}, "ambient": 7, "maslov": 2},
+    ],
+    "intersections": [
+        {"pair": ["P5", "L3"], "clean": True, "connected": True, "space": {"sphere": 0}},
+    ],
+    "claims": [],
+    "probe": "P5",
+    "grading": -2,
+    "entry_bound": 1,
+    "window": 2,
+}
+
+
 def _explicit_degree_0(group):
     """A mutation adding an explicit space with this degree 0 group."""
     return lambda d: d["spaces"].update(E={"explicit": {"homology": {"0": group}, "dim": 3}})
@@ -347,9 +472,12 @@ def _explicit_degree_0(group):
     # written as the JSON token Infinity, read back as a float int() overflows on
     (_explicit_degree_0({"free": float("inf")}),
      "spaces.E.explicit.homology[0].free: expected an integer, got inf"),
+    (lambda d: (d.clear(), d.update(S0_DECLARED_CONNECTED)),
+     "stage homology: intersections[0]: connected, but H_0 = Z^2 is not Z"),
 ], ids=["claim-source", "intersection-space", "spaces-list", "lagrangian-string",
         "pin-degree", "entry-bound-string", "explicit-dim", "group-free-string",
-        "group-free-list", "group-torsion-entry", "group-torsion-int", "group-free-infinity"])
+        "group-free-list", "group-torsion-entry", "group-torsion-int", "group-free-infinity",
+        "connected-h0-not-z"])
 def test_cli_malformed_documents_are_validation_errors(tmp_path, capsys, mutate, message):
     raw = json.loads(bundled("paper_cp7.json").read_text())
     mutate(raw)

@@ -1,5 +1,6 @@
-"""Randomized properties of the transform-free Smith diagonal and of the
-per-hom homology rule in ``spectra._component_classes``."""
+"""Randomized properties of the transform-free Smith diagonal, of the
+per-hom homology rule in ``spectra._component_classes``, and of the
+per-window deduplication in ``exactness.certify_nonexistence``."""
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
@@ -8,9 +9,12 @@ import cobcheck.abgroup as abgroup
 from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, cokernel,
                               composite_is_zero, from_orders, preimage_lattice,
                               relation_matrix, smith_normal_form, subquotient)
+from cobcheck.exactness import CobordismClaim, certify_nonexistence
+from cobcheck.graded import LaurentGrading
 from cobcheck.spectra import _component_classes
+from cobcheck.topology import LagrangianDescriptor
 
-from oracles import component_classes_by_product
+from oracles import certify_nonexistence_per_branch, component_classes_by_product
 
 
 ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12))
@@ -96,3 +100,45 @@ def test_component_classes_of_random_chains_match_product_enumeration(shape, bou
     arrows = tuple(zip(positions, positions[1:]))
     got = _component_classes.__wrapped__(arrows, groups_at, bound, positions)
     assert got == component_classes_by_product(arrows, groups_at, bound, positions)
+
+
+def elementary_two(dim: int) -> FgAbGroup:
+    return FgAbGroup(0, (2,) * dim)
+
+
+@st.composite
+def claim_systems(draw):
+    """2-5 ends with 1-3 elementary-2 branches each, and claims among
+    them: granted or not, sharing ends, one with both ends equal."""
+    names = [f"E{i}" for i in range(draw(st.integers(2, 5)))]
+    ends = {name: LagrangianDescriptor(name, None, 7, draw(st.sampled_from([2, 4, None])))
+            for name in names}
+    hf = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    branch_sets = {name: [(f"branch {b}", tuple(map(elementary_two, draw(hf))))
+                          for b in range(1, draw(st.integers(1, 3)) + 1)]
+                   for name in names}
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names),
+                                    st.booleans()), min_size=1, max_size=5))
+    same = draw(st.sampled_from(names))
+    pairs.insert(draw(st.integers(0, len(pairs))), (same, same, draw(st.booleans())))
+    source = LagrangianDescriptor("S", None, 7, None)
+    claims = [CobordismClaim(source, (ends[a], ends[b]), granted) for a, b, granted in pairs]
+    return claims, branch_sets
+
+
+@settings(deadline=None, database=None, max_examples=60)
+@given(claim_systems())
+def test_certify_nonexistence_matches_per_branch_rebuild(system):
+    claims, branch_sets = system
+    probe = LagrangianDescriptor("K", None, 7, 8)
+    got = certify_nonexistence(claims, branch_sets, probe, LaurentGrading(-2))
+    want = certify_nonexistence_per_branch(claims, branch_sets, probe, LaurentGrading(-2))
+    assert got == want
+
+    def sharing(verdicts):
+        """Branch positions numbered by the verdict object they hold."""
+        first: dict[int, int] = {}
+        return [first.setdefault(id(b.verdict), len(first))
+                for cv in verdicts for b in cv.branches]
+
+    assert sharing(got) == sharing(want)
