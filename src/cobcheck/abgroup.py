@@ -541,7 +541,6 @@ def _entry_values(target_order: int, bound: int) -> tuple[int, ...]:
     return tuple(sorted({x % target_order for x in range(-bound, bound + 1)}))
 
 
-@lru_cache(maxsize=None)
 def hom_matrix_space(source: FgAbGroup, target: FgAbGroup, bound: int) -> tuple[GroupHom, ...]:
     """All valid homs source -> target with entries bounded by ``bound``,
     one matrix per distinct map (entries canonicalized mod target

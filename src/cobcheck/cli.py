@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 from .abgroup import FgAbGroup
 from .graded import GradedGroup, GradingError, LaurentGrading, coefficient_change
-from .spectra import BranchTree, SpectraError, solve_floer
+from .spectra import BranchTree, EnumerationTable, SpectraError, solve_floer
 from .topology import (Circle, Explicit, LagrangianDescriptor, Product,
                        RealProjective, SpaceExpr, Sphere, TopologyError,
                        homology, mayer_vietoris_spin_check,
@@ -576,6 +576,7 @@ def run(sc: ObstructionScenario) -> RunReport:
 
     pair_results: list[PairResult] = []
     trees: dict[tuple, BranchTree] = {}  # one solve per (homology, step, pins)
+    table = EnumerationTable()  # enumeration work shared by the solves of this run
     with _stage("floer"):
         for _, end in pair_list:
             lag = sc.lagrangian(end)
@@ -592,7 +593,8 @@ def run(sc: ObstructionScenario) -> RunReport:
             pins = tuple((p.degree, p.group) for p in sc.pins
                          if tuple(sorted(p.pair)) == tuple(sorted((sc.probe, end))))
             if (key := (homology(decl.space), native, pins)) not in trees:
-                trees[key] = solve_floer(*key, entry_bound=sc.entry_bound, col_span=sc.window)
+                trees[key] = solve_floer(*key, entry_bound=sc.entry_bound, col_span=sc.window,
+                                         table=table)
             tree = trees[key]
             if tree.status == "empty":
                 raise SolverLimitError(

@@ -243,39 +243,64 @@ def _term_label(dims, s, j) -> str:
     return d if isinstance(d, str) else f"(Z/2)^{d}"
 
 
+def _attempts(dims) -> tuple[list[tuple[str, str, int, int, int | str, str | None]],
+                              dict[str, list[int]]]:
+    """Every tightening of one propagation sweep, in sweep order, as
+    (variable, rule, sequence, position, x, y): "le" bounds a rank by
+    term x, "diff" sets one rank of an exactness equation to term x
+    minus rank y, and "sum" sets an unknown term to ranks x plus y.
+    Also, per variable, the attempts that read it."""
+    out = []
+    readers: dict[str, list[int]] = {}
+    for s, seq in enumerate(dims):
+        ranks = [_rank_var(s, i) for i in range(len(seq) - 1)]
+        for i, rv in enumerate(ranks):
+            for j in (i, i + 1):
+                out.append((rv, "le", s, j, seq[j], None))
+        for j in range(1, len(seq) - 1):
+            a, b, d = ranks[j - 1], ranks[j], seq[j]
+            out.append((a, "diff", s, j, d, b))
+            out.append((b, "diff", s, j, d, a))
+            if isinstance(d, str):
+                out.append((d, "sum", s, j, a, b))
+    for k, (_, _, _, _, x, y) in enumerate(out):
+        if isinstance(x, str):
+            readers.setdefault(x, []).append(k)
+        if y is not None:
+            readers.setdefault(y, []).append(k)
+    return out, readers
+
+
 def _propagate(state: _State) -> None:
-    """Run all constraints to a fixpoint, logging each tightening."""
-    dims = state.dims
-    while True:
+    """Run all constraints to a fixpoint, logging each tightening.
+
+    Sweeps run the attempts in order until one changes nothing.  An
+    attempt only shrinks its variable into a range its other variables
+    fix, so until one of those changes, running it again would change
+    nothing, and the sweeps skip it."""
+    attempts, readers = _attempts(state.dims)
+    stale = [True] * len(attempts)
+    changed = True
+    while changed:
         changed = False
-        for s, seq in enumerate(dims):
-            length = len(seq)
-            for i in range(length - 1):
-                rv = _rank_var(s, i)
-                for j in (i, i + 1):
-                    lo_d, hi_d = state.interval(seq[j])
-                    changed |= state.tighten(rv, 0, hi_d, "le", s, j)
-                    if state.contradiction:
-                        return
-            for j in range(1, length - 1):
-                a, b = _rank_var(s, j - 1), _rank_var(s, j)
-                lo_a, hi_a = state.iv[a]
-                lo_b, hi_b = state.iv[b]
-                lo_d, hi_d = state.interval(seq[j])
-                changed |= state.tighten(a, lo_d - hi_b, hi_d - lo_b, "eq", s, j)
+        for k, (var, rule, s, j, x, y) in enumerate(attempts):
+            if not stale[k]:
+                continue
+            stale[k] = False
+            if rule == "le":
+                lo, hi = 0, state.interval(x)[1]
+            elif rule == "diff":
+                (lo_x, hi_x), (lo_y, hi_y) = state.interval(x), state.iv[y]
+                lo, hi = lo_x - hi_y, hi_x - lo_y
+            else:
+                (lo_x, hi_x), (lo_y, hi_y) = state.iv[x], state.iv[y]
+                lo, hi = lo_x + lo_y, hi_x + hi_y
+            if state.tighten(var, lo, hi, "le" if rule == "le" else "eq", s, j):
                 if state.contradiction:
                     return
-                lo_a, hi_a = state.iv[a]
-                changed |= state.tighten(b, lo_d - hi_a, hi_d - lo_a, "eq", s, j)
-                if state.contradiction:
-                    return
-                lo_b, hi_b = state.iv[b]
-                if isinstance(seq[j], str):
-                    changed |= state.tighten(seq[j], lo_a + lo_b, hi_a + hi_b, "eq", s, j)
-                    if state.contradiction:
-                        return
-        if not changed:
-            return
+                changed = True
+                for r in readers.get(var, ()):
+                    stale[r] = True
 
 
 def _prune_steps(dims, steps: list[CertStep]) -> tuple[CertStep, ...]:

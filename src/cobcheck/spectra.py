@@ -18,7 +18,10 @@ of the full product of hom spaces.  The homology at each position comes
 from invariants computed once per hom: M / im(in) for the incoming map,
 and the rank of im(out) for the outgoing one; when that image is free
 it splits off M / im(in), and only a torsion image falls back to the
-kernel-lattice subquotient.  The solver turns each page
+kernel-lattice subquotient.  Hom spaces, these invariants and the
+classes of each component shape live in an ``EnumerationTable`` that
+the solves of one run share and that is dropped with the run, so no
+enumeration state outlives it.  The solver turns each page
 once: the next page is the untouched entries plus the homology the
 chosen classes already computed (``turn_page`` is the validated public
 path to the same page).  The abutment of every stable page must be
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from itertools import chain
 from operator import mul
 
@@ -123,7 +125,10 @@ def build_e1(s_homology: GradedGroup, column_step: int, col_span: int = 2,
     if row_max < top:
         raise SpectraError(f"row_max {row_max} below the homology support {top}")
     if col_span * column_step < row_max - 1:
-        raise SpectraError("window too small to certify abutment degrees 0 and 1")
+        need = max(2, -(-(row_max - 1) // column_step))
+        raise SpectraError(f"window too small to certify abutment degrees 0 and 1 "
+                           f"(rows 0..{row_max}, column step {column_step}); "
+                           f"the smallest window that can is {need}")
     entries = {}
     for k in range(-col_span, col_span + 1):
         for q, grp in s_homology.entries:
@@ -193,22 +198,25 @@ def _first_active_page(page: BigradedPage) -> int | None:
 
 def _arrows_at(page: BigradedPage, r: int) -> tuple[tuple[Position, Position], ...]:
     """Arrows (src, tgt) of page r between possibly-nonzero positions
-    with at least one endpoint inside the window; computed once per page
-    and r."""
+    with at least one endpoint inside the window, in source order;
+    computed once per page and r.
+
+    Each arrow has a window endpoint that can be nonzero, so the arrows
+    are read off those live positions: the arrow out of each, and the
+    arrow into each from outside the window."""
     cached = page._arrows.get(r)
     if cached is not None:
         return cached
-    cols = set(page.window_columns())
-    src_cols = sorted(cols | {c + r for c in cols})
+    live = {pos for pos in chain(page._by_position, page.unresolved) if page.in_window(pos[0])}
     arrows = []
-    for p in src_cols:
-        for q in range(page.row_max + 1):
-            src, tgt = (p, q), (p - r, q + r - 1)
-            if not (page.in_window(p) or page.in_window(p - r)):
-                continue
-            if _possibly_nonzero(page, src) and _possibly_nonzero(page, tgt):
-                arrows.append((src, tgt))
-    page._arrows[r] = tuple(arrows)
+    for p, q in live:
+        tgt = (p - r, q + r - 1)
+        if tgt in live or not page.in_window(tgt[0]) and _possibly_nonzero(page, tgt):
+            arrows.append(((p, q), tgt))
+        src = (p + r, q - r + 1)
+        if not page.in_window(src[0]) and _possibly_nonzero(page, src):
+            arrows.append((src, (p, q)))
+    page._arrows[r] = tuple(sorted(arrows))
     return page._arrows[r]
 
 
@@ -353,35 +361,152 @@ class _ComponentClass:
     homs: tuple[tuple[Position, GroupHom], ...]
 
 
-@lru_cache(maxsize=None)
-def _component_classes(arrows: tuple[tuple[Position, Position], ...],
+class _HomSpace:
+    """The bounded homs source -> target, with the invariants of each
+    hom by its index in ``homs``, each computed on first use."""
+
+    def __init__(self, source: FgAbGroup, target: FgAbGroup, bound: int):
+        self.target = target
+        self.homs = hom_matrix_space(source, target, bound)
+        self._relations = relation_matrix(target)
+        self._cokernels: list[FgAbGroup | None] = [None] * len(self.homs)
+        self._images: list[tuple[int, bool] | None] = [None] * len(self.homs)
+        self._kernels: dict[int, IntMatrix] = {}
+
+    def coker(self, h: int) -> FgAbGroup:
+        """target / im(hom h)."""
+        grp = self._cokernels[h]
+        if grp is None:
+            grp = self._cokernels[h] = cokernel(self.homs[h].matrix.hstack(self._relations))
+        return grp
+
+    def image(self, h: int) -> tuple[int, bool]:
+        """The rank of im(hom h) and whether that image is torsion-free."""
+        img = self._images[h]
+        if img is None:
+            if not self.target.torsion:
+                # a subgroup of a free group: free, of the matrix rank; with
+                # no relations to add, the cokernel is the one coker() keeps
+                img = (self.target.free_rank - self.coker(h).free_rank, True)
+            elif not self.target.free_rank:
+                # a subgroup of a finite group: torsion-free only when zero
+                img = (0, self.homs[h].is_zero())
+            elif not (kernel := self.kernel(h)).cols:
+                # nothing of Z^s maps to zero: a free source embedded whole
+                img = (kernel.rows, True)
+            else:
+                grp = cokernel(kernel)  # source / kernel
+                img = (grp.free_rank, not grp.torsion)
+            self._images[h] = img
+        return img
+
+    def kernel(self, h: int) -> IntMatrix:
+        """The kernel lattice of hom h on the source generators."""
+        kernel = self._kernels.get(h)
+        if kernel is None:
+            kernel = self._kernels[h] = preimage_lattice(self.homs[h])
+        return kernel
+
+
+class EnumerationTable:
+    """The enumeration work of one run, each piece done once and shared
+    by every solve given the table: hom spaces by (source, target,
+    bound) with their per-hom invariants, vanishing masks by pair of
+    spaces, and component classes by normalized shape and by absolute
+    component.
+
+    The table is the only store: ``cli.run`` makes one per run and a
+    direct ``solve_floer`` call makes its own, so no enumeration state
+    outlives the run that built it."""
+
+    def __init__(self):
+        self._spaces: dict[tuple[FgAbGroup, FgAbGroup, int], _HomSpace] = {}
+        self._masks: dict[tuple[_HomSpace, _HomSpace, bool], list[int]] = {}
+        self._shapes: dict[tuple, tuple[_ComponentClass, ...]] = {}
+        self._placed: dict[tuple, tuple[_ComponentClass, ...]] = {}
+
+    def space(self, source: FgAbGroup, target: FgAbGroup, bound: int) -> _HomSpace:
+        key = (source, target, bound)
+        space = self._spaces.get(key)
+        if space is None:
+            space = self._spaces[key] = _HomSpace(source, target, bound)
+        return space
+
+    def masks(self, first: _HomSpace, second: _HomSpace, by_second: bool) -> list[int]:
+        """``_vanishing_masks`` of the two spaces, indexed by the homs of
+        ``first`` or, when ``by_second``, of ``second``."""
+        key = (first, second, by_second)
+        masks = self._masks.get(key)
+        if masks is None:
+            masks = _vanishing_masks(first.homs, second.homs, second.target)
+            if by_second:
+                masks = _transpose_masks(masks, len(second.homs))
+            self._masks[key] = masks
+        return masks
+
+    def classes(self, page: BigradedPage, comp: list[tuple[Position, Position]],
+                bound: int, skip: frozenset[Position]) -> tuple[_ComponentClass, ...]:
+        """``_component_classes`` of one component of ``page``, at its
+        absolute positions; positions in ``skip`` (next entry unknowable)
+        stay out of the dedup signature.  Each shape is enumerated once:
+        positions are shifted so the component starts at column 0, and
+        the classes are shifted back once per component."""
+        pos_set = sorted({pos for arrow in comp for pos in arrow})
+        arrows = tuple(comp)
+        groups = tuple((pos, page.entry(*pos)) for pos in pos_set)
+        signature = tuple(pos for pos in pos_set if pos not in skip)
+        key = (arrows, groups, bound, signature)
+        placed = self._placed.get(key)
+        if placed is not None:
+            return placed
+        base_p = min(p for (p, _), _ in arrows)
+        shift = lambda pos: (pos[0] - base_p, pos[1])
+        unshift = lambda pos: (pos[0] + base_p, pos[1])
+        shape = (tuple((shift(s), shift(t)) for s, t in arrows),
+                 tuple((shift(pos), grp) for pos, grp in groups), bound,
+                 tuple(map(shift, signature)))
+        rel = self._shapes.get(shape)
+        if rel is None:
+            rel = self._shapes[shape] = _component_classes(self, *shape)
+        placed = self._placed[key] = tuple(
+            _ComponentClass(
+                results=tuple((unshift(pos), grp) for pos, grp in cls.results),
+                homs=tuple((unshift(pos), h) for pos, h in cls.homs),
+            )
+            for cls in rel)
+        return placed
+
+
+def _component_classes(table: EnumerationTable,
+                       arrows: tuple[tuple[Position, Position], ...],
                        groups: tuple[tuple[Position, FgAbGroup], ...],
                        bound: int,
                        signature_positions: tuple[Position, ...]) -> tuple[_ComponentClass, ...]:
     """All labelings of a connected arrow chain by bounded matrices with
     vanishing consecutive composites, deduplicated by the resulting
     homology groups at ``signature_positions`` (positions whose next
-    entry is unknowable are excluded by the caller).  Positions are
-    pre-normalized by the caller so equal shapes share cache entries.
+    entry is unknowable are excluded by the caller).  Each call
+    enumerates afresh; ``EnumerationTable.classes`` keeps the result
+    per shape for the rest of the run.
 
     A depth-first search places one hom per arrow, in ``arrows`` order,
     and extends arrow k only with homs whose composite with every
     already placed neighbour vanishes (bitmask tables over positions in
-    ``hom_matrix_space``).  It visits the surviving labelings in the
-    lexicographic order of the full product, so each class keeps the
-    same first representative.
+    the hom space, from ``table``).  It visits the surviving labelings
+    in the lexicographic order of the full product, so each class keeps
+    the same first representative.
 
-    Homology ker(out) / im(in) at M comes from per-hom invariants,
-    each computed once per call: coker(in) = M / im(in) (M at a chain
-    start), and the rank r of im(out) with whether it is torsion-free
-    (r = 0 at a chain end; the matrix rank into a free target, else the
-    cokernel of the outgoing kernel lattice).  A free im(out) splits off
-    M / im(in), leaving coker(in) with r fewer free generators; only a
-    torsion image falls back to ``subquotient`` on the kernel lattice.
-    Results are memoized per position by the (incoming, outgoing) pair.
+    Homology ker(out) / im(in) at M comes from per-hom invariants that
+    ``table`` computes once per (hom space, hom) for the whole run:
+    coker(in) = M / im(in) (M at a chain start), and the rank r of
+    im(out) with whether it is torsion-free (r = 0 at a chain end; see
+    ``_HomSpace.image``).  A free im(out) splits off M / im(in), leaving
+    coker(in) with r fewer free generators; only a torsion image falls
+    back to ``subquotient`` on the kernel lattice.  Results are memoized
+    per position by the (incoming, outgoing) pair.
     """
     group_of = dict(groups)
-    spaces = [hom_matrix_space(group_of[s], group_of[t], bound) for s, t in arrows]
+    spaces = [table.space(group_of[s], group_of[t], bound) for s, t in arrows]
     incoming_idx = {t: i for i, (_, t) in enumerate(arrows)}
     outgoing_idx = {s: i for i, (s, _) in enumerate(arrows)}
     # constraints[k]: (i, masks) for each placed-before neighbour i of
@@ -392,61 +517,34 @@ def _component_classes(arrows: tuple[tuple[Position, Position], ...],
         j = outgoing_idx.get(tgt)
         if j is None:
             continue
-        masks = _vanishing_masks(spaces[i], spaces[j], group_of[arrows[j][1]])
         if i < j:
-            constraints[j].append((i, masks))
+            constraints[j].append((i, table.masks(spaces[i], spaces[j], False)))
         else:
-            constraints[i].append((j, _transpose_masks(masks, len(spaces[j]))))
+            constraints[i].append((j, table.masks(spaces[i], spaces[j], True)))
     sites = [(pos, incoming_idx.get(pos), outgoing_idx.get(pos), {})
              for pos in signature_positions]
-    # by (arrow, hom index): M / im(in); (rank, torsion-free) of im(out);
-    # the kernel lattice of out when its target has torsion
-    cokernels: dict[tuple[int, int], FgAbGroup] = {}
-    images: dict[tuple[int, int], tuple[int, bool]] = {}
-    kernels: dict[tuple[int, int], IntMatrix] = {}
     interned: dict[FgAbGroup, FgAbGroup] = {}
     chosen = [0] * len(arrows)
     classes: dict[tuple, _ComponentClass] = {}
-
-    def coker_in(i: int, h: int) -> FgAbGroup:
-        grp = cokernels.get((i, h))
-        if grp is None:
-            hom = spaces[i][h]
-            grp = cokernels[i, h] = cokernel(hom.matrix.hstack(relation_matrix(hom.target)))
-        return grp
-
-    def image_out(o: int, h: int) -> tuple[int, bool]:
-        img = images.get((o, h))
-        if img is None:
-            hom = spaces[o][h]
-            if not hom.target.torsion:
-                # a subgroup of a free group: its rank is the matrix rank
-                img = (hom.target.free_rank - cokernel(hom.matrix).free_rank, True)
-            else:
-                kernel = kernels[o, h] = preimage_lattice(hom)
-                grp = cokernel(kernel)  # source / kernel
-                img = (grp.free_rank, not grp.torsion)
-            images[o, h] = img
-        return img
 
     def homology(pos, i, o, memo):
         key = (-1 if i is None else chosen[i], -1 if o is None else chosen[o])
         grp = memo.get(key)
         if grp is None:
-            rank, free = (0, True) if o is None else image_out(o, key[1])
+            rank, free = (0, True) if o is None else spaces[o].image(key[1])
             if free:
-                coker = group_of[pos] if i is None else coker_in(i, key[0])
+                coker = group_of[pos] if i is None else spaces[i].coker(key[0])
                 grp = FgAbGroup(coker.free_rank - rank, coker.torsion)
             else:
-                inc = spaces[i][key[0]] if i is not None else None
-                grp = subquotient(kernels[o, key[1]], inc, group_of[pos])
+                inc = spaces[i].homs[key[0]] if i is not None else None
+                grp = subquotient(spaces[o].kernel(key[1]), inc, group_of[pos])
             # one object per distinct group: a middle memo holds an entry
             # for every surviving pair
             grp = memo[key] = interned.setdefault(grp, grp)
         return grp
 
     def allowed(k: int) -> int:
-        mask = (1 << len(spaces[k])) - 1
+        mask = (1 << len(spaces[k].homs)) - 1
         for i, masks in constraints[k]:
             mask &= masks[chosen[i]]
         return mask
@@ -468,7 +566,7 @@ def _component_classes(arrows: tuple[tuple[Position, Position], ...],
             continue
         key = tuple((site[0], homology(*site)) for site in sites)
         if key not in classes:
-            labeling = [sp[h] for sp, h in zip(spaces, chosen)]
+            labeling = [sp.homs[h] for sp, h in zip(spaces, chosen)]
             classes[key] = _ComponentClass(
                 results=key,
                 homs=tuple((arrow[0], h) for arrow, h in zip(arrows, labeling)
@@ -543,28 +641,6 @@ def _components(slots: list[tuple[Position, Position]]) -> list[list[tuple[Posit
     for arrow in slots:
         groups.setdefault(find(arrow[0]), []).append(arrow)
     return [sorted(groups[k]) for k in sorted(groups)]
-
-
-def _enumerate_component(page: BigradedPage, comp: list[tuple[Position, Position]],
-                         bound: int, skip: frozenset[Position]) -> list[_ComponentClass]:
-    """Classes of one component, computed on normalized positions and
-    mapped back to absolute ones; positions in ``skip`` (next entry
-    unknowable) stay out of the dedup signature."""
-    base_p = min(p for (p, _), _ in comp)
-    shift = lambda pos: (pos[0] - base_p, pos[1])
-    unshift = lambda pos: (pos[0] + base_p, pos[1])
-    arrows = tuple((shift(s), shift(t)) for s, t in comp)
-    pos_set = sorted({pos for arrow in comp for pos in arrow})
-    groups = tuple((shift(pos), page.entry(*pos)) for pos in pos_set)
-    signature = tuple(shift(pos) for pos in pos_set if pos not in skip)
-    rel = _component_classes(arrows, groups, bound, signature)
-    return [
-        _ComponentClass(
-            results=tuple((unshift(pos), grp) for pos, grp in cls.results),
-            homs=tuple((unshift(pos), h) for pos, h in cls.homs),
-        )
-        for cls in rel
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -642,13 +718,19 @@ def _fold_parity(values: Iterable[tuple[int, FgAbGroup]], slots=(None, None)):
 def solve_floer(s_homology: GradedGroup, column_step: int,
                 constraints: tuple[tuple[int, FgAbGroup], ...] = (),
                 entry_bound: int = 4, col_span: int = 2,
-                row_max: int | None = None) -> BranchTree:
+                row_max: int | None = None,
+                table: EnumerationTable | None = None) -> BranchTree:
     """Enumerate every spectral-sequence outcome consistent with
     2-periodicity of the abutment and any pinned degrees.
 
     constraints pins specific abutment degrees: (degree, group) pairs
-    are checked against the folded value at degree mod 2.
+    are checked against the folded value at degree mod 2.  ``table``
+    holds the enumeration work (hom spaces, per-hom invariants and
+    component classes) shared with the other solves of a run; without
+    one the solve builds its own, which is dropped when it returns.
     """
+    if table is None:
+        table = EnumerationTable()
     root = build_e1(s_homology, column_step, col_span, row_max)
     pins = tuple(constraints)
     # first leaf per (HF_even, HF_odd), in search order
@@ -697,8 +779,7 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
         base = replace(page, page_index=r + 1, unresolved=unresolved,
                        entries=tuple((pos, grp) for pos, grp in page.entries
                                      if pos not in touched and pos not in unresolved))
-        class_lists = [_enumerate_component(page, comp, entry_bound, unresolved)
-                       for comp in comps]
+        class_lists = [table.classes(page, comp, entry_bound, unresolved) for comp in comps]
 
         # the pruner checks the final abutment, so it only applies when no
         # later page can carry a differential

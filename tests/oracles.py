@@ -5,8 +5,8 @@ import itertools
 from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, composite_is_zero,
                               hom_matrix_space, homology_at)
 from cobcheck.exactness import (BranchOutcome, ClaimVerdict, ExactSequenceProblem,
-                                build_cobordism_sequences, check_feasibility)
-from cobcheck.spectra import _ComponentClass
+                                _rank_var, build_cobordism_sequences, check_feasibility)
+from cobcheck.spectra import _ComponentClass, _possibly_nonzero
 
 
 def determinant(m: IntMatrix) -> int:
@@ -144,3 +144,51 @@ def certify_nonexistence_per_branch(claims, branch_sets, probe, grading):
             branches=tuple(outcomes),
         ))
     return out
+
+
+def propagate_by_full_sweeps(state) -> None:
+    """Reference for ``exactness._propagate``: every constraint of every
+    sequence in each sweep, until a sweep changes nothing."""
+    dims = state.dims
+    while True:
+        changed = False
+        for s, seq in enumerate(dims):
+            for i in range(len(seq) - 1):
+                for j in (i, i + 1):
+                    changed |= state.tighten(_rank_var(s, i), 0, state.interval(seq[j])[1],
+                                             "le", s, j)
+                    if state.contradiction:
+                        return
+            for j in range(1, len(seq) - 1):
+                a, b = _rank_var(s, j - 1), _rank_var(s, j)
+                lo_d, hi_d = state.interval(seq[j])
+                changed |= state.tighten(a, lo_d - state.iv[b][1], hi_d - state.iv[b][0],
+                                         "eq", s, j)
+                if state.contradiction:
+                    return
+                changed |= state.tighten(b, lo_d - state.iv[a][1], hi_d - state.iv[a][0],
+                                         "eq", s, j)
+                if state.contradiction:
+                    return
+                if isinstance(seq[j], str):
+                    (lo_a, hi_a), (lo_b, hi_b) = state.iv[a], state.iv[b]
+                    changed |= state.tighten(seq[j], lo_a + lo_b, hi_a + hi_b, "eq", s, j)
+                    if state.contradiction:
+                        return
+        if not changed:
+            return
+
+
+def arrows_by_scan(page, r):
+    """Reference for ``spectra._arrows_at``: every (column, row) source
+    on the window columns and their shifts by r, tested at both ends."""
+    cols = set(page.window_columns())
+    arrows = []
+    for p in sorted(cols | {c + r for c in cols}):
+        for q in range(page.row_max + 1):
+            src, tgt = (p, q), (p - r, q + r - 1)
+            if not (page.in_window(p) or page.in_window(p - r)):
+                continue
+            if _possibly_nonzero(page, src) and _possibly_nonzero(page, tgt):
+                arrows.append((src, tgt))
+    return tuple(arrows)

@@ -1,13 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from cobcheck import cli, exactness
-from cobcheck.abgroup import FgAbGroup
+from cobcheck import cli, exactness, spectra
+from cobcheck.abgroup import FgAbGroup, preimage_lattice, relation_matrix
 from cobcheck.cli import (ObstructionScenario, ScenarioError, main,
                           parse_scenario, run)
 from cobcheck.topology import Circle, Explicit, Product, homology, pair_maslov
@@ -328,6 +332,53 @@ def test_claims_work_is_done_once_per_distinct_unit(monkeypatch):
     assert len(builds) == windows == 48
 
 
+@pytest.mark.parametrize("document", [FAN6_TWO_BRANCH, FAN7_MIXED],
+                         ids=["fan6-two-branch", "fan7-mixed"])
+def test_enumeration_work_is_done_once_per_run(monkeypatch, document):
+    # the solves of a run share one table (in fan7-mixed two of them need
+    # the same hom spaces): each hom space is built once, and each
+    # (space, hom) takes at most one cokernel of M / im(hom) and, into a
+    # target with torsion, one of source / kernel
+    spaces, cokernels = [], []
+    hom_matrix_space, cokernel = spectra.hom_matrix_space, spectra.cokernel
+    monkeypatch.setattr(spectra, "hom_matrix_space",
+                        lambda *args: spaces.append(args) or hom_matrix_space(*args))
+    monkeypatch.setattr(spectra, "cokernel", lambda m: cokernels.append(m) or cokernel(m))
+    run(parse_scenario(json.dumps(document)))
+    assert len(spaces) == len(set(spaces))
+    allowed = Counter()
+    for source, target, bound in spaces:
+        for hom in hom_matrix_space(source, target, bound):
+            allowed[hom.matrix.hstack(relation_matrix(target))] += 1
+            if target.torsion:
+                allowed[preimage_lattice(hom)] += 1
+    assert cokernels and not Counter(cokernels) - allowed
+
+
+def test_runs_share_no_enumeration_state(tmp_path, capsys, monkeypatch):
+    # two runs in one process build every hom space afresh and print the
+    # bytes a fresh process prints
+    path = tmp_path / "fan6.json"
+    path.write_text(json.dumps(FAN6_TWO_BRANCH))
+    spaces = []
+    hom_matrix_space = spectra.hom_matrix_space
+    monkeypatch.setattr(spectra, "hom_matrix_space",
+                        lambda *args: spaces.append(args) or hom_matrix_space(*args))
+    outs, built = [], []
+    for _ in range(2):
+        assert main(["check", str(path)]) == 10
+        outs.append(capsys.readouterr().out)
+        built.append(spaces[:])
+        spaces.clear()
+    src = Path(cli.__file__).resolve().parents[1]
+    fresh = subprocess.run([sys.executable, "-m", "cobcheck", "check", str(path)],
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": str(src)})
+    assert fresh.returncode == 10
+    assert outs == [fresh.stdout] * 2
+    assert built[0] and built[0] == built[1]
+
+
 def test_probe_pairs_share_a_solve_only_under_the_same_pins():
     # N1 and N2 meet the probe in the same T^2; only (N9, N1) is pinned
     torus = {"product": ["circle", "circle"]}
@@ -423,6 +474,19 @@ def test_cli_window_too_small_is_a_validation_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "validation error: stage floer: window too small" in err
+
+
+def test_cli_window_too_small_names_the_smallest_window(tmp_path, capsys):
+    # S^6 at step 2: rows 0..6 need 3 column steps, since 2 * 2 < 6 - 1
+    raw = json.loads(bundled("paper_cp7.json").read_text())
+    raw["intersections"][0]["space"] = {"sphere": 6}
+    raw["lagrangians"][1]["maslov"] = 2
+    raw["claims"] = []
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path), "--window", "2"]) == 1
+    assert capsys.readouterr().err.endswith("the smallest window that can is 3\n")
+    assert main(["check", str(path), "--window", "3"]) == 0
 
 
 # the t2-s2-b1 corpus document with S^0 (H_0 = Z^2) as L3 and as the

@@ -4,6 +4,7 @@ from functools import lru_cache
 
 import pytest
 
+from cobcheck import exactness
 from cobcheck.abgroup import FgAbGroup, ZERO, cyclic
 from cobcheck.graded import LaurentGrading
 from cobcheck.topology import LagrangianDescriptor, RealProjective
@@ -12,6 +13,8 @@ from cobcheck.exactness import (AdmissibilityError, Certificate, CobordismClaim,
                                 UnsupportedProblemError, build_cobordism_sequences,
                                 certify_nonexistence, check_feasibility,
                                 verify_certificate, verify_witness)
+
+from oracles import propagate_by_full_sweeps
 
 
 def Z2(k: int) -> FgAbGroup:
@@ -214,6 +217,32 @@ def test_certificates_replay_on_random_infeasible_problems():
             continue
         assert verify_certificate(problem, verdict.certificate)
         seen += 1
+
+
+def test_skipping_stale_attempts_keeps_every_step(monkeypatch):
+    # the same intervals and logged steps as sweeping every constraint in
+    # every round, and so the same verdicts and certificates
+    rng = random.Random(2718)
+    split = ExactSequenceProblem(sequences=(  # needs a case split, as below
+        (Known(ZERO), Unknown("X"), Unknown("Y"), Known(ZERO)),
+        (Known(ZERO), Unknown("X"), Known(Z2(3)), Unknown("Y"), Known(ZERO))))
+    problems = [split]
+    while len(problems) < 200:
+        problem = _random_problem(rng, max_dim=4, max_len=7, n_seq=rng.randrange(1, 5))
+        dims = exactness._dims_table(problem)
+        try:
+            ub = exactness._unknown_bounds(dims)
+        except UnsupportedProblemError:
+            continue
+        swept, skipped = exactness._State(dims, ub), exactness._State(dims, ub)
+        propagate_by_full_sweeps(swept)
+        exactness._propagate(skipped)
+        assert (skipped.iv, skipped.steps) == (swept.iv, swept.steps)
+        problems.append(problem)
+    verdicts = [check_feasibility(problem) for problem in problems]
+    monkeypatch.setattr(exactness, "_propagate", propagate_by_full_sweeps)
+    assert [check_feasibility(problem) for problem in problems] == verdicts
+    assert verdicts[0].certificate.splits
 
 
 def test_case_split_certificate():

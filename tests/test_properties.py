@@ -1,7 +1,16 @@
 """Randomized properties of the transform-free Smith diagonal, of the
 per-hom homology rule in ``spectra._component_classes``, and of the
 per-window deduplication in ``exactness.certify_nonexistence``."""
+import contextlib
+import copy
+import functools
+import io
+import json
+import operator
+import tempfile
+from importlib import resources
 from math import gcd
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -9,9 +18,10 @@ import cobcheck.abgroup as abgroup
 from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, cokernel,
                               composite_is_zero, from_orders, preimage_lattice,
                               relation_matrix, smith_normal_form, subquotient)
+from cobcheck.cli import main
 from cobcheck.exactness import CobordismClaim, certify_nonexistence
 from cobcheck.graded import LaurentGrading
-from cobcheck.spectra import _component_classes
+from cobcheck.spectra import EnumerationTable, _component_classes
 from cobcheck.topology import LagrangianDescriptor
 
 from oracles import certify_nonexistence_per_branch, component_classes_by_product
@@ -98,7 +108,7 @@ def test_component_classes_of_random_chains_match_product_enumeration(shape, bou
     positions = ((4, 0), (0, 3), (-4, 6))
     groups_at = tuple(zip(positions, shape))
     arrows = tuple(zip(positions, positions[1:]))
-    got = _component_classes.__wrapped__(arrows, groups_at, bound, positions)
+    got = _component_classes(EnumerationTable(), arrows, groups_at, bound, positions)
     assert got == component_classes_by_product(arrows, groups_at, bound, positions)
 
 
@@ -142,3 +152,56 @@ def test_certify_nonexistence_matches_per_branch_rebuild(system):
                 for cv in verdicts for b in cv.branches]
 
     assert sharing(got) == sharing(want)
+
+
+# single-field mutations of the bundled document: each ends in a report,
+# a named validation error or a named solver limit, never a traceback
+BUNDLED = json.loads((resources.files("cobcheck") / "data" / "paper_cp7.json").read_text())
+DELETE = object()
+
+
+def field_paths(node, path=()):
+    """The path of every key and array element below node."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from field_paths(value, path + (key,))
+
+
+FIELD_PATHS = list(field_paths(BUNDLED))
+# JSON values of every type; none is an integer above 1, so no mutation
+# raises entry_bound or window (no labeling budget bounds the work yet)
+JSON_VALUES = (None, True, "x", 0.5, [], {})
+
+
+@st.composite
+def mutations(draw):
+    path = draw(st.sampled_from(FIELD_PATHS))
+    doc = copy.deepcopy(BUNDLED)
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    old = parent[path[-1]]
+    new = draw(st.one_of(
+        st.just(DELETE),
+        st.sampled_from([v for v in JSON_VALUES if type(v) is not type(old)]),
+        st.integers(-2, 3)))
+    if new is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return doc
+
+
+@settings(deadline=None, database=None, max_examples=80)
+@given(mutations())
+def test_single_field_mutations_end_in_a_named_outcome(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", str(path)])
+    err = err.getvalue()
+    assert code in {0, 1, 2, 10}
+    assert code != 2 or err.startswith("solver limit:"), err
+    assert "Traceback" not in err

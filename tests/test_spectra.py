@@ -1,16 +1,18 @@
+from dataclasses import replace
+
 import pytest
 
 from cobcheck import spectra
 from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, cyclic,
                               hom_images, subquotient)
 from cobcheck.graded import GradedGroup
-from cobcheck.spectra import (BigradedPage, DifferentialAssignment, SpectraError,
-                              _component_classes,
+from cobcheck.spectra import (BigradedPage, DifferentialAssignment, EnumerationTable,
+                              SpectraError, _component_classes,
                               abutment, build_e1, certified_degrees, solve_floer,
                               trivial_pages, turn_page)
 from cobcheck.topology import Product, RealProjective, Sphere, homology
 
-from oracles import component_classes_by_product
+from oracles import arrows_by_scan, component_classes_by_product
 
 
 H_RP7 = homology(RealProjective(7))
@@ -67,6 +69,25 @@ def test_trivial_pages_examples():
     assert trivial_pages(build_e1(H_R, 4)) == 4
     assert trivial_pages(build_e1(H_RP7, 8)) == 8
     assert trivial_pages(build_e1(H_POINT, 2)) is None
+
+
+@pytest.mark.parametrize("h, step, span", [
+    (H_RP7, 8, 2), (H_RP7, 2, 3), (H_R, 4, 2), (H_R, 2, 4),
+    (homology(Product(RealProjective(3), RealProjective(3))), 2, 3),
+], ids=["rp7-8-2", "rp7-2-3", "r-4-2", "r-2-4", "rp3xrp3-2-3"])
+def test_arrows_from_live_positions_match_a_full_scan(h, step, span):
+    # every page a run of zero differentials reaches, unresolved
+    # positions included, at every page index up to past the row height
+    page = build_e1(h, step, span)
+    while True:
+        for r in range(1, page.row_max + 3):
+            fresh = replace(page)  # no arrows cached yet
+            assert spectra._arrows_at(fresh, r) == arrows_by_scan(fresh, r)
+        r = spectra._first_active_page(page)
+        if r is None:
+            break
+        page = turn_page(page, DifferentialAssignment(page_index=r, homs=()))
+    assert page.unresolved
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +356,8 @@ def test_component_classes_match_product_enumeration(shape, bound, monkeypatch):
     signatures = [positions, positions[1:], positions[:1] + positions[2:]]
     for arrows in orders:
         for signature in signatures:
-            # uncached, so that every homology computation is observed
-            got = _component_classes.__wrapped__(arrows, groups, bound, signature)
+            # a fresh table, so that every homology computation is observed
+            got = _component_classes(EnumerationTable(), arrows, groups, bound, signature)
             assert got == component_classes_by_product(arrows, groups, bound, signature)
     if shape in FALLBACK_AT_MIDDLE:
         assert (shape[1] in fallback_middles) == FALLBACK_AT_MIDDLE[shape]
