@@ -11,7 +11,7 @@ from .topology import (Circle, Explicit, LagrangianDescriptor, Product, RealProj
                        Sphere, homology, mayer_vietoris_spin_check, monotonicity_constant,
                        pair_maslov)
 from .spectra import (BigradedPage, BranchTree, DifferentialAssignment, abutment,
-                      build_e1, solve_floer, trivial_pages, turn_page)
+                      build_e1, solve_floer, turn_page)
 from .exactness import (ExactSequenceProblem, FeasibilityVerdict, Known, Unknown,
                         build_cobordism_sequences, certify_nonexistence,
                         check_feasibility, verify_certificate, verify_witness)

@@ -10,10 +10,12 @@ common Laurent grading.  Running it executes:
     every claim's exact-sequence system.
 
 Reports are deterministic byte-for-byte: a text derivation trace
-followed by a JSON verdict block carrying the same verdicts.
+followed by a JSON verdict block carrying the same verdicts.  The
+solvers return data only; the trace is rendered here.
 
 Exit codes: 0 = ran, no claim obstructed; 10 = ran, at least one claim
-INFEASIBLE; 1 = validation/admissibility error; 2 = internal error.
+INFEASIBLE; 1 = validation/admissibility error, or a scenario or output
+file that cannot be read or written; 2 = internal error.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
-from .abgroup import FgAbGroup
+from .abgroup import FgAbGroup, GroupHom, hom_images
 from .graded import GradedGroup, GradingError, LaurentGrading, coefficient_change
-from .spectra import BranchTree, EnumerationTable, SpectraError, solve_floer
+from .spectra import (BranchLeaf, BranchTree, EnumerationTable, Position, SpectraError,
+                      solve_floer)
 from .topology import (Circle, Explicit, LagrangianDescriptor, Product,
                        RealProjective, SpaceExpr, Sphere, TopologyError,
                        homology, mayer_vietoris_spin_check,
@@ -352,6 +355,34 @@ def parse_scenario(data) -> ObstructionScenario:
 # Pipeline
 
 
+def _describe_hom(r: int, src: Position, h: GroupHom) -> str:
+    image, kernel, coker = hom_images(h)
+    rows = [list(row) for row in h.matrix.entries]
+    text = (f"d{r} {src}->{(src[0] - r, src[1] + r - 1)}: {h.source} -> {h.target}, "
+            f"matrix {rows}, image {image}, kernel {kernel}, cokernel {coker}")
+    if h.source == FgAbGroup(1) and h.target == FgAbGroup(1):
+        m = abs(h.matrix.entries[0][0])
+        if m:
+            text += f" (image index {m} in Z)"
+    return text
+
+
+def branch_lines(tree: BranchTree, leaf: BranchLeaf) -> list[str]:
+    """The derivation of one leaf of ``tree``: the first page, each page
+    turn's differentials, and the stable abutment."""
+    lines = [f"E^1: columns at multiples of {tree.column_step}, "
+             f"rows 0..{tree.row_max} carry the intersection homology"]
+    for r, homs in leaf.turns:
+        lines.append(f"page {r} differentials:" if homs
+                     else f"page {r}: all differentials vanish")
+        lines += [_describe_hom(r, src, h) for src, h in homs]
+    return lines + [
+        f"stable at page {leaf.stable_page}; certified degrees "
+        f"{leaf.certified[0][0]}..{leaf.certified[-1][0]}",
+        f"2-periodic abutment: HF_even = {leaf.hf_even}, HF_odd = {leaf.hf_odd}",
+    ]
+
+
 @dataclass
 class PairResult:
     probe: str
@@ -372,11 +403,14 @@ class RunReport:
 
     def trace_lines(self) -> list[str]:
         lines: list[str] = []
+        leaf_lines: dict[int, list[str]] = {}  # pairs share trees
         for pr in self.pair_results:
             lines.append(f"pair HF({pr.probe}, {pr.end}) at deg T = -{pr.native_step}:")
             for i, leaf in enumerate(pr.tree.leaves, start=1):
                 lines.append(f"  branch {i}:")
-                lines.extend(f"    {ln}" for ln in leaf.trace)
+                if id(leaf) not in leaf_lines:
+                    leaf_lines[id(leaf)] = [f"    {ln}" for ln in branch_lines(pr.tree, leaf)]
+                lines.extend(leaf_lines[id(leaf)])
             if pr.tree.bound_may_truncate:
                 lines.append(f"  note: entry bound {pr.tree.entry_bound} may truncate "
                              "the differential search (free generators present)")
@@ -665,7 +699,7 @@ def main(argv: list[str] | None = None) -> int:
             sc = replace(sc, entry_bound=_at_least("entry_bound", args.branch_bound, 1))
         if args.window is not None:
             sc = replace(sc, window=_at_least("window", args.window, 2))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 1
     except ScenarioError as exc:
@@ -684,14 +718,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
 
-    text = report.text()
-    sys.stdout.write(text)
-    if args.emit_trace:
-        with open(args.emit_trace, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(report.trace_lines()) + "\n")
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report.verdict_json(), indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(report.text())
+    try:
+        if args.emit_trace:
+            with open(args.emit_trace, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(report.trace_lines()) + "\n")
+        if args.json_path:
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(report.verdict_json(), indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     obstructed = any(cv.verdict == "INFEASIBLE" for cv in report.claim_verdicts)
     return 10 if obstructed else 0
 

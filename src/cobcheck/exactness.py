@@ -66,7 +66,6 @@ class ExactSequenceProblem:
     position; unknown names may repeat across sequences."""
 
     sequences: tuple[tuple[Term, ...], ...]
-    elementary_two: bool = True
 
     def __post_init__(self):
         for seq in self.sequences:
@@ -138,9 +137,6 @@ def _term_dim(term: Term) -> int | str:
 
 
 def _dims_table(problem: ExactSequenceProblem) -> list[list[int | str]]:
-    if not problem.elementary_two:
-        raise UnsupportedProblemError(
-            "only elementary abelian 2-group problems are supported")
     return [[_term_dim(t) for t in seq] for seq in problem.sequences]
 
 

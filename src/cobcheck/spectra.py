@@ -26,8 +26,9 @@ once: the next page is the untouched entries plus the homology the
 chosen classes already computed (``turn_page`` is the validated public
 path to the same page).  The abutment of every stable page must be
 2-periodic; branches that violate periodicity (or a pinned value) are
-pruned, surviving branches are deduplicated by their abutment in
-degrees 0 and 1, and trace text is rendered only for the branches kept.
+pruned, and surviving branches are deduplicated by their abutment in
+degrees 0 and 1.  A leaf is data only: its abutment, certified degrees
+and the differentials of each page turn; the report renders it.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ from itertools import chain
 from operator import mul
 
 from .abgroup import (FgAbGroup, GroupHom, IntMatrix, ZERO, bound_may_truncate,
-                      cokernel, composite_is_zero, direct_sum, hom_images,
-                      hom_matrix_space, homology_at, preimage_lattice,
-                      relation_matrix, subquotient)
+                      cokernel, composite_is_zero, direct_sum, hom_matrix_space,
+                      homology_at, preimage_lattice, relation_matrix, subquotient)
 from .graded import GradedGroup
 
 
@@ -175,13 +175,6 @@ def _support_page_from(page: BigradedPage, start: int) -> int | None:
             return r
         r += page.column_step
     return None
-
-
-def trivial_pages(page: BigradedPage) -> int | None:
-    """Index of the first page that can carry a nonzero differential, by
-    column and row support alone; pages below it are all equal.  None
-    when no differential can ever be nonzero."""
-    return _support_page_from(page, page.column_step)
 
 
 def _first_active_page(page: BigradedPage) -> int | None:
@@ -327,25 +320,26 @@ def certified_degrees(page: BigradedPage) -> list[int]:
     return out
 
 
-def is_stable(page: BigradedPage) -> bool:
-    return _first_active_page(page) is None
+def _certified_sums(page: BigradedPage) -> list[tuple[int, FgAbGroup]]:
+    """Each certified degree with the direct sum of the page's entries on
+    its antidiagonal; the degrees must include 0 and 1."""
+    degs = certified_degrees(page)
+    if 0 not in degs or 1 not in degs:
+        raise WindowError("window cannot certify abutment degrees 0 and 1")
+    parts: dict[int, list[FgAbGroup]] = {deg: [] for deg in degs}
+    for (p, q), grp in page.entries:
+        if p + q in parts:
+            parts[p + q].append(grp)
+    return [(deg, direct_sum(*grps)) for deg, grps in parts.items()]
 
 
 def abutment(page: BigradedPage) -> GradedGroup:
     """Direct sum over antidiagonals of a stable page, reported on the
     certified degrees (which must include 0 and 1)."""
-    if not is_stable(page):
+    if _first_active_page(page) is not None:
         raise SpectraError("page is not stable; differentials may still act")
-    degs = certified_degrees(page)
-    if 0 not in degs or 1 not in degs:
-        raise WindowError("window cannot certify abutment degrees 0 and 1")
-    values = {}
-    for deg in degs:
-        parts = [grp for (p, q), grp in page.entries if p + q == deg]
-        total = direct_sum(*parts) if parts else ZERO
-        if not total.is_trivial():
-            values[deg] = total
-    return GradedGroup.from_dict(values)
+    return GradedGroup.from_dict({deg: grp for deg, grp in _certified_sums(page)
+                                  if not grp.is_trivial()})
 
 
 # ---------------------------------------------------------------------------
@@ -647,15 +641,21 @@ def _components(slots: list[tuple[Position, Position]]) -> list[list[tuple[Posit
 # The branch solver
 
 
+# one page turn of a branch: the page index and its nonzero differentials
+# by source position, sorted
+_Turn = tuple[int, tuple[tuple[Position, GroupHom], ...]]
+
+
 @dataclass(frozen=True)
 class BranchLeaf:
     """One consistent outcome: the 2-periodic abutment, the certified
-    degree table behind it, the assignment trail, and a readable trace."""
+    degree table behind it, and the differentials of every page turn on
+    the way to the stable page (turns whose maps all vanish included)."""
 
     hf: GradedGroup
     certified: tuple[tuple[int, FgAbGroup], ...]
-    assignments: tuple[tuple[int, Position, GroupHom], ...]
-    trace: tuple[str, ...]
+    turns: tuple[_Turn, ...]
+    stable_page: int
 
     @property
     def hf_even(self) -> FgAbGroup:
@@ -674,30 +674,13 @@ class BranchTree:
     column_step: int
     entry_bound: int
     col_span: int
-    root: BigradedPage
+    row_max: int
     leaves: tuple[BranchLeaf, ...]
     bound_may_truncate: bool
 
     @property
     def status(self) -> str:
         return "ok" if self.leaves else "empty"
-
-
-# one page turn of a branch: the page index and its nonzero differentials
-# by source position, sorted
-_Turn = tuple[int, list[tuple[Position, GroupHom]]]
-
-
-def _describe_hom(r: int, src: Position, tgt: Position, h: GroupHom) -> str:
-    image, kernel, coker = hom_images(h)
-    rows = [list(row) for row in h.matrix.entries]
-    text = (f"d{r} {src}->{tgt}: {h.source} -> {h.target}, matrix {rows}, "
-            f"image {image}, kernel {kernel}, cokernel {coker}")
-    if h.source == FgAbGroup(1) and h.target == FgAbGroup(1):
-        m = abs(h.matrix.entries[0][0])
-        if m:
-            text += f" (image index {m} in Z)"
-    return text
 
 
 def _fold_parity(values: Iterable[tuple[int, FgAbGroup]], slots=(None, None)):
@@ -738,28 +721,13 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     truncation = False
 
     def finish(page: BigradedPage, turns: list[_Turn]) -> None:
-        table = abutment(page)
-        degs = certified_degrees(page)
-        key = _fold_parity(chain(pins, ((d, table.entry(d)) for d in degs)))
-        if key is None or key in leaves:
-            return
-        hf0, hf1 = key
-        lines = [f"E^1: columns at multiples of {column_step}, "
-                 f"rows 0..{root.row_max} carry the intersection homology"]
-        for r, homs in turns:
-            lines.append(f"page {r} differentials:" if homs
-                         else f"page {r}: all differentials vanish")
-            lines += [_describe_hom(r, src, (src[0] - r, src[1] + r - 1), h) for src, h in homs]
-        lines += [
-            f"stable at page {page.page_index}; certified degrees {degs[0]}..{degs[-1]}",
-            f"2-periodic abutment: HF_even = {hf0}, HF_odd = {hf1}",
-        ]
-        leaves[key] = BranchLeaf(
-            hf=GradedGroup.from_dict({0: hf0, 1: hf1}, period=2),
-            certified=tuple((d, table.entry(d)) for d in degs),
-            assignments=tuple((r, src, h) for r, homs in turns for src, h in homs),
-            trace=tuple(lines),
-        )
+        certified = _certified_sums(page)
+        key = _fold_parity(chain(pins, certified))
+        if key is not None and key not in leaves:
+            leaves[key] = BranchLeaf(
+                hf=GradedGroup.from_dict({0: key[0], 1: key[1]}, period=2),
+                certified=tuple(certified), turns=tuple(turns),
+                stable_page=page.page_index)
 
     def explore(page: BigradedPage, turns: list[_Turn]) -> None:
         nonlocal truncation
@@ -790,7 +758,7 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
 
         def dfs(i: int, chosen: list[_ComponentClass], state) -> None:
             if i == len(class_lists):
-                homs = sorted(hom for cls in chosen for hom in cls.homs)
+                homs = tuple(sorted(hom for cls in chosen for hom in cls.homs))
                 results = tuple(res for cls in chosen for res in cls.results)
                 explore(replace(base, entries=base.entries + results), turns + [(r, homs)])
                 return
@@ -810,7 +778,7 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
         column_step=column_step,
         entry_bound=entry_bound,
         col_span=col_span,
-        root=root,
+        row_max=root.row_max,
         leaves=ordered,
         bound_may_truncate=truncation,
     )
@@ -831,23 +799,16 @@ def _build_pruner(base: BigradedPage, comps, pins):
     with the pins before any is placed).  The DFS state is the pair of
     parity values found so far.
     """
-    degs = certified_degrees(base)
-    if 0 not in degs or 1 not in degs:
-        raise WindowError("window cannot certify abutment degrees 0 and 1")
-    fixed: dict[int, list[FgAbGroup]] = {deg: [] for deg in degs}
-    for (p, q), grp in base.entries:
-        if p + q in fixed:
-            fixed[p + q].append(grp)
+    sums = dict(_certified_sums(base))
     last_comp: dict[int, int] = {}
     for i, comp in enumerate(comps):
         for arrow in comp:
             for pos in arrow:
-                if sum(pos) in fixed and pos not in base.unresolved:
+                if sum(pos) in sums and pos not in base.unresolved:
                     last_comp[sum(pos)] = i
     completed_at: dict[int, list[tuple[int, FgAbGroup]]] = {}
-    for deg, parts in fixed.items():
-        completed_at.setdefault(last_comp.get(deg, -1), []).append(
-            (deg, direct_sum(*parts) if parts else ZERO))
+    for deg, grp in sums.items():
+        completed_at.setdefault(last_comp.get(deg, -1), []).append((deg, grp))
 
     def check(i, placed, state):
         values = ((deg, direct_sum(grp, *(g for cls in placed for (p, q), g in cls.results

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from cobcheck.abgroup import (FgAbGroup, IntMatrix, Z, ZERO, cyclic, direct_sum,
                               from_orders, hom_images, smith_normal_form, tensor, tor)
-from cobcheck.cli import main, parse_scenario, run
+from cobcheck.cli import branch_lines, main, parse_scenario, run
 from cobcheck.graded import LaurentGrading, coefficient_change
 from cobcheck.spectra import solve_floer
 from cobcheck.topology import Product, RealProjective, Sphere, homology
@@ -45,7 +45,7 @@ def test_criterion_1_projective_space_self_pair():
         leaf = tree.leaves[0]
         assert leaf.hf_even == ZERO
         assert leaf.hf_odd == cyclic(2)
-        assert any("image index 2 in Z" in line for line in leaf.trace)
+        assert any("image index 2 in Z" in line for line in branch_lines(tree, leaf))
 
 
 def test_criterion_2_mixed_pair_two_branches():
@@ -160,11 +160,12 @@ def test_criterion_6_property_suites():
         for table, step in [(homology(RealProjective(7)), 8),
                             (homology(Product(RealProjective(3), Sphere(3))), 4)]:
             for leaf in solve_floer(table, step).leaves:
-                for _, _, h in leaf.assignments:
-                    image, kernel, _ = hom_images(h)
-                    if h.source.order() is not None:
-                        assert image.order() * kernel.order() == h.source.order()
-                    conserved += 1
+                for _, homs in leaf.turns:
+                    for _, h in homs:
+                        image, kernel, _ = hom_images(h)
+                        if h.source.order() is not None:
+                            assert image.order() * kernel.order() == h.source.order()
+                        conserved += 1
         assert conserved > 0
 
         # window- and bound-stability of the branch solver

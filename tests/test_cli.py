@@ -27,6 +27,13 @@ def load_bundled_scenario() -> ObstructionScenario:
     return parse_scenario(bundled("paper_cp7.json").read_text())
 
 
+def _cobcheck(*args: str) -> subprocess.CompletedProcess:
+    """``python -m cobcheck`` in a fresh process, on this checkout."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-m", "cobcheck", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -370,13 +377,27 @@ def test_runs_share_no_enumeration_state(tmp_path, capsys, monkeypatch):
         outs.append(capsys.readouterr().out)
         built.append(spaces[:])
         spaces.clear()
-    src = Path(cli.__file__).resolve().parents[1]
-    fresh = subprocess.run([sys.executable, "-m", "cobcheck", "check", str(path)],
-                           capture_output=True, text=True,
-                           env={**os.environ, "PYTHONPATH": str(src)})
+    fresh = _cobcheck("check", str(path))
     assert fresh.returncode == 10
     assert outs == [fresh.stdout] * 2
     assert built[0] and built[0] == built[1]
+
+
+def test_solves_render_no_text_and_reports_render_each_leaf_once(monkeypatch):
+    # the solver returns data only; the report describes each nonzero
+    # differential of each distinct leaf once, however many pairs share it
+    described = []
+    hom_images = cli.hom_images
+    monkeypatch.setattr(cli, "hom_images", lambda h: described.append(h) or hom_images(h))
+    assert not hasattr(spectra, "hom_images")
+    report = run(parse_scenario(json.dumps(FAN6_TWO_BRANCH)))
+    assert described == []
+    leaves = {id(leaf): leaf for pr in report.pair_results for leaf in pr.tree.leaves}
+    differentials = [h for leaf in leaves.values() for _, homs in leaf.turns for _, h in homs]
+    assert differentials
+    assert len(leaves) < sum(len(pr.tree.leaves) for pr in report.pair_results)
+    report.text()
+    assert described == differentials
 
 
 def test_probe_pairs_share_a_solve_only_under_the_same_pins():
@@ -421,6 +442,30 @@ def test_cli_emit_trace_and_json(tmp_path, capsys):
     assert "INFEASIBLE" in trace.read_text()
     payload = json.loads(verdict.read_text())
     assert payload["claims"][1]["verdict"] == "INFEASIBLE"
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
+        "02a0ee4a43f847d87e4bb00b140725a0d2157a6bf2efeddd8bf6f24fd41428b1")
+    assert hashlib.sha256(verdict.read_bytes()).hexdigest() == (
+        "5723cb00bd6d26e60fbdeaa82933048d675a5dbf11e256031fb709e8532671cd")
+
+
+@pytest.mark.parametrize("flag", ["--emit-trace", "--json"])
+def test_cli_unwritable_output_is_an_error_line(tmp_path, flag):
+    target = tmp_path / "missing" / "out.txt"
+    proc = _cobcheck("check", str(bundled("paper_cp7.json")), flag, str(target))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot write ")
+    assert proc.stderr.count("\n") == 1 and str(target) in proc.stderr
+
+
+def test_cli_scenario_not_utf8_is_a_read_error(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b"\xff\xfe")
+    proc = _cobcheck("check", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot read scenario: ")
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
 
 
 def test_cli_window_and_bound_overrides(tmp_path, capsys):

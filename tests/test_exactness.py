@@ -135,10 +135,6 @@ def test_non_elementary_terms_rejected():
         (Known(ZERO), Known(cyclic(4)), Known(ZERO)),))
     with pytest.raises(UnsupportedProblemError):
         check_feasibility(problem)
-    flagged = ExactSequenceProblem(sequences=(
-        (Known(ZERO), Known(Z2(1)), Known(ZERO)),), elementary_two=False)
-    with pytest.raises(UnsupportedProblemError):
-        check_feasibility(flagged)
 
 
 def test_order_invariance():

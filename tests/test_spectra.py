@@ -6,10 +6,11 @@ from cobcheck import spectra
 from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, cyclic,
                               hom_images, subquotient)
 from cobcheck.graded import GradedGroup
+from cobcheck.cli import branch_lines
 from cobcheck.spectra import (BigradedPage, DifferentialAssignment, EnumerationTable,
-                              SpectraError, _component_classes,
+                              SpectraError, _component_classes, _support_page_from,
                               abutment, build_e1, certified_degrees, solve_floer,
-                              trivial_pages, turn_page)
+                              turn_page)
 from cobcheck.topology import Product, RealProjective, Sphere, homology
 
 from oracles import arrows_by_scan, component_classes_by_product
@@ -66,9 +67,12 @@ def test_build_e1_window_too_small_for_degrees_0_1():
 
 
 def test_trivial_pages_examples():
-    assert trivial_pages(build_e1(H_R, 4)) == 4
-    assert trivial_pages(build_e1(H_RP7, 8)) == 8
-    assert trivial_pages(build_e1(H_POINT, 2)) is None
+    # the first page that can carry a nonzero differential, by column
+    # and row support alone
+    first_page = lambda page: _support_page_from(page, page.column_step)
+    assert first_page(build_e1(H_R, 4)) == 4
+    assert first_page(build_e1(H_RP7, 8)) == 8
+    assert first_page(build_e1(H_POINT, 2)) is None
 
 
 @pytest.mark.parametrize("h, step, span", [
@@ -147,11 +151,12 @@ def test_order_conservation_through_turns():
     for hom_table, step in [(H_RP7, 8), (H_R, 4)]:
         tree = solve_floer(hom_table, step)
         for leaf in tree.leaves:
-            for _, src, h in leaf.assignments:
-                image, kernel, _ = hom_images(h)
-                total = h.source.order()
-                if total is not None:
-                    assert image.order() * kernel.order() == total
+            for _, homs in leaf.turns:
+                for src, h in homs:
+                    image, kernel, _ = hom_images(h)
+                    total = h.source.order()
+                    if total is not None:
+                        assert image.order() * kernel.order() == total
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +219,7 @@ def test_solve_rp7_single_leaf():
     leaf = tree.leaves[0]
     assert leaf.hf_even == ZERO
     assert leaf.hf_odd == cyclic(2)
-    assert any("image index 2 in Z" in line for line in leaf.trace)
+    assert any("image index 2 in Z" in line for line in branch_lines(tree, leaf))
 
 
 def test_solve_r_two_leaves():
@@ -264,8 +269,8 @@ def test_truncation_note_set_for_free_entries():
 
 
 def test_leaf_assignments_replay_through_page_turns():
-    # every leaf's recorded assignments, replayed page by page through
-    # turn_page, must land on a stable page whose abutment reproduces
+    # every leaf's recorded turns, replayed page by page through
+    # turn_page, must land on its stable page, whose abutment reproduces
     # the leaf's certified table (independent of the search internals)
     scenarios = [
         (H_RP7, 8, {}),
@@ -279,16 +284,16 @@ def test_leaf_assignments_replay_through_page_turns():
         tree = solve_floer(table, step, **kw)
         for leaf in tree.leaves:
             page = build_e1(table, step, **kw)
-            by_page = {}
-            for r, src, h in leaf.assignments:
-                by_page.setdefault(r, []).append((src, h))
+            by_page = dict(leaf.turns)
+            assert len(by_page) == len(leaf.turns)
             while True:
                 r = _first_active_page(page)
                 if r is None:
                     break
-                homs = tuple(by_page.pop(r, ()))
+                homs = tuple(by_page.pop(r))
                 page = turn_page(page, DifferentialAssignment(r, homs))
             assert not by_page, "leaf recorded maps for a page never reached"
+            assert page.page_index == leaf.stable_page
             replayed = abutment(page)
             assert dict(replayed.entries) == {
                 d: g for d, g in leaf.certified if not g.is_trivial()}
@@ -317,7 +322,7 @@ def test_two_stage_turning_hand_derived():
     assert got == expected
     # every leaf that needed both stages records both page indices
     multi = [l for l in tree.leaves if (str(l.hf_even), str(l.hf_odd)) == ("0", "0")]
-    assert {r for r, _, _ in multi[0].assignments} == {2, 4}
+    assert {r for r, homs in multi[0].turns if homs} == {2, 4}
 
 
 # ---------------------------------------------------------------------------
