@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .abgroup import FgAbGroup, GroupHom, hom_images
 from .graded import GradedGroup, GradingError, LaurentGrading, coefficient_change
@@ -355,8 +355,15 @@ def parse_scenario(data) -> ObstructionScenario:
 # Pipeline
 
 
-def _describe_hom(r: int, src: Position, h: GroupHom) -> str:
-    image, kernel, coker = hom_images(h)
+# (image, kernel, cokernel) of each differential a report describes
+_Images = dict[GroupHom, tuple[FgAbGroup, FgAbGroup, FgAbGroup]]
+
+
+def _describe_hom(r: int, src: Position, h: GroupHom, images: _Images) -> str:
+    found = images.get(h)
+    if found is None:
+        found = images[h] = hom_images(h)
+    image, kernel, coker = found
     rows = [list(row) for row in h.matrix.entries]
     text = (f"d{r} {src}->{(src[0] - r, src[1] + r - 1)}: {h.source} -> {h.target}, "
             f"matrix {rows}, image {image}, kernel {kernel}, cokernel {coker}")
@@ -367,15 +374,18 @@ def _describe_hom(r: int, src: Position, h: GroupHom) -> str:
     return text
 
 
-def branch_lines(tree: BranchTree, leaf: BranchLeaf) -> list[str]:
+def branch_lines(tree: BranchTree, leaf: BranchLeaf, images: _Images | None = None) -> list[str]:
     """The derivation of one leaf of ``tree``: the first page, each page
-    turn's differentials, and the stable abutment."""
+    turn's differentials, and the stable abutment.  ``images`` keeps the
+    groups of each differential described, for the next leaf."""
+    if images is None:
+        images = {}
     lines = [f"E^1: columns at multiples of {tree.column_step}, "
              f"rows 0..{tree.row_max} carry the intersection homology"]
     for r, homs in leaf.turns:
         lines.append(f"page {r} differentials:" if homs
                      else f"page {r}: all differentials vanish")
-        lines += [_describe_hom(r, src, h) for src, h in homs]
+        lines += [_describe_hom(r, src, h, images) for src, h in homs]
     return lines + [
         f"stable at page {leaf.stable_page}; certified degrees "
         f"{leaf.certified[0][0]}..{leaf.certified[-1][0]}",
@@ -400,16 +410,26 @@ class RunReport:
     spin_lines: list[str]
     pair_results: list[PairResult]
     claim_verdicts: list[ClaimVerdict]
+    # the derivation trace, rendered on first use: the report and the
+    # trace file print the same lines
+    _trace: list[str] | None = field(default=None, init=False, repr=False, compare=False)
 
     def trace_lines(self) -> list[str]:
+        if self._trace is None:
+            self._trace = self._render_trace()
+        return self._trace
+
+    def _render_trace(self) -> list[str]:
         lines: list[str] = []
         leaf_lines: dict[int, list[str]] = {}  # pairs share trees
+        images: _Images = {}  # and leaves share differentials
         for pr in self.pair_results:
             lines.append(f"pair HF({pr.probe}, {pr.end}) at deg T = -{pr.native_step}:")
             for i, leaf in enumerate(pr.tree.leaves, start=1):
                 lines.append(f"  branch {i}:")
                 if id(leaf) not in leaf_lines:
-                    leaf_lines[id(leaf)] = [f"    {ln}" for ln in branch_lines(pr.tree, leaf)]
+                    leaf_lines[id(leaf)] = [f"    {ln}" for ln in
+                                            branch_lines(pr.tree, leaf, images)]
                 lines.extend(leaf_lines[id(leaf)])
             if pr.tree.bound_may_truncate:
                 lines.append(f"  note: entry bound {pr.tree.entry_bound} may truncate "
@@ -699,8 +719,11 @@ def main(argv: list[str] | None = None) -> int:
             sc = replace(sc, entry_bound=_at_least("entry_bound", args.branch_bound, 1))
         if args.window is not None:
             sc = replace(sc, window=_at_least("window", args.window, 2))
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: cannot read scenario: {exc}: {args.scenario!r}", file=sys.stderr)
         return 1
     except ScenarioError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -14,21 +14,38 @@ vanish, and labelings are deduplicated by the isomorphism classes of the
 entries they produce.  A chain is labeled by a depth-first search over
 its arrows that extends each partial labeling only with maps composing
 to zero with the ones already placed, visiting labelings in the order
-of the full product of hom spaces.  The homology at each position comes
-from invariants computed once per hom: M / im(in) for the incoming map,
-and the rank of im(out) for the outgoing one; when that image is free
-it splits off M / im(in), and only a torsion image falls back to the
-kernel-lattice subquotient.  Hom spaces, these invariants and the
-classes of each component shape live in an ``EnumerationTable`` that
-the solves of one run share and that is dropped with the run, so no
-enumeration state outlives it.  The solver turns each page
-once: the next page is the untouched entries plus the homology the
-chosen classes already computed (``turn_page`` is the validated public
-path to the same page).  The abutment of every stable page must be
-2-periodic; branches that violate periodicity (or a pinned value) are
-pruned, and surviving branches are deduplicated by their abutment in
-degrees 0 and 1.  A leaf is data only: its abutment, certified degrees
-and the differentials of each page turn; the report renders it.
+of the full product of hom spaces.  Which maps compose to zero comes
+from vanishing masks: the free rows of a whole hom space are packed
+into big-int lanes of W bits, W the least multiple of 8 with n * G * C
+below 2^(W-1) (n source generators, G and C the largest absolute
+entries of the two maps), so one multiply-add tests a column against
+every hom at once.
+
+Sibling rule: under one prefix, a hom is skipped when an earlier
+sibling has the same signature, which is everything later work reads
+of it: its masks for later arrows, the rank and freeness of its image,
+its cokernel, and the hom itself where a torsion image forces a
+subquotient.  The earlier sibling admits the same completions with the
+same homology, at lexicographically smaller labelings that the search
+visits first, so the skipped subtree holds no first representative:
+the classes, their representatives and their order do not change.
+
+The homology at each position comes from invariants computed once per
+hom: M / im(in) for the incoming map, and the rank of im(out) for the
+outgoing one; when that image is free it splits off M / im(in), and
+only a torsion image falls back to the kernel-lattice subquotient.  Hom
+spaces, these invariants and the classes of each component shape live
+in an ``EnumerationTable`` that the solves of one run share and that is
+dropped with the run, so no enumeration state outlives it.  The solver
+turns each page once: the next page is the untouched entries plus the
+homology the chosen classes already computed (``turn_page`` is the
+validated public path to the same page).  The abutment of every stable
+page must be 2-periodic; branches that violate periodicity (or a pinned
+value) are pruned, on the last turn while the classes are chosen, by
+comparing groups as (free rank, sorted prime powers) keys, and
+surviving branches are deduplicated by their abutment in degrees 0 and
+1.  A leaf is data only: its abutment, certified degrees and the
+differentials of each page turn; the report renders it.
 """
 
 from __future__ import annotations
@@ -38,9 +55,10 @@ from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import mul
 
-from .abgroup import (FgAbGroup, GroupHom, IntMatrix, ZERO, bound_may_truncate,
-                      cokernel, composite_is_zero, direct_sum, hom_matrix_space,
-                      homology_at, preimage_lattice, relation_matrix, subquotient)
+from .abgroup import (FgAbGroup, GroupHom, IntMatrix, ZERO, _factorize,
+                      bound_may_truncate, cokernel, composite_is_zero, direct_sum,
+                      hom_matrix_space, homology_at, preimage_lattice, relation_matrix,
+                      subquotient)
 from .graded import GradedGroup
 
 
@@ -320,9 +338,9 @@ def certified_degrees(page: BigradedPage) -> list[int]:
     return out
 
 
-def _certified_sums(page: BigradedPage) -> list[tuple[int, FgAbGroup]]:
-    """Each certified degree with the direct sum of the page's entries on
-    its antidiagonal; the degrees must include 0 and 1."""
+def _certified_parts(page: BigradedPage) -> dict[int, list[FgAbGroup]]:
+    """Each certified degree with the page's entries on its antidiagonal;
+    the degrees must include 0 and 1."""
     degs = certified_degrees(page)
     if 0 not in degs or 1 not in degs:
         raise WindowError("window cannot certify abutment degrees 0 and 1")
@@ -330,7 +348,12 @@ def _certified_sums(page: BigradedPage) -> list[tuple[int, FgAbGroup]]:
     for (p, q), grp in page.entries:
         if p + q in parts:
             parts[p + q].append(grp)
-    return [(deg, direct_sum(*grps)) for deg, grps in parts.items()]
+    return parts
+
+
+def _certified_sums(page: BigradedPage) -> list[tuple[int, FgAbGroup]]:
+    """Each certified degree with the direct sum of its antidiagonal."""
+    return [(deg, direct_sum(*grps)) for deg, grps in _certified_parts(page).items()]
 
 
 def abutment(page: BigradedPage) -> GradedGroup:
@@ -353,6 +376,37 @@ class _ComponentClass:
 
     results: tuple[tuple[Position, FgAbGroup], ...]
     homs: tuple[tuple[Position, GroupHom], ...]
+    # per antidiagonal degree p + q, the ``_group_key`` of the direct sum
+    # of the results there, for the pruner; built from the results when
+    # not given (a copy shifted by whole columns passes its own)
+    degree_keys: dict[int, _Key] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.degree_keys is None:
+            parts: dict[int, list[_Key]] = {}
+            for (p, q), grp in self.results:
+                parts.setdefault(p + q, []).append(_group_key(grp))
+            object.__setattr__(self, "degree_keys",
+                               {deg: _key_sum(keys) for deg, keys in parts.items()})
+
+
+# a group's isomorphism class as (free rank, sorted prime powers)
+_Key = tuple[int, tuple[int, ...]]
+
+
+def _group_key(grp: FgAbGroup) -> _Key:
+    """The free rank and the sorted prime powers of the torsion: equal
+    exactly for isomorphic groups, and cheap to add (``_key_sum``)."""
+    return grp.free_rank, tuple(sorted(p ** e for d in grp.torsion
+                                       for p, e in _factorize(d).items()))
+
+
+def _key_sum(keys: list[_Key]) -> _Key:
+    """The ``_group_key`` of the direct sum of groups with these keys."""
+    if len(keys) == 1:
+        return keys[0]
+    return (sum(free for free, _ in keys),
+            tuple(sorted(chain.from_iterable(powers for _, powers in keys))))
 
 
 class _HomSpace:
@@ -406,8 +460,8 @@ class EnumerationTable:
     """The enumeration work of one run, each piece done once and shared
     by every solve given the table: hom spaces by (source, target,
     bound) with their per-hom invariants, vanishing masks by pair of
-    spaces, and component classes by normalized shape and by absolute
-    component.
+    spaces, component classes by normalized shape and by absolute
+    component, and the pruner's key of each group.
 
     The table is the only store: ``cli.run`` makes one per run and a
     direct ``solve_floer`` call makes its own, so no enumeration state
@@ -418,6 +472,7 @@ class EnumerationTable:
         self._masks: dict[tuple[_HomSpace, _HomSpace, bool], list[int]] = {}
         self._shapes: dict[tuple, tuple[_ComponentClass, ...]] = {}
         self._placed: dict[tuple, tuple[_ComponentClass, ...]] = {}
+        self._keys: dict[FgAbGroup, _Key] = {}
 
     def space(self, source: FgAbGroup, target: FgAbGroup, bound: int) -> _HomSpace:
         key = (source, target, bound)
@@ -425,6 +480,13 @@ class EnumerationTable:
         if space is None:
             space = self._spaces[key] = _HomSpace(source, target, bound)
         return space
+
+    def key(self, grp: FgAbGroup) -> _Key:
+        """``_group_key(grp)``, computed once per distinct group."""
+        key = self._keys.get(grp)
+        if key is None:
+            key = self._keys[grp] = _group_key(grp)
+        return key
 
     def masks(self, first: _HomSpace, second: _HomSpace, by_second: bool) -> list[int]:
         """``_vanishing_masks`` of the two spaces, indexed by the homs of
@@ -466,6 +528,7 @@ class EnumerationTable:
             _ComponentClass(
                 results=tuple((unshift(pos), grp) for pos, grp in cls.results),
                 homs=tuple((unshift(pos), h) for pos, h in cls.homs),
+                degree_keys={deg + base_p: k for deg, k in cls.degree_keys.items()},
             )
             for cls in rel)
         return placed
@@ -486,18 +549,32 @@ def _component_classes(table: EnumerationTable,
     A depth-first search places one hom per arrow, in ``arrows`` order,
     and extends arrow k only with homs whose composite with every
     already placed neighbour vanishes (bitmask tables over positions in
-    the hom space, from ``table``).  It visits the surviving labelings
-    in the lexicographic order of the full product, so each class keeps
-    the same first representative.
+    the hom space, from ``table``).  It visits labelings in the
+    lexicographic order of the full product, so each class keeps the
+    same first representative.
+
+    Sibling rule: under one prefix, a hom on arrow k is skipped when an
+    earlier hom tried there has the same signature.  The signature is
+    everything later work reads of the hom: its mask rows for the later
+    arrows it constrains, and, at the signature positions it touches,
+    the rank and freeness of its image and its cokernel, plus the hom
+    itself wherever a torsion image sends its site to ``subquotient``.
+    Equal signatures admit the same completions, and each completion
+    gives the same homology under both homs, so every class the skipped
+    hom reaches is reached under the earlier one by a labeling that is
+    lexicographically smaller and visited first.  The skipped subtree
+    therefore holds no first representative, and the classes, their
+    representatives and their order are those of the full search.
 
     Homology ker(out) / im(in) at M comes from per-hom invariants that
     ``table`` computes once per (hom space, hom) for the whole run:
     coker(in) = M / im(in) (M at a chain start), and the rank r of
     im(out) with whether it is torsion-free (r = 0 at a chain end; see
     ``_HomSpace.image``).  A free im(out) splits off M / im(in), leaving
-    coker(in) with r fewer free generators; only a torsion image falls
-    back to ``subquotient`` on the kernel lattice.  Results are memoized
-    per position by the (incoming, outgoing) pair.
+    coker(in) with r fewer free generators, built once per distinct
+    result; only a torsion image falls back to ``subquotient`` on the
+    kernel lattice, memoized per position by the (incoming, outgoing)
+    pair.
     """
     group_of = dict(groups)
     spaces = [table.space(group_of[s], group_of[t], bound) for s, t in arrows]
@@ -505,37 +582,72 @@ def _component_classes(table: EnumerationTable,
     outgoing_idx = {s: i for i, (s, _) in enumerate(arrows)}
     # constraints[k]: (i, masks) for each placed-before neighbour i of
     # arrow k; masks[h] has bit b set when hom b of arrow k composes to
-    # zero with hom h of arrow i
+    # zero with hom h of arrow i.  later[i]: those masks lists of the
+    # arrows after arrow i, the mask rows of its homs that they read.
     constraints: list[list[tuple[int, list[int]]]] = [[] for _ in arrows]
+    later: list[list[list[int]]] = [[] for _ in arrows]
     for i, (_, tgt) in enumerate(arrows):
         j = outgoing_idx.get(tgt)
         if j is None:
             continue
-        if i < j:
-            constraints[j].append((i, table.masks(spaces[i], spaces[j], False)))
-        else:
-            constraints[i].append((j, table.masks(spaces[i], spaces[j], True)))
+        masks = table.masks(spaces[i], spaces[j], i > j)
+        constraints[max(i, j)].append((min(i, j), masks))
+        later[min(i, j)].append(masks)
     sites = [(pos, incoming_idx.get(pos), outgoing_idx.get(pos), {})
              for pos in signature_positions]
+    in_sites = set(signature_positions)
+    # (source, target) of arrow k as sites, and whether the target's
+    # outgoing map can have a torsion image, sending the hom on arrow k
+    # to subquotient there
+    touches = [(s in in_sites, t in in_sites,
+                t in outgoing_idx and bool(spaces[outgoing_idx[t]].target.torsion))
+               for s, t in arrows]
     interned: dict[FgAbGroup, FgAbGroup] = {}
+    split: dict[tuple[int, tuple[int, ...]], FgAbGroup] = {}
     chosen = [0] * len(arrows)
     classes: dict[tuple, _ComponentClass] = {}
 
     def homology(pos, i, o, memo):
-        key = (-1 if i is None else chosen[i], -1 if o is None else chosen[o])
+        rank, free = (0, True) if o is None else spaces[o].image(chosen[o])
+        if free:
+            coker = group_of[pos] if i is None else spaces[i].coker(chosen[i])
+            key = (coker.free_rank - rank, coker.torsion)
+            grp = split.get(key)
+            if grp is None:
+                grp = FgAbGroup(*key)
+                grp = split[key] = interned.setdefault(grp, grp)
+            return grp
+        key = (-1 if i is None else chosen[i], chosen[o])
         grp = memo.get(key)
         if grp is None:
-            rank, free = (0, True) if o is None else spaces[o].image(key[1])
-            if free:
-                coker = group_of[pos] if i is None else spaces[i].coker(key[0])
-                grp = FgAbGroup(coker.free_rank - rank, coker.torsion)
-            else:
-                inc = spaces[i].homs[key[0]] if i is not None else None
-                grp = subquotient(spaces[o].kernel(key[1]), inc, group_of[pos])
-            # one object per distinct group: a middle memo holds an entry
-            # for every surviving pair
+            inc = spaces[i].homs[key[0]] if i is not None else None
+            grp = subquotient(spaces[o].kernel(key[1]), inc, group_of[pos])
+            # one object per distinct group: a memo holds an entry for
+            # every surviving pair
             grp = memo[key] = interned.setdefault(grp, grp)
         return grp
+
+    signature_ids: list[dict[tuple, int]] = [{} for _ in arrows]
+    sibling_ids: list[list[int | None]] = [[None] * len(sp.homs) for sp in spaces]
+
+    def sibling_id(k: int, h: int) -> int:
+        """The id of hom h's signature on arrow k (see the sibling rule)."""
+        sid = sibling_ids[k][h]
+        if sid is None:
+            space = spaces[k]
+            source_site, target_site, feeds_subquotient = touches[k]
+            sig = [tuple(masks[h] for masks in later[k])]
+            if source_site:
+                sig.append(img := space.image(h))
+                if not img[1]:
+                    sig.append(h)
+            if target_site:
+                sig.append(space.coker(h))
+                if feeds_subquotient:
+                    sig.append(h)
+            ids = signature_ids[k]
+            sid = sibling_ids[k][h] = ids.setdefault(tuple(sig), len(ids))
+        return sid
 
     def allowed(k: int) -> int:
         mask = (1 << len(spaces[k].homs)) - 1
@@ -543,9 +655,11 @@ def _component_classes(table: EnumerationTable,
             mask &= masks[chosen[i]]
         return mask
 
-    # pending[k]: homs of arrow k not yet tried under the current prefix;
-    # taking the lowest bit first keeps the product order
+    # pending[k]: homs of arrow k not yet tried under the current prefix,
+    # taken lowest bit first to keep the product order; tried[k]: the
+    # signatures already tried under it
     pending = [allowed(0)] + [0] * (len(arrows) - 1)
+    tried: list[set[int]] = [set() for _ in arrows]
     k = 0
     while k >= 0:
         if not pending[k]:
@@ -553,10 +667,16 @@ def _component_classes(table: EnumerationTable,
             continue
         low = pending[k] & -pending[k]
         pending[k] ^= low
-        chosen[k] = low.bit_length() - 1
+        h = low.bit_length() - 1
+        sid = sibling_id(k, h)
+        if sid in tried[k]:
+            continue
+        tried[k].add(sid)
+        chosen[k] = h
         if k + 1 < len(arrows):
             k += 1
             pending[k] = allowed(k)
+            tried[k].clear()
             continue
         key = tuple((site[0], homology(*site)) for site in sites)
         if key not in classes:
@@ -575,26 +695,57 @@ def _vanishing_masks(first: tuple[GroupHom, ...], second: tuple[GroupHom, ...],
     ``second`` with g o f = 0 in ``target``.
 
     g o f vanishes exactly when g kills every column of f's matrix, so
-    the test runs once per distinct column, in plain integer arithmetic
-    modulo the target generator orders."""
-    orders = target.generator_orders()
-    rows = [g.matrix.entries for g in second]
+    the test runs once per distinct column.  The free rows of every g
+    are packed into one int per (target row, source column), hom b in
+    lane b, so a column's dot products with all the g at once are a few
+    big-int multiply-adds.  Lanes are W bits wide, W the least multiple
+    of 8 with n * G * C < 2^(W-1), where n is the number of source
+    generators of g and G and C are the largest absolute entries of the
+    g rows and the f columns; a bias of 2^(W-1) per lane then keeps
+    every lane in [0, 2^W), so no lane borrows from or carries into the
+    next, and a lane equals the bias exactly when its dot product is 0.
+    The top byte of each lane holds its zero flag, and ``bytes.translate``
+    with ``int(..., 2)`` packs the flags back into one bit per hom.  Rows
+    into torsion generators keep the exact loop modulo their orders, over
+    the homs the free rows leave."""
+    if not second:
+        return [0] * len(first)
+    free = target.free_rank
+    torsion = tuple(enumerate(target.torsion, start=free))
+    n = second[0].matrix.cols
+    lanes = len(second)
+    top = max((abs(x) for g in second for row in g.matrix.entries[:free] for x in row),
+              default=0)
+    top_col = max((abs(x) for f in first for row in f.matrix.entries for x in row), default=0)
+    width = 8 * ((n * top * top_col).bit_length() // 8 + 1)
+    lane_bytes = width // 8
+    ones = int.from_bytes(b"\x01".ljust(lane_bytes, b"\x00") * lanes, "little")
+    high = ones << (width - 1)  # the bias, and the top bit of every lane
+    low = high - ones
+    packed = [[sum(g.matrix.entries[i][j] << (b * width) for b, g in enumerate(second))
+               for j in range(n)] for i in range(free)]
     kills: dict[tuple[int, ...], int] = {}
 
     def killers(col: tuple[int, ...]) -> int:
-        mask = 0
-        for b, g_rows in enumerate(rows):
-            for row, o in zip(g_rows, orders):
-                x = sum(map(mul, row, col))
-                if (x % o if o else x):
-                    break
-            else:
-                mask |= 1 << b
+        nonzero = 0
+        for row in packed:
+            nonzero |= (sum(map(mul, row, col)) + high) ^ high
+        flags = ((((nonzero & low) + low) | nonzero) & high) ^ high
+        digits = flags.to_bytes(lanes * lane_bytes, "big")[::lane_bytes]
+        mask = int(digits.translate(_FLAG_DIGITS), 2)
+        if torsion:
+            left = mask
+            while left:
+                low_bit = left & -left
+                left ^= low_bit
+                g_rows = second[low_bit.bit_length() - 1].matrix.entries
+                if any(sum(map(mul, g_rows[i], col)) % o for i, o in torsion):
+                    mask ^= low_bit
         return mask
 
     out = []
     for f in first:
-        mask = (1 << len(second)) - 1
+        mask = (1 << lanes) - 1
         for col in zip(*f.matrix.entries):
             m = kills.get(col)
             if m is None:
@@ -602,6 +753,10 @@ def _vanishing_masks(first: tuple[GroupHom, ...], second: tuple[GroupHom, ...],
             mask &= m
         out.append(mask)
     return out
+
+
+# the top byte of a lane's zero flag (0x80 or 0) as a binary digit
+_FLAG_DIGITS = bytes.maketrans(b"\x80\x00", b"10")
 
 
 def _transpose_masks(masks: list[int], width: int) -> list[int]:
@@ -683,11 +838,11 @@ class BranchTree:
         return "ok" if self.leaves else "empty"
 
 
-def _fold_parity(values: Iterable[tuple[int, FgAbGroup]], slots=(None, None)):
-    """Fold (degree, group) values into the (even, odd) slots of a
-    2-periodic abutment; None as soon as two values of one parity
-    differ.  Consumes ``values`` lazily, so a clash stops the work that
-    produces the remaining values."""
+def _fold_parity(values: Iterable[tuple[int, FgAbGroup | _Key]], slots=(None, None)):
+    """Fold (degree, group) values, groups or their keys, into the (even,
+    odd) slots of a 2-periodic abutment; None as soon as two values of
+    one parity differ.  Consumes ``values`` lazily, so a clash stops the
+    work that produces the remaining values."""
     out = list(slots)
     for deg, grp in values:
         seen = out[deg % 2]
@@ -752,7 +907,7 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
         # the pruner checks the final abutment, so it only applies when no
         # later page can carry a differential
         if _support_page_from(page, r + page.column_step) is None:
-            pruner = _build_pruner(base, comps, pins)
+            pruner = _build_pruner(base, comps, pins, table.key)
         else:
             pruner = _accept_all
 
@@ -789,31 +944,48 @@ def _accept_all(i, placed, state):
     return ()
 
 
-def _build_pruner(base: BigradedPage, comps, pins):
+def _build_pruner(base: BigradedPage, comps, pins, key_of):
     """Incremental 2-periodicity checking for a final page turn.
 
     ``base`` is the next page without the components' entries: it fixes
     the certified degrees and the contribution of untouched entries.
     Each degree is checked once the last component with an entry on its
     antidiagonal is placed (degrees no component reaches are checked
-    with the pins before any is placed).  The DFS state is the pair of
-    parity values found so far.
+    with the pins before any is placed).  Groups are compared by their
+    ``_group_key`` (``key_of`` gives it for one group): the untouched
+    entries' key per degree is built once per pruner, each class's per
+    degree once per class, and a degree's value once per combination of
+    classes on its antidiagonal, so no node of the DFS takes a direct
+    sum.  The DFS state is the pair of parity keys found so far.
     """
-    sums = dict(_certified_sums(base))
-    last_comp: dict[int, int] = {}
+    sums = {deg: _key_sum([key_of(grp) for grp in grps])
+            for deg, grps in _certified_parts(base).items()}
+    reach: dict[int, list[int]] = {}  # degree -> the components with an entry on it
     for i, comp in enumerate(comps):
-        for arrow in comp:
-            for pos in arrow:
-                if sum(pos) in sums and pos not in base.unresolved:
-                    last_comp[sum(pos)] = i
-    completed_at: dict[int, list[tuple[int, FgAbGroup]]] = {}
-    for deg, grp in sums.items():
-        completed_at.setdefault(last_comp.get(deg, -1), []).append((deg, grp))
+        for deg in {sum(pos) for arrow in comp for pos in arrow if pos not in base.unresolved}:
+            if deg in sums:
+                reach.setdefault(deg, []).append(i)
+    completed_at: dict[int, list[tuple[int, _Key, list[int]]]] = {}
+    for deg, key in sums.items():
+        at = reach.get(deg, [])
+        completed_at.setdefault(at[-1] if at else -1, []).append((deg, key, at))
+    pin_keys = [(deg, key_of(grp)) for deg, grp in pins]
+    # by degree and the identities of the classes on it, which the table
+    # keeps alive for the whole run
+    values: dict[tuple[int, ...], _Key] = {}
+
+    def value(deg, key, at, placed):
+        memo_key = (deg, *(id(placed[c]) for c in at))
+        found = values.get(memo_key)
+        if found is None:
+            found = values[memo_key] = _key_sum([key, *(placed[c].degree_keys[deg] for c in at)])
+        return found
 
     def check(i, placed, state):
-        values = ((deg, direct_sum(grp, *(g for cls in placed for (p, q), g in cls.results
-                                          if p + q == deg)))
-                  for deg, grp in completed_at.get(i, ()))
-        return _fold_parity(values, state) if i >= 0 else _fold_parity(chain(pins, values))
+        if i < 0:
+            return _fold_parity(chain(pin_keys, ((deg, key) for deg, key, _ in
+                                                 completed_at.get(-1, ()))))
+        return _fold_parity(((deg, value(deg, key, at, placed))
+                             for deg, key, at in completed_at.get(i, ())), state)
 
     return check

@@ -1,6 +1,7 @@
 """Independent oracles shared by the test modules."""
 
 import itertools
+import operator
 
 from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, composite_is_zero,
                               hom_matrix_space, homology_at)
@@ -73,6 +74,90 @@ def component_classes_by_product(arrows, groups, bound, signature_positions):
                            if not labeling[i].is_zero()),
             )
     return tuple(classes.values())
+
+
+def component_classes_without_skipping(arrows, groups, bound, signature_positions):
+    """Reference for the sibling rule of ``spectra._component_classes``:
+    the same depth-first search in product order, extending every prefix
+    with every hom whose composites with the placed neighbours vanish
+    (``composite_is_zero``), and ``homology_at`` at every leaf; classes
+    keep their first labeling."""
+    group_of = dict(groups)
+    spaces = [hom_matrix_space(group_of[s], group_of[t], bound) for s, t in arrows]
+    incoming_idx = {t: i for i, (_, t) in enumerate(arrows)}
+    outgoing_idx = {s: i for i, (s, _) in enumerate(arrows)}
+    # neighbours[k]: (i, i_first) for each neighbour i placed before arrow
+    # k, i_first when arrow i maps into arrow k's source
+    neighbours = [[] for _ in arrows]
+    for k, (src, tgt) in enumerate(arrows):
+        if src in incoming_idx and incoming_idx[src] < k:
+            neighbours[k].append((incoming_idx[src], True))
+        if tgt in outgoing_idx and outgoing_idx[tgt] < k:
+            neighbours[k].append((outgoing_idx[tgt], False))
+    chosen = []
+    homology = {}
+    classes = {}
+
+    def site(pos):
+        i, o = incoming_idx.get(pos), outgoing_idx.get(pos)
+        key = (pos, None if i is None else chosen[i], None if o is None else chosen[o])
+        if key not in homology:
+            homology[key] = homology_at(None if i is None else spaces[i][chosen[i]],
+                                        None if o is None else spaces[o][chosen[o]],
+                                        group_of[pos])
+        return homology[key]
+
+    def extend(k):
+        if k == len(arrows):
+            key = tuple((pos, site(pos)) for pos in signature_positions)
+            if key not in classes:
+                labeling = [sp[h] for sp, h in zip(spaces, chosen)]
+                classes[key] = _ComponentClass(
+                    results=key,
+                    homs=tuple((arrows[i][0], h) for i, h in enumerate(labeling)
+                               if not h.is_zero()))
+            return
+        for h, hom in enumerate(spaces[k]):
+            if all(composite_is_zero(spaces[i][chosen[i]], hom) if i_first
+                   else composite_is_zero(hom, spaces[i][chosen[i]])
+                   for i, i_first in neighbours[k]):
+                chosen.append(h)
+                extend(k + 1)
+                chosen.pop()
+
+    extend(0)
+    return tuple(classes.values())
+
+
+def vanishing_masks_by_loop(first, second, target):
+    """Reference for ``spectra._vanishing_masks``: for each hom f in
+    ``first``, bit b set when g = second[b] kills every column of f's
+    matrix, one plain dot product per (column, g, target row), each
+    tested modulo the target generator order."""
+    orders = target.generator_orders()
+    rows = [g.matrix.entries for g in second]
+    kills = {}
+
+    def killers(col):
+        mask = 0
+        for b, g_rows in enumerate(rows):
+            for row, o in zip(g_rows, orders):
+                x = sum(map(operator.mul, row, col))
+                if (x % o if o else x):
+                    break
+            else:
+                mask |= 1 << b
+        return mask
+
+    out = []
+    for f in first:
+        mask = (1 << len(second)) - 1
+        for col in zip(*f.matrix.entries):
+            if col not in kills:
+                kills[col] = killers(col)
+            mask &= kills[col]
+        out.append(mask)
+    return out
 
 
 def rp_boundary_matrices(n: int) -> list[IntMatrix]:

@@ -383,21 +383,40 @@ def test_runs_share_no_enumeration_state(tmp_path, capsys, monkeypatch):
     assert built[0] and built[0] == built[1]
 
 
-def test_solves_render_no_text_and_reports_render_each_leaf_once(monkeypatch):
-    # the solver returns data only; the report describes each nonzero
-    # differential of each distinct leaf once, however many pairs share it
+def test_solves_render_no_text_and_reports_render_each_leaf_once(monkeypatch, tmp_path):
+    # the solver returns data only; a report describes each distinct
+    # nonzero differential once, in the order its trace first meets it,
+    # however many leaves and pairs share it and whether or not the
+    # trace is also written to a file
     described = []
     hom_images = cli.hom_images
     monkeypatch.setattr(cli, "hom_images", lambda h: described.append(h) or hom_images(h))
     assert not hasattr(spectra, "hom_images")
+
+    def differentials(leaves):
+        return [h for leaf in leaves for _, homs in leaf.turns for _, h in homs]
+
+    def first_seen(report):
+        leaves = [leaf for pr in report.pair_results for leaf in pr.tree.leaves]
+        return list(dict.fromkeys(differentials(leaves)))
+
     report = run(parse_scenario(json.dumps(FAN6_TWO_BRANCH)))
     assert described == []
+    distinct = first_seen(report)
+    # distinct leaves share differentials, so a report without its memo
+    # would describe some of them again
     leaves = {id(leaf): leaf for pr in report.pair_results for leaf in pr.tree.leaves}
-    differentials = [h for leaf in leaves.values() for _, homs in leaf.turns for _, h in homs]
-    assert differentials
-    assert len(leaves) < sum(len(pr.tree.leaves) for pr in report.pair_results)
+    assert len(distinct) < len(differentials(leaves.values()))
     report.text()
-    assert described == differentials
+    assert described == distinct
+    report.text()
+    assert described == distinct
+
+    flagship = run(parse_scenario(bundled("paper_cp7.json").read_text()))
+    for flags in ([], ["--emit-trace", str(tmp_path / "trace.txt")]):
+        described.clear()
+        assert main(["check", str(bundled("paper_cp7.json"))] + flags) == 10
+        assert described == first_seen(flagship)
 
 
 def test_probe_pairs_share_a_solve_only_under_the_same_pins():
@@ -465,6 +484,7 @@ def test_cli_scenario_not_utf8_is_a_read_error(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: cannot read scenario: ")
+    assert proc.stderr.rstrip().endswith(repr(str(path)))
     assert proc.stderr.count("\n") == 1 and proc.stdout == ""
 
 

@@ -1,6 +1,7 @@
 """Randomized properties of the transform-free Smith diagonal, of the
-per-hom homology rule in ``spectra._component_classes``, and of the
-per-window deduplication in ``exactness.certify_nonexistence``."""
+packed vanishing masks, the per-hom homology rule and the sibling rule
+behind ``spectra._component_classes``, and of the per-window
+deduplication in ``exactness.certify_nonexistence``."""
 import contextlib
 import copy
 import functools
@@ -12,19 +13,24 @@ from importlib import resources
 from math import gcd
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import cobcheck.abgroup as abgroup
-from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, cokernel,
-                              composite_is_zero, from_orders, preimage_lattice,
-                              relation_matrix, smith_normal_form, subquotient)
+from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, _entry_values,
+                              cokernel, composite_is_zero, cyclic, from_orders,
+                              preimage_lattice, relation_matrix, smith_normal_form,
+                              subquotient)
 from cobcheck.cli import main
 from cobcheck.exactness import CobordismClaim, certify_nonexistence
-from cobcheck.graded import LaurentGrading
-from cobcheck.spectra import EnumerationTable, _component_classes
+from cobcheck.graded import GradedGroup, LaurentGrading
+from cobcheck.spectra import (EnumerationTable, _component_classes, _transpose_masks,
+                              _vanishing_masks)
 from cobcheck.topology import LagrangianDescriptor
 
-from oracles import certify_nonexistence_per_branch, component_classes_by_product
+from oracles import (certify_nonexistence_per_branch, component_classes_by_product,
+                     vanishing_masks_by_loop)
+from test_spectra import classes_match_search_without_skipping
 
 
 ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12))
@@ -97,6 +103,65 @@ def test_homology_from_cokernel_when_outgoing_image_is_free(data):
                 == subquotient(kernel, inc, middle))
 
 
+# groups whose generators map into free, Z/2, Z/4 and Z/3 targets
+MASK_GROUPS = [from_orders(*orders) for orders in
+               [(), (0,), (0, 0), (2,), (4,), (3,), (0, 2), (0, 3), (2, 4), (0, 0, 4)]]
+
+
+def space_size(source: FgAbGroup, target: FgAbGroup, bound: int) -> int:
+    """The number of matrices ``hom_matrix_space`` runs through."""
+    n = 1
+    for o in target.generator_orders():
+        n *= len(_entry_values(o, bound)) ** source.generator_count()
+    return n
+
+
+@settings(deadline=None, database=None, max_examples=120)
+@given(st.data())
+def test_packed_masks_match_the_loop_over_hom_spaces(data):
+    # both hom spaces of a pair A -> M -> T at bound 1-6, or random
+    # subsets of them (empty ones included), in both DFS orders
+    bound = data.draw(st.integers(1, 6))
+    shape = data.draw(st.tuples(*[st.sampled_from(MASK_GROUPS)] * 3).filter(
+        lambda g: max(space_size(g[0], g[1], bound), space_size(g[1], g[2], bound)) <= 2000))
+    source, middle, target = shape
+    table = EnumerationTable()
+    first, second = table.space(source, middle, bound), table.space(middle, target, bound)
+    want = vanishing_masks_by_loop(first.homs, second.homs, target)
+    assert table.masks(first, second, False) == want
+    assert table.masks(first, second, True) == _transpose_masks(want, len(second.homs))
+    some_first = data.draw(st.lists(st.sampled_from(first.homs), max_size=30))
+    some_second = data.draw(st.lists(st.sampled_from(second.homs), max_size=30))
+    assert (_vanishing_masks(some_first, some_second, target)
+            == vanishing_masks_by_loop(some_first, some_second, target))
+
+
+@settings(deadline=None, database=None, max_examples=60)
+@given(st.data())
+def test_packed_masks_match_the_loop_on_large_entries(data):
+    # entries far beyond any entry bound: the lanes widen with them
+    source, middle, target = (data.draw(groups(max_rank=2)) for _ in range(3))
+    size = data.draw(st.sampled_from([1, 10**3, 10**9]))
+    first = data.draw(st.lists(homs(source, middle, bound=size), max_size=8))
+    second = data.draw(st.lists(homs(middle, target, bound=size), max_size=8))
+    assert (_vanishing_masks(first, second, target)
+            == vanishing_masks_by_loop(first, second, target))
+    # Z -> Z^2 -> Z: (a, b) is killed by every multiple of (b, -a) and
+    # by no row one entry away from one; the lanes of those rows sit
+    # between lanes of large dot products, positive and negative
+    a = data.draw(st.integers(1, 10**12))
+    b = data.draw(st.integers(-10**12, 10**12))
+    f = GroupHom(FgAbGroup(1), FgAbGroup(2), IntMatrix.from_rows([[a], [b]]))
+    rows = [[b + 1, -a], [b - 1, -a]] * 3  # dot products a and -a
+    rows[1:1] = [[c * b, -c * a] for c in (-1, 0, 1)]
+    rows[6:6] = [[2 * b, -2 * a]]
+    second = [GroupHom(FgAbGroup(2), FgAbGroup(1), IntMatrix.from_rows([row])) for row in rows]
+    masks = _vanishing_masks([f], second, FgAbGroup(1))
+    assert masks == vanishing_masks_by_loop([f], second, FgAbGroup(1))
+    assert [masks[0] >> i & 1 for i in range(len(rows))] == [
+        int(x * a + y * b == 0) for x, y in rows]
+
+
 @settings(deadline=None, database=None, max_examples=40)
 @given(st.lists(groups(max_rank=1, max_torsion=1), min_size=3, max_size=3),
        st.integers(1, 2))
@@ -110,6 +175,24 @@ def test_component_classes_of_random_chains_match_product_enumeration(shape, bou
     arrows = tuple(zip(positions, positions[1:]))
     got = _component_classes(EnumerationTable(), arrows, groups_at, bound, positions)
     assert got == component_classes_by_product(arrows, groups_at, bound, positions)
+
+
+# explicit tables with torsion: rows 0..2 at step 2 (chains of up to two
+# arrows on page 2) or rows 0..3 at step 4 (single arrows on page 4), one
+# page turn each, small enough to search whole
+TABLE_GROUPS = st.sampled_from([ZERO, Z, cyclic(2), cyclic(3), cyclic(4),
+                                FgAbGroup(1, (2,)), FgAbGroup(0, (2, 2))])
+
+
+@settings(deadline=None, database=None, max_examples=40)
+@given(st.lists(TABLE_GROUPS, min_size=3, max_size=3), st.sampled_from([2, 4]),
+       st.integers(1, 2))
+def test_sibling_rule_keeps_the_classes_of_random_tables(upper, step, bound):
+    rows = upper[:2] if step == 2 else upper
+    h = GradedGroup.from_dict({0: Z, **{q: grp for q, grp in enumerate(rows, start=1)
+                                        if not grp.is_trivial()}})
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        classes_match_search_without_skipping(monkeypatch, h, step, bound)
 
 
 def elementary_two(dim: int) -> FgAbGroup:

@@ -11,9 +11,10 @@ from cobcheck.spectra import (BigradedPage, DifferentialAssignment, EnumerationT
                               SpectraError, _component_classes, _support_page_from,
                               abutment, build_e1, certified_degrees, solve_floer,
                               turn_page)
-from cobcheck.topology import Product, RealProjective, Sphere, homology
+from cobcheck.topology import Circle, Product, RealProjective, Sphere, homology
 
-from oracles import arrows_by_scan, component_classes_by_product
+from oracles import (arrows_by_scan, component_classes_by_product,
+                     component_classes_without_skipping)
 
 
 H_RP7 = homology(RealProjective(7))
@@ -339,8 +340,7 @@ FALLBACK_AT_MIDDLE = {
 }
 
 
-@pytest.mark.parametrize("bound", [1, 2, 3])
-@pytest.mark.parametrize("shape", [
+CHAIN_SHAPES = pytest.mark.parametrize("shape", [
     (Z, FgAbGroup(2)),
     (cyclic(2), cyclic(2)),
     (FgAbGroup(2), Z, FgAbGroup(2)),
@@ -350,19 +350,70 @@ FALLBACK_AT_MIDDLE = {
     (cyclic(2), cyclic(4), cyclic(2), cyclic(4)),
     *FALLBACK_AT_MIDDLE,
 ], ids=lambda shape: "->".join(map(str, shape)))
-def test_component_classes_match_product_enumeration(shape, bound, monkeypatch):
-    fallback_middles = []
-    monkeypatch.setattr(spectra, "subquotient", lambda kernel, incoming, middle: (
-        fallback_middles.append(middle) or subquotient(kernel, incoming, middle)))
+
+
+def chain_problems(shape):
+    """The chain of ``shape`` on CHAIN: its groups, and three arrow
+    orders by three signatures (all positions, all but the first, all
+    but the middle one)."""
     positions = CHAIN[:len(shape)]
     groups = tuple(zip(positions, shape))
     forward = tuple(zip(positions, positions[1:]))
     orders = {forward, forward[::-1], forward[1:] + forward[:1]}
     signatures = [positions, positions[1:], positions[:1] + positions[2:]]
-    for arrows in orders:
-        for signature in signatures:
-            # a fresh table, so that every homology computation is observed
-            got = _component_classes(EnumerationTable(), arrows, groups, bound, signature)
-            assert got == component_classes_by_product(arrows, groups, bound, signature)
+    return groups, [(arrows, signature) for arrows in orders for signature in signatures]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@CHAIN_SHAPES
+def test_component_classes_match_product_enumeration(shape, bound, monkeypatch):
+    fallback_middles = []
+    monkeypatch.setattr(spectra, "subquotient", lambda kernel, incoming, middle: (
+        fallback_middles.append(middle) or subquotient(kernel, incoming, middle)))
+    groups, problems = chain_problems(shape)
+    for arrows, signature in problems:
+        # a fresh table, so that every homology computation is observed
+        got = _component_classes(EnumerationTable(), arrows, groups, bound, signature)
+        assert got == component_classes_by_product(arrows, groups, bound, signature)
     if shape in FALLBACK_AT_MIDDLE:
         assert (shape[1] in fallback_middles) == FALLBACK_AT_MIDDLE[shape]
+
+
+# ---------------------------------------------------------------------------
+# the sibling rule against a search that skips nothing
+
+def classes_match_search_without_skipping(monkeypatch, h, step, bound, **kw):
+    """Solve with every ``_component_classes`` call checked against
+    ``component_classes_without_skipping``; returns the number of calls."""
+    calls = []
+
+    def checked(table, arrows, groups, bound, signature):
+        got = _component_classes(table, arrows, groups, bound, signature)
+        want = component_classes_without_skipping(arrows, groups, bound, signature)
+        assert got == want
+        assert [cls.homs for cls in got] == [cls.homs for cls in want]
+        calls.append(arrows)
+        return got
+
+    monkeypatch.setattr(spectra, "_component_classes", checked)
+    solve_floer(h, step, entry_bound=bound, **kw)
+    return len(calls)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@CHAIN_SHAPES
+def test_sibling_rule_keeps_the_classes_of_chains(shape, bound):
+    groups, problems = chain_problems(shape)
+    for arrows, signature in problems:
+        got = _component_classes(EnumerationTable(), arrows, groups, bound, signature)
+        want = component_classes_without_skipping(arrows, groups, bound, signature)
+        assert got == want
+        assert [cls.homs for cls in got] == [cls.homs for cls in want]
+
+
+@pytest.mark.parametrize("h, step, bound", [
+    *((homology(Product(Circle(), Circle())), 2, bound) for bound in (1, 2, 3, 4)),
+    (homology(Product(RealProjective(3), RealProjective(3))), 4, 4),
+], ids=["t2-b1", "t2-b2", "t2-b3", "t2-b4", "rp3xrp3-b4"])
+def test_sibling_rule_keeps_the_classes_of_solved_components(monkeypatch, h, step, bound):
+    assert classes_match_search_without_skipping(monkeypatch, h, step, bound) > 0
