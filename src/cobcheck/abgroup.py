@@ -24,6 +24,7 @@ ambient lattice (through the cached ``smith_normal_form``).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
@@ -541,22 +542,78 @@ def _entry_values(target_order: int, bound: int) -> tuple[int, ...]:
     return tuple(sorted({x % target_order for x in range(-bound, bound + 1)}))
 
 
-def hom_matrix_space(source: FgAbGroup, target: FgAbGroup, bound: int) -> tuple[GroupHom, ...]:
+class MatrixSpace(Sequence):
+    """The integer matrices whose row i runs over ``rows[i]``, as tuples
+    of rows in the order of ``itertools.product`` over the row ranges
+    (the last row fastest).  Stores the row ranges only: matrix h is
+    decoded from its index on access."""
+
+    def __init__(self, rows: tuple[tuple[tuple[int, ...], ...], ...]):
+        self._rows = rows
+        self._len = prod(map(len, rows))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, h: int) -> tuple[tuple[int, ...], ...]:
+        if not -self._len <= h < self._len:
+            raise IndexError("matrix index out of range")
+        h %= self._len
+        out = []
+        for values in reversed(self._rows):
+            h, x = divmod(h, len(values))
+            out.append(values[x])
+        return tuple(reversed(out))
+
+    def __iter__(self):
+        return itertools.product(*self._rows)
+
+
+class HomMatrixSpace(Sequence):
+    """The homs of a ``hom_matrix_space`` as a sequence: ``matrices``
+    holds their entry rows, and a ``GroupHom`` is built only when one is
+    indexed or iterated."""
+
+    def __init__(self, source: FgAbGroup, target: FgAbGroup, matrices: MatrixSpace):
+        self.source, self.target, self.matrices = source, target, matrices
+
+    def __len__(self) -> int:
+        return len(self.matrices)
+
+    def __getitem__(self, h: int) -> GroupHom:
+        return self._hom(self.matrices[h])
+
+    def __iter__(self):
+        return map(self._hom, self.matrices)
+
+    def _hom(self, rows) -> GroupHom:
+        return GroupHom(self.source, self.target,
+                        IntMatrix(self.target.generator_count(), self.source.generator_count(), rows))
+
+
+def hom_matrix_space(source: FgAbGroup, target: FgAbGroup, bound: int) -> HomMatrixSpace:
     """All valid homs source -> target with entries bounded by ``bound``,
     one matrix per distinct map (entries canonicalized mod target
-    orders).  Deterministic order."""
+    orders), in the order of the product of the entries' ranges.
+
+    A matrix is a hom when each torsion source generator of order d maps
+    to an element d kills, which is a condition on each entry alone; so
+    the homs are the product of each entry's admissible values, in the
+    product's order.  The space keeps each row's admissible values (a
+    matrix is one choice per row, its length their product) and builds
+    a ``GroupHom`` only when one is indexed.
+
+    >>> space = hom_matrix_space(cyclic(2), cyclic(4), 3)
+    >>> len(space), space[1].matrix.entries
+    (2, ((2,),))
+    """
     s_orders = source.generator_orders()
-    t_orders = target.generator_orders()
-    slots = [_entry_values(o, bound) for o in t_orders for _ in s_orders]
-    homs = []
-    k_t, k_s = len(t_orders), len(s_orders)
-    for flat in itertools.product(*slots):
-        data = tuple(flat[i * k_s:(i + 1) * k_s] for i in range(k_t))
-        try:
-            homs.append(GroupHom(source, target, IntMatrix(k_t, k_s, data)))
-        except HomValidationError:
-            continue
-    return tuple(homs)
+    rows = []
+    for t in target.generator_orders():
+        entries = [[x for x in _entry_values(t, bound) if not (d * x % t if t else d * x)]
+                   for d in s_orders]
+        rows.append(tuple(itertools.product(*entries)))
+    return HomMatrixSpace(source, target, MatrixSpace(tuple(rows)))
 
 
 def bound_may_truncate(source: FgAbGroup, target: FgAbGroup, entry_bound: int) -> bool:

@@ -33,27 +33,51 @@ the classes, their representatives and their order do not change.
 The homology at each position comes from invariants computed once per
 hom: M / im(in) for the incoming map, and the rank of im(out) for the
 outgoing one; when that image is free it splits off M / im(in), and
-only a torsion image falls back to the kernel-lattice subquotient.  Hom
+only a torsion image falls back to the kernel-lattice subquotient.  A
+hom space keeps only each matrix row's admissible values
+(``abgroup.hom_matrix_space``); masks and per-hom invariants are read
+off the raw entry rows, equal results are one object, and a
+``GroupHom`` is built only for a representative's differentials.  Hom
 spaces, these invariants and the classes of each component shape live
 in an ``EnumerationTable`` that the solves of one run share and that is
 dropped with the run, so no enumeration state outlives it.  The solver
 turns each page once: the next page is the untouched entries plus the
 homology the chosen classes already computed (``turn_page`` is the
-validated public path to the same page).  The abutment of every stable
-page must be 2-periodic; branches that violate periodicity (or a pinned
-value) are pruned, on the last turn while the classes are chosen, by
-comparing groups as (free rank, sorted prime powers) keys, and
-surviving branches are deduplicated by their abutment in degrees 0 and
-1.  A leaf is data only: its abutment, certified degrees and the
-differentials of each page turn; the report renders it.
+validated public path to the same page).  What a page's geometry (its
+index, entry positions and unresolved positions) fixes about its turn,
+the arrows, components, next unresolved set, final rows and pruner
+skeleton, is worked out once per geometry and solve.
+
+The abutment of every stable page must be 2-periodic and agree with
+any pinned value.  Every page turn is pruned by one rule while its
+classes are chosen, a theorem and not a heuristic: let r' be the first
+later page whose differentials can join two live rows.  A row q with
+q + r' - 1 > row_max and q - r' + 1 < 0 is final: no later differential
+starts or ends there, so its entries are already their E-infinity
+values.  Every later differential only takes subquotients of the other
+entries, so on a degree's antidiagonal the final free rank lies in
+[lo, hi], lo the free rank of the final entries and hi that of all of
+them; when every entry there is final the degree's group is exact.
+Each parity needs one common value (a pin fixes it), so a branch is cut
+once the intervals and exact groups of one parity have none.  The rule
+holds only for degrees certified on every stable page the branch can
+reach: those come from the worst-case run of the page geometry, in
+which every live position stays live.  Entries only shrink, so every
+real run has fewer arrows and an unresolved set inside that run's.  The
+last turn is the case lo = hi, an exact check of (free rank, sorted
+prime powers) keys; there, once both parities are exact, a branch whose
+abutment is already a leaf is cut too.  Surviving branches are
+deduplicated by their abutment in degrees 0 and 1.  A leaf is data
+only: its abutment, certified degrees and the differentials of each
+page turn; the report renders it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from operator import mul
+from operator import mul, neg
 
 from .abgroup import (FgAbGroup, GroupHom, IntMatrix, ZERO, _factorize,
                       bound_may_truncate, cokernel, composite_is_zero, direct_sum,
@@ -71,9 +95,11 @@ class WindowError(SpectraError):
 
 
 Position = tuple[int, int]
+# a matrix as its tuple of entry rows
+_Rows = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BigradedPage:
     """One page of the spectral sequence over a finite column window.
 
@@ -92,8 +118,6 @@ class BigradedPage:
     unresolved: frozenset[Position] = frozenset()
     base_row_support: frozenset[int] = frozenset()
     _by_position: dict[Position, FgAbGroup] = field(init=False, compare=False, repr=False)
-    _arrows: dict[int, tuple[tuple[Position, Position], ...]] = field(
-        init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.column_step <= 0 or self.column_step % 2 != 0:
@@ -101,13 +125,14 @@ class BigradedPage:
         if self.col_span < 2:
             raise SpectraError("window must cover at least columns -2N..2N")
         cleaned = []
-        for (p, q), grp in self.entries:
+        for entry in self.entries:
+            (p, q), grp = entry
             if p % self.column_step != 0:
                 raise SpectraError(f"entry at column {p} off the column support")
             if not 0 <= q <= self.row_max:
                 raise SpectraError(f"entry at row {q} outside rows 0..{self.row_max}")
-            if not grp.is_trivial():
-                cleaned.append(((p, q), grp))
+            if grp.free_rank or grp.torsion:
+                cleaned.append(entry)
         object.__setattr__(self, "entries", tuple(sorted(cleaned)))
         object.__setattr__(self, "_by_position", dict(self.entries))
 
@@ -172,7 +197,7 @@ def _possibly_nonzero(page: BigradedPage, pos: Position) -> bool:
     if q < 0 or q > page.row_max or p % page.column_step != 0:
         return False
     if page.in_window(p):
-        return pos in page.unresolved or not page.entry(p, q).is_trivial()
+        return pos in page._by_position or pos in page.unresolved
     return q in page.base_row_support  # entries only shrink after page 1
 
 
@@ -209,16 +234,13 @@ def _first_active_page(page: BigradedPage) -> int | None:
 
 def _arrows_at(page: BigradedPage, r: int) -> tuple[tuple[Position, Position], ...]:
     """Arrows (src, tgt) of page r between possibly-nonzero positions
-    with at least one endpoint inside the window, in source order;
-    computed once per page and r.
+    with at least one endpoint inside the window, in source order.
 
     Each arrow has a window endpoint that can be nonzero, so the arrows
-    are read off those live positions: the arrow out of each, and the
-    arrow into each from outside the window."""
-    cached = page._arrows.get(r)
-    if cached is not None:
-        return cached
-    live = {pos for pos in chain(page._by_position, page.unresolved) if page.in_window(pos[0])}
+    are read off those live positions (the entries and the unresolved
+    positions): the arrow out of each, and the arrow into each from
+    outside the window."""
+    live = page.unresolved.union(page._by_position)
     arrows = []
     for p, q in live:
         tgt = (p - r, q + r - 1)
@@ -227,8 +249,7 @@ def _arrows_at(page: BigradedPage, r: int) -> tuple[tuple[Position, Position], .
         src = (p + r, q - r + 1)
         if not page.in_window(src[0]) and _possibly_nonzero(page, src):
             arrows.append((src, (p, q)))
-    page._arrows[r] = tuple(sorted(arrows))
-    return page._arrows[r]
+    return tuple(sorted(arrows))
 
 
 def _slots_and_unresolved(page: BigradedPage, r: int) -> tuple[
@@ -376,18 +397,14 @@ class _ComponentClass:
 
     results: tuple[tuple[Position, FgAbGroup], ...]
     homs: tuple[tuple[Position, GroupHom], ...]
-    # per antidiagonal degree p + q, the ``_group_key`` of the direct sum
-    # of the results there, for the pruner; built from the results when
-    # not given (a copy shifted by whole columns passes its own)
-    degree_keys: dict[int, _Key] = field(default=None, compare=False, repr=False)
+    # ``_degree_parts`` of the results, by set of final rows
+    _parts: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.degree_keys is None:
-            parts: dict[int, list[_Key]] = {}
-            for (p, q), grp in self.results:
-                parts.setdefault(p + q, []).append(_group_key(grp))
-            object.__setattr__(self, "degree_keys",
-                               {deg: _key_sum(keys) for deg, keys in parts.items()})
+    def degree_parts(self, final_rows: frozenset[int], key_of) -> dict[int, _Part]:
+        parts = self._parts.get(final_rows)
+        if parts is None:
+            parts = self._parts[final_rows] = _degree_parts(self.results, final_rows, key_of)
+        return parts
 
 
 # a group's isomorphism class as (free rank, sorted prime powers)
@@ -396,56 +413,85 @@ _Key = tuple[int, tuple[int, ...]]
 
 def _group_key(grp: FgAbGroup) -> _Key:
     """The free rank and the sorted prime powers of the torsion: equal
-    exactly for isomorphic groups, and cheap to add (``_key_sum``)."""
+    exactly for isomorphic groups, and cheap to add."""
     return grp.free_rank, tuple(sorted(p ** e for d in grp.torsion
                                        for p, e in _factorize(d).items()))
 
 
-def _key_sum(keys: list[_Key]) -> _Key:
-    """The ``_group_key`` of the direct sum of groups with these keys."""
-    if len(keys) == 1:
-        return keys[0]
-    return (sum(free for free, _ in keys),
-            tuple(sorted(chain.from_iterable(powers for _, powers in keys))))
+# a direct sum of entries on one antidiagonal, as the pruner reads it: the
+# free rank and the (unsorted) prime powers of the entries in final rows,
+# the free rank of the others, and whether the others are all zero
+_Part = tuple[int, tuple[int, ...], int, bool]
+_NO_PART: _Part = (0, (), 0, True)
+
+
+def _degree_parts(entries: Iterable[tuple[Position, FgAbGroup]], final_rows: frozenset[int],
+                  key_of) -> dict[int, _Part]:
+    """The ``_Part`` of the entries on each antidiagonal degree p + q;
+    ``key_of`` gives a group's ``_group_key``."""
+    parts: dict[int, _Part] = {}
+    for (p, q), grp in entries:
+        free, powers = key_of(grp)
+        f, pw, slack, zero = parts.get(p + q, _NO_PART)
+        parts[p + q] = ((f + free, pw + powers, slack, zero) if q in final_rows
+                        else (f, pw, slack + free, zero and not free and not powers))
+    return parts
 
 
 class _HomSpace:
     """The bounded homs source -> target, with the invariants of each
-    hom by its index in ``homs``, each computed on first use."""
+    hom by its index in ``homs``, each computed on first use from the
+    hom's entry rows and shared between homs with equal results."""
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup, bound: int):
         self.target = target
         self.homs = hom_matrix_space(source, target, bound)
-        self._relations = relation_matrix(target)
+        self._relations = relation_matrix(target).entries
+        self._orders = target.generator_orders()
         self._cokernels: list[FgAbGroup | None] = [None] * len(self.homs)
-        self._images: list[tuple[int, bool] | None] = [None] * len(self.homs)
+        # the cokernel by the sorted set of the hom's columns up to sign: it
+        # only depends on the lattice they span with the relations
+        self._by_span: dict[tuple[tuple[int, ...], ...], FgAbGroup] = {}
+        # into a free target the image follows from the cokernel
+        self._images: list[tuple[int, bool] | None] | None = (
+            [None] * len(self.homs) if target.torsion else None)
         self._kernels: dict[int, IntMatrix] = {}
+        self._interned: dict = {}
 
     def coker(self, h: int) -> FgAbGroup:
         """target / im(hom h)."""
         grp = self._cokernels[h]
         if grp is None:
-            grp = self._cokernels[h] = cokernel(self.homs[h].matrix.hstack(self._relations))
+            rows = self.homs.matrices[h]
+            span = tuple(sorted({min(col, self._negated(col)) for col in zip(*rows)}))
+            grp = self._by_span.get(span)
+            if grp is None:
+                cols = self.homs.source.generator_count() + len(self.target.torsion)
+                grp = cokernel(IntMatrix(len(rows), cols,
+                                         tuple(map(tuple.__add__, rows, self._relations))))
+                grp = self._by_span[span] = self._intern(grp)
+            self._cokernels[h] = grp
         return grp
 
     def image(self, h: int) -> tuple[int, bool]:
         """The rank of im(hom h) and whether that image is torsion-free."""
+        if self._images is None:
+            # a subgroup of a free group: free, of the matrix rank; with no
+            # relations to add, the cokernel is the one coker() keeps
+            return self.target.free_rank - self.coker(h).free_rank, True
         img = self._images[h]
         if img is None:
-            if not self.target.torsion:
-                # a subgroup of a free group: free, of the matrix rank; with
-                # no relations to add, the cokernel is the one coker() keeps
-                img = (self.target.free_rank - self.coker(h).free_rank, True)
-            elif not self.target.free_rank:
-                # a subgroup of a finite group: torsion-free only when zero
-                img = (0, self.homs[h].is_zero())
+            if not self.target.free_rank:
+                # a subgroup of a finite group: torsion-free only when zero,
+                # that is when the cokernel is the whole target
+                img = (0, self.coker(h) == self.target)
             elif not (kernel := self.kernel(h)).cols:
                 # nothing of Z^s maps to zero: a free source embedded whole
                 img = (kernel.rows, True)
             else:
                 grp = cokernel(kernel)  # source / kernel
                 img = (grp.free_rank, not grp.torsion)
-            self._images[h] = img
+            img = self._images[h] = self._intern(img)
         return img
 
     def kernel(self, h: int) -> IntMatrix:
@@ -454,6 +500,15 @@ class _HomSpace:
         if kernel is None:
             kernel = self._kernels[h] = preimage_lattice(self.homs[h])
         return kernel
+
+    def _negated(self, col: tuple[int, ...]) -> tuple[int, ...]:
+        """-col, its torsion entries reduced mod their orders."""
+        if not self.target.torsion:
+            return tuple(map(neg, col))
+        return tuple(-x % o if o else -x for x, o in zip(col, self._orders))
+
+    def _intern(self, value):
+        return self._interned.setdefault(value, value)
 
 
 class EnumerationTable:
@@ -494,27 +549,26 @@ class EnumerationTable:
         key = (first, second, by_second)
         masks = self._masks.get(key)
         if masks is None:
-            masks = _vanishing_masks(first.homs, second.homs, second.target)
+            masks = _vanishing_masks(first.homs.matrices, second.homs.matrices, second.target)
             if by_second:
                 masks = _transpose_masks(masks, len(second.homs))
             self._masks[key] = masks
         return masks
 
-    def classes(self, page: BigradedPage, comp: list[tuple[Position, Position]],
-                bound: int, skip: frozenset[Position]) -> tuple[_ComponentClass, ...]:
-        """``_component_classes`` of one component of ``page``, at its
-        absolute positions; positions in ``skip`` (next entry unknowable)
-        stay out of the dedup signature.  Each shape is enumerated once:
+    def classes(self, arrows: tuple[tuple[Position, Position], ...],
+                positions: tuple[Position, ...], groups: tuple[FgAbGroup, ...], bound: int,
+                signature: tuple[Position, ...]) -> tuple[_ComponentClass, ...]:
+        """``_component_classes`` of one component, at its absolute
+        positions (``positions``, sorted, with their ``groups``); the
+        positions left out of ``signature`` (next entry unknowable) stay
+        out of the dedup signature.  Each shape is enumerated once:
         positions are shifted so the component starts at column 0, and
         the classes are shifted back once per component."""
-        pos_set = sorted({pos for arrow in comp for pos in arrow})
-        arrows = tuple(comp)
-        groups = tuple((pos, page.entry(*pos)) for pos in pos_set)
-        signature = tuple(pos for pos in pos_set if pos not in skip)
         key = (arrows, groups, bound, signature)
         placed = self._placed.get(key)
         if placed is not None:
             return placed
+        groups = tuple(zip(positions, groups))
         base_p = min(p for (p, _), _ in arrows)
         shift = lambda pos: (pos[0] - base_p, pos[1])
         unshift = lambda pos: (pos[0] + base_p, pos[1])
@@ -525,11 +579,8 @@ class EnumerationTable:
         if rel is None:
             rel = self._shapes[shape] = _component_classes(self, *shape)
         placed = self._placed[key] = tuple(
-            _ComponentClass(
-                results=tuple((unshift(pos), grp) for pos, grp in cls.results),
-                homs=tuple((unshift(pos), h) for pos, h in cls.homs),
-                degree_keys={deg + base_p: k for deg, k in cls.degree_keys.items()},
-            )
+            _ComponentClass(results=tuple((unshift(pos), grp) for pos, grp in cls.results),
+                            homs=tuple((unshift(pos), h) for pos, h in cls.homs))
             for cls in rel)
         return placed
 
@@ -689,41 +740,49 @@ def _component_classes(table: EnumerationTable,
     return tuple(classes.values())
 
 
-def _vanishing_masks(first: tuple[GroupHom, ...], second: tuple[GroupHom, ...],
+def _vanishing_masks(first: Sequence[_Rows], second: Sequence[_Rows],
                      target: FgAbGroup) -> list[int]:
-    """For each hom f in ``first``: the bitmask of positions of homs g in
-    ``second`` with g o f = 0 in ``target``.
+    """For each matrix f in ``first``: the bitmask of positions of
+    matrices g in ``second`` with g o f = 0 in ``target``; each matrix
+    is given by its entry rows (a hom space's ``matrices``).
 
-    g o f vanishes exactly when g kills every column of f's matrix, so
-    the test runs once per distinct column.  The free rows of every g
-    are packed into one int per (target row, source column), hom b in
-    lane b, so a column's dot products with all the g at once are a few
-    big-int multiply-adds.  Lanes are W bits wide, W the least multiple
-    of 8 with n * G * C < 2^(W-1), where n is the number of source
-    generators of g and G and C are the largest absolute entries of the
-    g rows and the f columns; a bias of 2^(W-1) per lane then keeps
-    every lane in [0, 2^W), so no lane borrows from or carries into the
-    next, and a lane equals the bias exactly when its dot product is 0.
-    The top byte of each lane holds its zero flag, and ``bytes.translate``
-    with ``int(..., 2)`` packs the flags back into one bit per hom.  Rows
-    into torsion generators keep the exact loop modulo their orders, over
-    the homs the free rows leave."""
+    g o f vanishes exactly when g kills every column of f, so the test
+    runs once per distinct column.  The free rows of every g are packed
+    into one int per (target row, source column), g number b in lane b,
+    so a column's dot products with all the g at once are a few big-int
+    multiply-adds.  Lanes are W bits wide, W the least multiple of 8
+    with n * G * C < 2^(W-1) and G < 2^(W-1), where n is the number of
+    source generators of g and G and C are the largest absolute entries
+    of the g rows and the f columns; a bias of 2^(W-1) per lane then
+    keeps every lane in [0, 2^W), so no lane borrows from or carries
+    into the next, and a lane equals the bias exactly when its dot
+    product is 0.  The packed ints are built from the lanes' biased
+    bytes, one pass over ``second``.  The top byte of each lane holds its
+    zero flag, and ``bytes.translate`` with ``int(..., 2)`` packs the
+    flags back into one bit per g.  Rows into torsion generators keep
+    the exact loop modulo their orders, over the g the free rows leave."""
     if not second:
-        return [0] * len(first)
+        return [0 for _ in first]
     free = target.free_rank
     torsion = tuple(enumerate(target.torsion, start=free))
-    n = second[0].matrix.cols
+    n = len(second[0][0]) if second[0] else 0
     lanes = len(second)
-    top = max((abs(x) for g in second for row in g.matrix.entries[:free] for x in row),
+    top = max(map(abs, chain.from_iterable(chain.from_iterable(g[:free] for g in second))),
               default=0)
-    top_col = max((abs(x) for f in first for row in f.matrix.entries for x in row), default=0)
-    width = 8 * ((n * top * top_col).bit_length() // 8 + 1)
+    top_col = max(map(abs, chain.from_iterable(chain.from_iterable(first))), default=0)
+    width = 8 * (max(n * top * top_col, top).bit_length() // 8 + 1)
     lane_bytes = width // 8
     ones = int.from_bytes(b"\x01".ljust(lane_bytes, b"\x00") * lanes, "little")
     high = ones << (width - 1)  # the bias, and the top bit of every lane
     low = high - ones
-    packed = [[sum(g.matrix.entries[i][j] << (b * width) for b, g in enumerate(second))
-               for j in range(n)] for i in range(free)]
+    lane_of: dict[int, bytes] = {}  # an entry's biased lane bytes
+    parts = [bytearray() for _ in range(free * n)]
+    for g in second:
+        for part, x in zip(parts, chain.from_iterable(g[:free])):
+            part += lane_of.get(x) or lane_of.setdefault(
+                x, (x + (1 << (width - 1))).to_bytes(lane_bytes, "little"))
+    packed = [[int.from_bytes(part, "little") - high for part in parts[i * n:(i + 1) * n]]
+              for i in range(free)]
     kills: dict[tuple[int, ...], int] = {}
 
     def killers(col: tuple[int, ...]) -> int:
@@ -738,7 +797,7 @@ def _vanishing_masks(first: tuple[GroupHom, ...], second: tuple[GroupHom, ...],
             while left:
                 low_bit = left & -left
                 left ^= low_bit
-                g_rows = second[low_bit.bit_length() - 1].matrix.entries
+                g_rows = second[low_bit.bit_length() - 1]
                 if any(sum(map(mul, g_rows[i], col)) % o for i, o in torsion):
                     mask ^= low_bit
         return mask
@@ -746,7 +805,7 @@ def _vanishing_masks(first: tuple[GroupHom, ...], second: tuple[GroupHom, ...],
     out = []
     for f in first:
         mask = (1 << lanes) - 1
-        for col in zip(*f.matrix.entries):
+        for col in zip(*f):
             m = kills.get(col)
             if m is None:
                 m = kills[col] = killers(col)
@@ -760,14 +819,16 @@ _FLAG_DIGITS = bytes.maketrans(b"\x80\x00", b"10")
 
 
 def _transpose_masks(masks: list[int], width: int) -> list[int]:
-    """Bit-matrix transpose: bit a of out[b] is bit b of masks[a]."""
+    """Bit-matrix transpose: bit a of out[b] is bit b of masks[a]; equal
+    rows of ``out`` are one object."""
     out = [0] * width
     for a, mask in enumerate(masks):
         while mask:
             low = mask & -mask
             out[low.bit_length() - 1] |= 1 << a
             mask ^= low
-    return out
+    rows: dict[int, int] = {}
+    return [rows.setdefault(row, row) for row in out]
 
 
 def _components(slots: list[tuple[Position, Position]]) -> list[list[tuple[Position, Position]]]:
@@ -838,12 +899,10 @@ class BranchTree:
         return "ok" if self.leaves else "empty"
 
 
-def _fold_parity(values: Iterable[tuple[int, FgAbGroup | _Key]], slots=(None, None)):
-    """Fold (degree, group) values, groups or their keys, into the (even,
-    odd) slots of a 2-periodic abutment; None as soon as two values of
-    one parity differ.  Consumes ``values`` lazily, so a clash stops the
-    work that produces the remaining values."""
-    out = list(slots)
+def _fold_parity(values: Iterable[tuple[int, FgAbGroup]]):
+    """Fold (degree, group) values into the (even, odd) slots of a
+    2-periodic abutment; None as soon as two values of one parity differ."""
+    out = [None, None]
     for deg, grp in values:
         seen = out[deg % 2]
         if seen is None:
@@ -851,6 +910,107 @@ def _fold_parity(values: Iterable[tuple[int, FgAbGroup | _Key]], slots=(None, No
         elif seen != grp:
             return None
     return tuple(out)
+
+
+# what a turn knows of a degree's final value: its free rank lies in
+# [lo, hi], and key is its exact ``_group_key`` when every entry on the
+# degree's antidiagonal is final (None otherwise)
+_Bound = tuple[int, int, _Key | None]
+
+
+def _meet(seen: _Bound | None, bound: _Bound) -> _Bound | None:
+    """The common value of one parity narrowed by one more degree's
+    bound; None when no group satisfies both."""
+    if seen is None:
+        return bound
+    if bound[2] is not None and seen[2] is not None:
+        return seen if bound[2] == seen[2] else None
+    lo, hi = max(bound[0], seen[0]), min(bound[1], seen[1])
+    return (lo, hi, bound[2] or seen[2]) if lo <= hi else None
+
+
+def _fold_bounds(values: Iterable[tuple[int, _Bound]]):
+    """Fold (degree, bound) values into the (even, odd) common values;
+    None as soon as one parity has none."""
+    out = [None, None]
+    for deg, bound in values:
+        seen = out[deg % 2] = _meet(out[deg % 2], bound)
+        if seen is None:
+            return None
+    return tuple(out)
+
+
+@dataclass(frozen=True, slots=True)
+class _Plan:
+    """What the geometry of a page (its index, its live and its
+    unresolved positions) fixes about its turn; one per geometry, shared
+    by every page that has it, and its parts shared between plans."""
+
+    r: int | None  # the page of the turn; None when the page is stable
+    # per component: its arrows, its positions (sorted) and those whose
+    # next entry is known (its signature)
+    comps: tuple[tuple[tuple[tuple[Position, Position], ...], tuple[Position, ...],
+                       tuple[Position, ...]], ...] = ()
+    unresolved: frozenset[Position] = frozenset()  # of the next page
+    final_rows: frozenset[int] = frozenset()
+    last: bool = False  # no later page can carry a differential
+    # the interval pruner's skeleton: checks[i + 1] holds each degree
+    # whose last component is i (checks[0]: no component reaches it),
+    # with the components that have an entry on its antidiagonal
+    checks: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] = ()
+
+
+def _plan(page: BigradedPage, shared) -> _Plan:
+    """The plan of ``page``'s geometry; ``shared`` returns one object for
+    equal values, so plans hold one copy of their common parts."""
+    r = _first_active_page(page)
+    if r is None:
+        return _Plan(None)
+    slots, newly_unresolved = _slots_and_unresolved(page, r)
+    comps = _components(slots)
+    unresolved = page.unresolved | newly_unresolved
+    nxt = _support_page_from(page, r + page.column_step)
+    rows = range(page.row_max + 1)
+    final = frozenset(q for q in rows if nxt is None
+                      or q + nxt - 1 > page.row_max and q - nxt + 1 < 0)
+    degrees = _worst_case_degrees(page, r, unresolved)
+    if not {0, 1} <= degrees:
+        # the branch whose differentials all vanish reaches that stable page
+        raise WindowError("window cannot certify abutment degrees 0 and 1")
+    sites = []
+    reach: dict[int, list[int]] = {}  # degree -> the components with an entry on it
+    for i, comp in enumerate(comps):
+        positions = sorted({pos for arrow in comp for pos in arrow})
+        signature = tuple(pos for pos in positions if pos not in unresolved)
+        sites.append(shared((tuple(comp), tuple(positions), signature)))
+        for deg in sorted({sum(pos) for pos in signature}):
+            if deg in degrees:
+                reach.setdefault(deg, []).append(i)
+    checks: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(len(comps) + 1)]
+    for deg in sorted(degrees):
+        at = tuple(reach.get(deg, ()))
+        checks[at[-1] + 1 if at else 0].append(shared((deg, at)))
+    return _Plan(r, comps=shared(tuple(sites)), unresolved=shared(unresolved),
+                 final_rows=shared(final), last=nxt is None,
+                 checks=shared(tuple(map(tuple, checks))))
+
+
+def _worst_case_degrees(page: BigradedPage, r: int,
+                        unresolved: frozenset[Position]) -> frozenset[int]:
+    """The degrees certified on the stable page of the run from the page
+    after turn r in which every live position stays live.  Entries only
+    shrink, so every real run has fewer arrows on each page and its
+    unresolved set stays inside this run's: these degrees are certified
+    on the stable page of every branch."""
+    def kept(geo, gone):
+        return tuple(entry for entry in geo.entries if entry[0] not in gone)
+
+    geo = replace(page, page_index=r + 1, unresolved=unresolved, entries=kept(page, unresolved))
+    while (r := _first_active_page(geo)) is not None:
+        newly_unresolved = _slots_and_unresolved(geo, r)[1]
+        geo = replace(geo, page_index=r + 1, unresolved=geo.unresolved | newly_unresolved,
+                      entries=kept(geo, newly_unresolved))
+    return frozenset(certified_degrees(geo))
 
 
 def solve_floer(s_homology: GradedGroup, column_step: int,
@@ -873,12 +1033,33 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     pins = tuple(constraints)
     # first leaf per (HF_even, HF_odd), in search order
     leaves: dict[tuple[FgAbGroup, FgAbGroup], BranchLeaf] = {}
+    found: set[tuple[_Key, _Key]] = set()  # the leaves' keys as the pruner states them
     truncation = False
+    # plans by geometry: the page index, and the positions of the entries
+    # and the unresolved ones as bit sets over the window, packed into one
+    # int
+    plans: dict[int, _Plan] = {}
+    parts: dict = {}  # one object per distinct part of the plans
+
+    bit_of = {(p, q): 1 << i for i, (p, q) in enumerate(
+        (p, q) for p in root.window_columns() for q in range(root.row_max + 1))}
+
+    def bits(positions: Iterable[Position]) -> int:
+        return sum(map(bit_of.__getitem__, positions))
+
+    def plan_of(page: BigradedPage) -> _Plan:
+        key = ((page.page_index << len(bit_of) | bits(page._by_position)) << len(bit_of)
+               | bits(page.unresolved))
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = _plan(page, lambda value: parts.setdefault(value, value))
+        return plan
 
     def finish(page: BigradedPage, turns: list[_Turn]) -> None:
         certified = _certified_sums(page)
         key = _fold_parity(chain(pins, certified))
         if key is not None and key not in leaves:
+            found.add((table.key(key[0]), table.key(key[1])))
             leaves[key] = BranchLeaf(
                 hf=GradedGroup.from_dict({0: key[0], 1: key[1]}, period=2),
                 certified=tuple(certified), turns=tuple(turns),
@@ -886,46 +1067,37 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
 
     def explore(page: BigradedPage, turns: list[_Turn]) -> None:
         nonlocal truncation
-        r = _first_active_page(page)
+        plan = plan_of(page)
+        r = plan.r
         if r is None:
             finish(page, turns)
             return
-        slots, newly_unresolved = _slots_and_unresolved(page, r)
-        comps = _components(slots)
-        for s, t in slots:
-            if bound_may_truncate(page.entry(*s), page.entry(*t), entry_bound):
-                truncation = True
-        unresolved = page.unresolved | newly_unresolved
-        touched = {pos for s, t in slots for pos in (s, t)}
-        # the next page without the components' entries; each branch adds
-        # the homology its chosen classes computed
-        base = replace(page, page_index=r + 1, unresolved=unresolved,
-                       entries=tuple((pos, grp) for pos, grp in page.entries
-                                     if pos not in touched and pos not in unresolved))
-        class_lists = [table.classes(page, comp, entry_bound, unresolved) for comp in comps]
-
-        # the pruner checks the final abutment, so it only applies when no
-        # later page can carry a differential
-        if _support_page_from(page, r + page.column_step) is None:
-            pruner = _build_pruner(base, comps, pins, table.key)
-        else:
-            pruner = _accept_all
-
-        def dfs(i: int, chosen: list[_ComponentClass], state) -> None:
-            if i == len(class_lists):
-                homs = tuple(sorted(hom for cls in chosen for hom in cls.homs))
-                results = tuple(res for cls in chosen for res in cls.results)
-                explore(replace(base, entries=base.entries + results), turns + [(r, homs)])
-                return
-            for cls in class_lists[i]:
-                placed = chosen + [cls]
-                nxt = pruner(i, placed, state)
-                if nxt is not None:
-                    dfs(i + 1, placed, nxt)
-
-        seed = pruner(-1, [], None)
-        if seed is not None:
-            dfs(0, [], seed)
+        if not truncation:
+            truncation = any(bound_may_truncate(page.entry(*s), page.entry(*t), entry_bound)
+                             for arrows, _, _ in plan.comps for s, t in arrows)
+        # the next page's entries that no component touches; each branch
+        # adds the homology its chosen classes computed
+        touched = {pos for _, positions, _ in plan.comps for pos in positions}
+        # (lists, not tuples: their lengths vary from branch to branch, and
+        # freed tuples stay cached per length)
+        kept = [entry for entry in page.entries
+                if entry[0] not in touched and entry[0] not in plan.unresolved]
+        entry = page._by_position.__getitem__
+        class_lists = [table.classes(arrows, positions, tuple(map(entry, positions)),
+                                     entry_bound, signature)
+                       for arrows, positions, signature in plan.comps]
+        start, check = _interval_pruner(kept, plan, pins, table.key)
+        if start is None:
+            return
+        # on the last turn each bound is exact, so once both parities have
+        # one, the branch's abutment is fixed: a leaf already found cuts it
+        cut = found if plan.last else ()
+        for chosen in _combinations(class_lists, check, cut, start):
+            homs = tuple(sorted(hom for cls in chosen for hom in cls.homs))
+            results = [res for cls in chosen for res in cls.results]
+            explore(BigradedPage(r + 1, page.column_step, page.col_span, page.row_max,
+                                 kept + results, plan.unresolved, page.base_row_support),
+                    turns + [(r, homs)])
 
     explore(root, [])
     ordered = tuple(sorted(leaves.values(), key=lambda lf: (str(lf.hf_even), str(lf.hf_odd))))
@@ -939,53 +1111,67 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     )
 
 
-def _accept_all(i, placed, state):
-    """Pruner for a turn that later pages may still change: no check."""
-    return ()
+def _combinations(class_lists: list[tuple[_ComponentClass, ...]], check, cut, state,
+                  chosen: list[_ComponentClass] = ()):
+    """The combinations of one class per component, extending ``chosen``
+    (whose DFS state is ``state``), whose every prefix ``check`` keeps,
+    depth first in product order; a prefix whose state has exact keys
+    for both parities that are in ``cut`` is cut too."""
+    even, odd = state
+    if even and odd and (even[2], odd[2]) in cut:
+        return
+    i = len(chosen)
+    if i == len(class_lists):
+        yield chosen
+        return
+    for cls in class_lists[i]:
+        placed = [*chosen, cls]
+        nxt = check(i, placed, state)
+        if nxt is not None:
+            yield from _combinations(class_lists, check, cut, nxt, placed)
 
 
-def _build_pruner(base: BigradedPage, comps, pins, key_of):
-    """Incremental 2-periodicity checking for a final page turn.
+def _interval_pruner(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, pins, key_of):
+    """Incremental check of one turn's branches against 2-periodicity
+    and the pins: a branch is cut when no later turns can give it a
+    consistent abutment.  ``kept`` holds the next page's entries that
+    no component touches.
 
-    ``base`` is the next page without the components' entries: it fixes
-    the certified degrees and the contribution of untouched entries.
-    Each degree is checked once the last component with an entry on its
-    antidiagonal is placed (degrees no component reaches are checked
-    with the pins before any is placed).  Groups are compared by their
-    ``_group_key`` (``key_of`` gives it for one group): the untouched
-    entries' key per degree is built once per pruner, each class's per
-    degree once per class, and a degree's value once per combination of
-    classes on its antidiagonal, so no node of the DFS takes a direct
-    sum.  The DFS state is the pair of parity keys found so far.
+    Each degree certified on every stable page the turn can reach
+    (``_worst_case_degrees``) gets a bound on its final value once the
+    last component with an entry on its antidiagonal is placed (degrees
+    no component reaches are bounded with the pins before any is
+    placed).  Its free rank lies between the free rank of its final
+    entries (later differentials cannot reach their rows) and that of
+    all its entries (the others only shrink to subquotients), and when
+    all its entries are final its ``_group_key`` is exact.  The DFS
+    state is the common bound of each parity so far.  Groups enter as
+    keys (``key_of`` gives one), summed per degree once for the kept
+    entries and once per class and set of final rows, so no node of the
+    DFS adds groups.
+
+    Returns the state before any component is placed (None when the pins
+    and the degrees no component reaches already clash) and
+    ``check(i, placed, state)``, the state once the classes ``placed``
+    fill components 0..i (None when the branch is cut).
     """
-    sums = {deg: _key_sum([key_of(grp) for grp in grps])
-            for deg, grps in _certified_parts(base).items()}
-    reach: dict[int, list[int]] = {}  # degree -> the components with an entry on it
-    for i, comp in enumerate(comps):
-        for deg in {sum(pos) for arrow in comp for pos in arrow if pos not in base.unresolved}:
-            if deg in sums:
-                reach.setdefault(deg, []).append(i)
-    completed_at: dict[int, list[tuple[int, _Key, list[int]]]] = {}
-    for deg, key in sums.items():
-        at = reach.get(deg, [])
-        completed_at.setdefault(at[-1] if at else -1, []).append((deg, key, at))
-    pin_keys = [(deg, key_of(grp)) for deg, grp in pins]
-    # by degree and the identities of the classes on it, which the table
-    # keeps alive for the whole run
-    values: dict[tuple[int, ...], _Key] = {}
-
-    def value(deg, key, at, placed):
-        memo_key = (deg, *(id(placed[c]) for c in at))
-        found = values.get(memo_key)
-        if found is None:
-            found = values[memo_key] = _key_sum([key, *(placed[c].degree_keys[deg] for c in at)])
-        return found
+    final = plan.final_rows
+    kept_parts = _degree_parts(kept, final, key_of)
 
     def check(i, placed, state):
-        if i < 0:
-            return _fold_parity(chain(pin_keys, ((deg, key) for deg, key, _ in
-                                                 completed_at.get(-1, ()))))
-        return _fold_parity(((deg, value(deg, key, at, placed))
-                             for deg, key, at in completed_at.get(i, ())), state)
+        out = list(state)
+        for deg, at in plan.checks[i + 1]:
+            free, powers, slack, zero = kept_parts.get(deg, _NO_PART)
+            for c in at:
+                f, pw, sl, z = placed[c].degree_parts(final, key_of).get(deg, _NO_PART)
+                free, powers, slack, zero = free + f, powers + pw, slack + sl, zero and z
+            seen = out[deg % 2] = _meet(out[deg % 2], (
+                free, free + slack, (free, tuple(sorted(powers))) if zero else None))
+            if seen is None:
+                return None
+        return tuple(out)
 
-    return check
+    start = _fold_bounds((deg, (key[0], key[0], key)) for deg, key in
+                         ((deg, key_of(grp)) for deg, grp in pins))
+    return (None if start is None else check(-1, [], start)), check
+

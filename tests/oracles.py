@@ -2,12 +2,17 @@
 
 import itertools
 import operator
+from dataclasses import replace
 
-from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, composite_is_zero,
+from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, _entry_values,
+                              bound_may_truncate, composite_is_zero, direct_sum,
                               hom_matrix_space, homology_at)
 from cobcheck.exactness import (BranchOutcome, ClaimVerdict, ExactSequenceProblem,
                                 _rank_var, build_cobordism_sequences, check_feasibility)
-from cobcheck.spectra import _ComponentClass, _possibly_nonzero
+from cobcheck.graded import GradedGroup
+from cobcheck.spectra import (BranchLeaf, BranchTree, EnumerationTable, WindowError, _ComponentClass,
+                              _components, _first_active_page, _possibly_nonzero,
+                              _slots_and_unresolved, build_e1, certified_degrees)
 
 
 def determinant(m: IntMatrix) -> int:
@@ -35,6 +40,96 @@ def determinant(m: IntMatrix) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def hom_matrix_space_by_product(source: FgAbGroup, target: FgAbGroup, bound: int):
+    """Reference for ``abgroup.hom_matrix_space``: every matrix of the
+    full product of entry ranges, row-major, kept when ``GroupHom``
+    accepts it."""
+    s_orders, t_orders = source.generator_orders(), target.generator_orders()
+    slots = [_entry_values(o, bound) for o in t_orders for _ in s_orders]
+    homs = []
+    for flat in itertools.product(*slots):
+        rows = tuple(flat[i * len(s_orders):(i + 1) * len(s_orders)] for i in range(len(t_orders)))
+        try:
+            homs.append(GroupHom(source, target, IntMatrix(len(t_orders), len(s_orders), rows)))
+        except ValueError:
+            continue
+    return homs
+
+
+def solve_floer_without_pruning(s_homology, column_step, constraints=(), entry_bound=4,
+                                col_span=2, row_max=None) -> BranchTree:
+    """Reference for the pruning of ``spectra.solve_floer``: on every page
+    turn, every combination of component classes, each giving the next
+    page as the untouched entries plus the homology its classes hold;
+    2-periodicity and the pins are checked on the stable page only.  The
+    first branch per abutment is kept, in search order, and leaves are
+    sorted as the solver sorts them."""
+    table = EnumerationTable()
+    root = build_e1(s_homology, column_step, col_span, row_max)
+    leaves = {}
+    truncation = False
+    geometry = {}  # the next page index and the certified degrees, by geometry
+    sums = {}  # direct sums by summands
+
+    def direct_sum_of(grps):
+        grps = tuple(grps)
+        if grps not in sums:
+            sums[grps] = direct_sum(*grps)
+        return sums[grps]
+
+    def explore(page, combos):
+        # combos: (page index, classes) of each turn so far
+        nonlocal truncation
+        key = (page.page_index, frozenset(pos for pos, _ in page.entries), page.unresolved)
+        if key not in geometry:
+            geometry[key] = (_first_active_page(page), certified_degrees(page))
+        r, degrees = geometry[key]
+        if r is None:
+            if not {0, 1} <= set(degrees):
+                raise WindowError("window cannot certify abutment degrees 0 and 1")
+            on_degree = {deg: [] for deg in degrees}
+            for (p, q), grp in page.entries:
+                if p + q in on_degree:
+                    on_degree[p + q].append(grp)
+            certified = ((deg, direct_sum_of(grps)) for deg, grps in on_degree.items())
+            values = {}
+            if all(values.setdefault(deg % 2, grp) == grp
+                   for deg, grp in itertools.chain(constraints, certified)):
+                key = (values[0], values[1])
+                if key not in leaves:
+                    leaves[key] = BranchLeaf(
+                        hf=GradedGroup.from_dict({0: key[0], 1: key[1]}, period=2),
+                        certified=tuple((deg, direct_sum_of(grps))
+                                        for deg, grps in on_degree.items()),
+                        turns=tuple((turn, tuple(sorted(hom for cls in combo for hom in cls.homs)))
+                                    for turn, combo in combos),
+                        stable_page=page.page_index)
+            return
+        slots, newly_unresolved = _slots_and_unresolved(page, r)
+        truncation |= any(bound_may_truncate(page.entry(*s), page.entry(*t), entry_bound)
+                          for s, t in slots)
+        unresolved = page.unresolved | newly_unresolved
+        touched = {pos for arrow in slots for pos in arrow}
+        kept = tuple((pos, grp) for pos, grp in page.entries
+                     if pos not in touched and pos not in unresolved)
+        class_lists = []
+        for comp in _components(slots):
+            positions = tuple(sorted({pos for arrow in comp for pos in arrow}))
+            class_lists.append(table.classes(
+                tuple(comp), positions, tuple(page.entry(*pos) for pos in positions), entry_bound,
+                tuple(pos for pos in positions if pos not in unresolved)))
+        for combo in itertools.product(*class_lists):
+            results = tuple(res for cls in combo for res in cls.results)
+            explore(replace(page, page_index=r + 1, unresolved=unresolved, entries=kept + results),
+                    combos + [(r, combo)])
+
+    explore(root, [])
+    return BranchTree(
+        column_step=column_step, entry_bound=entry_bound, col_span=col_span,
+        row_max=root.row_max, bound_may_truncate=truncation,
+        leaves=tuple(sorted(leaves.values(), key=lambda lf: (str(lf.hf_even), str(lf.hf_odd)))))
 
 
 def zero_hom(source: FgAbGroup, target: FgAbGroup) -> GroupHom:

@@ -10,7 +10,7 @@ from cobcheck.abgroup import (FgAbGroup, GroupHom, HomValidationError, IntMatrix
                               hom_images, hom_matrix_space, homology_at,
                               smith_normal_form, tensor, tor)
 
-from oracles import determinant, zero_hom
+from oracles import determinant, hom_matrix_space_by_product, zero_hom
 
 
 def test_doctests():
@@ -282,3 +282,24 @@ def test_bound_truncation_flag():
     assert bound_may_truncate(Z, Z, 4)
     assert not bound_may_truncate(cyclic(2), cyclic(2), 4)
     assert bound_may_truncate(cyclic(8), cyclic(8), 4)
+
+
+SPACE_GROUPS = [from_orders(*orders) for orders in
+                [(), (0,), (2,), (4,), (0, 0), (0, 2), (2, 4), (0, 6), (3, 3)]]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_hom_matrix_space_matches_the_product_enumeration(bound):
+    # the compact space has the order, length and indexing of the full
+    # product filtered by GroupHom, and its matrices are the homs' rows
+    for source in SPACE_GROUPS:
+        for target in SPACE_GROUPS:
+            space = hom_matrix_space(source, target, bound)
+            want = hom_matrix_space_by_product(source, target, bound)
+            assert len(space) == len(want) > 0
+            assert list(space) == want
+            assert [space[h] for h in range(len(want))] == want
+            assert space[-1] == want[-1]
+            assert list(space.matrices) == [h.matrix.entries for h in want]
+            with pytest.raises(IndexError):
+                space[len(want)]

@@ -30,7 +30,7 @@ from cobcheck.topology import LagrangianDescriptor
 
 from oracles import (certify_nonexistence_per_branch, component_classes_by_product,
                      vanishing_masks_by_loop)
-from test_spectra import classes_match_search_without_skipping
+from test_spectra import assert_pruning_keeps_the_leaves, classes_match_search_without_skipping
 
 
 ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12))
@@ -116,6 +116,11 @@ def space_size(source: FgAbGroup, target: FgAbGroup, bound: int) -> int:
     return n
 
 
+def entry_rows(homs):
+    """The matrices of ``homs`` as ``_vanishing_masks`` takes them."""
+    return [h.matrix.entries for h in homs]
+
+
 @settings(deadline=None, database=None, max_examples=120)
 @given(st.data())
 def test_packed_masks_match_the_loop_over_hom_spaces(data):
@@ -132,7 +137,7 @@ def test_packed_masks_match_the_loop_over_hom_spaces(data):
     assert table.masks(first, second, True) == _transpose_masks(want, len(second.homs))
     some_first = data.draw(st.lists(st.sampled_from(first.homs), max_size=30))
     some_second = data.draw(st.lists(st.sampled_from(second.homs), max_size=30))
-    assert (_vanishing_masks(some_first, some_second, target)
+    assert (_vanishing_masks(entry_rows(some_first), entry_rows(some_second), target)
             == vanishing_masks_by_loop(some_first, some_second, target))
 
 
@@ -144,7 +149,7 @@ def test_packed_masks_match_the_loop_on_large_entries(data):
     size = data.draw(st.sampled_from([1, 10**3, 10**9]))
     first = data.draw(st.lists(homs(source, middle, bound=size), max_size=8))
     second = data.draw(st.lists(homs(middle, target, bound=size), max_size=8))
-    assert (_vanishing_masks(first, second, target)
+    assert (_vanishing_masks(entry_rows(first), entry_rows(second), target)
             == vanishing_masks_by_loop(first, second, target))
     # Z -> Z^2 -> Z: (a, b) is killed by every multiple of (b, -a) and
     # by no row one entry away from one; the lanes of those rows sit
@@ -156,7 +161,7 @@ def test_packed_masks_match_the_loop_on_large_entries(data):
     rows[1:1] = [[c * b, -c * a] for c in (-1, 0, 1)]
     rows[6:6] = [[2 * b, -2 * a]]
     second = [GroupHom(FgAbGroup(2), FgAbGroup(1), IntMatrix.from_rows([row])) for row in rows]
-    masks = _vanishing_masks([f], second, FgAbGroup(1))
+    masks = _vanishing_masks(entry_rows([f]), entry_rows(second), FgAbGroup(1))
     assert masks == vanishing_masks_by_loop([f], second, FgAbGroup(1))
     assert [masks[0] >> i & 1 for i in range(len(rows))] == [
         int(x * a + y * b == 0) for x, y in rows]
@@ -193,6 +198,24 @@ def test_sibling_rule_keeps_the_classes_of_random_tables(upper, step, bound):
                                         if not grp.is_trivial()}})
     with pytest.MonkeyPatch.context() as monkeypatch:
         classes_match_search_without_skipping(monkeypatch, h, step, bound)
+
+
+# rows small enough for a search that prunes nothing (Z + Z/2 in three
+# rows takes minutes)
+PRUNED_TABLE_GROUPS = st.sampled_from([ZERO, Z, cyclic(2), cyclic(3), cyclic(4),
+                                       FgAbGroup(0, (2, 2))])
+
+
+@settings(deadline=None, database=None, max_examples=40)
+@given(st.lists(PRUNED_TABLE_GROUPS, min_size=4, max_size=4),
+       st.lists(st.tuples(st.integers(-2, 3), PRUNED_TABLE_GROUPS), max_size=2))
+def test_pruning_keeps_the_leaves_of_random_tables(upper, pins):
+    # rows 0..4 at step 2: page 2 turns while page 4 can still join rows 0
+    # and 3 or 1 and 4, so only some rows are final on that turn (and a
+    # nonzero row 4 often needs a wider window: both must raise then)
+    h = GradedGroup.from_dict({0: Z, **{q: grp for q, grp in enumerate(upper, start=1)
+                                        if not grp.is_trivial()}})
+    assert_pruning_keeps_the_leaves(h, 2, constraints=tuple(pins), entry_bound=1)
 
 
 def elementary_two(dim: int) -> FgAbGroup:

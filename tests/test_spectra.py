@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from cobcheck import spectra
@@ -8,18 +6,19 @@ from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, cyclic,
 from cobcheck.graded import GradedGroup
 from cobcheck.cli import branch_lines
 from cobcheck.spectra import (BigradedPage, DifferentialAssignment, EnumerationTable,
-                              SpectraError, _component_classes, _support_page_from,
+                              SpectraError, WindowError, _component_classes, _support_page_from,
                               abutment, build_e1, certified_degrees, solve_floer,
                               turn_page)
 from cobcheck.topology import Circle, Product, RealProjective, Sphere, homology
 
 from oracles import (arrows_by_scan, component_classes_by_product,
-                     component_classes_without_skipping)
+                     component_classes_without_skipping, solve_floer_without_pruning)
 
 
 H_RP7 = homology(RealProjective(7))
 H_R = homology(Product(RealProjective(3), Sphere(3)))
 H_POINT = GradedGroup.from_dict({0: Z})
+H_T2 = homology(Product(Circle(), Circle()))
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +85,7 @@ def test_arrows_from_live_positions_match_a_full_scan(h, step, span):
     page = build_e1(h, step, span)
     while True:
         for r in range(1, page.row_max + 3):
-            fresh = replace(page)  # no arrows cached yet
-            assert spectra._arrows_at(fresh, r) == arrows_by_scan(fresh, r)
+            assert spectra._arrows_at(page, r) == arrows_by_scan(page, r)
         r = spectra._first_active_page(page)
         if r is None:
             break
@@ -417,3 +415,63 @@ def test_sibling_rule_keeps_the_classes_of_chains(shape, bound):
 ], ids=["t2-b1", "t2-b2", "t2-b3", "t2-b4", "rp3xrp3-b4"])
 def test_sibling_rule_keeps_the_classes_of_solved_components(monkeypatch, h, step, bound):
     assert classes_match_search_without_skipping(monkeypatch, h, step, bound) > 0
+
+
+# ---------------------------------------------------------------------------
+# the interval pruner against a search that prunes nothing
+
+def assert_pruning_keeps_the_leaves(h, step, **kw):
+    """``solve_floer`` against ``solve_floer_without_pruning``: the same
+    leaves in the same order, each with the same turns, and the same
+    truncation note, or both a window error; returns the tree."""
+    try:
+        want = solve_floer_without_pruning(h, step, **kw)
+    except WindowError:
+        with pytest.raises(WindowError):
+            solve_floer(h, step, **kw)
+        return None
+    got = solve_floer(h, step, **kw)
+    assert got == want
+    assert [leaf.turns for leaf in got.leaves] == [leaf.turns for leaf in want.leaves]
+    return got
+
+
+@pytest.mark.parametrize("h, step, kw", [
+    *((H_T2, 2, {"entry_bound": bound}) for bound in (1, 2, 3, 4)),
+    (homology(Product(RealProjective(3), RealProjective(3))), 4, {"entry_bound": 1}),
+    # page 4 turns before page 8 can act: rows 0 and 7 are not final
+    (H_RP7, 4, {"entry_bound": 4, "col_span": 2}),
+    (H_RP7, 4, {"entry_bound": 1, "col_span": 4}),
+    # page 3 certifies degrees -1 and 4, which page 5 loses: page 4 maps
+    # (-2, 1) out of the window and the unresolved (4, 1) into (0, 4);
+    # only the worst-case run of the page geometry keeps them out of
+    # page 2's checks
+    (GradedGroup.from_dict({0: Z, 1: FgAbGroup(2), 2: Z, 4: cyclic(2)}), 2, {"entry_bound": 1}),
+], ids=["t2-b1", "t2-b2", "t2-b3", "t2-b4", "rp3xrp3-b1", "rp7-s4-w2", "rp7-s4-w4-b1",
+        "rows-0-1-2-4"])
+def test_pruning_keeps_the_leaves_of_a_search_without_pruning(h, step, kw):
+    assert_pruning_keeps_the_leaves(h, step, **kw)
+
+
+@pytest.mark.parametrize("h, step, bound, pins, kept", [
+    (H_T2, 2, 2, ((0, Z),), 2),
+    (H_T2, 2, 2, ((1, cyclic(2)), (2, ZERO)), 1),
+    (H_T2, 2, 2, ((0, cyclic(3)),), 0),
+    (H_RP7, 4, 4, ((0, ZERO), (3, FgAbGroup(0, (2, 2)))), 1),
+    (H_RP7, 4, 4, ((-1, cyclic(2)),), 0),
+], ids=["t2-even", "t2-both", "t2-none", "rp7-s4-both", "rp7-s4-none"])
+def test_pruning_keeps_the_leaves_of_pinned_degrees(h, step, bound, pins, kept):
+    tree = assert_pruning_keeps_the_leaves(h, step, constraints=pins, entry_bound=bound)
+    assert len(tree.leaves) == kept
+
+
+def test_hom_spaces_build_homs_only_when_indexed(monkeypatch):
+    # the T^3 table at step 2, bound 1: Z^3 -> Z^3 has 19,683 homs, and the
+    # solve builds a GroupHom only for the differentials its leaves keep
+    built = []
+    post_init = GroupHom.__post_init__
+    monkeypatch.setattr(GroupHom, "__post_init__", lambda h: built.append(h) or post_init(h))
+    h = GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z})
+    tree = solve_floer(h, 2, entry_bound=1)
+    assert len(tree.leaves) == 16
+    assert 0 < len(built) <= 300
