@@ -10,8 +10,8 @@ from .graded import GradedGroup, LaurentGrading, coefficient_change, impose_peri
 from .topology import (Circle, Explicit, LagrangianDescriptor, Product, RealProjective,
                        Sphere, homology, mayer_vietoris_spin_check, monotonicity_constant,
                        pair_maslov)
-from .spectra import (BigradedPage, BranchTree, DifferentialAssignment, abutment,
-                      build_e1, solve_floer, turn_page)
+from .spectra import (BigradedPage, BranchTree, DifferentialAssignment, build_e1,
+                      solve_floer, turn_page)
 from .exactness import (ExactSequenceProblem, FeasibilityVerdict, Known, Unknown,
                         build_cobordism_sequences, certify_nonexistence,
                         check_feasibility, verify_certificate, verify_witness)

@@ -109,12 +109,6 @@ class FgAbGroup:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def order(self) -> int | None:
-        """Group order; None when infinite."""
-        if self.free_rank > 0:
-            return None
-        return prod(self.torsion) if self.torsion else 1
-
     def generator_orders(self) -> tuple[int, ...]:
         """Orders of the canonical generators, free (0) first."""
         return (0,) * self.free_rank + self.torsion
@@ -154,7 +148,6 @@ def cyclic(n: int) -> FgAbGroup:
 
 ZERO = FgAbGroup()
 Z = FgAbGroup(1)
-Z2 = cyclic(2)
 
 
 def direct_sum(*groups: FgAbGroup) -> FgAbGroup:
@@ -217,10 +210,6 @@ class IntMatrix:
         entries = tuple(tuple(int(x) for x in r) for r in rows)
         ncols = len(entries[0]) if entries else 0
         return IntMatrix(len(entries), ncols, entries)
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":

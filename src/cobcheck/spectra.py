@@ -45,31 +45,36 @@ turns each page once: the next page is the untouched entries plus the
 homology the chosen classes already computed (``turn_page`` is the
 validated public path to the same page).  What a page's geometry (its
 index, entry positions and unresolved positions) fixes about its turn,
-the arrows, components, next unresolved set, final rows and pruner
-skeleton, is worked out once per geometry and solve.
+the arrows, components, next unresolved set and pruner skeleton, is
+worked out once per geometry and solve.
 
 The abutment of every stable page must be 2-periodic and agree with
 any pinned value.  Every page turn is pruned by one rule while its
-classes are chosen, a theorem and not a heuristic: let r' be the first
-later page whose differentials can join two live rows.  A row q with
-q + r' - 1 > row_max and q - r' + 1 < 0 is final: no later differential
-starts or ends there, so its entries are already their E-infinity
-values.  Every later differential only takes subquotients of the other
-entries, so on a degree's antidiagonal the final free rank lies in
-[lo, hi], lo the free rank of the final entries and hi that of all of
-them; when every entry there is final the degree's group is exact.
-Each parity needs one common value (a pin fixes it), so a branch is cut
-once the intervals and exact groups of one parity have none.  The rule
-holds only for degrees certified on every stable page the branch can
-reach: those come from the worst-case run of the page geometry, in
-which every live position stays live.  Entries only shrink, so every
-real run has fewer arrows and an unresolved set inside that run's.  The
-last turn is the case lo = hi, an exact check of (free rank, sorted
-prime powers) keys; there, once both parities are exact, a branch whose
-abutment is already a leaf is cut too.  Surviving branches are
-deduplicated by their abutment in degrees 0 and 1.  A leaf is data
-only: its abutment, certified degrees and the differentials of each
-page turn; the report renders it.
+classes are chosen, a theorem and not a heuristic.  It reads one
+worst-case run per solve: the page run from the first page in which
+every live position stays live (the branch whose differentials all
+vanish).  Entries only shrink, so at every page index a real branch's
+arrows are a subset of that run's and its unresolved set lies inside
+that run's.  The degrees the run certifies on its stable page are
+therefore certified on every branch's, and an entry is final after
+turn r when its position's last touch (the last page whose worst-case
+arrows have it as an endpoint) is at most r: no later differential
+starts or ends there, so it is already its E-infinity value.  Every
+later differential only takes subquotients of the other entries, so on
+a degree's antidiagonal the final free rank lies in [lo, hi], lo the
+free rank of the final entries and hi that of all of them; when every
+entry there is final the degree's group is exact.  Each parity needs
+one common value (a pin fixes it), so a branch is cut once the
+intervals and exact groups of one parity have none.  The last turn, the
+one no worst-case arrow comes after, is the case lo = hi, an exact
+check of (free rank, sorted prime powers) keys; there, once both
+parities are exact, a branch whose abutment is already a leaf is cut
+too.  The same run is the one window check: when it does not certify
+degrees 0 and 1, the solve raises ``WindowError`` before any class is
+enumerated, naming the smallest window whose run does.  Surviving
+branches are deduplicated by their abutment in degrees 0 and 1.  A
+leaf is data only: its abutment, certified degrees and the
+differentials of each page turn; the report renders it.
 """
 
 from __future__ import annotations
@@ -147,13 +152,13 @@ class BigradedPage:
         return self._by_position.get((p, q), ZERO)
 
 
-def build_e1(s_homology: GradedGroup, column_step: int, col_span: int = 2,
-             row_max: int | None = None) -> BigradedPage:
+def build_e1(s_homology: GradedGroup, column_step: int, col_span: int = 2) -> BigradedPage:
     """First page: a copy of the intersection homology in every window
-    column, zero elsewhere.
+    column, zero elsewhere, over rows 0 up to the top of its support.
 
     s_homology must be a finite table of a connected closed manifold
-    (nonnegative support, nonzero degree 0 entry).
+    (nonnegative support, nonzero degree 0 entry).  Whether the window
+    can certify degrees 0 and 1 is ``solve_floer``'s check.
     """
     if s_homology.period is not None:
         raise SpectraError("intersection homology must be a finite table")
@@ -162,16 +167,6 @@ def build_e1(s_homology: GradedGroup, column_step: int, col_span: int = 2,
         raise SpectraError("intersection homology must live in nonnegative degrees")
     if s_homology.entry(0).is_trivial():
         raise SpectraError("connected intersection needs a nonzero degree 0 entry")
-    top = max(support)
-    if row_max is None:
-        row_max = top
-    if row_max < top:
-        raise SpectraError(f"row_max {row_max} below the homology support {top}")
-    if col_span * column_step < row_max - 1:
-        need = max(2, -(-(row_max - 1) // column_step))
-        raise SpectraError(f"window too small to certify abutment degrees 0 and 1 "
-                           f"(rows 0..{row_max}, column step {column_step}); "
-                           f"the smallest window that can is {need}")
     entries = {}
     for k in range(-col_span, col_span + 1):
         for q, grp in s_homology.entries:
@@ -180,7 +175,7 @@ def build_e1(s_homology: GradedGroup, column_step: int, col_span: int = 2,
         page_index=1,
         column_step=column_step,
         col_span=col_span,
-        row_max=row_max,
+        row_max=max(support),
         entries=tuple(entries.items()),
         unresolved=frozenset(),
         base_row_support=frozenset(q for q, _ in s_homology.entries),
@@ -199,25 +194,6 @@ def _possibly_nonzero(page: BigradedPage, pos: Position) -> bool:
     if page.in_window(p):
         return pos in page._by_position or pos in page.unresolved
     return q in page.base_row_support  # entries only shrink after page 1
-
-
-def _live_rows(page: BigradedPage) -> frozenset[int]:
-    rows = set(page.base_row_support)  # columns outside the window always exist
-    rows.update(q for (_, q), _ in page.entries)
-    rows.update(q for _, q in page.unresolved)
-    return frozenset(rows)
-
-
-def _support_page_from(page: BigradedPage, start: int) -> int | None:
-    """First page index r >= start, stepping by the column step, whose
-    differentials join two live rows; None when there is none."""
-    rows = _live_rows(page)
-    r = start
-    while r - 1 <= page.row_max:
-        if any(q in rows and (q + r - 1) in rows for q in range(page.row_max + 1)):
-            return r
-        r += page.column_step
-    return None
 
 
 def _first_active_page(page: BigradedPage) -> int | None:
@@ -359,31 +335,13 @@ def certified_degrees(page: BigradedPage) -> list[int]:
     return out
 
 
-def _certified_parts(page: BigradedPage) -> dict[int, list[FgAbGroup]]:
-    """Each certified degree with the page's entries on its antidiagonal;
-    the degrees must include 0 and 1."""
-    degs = certified_degrees(page)
-    if 0 not in degs or 1 not in degs:
-        raise WindowError("window cannot certify abutment degrees 0 and 1")
-    parts: dict[int, list[FgAbGroup]] = {deg: [] for deg in degs}
+def _certified_sums(page: BigradedPage) -> list[tuple[int, FgAbGroup]]:
+    """Each certified degree with the direct sum of its antidiagonal."""
+    parts: dict[int, list[FgAbGroup]] = {deg: [] for deg in certified_degrees(page)}
     for (p, q), grp in page.entries:
         if p + q in parts:
             parts[p + q].append(grp)
-    return parts
-
-
-def _certified_sums(page: BigradedPage) -> list[tuple[int, FgAbGroup]]:
-    """Each certified degree with the direct sum of its antidiagonal."""
-    return [(deg, direct_sum(*grps)) for deg, grps in _certified_parts(page).items()]
-
-
-def abutment(page: BigradedPage) -> GradedGroup:
-    """Direct sum over antidiagonals of a stable page, reported on the
-    certified degrees (which must include 0 and 1)."""
-    if _first_active_page(page) is not None:
-        raise SpectraError("page is not stable; differentials may still act")
-    return GradedGroup.from_dict({deg: grp for deg, grp in _certified_sums(page)
-                                  if not grp.is_trivial()})
+    return [(deg, direct_sum(*grps)) for deg, grps in parts.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +355,13 @@ class _ComponentClass:
 
     results: tuple[tuple[Position, FgAbGroup], ...]
     homs: tuple[tuple[Position, GroupHom], ...]
-    # ``_degree_parts`` of the results, by set of final rows
+    # ``_degree_parts`` of the results, by set of final positions
     _parts: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def degree_parts(self, final_rows: frozenset[int], key_of) -> dict[int, _Part]:
-        parts = self._parts.get(final_rows)
+    def degree_parts(self, final: frozenset[Position], key_of) -> dict[int, _Part]:
+        parts = self._parts.get(final)
         if parts is None:
-            parts = self._parts[final_rows] = _degree_parts(self.results, final_rows, key_of)
+            parts = self._parts[final] = _degree_parts(self.results, final, key_of)
         return parts
 
 
@@ -419,21 +377,22 @@ def _group_key(grp: FgAbGroup) -> _Key:
 
 
 # a direct sum of entries on one antidiagonal, as the pruner reads it: the
-# free rank and the (unsorted) prime powers of the entries in final rows,
+# free rank and the (unsorted) prime powers of the final entries,
 # the free rank of the others, and whether the others are all zero
 _Part = tuple[int, tuple[int, ...], int, bool]
 _NO_PART: _Part = (0, (), 0, True)
 
 
-def _degree_parts(entries: Iterable[tuple[Position, FgAbGroup]], final_rows: frozenset[int],
+def _degree_parts(entries: Iterable[tuple[Position, FgAbGroup]], final: frozenset[Position],
                   key_of) -> dict[int, _Part]:
     """The ``_Part`` of the entries on each antidiagonal degree p + q;
     ``key_of`` gives a group's ``_group_key``."""
     parts: dict[int, _Part] = {}
-    for (p, q), grp in entries:
+    for pos, grp in entries:
         free, powers = key_of(grp)
-        f, pw, slack, zero = parts.get(p + q, _NO_PART)
-        parts[p + q] = ((f + free, pw + powers, slack, zero) if q in final_rows
+        deg = pos[0] + pos[1]
+        f, pw, slack, zero = parts.get(deg, _NO_PART)
+        parts[deg] = ((f + free, pw + powers, slack, zero) if pos in final
                         else (f, pw, slack + free, zero and not free and not powers))
     return parts
 
@@ -941,10 +900,55 @@ def _fold_bounds(values: Iterable[tuple[int, _Bound]]):
 
 
 @dataclass(frozen=True, slots=True)
+class _WorstCase:
+    """The page run from the first page in which every live position
+    stays live (see the module docstring for what it bounds)."""
+
+    # each turn's arrows, by page index
+    arrows: dict[int, tuple[tuple[Position, Position], ...]]
+    degrees: frozenset[int]  # certified on the run's stable page
+    # by page index: the window positions no arrow of a later turn
+    # touches, whose entries are final once that turn is taken
+    final: dict[int, frozenset[Position]]
+
+
+def _worst_case_run(page: BigradedPage) -> _WorstCase:
+    """The worst-case run from ``page``, and each window position's last
+    touch: the last page index whose arrows have it as an endpoint."""
+    arrows = {}
+    last_touch: dict[Position, int] = {}
+    while (r := _first_active_page(page)) is not None:
+        arrows[r] = _arrows_at(page, r)
+        last_touch.update((pos, r) for arrow in arrows[r] for pos in arrow)
+        gone = _slots_and_unresolved(page, r)[1]
+        page = replace(page, page_index=r + 1, unresolved=page.unresolved | gone,
+                       entries=tuple(entry for entry in page.entries if entry[0] not in gone))
+    grid = [(p, q) for p in page.window_columns() for q in range(page.row_max + 1)]
+    final = {r: frozenset(pos for pos in grid if last_touch.get(pos, 0) <= r) for r in arrows}
+    return _WorstCase(arrows, frozenset(certified_degrees(page)), final)
+
+
+def _smallest_window(s_homology: GradedGroup, column_step: int) -> int:
+    """The smallest window whose first page's worst-case run certifies
+    degrees 0 and 1.  Unresolved positions start outside the window, and
+    page r moves them at most r columns inward, so a window reaching the
+    top row plus every page index that can carry a differential always
+    certifies them: that bounds the search."""
+    top = max(s_homology.support())
+    reach = top + 1 + sum(range(column_step, top + 2, column_step))
+    limit = max(2, -(-reach // column_step))
+    for span in range(2, limit):
+        if {0, 1} <= _worst_case_run(build_e1(s_homology, column_step, span)).degrees:
+            return span
+    return limit
+
+
+@dataclass(frozen=True, slots=True)
 class _Plan:
     """What the geometry of a page (its index, its live and its
-    unresolved positions) fixes about its turn; one per geometry, shared
-    by every page that has it, and its parts shared between plans."""
+    unresolved positions) fixes about its turn, given the solve's
+    worst-case run; one per geometry, shared by every page that has it,
+    and its parts shared between plans."""
 
     r: int | None  # the page of the turn; None when the page is stable
     # per component: its arrows, its positions (sorted) and those whose
@@ -952,15 +956,15 @@ class _Plan:
     comps: tuple[tuple[tuple[tuple[Position, Position], ...], tuple[Position, ...],
                        tuple[Position, ...]], ...] = ()
     unresolved: frozenset[Position] = frozenset()  # of the next page
-    final_rows: frozenset[int] = frozenset()
-    last: bool = False  # no later page can carry a differential
+    final: frozenset[Position] = frozenset()  # the run's final positions after r
+    last: bool = False  # no worst-case arrow comes after the turn
     # the interval pruner's skeleton: checks[i + 1] holds each degree
     # whose last component is i (checks[0]: no component reaches it),
     # with the components that have an entry on its antidiagonal
     checks: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] = ()
 
 
-def _plan(page: BigradedPage, shared) -> _Plan:
+def _plan(page: BigradedPage, run: _WorstCase, shared) -> _Plan:
     """The plan of ``page``'s geometry; ``shared`` returns one object for
     equal values, so plans hold one copy of their common parts."""
     r = _first_active_page(page)
@@ -969,14 +973,6 @@ def _plan(page: BigradedPage, shared) -> _Plan:
     slots, newly_unresolved = _slots_and_unresolved(page, r)
     comps = _components(slots)
     unresolved = page.unresolved | newly_unresolved
-    nxt = _support_page_from(page, r + page.column_step)
-    rows = range(page.row_max + 1)
-    final = frozenset(q for q in rows if nxt is None
-                      or q + nxt - 1 > page.row_max and q - nxt + 1 < 0)
-    degrees = _worst_case_degrees(page, r, unresolved)
-    if not {0, 1} <= degrees:
-        # the branch whose differentials all vanish reaches that stable page
-        raise WindowError("window cannot certify abutment degrees 0 and 1")
     sites = []
     reach: dict[int, list[int]] = {}  # degree -> the components with an entry on it
     for i, comp in enumerate(comps):
@@ -984,39 +980,20 @@ def _plan(page: BigradedPage, shared) -> _Plan:
         signature = tuple(pos for pos in positions if pos not in unresolved)
         sites.append(shared((tuple(comp), tuple(positions), signature)))
         for deg in sorted({sum(pos) for pos in signature}):
-            if deg in degrees:
+            if deg in run.degrees:
                 reach.setdefault(deg, []).append(i)
     checks: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(len(comps) + 1)]
-    for deg in sorted(degrees):
+    for deg in sorted(run.degrees):
         at = tuple(reach.get(deg, ()))
         checks[at[-1] + 1 if at else 0].append(shared((deg, at)))
     return _Plan(r, comps=shared(tuple(sites)), unresolved=shared(unresolved),
-                 final_rows=shared(final), last=nxt is None,
+                 final=run.final[r], last=r == max(run.arrows),
                  checks=shared(tuple(map(tuple, checks))))
-
-
-def _worst_case_degrees(page: BigradedPage, r: int,
-                        unresolved: frozenset[Position]) -> frozenset[int]:
-    """The degrees certified on the stable page of the run from the page
-    after turn r in which every live position stays live.  Entries only
-    shrink, so every real run has fewer arrows on each page and its
-    unresolved set stays inside this run's: these degrees are certified
-    on the stable page of every branch."""
-    def kept(geo, gone):
-        return tuple(entry for entry in geo.entries if entry[0] not in gone)
-
-    geo = replace(page, page_index=r + 1, unresolved=unresolved, entries=kept(page, unresolved))
-    while (r := _first_active_page(geo)) is not None:
-        newly_unresolved = _slots_and_unresolved(geo, r)[1]
-        geo = replace(geo, page_index=r + 1, unresolved=geo.unresolved | newly_unresolved,
-                      entries=kept(geo, newly_unresolved))
-    return frozenset(certified_degrees(geo))
 
 
 def solve_floer(s_homology: GradedGroup, column_step: int,
                 constraints: tuple[tuple[int, FgAbGroup], ...] = (),
                 entry_bound: int = 4, col_span: int = 2,
-                row_max: int | None = None,
                 table: EnumerationTable | None = None) -> BranchTree:
     """Enumerate every spectral-sequence outcome consistent with
     2-periodicity of the abutment and any pinned degrees.
@@ -1026,10 +1003,20 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     holds the enumeration work (hom spaces, per-hom invariants and
     component classes) shared with the other solves of a run; without
     one the solve builds its own, which is dropped when it returns.
+
+    Raises ``WindowError``, naming the smallest window that can, before
+    any class is enumerated when the window cannot certify degrees 0
+    and 1.
     """
+    root = build_e1(s_homology, column_step, col_span)
+    run = _worst_case_run(root)
+    if not {0, 1} <= run.degrees:
+        raise WindowError(f"window too small to certify abutment degrees 0 and 1 "
+                          f"(rows 0..{root.row_max}, column step {column_step}); "
+                          f"the smallest window that can is "
+                          f"{_smallest_window(s_homology, column_step)}")
     if table is None:
         table = EnumerationTable()
-    root = build_e1(s_homology, column_step, col_span, row_max)
     pins = tuple(constraints)
     # first leaf per (HF_even, HF_odd), in search order
     leaves: dict[tuple[FgAbGroup, FgAbGroup], BranchLeaf] = {}
@@ -1052,7 +1039,7 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
                | bits(page.unresolved))
         plan = plans.get(key)
         if plan is None:
-            plan = plans[key] = _plan(page, lambda value: parts.setdefault(value, value))
+            plan = plans[key] = _plan(page, run, lambda value: parts.setdefault(value, value))
         return plan
 
     def finish(page: BigradedPage, turns: list[_Turn]) -> None:
@@ -1137,25 +1124,25 @@ def _interval_pruner(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, pins, 
     consistent abutment.  ``kept`` holds the next page's entries that
     no component touches.
 
-    Each degree certified on every stable page the turn can reach
-    (``_worst_case_degrees``) gets a bound on its final value once the
-    last component with an entry on its antidiagonal is placed (degrees
-    no component reaches are bounded with the pins before any is
-    placed).  Its free rank lies between the free rank of its final
-    entries (later differentials cannot reach their rows) and that of
-    all its entries (the others only shrink to subquotients), and when
-    all its entries are final its ``_group_key`` is exact.  The DFS
-    state is the common bound of each parity so far.  Groups enter as
-    keys (``key_of`` gives one), summed per degree once for the kept
-    entries and once per class and set of final rows, so no node of the
-    DFS adds groups.
+    Each degree certified on every stable page (those of the solve's
+    worst-case run) gets a bound on its final value once the last
+    component with an entry on its antidiagonal is placed (degrees no
+    component reaches are bounded with the pins before any is placed).
+    Its free rank lies between the free rank of its final entries (no
+    worst-case arrow after the turn touches their positions, so no real
+    one does) and that of all its entries (the others only shrink to
+    subquotients), and when all its entries are final its
+    ``_group_key`` is exact.  The DFS state is the common bound of each
+    parity so far.  Groups enter as keys (``key_of`` gives one), summed
+    per degree once for the kept entries and once per class and set of
+    final positions, so no node of the DFS adds groups.
 
     Returns the state before any component is placed (None when the pins
     and the degrees no component reaches already clash) and
     ``check(i, placed, state)``, the state once the classes ``placed``
     fill components 0..i (None when the branch is cut).
     """
-    final = plan.final_rows
+    final = plan.final
     kept_parts = _degree_parts(kept, final, key_of)
 
     def check(i, placed, state):

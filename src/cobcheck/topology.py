@@ -80,18 +80,6 @@ class Explicit:
 SpaceExpr = Sphere | RealProjective | Circle | Product | Explicit
 
 
-def dimension(space: SpaceExpr) -> int:
-    if isinstance(space, Sphere):
-        return space.n
-    if isinstance(space, RealProjective):
-        return space.n
-    if isinstance(space, Circle):
-        return 1
-    if isinstance(space, Product):
-        return dimension(space.left) + dimension(space.right)
-    return space.dimension
-
-
 # ---------------------------------------------------------------------------
 # Homology
 

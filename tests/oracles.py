@@ -1,6 +1,7 @@
 """Independent oracles shared by the test modules."""
 
 import itertools
+import math
 import operator
 from dataclasses import replace
 
@@ -10,9 +11,46 @@ from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, _entry_values,
 from cobcheck.exactness import (BranchOutcome, ClaimVerdict, ExactSequenceProblem,
                                 _rank_var, build_cobordism_sequences, check_feasibility)
 from cobcheck.graded import GradedGroup
-from cobcheck.spectra import (BranchLeaf, BranchTree, EnumerationTable, WindowError, _ComponentClass,
-                              _components, _first_active_page, _possibly_nonzero,
+from cobcheck.spectra import (BranchLeaf, BranchTree, EnumerationTable, SpectraError, WindowError,
+                              _ComponentClass, _components, _first_active_page, _possibly_nonzero,
                               _slots_and_unresolved, build_e1, certified_degrees)
+from cobcheck.topology import Circle, Product, RealProjective, Sphere
+
+
+def order(grp: FgAbGroup) -> int | None:
+    """Group order; None when infinite."""
+    return None if grp.free_rank else math.prod(grp.torsion)
+
+
+def zero_matrix(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
+
+
+def dimension(space) -> int:
+    """The dimension of a space expression."""
+    if isinstance(space, (Sphere, RealProjective)):
+        return space.n
+    if isinstance(space, Circle):
+        return 1
+    if isinstance(space, Product):
+        return dimension(space.left) + dimension(space.right)
+    return space.dimension
+
+
+def abutment(page) -> GradedGroup:
+    """Direct sum over antidiagonals of a stable page, on its certified
+    degrees, which must include 0 and 1; the replay check of a leaf's
+    certified table."""
+    if _first_active_page(page) is not None:
+        raise SpectraError("page is not stable; differentials may still act")
+    on_degree = {deg: [] for deg in certified_degrees(page)}
+    if not {0, 1} <= on_degree.keys():
+        raise WindowError("window cannot certify abutment degrees 0 and 1")
+    for (p, q), grp in page.entries:
+        if p + q in on_degree:
+            on_degree[p + q].append(grp)
+    sums = {deg: direct_sum(*grps) for deg, grps in on_degree.items()}
+    return GradedGroup.from_dict({deg: grp for deg, grp in sums.items() if not grp.is_trivial()})
 
 
 def determinant(m: IntMatrix) -> int:
@@ -59,7 +97,7 @@ def hom_matrix_space_by_product(source: FgAbGroup, target: FgAbGroup, bound: int
 
 
 def solve_floer_without_pruning(s_homology, column_step, constraints=(), entry_bound=4,
-                                col_span=2, row_max=None) -> BranchTree:
+                                col_span=2) -> BranchTree:
     """Reference for the pruning of ``spectra.solve_floer``: on every page
     turn, every combination of component classes, each giving the next
     page as the untouched entries plus the homology its classes hold;
@@ -67,7 +105,7 @@ def solve_floer_without_pruning(s_homology, column_step, constraints=(), entry_b
     first branch per abutment is kept, in search order, and leaves are
     sorted as the solver sorts them."""
     table = EnumerationTable()
-    root = build_e1(s_homology, column_step, col_span, row_max)
+    root = build_e1(s_homology, column_step, col_span)
     leaves = {}
     truncation = False
     geometry = {}  # the next page index and the certified degrees, by geometry
@@ -133,8 +171,8 @@ def solve_floer_without_pruning(s_homology, column_step, constraints=(), entry_b
 
 
 def zero_hom(source: FgAbGroup, target: FgAbGroup) -> GroupHom:
-    return GroupHom(source, target, IntMatrix.zero(target.generator_count(),
-                                                   source.generator_count()))
+    return GroupHom(source, target, zero_matrix(target.generator_count(),
+                                                source.generator_count()))
 
 
 def component_classes_by_product(arrows, groups, bound, signature_positions):

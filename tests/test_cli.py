@@ -542,7 +542,8 @@ def test_cli_window_too_small_is_a_validation_error(tmp_path, capsys):
 
 
 def test_cli_window_too_small_names_the_smallest_window(tmp_path, capsys):
-    # S^6 at step 2: rows 0..6 need 3 column steps, since 2 * 2 < 6 - 1
+    # S^6 at step 2: degree 0's antidiagonal holds (-6, 6), a column that
+    # window 2 does not hold
     raw = json.loads(bundled("paper_cp7.json").read_text())
     raw["intersections"][0]["space"] = {"sphere": 6}
     raw["lagrangians"][1]["maslov"] = 2
@@ -552,6 +553,22 @@ def test_cli_window_too_small_names_the_smallest_window(tmp_path, capsys):
     assert main(["check", str(path), "--window", "2"]) == 1
     assert capsys.readouterr().err.endswith("the smallest window that can is 3\n")
     assert main(["check", str(path), "--window", "3"]) == 0
+
+
+def test_cli_window_rejected_by_the_worst_case_run_names_the_smallest_window(tmp_path, capsys):
+    # S^7 at step 2: page 8 maps (0, 0) out of window 3, so the worst-case
+    # run of the first page leaves degree 0 unresolved; the check names 4
+    raw = json.loads(bundled("paper_cp7.json").read_text())
+    raw["intersections"][0]["space"] = {"sphere": 7}
+    raw["lagrangians"][1]["maslov"] = 2
+    raw["claims"] = []
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path), "--window", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "validation error: stage floer: window too small to certify abutment degrees 0 and 1 "
+        "(rows 0..7, column step 2); the smallest window that can is 4\n")
+    assert main(["check", str(path), "--window", "4"]) == 0
 
 
 # the t2-s2-b1 corpus document with S^0 (H_0 = Z^2) as L3 and as the

@@ -1,7 +1,8 @@
 """Randomized properties of the transform-free Smith diagonal, of the
 packed vanishing masks, the per-hom homology rule and the sibling rule
-behind ``spectra._component_classes``, and of the per-window
-deduplication in ``exactness.certify_nonexistence``."""
+behind ``spectra._component_classes``, of the worst-case run behind the
+pruner and the window check, and of the per-window deduplication in
+``exactness.certify_nonexistence``."""
 import contextlib
 import copy
 import functools
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cobcheck.abgroup as abgroup
+from cobcheck import spectra
 from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, _entry_values,
                               cokernel, composite_is_zero, cyclic, from_orders,
                               preimage_lattice, relation_matrix, smith_normal_form,
@@ -24,12 +26,14 @@ from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, _entry_va
 from cobcheck.cli import main
 from cobcheck.exactness import CobordismClaim, certify_nonexistence
 from cobcheck.graded import GradedGroup, LaurentGrading
-from cobcheck.spectra import (EnumerationTable, _component_classes, _transpose_masks,
-                              _vanishing_masks)
+from cobcheck.spectra import (EnumerationTable, WindowError, _arrows_at, _component_classes,
+                              _slots_and_unresolved, _transpose_masks, _vanishing_masks,
+                              _worst_case_run, build_e1, solve_floer)
 from cobcheck.topology import LagrangianDescriptor
 
+import oracles
 from oracles import (certify_nonexistence_per_branch, component_classes_by_product,
-                     vanishing_masks_by_loop)
+                     solve_floer_without_pruning, vanishing_masks_by_loop)
 from test_spectra import assert_pruning_keeps_the_leaves, classes_match_search_without_skipping
 
 
@@ -216,6 +220,69 @@ def test_pruning_keeps_the_leaves_of_random_tables(upper, pins):
     h = GradedGroup.from_dict({0: Z, **{q: grp for q, grp in enumerate(upper, start=1)
                                         if not grp.is_trivial()}})
     assert_pruning_keeps_the_leaves(h, 2, constraints=tuple(pins), entry_bound=1)
+
+
+@settings(deadline=None, database=None, max_examples=40)
+@given(st.lists(PRUNED_TABLE_GROUPS, min_size=4, max_size=4),
+       st.lists(st.tuples(st.integers(-2, 3), PRUNED_TABLE_GROUPS), max_size=2))
+def test_branch_arrows_are_worst_case_arrows_of_random_tables(upper, pins):
+    # the theorem behind every use of the worst-case run (certified
+    # degrees, final entries, the last turn): along every branch of the
+    # search that prunes nothing, each page-r arrow is an arrow of the
+    # run from the first page at page r
+    h = GradedGroup.from_dict({0: Z, **{q: grp for q, grp in enumerate(upper, start=1)
+                                        if not grp.is_trivial()}})
+    run = _worst_case_run(build_e1(h, 2))
+    turns = []
+
+    def recorded(page, r):
+        turns.append((r, _arrows_at(page, r)))
+        return _slots_and_unresolved(page, r)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(oracles, "_slots_and_unresolved", recorded)
+        try:
+            solve_floer_without_pruning(h, 2, constraints=tuple(pins), entry_bound=1)
+        except WindowError:
+            pass
+    for r, arrows in turns:
+        assert set(arrows) <= set(run.arrows.get(r, ()))
+
+
+class _Enumerated(Exception):
+    """A solve got past its window check."""
+
+
+@settings(deadline=None, database=None, max_examples=60)
+@given(st.sets(st.integers(1, 8)), st.sampled_from([2, 4, 6, 8]), st.integers(2, 6))
+def test_window_errors_name_the_smallest_window(rows, step, span):
+    # tables in rows 0..8: a window that fails names a window whose
+    # first-page run certifies degrees 0 and 1, and the window below it
+    # fails too
+    h = GradedGroup.from_dict({0: Z, **{q: Z for q in rows}})
+
+    def named_window(col_span):
+        """The window the solve's error names; None past the check."""
+        try:
+            solve_floer(h, step, col_span=col_span)
+        except _Enumerated:
+            pass
+        except WindowError as exc:
+            return int(str(exc).rsplit(" ", 1)[1])
+        return None
+
+    def enumerated(*args):
+        raise _Enumerated
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(spectra, "_component_classes", enumerated)
+        named = named_window(span)
+        if named is None:
+            return
+        assert {0, 1} <= _worst_case_run(build_e1(h, step, named)).degrees
+        assert named_window(named) is None
+        if named - 1 >= 2:
+            assert named_window(named - 1) == named
 
 
 def elementary_two(dim: int) -> FgAbGroup:

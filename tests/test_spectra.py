@@ -6,13 +6,12 @@ from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, cyclic,
 from cobcheck.graded import GradedGroup
 from cobcheck.cli import branch_lines
 from cobcheck.spectra import (BigradedPage, DifferentialAssignment, EnumerationTable,
-                              SpectraError, WindowError, _component_classes, _support_page_from,
-                              abutment, build_e1, certified_degrees, solve_floer,
-                              turn_page)
+                              SpectraError, WindowError, _component_classes, _first_active_page,
+                              build_e1, certified_degrees, solve_floer, turn_page)
 from cobcheck.topology import Circle, Product, RealProjective, Sphere, homology
 
-from oracles import (arrows_by_scan, component_classes_by_product,
-                     component_classes_without_skipping, solve_floer_without_pruning)
+from oracles import (abutment, arrows_by_scan, component_classes_by_product,
+                     component_classes_without_skipping, order, solve_floer_without_pruning)
 
 
 H_RP7 = homology(RealProjective(7))
@@ -55,13 +54,6 @@ def test_build_e1_validation():
         build_e1(H_RP7, 7)  # odd column step
 
 
-def test_build_e1_window_too_small_for_degrees_0_1():
-    # rows up to 9 with tiny columns cannot certify degrees 0 and 1
-    tall = GradedGroup.from_dict({0: Z, 9: Z})
-    with pytest.raises(SpectraError):
-        build_e1(tall, 2, col_span=2)
-
-
 # ---------------------------------------------------------------------------
 # page indices
 
@@ -69,10 +61,9 @@ def test_build_e1_window_too_small_for_degrees_0_1():
 def test_trivial_pages_examples():
     # the first page that can carry a nonzero differential, by column
     # and row support alone
-    first_page = lambda page: _support_page_from(page, page.column_step)
-    assert first_page(build_e1(H_R, 4)) == 4
-    assert first_page(build_e1(H_RP7, 8)) == 8
-    assert first_page(build_e1(H_POINT, 2)) is None
+    assert _first_active_page(build_e1(H_R, 4)) == 4
+    assert _first_active_page(build_e1(H_RP7, 8)) == 8
+    assert _first_active_page(build_e1(H_POINT, 2)) is None
 
 
 @pytest.mark.parametrize("h, step, span", [
@@ -153,9 +144,9 @@ def test_order_conservation_through_turns():
             for _, homs in leaf.turns:
                 for src, h in homs:
                     image, kernel, _ = hom_images(h)
-                    total = h.source.order()
+                    total = order(h.source)
                     if total is not None:
-                        assert image.order() * kernel.order() == total
+                        assert order(image) * order(kernel) == total
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +223,34 @@ def test_solve_point_single_leaf():
     assert [(l.hf_even, l.hf_odd) for l in tree.leaves] == [(Z, ZERO)]
 
 
+def test_solve_floer_window_too_small_for_degrees_0_1():
+    # rows up to 9 with tiny columns cannot certify degrees 0 and 1
+    tall = GradedGroup.from_dict({0: Z, 9: Z})
+    with pytest.raises(SpectraError):
+        solve_floer(tall, 2, col_span=2)
+
+
+def test_solve_floer_names_the_smallest_window():
+    # rows 0..7 at step 2: page 8 maps (0, 0) to (-8, 7), a column that
+    # window 3 does not hold, so degree 0 is unresolved there; window 4 is
+    # the first whose worst-case run certifies degrees 0 and 1
+    h = GradedGroup.from_dict({0: Z, 7: Z})
+    for span in (2, 3):
+        with pytest.raises(WindowError, match=r"\(rows 0\.\.7, column step 2\); "
+                                              r"the smallest window that can is 4$"):
+            solve_floer(h, 2, col_span=span)
+    assert solve_floer(h, 2, col_span=4).leaves
+
+
+def test_window_error_comes_before_any_enumeration(monkeypatch):
+    def enumerated(*args):
+        raise AssertionError("a class was enumerated before the window check")
+
+    monkeypatch.setattr(spectra, "_component_classes", enumerated)
+    with pytest.raises(WindowError, match="the smallest window that can is 3$"):
+        solve_floer(GradedGroup.from_dict({0: Z, 3: Z, 5: Z}), 2)
+
+
 def test_solve_window_independence():
     for hom_table, step in [(H_RP7, 8), (H_R, 4)]:
         base = {(l.hf_even, l.hf_odd) for l in solve_floer(hom_table, step).leaves}
@@ -277,8 +296,6 @@ def test_leaf_assignments_replay_through_page_turns():
         (GradedGroup.from_dict({0: Z, 1: cyclic(2), 3: Z}), 2, {"col_span": 3}),
         (H_RP7, 4, {"col_span": 4}),
     ]
-    from cobcheck.spectra import _first_active_page
-
     for table, step, kw in scenarios:
         tree = solve_floer(table, step, **kw)
         for leaf in tree.leaves:
@@ -444,8 +461,8 @@ def assert_pruning_keeps_the_leaves(h, step, **kw):
     (H_RP7, 4, {"entry_bound": 1, "col_span": 4}),
     # page 3 certifies degrees -1 and 4, which page 5 loses: page 4 maps
     # (-2, 1) out of the window and the unresolved (4, 1) into (0, 4);
-    # only the worst-case run of the page geometry keeps them out of
-    # page 2's checks
+    # the worst-case run of the first page keeps them out of every turn's
+    # checks (the run of a page-3 geometry would still certify -1)
     (GradedGroup.from_dict({0: Z, 1: FgAbGroup(2), 2: Z, 4: cyclic(2)}), 2, {"entry_bound": 1}),
 ], ids=["t2-b1", "t2-b2", "t2-b3", "t2-b4", "rp3xrp3-b1", "rp7-s4-w2", "rp7-s4-w4-b1",
         "rows-0-1-2-4"])

@@ -5,11 +5,11 @@ import pytest
 from cobcheck.abgroup import FgAbGroup, Z, ZERO, cyclic, from_orders
 from cobcheck.graded import GradedGroup
 from cobcheck.topology import (Circle, Explicit, LagrangianDescriptor, Product,
-                               RealProjective, Sphere, TopologyError, dimension, homology,
-                               kunneth, mayer_vietoris_spin_check, monotonicity_constant,
-                               pair_maslov, z2_cohomology_dims)
+                               RealProjective, Sphere, TopologyError, homology, kunneth,
+                               mayer_vietoris_spin_check, monotonicity_constant, pair_maslov,
+                               z2_cohomology_dims)
 
-from oracles import cellular_homology, rp_homology_cellular
+from oracles import cellular_homology, dimension, rp_homology_cellular
 
 
 def test_sphere_homology():
