@@ -59,18 +59,30 @@ that run's.  The degrees the run certifies on its stable page are
 therefore certified on every branch's, and an entry is final after
 turn r when its position's last touch (the last page whose worst-case
 arrows have it as an endpoint) is at most r: no later differential
-starts or ends there, so it is already its E-infinity value.  Every
-later differential only takes subquotients of the other entries, so on
-a degree's antidiagonal the final free rank lies in [lo, hi], lo the
-free rank of the final entries and hi that of all of them; when every
-entry there is final the degree's group is exact.  Each parity needs
-one common value (a pin fixes it), so a branch is cut once the
-intervals and exact groups of one parity have none.  The last turn, the
-one no worst-case arrow comes after, is the case lo = hi, an exact
-check of (free rank, sorted prime powers) keys; there, once both
-parities are exact, a branch whose abutment is already a leaf is cut
-too.  The same run is the one window check: when it does not certify
-degrees 0 and 1, the solve raises ``WindowError`` before any class is
+starts or ends there, so it is already its E-infinity value.
+
+The rule is a rank flow.  Over Q a later differential of rank k lowers
+the free rank of its source and of its target by k, so every later
+arrow of the run gets one k >= 0, and the k of the arrows at a
+position sum to at most its free rank now (unknown positions cap
+nothing).  A certified degree ends at the free rank of its final
+entries plus what the k leave at the others, and each parity needs one
+common value (a pin fixes it).  While a turn's components are being
+placed, each degree is bounded alone, with its arrows uncoupled: its
+final free rank lies in [lo, hi], lo that of the final entries and hi
+that of all of them, and when every entry there is final its group is
+exact.  A branch is cut once the intervals and exact groups of one
+parity have no common value.  Once the last component is placed, and
+before the next page is built, the coupled flow over every later turn
+is solved degree by degree (each arrow joins degree d to d - 1): the
+branch is cut unless some choice of k leaves each parity a common
+value inside those bounds.  The last turn, the one no worst-case arrow
+comes after, is the case lo = hi, an exact check of (free rank, sorted
+prime powers) keys; there, once both parities are exact, a branch
+whose abutment is already a leaf is cut too.
+
+The same run is the one window check: when it does not certify degrees
+0 and 1, the solve raises ``WindowError`` before any class is
 enumerated, naming the smallest window whose run does.  Surviving
 branches are deduplicated by their abutment in degrees 0 and 1.  A
 leaf is data only: its abutment, certified degrees and the
@@ -79,9 +91,9 @@ differentials of each page turn; the report renders it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, compress, count
 from operator import mul, neg
 
 from .abgroup import (FgAbGroup, GroupHom, IntMatrix, ZERO, _factorize,
@@ -100,6 +112,8 @@ class WindowError(SpectraError):
 
 
 Position = tuple[int, int]
+# arrows as (source, target) pairs
+_Arrows = tuple[tuple[Position, Position], ...]
 # a matrix as its tuple of entry rows
 _Rows = tuple[tuple[int, ...], ...]
 
@@ -196,19 +210,22 @@ def _possibly_nonzero(page: BigradedPage, pos: Position) -> bool:
     return q in page.base_row_support  # entries only shrink after page 1
 
 
-def _first_active_page(page: BigradedPage) -> int | None:
+def _first_active_page(page: BigradedPage, pages: Iterable[int] | None = None
+                       ) -> tuple[int, _Arrows] | None:
     """Smallest r >= page_index whose differentials touch an entry we
-    still know; None when the window content is stable."""
-    n = page.column_step
-    r = ((max(page.page_index, 1) + n - 1) // n) * n
-    while r - 1 <= page.row_max:
-        if _arrows_at(page, r):
-            return r
-        r += n
+    still know, with its arrows; None when the window content is stable.
+    ``pages`` are the candidate indices in increasing order, by default
+    every multiple of the column step up to the row height plus one."""
+    if pages is None:
+        n = page.column_step
+        pages = range(n, page.row_max + 2, n)
+    for r in pages:
+        if r >= page.page_index and (arrows := _arrows_at(page, r)):
+            return r, arrows
     return None
 
 
-def _arrows_at(page: BigradedPage, r: int) -> tuple[tuple[Position, Position], ...]:
+def _arrows_at(page: BigradedPage, r: int) -> _Arrows:
     """Arrows (src, tgt) of page r between possibly-nonzero positions
     with at least one endpoint inside the window, in source order.
 
@@ -228,18 +245,16 @@ def _arrows_at(page: BigradedPage, r: int) -> tuple[tuple[Position, Position], .
     return tuple(sorted(arrows))
 
 
-def _slots_and_unresolved(page: BigradedPage, r: int) -> tuple[
+def _slots_and_unresolved(page: BigradedPage, arrows: _Arrows) -> tuple[
         list[tuple[Position, Position]], frozenset[Position]]:
-    """Split page-r arrows into assignment slots (both current entries
-    known: inside the window and not already unresolved) and the
-    positions this turn makes unresolved.
+    """Split one page's arrows (``_arrows_at``) into assignment slots
+    (both current entries known: inside the window and not already
+    unresolved) and the positions this turn makes unresolved.
 
     An arrow whose other endpoint's *current* entry is unknown carries
     an unknowable map, so the known endpoint's next entry is unknown;
     an arrow between two known entries is enumerable even when the
     neighbour's own next entry will be unknown."""
-    arrows = _arrows_at(page, r)
-
     def current_known(pos: Position) -> bool:
         return page.in_window(pos[0]) and pos not in page.unresolved
 
@@ -272,8 +287,8 @@ def _validate_assignment(page: BigradedPage, d: DifferentialAssignment) -> dict[
         raise SpectraError(
             f"assignment for past page {r} applied to page {page.page_index}")
     first = _first_active_page(page)
-    if first is not None and first < r:
-        raise SpectraError(f"cannot skip page {first}: it may still carry differentials")
+    if first is not None and first[0] < r:
+        raise SpectraError(f"cannot skip page {first[0]}: it may still carry differentials")
     if r % page.column_step != 0 and d.homs:
         raise SpectraError(f"page {r} differentials are forced zero by column support")
     homs = dict(d.homs)
@@ -299,7 +314,7 @@ def turn_page(page: BigradedPage, d: DifferentialAssignment) -> BigradedPage:
     pages from the homology its component classes already computed."""
     homs = _validate_assignment(page, d)
     r = d.page_index
-    _, newly_unresolved = _slots_and_unresolved(page, r)
+    _, newly_unresolved = _slots_and_unresolved(page, _arrows_at(page, r))
     unresolved = page.unresolved | newly_unresolved
     entries = tuple(
         ((p, q), homology_at(homs.get((p + r, q - r + 1)), homs.get((p, q)), grp))
@@ -357,12 +372,20 @@ class _ComponentClass:
     homs: tuple[tuple[Position, GroupHom], ...]
     # ``_degree_parts`` of the results, by set of final positions
     _parts: dict = field(default_factory=dict, compare=False, repr=False)
+    # ``_Flow.pack`` of the results, by flow
+    _packs: dict = field(default_factory=dict, compare=False, repr=False)
 
     def degree_parts(self, final: frozenset[Position], key_of) -> dict[int, _Part]:
         parts = self._parts.get(final)
         if parts is None:
             parts = self._parts[final] = _degree_parts(self.results, final, key_of)
         return parts
+
+    def pack(self, flow: _Flow) -> int:
+        packed = self._packs.get(flow)
+        if packed is None:
+            packed = self._packs[flow] = flow.pack(self.results)
+        return packed
 
 
 # a group's isomorphism class as (free rank, sorted prime powers)
@@ -514,7 +537,7 @@ class EnumerationTable:
             self._masks[key] = masks
         return masks
 
-    def classes(self, arrows: tuple[tuple[Position, Position], ...],
+    def classes(self, arrows: _Arrows,
                 positions: tuple[Position, ...], groups: tuple[FgAbGroup, ...], bound: int,
                 signature: tuple[Position, ...]) -> tuple[_ComponentClass, ...]:
         """``_component_classes`` of one component, at its absolute
@@ -545,7 +568,7 @@ class EnumerationTable:
 
 
 def _component_classes(table: EnumerationTable,
-                       arrows: tuple[tuple[Position, Position], ...],
+                       arrows: _Arrows,
                        groups: tuple[tuple[Position, FgAbGroup], ...],
                        bound: int,
                        signature_positions: tuple[Position, ...]) -> tuple[_ComponentClass, ...]:
@@ -659,25 +682,24 @@ def _component_classes(table: EnumerationTable,
             sid = sibling_ids[k][h] = ids.setdefault(tuple(sig), len(ids))
         return sid
 
-    def allowed(k: int) -> int:
+    def allowed(k: int) -> Iterator[int]:
+        """The homs of arrow k that compose to zero with the placed
+        neighbours, lowest index first."""
         mask = (1 << len(spaces[k].homs)) - 1
         for i, masks in constraints[k]:
             mask &= masks[chosen[i]]
-        return mask
+        return _set_bits(mask)
 
     # pending[k]: homs of arrow k not yet tried under the current prefix,
-    # taken lowest bit first to keep the product order; tried[k]: the
-    # signatures already tried under it
-    pending = [allowed(0)] + [0] * (len(arrows) - 1)
+    # in product order; tried[k]: the signatures already tried under it
+    pending = [allowed(0)] + [iter(())] * (len(arrows) - 1)
     tried: list[set[int]] = [set() for _ in arrows]
     k = 0
     while k >= 0:
-        if not pending[k]:
+        h = next(pending[k], None)
+        if h is None:
             k -= 1
             continue
-        low = pending[k] & -pending[k]
-        pending[k] ^= low
-        h = low.bit_length() - 1
         sid = sibling_id(k, h)
         if sid in tried[k]:
             continue
@@ -775,19 +797,30 @@ def _vanishing_masks(first: Sequence[_Rows], second: Sequence[_Rows],
 
 # the top byte of a lane's zero flag (0x80 or 0) as a binary digit
 _FLAG_DIGITS = bytes.maketrans(b"\x80\x00", b"10")
+# a binary digit as a byte that is true exactly for "1"
+_BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first, read off one
+    ``bin`` scan: taking bits off one at a time (``mask & -mask``) costs
+    time linear in the mask for each bit."""
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_DIGITS))
 
 
 def _transpose_masks(masks: list[int], width: int) -> list[int]:
     """Bit-matrix transpose: bit a of out[b] is bit b of masks[a]; equal
-    rows of ``out`` are one object."""
-    out = [0] * width
+    rows of ``out`` are one object.  The rows are set in one byte array,
+    ``size`` bytes each, and each is read back once."""
+    size = len(masks) // 8 + 1
+    bits = bytearray(width * size)
     for a, mask in enumerate(masks):
-        while mask:
-            low = mask & -mask
-            out[low.bit_length() - 1] |= 1 << a
-            mask ^= low
+        byte, flag = a >> 3, 1 << (a & 7)
+        for b in _set_bits(mask):
+            bits[b * size + byte] |= flag
     rows: dict[int, int] = {}
-    return [rows.setdefault(row, row) for row in out]
+    return [rows.setdefault(row, row) for row in (
+        int.from_bytes(bits[i:i + size], "little") for i in range(0, width * size, size))]
 
 
 def _components(slots: list[tuple[Position, Position]]) -> list[list[tuple[Position, Position]]]:
@@ -905,27 +938,51 @@ class _WorstCase:
     stays live (see the module docstring for what it bounds)."""
 
     # each turn's arrows, by page index
-    arrows: dict[int, tuple[tuple[Position, Position], ...]]
+    arrows: dict[int, _Arrows]
     degrees: frozenset[int]  # certified on the run's stable page
     # by page index: the window positions no arrow of a later turn
     # touches, whose entries are final once that turn is taken
     final: dict[int, frozenset[Position]]
+    # an upper bound on the free rank of any antidiagonal of any page
+    top_rank: int
+    # the lookahead of each turn that is not the last, by page index and
+    # the unresolved set after the turn
+    _flows: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def flow(self, r: int, page: BigradedPage, unresolved: frozenset[Position]) -> _Flow | None:
+        """The lookahead after turn r of ``page``, a page of this run's
+        geometry whose next unresolved set is ``unresolved``; None on the
+        last turn."""
+        if r == max(self.arrows):
+            return None
+        flow = self._flows.get((r, unresolved))
+        if flow is None:
+            flow = self._flows[r, unresolved] = _Flow(
+                [arrow for turn, arrows in self.arrows.items() if turn > r for arrow in arrows],
+                lambda pos: page.in_window(pos[0]) and pos not in unresolved,
+                self.degrees, self.top_rank)
+        return flow
 
 
 def _worst_case_run(page: BigradedPage) -> _WorstCase:
-    """The worst-case run from ``page``, and each window position's last
-    touch: the last page index whose arrows have it as an endpoint."""
+    """The worst-case run from ``page`` (a first page), and each window
+    position's last touch: the last page index whose arrows have it as
+    an endpoint."""
+    # later entries are subquotients of the first page's and an
+    # antidiagonal meets each row once, so a column's free rank bounds
+    # every antidiagonal's
+    top_rank = sum(grp.free_rank for (p, _), grp in page.entries if p == 0)
     arrows = {}
     last_touch: dict[Position, int] = {}
-    while (r := _first_active_page(page)) is not None:
-        arrows[r] = _arrows_at(page, r)
+    while (found := _first_active_page(page)) is not None:
+        r, arrows[r] = found
         last_touch.update((pos, r) for arrow in arrows[r] for pos in arrow)
-        gone = _slots_and_unresolved(page, r)[1]
+        gone = _slots_and_unresolved(page, arrows[r])[1]
         page = replace(page, page_index=r + 1, unresolved=page.unresolved | gone,
                        entries=tuple(entry for entry in page.entries if entry[0] not in gone))
     grid = [(p, q) for p in page.window_columns() for q in range(page.row_max + 1)]
     final = {r: frozenset(pos for pos in grid if last_touch.get(pos, 0) <= r) for r in arrows}
-    return _WorstCase(arrows, frozenset(certified_degrees(page)), final)
+    return _WorstCase(arrows, frozenset(certified_degrees(page)), final, top_rank)
 
 
 def _smallest_window(s_homology: GradedGroup, column_step: int) -> int:
@@ -943,6 +1000,97 @@ def _smallest_window(s_homology: GradedGroup, column_step: int) -> int:
     return limit
 
 
+class _Flow:
+    """The rank flow (see the module docstring) of the later ``arrows``
+    of a turn that is not the last: one k >= 0 per arrow, the k at a
+    ``known`` position summing to at most its free rank on the next page.
+    Positions that are not known cap nothing; the certified ``degrees``,
+    both parities among them, hold none of them.
+
+    A page enters as one int (``pack``): the free rank of each capped
+    position and the summed free rank of the other entries of each
+    certified degree, in fields of ``width`` bits, wide enough for
+    ``top``, the largest free rank an antidiagonal can have.  The fields
+    are disjoint, so a page's int is the sum of the ints of its parts.
+    ``values`` gives every (even, odd) pair of common free ranks that
+    some choice of k leaves, memoized per int.  Every arrow joins a
+    degree d to d - 1, so the k are chosen degree by degree from the top,
+    keeping the set of distinct states (free ranks left, even value, odd
+    value): a degree is settled once the arrows out of it are chosen,
+    and no product over all arrows is formed."""
+
+    __slots__ = ("width", "nodes", "bases", "steps", "_values", "_distinct")
+
+    def __init__(self, arrows: Sequence[tuple[Position, Position]],
+                 known: Callable[[Position], bool], degrees: Iterable[int], top: int):
+        nodes = sorted({pos for arrow in arrows for pos in arrow if known(pos)})
+        self.width = w = max(top.bit_length(), 1)
+        self.nodes = {pos: i for i, pos in enumerate(nodes)}  # capped positions
+        self.bases = {deg: (len(nodes) + j) * w for j, deg in enumerate(sorted(degrees))}
+        # per degree, from the top: the arrows out of it, each as the
+        # indices of its capped ends; its capped positions, and a 0/1 mask
+        # that clears them once settled (None when it has none); its field
+        arrows = [(sum(s), ends) for s, t in arrows
+                  if (ends := tuple(self.nodes[pos] for pos in (s, t) if pos in self.nodes))]
+        steps = []
+        for deg in sorted({*(deg for deg, _ in arrows), *map(sum, nodes), *self.bases},
+                          reverse=True):
+            settled = tuple(i for i, pos in enumerate(nodes) if sum(pos) == deg)
+            keep = tuple(int(i not in settled) for i in range(len(nodes))) if settled else None
+            steps.append((tuple(ends for source, ends in arrows if source == deg), settled, keep,
+                          self.bases.get(deg), deg % 2))
+        self.steps = tuple(steps)
+        self._values: dict[int, frozenset[tuple[int, int]]] = {}
+        self._distinct: dict[frozenset, frozenset] = {}
+
+    def pack(self, entries: Iterable[tuple[Position, FgAbGroup]]) -> int:
+        """The int of known entries: a capped position's free rank in its
+        field, any other on a certified degree added to the degree's."""
+        packed = 0
+        for pos, grp in entries:
+            shift = self.nodes.get(pos)
+            shift = self.bases.get(pos[0] + pos[1]) if shift is None else shift * self.width
+            if shift is not None:
+                packed += grp.free_rank << shift
+        return packed
+
+    def values(self, packed: int) -> frozenset[tuple[int, int]]:
+        """The (even, odd) common free ranks the later turns can leave."""
+        values = self._values.get(packed)
+        if values is None:
+            values = self._solve(packed)
+            # one object per distinct set: most pages share a few
+            values = self._values[packed] = self._distinct.setdefault(values, values)
+        return values
+
+    def _solve(self, packed: int) -> frozenset[tuple[int, int]]:
+        w, ones = self.width, (1 << self.width) - 1
+        # (free rank left at each capped position, (even, odd) value or None)
+        states = {(tuple(packed >> (i * w) & ones for i in range(len(self.nodes))), (None, None))}
+        for arrows, settled, keep, base, parity in self.steps:
+            for ends in arrows:
+                grown = set()
+                for left, values in states:
+                    grown.add((left, values))
+                    for k in range(1, min(map(left.__getitem__, ends)) + 1):
+                        cut = list(left)
+                        for i in ends:
+                            cut[i] -= k
+                        grown.add((tuple(cut), values))
+                states = grown
+            done = set()
+            for left, values in states:
+                if base is not None:
+                    value = (packed >> base & ones) + sum(map(left.__getitem__, settled))
+                    if values[parity] is None:
+                        values = (value, values[1]) if parity == 0 else (values[0], value)
+                    elif values[parity] != value:
+                        continue
+                done.add((left if keep is None else tuple(map(mul, left, keep)), values))
+            states = done
+        return frozenset(values for _, values in states)
+
+
 @dataclass(frozen=True, slots=True)
 class _Plan:
     """What the geometry of a page (its index, its live and its
@@ -953,11 +1101,13 @@ class _Plan:
     r: int | None  # the page of the turn; None when the page is stable
     # per component: its arrows, its positions (sorted) and those whose
     # next entry is known (its signature)
-    comps: tuple[tuple[tuple[tuple[Position, Position], ...], tuple[Position, ...],
+    comps: tuple[tuple[_Arrows, tuple[Position, ...],
                        tuple[Position, ...]], ...] = ()
     unresolved: frozenset[Position] = frozenset()  # of the next page
     final: frozenset[Position] = frozenset()  # the run's final positions after r
-    last: bool = False  # no worst-case arrow comes after the turn
+    # the rank-flow lookahead over the later turns; None on the last
+    # turn, the one no worst-case arrow comes after
+    flow: _Flow | None = None
     # the interval pruner's skeleton: checks[i + 1] holds each degree
     # whose last component is i (checks[0]: no component reaches it),
     # with the components that have an entry on its antidiagonal
@@ -967,10 +1117,12 @@ class _Plan:
 def _plan(page: BigradedPage, run: _WorstCase, shared) -> _Plan:
     """The plan of ``page``'s geometry; ``shared`` returns one object for
     equal values, so plans hold one copy of their common parts."""
-    r = _first_active_page(page)
-    if r is None:
+    # a branch turns only where the worst-case run does
+    found = _first_active_page(page, run.arrows)
+    if found is None:
         return _Plan(None)
-    slots, newly_unresolved = _slots_and_unresolved(page, r)
+    r, arrows = found
+    slots, newly_unresolved = _slots_and_unresolved(page, arrows)
     comps = _components(slots)
     unresolved = page.unresolved | newly_unresolved
     sites = []
@@ -987,8 +1139,8 @@ def _plan(page: BigradedPage, run: _WorstCase, shared) -> _Plan:
         at = tuple(reach.get(deg, ()))
         checks[at[-1] + 1 if at else 0].append(shared((deg, at)))
     return _Plan(r, comps=shared(tuple(sites)), unresolved=shared(unresolved),
-                 final=run.final[r], last=r == max(run.arrows),
-                 checks=shared(tuple(map(tuple, checks))))
+                 final=run.final[r],
+                 checks=shared(tuple(map(tuple, checks))), flow=run.flow(r, page, unresolved))
 
 
 def solve_floer(s_homology: GradedGroup, column_step: int,
@@ -1078,7 +1230,7 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
             return
         # on the last turn each bound is exact, so once both parities have
         # one, the branch's abutment is fixed: a leaf already found cuts it
-        cut = found if plan.last else ()
+        cut = found if plan.flow is None else ()
         for chosen in _combinations(class_lists, check, cut, start):
             homs = tuple(sorted(hom for cls in chosen for hom in cls.homs))
             results = [res for cls in chosen for res in cls.results]
@@ -1124,26 +1276,35 @@ def _interval_pruner(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, pins, 
     consistent abutment.  ``kept`` holds the next page's entries that
     no component touches.
 
-    Each degree certified on every stable page (those of the solve's
-    worst-case run) gets a bound on its final value once the last
-    component with an entry on its antidiagonal is placed (degrees no
-    component reaches are bounded with the pins before any is placed).
-    Its free rank lies between the free rank of its final entries (no
-    worst-case arrow after the turn touches their positions, so no real
-    one does) and that of all its entries (the others only shrink to
-    subquotients), and when all its entries are final its
-    ``_group_key`` is exact.  The DFS state is the common bound of each
-    parity so far.  Groups enter as keys (``key_of`` gives one), summed
-    per degree once for the kept entries and once per class and set of
-    final positions, so no node of the DFS adds groups.
+    The theorem is the rank flow (``_Flow``): over Q each later arrow
+    of the solve's worst-case run lowers the free rank of both its ends
+    by one k >= 0, and the k at a position sum to at most its free rank
+    on the next page.  Each degree certified on every stable page (those
+    of the run) gets a bound on its final value once the last component
+    with an entry on its antidiagonal is placed (degrees no component
+    reaches are bounded with the pins before any is placed).  That bound
+    is the flow with the degree's arrows uncoupled, each free to take
+    all of a non-final entry's free rank: the free rank lies between
+    that of its final entries (no worst-case arrow after the turn touches
+    their positions, so no real one does) and that of all its entries,
+    and when all its entries are final its ``_group_key`` is exact.  The
+    DFS state is the common bound of each parity so far.  Once the last
+    component is placed, before the next page is built, a turn that is
+    not the last solves the coupled flow over every later turn at once:
+    the branch is cut unless some choice of k leaves each parity one
+    common free rank inside its bound.  Groups enter as keys (``key_of``
+    gives one) and free ranks as ``_Flow.pack`` ints, summed once for the
+    kept entries and once per class, so no node of the DFS adds groups.
 
     Returns the state before any component is placed (None when the pins
     and the degrees no component reaches already clash) and
     ``check(i, placed, state)``, the state once the classes ``placed``
     fill components 0..i (None when the branch is cut).
     """
-    final = plan.final
+    final, flow = plan.final, plan.flow
     kept_parts = _degree_parts(kept, final, key_of)
+    kept_pack = flow.pack(kept) if flow is not None else 0
+    last_comp = len(plan.comps) - 1
 
     def check(i, placed, state):
         out = list(state)
@@ -1155,6 +1316,12 @@ def _interval_pruner(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, pins, 
             seen = out[deg % 2] = _meet(out[deg % 2], (
                 free, free + slack, (free, tuple(sorted(powers))) if zero else None))
             if seen is None:
+                return None
+        if i == last_comp and flow is not None:
+            (lo_even, hi_even, _), (lo_odd, hi_odd, _) = out
+            packed = kept_pack + sum(cls.pack(flow) for cls in placed)
+            if not any(lo_even <= even <= hi_even and lo_odd <= odd <= hi_odd
+                       for even, odd in flow.values(packed)):
                 return None
         return tuple(out)
 

@@ -108,7 +108,7 @@ def solve_floer_without_pruning(s_homology, column_step, constraints=(), entry_b
     root = build_e1(s_homology, column_step, col_span)
     leaves = {}
     truncation = False
-    geometry = {}  # the next page index and the certified degrees, by geometry
+    geometry = {}  # the next turn and the certified degrees, by geometry
     sums = {}  # direct sums by summands
 
     def direct_sum_of(grps):
@@ -123,8 +123,8 @@ def solve_floer_without_pruning(s_homology, column_step, constraints=(), entry_b
         key = (page.page_index, frozenset(pos for pos, _ in page.entries), page.unresolved)
         if key not in geometry:
             geometry[key] = (_first_active_page(page), certified_degrees(page))
-        r, degrees = geometry[key]
-        if r is None:
+        found, degrees = geometry[key]
+        if found is None:
             if not {0, 1} <= set(degrees):
                 raise WindowError("window cannot certify abutment degrees 0 and 1")
             on_degree = {deg: [] for deg in degrees}
@@ -145,7 +145,8 @@ def solve_floer_without_pruning(s_homology, column_step, constraints=(), entry_b
                                     for turn, combo in combos),
                         stable_page=page.page_index)
             return
-        slots, newly_unresolved = _slots_and_unresolved(page, r)
+        r, arrows = found
+        slots, newly_unresolved = _slots_and_unresolved(page, arrows)
         truncation |= any(bound_may_truncate(page.entry(*s), page.entry(*t), entry_bound)
                           for s, t in slots)
         unresolved = page.unresolved | newly_unresolved
@@ -168,6 +169,31 @@ def solve_floer_without_pruning(s_homology, column_step, constraints=(), entry_b
         column_step=column_step, entry_bound=entry_bound, col_span=col_span,
         row_max=root.row_max, bound_may_truncate=truncation,
         leaves=tuple(sorted(leaves.values(), key=lambda lf: (str(lf.hf_even), str(lf.hf_odd)))))
+
+
+def flow_values_by_product(arrows, ranks, degrees):
+    """Reference for ``spectra._Flow.values``: every (even, odd) pair of
+    common free ranks that one k >= 0 per arrow can leave, found by trying
+    every k of every arrow.  ``ranks`` maps each known position to its
+    free rank; a k is at most the smaller free rank of its known ends, and
+    the k of the arrows at a known position sum to at most its free rank.
+    A degree ends at the free rank left on its known positions."""
+    arrows = [arrow for arrow in arrows if arrow[0] in ranks or arrow[1] in ranks]
+    choices = [range(min(ranks[pos] for pos in arrow if pos in ranks) + 1) for arrow in arrows]
+    out = set()
+    for ks in itertools.product(*choices):
+        left = dict(ranks)
+        for arrow, k in zip(arrows, ks):
+            for pos in arrow:
+                if pos in left:
+                    left[pos] -= k
+        if min(left.values(), default=0) < 0:
+            continue
+        ends = [sum(rank for pos, rank in left.items() if sum(pos) == deg) for deg in degrees]
+        values = {}
+        if all(values.setdefault(deg % 2, end) == end for deg, end in zip(degrees, ends)):
+            out.add((values[0], values[1]))
+    return out
 
 
 def zero_hom(source: FgAbGroup, target: FgAbGroup) -> GroupHom:

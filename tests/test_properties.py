@@ -1,8 +1,8 @@
 """Randomized properties of the transform-free Smith diagonal, of the
 packed vanishing masks, the per-hom homology rule and the sibling rule
 behind ``spectra._component_classes``, of the worst-case run behind the
-pruner and the window check, and of the per-window deduplication in
-``exactness.certify_nonexistence``."""
+pruner and the window check, of the pruner's rank-flow lookahead, and of
+the per-window deduplication in ``exactness.certify_nonexistence``."""
 import contextlib
 import copy
 import functools
@@ -26,14 +26,15 @@ from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, _entry_va
 from cobcheck.cli import main
 from cobcheck.exactness import CobordismClaim, certify_nonexistence
 from cobcheck.graded import GradedGroup, LaurentGrading
-from cobcheck.spectra import (EnumerationTable, WindowError, _arrows_at, _component_classes,
-                              _slots_and_unresolved, _transpose_masks, _vanishing_masks,
+from cobcheck.spectra import (EnumerationTable, WindowError, _component_classes,
+                              _first_active_page, _transpose_masks, _vanishing_masks,
                               _worst_case_run, build_e1, solve_floer)
 from cobcheck.topology import LagrangianDescriptor
 
 import oracles
 from oracles import (certify_nonexistence_per_branch, component_classes_by_product,
-                     solve_floer_without_pruning, vanishing_masks_by_loop)
+                     flow_values_by_product, solve_floer_without_pruning,
+                     vanishing_masks_by_loop)
 from test_spectra import assert_pruning_keeps_the_leaves, classes_match_search_without_skipping
 
 
@@ -235,18 +236,49 @@ def test_branch_arrows_are_worst_case_arrows_of_random_tables(upper, pins):
     run = _worst_case_run(build_e1(h, 2))
     turns = []
 
-    def recorded(page, r):
-        turns.append((r, _arrows_at(page, r)))
-        return _slots_and_unresolved(page, r)
+    def recorded(page):
+        found = _first_active_page(page)
+        if found is not None:
+            turns.append(found)
+        return found
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(oracles, "_slots_and_unresolved", recorded)
+        monkeypatch.setattr(oracles, "_first_active_page", recorded)
         try:
             solve_floer_without_pruning(h, 2, constraints=tuple(pins), entry_bound=1)
         except WindowError:
             pass
     for r, arrows in turns:
         assert set(arrows) <= set(run.arrows.get(r, ()))
+
+
+@st.composite
+def arrow_systems(draw):
+    """Arrows from degree d to d - 1 among positions of a small grid, the
+    free ranks of the known positions (the others cap nothing), and the
+    certified degrees, both parities among them."""
+    grid = [(p, q) for p in range(-2, 3) for q in range(3)]
+    ranks = draw(st.dictionaries(st.sampled_from(grid), st.integers(0, 2)))
+    sources = draw(st.lists(st.sampled_from(grid), max_size=6))
+    arrows = []
+    for s in sources:
+        p = draw(st.integers(-2, 2))
+        if (arrow := (s, (p, sum(s) - 1 - p))) not in arrows:
+            arrows.append(arrow)
+    degrees = {draw(st.integers(-1, 2)) * 2, draw(st.integers(-1, 2)) * 2 + 1}
+    degrees |= draw(st.sets(st.integers(-2, 4)))
+    return arrows, ranks, sorted(degrees)
+
+
+@settings(deadline=None, database=None, max_examples=200)
+@given(arrow_systems())
+def test_flow_values_match_a_product_over_every_k(system):
+    # the lookahead chooses the k degree by degree; trying every k of
+    # every arrow must reach the same (even, odd) pairs
+    arrows, ranks, degrees = system
+    flow = spectra._Flow(arrows, ranks.__contains__, degrees, sum(ranks.values()))
+    packed = flow.pack((pos, FgAbGroup(rank)) for pos, rank in ranks.items())
+    assert flow.values(packed) == flow_values_by_product(arrows, ranks, degrees)
 
 
 class _Enumerated(Exception):

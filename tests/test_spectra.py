@@ -60,9 +60,10 @@ def test_build_e1_validation():
 
 def test_trivial_pages_examples():
     # the first page that can carry a nonzero differential, by column
-    # and row support alone
-    assert _first_active_page(build_e1(H_R, 4)) == 4
-    assert _first_active_page(build_e1(H_RP7, 8)) == 8
+    # and row support alone, with its arrows
+    for h, step in [(H_R, 4), (H_RP7, 8)]:
+        page = build_e1(h, step)
+        assert _first_active_page(page) == (step, spectra._arrows_at(page, step))
     assert _first_active_page(build_e1(H_POINT, 2)) is None
 
 
@@ -77,10 +78,10 @@ def test_arrows_from_live_positions_match_a_full_scan(h, step, span):
     while True:
         for r in range(1, page.row_max + 3):
             assert spectra._arrows_at(page, r) == arrows_by_scan(page, r)
-        r = spectra._first_active_page(page)
-        if r is None:
+        found = spectra._first_active_page(page)
+        if found is None:
             break
-        page = turn_page(page, DifferentialAssignment(page_index=r, homs=()))
+        page = turn_page(page, DifferentialAssignment(page_index=found[0], homs=()))
     assert page.unresolved
 
 
@@ -303,9 +304,10 @@ def test_leaf_assignments_replay_through_page_turns():
             by_page = dict(leaf.turns)
             assert len(by_page) == len(leaf.turns)
             while True:
-                r = _first_active_page(page)
-                if r is None:
+                found = _first_active_page(page)
+                if found is None:
                     break
+                r = found[0]
                 homs = tuple(by_page.pop(r))
                 page = turn_page(page, DifferentialAssignment(r, homs))
             assert not by_page, "leaf recorded maps for a page never reached"
@@ -464,8 +466,14 @@ def assert_pruning_keeps_the_leaves(h, step, **kw):
     # the worst-case run of the first page keeps them out of every turn's
     # checks (the run of a page-3 geometry would still certify -1)
     (GradedGroup.from_dict({0: Z, 1: FgAbGroup(2), 2: Z, 4: cyclic(2)}), 2, {"entry_bound": 1}),
+    # pages 2, 4 and 6 turn, so the lookahead after page 2 spans two later
+    # turns; it cuts about three quarters of the pages the interval bounds
+    # alone keep (the second table, with a torsion row, loses none)
+    (GradedGroup.from_dict({0: Z, 3: Z, 4: Z, 5: Z}), 2, {"entry_bound": 1, "col_span": 3}),
+    (GradedGroup.from_dict({0: Z, 3: cyclic(2), 4: Z, 5: Z}), 2,
+     {"entry_bound": 1, "col_span": 3}),
 ], ids=["t2-b1", "t2-b2", "t2-b3", "t2-b4", "rp3xrp3-b1", "rp7-s4-w2", "rp7-s4-w4-b1",
-        "rows-0-1-2-4"])
+        "rows-0-1-2-4", "rows-0-3-4-5", "rows-0-3t-4-5"])
 def test_pruning_keeps_the_leaves_of_a_search_without_pruning(h, step, kw):
     assert_pruning_keeps_the_leaves(h, step, **kw)
 
@@ -480,6 +488,25 @@ def test_pruning_keeps_the_leaves_of_a_search_without_pruning(h, step, kw):
 def test_pruning_keeps_the_leaves_of_pinned_degrees(h, step, bound, pins, kept):
     tree = assert_pruning_keeps_the_leaves(h, step, constraints=pins, entry_bound=bound)
     assert len(tree.leaves) == kept
+
+
+@pytest.mark.parametrize("h, kw, leaves, most_pages", [
+    # the T^3 table at step 2, bound 1: of the 11,629 page-3 pages the
+    # interval bounds keep, only 11 have a child that survives page 4
+    (GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z}), {}, 16, 1700),
+    # pages 2, 4 and 6 turn: 6,676 pages without the lookahead, 2,694 with
+    # it, and 3,766 when a later arrow's k may exceed the smaller free rank
+    (GradedGroup.from_dict({0: Z, 1: Z, 4: Z, 5: Z}), {"col_span": 3}, 3, 2700),
+], ids=["t3", "rows-0-1-4-5"])
+def test_lookahead_cuts_dead_branches_before_their_pages(monkeypatch, h, kw, leaves, most_pages):
+    # the rank-flow lookahead cuts a branch before its next page is built
+    built = []
+    post_init = BigradedPage.__post_init__
+    monkeypatch.setattr(BigradedPage, "__post_init__",
+                        lambda page: built.append(page) or post_init(page))
+    tree = solve_floer(h, 2, entry_bound=1, **kw)
+    assert len(tree.leaves) == leaves
+    assert len(built) <= most_pages
 
 
 def test_hom_spaces_build_homs_only_when_indexed(monkeypatch):
