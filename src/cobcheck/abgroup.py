@@ -532,14 +532,17 @@ def _entry_values(target_order: int, bound: int) -> tuple[int, ...]:
 
 
 class MatrixSpace(Sequence):
-    """The integer matrices whose row i runs over ``rows[i]``, as tuples
-    of rows in the order of ``itertools.product`` over the row ranges
-    (the last row fastest).  Stores the row ranges only: matrix h is
-    decoded from its index on access."""
+    """The integer matrices whose entry (i, j) runs over ``entries[i][j]``,
+    as tuples of rows in the order of ``itertools.product`` over the
+    entries in row-major order (the last entry fastest).  Stores the
+    entry ranges and each row's values (``rows``, row i running over the
+    product of its entries' ranges): matrix h is decoded from its index
+    on access."""
 
-    def __init__(self, rows: tuple[tuple[tuple[int, ...], ...], ...]):
-        self._rows = rows
-        self._len = prod(map(len, rows))
+    def __init__(self, entries: tuple[tuple[tuple[int, ...], ...], ...]):
+        self.entries = entries
+        self.rows = tuple(tuple(itertools.product(*row)) for row in entries)
+        self._len = prod(map(len, self.rows))
 
     def __len__(self) -> int:
         return self._len
@@ -549,13 +552,13 @@ class MatrixSpace(Sequence):
             raise IndexError("matrix index out of range")
         h %= self._len
         out = []
-        for values in reversed(self._rows):
+        for values in reversed(self.rows):
             h, x = divmod(h, len(values))
             out.append(values[x])
         return tuple(reversed(out))
 
     def __iter__(self):
-        return itertools.product(*self._rows)
+        return itertools.product(*self.rows)
 
 
 class HomMatrixSpace(Sequence):
@@ -588,21 +591,19 @@ def hom_matrix_space(source: FgAbGroup, target: FgAbGroup, bound: int) -> HomMat
     A matrix is a hom when each torsion source generator of order d maps
     to an element d kills, which is a condition on each entry alone; so
     the homs are the product of each entry's admissible values, in the
-    product's order.  The space keeps each row's admissible values (a
-    matrix is one choice per row, its length their product) and builds
-    a ``GroupHom`` only when one is indexed.
+    product's order.  The space keeps each entry's admissible values and
+    each row's (a matrix is one choice per row, its length their
+    product) and builds a ``GroupHom`` only when one is indexed.
 
     >>> space = hom_matrix_space(cyclic(2), cyclic(4), 3)
     >>> len(space), space[1].matrix.entries
     (2, ((2,),))
     """
     s_orders = source.generator_orders()
-    rows = []
-    for t in target.generator_orders():
-        entries = [[x for x in _entry_values(t, bound) if not (d * x % t if t else d * x)]
-                   for d in s_orders]
-        rows.append(tuple(itertools.product(*entries)))
-    return HomMatrixSpace(source, target, MatrixSpace(tuple(rows)))
+    entries = tuple(tuple(tuple(x for x in _entry_values(t, bound) if not (d * x % t if t else d * x))
+                          for d in s_orders)
+                    for t in target.generator_orders())
+    return HomMatrixSpace(source, target, MatrixSpace(entries))
 
 
 def bound_may_truncate(source: FgAbGroup, target: FgAbGroup, entry_bound: int) -> bool:

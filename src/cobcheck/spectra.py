@@ -14,39 +14,53 @@ vanish, and labelings are deduplicated by the isomorphism classes of the
 entries they produce.  A chain is labeled by a depth-first search over
 its arrows that extends each partial labeling only with maps composing
 to zero with the ones already placed, visiting labelings in the order
-of the full product of hom spaces.  Which maps compose to zero comes
-from vanishing masks: the free rows of a whole hom space are packed
-into big-int lanes of W bits, W the least multiple of 8 with n * G * C
-below 2^(W-1) (n source generators, G and C the largest absolute
-entries of the two maps), so one multiply-add tests a column against
-every hom at once.
+of the full product of hom spaces.
+
+Which maps compose to zero comes from vanishing masks, and they factor
+by rows and columns: g o f = 0 exactly when every row of g kills every
+column of f modulo that row's target order, and a hom space is the
+product of per-entry ranges in row-major order.  One kill table per
+pair of spaces, each row value of the second against each value of
+each column of the first (exact dot products packed into big-int
+lanes), gives both orientations.  A mask indexed by g is the AND over
+g's rows of what each kills, a product of per-column bit polynomials
+over f's mixed-radix index; a mask indexed by f is the Kronecker
+product, over g's rows, of the row values that kill f.  Cokernels come
+from rows too: target / (im + relations) is fixed by the number of
+rows and the lattice the rows of [matrix | relations] span, so by the
+set of those rows up to sign.  One pass over a space in product order,
+OR-ing one bit per distinct row, gives each hom its row class, and the
+masks indexed by the space, its cokernels and its images are
+computed once per class.
 
 Sibling rule: under one prefix, a hom is skipped when an earlier
 sibling has the same signature, which is everything later work reads
 of it: its masks for later arrows, the rank and freeness of its image,
 its cokernel, and the hom itself where a torsion image forces a
-subquotient.  The earlier sibling admits the same completions with the
+subquotient.  The earlier sibling admits the same completions, with the
 same homology, at lexicographically smaller labelings that the search
 visits first, so the skipped subtree holds no first representative:
 the classes, their representatives and their order do not change.
+Each arrow's signatures are read in one zip over per-hom part lists.
 
-The homology at each position comes from invariants computed once per
-hom: M / im(in) for the incoming map, and the rank of im(out) for the
-outgoing one; when that image is free it splits off M / im(in), and
-only a torsion image falls back to the kernel-lattice subquotient.  A
-hom space keeps only each matrix row's admissible values
-(``abgroup.hom_matrix_space``); masks and per-hom invariants are read
-off the raw entry rows, equal results are one object, and a
-``GroupHom`` is built only for a representative's differentials.  Hom
-spaces, these invariants and the classes of each component shape live
-in an ``EnumerationTable`` that the solves of one run share and that is
-dropped with the run, so no enumeration state outlives it.  The solver
-turns each page once: the next page is the untouched entries plus the
-homology the chosen classes already computed (``turn_page`` is the
-validated public path to the same page).  What a page's geometry (its
-index, entry positions and unresolved positions) fixes about its turn,
-the arrows, components, next unresolved set and pruner skeleton, is
-worked out once per geometry and solve.
+The homology at each position comes from invariants of each hom: M /
+im(in) for the incoming map, and the rank of im(out) for the outgoing
+one; when that image is free it splits off M / im(in), and only a
+torsion image falls back to the kernel-lattice subquotient.  A hom
+space keeps only each entry's and each row's admissible values
+(``abgroup.hom_matrix_space``); masks and invariants are read off them
+and off one representative's entry rows per row class, equal results
+are one object, and a ``GroupHom`` is built only for a kernel lattice
+or a representative's differentials.  Hom spaces, these invariants and
+the classes of each component shape live in an ``EnumerationTable``
+that the solves of one run share and that is dropped with the run, so
+no enumeration state outlives it.  The solver turns each page once: the
+next page is the untouched entries plus the homology the chosen
+classes already computed (``turn_page`` is the validated public path
+to the same page).  What a page's geometry (its index, entry positions
+and unresolved positions) fixes about its turn, the arrows,
+components, next unresolved set and pruner skeleton, is worked out
+once per geometry and solve.
 
 The abutment of every stable page must be 2-periodic and agree with
 any pinned value.  Every page turn is pruned by one rule while its
@@ -93,7 +107,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress, count
+from itertools import chain, compress, count, product, repeat
+from math import prod
 from operator import mul, neg
 
 from .abgroup import (FgAbGroup, GroupHom, IntMatrix, ZERO, _factorize,
@@ -114,8 +129,6 @@ class WindowError(SpectraError):
 Position = tuple[int, int]
 # arrows as (source, target) pairs
 _Arrows = tuple[tuple[Position, Position], ...]
-# a matrix as its tuple of entry rows
-_Rows = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -422,59 +435,73 @@ def _degree_parts(entries: Iterable[tuple[Position, FgAbGroup]], final: frozense
 
 class _HomSpace:
     """The bounded homs source -> target, with the invariants of each
-    hom by its index in ``homs``, each computed on first use from the
-    hom's entry rows and shared between homs with equal results."""
+    hom by its index in ``homs``.
+
+    The cokernel target / (im + relations) of a hom is fixed by the
+    number of rows and the lattice spanned by the rows of [matrix |
+    relations], so by the set of those rows up to sign.  One bit per
+    distinct row, OR-ed over a hom's rows in one pass over the space in
+    product order, gives each hom its row class: ``row_class[h]`` is the
+    first hom whose rows form the same set.  Cokernels, images and the
+    vanishing masks indexed by this space are computed once per class,
+    on first use; kernel lattices are computed per hom on first use."""
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup, bound: int):
         self.target = target
         self.homs = hom_matrix_space(source, target, bound)
         self._relations = relation_matrix(target).entries
-        self._orders = target.generator_orders()
-        self._cokernels: list[FgAbGroup | None] = [None] * len(self.homs)
-        # the cokernel by the sorted set of the hom's columns up to sign: it
-        # only depends on the lattice they span with the relations
-        self._by_span: dict[tuple[tuple[int, ...], ...], FgAbGroup] = {}
-        # into a free target the image follows from the cokernel
-        self._images: list[tuple[int, bool] | None] | None = (
-            [None] * len(self.homs) if target.torsion else None)
+        self.row_class = _first_of_class(_sets_up_to_sign(
+            [value + relation for value in values]
+            for values, relation in zip(self.homs.matrices.rows, self._relations)))
+        self._cokers: list[FgAbGroup] = []  # the distinct cokernels
+        self._coker_ids: list[int] | None = None
+        self._images: list[tuple[int, bool]] | None = None
         self._kernels: dict[int, IntMatrix] = {}
-        self._interned: dict = {}
+
+    def coker_ids(self) -> list[int]:
+        """Per hom: an id of target / im(hom), equal for equal groups."""
+        if self._coker_ids is None:
+            cols = self.homs.source.generator_count() + len(self.target.torsion)
+            index: dict[FgAbGroup, int] = {}
+            of_class = {}
+            for rep in dict.fromkeys(self.row_class):
+                rows = self.homs.matrices[rep]
+                grp = cokernel(IntMatrix(len(rows), cols,
+                                         tuple(map(tuple.__add__, rows, self._relations))))
+                of_class[rep] = index.setdefault(grp, len(index))
+            self._cokers = list(index)
+            self._coker_ids = list(map(of_class.__getitem__, self.row_class))
+        return self._coker_ids
 
     def coker(self, h: int) -> FgAbGroup:
         """target / im(hom h)."""
-        grp = self._cokernels[h]
-        if grp is None:
-            rows = self.homs.matrices[h]
-            span = tuple(sorted({min(col, self._negated(col)) for col in zip(*rows)}))
-            grp = self._by_span.get(span)
-            if grp is None:
-                cols = self.homs.source.generator_count() + len(self.target.torsion)
-                grp = cokernel(IntMatrix(len(rows), cols,
-                                         tuple(map(tuple.__add__, rows, self._relations))))
-                grp = self._by_span[span] = self._intern(grp)
-            self._cokernels[h] = grp
-        return grp
+        ids = self.coker_ids()  # fills ``_cokers`` on first use
+        return self._cokers[ids[h]]
 
     def image(self, h: int) -> tuple[int, bool]:
         """The rank of im(hom h) and whether that image is torsion-free."""
+        return self.images()[h]
+
+    def images(self) -> list[tuple[int, bool]]:
+        """``image(h)`` of every hom.  The rows fix the kernel, so it is
+        computed once per row class: into a free group the image is
+        free, of the matrix rank, and a subgroup of a finite group is
+        torsion-free only when zero, that is when the cokernel is the
+        whole target; into a target with both parts it is source /
+        kernel."""
         if self._images is None:
-            # a subgroup of a free group: free, of the matrix rank; with no
-            # relations to add, the cokernel is the one coker() keeps
-            return self.target.free_rank - self.coker(h).free_rank, True
-        img = self._images[h]
-        if img is None:
-            if not self.target.free_rank:
-                # a subgroup of a finite group: torsion-free only when zero,
-                # that is when the cokernel is the whole target
-                img = (0, self.coker(h) == self.target)
-            elif not (kernel := self.kernel(h)).cols:
-                # nothing of Z^s maps to zero: a free source embedded whole
-                img = (kernel.rows, True)
-            else:
-                grp = cokernel(kernel)  # source / kernel
-                img = (grp.free_rank, not grp.torsion)
-            img = self._images[h] = self._intern(img)
-        return img
+            target, ids = self.target, self.coker_ids()
+            of_class = {}
+            for rep in dict.fromkeys(self.row_class):
+                if target.free_rank and target.torsion:
+                    grp = cokernel(self.kernel(rep))
+                    of_class[rep] = (grp.free_rank, not grp.torsion)
+                else:
+                    grp = self._cokers[ids[rep]]
+                    of_class[rep] = (target.free_rank - grp.free_rank,
+                                     not target.torsion or grp == target)
+            self._images = list(map(of_class.__getitem__, self.row_class))
+        return self._images
 
     def kernel(self, h: int) -> IntMatrix:
         """The kernel lattice of hom h on the source generators."""
@@ -482,15 +509,6 @@ class _HomSpace:
         if kernel is None:
             kernel = self._kernels[h] = preimage_lattice(self.homs[h])
         return kernel
-
-    def _negated(self, col: tuple[int, ...]) -> tuple[int, ...]:
-        """-col, its torsion entries reduced mod their orders."""
-        if not self.target.torsion:
-            return tuple(map(neg, col))
-        return tuple(-x % o if o else -x for x, o in zip(col, self._orders))
-
-    def _intern(self, value):
-        return self._interned.setdefault(value, value)
 
 
 class EnumerationTable:
@@ -531,10 +549,7 @@ class EnumerationTable:
         key = (first, second, by_second)
         masks = self._masks.get(key)
         if masks is None:
-            masks = _vanishing_masks(first.homs.matrices, second.homs.matrices, second.target)
-            if by_second:
-                masks = _transpose_masks(masks, len(second.homs))
-            self._masks[key] = masks
+            masks = self._masks[key] = _vanishing_masks(first, second, by_second)
         return masks
 
     def classes(self, arrows: _Arrows,
@@ -600,7 +615,7 @@ def _component_classes(table: EnumerationTable,
     representatives and their order are those of the full search.
 
     Homology ker(out) / im(in) at M comes from per-hom invariants that
-    ``table`` computes once per (hom space, hom) for the whole run:
+    ``table`` keeps per hom space for the whole run (see ``_HomSpace``):
     coker(in) = M / im(in) (M at a chain start), and the rank r of
     im(out) with whether it is torsion-free (r = 0 at a chain end; see
     ``_HomSpace.image``).  A free im(out) splits off M / im(in), leaving
@@ -660,27 +675,25 @@ def _component_classes(table: EnumerationTable,
             grp = memo[key] = interned.setdefault(grp, grp)
         return grp
 
-    signature_ids: list[dict[tuple, int]] = [{} for _ in arrows]
-    sibling_ids: list[list[int | None]] = [[None] * len(sp.homs) for sp in spaces]
+    def sibling_ids(k: int) -> list[int]:
+        """Per hom of arrow k, the first hom with its signature (see the
+        sibling rule), from one zip over the signature's parts."""
+        space = spaces[k]
+        source_site, target_site, feeds_subquotient = touches[k]
+        parts = list(later[k])
+        if source_site:
+            images = space.images()
+            parts.append(images if not space.target.torsion else
+                         [img if img[1] else (img, h) for h, img in enumerate(images)])
+        if target_site:
+            parts.append(space.coker_ids())
+            if feeds_subquotient:
+                parts.append(range(len(space.homs)))
+        first: dict[tuple, int] = {}
+        return list(map(first.setdefault, zip(*parts) if parts else repeat(()),
+                        range(len(space.homs))))
 
-    def sibling_id(k: int, h: int) -> int:
-        """The id of hom h's signature on arrow k (see the sibling rule)."""
-        sid = sibling_ids[k][h]
-        if sid is None:
-            space = spaces[k]
-            source_site, target_site, feeds_subquotient = touches[k]
-            sig = [tuple(masks[h] for masks in later[k])]
-            if source_site:
-                sig.append(img := space.image(h))
-                if not img[1]:
-                    sig.append(h)
-            if target_site:
-                sig.append(space.coker(h))
-                if feeds_subquotient:
-                    sig.append(h)
-            ids = signature_ids[k]
-            sid = sibling_ids[k][h] = ids.setdefault(tuple(sig), len(ids))
-        return sid
+    sids = [sibling_ids(k) for k in range(len(arrows))]
 
     def allowed(k: int) -> Iterator[int]:
         """The homs of arrow k that compose to zero with the placed
@@ -700,7 +713,7 @@ def _component_classes(table: EnumerationTable,
         if h is None:
             k -= 1
             continue
-        sid = sibling_id(k, h)
+        sid = sids[k][h]
         if sid in tried[k]:
             continue
         tried[k].add(sid)
@@ -721,78 +734,172 @@ def _component_classes(table: EnumerationTable,
     return tuple(classes.values())
 
 
-def _vanishing_masks(first: Sequence[_Rows], second: Sequence[_Rows],
-                     target: FgAbGroup) -> list[int]:
-    """For each matrix f in ``first``: the bitmask of positions of
-    matrices g in ``second`` with g o f = 0 in ``target``; each matrix
-    is given by its entry rows (a hom space's ``matrices``).
+def _vanishing_masks(first: _HomSpace, second: _HomSpace, by_second: bool) -> list[int]:
+    """For each hom f of ``first``, the bitmask of the homs g of
+    ``second`` with g o f = 0; when ``by_second``, for each g the
+    bitmask of those f.  Equal masks are one object.
 
-    g o f vanishes exactly when g kills every column of f, so the test
-    runs once per distinct column.  The free rows of every g are packed
-    into one int per (target row, source column), g number b in lane b,
-    so a column's dot products with all the g at once are a few big-int
-    multiply-adds.  Lanes are W bits wide, W the least multiple of 8
-    with n * G * C < 2^(W-1) and G < 2^(W-1), where n is the number of
-    source generators of g and G and C are the largest absolute entries
-    of the g rows and the f columns; a bias of 2^(W-1) per lane then
-    keeps every lane in [0, 2^W), so no lane borrows from or carries
-    into the next, and a lane equals the bias exactly when its dot
-    product is 0.  The packed ints are built from the lanes' biased
-    bytes, one pass over ``second``.  The top byte of each lane holds its
+    One kill table, each row value of ``second`` against each value of
+    each column of ``first`` (``_orthogonal``), gives both orientations
+    (see the module docstring): a mask indexed by g is the AND, over f's
+    columns, of the polynomials (``_digit_polys``) of the values that all
+    of g's rows kill; one indexed by f is the AND, over g's rows, of the
+    polynomials of the values that kill all of f's columns.  A mask is
+    built once per class: g's row class, or the set of f's columns up to
+    sign, OR-ed in column-major order and permuted to f's index."""
+    ranges = first.homs.matrices.entries  # ranges[j][c]: the values of entry (j, c) of f
+    columns = [tuple(product(*column)) for column in zip(*ranges)]
+    rows = second.homs.matrices.rows
+    orders = second.target.generator_orders()
+    if by_second:
+        indexed, over, classes, parts_of = second, first, second.row_class, tuple
+        # kills[c][t]: each value of row t of g -> the values of column c it kills
+        kills = [[dict(zip(values, _orthogonal(values, column, o)))
+                  for values, o in zip(rows, orders)] for column in columns]
+        groups = [{(j, c) for j in range(len(ranges))} for c in range(len(columns))]
+    else:
+        indexed, over, parts_of = first, second, lambda f: tuple(zip(*f))
+        # kills[t][c]: each value of column c of f -> the values of row t that kill it
+        kills = [[dict(zip(column, _orthogonal(column, values, o))) for column in columns]
+                 for values, o in zip(rows, orders)]
+        groups = [{(t, j) for j in range(len(row))}
+                  for t, row in enumerate(second.homs.matrices.entries)]
+        # f's index from its column-major one: entry (j, c) weighs the
+        # values of the later columns times those of the later entries of c
+        moved = [0]
+        for j, row in enumerate(ranges):
+            for c, values in enumerate(row):
+                w = prod(map(len, columns[c + 1:])) * prod(len(r[c]) for r in ranges[j + 1:])
+                moved = [m + x * w for m in moved for x in range(len(values))]
+        keys = _sets_up_to_sign(columns)
+        classes = _first_of_class(map(keys.__getitem__, moved))
+    polys = _digit_polys(over.homs.matrices.entries, groups)
+    interned: dict[int, int] = {}
+    placed: dict[tuple[int, int], int] = {}
+    by_class = {}
+    for rep in dict.fromkeys(classes):
+        parts = parts_of(indexed.homs.matrices[rep])
+        mask = (1 << len(over.homs)) - 1
+        for i, ((offsets, others), group_kills) in enumerate(zip(polys, kills)):
+            allowed = (1 << len(offsets)) - 1
+            for value, part_kills in zip(parts, group_kills):
+                allowed &= part_kills[value]
+            poly = placed.get((i, allowed))
+            if poly is None:
+                poly = placed[i, allowed] = _place(others, allowed, offsets)
+            mask &= poly
+        by_class[rep] = interned.setdefault(mask, mask)
+    return list(map(by_class.__getitem__, classes))
+
+
+def _digit_polys(ranges: tuple[tuple[tuple[int, ...], ...], ...],
+                 groups: list[set[tuple[int, int]]]) -> list[tuple[list[int], int]]:
+    """For each group of entries of a matrix space whose entry (i, j)
+    runs over ``ranges[i][j]`` (row-major, the last entry fastest): the
+    offset in the space's index of each value of the group's entries, in
+    product order, and the bit polynomial of the other entries, the sum
+    of 2 to the offset of each of their values.  The matrices whose group
+    takes a value in a set S are then the offsets of S times that
+    polynomial; the digits are disjoint, so no two terms collide."""
+    weights = {}
+    weight = prod(len(values) for row in ranges for values in row)
+    for i, row in enumerate(ranges):
+        for j, values in enumerate(row):
+            weight //= len(values)
+            weights[i, j] = weight
+    polys = []
+    for group in groups:
+        offsets, others = [0], 1
+        for (i, j), w in weights.items():
+            n = len(ranges[i][j])
+            if (i, j) in group:
+                offsets = [o + x * w for o in offsets for x in range(n)]
+            else:
+                others = _place(others, (1 << n) - 1, range(0, n * w, w))
+        polys.append((offsets, others))
+    return polys
+
+
+def _sets_up_to_sign(groups: Iterable[Sequence[tuple[int, ...]]]) -> list[int]:
+    """Over the product of ``groups`` (the last fastest), each element's
+    set of vectors up to sign, as one bit per distinct vector OR-ed."""
+    bit_of: dict[tuple[int, ...], int] = {}
+    keys = [0]
+    for vectors in groups:
+        bits = [bit_of.setdefault(min(v, tuple(map(neg, v))), 1 << len(bit_of)) for v in vectors]
+        keys = [key | bit for key in keys for bit in bits]
+    return keys
+
+
+def _first_of_class(keys: Iterable[int]) -> list[int]:
+    """For each key, the position of its first occurrence."""
+    first: dict[int, int] = {}
+    return list(map(first.setdefault, keys, count()))
+
+
+def _place(unit: int, mask: int, offsets: Sequence[int]) -> int:
+    """The sum of ``unit`` shifted by ``offsets[i]`` for each set bit i of
+    ``mask``."""
+    return sum(unit << offsets[i] for i in _set_bits(mask))
+
+
+def _orthogonal(vectors: Sequence[tuple[int, ...]], others: Sequence[tuple[int, ...]],
+                order: int) -> list[int]:
+    """For each vector v of ``vectors``, the bitmask of the positions of
+    the ``others`` w with v . w = 0 modulo ``order`` (0: exactly); all
+    vectors have one length.  Modulo an order the test is a loop over
+    the residues; exactly, it is ``_zero_dot_products``."""
+    if order:
+        residues = [tuple(x % order for x in w) for w in others]
+
+        def kills(v):
+            return sum(1 << b for b, w in enumerate(residues) if not sum(map(mul, v, w)) % order)
+    else:
+        kills = _zero_dot_products(others, max(map(abs, chain.from_iterable(vectors)), default=0))
+    found = {v: kills(v) for v in set(vectors)}
+    return list(map(found.__getitem__, vectors))
+
+
+def _zero_dot_products(others: Sequence[tuple[int, ...]], top_v: int) -> Callable[[tuple], int]:
+    """The test that maps a vector v, of entries at most ``top_v`` in
+    absolute value, to the bitmask of the ``others`` w with v . w = 0.
+
+    The ``others`` are packed into one int per coordinate, vector number
+    b in lane b, so v's dot products with all of them at once are a few
+    big-int multiply-adds.  Lanes are W bits wide, W the least multiple
+    of 8 with n * G * C < 2^(W-1) and G < 2^(W-1), where n is the length
+    and G and C are the largest absolute entries of the others and of v;
+    a bias of 2^(W-1) per lane then keeps every lane in [0, 2^W), so no
+    lane borrows from or carries into the next, and a lane equals the
+    bias exactly when its dot product is 0.  The packed ints are built
+    from the lanes' biased bytes.  The top byte of each lane holds its
     zero flag, and ``bytes.translate`` with ``int(..., 2)`` packs the
-    flags back into one bit per g.  Rows into torsion generators keep
-    the exact loop modulo their orders, over the g the free rows leave."""
-    if not second:
-        return [0 for _ in first]
-    free = target.free_rank
-    torsion = tuple(enumerate(target.torsion, start=free))
-    n = len(second[0][0]) if second[0] else 0
-    lanes = len(second)
-    top = max(map(abs, chain.from_iterable(chain.from_iterable(g[:free] for g in second))),
-              default=0)
-    top_col = max(map(abs, chain.from_iterable(chain.from_iterable(first))), default=0)
-    width = 8 * (max(n * top * top_col, top).bit_length() // 8 + 1)
+    flags back into one bit per other vector."""
+    if not others:
+        return lambda v: 0
+    n = len(others[0])
+    lanes = len(others)
+    top = max(map(abs, chain.from_iterable(others)), default=0)
+    width = 8 * (max(n * top * top_v, top).bit_length() // 8 + 1)
     lane_bytes = width // 8
     ones = int.from_bytes(b"\x01".ljust(lane_bytes, b"\x00") * lanes, "little")
     high = ones << (width - 1)  # the bias, and the top bit of every lane
     low = high - ones
     lane_of: dict[int, bytes] = {}  # an entry's biased lane bytes
-    parts = [bytearray() for _ in range(free * n)]
-    for g in second:
-        for part, x in zip(parts, chain.from_iterable(g[:free])):
+    parts = [bytearray() for _ in range(n)]
+    for w in others:
+        for part, x in zip(parts, w):
             part += lane_of.get(x) or lane_of.setdefault(
                 x, (x + (1 << (width - 1))).to_bytes(lane_bytes, "little"))
-    packed = [[int.from_bytes(part, "little") - high for part in parts[i * n:(i + 1) * n]]
-              for i in range(free)]
-    kills: dict[tuple[int, ...], int] = {}
+    packed = [int.from_bytes(part, "little") - high for part in parts]
 
-    def killers(col: tuple[int, ...]) -> int:
-        nonzero = 0
-        for row in packed:
-            nonzero |= (sum(map(mul, row, col)) + high) ^ high
+    def kills(v):
+        nonzero = (sum(map(mul, packed, v)) + high) ^ high
         flags = ((((nonzero & low) + low) | nonzero) & high) ^ high
         digits = flags.to_bytes(lanes * lane_bytes, "big")[::lane_bytes]
-        mask = int(digits.translate(_FLAG_DIGITS), 2)
-        if torsion:
-            left = mask
-            while left:
-                low_bit = left & -left
-                left ^= low_bit
-                g_rows = second[low_bit.bit_length() - 1]
-                if any(sum(map(mul, g_rows[i], col)) % o for i, o in torsion):
-                    mask ^= low_bit
-        return mask
+        return int(digits.translate(_FLAG_DIGITS), 2)
 
-    out = []
-    for f in first:
-        mask = (1 << lanes) - 1
-        for col in zip(*f):
-            m = kills.get(col)
-            if m is None:
-                m = kills[col] = killers(col)
-            mask &= m
-        out.append(mask)
-    return out
+    return kills
 
 
 # the top byte of a lane's zero flag (0x80 or 0) as a binary digit
@@ -806,21 +913,6 @@ def _set_bits(mask: int) -> Iterator[int]:
     ``bin`` scan: taking bits off one at a time (``mask & -mask``) costs
     time linear in the mask for each bit."""
     return compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_DIGITS))
-
-
-def _transpose_masks(masks: list[int], width: int) -> list[int]:
-    """Bit-matrix transpose: bit a of out[b] is bit b of masks[a]; equal
-    rows of ``out`` are one object.  The rows are set in one byte array,
-    ``size`` bytes each, and each is read back once."""
-    size = len(masks) // 8 + 1
-    bits = bytearray(width * size)
-    for a, mask in enumerate(masks):
-        byte, flag = a >> 3, 1 << (a & 7)
-        for b in _set_bits(mask):
-            bits[b * size + byte] |= flag
-    rows: dict[int, int] = {}
-    return [rows.setdefault(row, row) for row in (
-        int.from_bytes(bits[i:i + size], "little") for i in range(0, width * size, size))]
 
 
 def _components(slots: list[tuple[Position, Position]]) -> list[list[tuple[Position, Position]]]:

@@ -289,7 +289,7 @@ def component_classes_without_skipping(arrows, groups, bound, signature_position
 
 
 def vanishing_masks_by_loop(first, second, target):
-    """Reference for ``spectra._vanishing_masks``: for each hom f in
+    """Reference for ``EnumerationTable.masks``: for each hom f in
     ``first``, bit b set when g = second[b] kills every column of f's
     matrix, one plain dot product per (column, g, target row), each
     tested modulo the target generator order."""
@@ -315,6 +315,27 @@ def vanishing_masks_by_loop(first, second, target):
             if col not in kills:
                 kills[col] = killers(col)
             mask &= kills[col]
+        out.append(mask)
+    return out
+
+
+def transpose_masks(masks, width):
+    """Bit-matrix transpose: bit a of out[b] is bit b of masks[a], for
+    ``width`` output rows."""
+    return [sum(1 << a for a, mask in enumerate(masks) if mask >> b & 1) for b in range(width)]
+
+
+def orthogonal_by_loop(vectors, others, order):
+    """Reference for ``spectra._orthogonal``: for each vector v, bit b
+    set when v . others[b] is 0 modulo ``order`` (0: exactly), one plain
+    dot product per pair."""
+    out = []
+    for v in vectors:
+        mask = 0
+        for b, w in enumerate(others):
+            x = sum(map(operator.mul, v, w))
+            if not (x % order if order else x):
+                mask |= 1 << b
         out.append(mask)
     return out
 

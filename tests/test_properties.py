@@ -1,5 +1,6 @@
 """Randomized properties of the transform-free Smith diagonal, of the
-packed vanishing masks, the per-hom homology rule and the sibling rule
+vanishing masks and the kill table behind them, of the cokernels and
+images read off row classes, the per-hom homology rule and the sibling rule
 behind ``spectra._component_classes``, of the worst-case run behind the
 pruner and the window check, of the pruner's rank-flow lookahead, and of
 the per-window deduplication in ``exactness.certify_nonexistence``."""
@@ -9,6 +10,7 @@ import functools
 import io
 import json
 import operator
+import random
 import tempfile
 from importlib import resources
 from math import gcd
@@ -27,14 +29,14 @@ from cobcheck.cli import main
 from cobcheck.exactness import CobordismClaim, certify_nonexistence
 from cobcheck.graded import GradedGroup, LaurentGrading
 from cobcheck.spectra import (EnumerationTable, WindowError, _component_classes,
-                              _first_active_page, _transpose_masks, _vanishing_masks,
-                              _worst_case_run, build_e1, solve_floer)
+                              _first_active_page, _orthogonal, _worst_case_run, build_e1,
+                              solve_floer)
 from cobcheck.topology import LagrangianDescriptor
 
 import oracles
 from oracles import (certify_nonexistence_per_branch, component_classes_by_product,
-                     flow_values_by_product, solve_floer_without_pruning,
-                     vanishing_masks_by_loop)
+                     flow_values_by_product, orthogonal_by_loop, solve_floer_without_pruning,
+                     transpose_masks, vanishing_masks_by_loop)
 from test_spectra import assert_pruning_keeps_the_leaves, classes_match_search_without_skipping
 
 
@@ -121,16 +123,22 @@ def space_size(source: FgAbGroup, target: FgAbGroup, bound: int) -> int:
     return n
 
 
-def entry_rows(homs):
-    """The matrices of ``homs`` as ``_vanishing_masks`` takes them."""
-    return [h.matrix.entries for h in homs]
+def columns(homs):
+    """The columns of the matrices of ``homs``, in order."""
+    return [col for h in homs for col in zip(*h.matrix.entries)]
+
+
+def row_values(homs, t):
+    """Row t of the matrices of ``homs``, in order."""
+    return [h.matrix.entries[t] for h in homs]
 
 
 @settings(deadline=None, database=None, max_examples=120)
 @given(st.data())
 def test_packed_masks_match_the_loop_over_hom_spaces(data):
-    # both hom spaces of a pair A -> M -> T at bound 1-6, or random
-    # subsets of them (empty ones included), in both DFS orders
+    # both hom spaces of a pair A -> M -> T at bound 1-6 in both DFS
+    # orders, and the kill table behind them on random lists of row
+    # values and columns drawn from them (duplicates included)
     bound = data.draw(st.integers(1, 6))
     shape = data.draw(st.tuples(*[st.sampled_from(MASK_GROUPS)] * 3).filter(
         lambda g: max(space_size(g[0], g[1], bound), space_size(g[1], g[2], bound)) <= 2000))
@@ -139,11 +147,15 @@ def test_packed_masks_match_the_loop_over_hom_spaces(data):
     first, second = table.space(source, middle, bound), table.space(middle, target, bound)
     want = vanishing_masks_by_loop(first.homs, second.homs, target)
     assert table.masks(first, second, False) == want
-    assert table.masks(first, second, True) == _transpose_masks(want, len(second.homs))
+    assert table.masks(first, second, True) == transpose_masks(want, len(second.homs))
     some_first = data.draw(st.lists(st.sampled_from(first.homs), max_size=30))
     some_second = data.draw(st.lists(st.sampled_from(second.homs), max_size=30))
-    assert (_vanishing_masks(entry_rows(some_first), entry_rows(some_second), target)
-            == vanishing_masks_by_loop(some_first, some_second, target))
+    for t, o in enumerate(target.generator_orders()):
+        rows = row_values(some_second, t)
+        assert (_orthogonal(rows, columns(some_first), o)
+                == orthogonal_by_loop(rows, columns(some_first), o))
+        assert (_orthogonal(columns(some_first), rows, o)
+                == orthogonal_by_loop(columns(some_first), rows, o))
 
 
 @settings(deadline=None, database=None, max_examples=60)
@@ -154,22 +166,54 @@ def test_packed_masks_match_the_loop_on_large_entries(data):
     size = data.draw(st.sampled_from([1, 10**3, 10**9]))
     first = data.draw(st.lists(homs(source, middle, bound=size), max_size=8))
     second = data.draw(st.lists(homs(middle, target, bound=size), max_size=8))
-    assert (_vanishing_masks(entry_rows(first), entry_rows(second), target)
-            == vanishing_masks_by_loop(first, second, target))
+    for t, o in enumerate(target.generator_orders()):
+        rows = row_values(second, t)
+        assert _orthogonal(rows, columns(first), o) == orthogonal_by_loop(rows, columns(first), o)
+        assert _orthogonal(columns(first), rows, o) == orthogonal_by_loop(columns(first), rows, o)
     # Z -> Z^2 -> Z: (a, b) is killed by every multiple of (b, -a) and
     # by no row one entry away from one; the lanes of those rows sit
     # between lanes of large dot products, positive and negative
     a = data.draw(st.integers(1, 10**12))
     b = data.draw(st.integers(-10**12, 10**12))
-    f = GroupHom(FgAbGroup(1), FgAbGroup(2), IntMatrix.from_rows([[a], [b]]))
-    rows = [[b + 1, -a], [b - 1, -a]] * 3  # dot products a and -a
-    rows[1:1] = [[c * b, -c * a] for c in (-1, 0, 1)]
-    rows[6:6] = [[2 * b, -2 * a]]
-    second = [GroupHom(FgAbGroup(2), FgAbGroup(1), IntMatrix.from_rows([row])) for row in rows]
-    masks = _vanishing_masks(entry_rows([f]), entry_rows(second), FgAbGroup(1))
-    assert masks == vanishing_masks_by_loop([f], second, FgAbGroup(1))
+    rows = [(b + 1, -a), (b - 1, -a)] * 3  # dot products a and -a
+    rows[1:1] = [(c * b, -c * a) for c in (-1, 0, 1)]
+    rows[6:6] = [(2 * b, -2 * a)]
+    masks = _orthogonal([(a, b)], rows, 0)
+    assert masks == orthogonal_by_loop([(a, b)], rows, 0)
     assert [masks[0] >> i & 1 for i in range(len(rows))] == [
         int(x * a + y * b == 0) for x, y in rows]
+
+
+@pytest.mark.parametrize("shape", [(Z, FgAbGroup(3), FgAbGroup(3)),
+                                   (FgAbGroup(3), FgAbGroup(3), Z)], ids=["Z-Z3-Z3", "Z3-Z3-Z"])
+def test_masks_of_the_t3_pairs_match_composites(shape):
+    # the two pairs of the T^3 table at step 2, bound 1, where one space
+    # has 19,683 homs: random (f, g) bits in both orientations
+    source, middle, target = shape
+    table = EnumerationTable()
+    first, second = table.space(source, middle, 1), table.space(middle, target, 1)
+    by_first, by_second = table.masks(first, second, False), table.masks(first, second, True)
+    rng = random.Random(0)
+    for _ in range(300):
+        f, g = rng.randrange(len(first.homs)), rng.randrange(len(second.homs))
+        vanishes = composite_is_zero(first.homs[f], second.homs[g])
+        assert by_first[f] >> g & 1 == by_second[g] >> f & 1 == vanishes
+
+
+@settings(deadline=None, database=None, max_examples=60)
+@given(st.data())
+def test_cokernels_and_images_match_each_hom(data):
+    # every hom of a space into a free, torsion or mixed target: the
+    # cokernel read off its row class and the image read off the
+    # cokernel or the kernel lattice, against each hom's own
+    bound = data.draw(st.integers(1, 3))
+    source, target = data.draw(st.tuples(*[st.sampled_from(MASK_GROUPS)] * 2).filter(
+        lambda g: space_size(g[0], g[1], bound) <= 2000))
+    space = EnumerationTable().space(source, target, bound)
+    for h, hom in enumerate(space.homs):
+        assert space.coker(h) == cokernel(hom.matrix.hstack(relation_matrix(target)))
+        image = cokernel(preimage_lattice(hom))  # source / kernel
+        assert space.image(h) == (image.free_rank, not image.torsion)
 
 
 @settings(deadline=None, database=None, max_examples=40)

@@ -1,7 +1,7 @@
 import pytest
 
 from cobcheck import spectra
-from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, cyclic,
+from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, cokernel, cyclic,
                               hom_images, subquotient)
 from cobcheck.graded import GradedGroup
 from cobcheck.cli import branch_lines
@@ -519,3 +519,20 @@ def test_hom_spaces_build_homs_only_when_indexed(monkeypatch):
     tree = solve_floer(h, 2, entry_bound=1)
     assert len(tree.leaves) == 16
     assert 0 < len(built) <= 300
+
+
+def test_t3_cokernels_are_taken_once_per_row_class(monkeypatch):
+    # the T^3 table at step 2, bound 1: a cokernel is fixed by the set of
+    # a hom's rows up to sign, so the 19,683 homs of Z^3 -> Z^3 and the
+    # three smaller spaces need 488 Smith diagonals in all
+    calls = []
+    monkeypatch.setattr(spectra, "cokernel", lambda m: calls.append(m) or cokernel(m))
+    built = []
+    post_init = BigradedPage.__post_init__
+    monkeypatch.setattr(BigradedPage, "__post_init__",
+                        lambda page: built.append(page) or post_init(page))
+    h = GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z})
+    tree = solve_floer(h, 2, entry_bound=1)
+    assert len(tree.leaves) == 16
+    assert len(built) <= 1700
+    assert 0 < len(calls) <= 488
