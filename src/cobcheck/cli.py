@@ -613,11 +613,10 @@ def run(sc: ObstructionScenario) -> RunReport:
                     raise AdmissibilityError(
                         f"spin check for ({claim.ends[0]}, {claim.ends[1]}): end {lag.name} "
                         "has no homology data")
-            s_dims = z2_cohomology_dims(homology(decl.space), [1, 2])
-            ranks = {k: (s_dims[k] if k in decl.restriction_surjective_degrees else 0)
-                     for k in (1, 2)}
-            ok = mayer_vietoris_spin_check(_z2_table(first.space), _z2_table(second.space),
-                                           _z2_table(decl.space), ranks)
+            s_table = _z2_table(decl.space)
+            ranks = {k: (len(s_table.entry(k).torsion)
+                         if k in decl.restriction_surjective_degrees else 0) for k in (1, 2)}
+            ok = mayer_vietoris_spin_check(_z2_table(first.space), s_table, ranks)
             if not ok:
                 raise AdmissibilityError(
                     f"spin check for ({claim.ends[0]}, {claim.ends[1]}): restriction to the "
@@ -702,9 +701,9 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     check = sub.add_parser("check", help="run a scenario file")
     check.add_argument("scenario", help="path to a scenario JSON file")
-    check.add_argument("--branch-bound", type=int, default=None,
+    check.add_argument("--branch-bound", default=None,
                        help="override the differential entry bound")
-    check.add_argument("--window", type=int, default=None,
+    check.add_argument("--window", default=None,
                        help="override the column window half-width (in column steps)")
     check.add_argument("--emit-trace", metavar="PATH", default=None,
                        help="write the derivation trace to PATH")
@@ -716,9 +715,10 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             sc = parse_scenario(fh.read())
         if args.branch_bound is not None:
-            sc = replace(sc, entry_bound=_at_least("entry_bound", args.branch_bound, 1))
+            sc = replace(sc, entry_bound=_at_least(
+                "entry_bound", _integer(args.branch_bound, "entry_bound"), 1))
         if args.window is not None:
-            sc = replace(sc, window=_at_least("window", args.window, 2))
+            sc = replace(sc, window=_at_least("window", _integer(args.window, "window"), 2))
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 1

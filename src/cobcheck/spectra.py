@@ -19,19 +19,22 @@ of the full product of hom spaces.
 Which maps compose to zero comes from vanishing masks, and they factor
 by rows and columns: g o f = 0 exactly when every row of g kills every
 column of f modulo that row's target order, and a hom space is the
-product of per-entry ranges in row-major order.  One kill table per
-pair of spaces, each row value of the second against each value of
-each column of the first (exact dot products packed into big-int
-lanes), gives both orientations.  A mask indexed by g is the AND over
-g's rows of what each kills, a product of per-column bit polynomials
-over f's mixed-radix index; a mask indexed by f is the Kronecker
-product, over g's rows, of the row values that kill f.  Cokernels come
-from rows too: target / (im + relations) is fixed by the number of
-rows and the lattice the rows of [matrix | relations] span, so by the
-set of those rows up to sign.  One pass over a space in product order,
-OR-ing one bit per distinct row, gives each hom its row class, and the
-masks indexed by the space, its cokernels and its images are
-computed once per class.
+product of per-entry ranges in row-major order.  Every arrow of a
+page has the same bidegree, so a position has at most one arrow in and
+one out, a component is one chain, and in source order the arrow out of
+an arrow's target comes just before it.  So a mask is indexed by the
+homs g of the earlier arrow and holds one bit per hom f of the later
+one.  One kill table per pair of spaces, each row value of g's space
+against each value of each column of f's (exact dot products packed
+into big-int lanes), gives the masks: the mask of g is the AND over f's
+columns of the per-column bit polynomials, over f's mixed-radix index,
+of the values that all of g's rows kill.  Cokernels come from rows
+too: target / (im + relations) is fixed by the number of rows and the
+lattice the rows of [matrix | relations] span, so by the set of those
+rows up to sign.  One pass over a space in product order, OR-ing one
+bit per distinct row, gives each hom its row class, and the masks
+indexed by the space, its cokernels and its images are computed once
+per class.
 
 Sibling rule: under one prefix, a hom is skipped when an earlier
 sibling has the same signature, which is everything later work reads
@@ -524,7 +527,7 @@ class EnumerationTable:
 
     def __init__(self):
         self._spaces: dict[tuple[FgAbGroup, FgAbGroup, int], _HomSpace] = {}
-        self._masks: dict[tuple[_HomSpace, _HomSpace, bool], list[int]] = {}
+        self._masks: dict[tuple[_HomSpace, _HomSpace], list[int]] = {}
         self._shapes: dict[tuple, tuple[_ComponentClass, ...]] = {}
         self._placed: dict[tuple, tuple[_ComponentClass, ...]] = {}
         self._keys: dict[FgAbGroup, _Key] = {}
@@ -543,13 +546,13 @@ class EnumerationTable:
             key = self._keys[grp] = _group_key(grp)
         return key
 
-    def masks(self, first: _HomSpace, second: _HomSpace, by_second: bool) -> list[int]:
-        """``_vanishing_masks`` of the two spaces, indexed by the homs of
-        ``first`` or, when ``by_second``, of ``second``."""
-        key = (first, second, by_second)
+    def masks(self, first: _HomSpace, second: _HomSpace) -> list[int]:
+        """``_vanishing_masks`` of the two spaces: indexed by the homs g
+        of ``second``, with bits over the homs f of ``first``."""
+        key = (first, second)
         masks = self._masks.get(key)
         if masks is None:
-            masks = self._masks[key] = _vanishing_masks(first, second, by_second)
+            masks = self._masks[key] = _vanishing_masks(first, second)
         return masks
 
     def classes(self, arrows: _Arrows,
@@ -594,19 +597,20 @@ def _component_classes(table: EnumerationTable,
     enumerates afresh; ``EnumerationTable.classes`` keeps the result
     per shape for the rest of the run.
 
-    A depth-first search places one hom per arrow, in ``arrows`` order,
-    and extends arrow k only with homs whose composite with every
-    already placed neighbour vanishes (bitmask tables over positions in
-    the hom space, from ``table``).  It visits labelings in the
-    lexicographic order of the full product, so each class keeps the
-    same first representative.
+    ``arrows`` is one chain in source order, as ``_components`` gives
+    it: arrow k - 1 leaves arrow k's target.  A depth-first search
+    places one hom per arrow in that order, the first from its whole
+    space and arrow k only from the homs that compose to zero with the
+    hom placed on arrow k - 1 (its vanishing mask, from ``table``).  It
+    visits labelings in the lexicographic order of the full product, so
+    each class keeps the same first representative.
 
     Sibling rule: under one prefix, a hom on arrow k is skipped when an
     earlier hom tried there has the same signature.  The signature is
-    everything later work reads of the hom: its mask rows for the later
-    arrows it constrains, and, at the signature positions it touches,
-    the rank and freeness of its image and its cokernel, plus the hom
-    itself wherever a torsion image sends its site to ``subquotient``.
+    everything later work reads of the hom: its mask for the next arrow,
+    and, at the signature positions it touches, the rank and freeness of
+    its image and its cokernel, plus the hom itself wherever a torsion
+    image sends its site to ``subquotient``.
     Equal signatures admit the same completions, and each completion
     gives the same homology under both homs, so every class the skipped
     hom reaches is reached under the earlier one by a labeling that is
@@ -628,19 +632,9 @@ def _component_classes(table: EnumerationTable,
     spaces = [table.space(group_of[s], group_of[t], bound) for s, t in arrows]
     incoming_idx = {t: i for i, (_, t) in enumerate(arrows)}
     outgoing_idx = {s: i for i, (s, _) in enumerate(arrows)}
-    # constraints[k]: (i, masks) for each placed-before neighbour i of
-    # arrow k; masks[h] has bit b set when hom b of arrow k composes to
-    # zero with hom h of arrow i.  later[i]: those masks lists of the
-    # arrows after arrow i, the mask rows of its homs that they read.
-    constraints: list[list[tuple[int, list[int]]]] = [[] for _ in arrows]
-    later: list[list[list[int]]] = [[] for _ in arrows]
-    for i, (_, tgt) in enumerate(arrows):
-        j = outgoing_idx.get(tgt)
-        if j is None:
-            continue
-        masks = table.masks(spaces[i], spaces[j], i > j)
-        constraints[max(i, j)].append((min(i, j), masks))
-        later[min(i, j)].append(masks)
+    # constraint[k] (k >= 1): masks[h] has bit b set when hom b of arrow
+    # k composes to zero with hom h of arrow k - 1
+    constraint = [None] + [table.masks(spaces[k], spaces[k - 1]) for k in range(1, len(arrows))]
     sites = [(pos, incoming_idx.get(pos), outgoing_idx.get(pos), {})
              for pos in signature_positions]
     in_sites = set(signature_positions)
@@ -680,7 +674,7 @@ def _component_classes(table: EnumerationTable,
         sibling rule), from one zip over the signature's parts."""
         space = spaces[k]
         source_site, target_site, feeds_subquotient = touches[k]
-        parts = list(later[k])
+        parts = constraint[k + 1:k + 2]  # the next arrow's mask, if any
         if source_site:
             images = space.images()
             parts.append(images if not space.target.torsion else
@@ -695,17 +689,9 @@ def _component_classes(table: EnumerationTable,
 
     sids = [sibling_ids(k) for k in range(len(arrows))]
 
-    def allowed(k: int) -> Iterator[int]:
-        """The homs of arrow k that compose to zero with the placed
-        neighbours, lowest index first."""
-        mask = (1 << len(spaces[k].homs)) - 1
-        for i, masks in constraints[k]:
-            mask &= masks[chosen[i]]
-        return _set_bits(mask)
-
     # pending[k]: homs of arrow k not yet tried under the current prefix,
     # in product order; tried[k]: the signatures already tried under it
-    pending = [allowed(0)] + [iter(())] * (len(arrows) - 1)
+    pending = [iter(range(len(spaces[0].homs)))] + [iter(())] * (len(arrows) - 1)
     tried: list[set[int]] = [set() for _ in arrows]
     k = 0
     while k >= 0:
@@ -720,7 +706,7 @@ def _component_classes(table: EnumerationTable,
         chosen[k] = h
         if k + 1 < len(arrows):
             k += 1
-            pending[k] = allowed(k)
+            pending[k] = _set_bits(constraint[k][h])
             tried[k].clear()
             continue
         key = tuple((site[0], homology(*site)) for site in sites)
@@ -734,85 +720,60 @@ def _component_classes(table: EnumerationTable,
     return tuple(classes.values())
 
 
-def _vanishing_masks(first: _HomSpace, second: _HomSpace, by_second: bool) -> list[int]:
-    """For each hom f of ``first``, the bitmask of the homs g of
-    ``second`` with g o f = 0; when ``by_second``, for each g the
-    bitmask of those f.  Equal masks are one object.
+def _vanishing_masks(first: _HomSpace, second: _HomSpace) -> list[int]:
+    """For each hom g of ``second``, the bitmask of the homs f of
+    ``first`` with g o f = 0.  Equal masks are one object.
 
     One kill table, each row value of ``second`` against each value of
-    each column of ``first`` (``_orthogonal``), gives both orientations
-    (see the module docstring): a mask indexed by g is the AND, over f's
-    columns, of the polynomials (``_digit_polys``) of the values that all
-    of g's rows kill; one indexed by f is the AND, over g's rows, of the
-    polynomials of the values that kill all of f's columns.  A mask is
-    built once per class: g's row class, or the set of f's columns up to
-    sign, OR-ed in column-major order and permuted to f's index."""
+    each column of ``first`` (``_orthogonal``), gives the masks (see the
+    module docstring): the mask of g is the AND, over f's columns, of
+    the polynomials (``_digit_polys``) of the values that all of g's
+    rows kill.  It is built once per row class of g."""
     ranges = first.homs.matrices.entries  # ranges[j][c]: the values of entry (j, c) of f
     columns = [tuple(product(*column)) for column in zip(*ranges)]
-    rows = second.homs.matrices.rows
     orders = second.target.generator_orders()
-    if by_second:
-        indexed, over, classes, parts_of = second, first, second.row_class, tuple
-        # kills[c][t]: each value of row t of g -> the values of column c it kills
-        kills = [[dict(zip(values, _orthogonal(values, column, o)))
-                  for values, o in zip(rows, orders)] for column in columns]
-        groups = [{(j, c) for j in range(len(ranges))} for c in range(len(columns))]
-    else:
-        indexed, over, parts_of = first, second, lambda f: tuple(zip(*f))
-        # kills[t][c]: each value of column c of f -> the values of row t that kill it
-        kills = [[dict(zip(column, _orthogonal(column, values, o))) for column in columns]
-                 for values, o in zip(rows, orders)]
-        groups = [{(t, j) for j in range(len(row))}
-                  for t, row in enumerate(second.homs.matrices.entries)]
-        # f's index from its column-major one: entry (j, c) weighs the
-        # values of the later columns times those of the later entries of c
-        moved = [0]
-        for j, row in enumerate(ranges):
-            for c, values in enumerate(row):
-                w = prod(map(len, columns[c + 1:])) * prod(len(r[c]) for r in ranges[j + 1:])
-                moved = [m + x * w for m in moved for x in range(len(values))]
-        keys = _sets_up_to_sign(columns)
-        classes = _first_of_class(map(keys.__getitem__, moved))
-    polys = _digit_polys(over.homs.matrices.entries, groups)
+    # kills[c][t]: each value of row t of g -> the values of column c of f it kills
+    kills = [[dict(zip(values, _orthogonal(values, column, o)))
+              for values, o in zip(second.homs.matrices.rows, orders)] for column in columns]
+    polys = _digit_polys(ranges)
     interned: dict[int, int] = {}
     placed: dict[tuple[int, int], int] = {}
     by_class = {}
-    for rep in dict.fromkeys(classes):
-        parts = parts_of(indexed.homs.matrices[rep])
-        mask = (1 << len(over.homs)) - 1
-        for i, ((offsets, others), group_kills) in enumerate(zip(polys, kills)):
+    for rep in dict.fromkeys(second.row_class):
+        rows = second.homs.matrices[rep]
+        mask = (1 << len(first.homs)) - 1
+        for c, ((offsets, others), column_kills) in enumerate(zip(polys, kills)):
             allowed = (1 << len(offsets)) - 1
-            for value, part_kills in zip(parts, group_kills):
-                allowed &= part_kills[value]
-            poly = placed.get((i, allowed))
+            for value, row_kills in zip(rows, column_kills):
+                allowed &= row_kills[value]
+            poly = placed.get((c, allowed))
             if poly is None:
-                poly = placed[i, allowed] = _place(others, allowed, offsets)
+                poly = placed[c, allowed] = _place(others, allowed, offsets)
             mask &= poly
         by_class[rep] = interned.setdefault(mask, mask)
-    return list(map(by_class.__getitem__, classes))
+    return list(map(by_class.__getitem__, second.row_class))
 
 
-def _digit_polys(ranges: tuple[tuple[tuple[int, ...], ...], ...],
-                 groups: list[set[tuple[int, int]]]) -> list[tuple[list[int], int]]:
-    """For each group of entries of a matrix space whose entry (i, j)
-    runs over ``ranges[i][j]`` (row-major, the last entry fastest): the
-    offset in the space's index of each value of the group's entries, in
-    product order, and the bit polynomial of the other entries, the sum
-    of 2 to the offset of each of their values.  The matrices whose group
-    takes a value in a set S are then the offsets of S times that
-    polynomial; the digits are disjoint, so no two terms collide."""
+def _digit_polys(ranges: tuple[tuple[tuple[int, ...], ...], ...]) -> list[tuple[list[int], int]]:
+    """For each column of a matrix space whose entry (j, c) runs over
+    ``ranges[j][c]`` (row-major, the last entry fastest): the offset in
+    the space's index of each value of the column's entries, in product
+    order, and the bit polynomial of the other entries, the sum of 2 to
+    the offset of each of their values.  The matrices whose column takes
+    a value in a set S are then the offsets of S times that polynomial;
+    the digits are disjoint, so no two terms collide."""
     weights = {}
     weight = prod(len(values) for row in ranges for values in row)
-    for i, row in enumerate(ranges):
-        for j, values in enumerate(row):
+    for j, row in enumerate(ranges):
+        for c, values in enumerate(row):
             weight //= len(values)
-            weights[i, j] = weight
+            weights[j, c] = weight
     polys = []
-    for group in groups:
+    for column in range(len(ranges[0]) if ranges else 0):
         offsets, others = [0], 1
-        for (i, j), w in weights.items():
-            n = len(ranges[i][j])
-            if (i, j) in group:
+        for (j, c), w in weights.items():
+            n = len(ranges[j][c])
+            if c == column:
                 offsets = [o + x * w for o in offsets for x in range(n)]
             else:
                 others = _place(others, (1 << n) - 1, range(0, n * w, w))
@@ -916,7 +877,10 @@ def _set_bits(mask: int) -> Iterator[int]:
 
 
 def _components(slots: list[tuple[Position, Position]]) -> list[list[tuple[Position, Position]]]:
-    """Connected components of the arrow set under shared positions."""
+    """Connected components of the arrow set under shared positions,
+    each as its arrows sorted by source: for the arrows of one page, a
+    chain in which each arrow's target is the source of the arrow before
+    it, the order ``_component_classes`` reads."""
     parent: dict[Position, Position] = {}
 
     def find(x):

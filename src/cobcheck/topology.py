@@ -222,14 +222,14 @@ def monotonicity_constant(ambient_dim: int) -> MonotonicityConstant:
 # Mayer-Vietoris spin check
 
 
-def mayer_vietoris_spin_check(l1: GradedGroup, l2: GradedGroup, s: GradedGroup,
+def mayer_vietoris_spin_check(l1: GradedGroup, s: GradedGroup,
                               restriction_ranks: dict[int, int]) -> bool:
     """Rank check over Z_2 for a space glued from two pieces along s.
 
     Inputs are Z_2-cohomology dimension tables (entries are elementary
-    abelian 2-groups) for the pieces and the intersection, plus the
-    declared ranks of the degreewise restriction from the first piece
-    to s.  Returns True when the declared restriction is surjective in
+    abelian 2-groups) for the first piece l1 and the intersection s,
+    plus the declared ranks of the degreewise restriction from l1 to s.
+    Returns True when the declared restriction is surjective in
     degrees 1 and 2, which by Mayer-Vietoris exactness forces the
     pullback to the pieces to be injective in degrees 1 and 2; with
     spin pieces that pins w_1 and w_2 of the glued space to zero.

@@ -289,10 +289,11 @@ def component_classes_without_skipping(arrows, groups, bound, signature_position
 
 
 def vanishing_masks_by_loop(first, second, target):
-    """Reference for ``EnumerationTable.masks``: for each hom f in
-    ``first``, bit b set when g = second[b] kills every column of f's
-    matrix, one plain dot product per (column, g, target row), each
-    tested modulo the target generator order."""
+    """Reference for ``EnumerationTable.masks``, which is its transpose
+    (``transpose_masks``): for each hom f in ``first``, bit b set when
+    g = second[b] kills every column of f's matrix, one plain dot
+    product per (column, g, target row), each tested modulo the target
+    generator order."""
     orders = target.generator_orders()
     rows = [g.matrix.entries for g in second]
     kills = {}

@@ -506,12 +506,17 @@ def test_cli_window_and_bound_overrides(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, field", [
     ("--branch-bound", "0", "entry_bound"),
     ("--window", "1", "window"),
+    ("--branch-bound", "2.5", "entry_bound"),
+    ("--window", "x", "window"),
 ])
 def test_cli_rejects_invalid_overrides(capsys, flag, value, field):
+    # out of range or not an integer: a validation error (exit 1), as
+    # for the same field in the document
     code = main(["check", str(bundled("paper_cp7.json")), flag, value])
     err = capsys.readouterr().err
     assert code == 1
-    assert f"validation error: {field}: must be" in err
+    problem = "must be" if value.isdigit() else f"expected an integer, got {value!r}"
+    assert f"validation error: {field}: {problem}" in err
 
 
 def test_cli_window_too_small_is_a_validation_error(tmp_path, capsys):

@@ -37,3 +37,22 @@ def test_every_private_definition_in_src_is_used_in_src():
               if name.startswith("_") and not name.startswith("__")
               and not any(name in r for j, r in enumerate(refs) if j != i)]
     assert not unused, f"private definitions that no other src/ code refers to: {unused}"
+
+
+def test_every_parameter_in_src_is_read():
+    # a parameter of a def that its body never reads is dead weight for
+    # every caller; self and cls are exempt, and so are lambdas, which
+    # may ignore their argument on purpose
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      *filter(None, (args.vararg, args.kwarg)))]
+            read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {node.name}({p})" for p in params
+                       if p not in read and p not in ("self", "cls")]
+    assert not unread, f"parameters that their function never reads: {unread}"

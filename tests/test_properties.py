@@ -136,9 +136,10 @@ def row_values(homs, t):
 @settings(deadline=None, database=None, max_examples=120)
 @given(st.data())
 def test_packed_masks_match_the_loop_over_hom_spaces(data):
-    # both hom spaces of a pair A -> M -> T at bound 1-6 in both DFS
-    # orders, and the kill table behind them on random lists of row
-    # values and columns drawn from them (duplicates included)
+    # both hom spaces of a pair A -> M -> T at bound 1-6, masks indexed
+    # by the second as the chain DFS reads them, and the kill table
+    # behind them on random lists of row values and columns drawn from
+    # them (duplicates included)
     bound = data.draw(st.integers(1, 6))
     shape = data.draw(st.tuples(*[st.sampled_from(MASK_GROUPS)] * 3).filter(
         lambda g: max(space_size(g[0], g[1], bound), space_size(g[1], g[2], bound)) <= 2000))
@@ -146,8 +147,7 @@ def test_packed_masks_match_the_loop_over_hom_spaces(data):
     table = EnumerationTable()
     first, second = table.space(source, middle, bound), table.space(middle, target, bound)
     want = vanishing_masks_by_loop(first.homs, second.homs, target)
-    assert table.masks(first, second, False) == want
-    assert table.masks(first, second, True) == transpose_masks(want, len(second.homs))
+    assert table.masks(first, second) == transpose_masks(want, len(second.homs))
     some_first = data.draw(st.lists(st.sampled_from(first.homs), max_size=30))
     some_second = data.draw(st.lists(st.sampled_from(second.homs), max_size=30))
     for t, o in enumerate(target.generator_orders()):
@@ -188,16 +188,18 @@ def test_packed_masks_match_the_loop_on_large_entries(data):
                                    (FgAbGroup(3), FgAbGroup(3), Z)], ids=["Z-Z3-Z3", "Z3-Z3-Z"])
 def test_masks_of_the_t3_pairs_match_composites(shape):
     # the two pairs of the T^3 table at step 2, bound 1, where one space
-    # has 19,683 homs: random (f, g) bits in both orientations
+    # has 19,683 homs: every mask against the loop, and random (f, g)
+    # bits against the composite
     source, middle, target = shape
     table = EnumerationTable()
     first, second = table.space(source, middle, 1), table.space(middle, target, 1)
-    by_first, by_second = table.masks(first, second, False), table.masks(first, second, True)
+    masks = table.masks(first, second)
+    assert masks == transpose_masks(vanishing_masks_by_loop(first.homs, second.homs, target),
+                                    len(second.homs))
     rng = random.Random(0)
     for _ in range(300):
         f, g = rng.randrange(len(first.homs)), rng.randrange(len(second.homs))
-        vanishes = composite_is_zero(first.homs[f], second.homs[g])
-        assert by_first[f] >> g & 1 == by_second[g] >> f & 1 == vanishes
+        assert masks[g] >> f & 1 == composite_is_zero(first.homs[f], second.homs[g])
 
 
 @settings(deadline=None, database=None, max_examples=60)
@@ -223,10 +225,10 @@ def test_component_classes_of_random_chains_match_product_enumeration(shape, bou
     # A -> M -> B: every class the enumerator reports at A, M and B
     # (image ranks into free and torsion targets, the cokernel rule and
     # its lattice fallback) against homology_at on every labeling of
-    # the product
+    # the product, with the arrows in source order as the solver passes them
     positions = ((4, 0), (0, 3), (-4, 6))
     groups_at = tuple(zip(positions, shape))
-    arrows = tuple(zip(positions, positions[1:]))
+    arrows = tuple(zip(positions, positions[1:]))[::-1]
     got = _component_classes(EnumerationTable(), arrows, groups_at, bound, positions)
     assert got == component_classes_by_product(arrows, groups_at, bound, positions)
 

@@ -370,15 +370,14 @@ CHAIN_SHAPES = pytest.mark.parametrize("shape", [
 
 
 def chain_problems(shape):
-    """The chain of ``shape`` on CHAIN: its groups, and three arrow
-    orders by three signatures (all positions, all but the first, all
-    but the middle one)."""
+    """The chain of ``shape`` on CHAIN: its groups, and its arrows in
+    source order, as the solver passes them, by three signatures (all
+    positions, all but the first, all but the middle one)."""
     positions = CHAIN[:len(shape)]
     groups = tuple(zip(positions, shape))
-    forward = tuple(zip(positions, positions[1:]))
-    orders = {forward, forward[::-1], forward[1:] + forward[:1]}
+    arrows = tuple(zip(positions, positions[1:]))[::-1]
     signatures = [positions, positions[1:], positions[:1] + positions[2:]]
-    return groups, [(arrows, signature) for arrows in orders for signature in signatures]
+    return groups, [(arrows, signature) for signature in signatures]
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3])
@@ -394,6 +393,31 @@ def test_component_classes_match_product_enumeration(shape, bound, monkeypatch):
         assert got == component_classes_by_product(arrows, groups, bound, signature)
     if shape in FALLBACK_AT_MIDDLE:
         assert (shape[1] in fallback_middles) == FALLBACK_AT_MIDDLE[shape]
+
+
+@pytest.mark.parametrize("h, step, kw, longest", [
+    (H_R, 4, {}, 2),
+    (GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z}), 2,
+     {"entry_bound": 1}, 3),
+    (H_RP7, 4, {"col_span": 4}, 1),
+], ids=["flagship-s4", "t3-s2-b1", "rp7-s4-w4"])
+def test_solves_pass_each_component_as_one_chain_in_source_order(monkeypatch, h, step, kw,
+                                                                 longest):
+    # the enumerator constrains arrow k by arrow k - 1 alone: every
+    # component a solve passes is one chain, sorted by source, in which
+    # arrow k - 1 leaves arrow k's target
+    calls = []
+
+    def recorded(table, arrows, groups, bound, signature):
+        calls.append(arrows)
+        return _component_classes(table, arrows, groups, bound, signature)
+
+    monkeypatch.setattr(spectra, "_component_classes", recorded)
+    solve_floer(h, step, **kw)
+    assert max(map(len, calls)) == longest
+    for arrows in calls:
+        assert list(arrows) == sorted(arrows)
+        assert all(arrows[k][1] == arrows[k - 1][0] for k in range(1, len(arrows)))
 
 
 # ---------------------------------------------------------------------------
