@@ -138,11 +138,27 @@ def _required(raw: dict, key: str, path: str):
 
 
 def _integer(raw, path: str) -> int:
-    """An integer document value at path (anything ``int`` accepts)."""
+    """A JSON integer document value at path: not a bool, float or string."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    raise ScenarioError(f"{path}: expected an integer, got {raw!r}")
+
+
+def _decimal(text: str, path: str) -> int:
+    """An integer written as decimal text at path: an explicit homology
+    degree (JSON object keys are strings) or a command-line override."""
     try:
-        return int(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{path}: expected an integer, got {raw!r}") from None
+        return int(text)
+    except ValueError:
+        raise ScenarioError(f"{path}: expected an integer, got {text!r}") from None
+
+
+def _flag(raw: dict, key: str, path: str, default: bool) -> bool:
+    """A JSON boolean field of the object at path, ``default`` when absent."""
+    value = raw.get(key, default)
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{path}.{key}: expected true or false, got {value!r}")
+    return value
 
 
 def _parse_group(raw, path: str) -> FgAbGroup:
@@ -183,7 +199,7 @@ def _parse_space(raw, names: dict[str, SpaceExpr], path: str) -> SpaceExpr:
             at = f"{path}.explicit"
             value = _expect(value, dict, at)
             homology = _expect(value.get("homology", {}), dict, f"{at}.homology")
-            table = {_integer(k, f"{at}.homology"): _parse_group(v, f"{at}.homology[{k}]")
+            table = {_decimal(k, f"{at}.homology"): _parse_group(v, f"{at}.homology[{k}]")
                      for k, v in homology.items()}
             return Explicit(GradedGroup.from_dict(table),
                             _integer(_required(value, "dim", at), f"{at}.dim"))
@@ -224,6 +240,8 @@ def parse_scenario(data) -> ObstructionScenario:
     if data.get("schema") != 1:
         raise ScenarioError(f"schema: expected 1, got {data.get('schema')!r}")
     name = data.get("name", "scenario")
+    if not isinstance(name, str):
+        raise ScenarioError(f"name: expected a string, got {name!r}")
 
     names: dict[str, SpaceExpr] = {}
     for key, raw in _expect(data.get("spaces", {}), dict, "spaces").items():
@@ -257,9 +275,9 @@ def parse_scenario(data) -> ObstructionScenario:
                 space=space,
                 ambient_dim=_integer(_required(raw, "ambient", path), f"{path}.ambient"),
                 maslov=None if maslov is None else _integer(maslov, f"{path}.maslov"),
-                orientable=bool(raw.get("orientable", True)),
-                spin=bool(raw.get("spin", True)),
-                monotone=bool(raw.get("monotone", True)),
+                orientable=_flag(raw, "orientable", path, True),
+                spin=_flag(raw, "spin", path, True),
+                monotone=_flag(raw, "monotone", path, True),
             ))
         except TopologyError as exc:
             raise ScenarioError(f"{path}: {exc}") from exc
@@ -291,8 +309,8 @@ def parse_scenario(data) -> ObstructionScenario:
             raise ScenarioError(f"{path}.restriction_surjective_degrees: negative degree")
         intersections.append(IntersectionDecl(
             pair=check_pair(raw, "pair", path),
-            clean=bool(raw.get("clean", False)),
-            connected=bool(raw.get("connected", False)),
+            clean=_flag(raw, "clean", path, False),
+            connected=_flag(raw, "connected", path, False),
             space=_parse_space(_required(raw, "space", path), names, f"{path}.space"),
             restriction_surjective_degrees=degrees,
         ))
@@ -304,8 +322,8 @@ def parse_scenario(data) -> ObstructionScenario:
         claims.append(ClaimDecl(
             source=check_name(_required(raw, "source", path), f"{path}.source"),
             ends=check_pair(raw, "ends", path, "two names (ordered)"),
-            spin=bool(raw.get("spin", True)),
-            monotone=bool(raw.get("monotone", True)),
+            spin=_flag(raw, "spin", path, True),
+            monotone=_flag(raw, "monotone", path, True),
         ))
     sources = {c.source for c in claims}
     if len(sources) > 1:
@@ -716,9 +734,9 @@ def main(argv: list[str] | None = None) -> int:
             sc = parse_scenario(fh.read())
         if args.branch_bound is not None:
             sc = replace(sc, entry_bound=_at_least(
-                "entry_bound", _integer(args.branch_bound, "entry_bound"), 1))
+                "entry_bound", _decimal(args.branch_bound, "entry_bound"), 1))
         if args.window is not None:
-            sc = replace(sc, window=_at_least("window", _integer(args.window, "window"), 2))
+            sc = replace(sc, window=_at_least("window", _decimal(args.window, "window"), 2))
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 1

@@ -60,10 +60,10 @@ that the solves of one run share and that is dropped with the run, so
 no enumeration state outlives it.  The solver turns each page once: the
 next page is the untouched entries plus the homology the chosen
 classes already computed (``turn_page`` is the validated public path
-to the same page).  What a page's geometry (its index, entry positions
-and unresolved positions) fixes about its turn, the arrows,
-components, next unresolved set and pruner skeleton, is worked out
-once per geometry and solve.
+to the same page).  What a page's turn fixes, its components, next
+unresolved set and pruner skeleton, is worked out once per turn,
+surviving run arrows and unresolved set: a branch turns only on arrows
+of the worst-case run below.
 
 The abutment of every stable page must be 2-periodic and agree with
 any pinned value.  Every page turn is pruned by one rule while its
@@ -226,16 +226,13 @@ def _possibly_nonzero(page: BigradedPage, pos: Position) -> bool:
     return q in page.base_row_support  # entries only shrink after page 1
 
 
-def _first_active_page(page: BigradedPage, pages: Iterable[int] | None = None
-                       ) -> tuple[int, _Arrows] | None:
+def _first_active_page(page: BigradedPage) -> tuple[int, _Arrows] | None:
     """Smallest r >= page_index whose differentials touch an entry we
     still know, with its arrows; None when the window content is stable.
-    ``pages`` are the candidate indices in increasing order, by default
-    every multiple of the column step up to the row height plus one."""
-    if pages is None:
-        n = page.column_step
-        pages = range(n, page.row_max + 2, n)
-    for r in pages:
+    The candidates are the multiples of the column step up to the row
+    height plus one."""
+    n = page.column_step
+    for r in range(n, page.row_max + 2, n):
         if r >= page.page_index and (arrows := _arrows_at(page, r)):
             return r, arrows
     return None
@@ -1004,6 +1001,26 @@ class _WorstCase:
     # the lookahead of each turn that is not the last, by page index and
     # the unresolved set after the turn
     _flows: dict = field(default_factory=dict, compare=False, repr=False)
+    # the plans of the solve's pages, by what ``_plan`` reads
+    _plans: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def plan(self, page: BigradedPage) -> _Plan:
+        """The plan of ``page``'s turn.  A branch's arrows are among the
+        run's, and a run arrow is the page's when its window ends are live
+        there (entries or unresolved), so the turn is the run's first from
+        the page's index that keeps an arrow.  Plans are keyed by that turn,
+        the arrows it keeps and the page's unresolved set."""
+        def live(arrow: tuple[Position, Position]) -> bool:
+            return all(pos in page._by_position or pos in page.unresolved
+                       for pos in arrow if page.in_window(pos[0]))
+
+        for r, arrows in self.arrows.items():
+            if r >= page.page_index and (kept := tuple(filter(live, arrows))):
+                plan = self._plans.get(key := (r, kept, page.unresolved))
+                if plan is None:
+                    plan = self._plans[key] = _plan(page, self, r, kept)
+                return plan
+        return _Plan(None)
 
     def flow(self, r: int, page: BigradedPage, unresolved: frozenset[Position]) -> _Flow | None:
         """The lookahead after turn r of ``page``, a page of this run's
@@ -1149,10 +1166,9 @@ class _Flow:
 
 @dataclass(frozen=True, slots=True)
 class _Plan:
-    """What the geometry of a page (its index, its live and its
-    unresolved positions) fixes about its turn, given the solve's
-    worst-case run; one per geometry, shared by every page that has it,
-    and its parts shared between plans."""
+    """What a page's turn fixes, given the solve's worst-case run: built
+    once per turn, surviving run arrows and unresolved set
+    (``_WorstCase.plan``), and shared by every page that has them."""
 
     r: int | None  # the page of the turn; None when the page is stable
     # per component: its arrows, its positions (sorted) and those whose
@@ -1160,6 +1176,7 @@ class _Plan:
     comps: tuple[tuple[_Arrows, tuple[Position, ...],
                        tuple[Position, ...]], ...] = ()
     unresolved: frozenset[Position] = frozenset()  # of the next page
+    dropped: frozenset[Position] = frozenset()  # touched or next unresolved
     final: frozenset[Position] = frozenset()  # the run's final positions after r
     # the rank-flow lookahead over the later turns; None on the last
     # turn, the one no worst-case arrow comes after
@@ -1170,14 +1187,9 @@ class _Plan:
     checks: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] = ()
 
 
-def _plan(page: BigradedPage, run: _WorstCase, shared) -> _Plan:
-    """The plan of ``page``'s geometry; ``shared`` returns one object for
-    equal values, so plans hold one copy of their common parts."""
-    # a branch turns only where the worst-case run does
-    found = _first_active_page(page, run.arrows)
-    if found is None:
-        return _Plan(None)
-    r, arrows = found
+def _plan(page: BigradedPage, run: _WorstCase, r: int, arrows: _Arrows) -> _Plan:
+    """The plan of ``page``'s turn r, whose ``arrows`` are those of page
+    r that touch a live window position (``_arrows_at``)."""
     slots, newly_unresolved = _slots_and_unresolved(page, arrows)
     comps = _components(slots)
     unresolved = page.unresolved | newly_unresolved
@@ -1186,17 +1198,18 @@ def _plan(page: BigradedPage, run: _WorstCase, shared) -> _Plan:
     for i, comp in enumerate(comps):
         positions = sorted({pos for arrow in comp for pos in arrow})
         signature = tuple(pos for pos in positions if pos not in unresolved)
-        sites.append(shared((tuple(comp), tuple(positions), signature)))
+        sites.append((tuple(comp), tuple(positions), signature))
         for deg in sorted({sum(pos) for pos in signature}):
             if deg in run.degrees:
                 reach.setdefault(deg, []).append(i)
     checks: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(len(comps) + 1)]
     for deg in sorted(run.degrees):
         at = tuple(reach.get(deg, ()))
-        checks[at[-1] + 1 if at else 0].append(shared((deg, at)))
-    return _Plan(r, comps=shared(tuple(sites)), unresolved=shared(unresolved),
-                 final=run.final[r],
-                 checks=shared(tuple(map(tuple, checks))), flow=run.flow(r, page, unresolved))
+        checks[at[-1] + 1 if at else 0].append((deg, at))
+    return _Plan(r, comps=tuple(sites), unresolved=unresolved,
+                 dropped=unresolved.union(*(positions for _, positions, _ in sites)),
+                 final=run.final[r], checks=tuple(map(tuple, checks)),
+                 flow=run.flow(r, page, unresolved))
 
 
 def solve_floer(s_homology: GradedGroup, column_step: int,
@@ -1230,25 +1243,6 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     leaves: dict[tuple[FgAbGroup, FgAbGroup], BranchLeaf] = {}
     found: set[tuple[_Key, _Key]] = set()  # the leaves' keys as the pruner states them
     truncation = False
-    # plans by geometry: the page index, and the positions of the entries
-    # and the unresolved ones as bit sets over the window, packed into one
-    # int
-    plans: dict[int, _Plan] = {}
-    parts: dict = {}  # one object per distinct part of the plans
-
-    bit_of = {(p, q): 1 << i for i, (p, q) in enumerate(
-        (p, q) for p in root.window_columns() for q in range(root.row_max + 1))}
-
-    def bits(positions: Iterable[Position]) -> int:
-        return sum(map(bit_of.__getitem__, positions))
-
-    def plan_of(page: BigradedPage) -> _Plan:
-        key = ((page.page_index << len(bit_of) | bits(page._by_position)) << len(bit_of)
-               | bits(page.unresolved))
-        plan = plans.get(key)
-        if plan is None:
-            plan = plans[key] = _plan(page, run, lambda value: parts.setdefault(value, value))
-        return plan
 
     def finish(page: BigradedPage, turns: list[_Turn]) -> None:
         certified = _certified_sums(page)
@@ -1262,7 +1256,7 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
 
     def explore(page: BigradedPage, turns: list[_Turn]) -> None:
         nonlocal truncation
-        plan = plan_of(page)
+        plan = run.plan(page)
         r = plan.r
         if r is None:
             finish(page, turns)
@@ -1272,11 +1266,9 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
                              for arrows, _, _ in plan.comps for s, t in arrows)
         # the next page's entries that no component touches; each branch
         # adds the homology its chosen classes computed
-        touched = {pos for _, positions, _ in plan.comps for pos in positions}
         # (lists, not tuples: their lengths vary from branch to branch, and
         # freed tuples stay cached per length)
-        kept = [entry for entry in page.entries
-                if entry[0] not in touched and entry[0] not in plan.unresolved]
+        kept = [entry for entry in page.entries if entry[0] not in plan.dropped]
         entry = page._by_position.__getitem__
         class_lists = [table.classes(arrows, positions, tuple(map(entry, positions)),
                                      entry_bound, signature)

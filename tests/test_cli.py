@@ -625,10 +625,24 @@ def _explicit_degree_0(group):
      "spaces.E.explicit.homology[0].free: expected an integer, got inf"),
     (lambda d: (d.clear(), d.update(S0_DECLARED_CONNECTED)),
      "stage homology: intersections[0]: connected, but H_0 = Z^2 is not Z"),
+    # booleans are JSON true or false, and integers JSON integers: no
+    # string, number or bool stands in for another
+    (lambda d: d["claims"][0].update(spin="false"),
+     "claims[0].spin: expected true or false, got 'false'"),
+    (lambda d: d["intersections"][0].update(clean=1),
+     "intersections[0].clean: expected true or false, got 1"),
+    (lambda d: d["lagrangians"][0].update(space={"rp": 2.5}),
+     "lagrangians[0].space.rp: expected an integer, got 2.5"),
+    (lambda d: d["lagrangians"][0].update(maslov="4"),
+     "lagrangians[0].maslov: expected an integer, got '4'"),
+    (lambda d: d.update(entry_bound=True), "entry_bound: expected an integer, got True"),
+    (lambda d: d.update(entry_bound=1e308), "entry_bound: expected an integer, got 1e+308"),
+    (lambda d: d.update(name=["x"]), "name: expected a string, got ['x']"),
 ], ids=["claim-source", "intersection-space", "spaces-list", "lagrangian-string",
         "pin-degree", "entry-bound-string", "explicit-dim", "group-free-string",
         "group-free-list", "group-torsion-entry", "group-torsion-int", "group-free-infinity",
-        "connected-h0-not-z"])
+        "connected-h0-not-z", "claim-spin-string", "intersection-clean-int", "rp-float",
+        "maslov-string", "entry-bound-bool", "entry-bound-float", "name-list"])
 def test_cli_malformed_documents_are_validation_errors(tmp_path, capsys, mutate, message):
     raw = json.loads(bundled("paper_cp7.json").read_text())
     mutate(raw)

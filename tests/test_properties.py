@@ -298,6 +298,48 @@ def test_branch_arrows_are_worst_case_arrows_of_random_tables(upper, pins):
         assert set(arrows) <= set(run.arrows.get(r, ()))
 
 
+def assert_run_plans_match_a_full_scan(h, step, constraints=(), col_span=2):
+    """The run keys a plan by its turn, the run arrows whose window ends
+    are live and the unresolved set; on every page of the search that
+    prunes nothing, that plan is the one built from the page's own arrows
+    (a full scan of page indices), field by field."""
+    run = _worst_case_run(build_e1(h, step, col_span))
+    pages = []
+    post_init = spectra.BigradedPage.__post_init__
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(spectra.BigradedPage, "__post_init__",
+                            lambda page: pages.append(page) or post_init(page))
+        try:
+            solve_floer_without_pruning(h, step, constraints=constraints, entry_bound=1,
+                                        col_span=col_span)
+        except WindowError:
+            pass
+    assert pages
+    for page in pages:
+        found = _first_active_page(page)
+        expected = spectra._Plan(None) if found is None else spectra._plan(page, run, *found)
+        plan = run.plan(page)
+        for name in spectra._Plan.__dataclass_fields__:
+            assert getattr(plan, name) == getattr(expected, name), name
+
+
+@settings(deadline=None, database=None, max_examples=40)
+@given(st.lists(PRUNED_TABLE_GROUPS, min_size=4, max_size=4),
+       st.lists(st.tuples(st.integers(-2, 3), PRUNED_TABLE_GROUPS), max_size=2))
+def test_run_plans_match_plans_of_a_full_scan_on_random_tables(upper, pins):
+    h = GradedGroup.from_dict({0: Z, **{q: grp for q, grp in enumerate(upper, start=1)
+                                        if not grp.is_trivial()}})
+    assert_run_plans_match_a_full_scan(h, 2, constraints=tuple(pins))
+
+
+def test_run_plans_match_plans_of_a_full_scan_when_only_the_unresolved_set_differs():
+    # rows 0, 1, 4 and 5 at step 2 in window 3: pages that reach turn 6
+    # with the same surviving arrows but different unresolved sets need
+    # different plans
+    h = GradedGroup.from_dict({0: Z, 1: cyclic(2), 4: cyclic(3), 5: Z})
+    assert_run_plans_match_a_full_scan(h, 2, col_span=3)
+
+
 @st.composite
 def arrow_systems(draw):
     """Arrows from degree d to d - 1 among positions of a small grid, the

@@ -533,6 +533,29 @@ def test_lookahead_cuts_dead_branches_before_their_pages(monkeypatch, h, kw, lea
     assert len(built) <= most_pages
 
 
+@pytest.mark.parametrize("h, step, kw, leaves, pages, most_plans", [
+    # RP^7 at step 4, window 4 (catalog-tables/rp7-s4-w4): no two pages
+    # share their entry positions, but every page turn is one of two plans
+    (H_RP7, 4, {"entry_bound": 4, "col_span": 4}, 1, 260, 2),
+    # T^3 at step 2, bound 1 (catalog-tables/t3-s2-b1)
+    (GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z}), 2,
+     {"entry_bound": 1}, 16, 1619, 33),
+], ids=["rp7-s4-w4", "t3-s2-b1"])
+def test_turn_plans_are_keyed_by_what_they_read(monkeypatch, h, step, kw, leaves, pages,
+                                                most_plans):
+    # a plan is built once per turn, surviving run arrows and unresolved
+    # set, however many page geometries share them
+    built, plans = [], []
+    post_init, plan = BigradedPage.__post_init__, spectra._plan
+    monkeypatch.setattr(BigradedPage, "__post_init__",
+                        lambda page: built.append(page) or post_init(page))
+    monkeypatch.setattr(spectra, "_plan", lambda *args: plans.append(args) or plan(*args))
+    tree = solve_floer(h, step, **kw)
+    assert len(tree.leaves) == leaves
+    assert len(built) == pages
+    assert 0 < len(plans) <= most_plans
+
+
 def test_hom_spaces_build_homs_only_when_indexed(monkeypatch):
     # the T^3 table at step 2, bound 1: Z^3 -> Z^3 has 19,683 homs, and the
     # solve builds a GroupHom only for the differentials its leaves keep
