@@ -6,7 +6,7 @@ certificates."""
 
 from .abgroup import (FgAbGroup, GroupHom, IntMatrix, cokernel, direct_sum,
                       hom_images, smith_normal_form, tensor, tor)
-from .graded import GradedGroup, LaurentGrading, coefficient_change, impose_periodicity
+from .graded import GradedGroup, LaurentGrading, coefficient_change
 from .topology import (Circle, Explicit, LagrangianDescriptor, Product, RealProjective,
                        Sphere, homology, mayer_vietoris_spin_check, monotonicity_constant,
                        pair_maslov)

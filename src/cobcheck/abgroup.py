@@ -531,23 +531,32 @@ def _entry_values(target_order: int, bound: int) -> tuple[int, ...]:
     return tuple(sorted({x % target_order for x in range(-bound, bound + 1)}))
 
 
-class MatrixSpace(Sequence):
-    """The integer matrices whose entry (i, j) runs over ``entries[i][j]``,
-    as tuples of rows in the order of ``itertools.product`` over the
+class HomMatrixSpace(Sequence):
+    """The homs source -> target whose matrix entry (i, j) runs over
+    ``entries[i][j]``, in the order of ``itertools.product`` over the
     entries in row-major order (the last entry fastest).  Stores the
     entry ranges and each row's values (``rows``, row i running over the
     product of its entries' ranges): matrix h is decoded from its index
-    on access."""
+    (``matrix``), and a ``GroupHom`` is built only when one is indexed
+    or iterated."""
 
-    def __init__(self, entries: tuple[tuple[tuple[int, ...], ...], ...]):
-        self.entries = entries
+    def __init__(self, source: FgAbGroup, target: FgAbGroup,
+                 entries: tuple[tuple[tuple[int, ...], ...], ...]):
+        self.source, self.target, self.entries = source, target, entries
         self.rows = tuple(tuple(itertools.product(*row)) for row in entries)
         self._len = prod(map(len, self.rows))
 
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, h: int) -> tuple[tuple[int, ...], ...]:
+    def __getitem__(self, h: int) -> GroupHom:
+        return self._hom(self.matrix(h))
+
+    def __iter__(self):
+        return map(self._hom, itertools.product(*self.rows))
+
+    def matrix(self, h: int) -> tuple[tuple[int, ...], ...]:
+        """The entry rows of hom h."""
         if not -self._len <= h < self._len:
             raise IndexError("matrix index out of range")
         h %= self._len
@@ -556,27 +565,6 @@ class MatrixSpace(Sequence):
             h, x = divmod(h, len(values))
             out.append(values[x])
         return tuple(reversed(out))
-
-    def __iter__(self):
-        return itertools.product(*self.rows)
-
-
-class HomMatrixSpace(Sequence):
-    """The homs of a ``hom_matrix_space`` as a sequence: ``matrices``
-    holds their entry rows, and a ``GroupHom`` is built only when one is
-    indexed or iterated."""
-
-    def __init__(self, source: FgAbGroup, target: FgAbGroup, matrices: MatrixSpace):
-        self.source, self.target, self.matrices = source, target, matrices
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-    def __getitem__(self, h: int) -> GroupHom:
-        return self._hom(self.matrices[h])
-
-    def __iter__(self):
-        return map(self._hom, self.matrices)
 
     def _hom(self, rows) -> GroupHom:
         return GroupHom(self.source, self.target,
@@ -603,7 +591,7 @@ def hom_matrix_space(source: FgAbGroup, target: FgAbGroup, bound: int) -> HomMat
     entries = tuple(tuple(tuple(x for x in _entry_values(t, bound) if not (d * x % t if t else d * x))
                           for d in s_orders)
                     for t in target.generator_orders())
-    return HomMatrixSpace(source, target, MatrixSpace(entries))
+    return HomMatrixSpace(source, target, entries)
 
 
 def bound_may_truncate(source: FgAbGroup, target: FgAbGroup, entry_bound: int) -> bool:

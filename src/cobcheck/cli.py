@@ -547,7 +547,7 @@ def run(sc: ObstructionScenario) -> RunReport:
     adm: list[str] = []
     ambient = sc.lagrangians[0].ambient_dim
     tau = monotonicity_constant(ambient)
-    adm.append(f"ambient CP^{ambient}; shared monotonicity constant tau = {tau}")
+    adm.append(f"ambient CP^{ambient}; shared monotonicity constant tau = {tau}/pi")
     adm.append(f"grading deg T = {sc.grading.t_degree} (step {sc.grading.step}, even): ok")
 
     # the clean connected intersection that grants each claim, if any
@@ -756,7 +756,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"solver limit: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # anything unforeseen is an internal error
-        print(f"internal error: {exc}", file=sys.stderr)
+        # an exception with an empty message (MemoryError()) is named by its type
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
     sys.stdout.write(report.text())

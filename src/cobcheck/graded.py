@@ -12,7 +12,6 @@ identified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .abgroup import FgAbGroup, ZERO, direct_sum
 
@@ -77,9 +76,6 @@ class GradedGroup:
     def support(self) -> tuple[int, ...]:
         return tuple(deg for deg, _ in self.entries)
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __str__(self) -> str:
         if not self.entries:
             return "0"
@@ -89,68 +85,14 @@ class GradedGroup:
         return f"{{{body}}}"
 
 
-@dataclass(frozen=True)
-class PeriodConflict:
-    """First pair of degrees whose entries disagree under a requested
-    period; a normal return value, not an exception."""
-
-    period: int
-    degree_a: int
-    degree_b: int
-    value_a: FgAbGroup
-    value_b: FgAbGroup
-
-    def __str__(self) -> str:
-        return (f"period {self.period} conflict: degree {self.degree_a} has "
-                f"{self.value_a} but degree {self.degree_b} has {self.value_b}")
-
-
-def impose_periodicity(g: GradedGroup, period: int) -> GradedGroup | PeriodConflict:
-    """Fold g to the given period if its entries allow it.
-
-    For a finite g the stored support window [min degree, max degree] is
-    read as observations (absent degrees inside the window are observed
-    zeros); all observations in one residue class must agree.  Returns
-    the compact periodic group, or a PeriodConflict naming the first
-    clashing degree pair.
-    """
-    if period <= 0 or period % 2 != 0:
-        raise GradingError(f"period must be a positive even integer, got {period}")
-    if g.period is not None:
-        if g.period == period or period % g.period == 0:
-            # already at least this periodic; keep the finer statement
-            return g
-        # expand enough of the periodic group to observe every comparison
-        span = 2 * lcm(g.period, period)
-        window = {n: g.entry(n) for n in range(span)}
-        g = GradedGroup.from_dict({n: grp for n, grp in window.items() if not grp.is_trivial()})
-    if g.is_zero():
-        return GradedGroup((), period)
-    lo, hi = g.support()[0], g.support()[-1]
-    residue_seen: dict[int, tuple[int, FgAbGroup]] = {}
-    for n in range(lo, hi + 1):
-        grp = g.entry(n)
-        r = n % period
-        if r in residue_seen:
-            first_deg, first_grp = residue_seen[r]
-            if first_grp != grp:
-                return PeriodConflict(period, first_deg, n, first_grp, grp)
-        else:
-            residue_seen[r] = (n, grp)
-    folded = {r: grp for r, (_, grp) in residue_seen.items() if not grp.is_trivial()}
-    return GradedGroup.from_dict(folded, period)
-
-
 def finest_period(g: GradedGroup) -> GradedGroup:
-    """Normalize a periodic group to its finest valid even period."""
+    """Fold a periodic group to its finest even period: the smallest
+    even divisor p of its period with g(n) = g(n mod p) for every n."""
     if g.period is None:
         return g
     for p in range(2, g.period, 2):
-        if g.period % p != 0:
-            continue
-        candidate = impose_periodicity(g, p)
-        if isinstance(candidate, GradedGroup):
-            return candidate
+        if g.period % p == 0 and all(g.entry(n) == g.entry(n % p) for n in range(p, g.period)):
+            return GradedGroup(tuple((n, grp) for n, grp in g.entries if n < p), p)
     return g
 
 

@@ -452,7 +452,7 @@ class _HomSpace:
         self._relations = relation_matrix(target).entries
         self.row_class = _first_of_class(_sets_up_to_sign(
             [value + relation for value in values]
-            for values, relation in zip(self.homs.matrices.rows, self._relations)))
+            for values, relation in zip(self.homs.rows, self._relations)))
         self._cokers: list[FgAbGroup] = []  # the distinct cokernels
         self._coker_ids: list[int] | None = None
         self._images: list[tuple[int, bool]] | None = None
@@ -465,7 +465,7 @@ class _HomSpace:
             index: dict[FgAbGroup, int] = {}
             of_class = {}
             for rep in dict.fromkeys(self.row_class):
-                rows = self.homs.matrices[rep]
+                rows = self.homs.matrix(rep)
                 grp = cokernel(IntMatrix(len(rows), cols,
                                          tuple(map(tuple.__add__, rows, self._relations))))
                 of_class[rep] = index.setdefault(grp, len(index))
@@ -726,18 +726,18 @@ def _vanishing_masks(first: _HomSpace, second: _HomSpace) -> list[int]:
     module docstring): the mask of g is the AND, over f's columns, of
     the polynomials (``_digit_polys``) of the values that all of g's
     rows kill.  It is built once per row class of g."""
-    ranges = first.homs.matrices.entries  # ranges[j][c]: the values of entry (j, c) of f
+    ranges = first.homs.entries  # ranges[j][c]: the values of entry (j, c) of f
     columns = [tuple(product(*column)) for column in zip(*ranges)]
     orders = second.target.generator_orders()
     # kills[c][t]: each value of row t of g -> the values of column c of f it kills
     kills = [[dict(zip(values, _orthogonal(values, column, o)))
-              for values, o in zip(second.homs.matrices.rows, orders)] for column in columns]
+              for values, o in zip(second.homs.rows, orders)] for column in columns]
     polys = _digit_polys(ranges)
     interned: dict[int, int] = {}
     placed: dict[tuple[int, int], int] = {}
     by_class = {}
     for rep in dict.fromkeys(second.row_class):
-        rows = second.homs.matrices[rep]
+        rows = second.homs.matrix(rep)
         mask = (1 << len(first.homs)) - 1
         for c, ((offsets, others), column_kills) in enumerate(zip(polys, kills)):
             allowed = (1 << len(offsets)) - 1
@@ -874,28 +874,22 @@ def _set_bits(mask: int) -> Iterator[int]:
 
 
 def _components(slots: list[tuple[Position, Position]]) -> list[list[tuple[Position, Position]]]:
-    """Connected components of the arrow set under shared positions,
-    each as its arrows sorted by source: for the arrows of one page, a
-    chain in which each arrow's target is the source of the arrow before
-    it, the order ``_component_classes`` reads."""
-    parent: dict[Position, Position] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s, t in slots:
-        parent.setdefault(s, s)
-        parent.setdefault(t, t)
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            parent[rs] = rt
-    groups: dict[Position, list] = {}
-    for arrow in slots:
-        groups.setdefault(find(arrow[0]), []).append(arrow)
-    return [sorted(groups[k]) for k in sorted(groups)]
+    """Connected components of one page's arrows under shared positions.
+    Every position has at most one arrow out and one in, so each
+    component is a chain, walked from its last target back along the
+    arrows into each position: its arrows sorted by source, each arrow's
+    target the source of the arrow before it, the order
+    ``_component_classes`` reads.  Components come in the order of their
+    last targets."""
+    into = {t: s for s, t in slots}
+    chains = []
+    for end in sorted(into.keys() - into.values()):
+        chain, pos = [], end
+        while pos in into:
+            chain.append((into[pos], pos))
+            pos = into[pos]
+        chains.append(chain)
+    return chains
 
 
 # ---------------------------------------------------------------------------
@@ -934,7 +928,6 @@ class BranchTree:
 
     column_step: int
     entry_bound: int
-    col_span: int
     row_max: int
     leaves: tuple[BranchLeaf, ...]
     bound_may_truncate: bool
@@ -972,17 +965,6 @@ def _meet(seen: _Bound | None, bound: _Bound) -> _Bound | None:
         return seen if bound[2] == seen[2] else None
     lo, hi = max(bound[0], seen[0]), min(bound[1], seen[1])
     return (lo, hi, bound[2] or seen[2]) if lo <= hi else None
-
-
-def _fold_bounds(values: Iterable[tuple[int, _Bound]]):
-    """Fold (degree, bound) values into the (even, odd) common values;
-    None as soon as one parity has none."""
-    out = [None, None]
-    for deg, bound in values:
-        seen = out[deg % 2] = _meet(out[deg % 2], bound)
-        if seen is None:
-            return None
-    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -1291,7 +1273,6 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     return BranchTree(
         column_step=column_step,
         entry_bound=entry_bound,
-        col_span=col_span,
         row_max=root.row_max,
         leaves=ordered,
         bound_may_truncate=truncation,
@@ -1373,7 +1354,12 @@ def _interval_pruner(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, pins, 
                 return None
         return tuple(out)
 
-    start = _fold_bounds((deg, (key[0], key[0], key)) for deg, key in
-                         ((deg, key_of(grp)) for deg, grp in pins))
-    return (None if start is None else check(-1, [], start)), check
+    folded = _fold_parity(pins)
+    if folded is None:
+        return None, check
+    start = []
+    for grp in folded:  # a pinned parity's bound is exact
+        key = None if grp is None else key_of(grp)
+        start.append(None if key is None else (key[0], key[0], key))
+    return check(-1, [], tuple(start)), check
 

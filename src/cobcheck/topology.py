@@ -16,7 +16,6 @@ injective there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -196,26 +195,16 @@ def pair_maslov(a: LagrangianDescriptor, b: LagrangianDescriptor) -> int:
     return gcd(a.maslov, b.maslov)
 
 
-@dataclass(frozen=True)
-class MonotonicityConstant:
-    """The exact constant 2(n+1)/pi, stored as a rational multiple of
-    1/pi; never a float."""
+def monotonicity_constant(ambient_dim: int) -> int:
+    """tau = 2(n+1)/pi for CP^n, returned as the integer 2(n+1) that
+    multiplies 1/pi.
 
-    over_pi: Fraction
-
-    def __str__(self) -> str:
-        return f"{self.over_pi}/pi"
-
-
-def monotonicity_constant(ambient_dim: int) -> MonotonicityConstant:
-    """tau = 2(n+1)/pi for CP^n.
-
-    >>> str(monotonicity_constant(7))
-    '16/pi'
+    >>> monotonicity_constant(7)
+    16
     """
     if ambient_dim < 1:
         raise TopologyError("ambient dimension must be positive")
-    return MonotonicityConstant(Fraction(2 * (ambient_dim + 1)))
+    return 2 * (ambient_dim + 1)
 
 
 # ---------------------------------------------------------------------------

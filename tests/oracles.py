@@ -12,7 +12,7 @@ from cobcheck.exactness import (BranchOutcome, ClaimVerdict, ExactSequenceProble
                                 _rank_var, build_cobordism_sequences, check_feasibility)
 from cobcheck.graded import GradedGroup
 from cobcheck.spectra import (BranchLeaf, BranchTree, EnumerationTable, SpectraError, WindowError,
-                              _ComponentClass, _components, _first_active_page, _possibly_nonzero,
+                              _ComponentClass, _first_active_page, _possibly_nonzero,
                               _slots_and_unresolved, build_e1, certified_degrees)
 from cobcheck.topology import Circle, Product, RealProjective, Sphere
 
@@ -96,6 +96,31 @@ def hom_matrix_space_by_product(source: FgAbGroup, target: FgAbGroup, bound: int
     return homs
 
 
+def components_by_union_find(slots):
+    """Reference for ``spectra._components``: the connected components of
+    the arrows under shared positions, found by a union-find that assumes
+    nothing of their shape, each as its arrows sorted by source, in the
+    order of each component's root."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for s, t in slots:
+        parent.setdefault(s, s)
+        parent.setdefault(t, t)
+        rs, rt = find(s), find(t)
+        if rs != rt:
+            parent[rs] = rt
+    groups = {}
+    for arrow in slots:
+        groups.setdefault(find(arrow[0]), []).append(arrow)
+    return [sorted(groups[k]) for k in sorted(groups)]
+
+
 def solve_floer_without_pruning(s_homology, column_step, constraints=(), entry_bound=4,
                                 col_span=2) -> BranchTree:
     """Reference for the pruning of ``spectra.solve_floer``: on every page
@@ -154,7 +179,7 @@ def solve_floer_without_pruning(s_homology, column_step, constraints=(), entry_b
         kept = tuple((pos, grp) for pos, grp in page.entries
                      if pos not in touched and pos not in unresolved)
         class_lists = []
-        for comp in _components(slots):
+        for comp in components_by_union_find(slots):
             positions = tuple(sorted({pos for arrow in comp for pos in arrow}))
             class_lists.append(table.classes(
                 tuple(comp), positions, tuple(page.entry(*pos) for pos in positions), entry_bound,
@@ -166,8 +191,8 @@ def solve_floer_without_pruning(s_homology, column_step, constraints=(), entry_b
 
     explore(root, [])
     return BranchTree(
-        column_step=column_step, entry_bound=entry_bound, col_span=col_span,
-        row_max=root.row_max, bound_may_truncate=truncation,
+        column_step=column_step, entry_bound=entry_bound, row_max=root.row_max,
+        bound_may_truncate=truncation,
         leaves=tuple(sorted(leaves.values(), key=lambda lf: (str(lf.hf_even), str(lf.hf_odd)))))
 
 

@@ -300,6 +300,6 @@ def test_hom_matrix_space_matches_the_product_enumeration(bound):
             assert list(space) == want
             assert [space[h] for h in range(len(want))] == want
             assert space[-1] == want[-1]
-            assert list(space.matrices) == [h.matrix.entries for h in want]
+            assert [space.matrix(h) for h in range(len(want))] == [h.matrix.entries for h in want]
             with pytest.raises(IndexError):
                 space[len(want)]

@@ -451,6 +451,15 @@ def test_a_verdict_failing_its_own_check_is_an_internal_error(capsys, monkeypatc
     assert err.endswith(": the certificate does not verify\n")
 
 
+def test_an_internal_error_with_an_empty_message_is_named_by_its_type(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "solve_floer", exhausted)
+    assert main(["check", str(bundled("paper_cp7.json"))]) == 2
+    assert capsys.readouterr().err == "internal error: MemoryError\n"
+
+
 def test_cli_emit_trace_and_json(tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     verdict = tmp_path / "verdict.json"

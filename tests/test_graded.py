@@ -4,8 +4,7 @@ import pytest
 
 from cobcheck.abgroup import FgAbGroup, Z, ZERO, cyclic, from_orders
 from cobcheck.graded import (GradedGroup, GradingError, LaurentGrading,
-                             PeriodConflict, coefficient_change,
-                             impose_periodicity)
+                             coefficient_change, finest_period)
 
 from oracles import order
 
@@ -33,42 +32,39 @@ def test_periodic_lookup():
     assert g.entry(4) == ZERO
 
 
-def test_impose_periodicity_fold():
-    g = GradedGroup.from_dict({1: cyclic(2), 3: cyclic(2)})
-    folded = impose_periodicity(g, 2)
-    assert isinstance(folded, GradedGroup)
+def test_finest_period_fold():
+    g = GradedGroup.from_dict({1: cyclic(2), 3: cyclic(2)}, period=4)
+    folded = finest_period(g)
     assert folded.period == 2
     assert folded.entry(1) == cyclic(2)
     assert folded.entry(0) == ZERO
 
 
-def test_impose_periodicity_zero_group():
-    out = impose_periodicity(GradedGroup(), 4)
-    assert isinstance(out, GradedGroup)
-    assert out.is_zero()
-
-
-def test_impose_periodicity_conflict():
-    out = impose_periodicity(GradedGroup.from_dict({0: Z, 2: cyclic(2)}), 2)
-    assert isinstance(out, PeriodConflict)
-    assert (out.degree_a, out.degree_b) == (0, 2)
-
-
-def test_impose_periodicity_idempotent():
-    g = GradedGroup.from_dict({0: Z, 1: cyclic(2), 4: Z, 5: cyclic(2)})
-    once = impose_periodicity(g, 4)
-    assert isinstance(once, GradedGroup)
-    assert impose_periodicity(once, 4) == once
-
-
-def test_impose_periodicity_on_already_periodic():
-    fine = GradedGroup.from_dict({1: cyclic(2)}, period=2)
-    # a coarser multiple is already satisfied; the finer statement is kept
-    assert impose_periodicity(fine, 4) == fine
-    # an incompatible period must compare entries over a common window
+def test_finest_period_keeps_a_period_with_no_divisor():
     lumpy = GradedGroup.from_dict({0: Z, 2: cyclic(2)}, period=4)
-    out = impose_periodicity(lumpy, 6)
-    assert isinstance(out, PeriodConflict)
+    assert finest_period(lumpy) == lumpy
+
+
+def test_finest_period_zero_group():
+    out = finest_period(GradedGroup((), period=8))
+    assert out == GradedGroup((), period=2)
+
+
+def test_finest_period_property():
+    # period-8 groups tiled from a random table of period 2, 4 or 8, so
+    # that every fold is exercised
+    rng = random.Random(7)
+    for _ in range(300):
+        base = _random_periodic(rng, rng.choice([2, 4, 8]), density=rng.choice([0.3, 0.6, 1.0]),
+                                choices=rng.choice([(2,), (2, 3, 4)]))
+        g = GradedGroup.from_dict({n: base.entry(n) for n in range(8)}, period=8)
+        out = finest_period(g)
+        assert base.period % out.period == 0
+        assert all(out.entry(n) == g.entry(n) for n in range(-8, 16))
+        # no smaller even divisor of the result's period is a period of it
+        for p in range(2, out.period, 2):
+            if out.period % p == 0:
+                assert any(out.entry(n) != out.entry(n % p) for n in range(out.period))
 
 
 def test_coefficient_change_identity():
@@ -94,11 +90,11 @@ def test_coefficient_change_rejects_non_divisor():
         coefficient_change(odd, LaurentGrading(-8), LaurentGrading(-6))
 
 
-def _random_periodic(rng, period):
+def _random_periodic(rng, period, density=0.6, choices=(2, 3, 4)):
     table = {}
     for deg in range(period):
-        if rng.random() < 0.6:
-            table[deg] = from_orders(*[rng.choice([2, 3, 4]) for _ in range(rng.randrange(0, 3))])
+        if rng.random() < density:
+            table[deg] = from_orders(*[rng.choice(choices) for _ in range(rng.randrange(0, 3))])
     return GradedGroup.from_dict({d: g for d, g in table.items() if not g.is_trivial()},
                                  period=period)
 

@@ -1,13 +1,16 @@
 """Randomized properties of the transform-free Smith diagonal, of the
 vanishing masks and the kill table behind them, of the cokernels and
 images read off row classes, the per-hom homology rule and the sibling rule
-behind ``spectra._component_classes``, of the worst-case run behind the
-pruner and the window check, of the pruner's rank-flow lookahead, and of
-the per-window deduplication in ``exactness.certify_nonexistence``."""
+behind ``spectra._component_classes``, of the chain walk behind
+``spectra._components``, of the worst-case run behind the pruner and the
+window check, of the pruner's rank-flow lookahead, of the per-window
+deduplication in ``exactness.certify_nonexistence``, and of whole
+scenarios against the unpruned references."""
 import contextlib
 import copy
 import functools
 import io
+import itertools
 import json
 import operator
 import random
@@ -17,10 +20,10 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import cobcheck.abgroup as abgroup
-from cobcheck import spectra
+from cobcheck import cli, spectra
 from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, _entry_values,
                               cokernel, composite_is_zero, cyclic, from_orders,
                               preimage_lattice, relation_matrix, smith_normal_form,
@@ -28,15 +31,15 @@ from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, _entry_va
 from cobcheck.cli import main
 from cobcheck.exactness import CobordismClaim, certify_nonexistence
 from cobcheck.graded import GradedGroup, LaurentGrading
-from cobcheck.spectra import (EnumerationTable, WindowError, _component_classes,
-                              _first_active_page, _orthogonal, _worst_case_run, build_e1,
-                              solve_floer)
+from cobcheck.spectra import (BigradedPage, EnumerationTable, WindowError, _arrows_at,
+                              _component_classes, _components, _first_active_page, _orthogonal,
+                              _slots_and_unresolved, _worst_case_run, build_e1, solve_floer)
 from cobcheck.topology import LagrangianDescriptor
 
 import oracles
 from oracles import (certify_nonexistence_per_branch, component_classes_by_product,
-                     flow_values_by_product, orthogonal_by_loop, solve_floer_without_pruning,
-                     transpose_masks, vanishing_masks_by_loop)
+                     components_by_union_find, flow_values_by_product, orthogonal_by_loop,
+                     solve_floer_without_pruning, transpose_masks, vanishing_masks_by_loop)
 from test_spectra import assert_pruning_keeps_the_leaves, classes_match_search_without_skipping
 
 
@@ -298,6 +301,30 @@ def test_branch_arrows_are_worst_case_arrows_of_random_tables(upper, pins):
         assert set(arrows) <= set(run.arrows.get(r, ()))
 
 
+@st.composite
+def pages(draw):
+    """Pages of any geometry: each window position an entry, unresolved
+    or empty, and any first-page row support outside the window."""
+    step, span, row_max = (draw(st.sampled_from([2, 4])), draw(st.integers(2, 4)),
+                           draw(st.integers(1, 9)))
+    cells = [(k * step, q) for k in range(-span, span + 1) for q in range(row_max + 1)]
+    kinds = draw(st.lists(st.sampled_from("eeu."), min_size=len(cells), max_size=len(cells)))
+    return BigradedPage(
+        page_index=draw(st.integers(1, row_max + 1)), column_step=step, col_span=span,
+        row_max=row_max, entries=tuple((pos, Z) for pos, kind in zip(cells, kinds) if kind == "e"),
+        unresolved=frozenset(pos for pos, kind in zip(cells, kinds) if kind == "u"),
+        base_row_support=frozenset(draw(st.sets(st.integers(0, row_max)))))
+
+
+@settings(deadline=None, database=None, max_examples=150)
+@given(pages())
+def test_chain_walk_finds_the_union_find_components(page):
+    # every page turn's slots, as the solver's plans take them
+    for r in range(page.column_step, page.row_max + 2, page.column_step):
+        slots, _ = _slots_and_unresolved(page, _arrows_at(page, r))
+        assert _components(slots) == components_by_union_find(slots)
+
+
 def assert_run_plans_match_a_full_scan(h, step, constraints=(), col_span=2):
     """The run keys a plan by its turn, the run arrows whose window ends
     are live and the unresolved set; on every page of the search that
@@ -498,3 +525,113 @@ def test_single_field_mutations_end_in_a_named_outcome(doc):
     assert code in {0, 1, 2, 10}
     assert code != 2 or err.startswith("solver limit:"), err
     assert "Traceback" not in err
+
+
+# whole scenarios through the unpruned references: the catalog factors of
+# the drawn spaces, and the products of two of them; the products for which
+# the unpruned solve takes more than a second at entry bound 2 are left out
+# (S^1 x S^2, S^2 x RP^3, S^3 x RP^3 and RP^3 x RP^3 take 1.5-66 s)
+FACTORS = ["circle", {"sphere": 2}, {"sphere": 3}, {"rp": 2}, {"rp": 3}]
+SLOW_PRODUCTS = [("circle", {"sphere": 2}), ({"sphere": 2}, {"rp": 3}),
+                 ({"sphere": 3}, {"rp": 3}), ({"rp": 3}, {"rp": 3})]
+SPACES = FACTORS + [{"rp": 7}] + [{"product": list(pair)} for pair in
+                                  itertools.combinations_with_replacement(FACTORS, 2)
+                                  if pair not in SLOW_PRODUCTS]
+# the spaces whose Floer homology at step 4 (RP^7: at step 8 too) is
+# 2-torsion on every branch, so that claims reach a verdict
+TORSION_SPACES = [{"sphere": 3}, {"rp": 3}, {"rp": 7}, {"product": ["circle", {"sphere": 3}]},
+                  {"product": ["circle", {"rp": 3}]}, {"product": [{"sphere": 3}, {"sphere": 3}]},
+                  {"product": [{"sphere": 3}, {"rp": 2}]}, {"product": [{"rp": 2}, {"rp": 3}]}]
+# one in two documents carries one defect that an admissible document lacks
+DEFECTS = [None] * 5 + ["probe", "grading", "unclean", "spin", "undeclared"]
+
+
+@st.composite
+def scenario_documents(draw):
+    """Valid documents in CP^7: a probe K, ends A and B and a claim source
+    N, one or two clean connected intersections of K with K, A or B, two
+    to four claims among the intersected ends, entry bound 1-2, window 2.
+    The first Lagrangian of an intersection takes the intersection's
+    space unless it already has one, so the spin check can pass.  A
+    defect can make the document inadmissible: a probe of Maslov number 2,
+    grading step 4, an unclean intersection, a restriction not surjective
+    in degrees 1 and 2, or a claim end with no declared intersection."""
+    defect = draw(st.sampled_from(DEFECTS))
+    maslov = {"K": 2 if defect == "probe" else draw(st.sampled_from([4, 4, 8])),
+              "A": draw(st.sampled_from([4, 8, 2])), "B": draw(st.sampled_from([4, 8, 2]))}
+    space_of = {}
+    intersections = []
+    # the probe's self-intersection is what most obstructions need
+    ends = draw(st.sampled_from([["K", "A"], ["A", "K"], ["K"], ["A"], ["A", "B"]]))
+    for end in ends:
+        pair = draw(st.sampled_from([["K", end], [end, "K"]]))
+        space = space_of.setdefault(pair[0], draw(st.one_of(st.sampled_from(TORSION_SPACES),
+                                                            st.sampled_from(SPACES))))
+        intersections.append({"pair": pair, "clean": True, "connected": True, "space": space,
+                              "restriction_surjective_degrees": [1, 2]})
+    if defect == "unclean":
+        intersections[0]["clean"] = False
+    if defect == "spin":
+        intersections[0]["restriction_surjective_degrees"] = [1]
+    pool = ends + ([next(n for n in "KAB" if n not in ends)] if defect == "undeclared" else [])
+    claims = [{"source": "N", "ends": list(draw(st.tuples(st.sampled_from(pool),
+                                                          st.sampled_from(pool))))}
+              for _ in range(draw(st.integers(2, 4)))]
+    if draw(st.booleans()):  # a claim granted by an intersection
+        claims[0]["ends"] = draw(st.sampled_from(intersections))["pair"]
+    if draw(st.booleans()):  # both orders of one pair, as obstructions need
+        claims[1]["ends"] = claims[0]["ends"][::-1]
+    lagrangians = [{"name": name, "space": space_of.get(name) or draw(st.sampled_from(SPACES)),
+                    "ambient": 7, "maslov": maslov[name]} for name in "KAB"]
+    lagrangians.append({"name": "N", "space": None, "ambient": 7, "maslov": None})
+    return {"schema": 1, "name": "drawn", "lagrangians": lagrangians,
+            "intersections": intersections, "claims": claims, "probe": "K",
+            "grading": -4 if defect == "grading" else -2,
+            "entry_bound": draw(st.integers(1, 2)), "window": 2}
+
+
+# a document the strategy draws but rarely: the claims (A, K) and (K, A)
+# against the probe's self-intersection, at entry bound 2, exit 10
+OBSTRUCTED = {
+    "schema": 1, "name": "obstructed",
+    "lagrangians": [{"name": "K", "space": {"sphere": 3}, "ambient": 7, "maslov": 4},
+                    {"name": "A", "space": {"rp": 3}, "ambient": 7, "maslov": 4},
+                    {"name": "N", "space": None, "ambient": 7, "maslov": None}],
+    "intersections": [{"pair": ["K", "K"], "clean": True, "connected": True,
+                       "space": {"sphere": 3}, "restriction_surjective_degrees": [1, 2]},
+                      {"pair": ["A", "K"], "clean": True, "connected": True,
+                       "space": {"rp": 3}, "restriction_surjective_degrees": [1, 2]}],
+    "claims": [{"source": "N", "ends": ["A", "K"]}, {"source": "N", "ends": ["K", "A"]}],
+    "probe": "K", "grading": -2, "entry_bound": 2, "window": 2}
+
+
+def check_main(path: Path) -> tuple[int, str]:
+    """Exit code and stdout of ``cobcheck check path``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["check", str(path)])
+    return code, out.getvalue()
+
+
+def solve_floer_without_table(*args, table, **kwargs):
+    return solve_floer_without_pruning(*args, **kwargs)
+
+
+@settings(deadline=None, database=None, derandomize=True, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenario_documents())
+@example(OBSTRUCTED)
+def test_whole_scenarios_match_the_unpruned_references(doc):
+    # the same exit code and report bytes when the floer stage runs the
+    # search that prunes nothing and the claims stage rebuilds every window
+    # in every branch combination
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.json"
+        path.write_text(json.dumps(doc))
+        want = check_main(path)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(cli, "solve_floer", solve_floer_without_table)
+            monkeypatch.setattr(cli, "certify_nonexistence", certify_nonexistence_per_branch)
+            got = check_main(path)
+    assert got == want
+    assert doc is not OBSTRUCTED or want[0] == 10
