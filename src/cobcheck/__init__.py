@@ -10,7 +10,7 @@ from .graded import GradedGroup, LaurentGrading, coefficient_change
 from .topology import (Circle, Explicit, LagrangianDescriptor, Product, RealProjective,
                        Sphere, homology, mayer_vietoris_spin_check, monotonicity_constant,
                        pair_maslov)
-from .spectra import (BigradedPage, BranchTree, DifferentialAssignment, build_e1,
+from .spectra import (BigradedPage, BranchTree, build_e1,
                       solve_floer, turn_page)
 from .exactness import (ExactSequenceProblem, FeasibilityVerdict, Known, Unknown,
                         build_cobordism_sequences, certify_nonexistence,

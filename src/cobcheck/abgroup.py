@@ -24,16 +24,52 @@ ambient lattice (through the cached ``smith_normal_form``).
 from __future__ import annotations
 
 import itertools
+import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import lru_cache
-from math import prod
-from operator import mul
+from math import gcd, prod
+from operator import attrgetter, mul
 
 
 class HomValidationError(ValueError):
     """Raised when a matrix does not define a homomorphism of the
     declared groups, or when composite maps fail to vanish."""
+
+
+class SolverLimitError(RuntimeError):
+    """The search cannot run as asked: a hom space too large to index,
+    or no consistent branch, which usually means the entry bound is too
+    small rather than the scenario being infeasible."""
+
+
+class _Record:
+    """Base of the value classes, which are plain ``__slots__`` classes
+    with a written-out ``__init__``: equality and hashing over the
+    tuple ``_fields`` of the fields a class names in ``_compared`` (by
+    default every slot), between objects of one exact type as a frozen
+    dataclass compares, and a dataclass-style ``repr``.  Each class
+    reads its fields through one ``operator.attrgetter``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__dict__.get("_compared", cls.__slots__)
+        if len(names) == 1:  # an attrgetter of one name gives the bare value
+            get = attrgetter(*names)
+            cls._fields = property(lambda self: (get(self),))
+        else:
+            cls._fields = property(attrgetter(*names) if names else lambda self: ())
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._fields == other._fields
+
+    def __hash__(self) -> int:
+        return hash(self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -79,8 +115,7 @@ def _invariant_chain(orders) -> tuple[int, ...]:
     return tuple(factors)
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(_Record):
     """A finitely generated abelian group in invariant-factor form.
 
     ``torsion`` must already be a divisibility chain; use
@@ -91,20 +126,19 @@ class FgAbGroup:
     True
     """
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("free_rank must be nonnegative")
-        tors = tuple(self.torsion)
-        object.__setattr__(self, "torsion", tors)
+        tors = tuple(torsion)
         for d in tors:
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2")
         for a, b in zip(tors, tors[1:]):
             if b % a != 0:
                 raise ValueError(f"invariant factors violate divisibility: {a} then {b}")
+        self.free_rank, self.torsion = free_rank, tors
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
@@ -191,19 +225,17 @@ def tor(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
 # Integer matrices and Smith normal form
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix; entries stored row-major as tuples."""
+class IntMatrix(_Record):
+    """Integer matrix; entries stored row-major as tuples."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+        if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry count does not match rows x cols")
+        self.rows, self.cols, self.entries = rows, cols, entries
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
@@ -371,8 +403,7 @@ def relation_matrix(g: FgAbGroup) -> IntMatrix:
     return IntMatrix(k, t, tuple(tuple(r) for r in data))
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(_Record):
     """A homomorphism given by an integer matrix on canonical generators.
 
     Column j of ``matrix`` is the image of source generator j written in
@@ -380,24 +411,23 @@ class GroupHom:
     generator of order d must land on an element killed by d.
     """
 
-    source: FgAbGroup
-    target: FgAbGroup
-    matrix: IntMatrix
+    __slots__ = ("source", "target", "matrix")
 
-    def __post_init__(self):
-        if self.matrix.rows != self.target.generator_count():
+    def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix):
+        if matrix.rows != target.generator_count():
             raise HomValidationError("matrix rows do not match target generators")
-        if self.matrix.cols != self.source.generator_count():
+        if matrix.cols != source.generator_count():
             raise HomValidationError("matrix cols do not match source generators")
         # the matrix with each column scaled by its source generator's
         # order must be zero; free columns scale to 0, so only the
         # torsion columns (which come last) are scaled and tested
-        tors, free = self.source.torsion, self.source.free_rank
+        tors, free = source.torsion, source.free_rank
         if tors:
-            scaled = (map(mul, tors, row[free:]) for row in self.matrix.entries)
-            if not _zero_mod_orders(scaled, self.target.generator_orders()):
+            scaled = (map(mul, tors, row[free:]) for row in matrix.entries)
+            if not _zero_mod_orders(scaled, target.generator_orders()):
                 raise HomValidationError(
                     "a torsion generator maps to an element its order does not kill")
+        self.source, self.target, self.matrix = source, target, matrix
 
     def is_zero(self) -> bool:
         return _zero_mod_orders(self.matrix.entries, self.target.generator_orders())
@@ -523,12 +553,28 @@ def subquotient(kernel: IntMatrix, incoming: GroupHom | None, middle: FgAbGroup)
 
 def _entry_values(target_order: int, bound: int) -> tuple[int, ...]:
     """Canonical entry range for a matrix slot: residues mod the target
-    generator order, clipped to |entry| <= bound.  Free slots are
-    ordered by absolute value so enumeration meets small representatives
-    first."""
-    if target_order == 0:
-        return tuple(sorted(range(-bound, bound + 1), key=lambda x: (abs(x), x < 0)))
-    return tuple(sorted({x % target_order for x in range(-bound, bound + 1)}))
+    generator order, clipped to |entry| <= bound (``_residue_runs``).
+    Free slots are ordered by absolute value so enumeration meets small
+    representatives first."""
+    if target_order:
+        return tuple(itertools.chain(*_residue_runs(target_order, 0, bound)))
+    return (0, *itertools.chain.from_iterable((x, -x) for x in range(1, bound + 1)))
+
+
+def _residue_runs(t: int, d: int, bound: int) -> tuple[range, range]:
+    """The residues x mod t that d kills (the multiples of t / gcd(d, t),
+    every residue for d = 0) with x <= bound or t - x <= bound, as two
+    ascending runs, the second past the first: at most min(t, 2 * bound
+    + 1) values, found without a range over the bound or over t."""
+    step = t // gcd(d, t)
+    low = range(0, min(t, bound + 1), step)
+    high = range(-(-max(low.stop, t - bound) // step) * step, t, step)
+    return low, high
+
+
+def _run_length(run: range) -> int:
+    """``len(run)``, also past ``sys.maxsize``."""
+    return max(0, -((run.start - run.stop) // run.step))
 
 
 class HomMatrixSpace(Sequence):
@@ -581,17 +627,32 @@ def hom_matrix_space(source: FgAbGroup, target: FgAbGroup, bound: int) -> HomMat
     the homs are the product of each entry's admissible values, in the
     product's order.  The space keeps each entry's admissible values and
     each row's (a matrix is one choice per row, its length their
-    product) and builds a ``GroupHom`` only when one is indexed.
+    product) and builds a ``GroupHom`` only when one is indexed.  A
+    space of more homs than ``sys.maxsize``, the most its length can
+    hold, raises ``SolverLimitError`` before any entry range is built.
 
     >>> space = hom_matrix_space(cyclic(2), cyclic(4), 3)
     >>> len(space), space[1].matrix.entries
     (2, ((2,),))
     """
-    s_orders = source.generator_orders()
-    entries = tuple(tuple(tuple(x for x in _entry_values(t, bound) if not (d * x % t if t else d * x))
-                          for d in s_orders)
-                    for t in target.generator_orders())
-    return HomMatrixSpace(source, target, entries)
+    s_orders, t_orders = source.generator_orders(), target.generator_orders()
+
+    def count(t: int, d: int) -> int:
+        if t:
+            return sum(map(_run_length, _residue_runs(t, d, bound)))
+        return 1 if d else 2 * bound + 1  # a torsion generator into a free one can only go to 0
+
+    def slot(t: int, d: int) -> tuple[int, ...]:
+        if t:
+            return tuple(itertools.chain(*_residue_runs(t, d, bound)))
+        return (0,) if d else _entry_values(0, bound)
+
+    if prod(count(t, d) for t in t_orders for d in s_orders) > sys.maxsize:
+        raise SolverLimitError(
+            f"the homs {source} -> {target} with entries bounded by entry_bound {bound} "
+            f"number more than {sys.maxsize}, too many to search; lower entry_bound")
+    return HomMatrixSpace(source, target, tuple(tuple(slot(t, d) for d in s_orders)
+                                                for t in t_orders))
 
 
 def bound_may_truncate(source: FgAbGroup, target: FgAbGroup, entry_bound: int) -> bool:

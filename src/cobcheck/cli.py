@@ -24,9 +24,8 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
 
-from .abgroup import FgAbGroup, GroupHom, hom_images
+from .abgroup import FgAbGroup, GroupHom, SolverLimitError, hom_images
 from .graded import GradedGroup, GradingError, LaurentGrading, coefficient_change
 from .spectra import (BranchLeaf, BranchTree, EnumerationTable, Position, SpectraError,
                       solve_floer)
@@ -42,11 +41,6 @@ from .exactness import (AdmissibilityError, CobordismClaim, ClaimVerdict,
 
 class ScenarioError(ValueError):
     """Validation failure; the message carries a path into the document."""
-
-
-class SolverLimitError(RuntimeError):
-    """The solver produced no consistent branch; usually the entry bound
-    is too small rather than the scenario being infeasible."""
 
 
 _STAGE_ERRORS = (ScenarioError, AdmissibilityError, TopologyError, GradingError,
@@ -69,42 +63,41 @@ def _stage(name: str):
 # Scenario model
 
 
-@dataclass(frozen=True)
 class IntersectionDecl:
-    pair: tuple[str, str]
-    clean: bool
-    connected: bool
-    space: SpaceExpr
-    restriction_surjective_degrees: tuple[int, ...]
+    __slots__ = ("pair", "clean", "connected", "space", "restriction_surjective_degrees")
+
+    def __init__(self, pair: tuple[str, str], clean: bool, connected: bool, space: SpaceExpr,
+                 restriction_surjective_degrees: tuple[int, ...]):
+        self.pair, self.clean, self.connected, self.space = pair, clean, connected, space
+        self.restriction_surjective_degrees = restriction_surjective_degrees
 
 
-@dataclass(frozen=True)
 class ClaimDecl:
-    source: str
-    ends: tuple[str, str]
-    spin: bool
-    monotone: bool
+    __slots__ = ("source", "ends", "spin", "monotone")
+
+    def __init__(self, source: str, ends: tuple[str, str], spin: bool, monotone: bool):
+        self.source, self.ends, self.spin, self.monotone = source, ends, spin, monotone
 
 
-@dataclass(frozen=True)
 class PinDecl:
-    pair: tuple[str, str]
-    degree: int
-    group: FgAbGroup
+    __slots__ = ("pair", "degree", "group")
+
+    def __init__(self, pair: tuple[str, str], degree: int, group: FgAbGroup):
+        self.pair, self.degree, self.group = pair, degree, group
 
 
-@dataclass(frozen=True)
 class ObstructionScenario:
-    name: str
-    spaces: tuple[tuple[str, SpaceExpr], ...]
-    lagrangians: tuple[LagrangianDescriptor, ...]
-    intersections: tuple[IntersectionDecl, ...]
-    claims: tuple[ClaimDecl, ...]
-    probe: str
-    grading: LaurentGrading
-    entry_bound: int = 4
-    window: int = 2
-    pins: tuple[PinDecl, ...] = ()
+    __slots__ = ("name", "spaces", "lagrangians", "intersections", "claims", "probe", "grading",
+                 "entry_bound", "window", "pins")
+
+    def __init__(self, name: str, spaces: tuple[tuple[str, SpaceExpr], ...],
+                 lagrangians: tuple[LagrangianDescriptor, ...],
+                 intersections: tuple[IntersectionDecl, ...], claims: tuple[ClaimDecl, ...],
+                 probe: str, grading: LaurentGrading, entry_bound: int, window: int,
+                 pins: tuple[PinDecl, ...]):
+        self.name, self.spaces, self.lagrangians = name, spaces, lagrangians
+        self.intersections, self.claims, self.probe = intersections, claims, probe
+        self.grading, self.entry_bound, self.window, self.pins = grading, entry_bound, window, pins
 
     def lagrangian(self, name: str) -> LagrangianDescriptor:
         for lag in self.lagrangians:
@@ -411,26 +404,28 @@ def branch_lines(tree: BranchTree, leaf: BranchLeaf, images: _Images | None = No
     ]
 
 
-@dataclass
 class PairResult:
-    probe: str
-    end: str
-    native_step: int
-    tree: BranchTree
-    folded: list[tuple[str, tuple[FgAbGroup, FgAbGroup]]]
+    __slots__ = ("probe", "end", "native_step", "tree", "folded")
+
+    def __init__(self, probe: str, end: str, native_step: int, tree: BranchTree,
+                 folded: list[tuple[str, tuple[FgAbGroup, FgAbGroup]]]):
+        self.probe, self.end, self.native_step, self.tree = probe, end, native_step, tree
+        self.folded = folded
 
 
-@dataclass
 class RunReport:
-    scenario: ObstructionScenario
-    admissibility: list[str]
-    homology_lines: list[str]
-    spin_lines: list[str]
-    pair_results: list[PairResult]
-    claim_verdicts: list[ClaimVerdict]
-    # the derivation trace, rendered on first use: the report and the
-    # trace file print the same lines
-    _trace: list[str] | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("scenario", "admissibility", "homology_lines", "spin_lines", "pair_results",
+                 "claim_verdicts", "_trace")
+
+    def __init__(self, scenario: ObstructionScenario, admissibility: list[str],
+                 homology_lines: list[str], spin_lines: list[str],
+                 pair_results: list[PairResult], claim_verdicts: list[ClaimVerdict]):
+        self.scenario, self.admissibility = scenario, admissibility
+        self.homology_lines, self.spin_lines = homology_lines, spin_lines
+        self.pair_results, self.claim_verdicts = pair_results, claim_verdicts
+        # the derivation trace, rendered on first use: the report and the
+        # trace file print the same lines
+        self._trace: list[str] | None = None
 
     def trace_lines(self) -> list[str]:
         if self._trace is None:
@@ -733,10 +728,9 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             sc = parse_scenario(fh.read())
         if args.branch_bound is not None:
-            sc = replace(sc, entry_bound=_at_least(
-                "entry_bound", _decimal(args.branch_bound, "entry_bound"), 1))
+            sc.entry_bound = _at_least("entry_bound", _decimal(args.branch_bound, "entry_bound"), 1)
         if args.window is not None:
-            sc = replace(sc, window=_at_least("window", _decimal(args.window, "window"), 2))
+            sc.window = _at_least("window", _decimal(args.window, "window"), 2)
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 1

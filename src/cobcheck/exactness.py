@@ -30,9 +30,8 @@ by window ids, is solved once and its verdict replayed by the verifier.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .abgroup import FgAbGroup
+from .abgroup import FgAbGroup, _Record
 from .graded import LaurentGrading
 from .topology import LagrangianDescriptor, pair_maslov
 
@@ -47,79 +46,101 @@ class AdmissibilityError(ValueError):
     message names the violated hypothesis."""
 
 
-@dataclass(frozen=True)
-class Known:
-    group: FgAbGroup
+class Known(_Record):
+    __slots__ = ("group",)
+
+    def __init__(self, group: FgAbGroup):
+        self.group = group
 
 
-@dataclass(frozen=True)
-class Unknown:
-    name: str
+class Unknown(_Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
 Term = Known | Unknown
 
 
-@dataclass(frozen=True)
-class ExactSequenceProblem:
+class ExactSequenceProblem(_Record):
     """Sequences of terms with exactness required at every interior
     position; unknown names may repeat across sequences."""
 
-    sequences: tuple[tuple[Term, ...], ...]
+    __slots__ = ("sequences",)
 
-    def __post_init__(self):
-        for seq in self.sequences:
+    def __init__(self, sequences: tuple[tuple[Term, ...], ...]):
+        for seq in sequences:
             if len(seq) < 3:
                 raise ValueError("every sequence needs at least 3 terms")
+        self.sequences = sequences
 
 
-@dataclass(frozen=True)
-class CertStep:
+class CertStep(_Record):
     """One replayable deduction: the cited constraint forces ``var``
-    into [lo, hi] (hi < lo records the contradiction)."""
+    into [lo, hi] (hi < lo records the contradiction).  ``term`` is the
+    cited term (position ``pos`` of sequence ``seq``) as a dimension or
+    an unknown's name, None for a case hypothesis; it words the step's
+    line, and the replay reads the problem itself."""
 
-    kind: str  # 'le' | 'eq' | 'case'
-    seq: int | None
-    pos: int | None
-    var: str
-    lo: int
-    hi: int
-    text: str
+    __slots__ = ("kind", "seq", "pos", "var", "lo", "hi", "term")
+
+    def __init__(self, kind: str, seq: int | None, pos: int | None, var: str,
+                 lo: int, hi: int, term: int | str | None):
+        self.kind = kind  # 'le' | 'eq' | 'case'
+        self.seq, self.pos, self.var, self.lo, self.hi, self.term = seq, pos, var, lo, hi, term
+
+    def text(self) -> str:
+        """The step's certificate line: the interval and the cited constraint."""
+        s, j, var, lo = self.seq, self.pos, self.var, self.lo
+        rel = f"{var} in [{lo}, {self.hi}]" if lo <= self.hi else f"{var} has no possible value"
+        term = self.term if isinstance(self.term, str) else f"(Z/2)^{self.term}"
+        if self.kind == "le":
+            why = f"rank bound by term {j} of sequence {s}: {term}"
+        elif self.kind == "eq":
+            why = (f"exactness at term {j} of sequence {s}: {_rank_var(s, j - 1)} + "
+                   f"{_rank_var(s, j)} = {term}")
+        else:
+            why = f"case hypothesis {var} = {lo}"
+        return f"{rel}  [{why}]"
 
 
-@dataclass(frozen=True)
-class CaseSplit:
-    var: str
-    value: int
-    certificate: "Certificate"
+class CaseSplit(_Record):
+    __slots__ = ("var", "value", "certificate")
+
+    def __init__(self, var: str, value: int, certificate: Certificate):
+        self.var, self.value, self.certificate = var, value, certificate
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """Deduction chain; when ``steps`` does not already end in an empty
     interval, ``splits`` exhausts the remaining values of one variable
     and every branch is infeasible.  ``preamble`` restates the initial
     bounds the replay starts from (context only, not steps)."""
 
-    steps: tuple[CertStep, ...]
-    splits: tuple[CaseSplit, ...] = ()
-    preamble: tuple[str, ...] = ()
+    __slots__ = ("steps", "splits", "preamble")
+
+    def __init__(self, steps: tuple[CertStep, ...], splits: tuple[CaseSplit, ...] = (),
+                 preamble: tuple[str, ...] = ()):
+        self.steps, self.splits, self.preamble = steps, splits, preamble
 
     def lines(self, indent: int = 0) -> list[str]:
+        """The certificate as text; each step is worded only here."""
         pad = "  " * indent
         out = [pad + p for p in self.preamble]
-        out += [pad + s.text for s in self.steps]
+        out += [pad + s.text() for s in self.steps]
         for split in self.splits:
             out.append(f"{pad}case {split.var} = {split.value}:")
             out.extend(split.certificate.lines(indent + 1))
         return out
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
-    feasible: bool
-    witness: dict | None = None
-    certificate: Certificate | None = None
+class FeasibilityVerdict(_Record):
+    __slots__ = ("feasible", "witness", "certificate")
+
+    def __init__(self, feasible: bool, witness: dict | None = None,
+                 certificate: Certificate | None = None):
+        self.feasible, self.witness, self.certificate = feasible, witness, certificate
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +231,11 @@ class _State:
         if (lo, hi) == (cur_lo, cur_hi):
             return False
         self.iv[var] = (lo, hi)
-        rel = f"{var} in [{lo}, {hi}]" if lo <= hi else f"{var} has no possible value"
         self.steps.append(CertStep(kind, seq, pos, var, lo, hi,
-                                   f"{rel}  [{self._why(kind, seq, pos, var, lo)}]"))
+                                   None if seq is None else self.dims[seq][pos]))
         if lo > hi:
             self.contradiction = True
         return True
-
-    def _why(self, kind: str, s, j, var: str, value: int) -> str:
-        """The cited constraint of a step, worded only once it is logged."""
-        if kind == "le":
-            return f"rank bound by term {j} of sequence {s}: {_term_label(self.dims, s, j)}"
-        if kind == "eq":
-            return (f"exactness at term {j} of sequence {s}: {_rank_var(s, j - 1)} + "
-                    f"{_rank_var(s, j)} = {_term_label(self.dims, s, j)}")
-        return f"case hypothesis {var} = {value}"
 
     def snapshot(self):
         return dict(self.iv), list(self.steps)
@@ -232,11 +243,6 @@ class _State:
     def restore(self, snap):
         self.iv, self.steps = dict(snap[0]), list(snap[1])
         self.contradiction = False
-
-
-def _term_label(dims, s, j) -> str:
-    d = dims[s][j]
-    return d if isinstance(d, str) else f"(Z/2)^{d}"
 
 
 def _attempts(dims) -> tuple[list[tuple[str, str, int, int, int | str, str | None]],
@@ -588,29 +594,33 @@ def build_cobordism_sequences(probe: LagrangianDescriptor,
     return ExactSequenceProblem(sequences=(seq,))
 
 
-@dataclass(frozen=True)
 class CobordismClaim:
     """A claimed cobordism source ~> ends; granted means the scenario's
     surgery data constructs it, so its exact sequence constrains every
     other claim."""
 
-    source: LagrangianDescriptor
-    ends: tuple[LagrangianDescriptor, LagrangianDescriptor]
-    granted: bool
+    __slots__ = ("source", "ends", "granted")
+
+    def __init__(self, source: LagrangianDescriptor,
+                 ends: tuple[LagrangianDescriptor, LagrangianDescriptor], granted: bool):
+        self.source, self.ends, self.granted = source, ends, granted
 
 
-@dataclass(frozen=True)
-class BranchOutcome:
-    label: str
-    verdict: FeasibilityVerdict
+class BranchOutcome(_Record):
+    __slots__ = ("label", "verdict")
+
+    def __init__(self, label: str, verdict: FeasibilityVerdict):
+        self.label, self.verdict = label, verdict
 
 
-@dataclass(frozen=True)
-class ClaimVerdict:
-    ends: tuple[str, str]
-    granted: bool
-    verdict: str  # 'INFEASIBLE' | 'NOT OBSTRUCTED'
-    branches: tuple[BranchOutcome, ...]
+class ClaimVerdict(_Record):
+    __slots__ = ("ends", "granted", "verdict", "branches")
+
+    def __init__(self, ends: tuple[str, str], granted: bool, verdict: str,
+                 branches: tuple[BranchOutcome, ...]):
+        self.ends, self.granted = ends, granted
+        self.verdict = verdict  # 'INFEASIBLE' | 'NOT OBSTRUCTED'
+        self.branches = branches
 
 
 class UnverifiedVerdictError(RuntimeError):

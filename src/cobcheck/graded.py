@@ -11,55 +11,51 @@ identified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .abgroup import FgAbGroup, ZERO, direct_sum
+from .abgroup import FgAbGroup, ZERO, _Record, direct_sum
 
 
 class GradingError(ValueError):
     """Raised on invalid gradings or coefficient-change preconditions."""
 
 
-@dataclass(frozen=True)
 class LaurentGrading:
     """Grading of the Laurent variable: t_degree is a negative even
     integer (all Lagrangians in scope are orientable, so minimal Maslov
     numbers are even)."""
 
-    t_degree: int
+    __slots__ = ("t_degree",)
 
-    def __post_init__(self):
-        if self.t_degree > -2 or self.t_degree % 2 != 0:
-            raise GradingError(f"deg T must be even and <= -2, got {self.t_degree}")
+    def __init__(self, t_degree: int):
+        if t_degree > -2 or t_degree % 2 != 0:
+            raise GradingError(f"deg T must be even and <= -2, got {t_degree}")
+        self.t_degree = t_degree
 
     @property
     def step(self) -> int:
         return -self.t_degree
 
 
-@dataclass(frozen=True)
-class GradedGroup:
+class GradedGroup(_Record):
     """entries: sorted (degree, group) pairs with nonzero groups only.
     If period is set it must be a positive even integer and all stored
     degrees lie in [0, period)."""
 
-    entries: tuple[tuple[int, FgAbGroup], ...] = ()
-    period: int | None = None
+    __slots__ = ("entries", "period")
 
-    def __post_init__(self):
-        if self.period is not None and (self.period <= 0 or self.period % 2 != 0):
-            raise GradingError(f"period must be a positive even integer, got {self.period}")
+    def __init__(self, entries: tuple[tuple[int, FgAbGroup], ...] = (), period: int | None = None):
+        if period is not None and (period <= 0 or period % 2 != 0):
+            raise GradingError(f"period must be a positive even integer, got {period}")
         cleaned = []
         seen = set()
-        for deg, grp in self.entries:
+        for deg, grp in entries:
             if deg in seen:
                 raise ValueError(f"duplicate degree {deg}")
             seen.add(deg)
-            if self.period is not None and not 0 <= deg < self.period:
+            if period is not None and not 0 <= deg < period:
                 raise ValueError(f"degree {deg} outside the fundamental domain")
             if not grp.is_trivial():
                 cleaned.append((deg, grp))
-        object.__setattr__(self, "entries", tuple(sorted(cleaned)))
+        self.entries, self.period = tuple(sorted(cleaned)), period
 
     @staticmethod
     def from_dict(entries: dict[int, FgAbGroup], period: int | None = None) -> "GradedGroup":

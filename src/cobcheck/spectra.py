@@ -109,12 +109,11 @@ differentials of each page turn; the report renders it.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
 from itertools import chain, compress, count, product, repeat
 from math import prod
 from operator import mul, neg
 
-from .abgroup import (FgAbGroup, GroupHom, IntMatrix, ZERO, _factorize,
+from .abgroup import (FgAbGroup, GroupHom, IntMatrix, ZERO, _Record, _factorize,
                       bound_may_truncate, cokernel, composite_is_zero, direct_sum,
                       hom_matrix_space, homology_at, preimage_lattice, relation_matrix,
                       subquotient)
@@ -134,7 +133,6 @@ Position = tuple[int, int]
 _Arrows = tuple[tuple[Position, Position], ...]
 
 
-@dataclass(frozen=True, slots=True)
 class BigradedPage:
     """One page of the spectral sequence over a finite column window.
 
@@ -145,31 +143,36 @@ class BigradedPage:
     can be said about columns outside the window after a turn.
     """
 
-    page_index: int
-    column_step: int
-    col_span: int
-    row_max: int
-    entries: tuple[tuple[Position, FgAbGroup], ...]
-    unresolved: frozenset[Position] = frozenset()
-    base_row_support: frozenset[int] = frozenset()
-    _by_position: dict[Position, FgAbGroup] = field(init=False, compare=False, repr=False)
+    __slots__ = ("page_index", "column_step", "col_span", "row_max", "entries", "unresolved",
+                 "base_row_support", "_by_position")
 
-    def __post_init__(self):
-        if self.column_step <= 0 or self.column_step % 2 != 0:
+    def __init__(self, page_index: int, column_step: int, col_span: int, row_max: int,
+                 entries: Iterable[tuple[Position, FgAbGroup]],
+                 unresolved: frozenset[Position] = frozenset(),
+                 base_row_support: frozenset[int] = frozenset()):
+        if column_step <= 0 or column_step % 2 != 0:
             raise SpectraError("column step must be a positive even integer")
-        if self.col_span < 2:
+        if col_span < 2:
             raise SpectraError("window must cover at least columns -2N..2N")
         cleaned = []
-        for entry in self.entries:
+        for entry in entries:
             (p, q), grp = entry
-            if p % self.column_step != 0:
+            if p % column_step != 0:
                 raise SpectraError(f"entry at column {p} off the column support")
-            if not 0 <= q <= self.row_max:
-                raise SpectraError(f"entry at row {q} outside rows 0..{self.row_max}")
+            if not 0 <= q <= row_max:
+                raise SpectraError(f"entry at row {q} outside rows 0..{row_max}")
             if grp.free_rank or grp.torsion:
                 cleaned.append(entry)
-        object.__setattr__(self, "entries", tuple(sorted(cleaned)))
-        object.__setattr__(self, "_by_position", dict(self.entries))
+        self.page_index, self.column_step, self.col_span = page_index, column_step, col_span
+        self.row_max, self.unresolved, self.base_row_support = row_max, unresolved, base_row_support
+        self.entries = tuple(sorted(cleaned))
+        self._by_position = dict(self.entries)
+
+    def turned(self, page_index: int, unresolved: frozenset[Position],
+               entries: Iterable[tuple[Position, FgAbGroup]]) -> BigradedPage:
+        """The page of this geometry at ``page_index`` with these entries."""
+        return BigradedPage(page_index, self.column_step, self.col_span, self.row_max, entries,
+                            unresolved, self.base_row_support)
 
     def window_columns(self) -> tuple[int, ...]:
         n = self.column_step
@@ -285,26 +288,17 @@ def _slots_and_unresolved(page: BigradedPage, arrows: _Arrows) -> tuple[
 # Assignments and page turning
 
 
-@dataclass(frozen=True)
-class DifferentialAssignment:
-    """Differentials of one page, keyed by source position; absent
-    positions carry the zero map.  Consecutive composites must vanish."""
-
-    page_index: int
-    homs: tuple[tuple[Position, GroupHom], ...]
-
-
-def _validate_assignment(page: BigradedPage, d: DifferentialAssignment) -> dict[Position, GroupHom]:
-    r = d.page_index
+def _validate_assignment(page: BigradedPage, r: int,
+                         assigned: Iterable[tuple[Position, GroupHom]]) -> dict[Position, GroupHom]:
     if r < page.page_index:
         raise SpectraError(
             f"assignment for past page {r} applied to page {page.page_index}")
     first = _first_active_page(page)
     if first is not None and first[0] < r:
         raise SpectraError(f"cannot skip page {first[0]}: it may still carry differentials")
-    if r % page.column_step != 0 and d.homs:
+    homs = dict(assigned)
+    if r % page.column_step != 0 and homs:
         raise SpectraError(f"page {r} differentials are forced zero by column support")
-    homs = dict(d.homs)
     for (p, q), h in homs.items():
         tgt = (p - r, q + r - 1)
         if h.source != page.entry(p, q):
@@ -318,21 +312,23 @@ def _validate_assignment(page: BigradedPage, d: DifferentialAssignment) -> dict[
     return homs
 
 
-def turn_page(page: BigradedPage, d: DifferentialAssignment) -> BigradedPage:
-    """Homology of the page at the assigned differentials: the next page
-    holds ker(outgoing)/im(incoming) at every resolved position.
+def turn_page(page: BigradedPage, r: int,
+              homs: Iterable[tuple[Position, GroupHom]] = ()) -> BigradedPage:
+    """Homology of the page at the differentials of page r: ``homs``
+    pairs source positions with their maps, and absent positions carry
+    the zero map.  The next page holds ker(outgoing)/im(incoming) at
+    every resolved position.
 
     This is the validated public path (the page, the skipped pages and
     every composite are checked); the branch solver builds the same
     pages from the homology its component classes already computed."""
-    homs = _validate_assignment(page, d)
-    r = d.page_index
+    homs = _validate_assignment(page, r, homs)
     _, newly_unresolved = _slots_and_unresolved(page, _arrows_at(page, r))
     unresolved = page.unresolved | newly_unresolved
     entries = tuple(
         ((p, q), homology_at(homs.get((p + r, q - r + 1)), homs.get((p, q)), grp))
         for (p, q), grp in page.entries if (p, q) not in unresolved)
-    return replace(page, page_index=r + 1, unresolved=unresolved, entries=entries)
+    return page.turned(r + 1, unresolved, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +372,18 @@ def _certified_sums(page: BigradedPage) -> list[tuple[int, FgAbGroup]]:
 # Component enumeration
 
 
-@dataclass(frozen=True)
-class _ComponentClass:
+class _ComponentClass(_Record):
     """One isomorphism class of labelings of a chain of arrows: the homs
     of a representative and the entries they produce."""
 
-    results: tuple[tuple[Position, FgAbGroup], ...]
-    homs: tuple[tuple[Position, GroupHom], ...]
-    # ``_degree_parts`` of the results, by set of final positions
-    _parts: dict = field(default_factory=dict, compare=False, repr=False)
-    # ``_Flow.pack`` of the results, by flow
-    _packs: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("results", "homs", "_parts", "_packs")
+    _compared = ("results", "homs")
+
+    def __init__(self, results: tuple[tuple[Position, FgAbGroup], ...],
+                 homs: tuple[tuple[Position, GroupHom], ...]):
+        self.results, self.homs = results, homs
+        self._parts: dict = {}  # ``_degree_parts`` of the results, by set of final positions
+        self._packs: dict = {}  # ``_Flow.pack`` of the results, by flow
 
     def degree_parts(self, final: frozenset[Position], key_of) -> dict[int, _Part]:
         parts = self._parts.get(final)
@@ -901,16 +898,16 @@ def _components(slots: list[tuple[Position, Position]]) -> list[list[tuple[Posit
 _Turn = tuple[int, tuple[tuple[Position, GroupHom], ...]]
 
 
-@dataclass(frozen=True)
-class BranchLeaf:
+class BranchLeaf(_Record):
     """One consistent outcome: the 2-periodic abutment, the certified
     degree table behind it, and the differentials of every page turn on
     the way to the stable page (turns whose maps all vanish included)."""
 
-    hf: GradedGroup
-    certified: tuple[tuple[int, FgAbGroup], ...]
-    turns: tuple[_Turn, ...]
-    stable_page: int
+    __slots__ = ("hf", "certified", "turns", "stable_page")
+
+    def __init__(self, hf: GradedGroup, certified: tuple[tuple[int, FgAbGroup], ...],
+                 turns: tuple[_Turn, ...], stable_page: int):
+        self.hf, self.certified, self.turns, self.stable_page = hf, certified, turns, stable_page
 
     @property
     def hf_even(self) -> FgAbGroup:
@@ -921,16 +918,16 @@ class BranchLeaf:
         return self.hf.entry(1)
 
 
-@dataclass(frozen=True)
-class BranchTree:
+class BranchTree(_Record):
     """Exhaustive solve result: all consistent Floer homology outcomes
     under the entry bound, deduplicated by abutment in degrees 0, 1."""
 
-    column_step: int
-    entry_bound: int
-    row_max: int
-    leaves: tuple[BranchLeaf, ...]
-    bound_may_truncate: bool
+    __slots__ = ("column_step", "entry_bound", "row_max", "leaves", "bound_may_truncate")
+
+    def __init__(self, column_step: int, entry_bound: int, row_max: int,
+                 leaves: tuple[BranchLeaf, ...], bound_may_truncate: bool):
+        self.column_step, self.entry_bound, self.row_max = column_step, entry_bound, row_max
+        self.leaves, self.bound_may_truncate = leaves, bound_may_truncate
 
     @property
     def status(self) -> str:
@@ -967,24 +964,25 @@ def _meet(seen: _Bound | None, bound: _Bound) -> _Bound | None:
     return (lo, hi, bound[2] or seen[2]) if lo <= hi else None
 
 
-@dataclass(frozen=True, slots=True)
 class _WorstCase:
     """The page run from the first page in which every live position
     stays live (see the module docstring for what it bounds)."""
 
-    # each turn's arrows, by page index
-    arrows: dict[int, _Arrows]
-    degrees: frozenset[int]  # certified on the run's stable page
-    # by page index: the window positions no arrow of a later turn
-    # touches, whose entries are final once that turn is taken
-    final: dict[int, frozenset[Position]]
-    # an upper bound on the free rank of any antidiagonal of any page
-    top_rank: int
-    # the lookahead of each turn that is not the last, by page index and
-    # the unresolved set after the turn
-    _flows: dict = field(default_factory=dict, compare=False, repr=False)
-    # the plans of the solve's pages, by what ``_plan`` reads
-    _plans: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("arrows", "degrees", "final", "top_rank", "_flows", "_plans")
+
+    def __init__(self, arrows: dict[int, _Arrows], degrees: frozenset[int],
+                 final: dict[int, frozenset[Position]], top_rank: int):
+        self.arrows = arrows  # each turn's arrows, by page index
+        self.degrees = degrees  # certified on the run's stable page
+        # by page index: the window positions no arrow of a later turn
+        # touches, whose entries are final once that turn is taken
+        self.final = final
+        # an upper bound on the free rank of any antidiagonal of any page
+        self.top_rank = top_rank
+        # the lookahead of each turn that is not the last, by page index
+        # and the unresolved set after the turn
+        self._flows: dict = {}
+        self._plans: dict = {}  # the plans of the solve's pages, by what ``_plan`` reads
 
     def plan(self, page: BigradedPage) -> _Plan:
         """The plan of ``page``'s turn.  A branch's arrows are among the
@@ -1033,8 +1031,8 @@ def _worst_case_run(page: BigradedPage) -> _WorstCase:
         r, arrows[r] = found
         last_touch.update((pos, r) for arrow in arrows[r] for pos in arrow)
         gone = _slots_and_unresolved(page, arrows[r])[1]
-        page = replace(page, page_index=r + 1, unresolved=page.unresolved | gone,
-                       entries=tuple(entry for entry in page.entries if entry[0] not in gone))
+        page = page.turned(r + 1, page.unresolved | gone,
+                           [entry for entry in page.entries if entry[0] not in gone])
     grid = [(p, q) for p in page.window_columns() for q in range(page.row_max + 1)]
     final = {r: frozenset(pos for pos in grid if last_touch.get(pos, 0) <= r) for r in arrows}
     return _WorstCase(arrows, frozenset(certified_degrees(page)), final, top_rank)
@@ -1146,27 +1144,33 @@ class _Flow:
         return frozenset(values for _, values in states)
 
 
-@dataclass(frozen=True, slots=True)
 class _Plan:
     """What a page's turn fixes, given the solve's worst-case run: built
     once per turn, surviving run arrows and unresolved set
     (``_WorstCase.plan``), and shared by every page that has them."""
 
-    r: int | None  # the page of the turn; None when the page is stable
-    # per component: its arrows, its positions (sorted) and those whose
-    # next entry is known (its signature)
-    comps: tuple[tuple[_Arrows, tuple[Position, ...],
-                       tuple[Position, ...]], ...] = ()
-    unresolved: frozenset[Position] = frozenset()  # of the next page
-    dropped: frozenset[Position] = frozenset()  # touched or next unresolved
-    final: frozenset[Position] = frozenset()  # the run's final positions after r
-    # the rank-flow lookahead over the later turns; None on the last
-    # turn, the one no worst-case arrow comes after
-    flow: _Flow | None = None
-    # the interval pruner's skeleton: checks[i + 1] holds each degree
-    # whose last component is i (checks[0]: no component reaches it),
-    # with the components that have an entry on its antidiagonal
-    checks: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] = ()
+    __slots__ = ("r", "comps", "unresolved", "dropped", "final", "flow", "checks")
+
+    def __init__(self, r: int | None,
+                 comps: tuple[tuple[_Arrows, tuple[Position, ...], tuple[Position, ...]], ...] = (),
+                 unresolved: frozenset[Position] = frozenset(),
+                 dropped: frozenset[Position] = frozenset(),
+                 final: frozenset[Position] = frozenset(), flow: _Flow | None = None,
+                 checks: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] = ()):
+        self.r = r  # the page of the turn; None when the page is stable
+        # per component: its arrows, its positions (sorted) and those
+        # whose next entry is known (its signature)
+        self.comps = comps
+        self.unresolved = unresolved  # of the next page
+        self.dropped = dropped  # touched or next unresolved
+        self.final = final  # the run's final positions after r
+        # the rank-flow lookahead over the later turns; None on the last
+        # turn, the one no worst-case arrow comes after
+        self.flow = flow
+        # the interval pruner's skeleton: checks[i + 1] holds each degree
+        # whose last component is i (checks[0]: no component reaches it),
+        # with the components that have an entry on its antidiagonal
+        self.checks = checks
 
 
 def _plan(page: BigradedPage, run: _WorstCase, r: int, arrows: _Arrows) -> _Plan:
@@ -1264,9 +1268,7 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
         for chosen in _combinations(class_lists, check, cut, start):
             homs = tuple(sorted(hom for cls in chosen for hom in cls.homs))
             results = [res for cls in chosen for res in cls.results]
-            explore(BigradedPage(r + 1, page.column_step, page.col_span, page.row_max,
-                                 kept + results, plan.unresolved, page.base_row_support),
-                    turns + [(r, homs)])
+            explore(page.turned(r + 1, plan.unresolved, kept + results), turns + [(r, homs)])
 
     explore(root, [])
     ordered = tuple(sorted(leaves.values(), key=lambda lf: (str(lf.hf_even), str(lf.hf_odd))))

@@ -15,11 +15,10 @@ injective there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .abgroup import FgAbGroup, Z, ZERO, cyclic, direct_sum, tensor, tor
+from .abgroup import FgAbGroup, Z, ZERO, _Record, cyclic, direct_sum, tensor, tor
 from .graded import GradedGroup
 
 
@@ -31,49 +30,48 @@ class TopologyError(ValueError):
 # Space expressions
 
 
-@dataclass(frozen=True)
-class Sphere:
-    n: int
+class Sphere(_Record):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int):
+        if n < 0:
             raise TopologyError("sphere dimension must be nonnegative")
+        self.n = n
 
 
-@dataclass(frozen=True)
-class RealProjective:
-    n: int
+class RealProjective(_Record):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int):
+        if n < 0:
             raise TopologyError("projective space dimension must be nonnegative")
+        self.n = n
 
 
-@dataclass(frozen=True)
-class Circle:
-    pass
+class Circle(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Product:
-    left: "SpaceExpr"
-    right: "SpaceExpr"
+class Product(_Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: SpaceExpr, right: SpaceExpr):
+        self.left, self.right = left, right
 
 
-@dataclass(frozen=True)
-class Explicit:
+class Explicit(_Record):
     """A space given directly by its integral homology."""
 
-    homology: GradedGroup
-    dimension: int
+    __slots__ = ("homology", "dimension")
 
-    def __post_init__(self):
-        if self.dimension < 0:
+    def __init__(self, homology: GradedGroup, dimension: int):
+        if dimension < 0:
             raise TopologyError("dimension must be nonnegative")
-        if self.homology.period is not None:
+        if homology.period is not None:
             raise TopologyError("explicit homology must be a finite table")
-        if any(d < 0 for d in self.homology.support()):
+        if any(d < 0 for d in homology.support()):
             raise TopologyError("homology must live in nonnegative degrees")
+        self.homology, self.dimension = homology, dimension
 
 
 SpaceExpr = Sphere | RealProjective | Circle | Product | Explicit
@@ -152,7 +150,6 @@ def z2_cohomology_dims(h: GradedGroup, degrees) -> dict[int, int]:
 # Lagrangian data
 
 
-@dataclass(frozen=True)
 class LagrangianDescriptor:
     """Declared data of a monotone Lagrangian in CP^ambient_dim.
 
@@ -161,27 +158,23 @@ class LagrangianDescriptor:
     product needs.  space is None when no homology data is declared.
     """
 
-    name: str
-    space: SpaceExpr | None
-    ambient_dim: int
-    maslov: int | None
-    orientable: bool = True
-    spin: bool = True
-    monotone: bool = True
+    __slots__ = ("name", "space", "ambient_dim", "maslov", "orientable", "spin", "monotone")
 
-    def __post_init__(self):
-        if self.ambient_dim < 1:
-            raise TopologyError(f"{self.name}: ambient dimension must be positive")
-        if self.spin and not self.orientable:
-            raise TopologyError(f"{self.name}: spin requires orientable")
-        if self.maslov is not None:
-            if self.maslov < 0:
-                raise TopologyError(f"{self.name}: Maslov number must be nonnegative")
-            if self.orientable and self.maslov % 2 != 0:
-                raise TopologyError(
-                    f"{self.name}: orientable Lagrangians have even Maslov number")
-        elif not self.orientable:
-            raise TopologyError(f"{self.name}: unknown Maslov number requires orientable")
+    def __init__(self, name: str, space: SpaceExpr | None, ambient_dim: int, maslov: int | None,
+                 orientable: bool = True, spin: bool = True, monotone: bool = True):
+        if ambient_dim < 1:
+            raise TopologyError(f"{name}: ambient dimension must be positive")
+        if spin and not orientable:
+            raise TopologyError(f"{name}: spin requires orientable")
+        if maslov is not None:
+            if maslov < 0:
+                raise TopologyError(f"{name}: Maslov number must be nonnegative")
+            if orientable and maslov % 2 != 0:
+                raise TopologyError(f"{name}: orientable Lagrangians have even Maslov number")
+        elif not orientable:
+            raise TopologyError(f"{name}: unknown Maslov number requires orientable")
+        self.name, self.space, self.ambient_dim, self.maslov = name, space, ambient_dim, maslov
+        self.orientable, self.spin, self.monotone = orientable, spin, monotone
 
 
 def pair_maslov(a: LagrangianDescriptor, b: LagrangianDescriptor) -> int:

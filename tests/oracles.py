@@ -3,7 +3,6 @@
 import itertools
 import math
 import operator
-from dataclasses import replace
 
 from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, _entry_values,
                               bound_may_truncate, composite_is_zero, direct_sum,
@@ -186,7 +185,7 @@ def solve_floer_without_pruning(s_homology, column_step, constraints=(), entry_b
                 tuple(pos for pos in positions if pos not in unresolved)))
         for combo in itertools.product(*class_lists):
             results = tuple(res for cls in combo for res in cls.results)
-            explore(replace(page, page_index=r + 1, unresolved=unresolved, entries=kept + results),
+            explore(page.turned(r + 1, unresolved, kept + results),
                     combos + [(r, combo)])
 
     explore(root, [])

@@ -1,11 +1,14 @@
 import doctest
+import itertools
 import random
 
 import pytest
 
 import cobcheck.abgroup as abgroup
 from cobcheck.abgroup import (FgAbGroup, GroupHom, HomValidationError, IntMatrix,
-                              Z, ZERO, bound_may_truncate, cokernel, composite_is_zero,
+                              SolverLimitError, Z, ZERO, _entry_values, _residue_runs,
+                              _run_length, bound_may_truncate,
+                              cokernel, composite_is_zero,
                               cyclic, direct_sum, from_orders,
                               hom_images, hom_matrix_space, homology_at,
                               smith_normal_form, tensor, tor)
@@ -303,3 +306,47 @@ def test_hom_matrix_space_matches_the_product_enumeration(bound):
             assert [space.matrix(h) for h in range(len(want))] == [h.matrix.entries for h in want]
             with pytest.raises(IndexError):
                 space[len(want)]
+
+
+def test_torsion_slots_take_residues_without_a_range_over_the_bound():
+    # a bound far past every order gives the residues a bound of the
+    # largest order gives; no range over the bound is built, so a bound
+    # beyond a C ssize_t is fine
+    huge = 10 ** 29
+    assert _entry_values(12, huge) == tuple(range(12))
+    assert _entry_values(12, 2) == (0, 1, 2, 10, 11)
+    # nor a range over a huge order: the work follows the values kept
+    t = 10 ** 12 + 39
+    assert _entry_values(t, 2) == (0, 1, 2, t - 2, t - 1)
+    assert hom_matrix_space(cyclic(2), cyclic(2 ** 40), huge).entries == (((0, 2 ** 39),),)
+    assert hom_matrix_space(cyclic(2), cyclic(2 ** 40), 2).entries == (((0,),),)
+    for source, target in [(cyclic(2), from_orders(4, 12)), (from_orders(2, 4), from_orders(3, 6)),
+                           (cyclic(4), Z)]:
+        assert hom_matrix_space(source, target, huge).entries == \
+            hom_matrix_space(source, target, 12).entries
+
+
+def test_residue_runs_match_the_residues_of_the_bounded_range():
+    # the runs are the residues mod t of range(-bound, bound + 1) that d
+    # kills, ascending, as the slot values were first defined
+    for t in range(2, 14):
+        for d in (0, 1, 2, 3, 4, 6, 12):
+            for bound in range(0, 2 * t):
+                want = tuple(x for x in sorted({x % t for x in range(-bound, bound + 1)})
+                             if not d * x % t)
+                runs = _residue_runs(t, d, bound)
+                assert tuple(itertools.chain(*runs)) == want
+                assert sum(map(_run_length, runs)) == len(want)
+
+
+def test_a_hom_space_past_sys_maxsize_is_a_named_solver_limit():
+    # Z^3 -> Z^3 at bound 100 has 201^9 > 2^63 homs: the limit is raised
+    # before any entry range is built, and it names entry_bound
+    for bound in (100, 10 ** 29):
+        with pytest.raises(SolverLimitError, match=f"entry_bound {bound} "):
+            hom_matrix_space(FgAbGroup(3), FgAbGroup(3), bound)
+    # Z^2 -> Z/2^40 + Z/2^40 holds 2^160 homs once the bound covers the
+    # order: a huge order with a huge bound is caught before its residues
+    with pytest.raises(SolverLimitError, match="entry_bound 100000"):
+        hom_matrix_space(FgAbGroup(2), from_orders(2 ** 40, 2 ** 40), 10 ** 29)
+    assert len(hom_matrix_space(FgAbGroup(3), FgAbGroup(3), 1)) == 3 ** 9

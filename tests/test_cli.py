@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -14,6 +13,7 @@ from cobcheck import cli, exactness, spectra
 from cobcheck.abgroup import FgAbGroup, preimage_lattice, relation_matrix
 from cobcheck.cli import (ObstructionScenario, ScenarioError, main,
                           parse_scenario, run)
+from cobcheck.exactness import CertStep, Certificate, FeasibilityVerdict
 from cobcheck.topology import Circle, Explicit, Product, homology, pair_maslov
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -440,9 +440,10 @@ def test_a_verdict_failing_its_own_check_is_an_internal_error(capsys, monkeypatc
         verdict = check_feasibility(problem)
         if verdict.feasible:
             return verdict
-        cert = verdict.certificate
-        first = replace(cert.steps[0], hi=cert.steps[0].hi + 1)
-        return replace(verdict, certificate=replace(cert, steps=(first,) + cert.steps[1:]))
+        cert, step = verdict.certificate, verdict.certificate.steps[0]
+        first = CertStep(step.kind, step.seq, step.pos, step.var, step.lo, step.hi + 1, step.term)
+        return FeasibilityVerdict(False, certificate=Certificate(
+            (first,) + cert.steps[1:], cert.splits, cert.preamble))
 
     monkeypatch.setattr(exactness, "check_feasibility", tampered)
     assert main(["check", str(bundled("paper_cp7.json"))]) == 2
@@ -659,6 +660,19 @@ def test_cli_malformed_documents_are_validation_errors(tmp_path, capsys, mutate,
     path.write_text(json.dumps(raw))
     assert main(["check", str(path)]) == 1
     assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+def test_cli_entry_bound_past_any_hom_space_is_a_solver_limit(tmp_path, capsys):
+    # a JSON integer far past a C ssize_t ends in a named solver limit,
+    # not an internal error from building its entry range
+    raw = json.loads(bundled("paper_cp7.json").read_text())
+    raw["entry_bound"] = 10 ** 29
+    path = tmp_path / "huge-bound.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver limit: stage floer: ") and err.count("\n") == 1
+    assert f"entry_bound {10 ** 29}" in err
 
 
 def test_cli_missing_file(capsys):

@@ -8,7 +8,7 @@ from cobcheck import exactness
 from cobcheck.abgroup import FgAbGroup, ZERO, cyclic
 from cobcheck.graded import LaurentGrading
 from cobcheck.topology import LagrangianDescriptor, RealProjective
-from cobcheck.exactness import (AdmissibilityError, Certificate, CobordismClaim,
+from cobcheck.exactness import (AdmissibilityError, CertStep, Certificate, CobordismClaim,
                                 ExactSequenceProblem, Known, Unknown,
                                 UnsupportedProblemError, build_cobordism_sequences,
                                 certify_nonexistence, check_feasibility,
@@ -267,7 +267,8 @@ def test_tampered_certificate_fails_replay():
     ))
     verdict = check_feasibility(combined)
     steps = list(verdict.certificate.steps)
-    bad = steps[-1].__class__(**{**steps[-1].__dict__, "lo": 0, "hi": 0})
+    last = steps[-1]
+    bad = CertStep(last.kind, last.seq, last.pos, last.var, 0, 0, last.term)
     tampered = Certificate(tuple(steps[:-1]) + (bad,))
     assert not verify_certificate(combined, tampered)
     truncated = Certificate(verdict.certificate.steps[:-1])

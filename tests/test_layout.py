@@ -1,5 +1,9 @@
-"""Layout rules for ``src/``: code that only tests call does not belong there."""
+"""Layout rules for ``src/``: code that only tests call does not belong
+there, and start-up imports nothing it does not use."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cobcheck"
@@ -78,3 +82,14 @@ def test_every_parameter_in_src_is_read():
             unread += [f"{path.name}:{node.lineno} {node.name}({p})" for p in params
                        if p not in read and p not in ("self", "cls")]
     assert not unread, f"parameters that their function never reads: {unread}"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every cobcheck check pays for start-up: ``@dataclass`` builds each
+    # class's methods through exec, and importing it pulls in inspect,
+    # so the classes are plain __slots__ classes (-S: no site hooks)
+    code = ("import sys, cobcheck.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
+    assert proc.stdout == "[]\n"

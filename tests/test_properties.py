@@ -332,10 +332,10 @@ def assert_run_plans_match_a_full_scan(h, step, constraints=(), col_span=2):
     (a full scan of page indices), field by field."""
     run = _worst_case_run(build_e1(h, step, col_span))
     pages = []
-    post_init = spectra.BigradedPage.__post_init__
+    init = spectra.BigradedPage.__init__
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(spectra.BigradedPage, "__post_init__",
-                            lambda page: pages.append(page) or post_init(page))
+        monkeypatch.setattr(spectra.BigradedPage, "__init__",
+                            lambda page, *args, **kw: init(page, *args, **kw) or pages.append(page))
         try:
             solve_floer_without_pruning(h, step, constraints=constraints, entry_bound=1,
                                         col_span=col_span)
@@ -346,7 +346,7 @@ def assert_run_plans_match_a_full_scan(h, step, constraints=(), col_span=2):
         found = _first_active_page(page)
         expected = spectra._Plan(None) if found is None else spectra._plan(page, run, *found)
         plan = run.plan(page)
-        for name in spectra._Plan.__dataclass_fields__:
+        for name in spectra._Plan.__slots__:
             assert getattr(plan, name) == getattr(expected, name), name
 
 

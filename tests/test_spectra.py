@@ -5,7 +5,7 @@ from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, cokernel,
                               hom_images, subquotient)
 from cobcheck.graded import GradedGroup
 from cobcheck.cli import branch_lines
-from cobcheck.spectra import (BigradedPage, DifferentialAssignment, EnumerationTable,
+from cobcheck.spectra import (BigradedPage, EnumerationTable,
                               SpectraError, WindowError, _component_classes, _first_active_page,
                               build_e1, certified_degrees, solve_floer, turn_page)
 from cobcheck.topology import Circle, Product, RealProjective, Sphere, homology
@@ -81,7 +81,7 @@ def test_arrows_from_live_positions_match_a_full_scan(h, step, span):
         found = spectra._first_active_page(page)
         if found is None:
             break
-        page = turn_page(page, DifferentialAssignment(page_index=found[0], homs=()))
+        page = turn_page(page, found[0])
     assert page.unresolved
 
 
@@ -91,7 +91,7 @@ def test_arrows_from_live_positions_match_a_full_scan(h, step, span):
 
 def test_turn_page_zero_assignment_is_identity():
     page = build_e1(H_POINT, 2)
-    nxt = turn_page(page, DifferentialAssignment(page_index=2, homs=()))
+    nxt = turn_page(page, 2)
     assert dict(nxt.entries) == dict(page.entries)
     assert not nxt.unresolved
 
@@ -99,21 +99,19 @@ def test_turn_page_zero_assignment_is_identity():
 def test_turn_page_multiplication_by_two():
     page = build_e1(H_RP7, 8)
     h = GroupHom(Z, Z, IntMatrix.from_rows([[2]]))
-    d = DifferentialAssignment(page_index=8, homs=(((8, 0), h),))
-    nxt = turn_page(page, d)
+    nxt = turn_page(page, 8, (((8, 0), h),))
     assert nxt.entry(0, 7) == cyclic(2)
     assert nxt.entry(8, 0) == ZERO
     # both signs produce the same page
     h_neg = GroupHom(Z, Z, IntMatrix.from_rows([[-2]]))
-    nxt_neg = turn_page(page, DifferentialAssignment(page_index=8, homs=(((8, 0), h_neg),)))
+    nxt_neg = turn_page(page, 8, (((8, 0), h_neg),))
     assert dict(nxt.entries) == dict(nxt_neg.entries)
 
 
 def test_turn_page_z2_arrow_kills_both():
     page = build_e1(H_R, 4)
     h = GroupHom(cyclic(2), cyclic(2), IntMatrix.from_rows([[1]]))
-    d = DifferentialAssignment(page_index=4, homs=(((0, 1), h),))
-    nxt = turn_page(page, d)
+    nxt = turn_page(page, 4, (((0, 1), h),))
     assert nxt.entry(0, 1) == ZERO
     assert nxt.entry(-4, 4) == ZERO
 
@@ -125,16 +123,15 @@ def test_turn_page_rejects_bad_composite():
     pg = build_e1(tall, 4)
     f = GroupHom(Z, FgAbGroup(2), IntMatrix.from_rows([[1], [0]]))
     g = GroupHom(FgAbGroup(2), Z, IntMatrix.from_rows([[1, 0]]))
-    bad = DifferentialAssignment(page_index=4, homs=(((0, 0), f), ((-4, 3), g)))
     with pytest.raises(SpectraError):
-        turn_page(pg, bad)
+        turn_page(pg, 4, (((0, 0), f), ((-4, 3), g)))
 
 
 def test_turn_page_rejects_wrong_groups():
     page = build_e1(H_RP7, 8)
     wrong = GroupHom(cyclic(2), cyclic(2), IntMatrix.from_rows([[1]]))
     with pytest.raises(SpectraError):
-        turn_page(page, DifferentialAssignment(page_index=8, homs=(((8, 0), wrong),)))
+        turn_page(page, 8, (((8, 0), wrong),))
 
 
 def test_order_conservation_through_turns():
@@ -191,7 +188,7 @@ def test_abutment_after_forced_turn():
     homs = []
     for k in (-1, 0, 1, 2):
         homs.append(((8 * k, 0), GroupHom(Z, Z, IntMatrix.from_rows([[2]]))))
-    nxt = turn_page(page, DifferentialAssignment(page_index=8, homs=tuple(homs)))
+    nxt = turn_page(page, 8, homs)
     table = abutment(nxt)
     assert table.entry(1) == cyclic(2)
     assert table.entry(0) == ZERO
@@ -309,7 +306,7 @@ def test_leaf_assignments_replay_through_page_turns():
                     break
                 r = found[0]
                 homs = tuple(by_page.pop(r))
-                page = turn_page(page, DifferentialAssignment(r, homs))
+                page = turn_page(page, r, homs)
             assert not by_page, "leaf recorded maps for a page never reached"
             assert page.page_index == leaf.stable_page
             replayed = abutment(page)
@@ -514,6 +511,14 @@ def test_pruning_keeps_the_leaves_of_pinned_degrees(h, step, bound, pins, kept):
     assert len(tree.leaves) == kept
 
 
+def instances_built(monkeypatch, cls) -> list:
+    """Every instance of ``cls`` built from here to the test's end."""
+    built, init = [], cls.__init__
+    monkeypatch.setattr(cls, "__init__",
+                        lambda obj, *args, **kw: init(obj, *args, **kw) or built.append(obj))
+    return built
+
+
 @pytest.mark.parametrize("h, kw, leaves, most_pages", [
     # the T^3 table at step 2, bound 1: of the 11,629 page-3 pages the
     # interval bounds keep, only 11 have a child that survives page 4
@@ -524,10 +529,7 @@ def test_pruning_keeps_the_leaves_of_pinned_degrees(h, step, bound, pins, kept):
 ], ids=["t3", "rows-0-1-4-5"])
 def test_lookahead_cuts_dead_branches_before_their_pages(monkeypatch, h, kw, leaves, most_pages):
     # the rank-flow lookahead cuts a branch before its next page is built
-    built = []
-    post_init = BigradedPage.__post_init__
-    monkeypatch.setattr(BigradedPage, "__post_init__",
-                        lambda page: built.append(page) or post_init(page))
+    built = instances_built(monkeypatch, BigradedPage)
     tree = solve_floer(h, 2, entry_bound=1, **kw)
     assert len(tree.leaves) == leaves
     assert len(built) <= most_pages
@@ -545,10 +547,7 @@ def test_turn_plans_are_keyed_by_what_they_read(monkeypatch, h, step, kw, leaves
                                                 most_plans):
     # a plan is built once per turn, surviving run arrows and unresolved
     # set, however many page geometries share them
-    built, plans = [], []
-    post_init, plan = BigradedPage.__post_init__, spectra._plan
-    monkeypatch.setattr(BigradedPage, "__post_init__",
-                        lambda page: built.append(page) or post_init(page))
+    built, plans, plan = instances_built(monkeypatch, BigradedPage), [], spectra._plan
     monkeypatch.setattr(spectra, "_plan", lambda *args: plans.append(args) or plan(*args))
     tree = solve_floer(h, step, **kw)
     assert len(tree.leaves) == leaves
@@ -559,9 +558,7 @@ def test_turn_plans_are_keyed_by_what_they_read(monkeypatch, h, step, kw, leaves
 def test_hom_spaces_build_homs_only_when_indexed(monkeypatch):
     # the T^3 table at step 2, bound 1: Z^3 -> Z^3 has 19,683 homs, and the
     # solve builds a GroupHom only for the differentials its leaves keep
-    built = []
-    post_init = GroupHom.__post_init__
-    monkeypatch.setattr(GroupHom, "__post_init__", lambda h: built.append(h) or post_init(h))
+    built = instances_built(monkeypatch, GroupHom)
     h = GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z})
     tree = solve_floer(h, 2, entry_bound=1)
     assert len(tree.leaves) == 16
@@ -574,10 +571,7 @@ def test_t3_cokernels_are_taken_once_per_row_class(monkeypatch):
     # three smaller spaces need 488 Smith diagonals in all
     calls = []
     monkeypatch.setattr(spectra, "cokernel", lambda m: calls.append(m) or cokernel(m))
-    built = []
-    post_init = BigradedPage.__post_init__
-    monkeypatch.setattr(BigradedPage, "__post_init__",
-                        lambda page: built.append(page) or post_init(page))
+    built = instances_built(monkeypatch, BigradedPage)
     h = GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z})
     tree = solve_floer(h, 2, entry_bound=1)
     assert len(tree.leaves) == 16
