@@ -14,13 +14,13 @@ followed by a JSON verdict block carrying the same verdicts.  The
 solvers return data only; the trace is rendered here.
 
 Exit codes: 0 = ran, no claim obstructed; 10 = ran, at least one claim
-INFEASIBLE; 1 = validation/admissibility error, or a scenario or output
-file that cannot be read or written; 2 = internal error.
+INFEASIBLE; 1 = validation/admissibility error, a command line that
+does not parse, or a scenario or output file that cannot be read or
+written; 2 = internal error or solver limit.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from contextlib import contextmanager
@@ -139,11 +139,14 @@ def _integer(raw, path: str) -> int:
 
 def _decimal(text: str, path: str) -> int:
     """An integer written as decimal text at path: an explicit homology
-    degree (JSON object keys are strings) or a command-line override."""
+    degree (JSON object keys are strings) or a command-line override.
+    Only ``str(n)`` names n, so keys "3" and "03" cannot both name 3."""
     try:
-        return int(text)
+        if text == str(int(text)):
+            return int(text)
     except ValueError:
-        raise ScenarioError(f"{path}: expected an integer, got {text!r}") from None
+        pass
+    raise ScenarioError(f"{path}: expected an integer, got {text!r}")
 
 
 def _flag(raw: dict, key: str, path: str, default: bool) -> bool:
@@ -707,35 +710,64 @@ def run(sc: ObstructionScenario) -> RunReport:
 # Entry point
 
 
+_USAGE = ("usage: cobcheck check SCENARIO [--branch-bound B] [--window W] "
+          "[--emit-trace PATH] [--json PATH]")
+_HELP = _USAGE + """
+
+Decide the cobordism claims of SCENARIO, a scenario JSON file.  B and W
+override its entry_bound and window; --emit-trace and --json also write
+the derivation trace and the verdict JSON to PATH.  Each option may be
+written --flag VALUE or --flag=VALUE, and the last one given wins.
+"""
+
+
+def _command_line(argv: list[str]) -> tuple[str, dict[str, str]] | None:
+    """SCENARIO and the options of ``check SCENARIO [options]``, or None
+    when help is asked for; a ValueError says what does not parse."""
+    words, options, args = [], {}, iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            return None
+        flag, eq, value = arg.partition("=")
+        if flag in ("--branch-bound", "--window", "--emit-trace", "--json"):
+            # a value of its own may not look like an option: "-3" does not
+            value = value if eq else next(args, "")
+            if not value or not eq and value[0] == "-" and not value[1:].isdigit():
+                raise ValueError(f"{flag}: expected a value")
+            options[flag] = value
+        elif arg.startswith("-"):
+            raise ValueError(f"unknown option {arg!r}")
+        else:
+            words.append(arg)
+    if words[:1] != ["check"] or len(words) != 2:
+        raise ValueError("expected 'check SCENARIO', got " + (" ".join(words) or "nothing"))
+    return words[1], options
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="cobcheck",
-        description="Decide feasibility of monotone spin Lagrangian cobordism claims.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    check = sub.add_parser("check", help="run a scenario file")
-    check.add_argument("scenario", help="path to a scenario JSON file")
-    check.add_argument("--branch-bound", default=None,
-                       help="override the differential entry bound")
-    check.add_argument("--window", default=None,
-                       help="override the column window half-width (in column steps)")
-    check.add_argument("--emit-trace", metavar="PATH", default=None,
-                       help="write the derivation trace to PATH")
-    check.add_argument("--json", dest="json_path", metavar="PATH", default=None,
-                       help="write the verdict JSON to PATH")
-    args = parser.parse_args(argv)
+    try:
+        parsed = _command_line(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        print(f"{_USAGE}\nerror: {exc}", file=sys.stderr)
+        return 1
+    if parsed is None:
+        sys.stdout.write(_HELP)
+        return 0
+    scenario, options = parsed
+    bound, window = options.get("--branch-bound"), options.get("--window")
 
     try:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
+        with open(scenario, "r", encoding="utf-8") as fh:
             sc = parse_scenario(fh.read())
-        if args.branch_bound is not None:
-            sc.entry_bound = _at_least("entry_bound", _decimal(args.branch_bound, "entry_bound"), 1)
-        if args.window is not None:
-            sc.window = _at_least("window", _decimal(args.window, "window"), 2)
+        if bound is not None:
+            sc.entry_bound = _at_least("entry_bound", _decimal(bound, "entry_bound"), 1)
+        if window is not None:
+            sc.window = _at_least("window", _decimal(window, "window"), 2)
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 1
     except UnicodeDecodeError as exc:
-        print(f"error: cannot read scenario: {exc}: {args.scenario!r}", file=sys.stderr)
+        print(f"error: cannot read scenario: {exc}: {scenario!r}", file=sys.stderr)
         return 1
     except ScenarioError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
@@ -756,11 +788,11 @@ def main(argv: list[str] | None = None) -> int:
 
     sys.stdout.write(report.text())
     try:
-        if args.emit_trace:
-            with open(args.emit_trace, "w", encoding="utf-8") as fh:
+        if options.get("--emit-trace"):
+            with open(options["--emit-trace"], "w", encoding="utf-8") as fh:
                 fh.write("\n".join(report.trace_lines()) + "\n")
-        if args.json_path:
-            with open(args.json_path, "w", encoding="utf-8") as fh:
+        if options.get("--json"):
+            with open(options["--json"], "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(report.verdict_json(), indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)

@@ -518,6 +518,14 @@ def test_cli_window_and_bound_overrides(tmp_path, capsys):
     ("--window", "1", "window"),
     ("--branch-bound", "2.5", "entry_bound"),
     ("--window", "x", "window"),
+    # int() reads each of these as a number; only the text str(n) names n
+    ("--window", "03", "window"),
+    ("--branch-bound", "03", "entry_bound"),
+    ("--window", "+3", "window"),
+    ("--window", " 3", "window"),
+    ("--branch-bound", "1_0", "entry_bound"),
+    ("--window", "\u0663", "window"),
+    ("--window", "-0", "window"),
 ])
 def test_cli_rejects_invalid_overrides(capsys, flag, value, field):
     # out of range or not an integer: a validation error (exit 1), as
@@ -525,8 +533,79 @@ def test_cli_rejects_invalid_overrides(capsys, flag, value, field):
     code = main(["check", str(bundled("paper_cp7.json")), flag, value])
     err = capsys.readouterr().err
     assert code == 1
-    problem = "must be" if value.isdigit() else f"expected an integer, got {value!r}"
+    problem = "must be" if value in ("0", "1") else f"expected an integer, got {value!r}"
     assert f"validation error: {field}: {problem}" in err
+
+
+def test_explicit_homology_degrees_that_collide_are_rejected():
+    # "3" and "03" would both name degree 3, and the later key would win
+    raw = json.loads(bundled("paper_cp7.json").read_text())
+    raw["spaces"]["E"] = {"explicit": {"dim": 3, "homology": {
+        "0": {"free": 1, "torsion": []}, "3": {"free": 1, "torsion": []},
+        "03": {"free": 0, "torsion": [2]}}}}
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(raw)
+    assert str(info.value) == "spaces.E.explicit.homology: expected an integer, got '03'"
+
+
+USAGE_LINE = ("usage: cobcheck check SCENARIO [--branch-bound B] [--window W] "
+              "[--emit-trace PATH] [--json PATH]")
+
+
+@pytest.mark.parametrize("args", [
+    ["--window", "3", "check", "{F}"],
+    ["check", "--window", "3", "{F}"],
+    ["check", "{F}", "--window=3"],
+    ["check", "{F}", "--window", "8", "--window", "3"],
+    ["check", "--window=2", "{F}", "--branch-bound", "4", "--window=3"],
+], ids=["flag-before-command", "flag-before-scenario", "equals", "repeated", "mixed"])
+def test_cli_accepted_command_lines_print_the_same_bytes(capsys, args):
+    flagship = str(bundled("paper_cp7.json"))
+    assert main(["check", flagship, "--window", "3"]) == 10
+    expected = capsys.readouterr()
+    assert main([flagship if a == "{F}" else a for a in args]) == 10
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("args, error", [
+    ([], "expected 'check SCENARIO', got nothing"),
+    (["verify", "{F}"], "expected 'check SCENARIO', got verify {F}"),
+    (["check"], "expected 'check SCENARIO', got check"),
+    (["check", "{F}", "{F}"], "expected 'check SCENARIO', got check {F} {F}"),
+    (["check", "{F}", "--bogus", "1"], "unknown option '--bogus'"),
+    (["check", "{F}", "--window"], "--window: expected a value"),
+    (["check", "{F}", "--json", "--window", "3"], "--json: expected a value"),
+    (["check", "{F}", "--json="], "--json: expected a value"),
+    (["check", "{F}", "--emit-trace", ""], "--emit-trace: expected a value"),
+    (["check", "{F}", "--win", "3"], "unknown option '--win'"),
+    (["check", "{F}", "--window-size=3"], "unknown option '--window-size=3'"),
+], ids=["no-arguments", "other-command", "no-scenario", "two-scenarios", "unknown-flag",
+        "flag-without-value", "flag-followed-by-flag", "empty-after-equals", "empty-value",
+        "prefix-abbreviation", "longer-flag"])
+def test_cli_command_lines_that_do_not_parse_are_usage_errors(capsys, args, error):
+    # exit 1, cobcheck's validation exit: 2 is kept for solver limits and
+    # internal errors
+    flagship = str(bundled("paper_cp7.json"))
+    assert main([flagship if a == "{F}" else a for a in args]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{USAGE_LINE}\nerror: {error.replace('{F}', flagship)}\n"
+
+
+@pytest.mark.parametrize("args", [["-h"], ["--help"], ["check", "-h"], ["check", "x", "--help"]])
+def test_cli_help_exits_zero(capsys, args):
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(USAGE_LINE + "\n\n") and err == ""
+
+
+def test_cli_usage_through_python_m_cobcheck():
+    helped = _cobcheck("--help")
+    assert helped.returncode == 0 and helped.stderr == ""
+    assert helped.stdout.splitlines()[0] == USAGE_LINE
+    failed = _cobcheck("check")
+    assert failed.returncode == 1 and failed.stdout == ""
+    assert failed.stderr == f"{USAGE_LINE}\nerror: expected 'check SCENARIO', got check\n"
 
 
 def test_cli_window_too_small_is_a_validation_error(tmp_path, capsys):

@@ -93,3 +93,16 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_a_whole_check_loads_no_argument_parsing_or_dataclass_modules():
+    # argparse's first gettext lookup imports locale, so the command line
+    # is parsed by hand; a subprocess, since pytest itself imports argparse
+    code = ("import contextlib, io, sys, cobcheck.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cobcheck.cli.main(['check', {str(SRC / 'data' / 'paper_cp7.json')!r}])\n"
+            "loaded = {'argparse', 'gettext', 'locale', 'dataclasses', 'inspect'}\n"
+            "print(code, sorted(loaded & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
+    assert proc.stdout == "10 []\n"
