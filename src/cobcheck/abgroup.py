@@ -551,16 +551,6 @@ def subquotient(kernel: IntMatrix, incoming: GroupHom | None, middle: FgAbGroup)
 # Enumeration of homomorphisms
 
 
-def _entry_values(target_order: int, bound: int) -> tuple[int, ...]:
-    """Canonical entry range for a matrix slot: residues mod the target
-    generator order, clipped to |entry| <= bound (``_residue_runs``).
-    Free slots are ordered by absolute value so enumeration meets small
-    representatives first."""
-    if target_order:
-        return tuple(itertools.chain(*_residue_runs(target_order, 0, bound)))
-    return (0, *itertools.chain.from_iterable((x, -x) for x in range(1, bound + 1)))
-
-
 def _residue_runs(t: int, d: int, bound: int) -> tuple[range, range]:
     """The residues x mod t that d kills (the multiples of t / gcd(d, t),
     every residue for d = 0) with x <= bound or t - x <= bound, as two
@@ -645,7 +635,10 @@ def hom_matrix_space(source: FgAbGroup, target: FgAbGroup, bound: int) -> HomMat
     def slot(t: int, d: int) -> tuple[int, ...]:
         if t:
             return tuple(itertools.chain(*_residue_runs(t, d, bound)))
-        return (0,) if d else _entry_values(0, bound)
+        if d:
+            return (0,)
+        # free slots by absolute value, so enumeration meets small representatives first
+        return (0, *itertools.chain.from_iterable((x, -x) for x in range(1, bound + 1)))
 
     if prod(count(t, d) for t in t_orders for d in s_orders) > sys.maxsize:
         raise SolverLimitError(

@@ -1,4 +1,4 @@
-"""Feasibility of systems of exact sequences with shared unknown terms.
+"""Feasibility of exact-sequence windows that share one unknown term.
 
 All terms are elementary abelian 2-groups, i.e. Z_2-vector spaces, where
 exactness is pure rank arithmetic: writing f_i for the map leaving term
@@ -6,21 +6,30 @@ i, exactness at an interior term j says rank(f_{j-1}) + rank(f_j) =
 dim(term j), and any rank assignment satisfying these equations together
 with rank(f) <= min(dim source, dim target) is realized by actual linear
 maps.  Feasibility is therefore an integer problem over the unknown
-dimensions and the map ranks.
+dimension and the map ranks.
 
-The solver runs interval propagation first (each tightening is logged as
-a re-checkable deduction step citing the constraint used); a propagation
-contradiction yields an infeasibility certificate.  Otherwise a bounded
-exhaustive search looks for a witness, falling back to case splits on
-unknown dimensions - per fixed dimensions each sequence is an
-independent chain, where propagation is decisive.
+The solver takes the problems the cobordism windows below build: at
+most one unknown name X per problem, at most once per sequence
+(``UnsupportedProblemError`` names the rule otherwise).  There interval
+propagation decides feasibility on its own.  Each sequence is a path of
+rank variables.  X enters it either as the sum r_{j-1} + r_j = X at one
+interior term, which gives an interval of feasible X, or as a cap
+r <= X at an end, which gives an up-closed set.  Bounds propagation is
+exact along a path, and the sequences meet only in X, so the problem is
+infeasible exactly when propagation reaches an empty interval; each
+tightening is logged as a re-checkable deduction step citing the
+constraint used, and the chain ending in the empty interval is the
+infeasibility certificate.  Otherwise an ascending search over X's
+propagated interval finds the witness.  Endpoint caps do not raise X's
+lower bound, so the least X that works need not be the interval's low
+end.
 
 The cobordism application: a cobordism with ordered ends (A, B) and a
 probe K contributes the five-term window
 
     HF_1(K,B) -> HF_1(K,A) -> HF_1(K,source) -> HF_0(K,B) -> HF_0(K,A)
 
-of its long exact sequence, with the source's Floer homology a shared
+of its long exact sequence, with the source's Floer homology the shared
 unknown; a claimed cobordism is infeasible when its window together with
 the windows of all granted cobordisms admits no exact solution.  Windows
 are built once per pair of end branches and interned; each problem, keyed
@@ -37,8 +46,9 @@ from .topology import LagrangianDescriptor, pair_maslov
 
 
 class UnsupportedProblemError(ValueError):
-    """Term outside the elementary abelian 2-group regime, or an
-    unknown whose dimension the constraints cannot bound."""
+    """A problem outside the solver's domain: a term that is not an
+    elementary abelian 2-group, more than one unknown name, or an
+    unknown occurring twice in one sequence."""
 
 
 class AdmissibilityError(ValueError):
@@ -65,7 +75,8 @@ Term = Known | Unknown
 
 class ExactSequenceProblem(_Record):
     """Sequences of terms with exactness required at every interior
-    position; unknown names may repeat across sequences."""
+    position; the solver takes one unknown name, at most once per
+    sequence."""
 
     __slots__ = ("sequences",)
 
@@ -80,14 +91,14 @@ class CertStep(_Record):
     """One replayable deduction: the cited constraint forces ``var``
     into [lo, hi] (hi < lo records the contradiction).  ``term`` is the
     cited term (position ``pos`` of sequence ``seq``) as a dimension or
-    an unknown's name, None for a case hypothesis; it words the step's
-    line, and the replay reads the problem itself."""
+    an unknown's name; it words the step's line, and the replay reads
+    the problem itself."""
 
     __slots__ = ("kind", "seq", "pos", "var", "lo", "hi", "term")
 
-    def __init__(self, kind: str, seq: int | None, pos: int | None, var: str,
-                 lo: int, hi: int, term: int | str | None):
-        self.kind = kind  # 'le' | 'eq' | 'case'
+    def __init__(self, kind: str, seq: int, pos: int, var: str, lo: int, hi: int,
+                 term: int | str):
+        self.kind = kind  # 'le' | 'eq'
         self.seq, self.pos, self.var, self.lo, self.hi, self.term = seq, pos, var, lo, hi, term
 
     def text(self) -> str:
@@ -97,42 +108,25 @@ class CertStep(_Record):
         term = self.term if isinstance(self.term, str) else f"(Z/2)^{self.term}"
         if self.kind == "le":
             why = f"rank bound by term {j} of sequence {s}: {term}"
-        elif self.kind == "eq":
+        else:
             why = (f"exactness at term {j} of sequence {s}: {_rank_var(s, j - 1)} + "
                    f"{_rank_var(s, j)} = {term}")
-        else:
-            why = f"case hypothesis {var} = {lo}"
         return f"{rel}  [{why}]"
 
 
-class CaseSplit(_Record):
-    __slots__ = ("var", "value", "certificate")
-
-    def __init__(self, var: str, value: int, certificate: Certificate):
-        self.var, self.value, self.certificate = var, value, certificate
-
-
 class Certificate(_Record):
-    """Deduction chain; when ``steps`` does not already end in an empty
-    interval, ``splits`` exhausts the remaining values of one variable
-    and every branch is infeasible.  ``preamble`` restates the initial
-    bounds the replay starts from (context only, not steps)."""
+    """Deduction chain ending in an empty interval.  ``preamble``
+    restates the initial bounds the replay starts from (context only,
+    not steps)."""
 
-    __slots__ = ("steps", "splits", "preamble")
+    __slots__ = ("steps", "preamble")
 
-    def __init__(self, steps: tuple[CertStep, ...], splits: tuple[CaseSplit, ...] = (),
-                 preamble: tuple[str, ...] = ()):
-        self.steps, self.splits, self.preamble = steps, splits, preamble
+    def __init__(self, steps: tuple[CertStep, ...], preamble: tuple[str, ...] = ()):
+        self.steps, self.preamble = steps, preamble
 
-    def lines(self, indent: int = 0) -> list[str]:
+    def lines(self) -> list[str]:
         """The certificate as text; each step is worded only here."""
-        pad = "  " * indent
-        out = [pad + p for p in self.preamble]
-        out += [pad + s.text() for s in self.steps]
-        for split in self.splits:
-            out.append(f"{pad}case {split.var} = {split.value}:")
-            out.extend(split.certificate.lines(indent + 1))
-        return out
+        return [*self.preamble, *(s.text() for s in self.steps)]
 
 
 class FeasibilityVerdict(_Record):
@@ -158,7 +152,19 @@ def _term_dim(term: Term) -> int | str:
 
 
 def _dims_table(problem: ExactSequenceProblem) -> list[list[int | str]]:
-    return [[_term_dim(t) for t in seq] for seq in problem.sequences]
+    """The problem as dimensions, unknowns kept by name; raises
+    UnsupportedProblemError outside the solver's domain."""
+    dims = [[_term_dim(t) for t in seq] for seq in problem.sequences]
+    names = sorted({d for seq in dims for d in seq if isinstance(d, str)})
+    if len(names) > 1:
+        raise UnsupportedProblemError(
+            f"unknowns {', '.join(names)}: the solver takes one unknown name per problem")
+    for s, seq in enumerate(dims):
+        if sum(isinstance(d, str) for d in seq) > 1:
+            raise UnsupportedProblemError(
+                f"unknown {names[0]} occurs more than once in sequence {s}: the solver "
+                f"takes an unknown at most once per sequence")
+    return dims
 
 
 def _rank_var(s: int, i: int) -> str:
@@ -166,44 +172,18 @@ def _rank_var(s: int, i: int) -> str:
 
 
 def _unknown_bounds(dims: list[list[int | str]]) -> dict[str, int]:
-    """Sound upper bounds for unknown dimensions.
-
-    An unknown at an interior position equals a sum of two adjacent
-    ranks, so it is bounded by the sum of its neighbours' bounds; the
-    bounds are iterated to a fixpoint.  Endpoint-only unknowns never
-    constrain exactness from above and get the total known dimension.
-    """
-    names = {d for seq in dims for d in seq if isinstance(d, str)}
+    """Sound upper bound for the unknown's dimension.  At an interior
+    position it equals a sum of two adjacent ranks, so it is at most its
+    two known neighbours together.  An endpoint-only unknown never
+    constrains exactness from above and gets the total known dimension,
+    which no such sum exceeds."""
     total_known = sum(d for seq in dims for d in seq if isinstance(d, int))
-    ub: dict[str, int | None] = {name: None for name in names}
-
-    def hi_of(x):
-        return x if isinstance(x, int) else ub[x]
-
-    for _ in range(len(names) + 1):
-        changed = False
-        for s, seq in enumerate(dims):
-            for j in range(1, len(seq) - 1):
-                d = seq[j]
-                if not isinstance(d, str):
-                    continue
-                left, right = hi_of(seq[j - 1]), hi_of(seq[j + 1])
-                if left is None or right is None:
-                    continue
-                cand = left + right
-                if ub[d] is None or cand < ub[d]:
-                    ub[d] = cand
-                    changed = True
-        if not changed:
-            break
-    for name in names:
-        if ub[name] is not None:
-            continue
-        interior = any(seq[j] == name for seq in dims for j in range(1, len(seq) - 1))
-        if interior:
-            raise UnsupportedProblemError(
-                f"cannot bound unknown {name}: interior between unbounded unknowns")
-        ub[name] = total_known  # relaxes rank caps only; any larger value is equivalent
+    ub: dict[str, int] = {}
+    for seq in dims:
+        for j, d in enumerate(seq):
+            if isinstance(d, str):
+                hi = seq[j - 1] + seq[j + 1] if 0 < j < len(seq) - 1 else total_known
+                ub[d] = min(ub.get(d, hi), hi)
     return ub
 
 
@@ -225,24 +205,16 @@ class _State:
     def interval(self, x: int | str) -> tuple[int, int]:
         return (x, x) if isinstance(x, int) else self.iv[x]
 
-    def tighten(self, var: str, lo: int, hi: int, kind: str, seq, pos) -> bool:
+    def tighten(self, var: str, lo: int, hi: int, kind: str, seq: int, pos: int) -> bool:
         cur_lo, cur_hi = self.iv[var]
         lo, hi = max(lo, cur_lo), min(hi, cur_hi)
         if (lo, hi) == (cur_lo, cur_hi):
             return False
         self.iv[var] = (lo, hi)
-        self.steps.append(CertStep(kind, seq, pos, var, lo, hi,
-                                   None if seq is None else self.dims[seq][pos]))
+        self.steps.append(CertStep(kind, seq, pos, var, lo, hi, self.dims[seq][pos]))
         if lo > hi:
             self.contradiction = True
         return True
-
-    def snapshot(self):
-        return dict(self.iv), list(self.steps)
-
-    def restore(self, snap):
-        self.iv, self.steps = dict(snap[0]), list(snap[1])
-        self.contradiction = False
 
 
 def _attempts(dims) -> tuple[list[tuple[str, str, int, int, int | str, str | None]],
@@ -311,22 +283,15 @@ def _prune_steps(dims, steps: list[CertStep]) -> tuple[CertStep, ...]:
     set a variable its cited constraint reads, and on earlier settings
     of its own variable (replay folds each step into the current
     interval)."""
-    if not steps:
-        return ()
 
     def reads(step: CertStep) -> set[str]:
-        if step.kind == "le":
-            d = dims[step.seq][step.pos]
-            return {d} if isinstance(d, str) else set()
+        s, j = step.seq, step.pos
+        d = dims[s][j]
+        out = {d} if isinstance(d, str) else set()
         if step.kind == "eq":
-            s, j = step.seq, step.pos
-            out = {_rank_var(s, j - 1), _rank_var(s, j)}
-            d = dims[s][j]
-            if isinstance(d, str):
-                out.add(d)
+            out |= {_rank_var(s, j - 1), _rank_var(s, j)}
             out.discard(step.var)
-            return out
-        return set()
+        return out
 
     keep = [False] * len(steps)
     keep[-1] = True
@@ -339,108 +304,56 @@ def _prune_steps(dims, steps: list[CertStep]) -> tuple[CertStep, ...]:
     return tuple(s for s, k in zip(steps, keep) if k)
 
 
+def _first_chain(d: list[int]) -> list[int] | None:
+    """The ranks of an exact sequence of dimensions ``d`` with the least
+    first rank (exactness makes every other rank a consequence of the
+    first), or None when there are none."""
+    for r0 in range(min(d[0], d[1]) + 1):
+        chain = [r0]
+        for j in range(1, len(d) - 1):
+            nxt = d[j] - chain[-1]
+            if nxt < 0 or nxt > min(d[j], d[j + 1]):
+                break
+            chain.append(nxt)
+        else:
+            return chain
+    return None
+
+
 def _search_witness(dims, state: _State) -> dict | None:
-    """Exhaustive search inside the propagated intervals: unknown
-    dimensions first, then one free rank per sequence (exactness makes
-    every other rank of a chain a consequence of the first)."""
+    """Exhaustive search inside the propagated intervals: the unknown's
+    dimension in ascending order, then one rank chain per sequence."""
     names = sorted({d for seq in dims for d in seq if isinstance(d, str)})
     boxes = [range(state.iv[n][0], state.iv[n][1] + 1) for n in names]
     for combo in itertools.product(*boxes):
         val = dict(zip(names, combo))
-
-        def dim_of(x):
-            return x if isinstance(x, int) else val[x]
-
-        ranks: list[list[int]] = []
-        ok = True
+        ranks = []
         for seq in dims:
-            d = [dim_of(x) for x in seq]
-            found = None
-            for r0 in range(0, min(d[0], d[1]) + 1):
-                chain = [r0]
-                good = True
-                for j in range(1, len(seq) - 1):
-                    nxt = d[j] - chain[-1]
-                    if nxt < 0 or nxt > min(d[j], d[j + 1]):
-                        good = False
-                        break
-                    chain.append(nxt)
-                if good:
-                    found = chain
-                    break
-            if found is None:
-                ok = False
+            chain = _first_chain([x if isinstance(x, int) else val[x] for x in seq])
+            if chain is None:
                 break
-            ranks.append(found)
-        if ok:
-            witness = {"dims": val}
-            witness["ranks"] = {f"s{s}": tuple(r) for s, r in enumerate(ranks)}
-            return witness
+            ranks.append(chain)
+        else:
+            return {"dims": val, "ranks": {f"s{s}": tuple(r) for s, r in enumerate(ranks)}}
     return None
 
 
-def _split_certificate(dims, state: _State) -> Certificate:
-    """Case-split on the narrowest unfixed unknown; per fixed dimensions
-    the chains are decided by propagation alone."""
-    names = sorted((n for seq in dims for n in seq
-                    if isinstance(n, str) and state.iv[n][0] != state.iv[n][1]),
-                   key=lambda n: (state.iv[n][1] - state.iv[n][0], n))
-    if not names:
-        raise AssertionError("split requested with no unknowns left")
-    var = names[0]
-    lo, hi = state.iv[var]
-    splits = []
-    base = state.snapshot()
-    for value in range(lo, hi + 1):
-        state.restore(base)
-        mark = len(state.steps)
-        state.tighten(var, value, value, "case", None, None)
-        case_step = state.steps[mark]
-        _propagate(state)
-        if state.contradiction:
-            tail = _prune_steps(dims, state.steps[mark + 1:])
-            sub = Certificate(steps=(case_step,) + tail)
-        else:
-            if _search_witness(dims, state) is not None:
-                raise AssertionError("witness exists inside an infeasible split")
-            deeper = _split_certificate(dims, state)
-            # deeper branches replay on top of this case's propagation,
-            # so those steps must stay in the chain
-            tail = tuple(state.steps[mark + 1:])
-            sub = Certificate(steps=(case_step,) + tail + deeper.steps,
-                              splits=deeper.splits)
-        splits.append(CaseSplit(var, value, sub))
-    state.restore(base)
-    return Certificate(steps=(), splits=tuple(splits))
-
-
-def check_feasibility(problem: ExactSequenceProblem,
-                      max_unknown_dim: int | None = None) -> FeasibilityVerdict:
+def check_feasibility(problem: ExactSequenceProblem) -> FeasibilityVerdict:
     """Exact decision: a witness (dimensions and ranks) or an
-    infeasibility certificate of replayable deduction steps.
-
-    max_unknown_dim caps every unknown dimension; None uses the sound
-    bound derived from the constraints.
-    """
+    infeasibility certificate of replayable deduction steps."""
     dims = _dims_table(problem)
     ub = _unknown_bounds(dims)
-    if max_unknown_dim is not None:
-        ub = {k: min(v, max_unknown_dim) for k, v in ub.items()}
     preamble = tuple(f"initial bound: {name} in [0, {hi}] (from the exactness rank equations)"
                      for name, hi in sorted(ub.items()))
     state = _State(dims, ub)
     _propagate(state)
     if state.contradiction:
         return FeasibilityVerdict(False, certificate=Certificate(
-            _prune_steps(dims, state.steps), preamble=preamble))
+            _prune_steps(dims, state.steps), preamble))
     witness = _search_witness(dims, state)
-    if witness is not None:
-        return FeasibilityVerdict(True, witness=witness)
-    split = _split_certificate(dims, state)
-    # the split branches were derived from the propagated state, so the
-    # propagation chain stays in the certificate ahead of them
-    return FeasibilityVerdict(False, certificate=Certificate(
-        tuple(state.steps) + split.steps, splits=split.splits, preamble=preamble))
+    if witness is None:
+        raise AssertionError("propagation found no contradiction and the search no witness")
+    return FeasibilityVerdict(True, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -468,65 +381,37 @@ def verify_witness(problem: ExactSequenceProblem, witness: dict) -> bool:
     return True
 
 
-def _replay(dims, iv: dict[str, tuple[int, int]], cert: Certificate) -> bool:
-    """Re-derive every step from its cited constraint; True when every
-    branch of the certificate ends in an empty interval."""
+def verify_certificate(problem: ExactSequenceProblem, cert: Certificate) -> bool:
+    """Re-derive every step from its cited constraint, starting from the
+    initial bounds; True when the chain ends in an empty interval."""
+    dims = _dims_table(problem)
+    iv = _State(dims, _unknown_bounds(dims)).iv
 
     def interval(x):
         return (x, x) if isinstance(x, int) else iv[x]
 
     for step in cert.steps:
-        cur_lo, cur_hi = iv[step.var]
-        if step.kind == "le":
-            lo_d, hi_d = interval(dims[step.seq][step.pos])
+        s, j = step.seq, step.pos
+        a, b = _rank_var(s, j - 1), _rank_var(s, j)
+        lo_d, hi_d = interval(dims[s][j])
+        if step.kind == "le" and step.var in (a, b):
             allowed = (0, hi_d)
-        elif step.kind == "eq":
-            s, j = step.seq, step.pos
-            a, b = _rank_var(s, j - 1), _rank_var(s, j)
-            lo_d, hi_d = interval(dims[s][j])
-            if step.var == a:
-                lo_o, hi_o = iv[b]
-                allowed = (lo_d - hi_o, hi_d - lo_o)
-            elif step.var == b:
-                lo_o, hi_o = iv[a]
-                allowed = (lo_d - hi_o, hi_d - lo_o)
-            else:
-                (lo_a, hi_a), (lo_b, hi_b) = iv[a], iv[b]
-                allowed = (lo_a + lo_b, hi_a + hi_b)
-        elif step.kind == "case":
-            allowed = (step.lo, step.hi)
-            if step.lo != step.hi or not cur_lo <= step.lo <= cur_hi:
-                return False
+        elif step.kind == "eq" and step.var in (a, b):
+            lo_o, hi_o = iv[b if step.var == a else a]
+            allowed = (lo_d - hi_o, hi_d - lo_o)
+        elif step.kind == "eq" and step.var == dims[s][j]:
+            (lo_a, hi_a), (lo_b, hi_b) = iv[a], iv[b]
+            allowed = (lo_a + lo_b, hi_a + hi_b)
         else:
             return False
+        cur_lo, cur_hi = iv[step.var]
         lo, hi = max(cur_lo, allowed[0]), min(cur_hi, allowed[1])
         if (lo, hi) != (step.lo, step.hi):
             return False
         iv[step.var] = (lo, hi)
         if lo > hi:
             return True  # contradiction reached; remaining steps would be vacuous
-    if not cert.splits:
-        return False  # chain ended without contradiction and without splits
-    var = cert.splits[0].var
-    lo, hi = iv[var]
-    if sorted(split.value for split in cert.splits) != list(range(lo, hi + 1)):
-        return False  # splits must exhaust the variable's interval
-    for split in cert.splits:
-        if split.var != var:
-            return False
-        if not _replay(dims, dict(iv), split.certificate):
-            return False
-    return True
-
-
-def verify_certificate(problem: ExactSequenceProblem, cert: Certificate,
-                       max_unknown_dim: int | None = None) -> bool:
-    dims = _dims_table(problem)
-    ub = _unknown_bounds(dims)
-    if max_unknown_dim is not None:
-        ub = {k: min(v, max_unknown_dim) for k, v in ub.items()}
-    state = _State(dims, ub)
-    return _replay(dims, dict(state.iv), cert)
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,7 @@ import itertools
 import math
 import operator
 
-from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, _entry_values,
-                              bound_may_truncate, composite_is_zero, direct_sum,
+from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, bound_may_truncate, composite_is_zero, direct_sum,
                               hom_matrix_space, homology_at)
 from cobcheck.exactness import (BranchOutcome, ClaimVerdict, ExactSequenceProblem,
                                 _rank_var, build_cobordism_sequences, check_feasibility)
@@ -79,12 +78,23 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def entry_values(order: int, bound: int) -> tuple[int, ...]:
+    """Reference for the values a matrix entry into a generator of
+    ``order`` runs over: the residues of the x with |x| <= bound,
+    ascending, or into a free generator (order 0) each such x, by
+    absolute value, positive first."""
+    xs = range(-bound, bound + 1)
+    if order:
+        return tuple(sorted({x % order for x in xs}))
+    return tuple(sorted(xs, key=lambda x: (abs(x), -x)))
+
+
 def hom_matrix_space_by_product(source: FgAbGroup, target: FgAbGroup, bound: int):
     """Reference for ``abgroup.hom_matrix_space``: every matrix of the
     full product of entry ranges, row-major, kept when ``GroupHom``
     accepts it."""
     s_orders, t_orders = source.generator_orders(), target.generator_orders()
-    slots = [_entry_values(o, bound) for o in t_orders for _ in s_orders]
+    slots = [entry_values(o, bound) for o in t_orders for _ in s_orders]
     homs = []
     for flat in itertools.product(*slots):
         rows = tuple(flat[i * len(s_orders):(i + 1) * len(s_orders)] for i in range(len(t_orders)))

@@ -6,7 +6,7 @@ import pytest
 
 import cobcheck.abgroup as abgroup
 from cobcheck.abgroup import (FgAbGroup, GroupHom, HomValidationError, IntMatrix,
-                              SolverLimitError, Z, ZERO, _entry_values, _residue_runs,
+                              SolverLimitError, Z, ZERO, _residue_runs,
                               _run_length, bound_may_truncate,
                               cokernel, composite_is_zero,
                               cyclic, direct_sum, from_orders,
@@ -313,11 +313,11 @@ def test_torsion_slots_take_residues_without_a_range_over_the_bound():
     # largest order gives; no range over the bound is built, so a bound
     # beyond a C ssize_t is fine
     huge = 10 ** 29
-    assert _entry_values(12, huge) == tuple(range(12))
-    assert _entry_values(12, 2) == (0, 1, 2, 10, 11)
+    assert tuple(itertools.chain(*_residue_runs(12, 0, huge))) == tuple(range(12))
+    assert tuple(itertools.chain(*_residue_runs(12, 0, 2))) == (0, 1, 2, 10, 11)
     # nor a range over a huge order: the work follows the values kept
     t = 10 ** 12 + 39
-    assert _entry_values(t, 2) == (0, 1, 2, t - 2, t - 1)
+    assert tuple(itertools.chain(*_residue_runs(t, 0, 2))) == (0, 1, 2, t - 2, t - 1)
     assert hom_matrix_space(cyclic(2), cyclic(2 ** 40), huge).entries == (((0, 2 ** 39),),)
     assert hom_matrix_space(cyclic(2), cyclic(2 ** 40), 2).entries == (((0,),),)
     for source, target in [(cyclic(2), from_orders(4, 12)), (from_orders(2, 4), from_orders(3, 6)),

@@ -443,7 +443,7 @@ def test_a_verdict_failing_its_own_check_is_an_internal_error(capsys, monkeypatc
         cert, step = verdict.certificate, verdict.certificate.steps[0]
         first = CertStep(step.kind, step.seq, step.pos, step.var, step.lo, step.hi + 1, step.term)
         return FeasibilityVerdict(False, certificate=Certificate(
-            (first,) + cert.steps[1:], cert.splits, cert.preamble))
+            (first,) + cert.steps[1:], cert.preamble))
 
     monkeypatch.setattr(exactness, "check_feasibility", tampered)
     assert main(["check", str(bundled("paper_cp7.json"))]) == 2

@@ -1,10 +1,13 @@
 import itertools
 import random
 from functools import lru_cache
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from cobcheck import exactness
+from cobcheck.cli import main
 from cobcheck.abgroup import FgAbGroup, ZERO, cyclic
 from cobcheck.graded import LaurentGrading
 from cobcheck.topology import LagrangianDescriptor, RealProjective
@@ -15,6 +18,9 @@ from cobcheck.exactness import (AdmissibilityError, CertStep, Certificate, Cobor
                                 verify_certificate, verify_witness)
 
 from oracles import propagate_by_full_sweeps
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+FLAGSHIP = resources.files("cobcheck") / "data" / "paper_cp7.json"
 
 
 def Z2(k: int) -> FgAbGroup:
@@ -35,26 +41,24 @@ def _transitions(d_in: int, d_out: int):
     """kernel subspace -> set of achievable image subspaces, over all
     2^(d_in*d_out) matrices."""
     table: dict[frozenset, set] = {}
-    columns = list(range(2 ** d_out))
-    for cols in itertools.product(columns, repeat=d_in):
-        values = []
-        for x in range(2 ** d_in):
-            v = 0
-            for i in range(d_in):
-                if (x >> i) & 1:
-                    v ^= cols[i]
-            values.append(v)
+    low = [(x & -x).bit_length() - 1 for x in range(2 ** d_in)]
+    for cols in itertools.product(range(2 ** d_out), repeat=d_in):
+        values = [0] * 2 ** d_in
+        for x in range(1, 2 ** d_in):  # x's value from x less its lowest bit
+            values[x] = values[x & (x - 1)] ^ cols[low[x]]
         kernel = frozenset(x for x, v in enumerate(values) if v == 0)
-        image = frozenset(values)
-        table.setdefault(kernel, set()).add(image)
+        table.setdefault(kernel, set()).add(frozenset(values))
     return table
 
 
-def _all_subspace_kernels(d_in: int, d_out: int):
-    return set(_transitions(d_in, d_out).keys())
-
-
-def _sequence_realizable(dims: list[int]) -> bool:
+@lru_cache(maxsize=None)
+def _sequence_realizable(dims: tuple[int, ...]) -> bool:
+    # rank-nullity: an interior term is at most its two neighbours
+    # together, and an end term larger than its neighbour admits the
+    # same images or kernels as one of the neighbour's dimension
+    if any(dims[j] > dims[j - 1] + dims[j + 1] for j in range(1, len(dims) - 1)):
+        return False
+    dims = (min(dims[0], dims[1]), *dims[1:-1], min(dims[-1], dims[-2]))
     states = set()
     for image_set in _transitions(dims[0], dims[1]).values():
         states |= image_set
@@ -69,21 +73,19 @@ def _sequence_realizable(dims: list[int]) -> bool:
     return True
 
 
-def oracle_feasible(problem: ExactSequenceProblem, max_dim: int = 3) -> bool:
-    names = sorted({t.name for seq in problem.sequences for t in seq
-                    if isinstance(t, Unknown)})
-    for combo in itertools.product(range(max_dim + 1), repeat=len(names)):
-        val = dict(zip(names, combo))
-        dims_ok = True
-        for seq in problem.sequences:
-            dims = [len(t.group.torsion) if isinstance(t, Known) else val[t.name]
-                    for t in seq]
-            if not _sequence_realizable(dims):
-                dims_ok = False
-                break
-        if dims_ok:
-            return True
-    return False
+def oracle_feasible(problem: ExactSequenceProblem) -> bool:
+    """Whether some dimension of the unknown makes every sequence
+    realizable by actual maps.  The dimensions run up to the total known
+    dimension: that covers every interior unknown, which rank-nullity
+    bounds by its two neighbours, and an unknown only at ends caps one
+    rank each, so the dimensions that work for it are up-closed."""
+    known = [len(t.group.torsion) for seq in problem.sequences for t in seq
+             if isinstance(t, Known)]
+    return any(
+        all(_sequence_realizable(tuple(len(t.group.torsion) if isinstance(t, Known) else x
+                                       for t in seq))
+            for seq in problem.sequences)
+        for x in range(sum(known) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -145,58 +147,88 @@ def test_order_invariance():
     assert a.feasible == b.feasible == False  # noqa: E712
 
 
+@pytest.mark.parametrize("sequences, rule", [
+    (((Known(ZERO), Unknown("X"), Known(ZERO)), (Known(ZERO), Unknown("Y"), Known(ZERO))),
+     "one unknown name per problem"),
+    (((Known(ZERO), Unknown("X"), Known(Z2(2)), Unknown("X"), Known(ZERO)),),
+     "an unknown at most once per sequence"),
+], ids=["two-names", "twice-in-a-sequence"])
+def test_problems_outside_the_domain_are_refused(sequences, rule):
+    problem = ExactSequenceProblem(sequences)
+    witness = {"dims": {"dim(X)": 0, "dim(Y)": 0}, "ranks": {"s0": (0, 0), "s1": (0, 0)}}
+    for check in (check_feasibility, lambda p: verify_witness(p, witness),
+                  lambda p: verify_certificate(p, Certificate(()))):
+        with pytest.raises(UnsupportedProblemError, match=rule):
+            check(problem)
+
+
+@pytest.mark.parametrize("scenario", [FLAGSHIP, CORPUS / "claims-fanout" / "fan7-mixed.json"],
+                         ids=["flagship", "fan7-mixed"])
+def test_certify_nonexistence_builds_problems_in_the_domain(scenario, capsys, monkeypatch):
+    solved = []
+
+    def recording(problem):
+        solved.append(problem)
+        return check_feasibility(problem)
+
+    monkeypatch.setattr(exactness, "check_feasibility", recording)
+    assert main(["check", str(scenario)]) in (0, 10)
+    capsys.readouterr()
+    assert solved
+    for problem in solved:
+        names = [[t.name for t in seq if isinstance(t, Unknown)] for seq in problem.sequences]
+        assert all(len(seq) <= 1 for seq in names)
+        assert len({name for seq in names for name in seq}) <= 1
+
+
+def test_no_contradiction_and_no_witness_is_an_internal_error(capsys, monkeypatch):
+    # propagation decides the domain, so a search that finds nothing
+    # there is a fault, reported without any verdict
+    monkeypatch.setattr(exactness, "_search_witness", lambda dims, state: None)
+    assert main(["check", str(FLAGSHIP)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "internal error: propagation found no contradiction and the "
+                              "search no witness\n")
+
+
 # ---------------------------------------------------------------------------
 # oracle agreement
 
 
 def _random_problem(rng, max_dim, max_len, n_seq):
-    pool = ["X", "Y"]
+    """Sequences of known terms (Z/2)^d, d <= max_dim, each holding the
+    one unknown X at most once: the solver's domain."""
     sequences = []
     for _ in range(n_seq):
-        length = rng.randrange(3, max_len + 1)
-        seq = []
-        for _ in range(length):
-            if rng.random() < 0.3:
-                seq.append(Unknown(rng.choice(pool)))
-            else:
-                seq.append(Known(Z2(rng.randrange(0, max_dim + 1))))
+        seq = [Known(Z2(rng.randrange(0, max_dim + 1)))
+               for _ in range(rng.randrange(3, max_len + 1))]
+        if rng.random() < 0.7:
+            seq[rng.randrange(len(seq))] = Unknown("X")
         sequences.append(tuple(seq))
     return ExactSequenceProblem(sequences=tuple(sequences))
 
 
 def test_solver_agrees_with_map_enumeration_small_dims():
     rng = random.Random(424242)
-    checked = 0
     feasible_seen = infeasible_seen = 0
-    while checked < 110:
+    for _ in range(110):
         problem = _random_problem(rng, max_dim=2, max_len=5, n_seq=rng.randrange(1, 3))
-        try:
-            verdict = check_feasibility(problem, max_unknown_dim=2)
-        except UnsupportedProblemError:
-            continue  # unknown chain the solver refuses to bound; out of scope
-        expect = oracle_feasible(problem, max_dim=2)
-        assert verdict.feasible == expect, problem
+        verdict = check_feasibility(problem)
+        assert verdict.feasible == oracle_feasible(problem), problem
         if verdict.feasible:
             assert verify_witness(problem, verdict.witness)
             feasible_seen += 1
         else:
-            assert verify_certificate(problem, verdict.certificate, max_unknown_dim=2)
+            assert verify_certificate(problem, verdict.certificate)
             infeasible_seen += 1
-        checked += 1
     assert feasible_seen > 10 and infeasible_seen > 10
 
 
 def test_solver_agrees_with_map_enumeration_dim_three():
     rng = random.Random(7)
-    checked = 0
-    while checked < 12:
+    for _ in range(12):
         problem = _random_problem(rng, max_dim=3, max_len=4, n_seq=rng.randrange(1, 3))
-        try:
-            verdict = check_feasibility(problem, max_unknown_dim=3)
-        except UnsupportedProblemError:
-            continue
-        assert verdict.feasible == oracle_feasible(problem, max_dim=3)
-        checked += 1
+        assert check_feasibility(problem).feasible == oracle_feasible(problem)
 
 
 def test_certificates_replay_on_random_infeasible_problems():
@@ -204,10 +236,7 @@ def test_certificates_replay_on_random_infeasible_problems():
     seen = 0
     while seen < 30:
         problem = _random_problem(rng, max_dim=2, max_len=5, n_seq=2)
-        try:
-            verdict = check_feasibility(problem)
-        except UnsupportedProblemError:
-            continue
+        verdict = check_feasibility(problem)
         if verdict.feasible:
             assert verify_witness(problem, verdict.witness)
             continue
@@ -217,47 +246,37 @@ def test_certificates_replay_on_random_infeasible_problems():
 
 def test_skipping_stale_attempts_keeps_every_step(monkeypatch):
     # the same intervals and logged steps as sweeping every constraint in
-    # every round, and so the same verdicts and certificates
+    # every round, and so the same verdicts and certificates.  _propagate
+    # reads any table, so the tables are built directly and may hold two
+    # unknowns, each more than once in a sequence
     rng = random.Random(2718)
-    split = ExactSequenceProblem(sequences=(  # needs a case split, as below
-        (Known(ZERO), Unknown("X"), Unknown("Y"), Known(ZERO)),
-        (Known(ZERO), Unknown("X"), Known(Z2(3)), Unknown("Y"), Known(ZERO))))
-    problems = [split]
-    while len(problems) < 200:
-        problem = _random_problem(rng, max_dim=4, max_len=7, n_seq=rng.randrange(1, 5))
-        dims = exactness._dims_table(problem)
-        try:
-            ub = exactness._unknown_bounds(dims)
-        except UnsupportedProblemError:
-            continue
+    for _ in range(200):
+        dims = [[rng.choice(["dim(X)", "dim(Y)"]) if rng.random() < 0.3 else rng.randrange(0, 5)
+                 for _ in range(rng.randrange(3, 8))] for _ in range(rng.randrange(1, 5))]
+        ub = {"dim(X)": rng.randrange(0, 9), "dim(Y)": rng.randrange(0, 9)}
         swept, skipped = exactness._State(dims, ub), exactness._State(dims, ub)
         propagate_by_full_sweeps(swept)
         exactness._propagate(skipped)
         assert (skipped.iv, skipped.steps) == (swept.iv, swept.steps)
-        problems.append(problem)
+    problems = [_random_problem(rng, max_dim=4, max_len=7, n_seq=rng.randrange(1, 5))
+                for _ in range(200)]
     verdicts = [check_feasibility(problem) for problem in problems]
     monkeypatch.setattr(exactness, "_propagate", propagate_by_full_sweeps)
     assert [check_feasibility(problem) for problem in problems] == verdicts
-    assert verdicts[0].certificate.splits
+    assert {verdict.feasible for verdict in verdicts} == {True, False}
 
 
-def test_case_split_certificate():
-    # S1 forces dim X = dim Y, S2 forces dim X + dim Y = 3; intervals
-    # alone stay consistent, so the solver must split on a dimension and
-    # refute every value.
-    s1 = (Known(ZERO), Unknown("X"), Unknown("Y"), Known(ZERO))
-    s2 = (Known(ZERO), Unknown("X"), Known(Z2(3)), Unknown("Y"), Known(ZERO))
-    problem = ExactSequenceProblem(sequences=(s1, s2))
-    verdict = check_feasibility(problem)
-    assert not verdict.feasible
-    assert verdict.certificate.splits, "expected a case split"
-    values = sorted(split.value for split in verdict.certificate.splits)
-    var = verdict.certificate.splits[0].var
-    assert verify_certificate(problem, verdict.certificate)
-    # sanity: making the middle term even-dimensional restores feasibility
-    s2_even = (Known(ZERO), Unknown("X"), Known(Z2(4)), Unknown("Y"), Known(ZERO))
-    fixed = check_feasibility(ExactSequenceProblem(sequences=(s1, s2_even)))
-    assert fixed.feasible and fixed.witness["dims"]["dim(X)"] == fixed.witness["dims"]["dim(Y)"]
+def test_a_step_citing_a_constraint_on_another_variable_fails_replay():
+    # the problem is feasible (X = 4); the chain would refute it if a
+    # rank bound could cap the unknown itself
+    problem = ExactSequenceProblem(sequences=(
+        (Known(ZERO), Known(Z2(4)), Unknown("X"), Known(ZERO)),))
+    assert check_feasibility(problem).feasible
+    chain = (CertStep("le", 0, 0, "rk(s0.f0)", 0, 0, 0),
+             CertStep("eq", 0, 1, "rk(s0.f1)", 4, 4, 4),
+             CertStep("le", 0, 2, "rk(s0.f1)", 4, 0, "dim(X)"))
+    forged = CertStep("le", 0, 0, "dim(X)", 0, 0, 0)
+    assert not verify_certificate(problem, Certificate((forged,) + chain))
 
 
 def test_tampered_certificate_fails_replay():

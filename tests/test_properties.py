@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import cobcheck.abgroup as abgroup
 from cobcheck import cli, spectra
-from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, _entry_values,
+from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO,
                               cokernel, composite_is_zero, cyclic, from_orders,
                               preimage_lattice, relation_matrix, smith_normal_form,
                               subquotient)
@@ -38,8 +38,9 @@ from cobcheck.topology import LagrangianDescriptor
 
 import oracles
 from oracles import (certify_nonexistence_per_branch, component_classes_by_product,
-                     components_by_union_find, flow_values_by_product, orthogonal_by_loop,
-                     solve_floer_without_pruning, transpose_masks, vanishing_masks_by_loop)
+                     components_by_union_find, entry_values, flow_values_by_product,
+                     orthogonal_by_loop, solve_floer_without_pruning, transpose_masks,
+                     vanishing_masks_by_loop)
 from test_spectra import assert_pruning_keeps_the_leaves, classes_match_search_without_skipping
 
 
@@ -122,7 +123,7 @@ def space_size(source: FgAbGroup, target: FgAbGroup, bound: int) -> int:
     """The number of matrices ``hom_matrix_space`` runs through."""
     n = 1
     for o in target.generator_orders():
-        n *= len(_entry_values(o, bound)) ** source.generator_count()
+        n *= len(entry_values(o, bound)) ** source.generator_count()
     return n
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from cobcheck.abgroup import (FgAbGroup, GroupHom, HomValidationError, IntMatrix, Z, ZERO,
                               cyclic)
-from cobcheck.exactness import (BranchOutcome, CaseSplit, CertStep, Certificate, ClaimVerdict,
+from cobcheck.exactness import (BranchOutcome, CertStep, Certificate, ClaimVerdict,
                                 ExactSequenceProblem, FeasibilityVerdict, Known, Unknown)
 from cobcheck.graded import GradedGroup, GradingError, LaurentGrading
 from cobcheck.spectra import BigradedPage, BranchLeaf, BranchTree, SpectraError, _ComponentClass
@@ -29,8 +29,7 @@ VALUES = {
     Unknown: lambda: Unknown("X"),
     ExactSequenceProblem: lambda: ExactSequenceProblem(((Known(ZERO), Unknown("X"), Known(ZERO)),)),
     CertStep: lambda: CertStep("eq", 0, 1, "rk(s0.f0)", 0, 1, "dim(X)"),
-    CaseSplit: lambda: CaseSplit("dim(X)", 1, Certificate(())),
-    Certificate: lambda: Certificate((CertStep("case", None, None, "dim(X)", 1, 1, None),),
+    Certificate: lambda: Certificate((CertStep("le", 0, 0, "rk(s0.f0)", 0, 0, 0),),
                                      preamble=("initial bound",)),
     FeasibilityVerdict: lambda: FeasibilityVerdict(False, certificate=Certificate(())),
     BranchOutcome: lambda: BranchOutcome("branch 1", FeasibilityVerdict(True)),
