@@ -10,8 +10,9 @@ common Laurent grading.  Running it executes:
     every claim's exact-sequence system.
 
 Reports are deterministic byte-for-byte: a text derivation trace
-followed by a JSON verdict block carrying the same verdicts.  The
-solvers return data only; the trace is rendered here.
+followed by a JSON verdict block carrying the same verdicts.  ``run()``
+only checks and solves, and returns data; ``RunReport`` words every
+section of the report from that data.
 
 Exit codes: 0 = ran, no claim obstructed; 10 = ran, at least one claim
 INFEASIBLE; 1 = validation/admissibility error, a command line that
@@ -110,6 +111,12 @@ class ObstructionScenario:
             if {decl.pair[0], decl.pair[1]} == {a, b}:
                 return decl
         return None
+
+    def granting(self, claim: ClaimDecl) -> IntersectionDecl | None:
+        """The clean connected intersection of the claim's ordered ends
+        that grants it by surgery, if one is declared."""
+        return next((d for d in self.intersections
+                     if d.pair == claim.ends and d.clean and d.connected), None)
 
 
 # ---------------------------------------------------------------------------
@@ -408,27 +415,76 @@ def branch_lines(tree: BranchTree, leaf: BranchLeaf, images: _Images | None = No
 
 
 class PairResult:
-    __slots__ = ("probe", "end", "native_step", "tree", "folded")
+    """The probe's pair with ``end``: its native grading step, its branch
+    tree and each branch's (HF_0, HF_1) at the common grading."""
 
-    def __init__(self, probe: str, end: str, native_step: int, tree: BranchTree,
-                 folded: list[tuple[str, tuple[FgAbGroup, FgAbGroup]]]):
-        self.probe, self.end, self.native_step, self.tree = probe, end, native_step, tree
-        self.folded = folded
+    __slots__ = ("end", "native_step", "tree", "folded")
+
+    def __init__(self, end: str, native_step: int, tree: BranchTree,
+                 folded: tuple[tuple[str, tuple[FgAbGroup, FgAbGroup]], ...]):
+        self.end, self.native_step, self.tree, self.folded = end, native_step, tree, folded
 
 
 class RunReport:
-    __slots__ = ("scenario", "admissibility", "homology_lines", "spin_lines", "pair_results",
-                 "claim_verdicts", "_trace")
+    """What a run found; every section of the report is worded here."""
 
-    def __init__(self, scenario: ObstructionScenario, admissibility: list[str],
-                 homology_lines: list[str], spin_lines: list[str],
-                 pair_results: list[PairResult], claim_verdicts: list[ClaimVerdict]):
-        self.scenario, self.admissibility = scenario, admissibility
-        self.homology_lines, self.spin_lines = homology_lines, spin_lines
+    __slots__ = ("scenario", "pair_results", "claim_verdicts", "_trace")
+
+    def __init__(self, scenario: ObstructionScenario, pair_results: list[PairResult],
+                 claim_verdicts: list[ClaimVerdict]):
+        self.scenario = scenario
         self.pair_results, self.claim_verdicts = pair_results, claim_verdicts
         # the derivation trace, rendered on first use: the report and the
         # trace file print the same lines
         self._trace: list[str] | None = None
+
+    def _admissibility_lines(self) -> list[str]:
+        sc = self.scenario
+        ambient = sc.lagrangians[0].ambient_dim
+        lines = [f"ambient CP^{ambient}; shared monotonicity constant "
+                 f"tau = {monotonicity_constant(ambient)}/pi",
+                 f"grading deg T = {sc.grading.t_degree} (step {sc.grading.step}, even): ok"]
+        for claim in sc.claims:
+            decl = sc.granting(claim)
+            lines.append(f"claim {claim.source} ~> ({claim.ends[0]}, {claim.ends[1]}): " + (
+                "tested against the granted exact sequences" if decl is None else
+                "granted by surgery along the clean connected intersection "
+                f"({decl.pair[0]}, {decl.pair[1]})"))
+        if sc.probe:
+            probe, step = sc.lagrangian(sc.probe), sc.grading.step
+            lines.append(f"probe K = {sc.probe} with N_K = {probe.maslov} > 3: ok")
+            for pr in self.pair_results:
+                lines.append(f"pair ({sc.probe}, {pr.end}): N = gcd({probe.maslov}, "
+                             f"{sc.lagrangian(pr.end).maslov}) = {pr.native_step}; "
+                             f"step {step} divides {pr.native_step}: ok")
+            if sc.claims:
+                source = sc.lagrangian(sc.claims[0].source)
+                if source.maslov is None:
+                    lines.append(f"source {source.name}: Maslov number unknown (orientable, "
+                                 f"even); step {step} certified")
+                lines.append("cobordism Maslov numbers: unknown (orientable, even); "
+                             "step 2 certified")
+        return lines
+
+    def _homology_lines(self) -> list[str]:
+        lines = [f"space {key} = {describe_space(expr)}: {homology(expr)}"
+                 for key, expr in self.scenario.spaces]
+        for lag in self.scenario.lagrangians:
+            lines.append(f"lagrangian {lag.name}: no homology data declared" if lag.space is None
+                         else f"lagrangian {lag.name} = {describe_space(lag.space)}: "
+                              f"{homology(lag.space)}")
+        return lines
+
+    def _spin_lines(self) -> list[str]:
+        lines = []
+        for claim in self.scenario.claims:
+            decl = self.scenario.granting(claim)
+            if decl is not None:
+                lines.append(
+                    f"cobordism {claim.source} ~> ({claim.ends[0]}, {claim.ends[1]}): "
+                    f"restriction H^k({decl.pair[0]}) -> H^k(S) surjective for k in {{1, 2}}; "
+                    "Mayer-Vietoris forces w_1(V) = w_2(V) = 0: spin certified")
+        return lines or ["no spin checks requested"]
 
     def trace_lines(self) -> list[str]:
         if self._trace is None:
@@ -440,7 +496,8 @@ class RunReport:
         leaf_lines: dict[int, list[str]] = {}  # pairs share trees
         images: _Images = {}  # and leaves share differentials
         for pr in self.pair_results:
-            lines.append(f"pair HF({pr.probe}, {pr.end}) at deg T = -{pr.native_step}:")
+            lines.append(f"pair HF({self.scenario.probe}, {pr.end}) "
+                         f"at deg T = -{pr.native_step}:")
             for i, leaf in enumerate(pr.tree.leaves, start=1):
                 lines.append(f"  branch {i}:")
                 if id(leaf) not in leaf_lines:
@@ -478,7 +535,7 @@ class RunReport:
     def verdict_json(self) -> dict:
         hf_tables = {}
         for pr in self.pair_results:
-            hf_tables[f"({pr.probe},{pr.end})"] = {
+            hf_tables[f"({self.scenario.probe},{pr.end})"] = {
                 "native_step": pr.native_step,
                 "native": [
                     {"branch": i, "hf_even": str(leaf.hf_even), "hf_odd": str(leaf.hf_odd)}
@@ -504,68 +561,37 @@ class RunReport:
             "hf_tables": hf_tables,
         }
 
+    def _summary_lines(self) -> list[str]:
+        if not self.claim_verdicts:
+            return ["no claims; branch tables only"]
+        src = self.scenario.claims[0].source
+        return [f"{src} ~> ({cv.ends[0]}, {cv.ends[1]}): {cv.verdict}"
+                for cv in self.claim_verdicts]
+
     def text(self) -> str:
-        bar = "=" * 64
-        lines = [f"cobordism obstruction report: {self.scenario.name}", bar, ""]
-        lines.append("[admissibility]")
-        lines.extend(self.admissibility)
-        lines.append("")
-        lines.append("[homology]")
-        lines.extend(self.homology_lines)
-        lines.append("")
-        lines.append("[spin]")
-        lines.extend(self.spin_lines if self.spin_lines else ["no spin checks requested"])
-        lines.append("")
-        lines.append("[derivation]")
-        lines.extend(self.trace_lines())
-        lines.append("")
-        lines.append("[summary]")
-        if self.claim_verdicts:
-            src = self.scenario.claims[0].source
-            for cv in self.claim_verdicts:
-                lines.append(f"{src} ~> ({cv.ends[0]}, {cv.ends[1]}): {cv.verdict}")
-        else:
-            lines.append("no claims; branch tables only")
-        lines.append("")
-        lines.append("[verdict json]")
-        lines.append(json.dumps(self.verdict_json(), indent=2, sort_keys=True))
-        lines.append("")
+        sections = {
+            "admissibility": self._admissibility_lines(),
+            "homology": self._homology_lines(),
+            "spin": self._spin_lines(),
+            "derivation": self.trace_lines(),
+            "summary": self._summary_lines(),
+            "verdict json": [json.dumps(self.verdict_json(), indent=2, sort_keys=True)],
+        }
+        lines = [f"cobordism obstruction report: {self.scenario.name}", "=" * 64, ""]
+        for title, body in sections.items():
+            lines += [f"[{title}]", *body, ""]
         return "\n".join(lines)
 
 
-def _z2_table(space: SpaceExpr) -> GradedGroup:
-    """Z/2-cohomology of a space in degrees 1 and 2, as (Z/2)^dim groups."""
-    dims = z2_cohomology_dims(homology(space), [1, 2])
-    return GradedGroup.from_dict({k: FgAbGroup(0, (2,) * v) for k, v in dims.items()})
-
-
 def run(sc: ObstructionScenario) -> RunReport:
-    """Execute the whole pipeline; raises on the first failing stage,
-    naming the stage."""
-    adm: list[str] = []
-    ambient = sc.lagrangians[0].ambient_dim
-    tau = monotonicity_constant(ambient)
-    adm.append(f"ambient CP^{ambient}; shared monotonicity constant tau = {tau}/pi")
-    adm.append(f"grading deg T = {sc.grading.t_degree} (step {sc.grading.step}, even): ok")
-
-    # the clean connected intersection that grants each claim, if any
-    granted_of: dict[ClaimDecl, IntersectionDecl | None] = {}
+    """Check and solve the whole pipeline; raises on the first failing
+    stage, naming the stage.  The report words what it returns."""
     with _stage("admissibility"):
         for claim in sc.claims:
             if not (claim.spin and claim.monotone):
                 raise AdmissibilityError(
                     f"claim ({claim.ends[0]}, {claim.ends[1]}): the obstruction machinery "
                     "applies to spin monotone cobordisms only")
-            decl = next((d for d in sc.intersections
-                         if d.pair == claim.ends and d.clean and d.connected), None)
-            granted_of[claim] = decl
-            if decl is not None:
-                adm.append(f"claim {claim.source} ~> ({claim.ends[0]}, {claim.ends[1]}): "
-                           f"granted by surgery along the clean connected intersection "
-                           f"({decl.pair[0]}, {decl.pair[1]})")
-            else:
-                adm.append(f"claim {claim.source} ~> ({claim.ends[0]}, {claim.ends[1]}): "
-                           "tested against the granted exact sequences")
 
         probe = sc.lagrangian(sc.probe) if sc.probe else None
         end_names = sorted({name for claim in sc.claims for name in claim.ends})
@@ -578,44 +604,31 @@ def run(sc: ObstructionScenario) -> RunReport:
                 if decl.pair[1] == sc.probe:
                     partners.add(decl.pair[0])
             end_names = sorted(partners)
-        pair_list = [(sc.probe, end) for end in end_names] if probe else []
+        native: dict[str, int] = {}  # each probe pair's native grading step
         if probe is not None:
             check_probe_hypothesis(probe)
-            adm.append(f"probe K = {sc.probe} with N_K = {probe.maslov} > 3: ok")
             for end in end_names:
                 lag = sc.lagrangian(end)
                 common_grading_check(probe, lag, sc.grading)
-                n = pair_maslov(probe, lag)
-                adm.append(f"pair ({sc.probe}, {end}): N = gcd({probe.maslov}, "
-                           f"{lag.maslov}) = {n}; step {sc.grading.step} divides {n}: ok")
+                native[end] = pair_maslov(probe, lag)
             if sc.claims:
-                source = sc.lagrangian(sc.claims[0].source)
-                common_grading_check(probe, source, sc.grading)
-                if source.maslov is None:
-                    adm.append(f"source {source.name}: Maslov number unknown (orientable, "
-                               f"even); step {sc.grading.step} certified")
+                common_grading_check(probe, sc.lagrangian(sc.claims[0].source), sc.grading)
                 check_cobordism_grading(sc.grading)
-                adm.append("cobordism Maslov numbers: unknown (orientable, even); "
-                           "step 2 certified")
 
-    hom_lines = []
     with _stage("homology"):
-        for key, expr in sc.spaces:
-            hom_lines.append(f"space {key} = {describe_space(expr)}: {homology(expr)}")
+        # the report words these groups; a failure to compute one is this stage's
+        for _, expr in sc.spaces:
+            homology(expr)
         for lag in sc.lagrangians:
-            if lag.space is None:
-                hom_lines.append(f"lagrangian {lag.name}: no homology data declared")
-            else:
-                hom_lines.append(f"lagrangian {lag.name} = {describe_space(lag.space)}: "
-                                 f"{homology(lag.space)}")
+            if lag.space is not None:
+                homology(lag.space)
         for i, decl in enumerate(sc.intersections):
             if decl.connected and (h0 := homology(decl.space).entry(0)) != FgAbGroup(1):
                 raise ScenarioError(f"intersections[{i}]: connected, but H_0 = {h0} is not Z")
 
-    spin_lines = []
     with _stage("spin"):
         for claim in sc.claims:
-            decl = granted_of[claim]
+            decl = sc.granting(claim)
             if decl is None:
                 continue
             first = sc.lagrangian(decl.pair[0])
@@ -629,26 +642,21 @@ def run(sc: ObstructionScenario) -> RunReport:
                     raise AdmissibilityError(
                         f"spin check for ({claim.ends[0]}, {claim.ends[1]}): end {lag.name} "
                         "has no homology data")
-            s_table = _z2_table(decl.space)
-            ranks = {k: (len(s_table.entry(k).torsion)
-                         if k in decl.restriction_surjective_degrees else 0) for k in (1, 2)}
-            ok = mayer_vietoris_spin_check(_z2_table(first.space), s_table, ranks)
-            if not ok:
+            s_dims = z2_cohomology_dims(homology(decl.space), (1, 2))
+            ranks = {k: s_dims[k] if k in decl.restriction_surjective_degrees else 0
+                     for k in (1, 2)}
+            if not mayer_vietoris_spin_check(
+                    z2_cohomology_dims(homology(first.space), (1, 2)), s_dims, ranks):
                 raise AdmissibilityError(
                     f"spin check for ({claim.ends[0]}, {claim.ends[1]}): restriction to the "
                     "intersection is not declared surjective in degrees 1 and 2; "
                     "w_1 = w_2 = 0 not certified")
-            spin_lines.append(
-                f"cobordism {claim.source} ~> ({claim.ends[0]}, {claim.ends[1]}): restriction "
-                f"H^k({decl.pair[0]}) -> H^k(S) surjective for k in {{1, 2}}; Mayer-Vietoris "
-                "forces w_1(V) = w_2(V) = 0: spin certified")
 
-    pair_results: list[PairResult] = []
+    solved: list[tuple[str, BranchTree]] = []
     trees: dict[tuple, BranchTree] = {}  # one solve per (homology, step, pins)
     table = EnumerationTable()  # enumeration work shared by the solves of this run
     with _stage("floer"):
-        for _, end in pair_list:
-            lag = sc.lagrangian(end)
+        for end, native_step in native.items():
             decl = sc.intersection_of(sc.probe, end)
             if decl is None:
                 raise ScenarioError(
@@ -658,29 +666,26 @@ def run(sc: ObstructionScenario) -> RunReport:
                 raise AdmissibilityError(
                     f"intersection ({decl.pair[0]}, {decl.pair[1]}) must be clean and "
                     "connected for the spectral sequence")
-            native = pair_maslov(probe, lag)
             pins = tuple((p.degree, p.group) for p in sc.pins
                          if tuple(sorted(p.pair)) == tuple(sorted((sc.probe, end))))
-            if (key := (homology(decl.space), native, pins)) not in trees:
+            if (key := (homology(decl.space), native_step, pins)) not in trees:
                 trees[key] = solve_floer(*key, entry_bound=sc.entry_bound, col_span=sc.window,
                                          table=table)
-            tree = trees[key]
-            if tree.status == "empty":
+            if not trees[key].leaves:
                 raise SolverLimitError(
                     f"no consistent spectral sequence for pair ({sc.probe}, {end}) under "
                     f"entry bound {sc.entry_bound}; raise entry_bound (this is not an "
                     "infeasibility verdict)")
-            pair_results.append(PairResult(
-                probe=sc.probe, end=end, native_step=native, tree=tree, folded=[]))
+            solved.append((end, trees[key]))
 
-    branch_sets: dict[str, list[tuple[str, tuple[FgAbGroup, FgAbGroup]]]] = {}
+    pair_results: list[PairResult] = []
     with _stage("coefficients"):
-        for pr in pair_results:
-            for i, leaf in enumerate(pr.tree.leaves, start=1):
-                changed = coefficient_change(leaf.hf, LaurentGrading(-pr.native_step),
-                                             sc.grading)
-                pr.folded.append((f"branch {i}", (changed.entry(0), changed.entry(1))))
-            branch_sets[pr.end] = pr.folded
+        for end, tree in solved:
+            changed = [coefficient_change(leaf.hf, LaurentGrading(-native[end]), sc.grading)
+                       for leaf in tree.leaves]
+            folded = tuple((f"branch {i}", (c.entry(0), c.entry(1)))
+                           for i, c in enumerate(changed, start=1))
+            pair_results.append(PairResult(end, native[end], tree, folded))
 
     claim_verdicts: list[ClaimVerdict] = []
     with _stage("claims"):
@@ -690,20 +695,14 @@ def run(sc: ObstructionScenario) -> RunReport:
                 CobordismClaim(
                     source=source,
                     ends=(sc.lagrangian(c.ends[0]), sc.lagrangian(c.ends[1])),
-                    granted=granted_of[c] is not None,
+                    granted=sc.granting(c) is not None,
                 )
                 for c in sc.claims
             ]
-            claim_verdicts = certify_nonexistence(cob_claims, branch_sets, probe, sc.grading)
+            claim_verdicts = certify_nonexistence(
+                cob_claims, {pr.end: pr.folded for pr in pair_results}, probe, sc.grading)
 
-    return RunReport(
-        scenario=sc,
-        admissibility=adm,
-        homology_lines=hom_lines,
-        spin_lines=spin_lines,
-        pair_results=pair_results,
-        claim_verdicts=claim_verdicts,
-    )
+    return RunReport(scenario=sc, pair_results=pair_results, claim_verdicts=claim_verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -775,6 +774,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run(sc)
+        text = report.text()
     except _STAGE_ERRORS as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
@@ -786,7 +786,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
-    sys.stdout.write(report.text())
+    sys.stdout.write(text)
     try:
         if options.get("--emit-trace"):
             with open(options["--emit-trace"], "w", encoding="utf-8") as fh:

@@ -383,7 +383,9 @@ def verify_witness(problem: ExactSequenceProblem, witness: dict) -> bool:
 
 def verify_certificate(problem: ExactSequenceProblem, cert: Certificate) -> bool:
     """Re-derive every step from its cited constraint, starting from the
-    initial bounds; True when the chain ends in an empty interval."""
+    initial bounds; True when the chain ends in an empty interval.  A
+    step citing a sequence, term or variable the problem lacks (an
+    ``eq`` step needs an interior term) makes it False."""
     dims = _dims_table(problem)
     iv = _State(dims, _unknown_bounds(dims)).iv
 
@@ -392,6 +394,11 @@ def verify_certificate(problem: ExactSequenceProblem, cert: Certificate) -> bool
 
     for step in cert.steps:
         s, j = step.seq, step.pos
+        if not 0 <= s < len(dims) or step.var not in iv:
+            return False
+        inner = 1 if step.kind == "eq" else 0  # an eq step cites an interior term
+        if not inner <= j < len(dims[s]) - inner:
+            return False
         a, b = _rank_var(s, j - 1), _rank_var(s, j)
         lo_d, hi_d = interval(dims[s][j])
         if step.kind == "le" and step.var in (a, b):
@@ -513,7 +520,8 @@ class UnverifiedVerdictError(RuntimeError):
 
 
 def certify_nonexistence(claims: list[CobordismClaim],
-                         branch_sets: dict[str, list[tuple[str, tuple[FgAbGroup, FgAbGroup]]]],
+                         branch_sets: dict[str, tuple[tuple[str, tuple[FgAbGroup, FgAbGroup]],
+                                                      ...]],
                          probe: LagrangianDescriptor,
                          grading: LaurentGrading) -> list[ClaimVerdict]:
     """Per claim: INFEASIBLE when the claim's exact sequence together

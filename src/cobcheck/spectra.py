@@ -929,10 +929,6 @@ class BranchTree(_Record):
         self.column_step, self.entry_bound, self.row_max = column_step, entry_bound, row_max
         self.leaves, self.bound_may_truncate = leaves, bound_may_truncate
 
-    @property
-    def status(self) -> str:
-        return "ok" if self.leaves else "empty"
-
 
 def _fold_parity(values: Iterable[tuple[int, FgAbGroup]]):
     """Fold (degree, group) values into the (even, odd) slots of a

@@ -173,7 +173,8 @@ def test_branch_tables_without_claims():
     raw["pins"] = [{"pair": ["L2", "L2"], "degree": 1, "group": {"free": 0, "torsion": [2]}}]
     report = run(parse_scenario(raw))
     assert report.claim_verdicts == []
-    tables = {(pr.probe, pr.end): len(pr.tree.leaves) for pr in report.pair_results}
+    tables = {(report.scenario.probe, pr.end): len(pr.tree.leaves)
+              for pr in report.pair_results}
     assert tables == {("L2", "L1"): 2, ("L2", "L2"): 1}
     assert "no claims" in report.text()
 
@@ -384,13 +385,15 @@ def test_runs_share_no_enumeration_state(tmp_path, capsys, monkeypatch):
 
 
 def test_solves_render_no_text_and_reports_render_each_leaf_once(monkeypatch, tmp_path):
-    # the solver returns data only; a report describes each distinct
-    # nonzero differential once, in the order its trace first meets it,
-    # however many leaves and pairs share it and whether or not the
-    # trace is also written to a file
-    described = []
-    hom_images = cli.hom_images
+    # the solver and run() return data only (run() names no space); a
+    # report describes each distinct nonzero differential once, in the
+    # order its trace first meets it, however many leaves and pairs share
+    # it and whether or not the trace is also written to a file
+    described, spaces = [], []
+    hom_images, describe_space = cli.hom_images, cli.describe_space
     monkeypatch.setattr(cli, "hom_images", lambda h: described.append(h) or hom_images(h))
+    monkeypatch.setattr(cli, "describe_space",
+                        lambda e: spaces.append(e) or describe_space(e))
     assert not hasattr(spectra, "hom_images")
 
     def differentials(leaves):
@@ -401,14 +404,14 @@ def test_solves_render_no_text_and_reports_render_each_leaf_once(monkeypatch, tm
         return list(dict.fromkeys(differentials(leaves)))
 
     report = run(parse_scenario(json.dumps(FAN6_TWO_BRANCH)))
-    assert described == []
+    assert described == [] and spaces == []
     distinct = first_seen(report)
     # distinct leaves share differentials, so a report without its memo
     # would describe some of them again
     leaves = {id(leaf): leaf for pr in report.pair_results for leaf in pr.tree.leaves}
     assert len(distinct) < len(differentials(leaves.values()))
     report.text()
-    assert described == distinct
+    assert described == distinct and spaces
     report.text()
     assert described == distinct
 
@@ -459,6 +462,15 @@ def test_an_internal_error_with_an_empty_message_is_named_by_its_type(capsys, mo
     monkeypatch.setattr(cli, "solve_floer", exhausted)
     assert main(["check", str(bundled("paper_cp7.json"))]) == 2
     assert capsys.readouterr().err == "internal error: MemoryError\n"
+
+
+def test_a_failing_render_is_an_internal_error_with_no_report(capsys, monkeypatch):
+    def broken(expr):
+        raise RuntimeError("cannot word this space")
+
+    monkeypatch.setattr(cli, "describe_space", broken)
+    assert main(["check", str(bundled("paper_cp7.json"))]) == 2
+    assert capsys.readouterr() == ("", "internal error: cannot word this space\n")
 
 
 def test_cli_emit_trace_and_json(tmp_path, capsys):
@@ -853,13 +865,52 @@ def test_missing_probe_intersection_rejected():
         run(parse_scenario(raw))
 
 
+HOMOLOGY_SECTION = """[homology]
+space R = RP^3 x S^3: {0: Z, 1: Z/2, 3: Z^2, 4: Z/2, 6: Z}
+lagrangian L2 = RP^7: {0: Z, 1: Z/2, 3: Z/2, 5: Z/2, 7: Z}
+lagrangian L1 = RP^3 x S^3 x S^1: {0: Z, 1: Z + Z/2, 2: Z/2, 3: Z^2, 4: Z^2 + Z/2, 5: Z/2, \
+6: Z, 7: Z}
+lagrangian L: no homology data declared
+"""
+
+
+def _header(text: str) -> str:
+    """The report's [admissibility], [homology] and [spin] sections."""
+    return text.split("[admissibility]\n", 1)[1].split("[derivation]\n", 1)[0]
+
+
 def test_report_without_probe_or_claims():
     raw = json.loads(bundled("paper_cp7.json").read_text())
     raw["claims"] = []
     del raw["probe"]
     report = run(parse_scenario(raw))
     assert report.pair_results == []
-    assert "no claims; branch tables only" in report.text()
+    text = report.text()
+    assert "no claims; branch tables only" in text
+    assert _header(text) == (
+        "ambient CP^7; shared monotonicity constant tau = 16/pi\n"
+        "grading deg T = -2 (step 2, even): ok\n\n"
+        + HOMOLOGY_SECTION + "\n[spin]\nno spin checks requested\n\n")
+
+
+def test_report_header_of_a_source_with_a_declared_maslov_number():
+    # every pinned report has a source of unknown Maslov number; a declared
+    # one drops the source line and keeps the cobordism line
+    raw = json.loads(bundled("paper_cp7.json").read_text())
+    raw["lagrangians"][2]["maslov"] = 4
+    assert _header(run(parse_scenario(raw)).text()) == (
+        "ambient CP^7; shared monotonicity constant tau = 16/pi\n"
+        "grading deg T = -2 (step 2, even): ok\n"
+        "claim L ~> (L1, L2): granted by surgery along the clean connected intersection "
+        "(L1, L2)\n"
+        "claim L ~> (L2, L1): tested against the granted exact sequences\n"
+        "probe K = L2 with N_K = 8 > 3: ok\n"
+        "pair (L2, L1): N = gcd(8, 4) = 4; step 2 divides 4: ok\n"
+        "pair (L2, L2): N = gcd(8, 8) = 8; step 2 divides 8: ok\n"
+        "cobordism Maslov numbers: unknown (orientable, even); step 2 certified\n\n"
+        + HOMOLOGY_SECTION + "\n[spin]\n"
+        "cobordism L ~> (L1, L2): restriction H^k(L1) -> H^k(S) surjective for k in "
+        "{1, 2}; Mayer-Vietoris forces w_1(V) = w_2(V) = 0: spin certified\n\n")
 
 
 def test_module_doctests():

@@ -294,6 +294,25 @@ def test_tampered_certificate_fails_replay():
     assert not verify_certificate(combined, truncated)
 
 
+def test_steps_citing_what_the_problem_lacks_fail_replay(capsys, monkeypatch):
+    # a sequence, a term or a variable the problem does not have is a
+    # False replay, not an IndexError or a KeyError
+    problem = ExactSequenceProblem(sequences=((Known(ZERO), Known(Z2(4)), Unknown("X")),))
+    for step in (CertStep("le", 5, 1, "rk(s0.f0)", 0, 0, 4),  # no sequence 5
+                 CertStep("eq", 0, 0, "rk(s0.f0)", 0, 0, 0),  # eq at an end term
+                 CertStep("eq", 0, -1, "dim(X)", 0, 0, "dim(X)"),  # no term -1
+                 CertStep("le", 0, 0, "rk(s0.f-1)", 0, 0, 0)):  # no rank f-1
+        assert not verify_certificate(problem, Certificate((step,)))
+    # every certificate the flagship prints still replays
+    solved = []
+    monkeypatch.setattr(exactness, "check_feasibility",
+                        lambda p: solved.append((p, check_feasibility(p))) or solved[-1][1])
+    assert main(["check", str(FLAGSHIP)]) == 10
+    capsys.readouterr()
+    certified = [(p, v.certificate) for p, v in solved if not v.feasible]
+    assert certified and all(verify_certificate(p, c) for p, c in certified)
+
+
 # ---------------------------------------------------------------------------
 # cobordism windows
 
