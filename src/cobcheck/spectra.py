@@ -89,7 +89,11 @@ placed, each degree is bounded alone, with its arrows uncoupled: its
 final free rank lies in [lo, hi], lo that of the final entries and hi
 that of all of them, and when every entry there is final its group is
 exact.  A branch is cut once the intervals and exact groups of one
-parity have no common value.  Once the last component is placed, and
+parity have no common value.  That check reads the bounds so far, the
+entries the placed classes put on the degrees it bounds and, before
+the coupled flow below, their summed free ranks, so the classes that
+survive under a prefix are worked out once per distinct such input
+of a turn, not once per prefix.  Once the last component is placed, and
 before the next page is built, the coupled flow over every later turn
 is solved degree by degree (each arrow joins degree d to d - 1): the
 branch is cut unless some choice of k leaves each parity a common
@@ -104,6 +108,15 @@ enumerated, naming the smallest window whose run does.  Surviving
 branches are deduplicated by their abutment in degrees 0 and 1.  A
 leaf is data only: its abutment, certified degrees and the
 differentials of each page turn; the report renders it.
+
+A leaf's abutment in a certified degree is the split extension, the
+direct sum, of the E-infinity entries on its antidiagonal.  A spectral
+sequence fixes its abutment only up to extension: those entries are
+the quotients of a filtration of H_n, with the lower columns below, so
+Z/2 over Z/2 may also abut to Z/4, and Z/2 over Z to Z.  The leaves,
+their deduplication and the last turn's exact keys all take the direct
+sum; an extension of a quotient with l-torsion by a sub with free rank
+or l-torsion need not split, and no such leaf is marked.
 """
 
 from __future__ import annotations
@@ -1255,13 +1268,13 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
         class_lists = [table.classes(arrows, positions, tuple(map(entry, positions)),
                                      entry_bound, signature)
                        for arrows, positions, signature in plan.comps]
-        start, check = _interval_pruner(kept, plan, pins, table.key)
+        start, children = _interval_pruner(kept, plan, pins, table.key)
         if start is None:
             return
         # on the last turn each bound is exact, so once both parities have
         # one, the branch's abutment is fixed: a leaf already found cuts it
         cut = found if plan.flow is None else ()
-        for chosen in _combinations(class_lists, check, cut, start):
+        for chosen in _combinations(class_lists, children, cut, start):
             homs = tuple(sorted(hom for cls in chosen for hom in cls.homs))
             results = [res for cls in chosen for res in cls.results]
             explore(page.turned(r + 1, plan.unresolved, kept + results), turns + [(r, homs)])
@@ -1277,12 +1290,13 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     )
 
 
-def _combinations(class_lists: list[tuple[_ComponentClass, ...]], check, cut, state,
+def _combinations(class_lists: list[tuple[_ComponentClass, ...]], children, cut, state,
                   chosen: list[_ComponentClass] = ()):
     """The combinations of one class per component, extending ``chosen``
-    (whose DFS state is ``state``), whose every prefix ``check`` keeps,
-    depth first in product order; a prefix whose state has exact keys
-    for both parities that are in ``cut`` is cut too."""
+    (whose DFS state is ``state``), whose every prefix the pruner keeps
+    (``children`` gives each kept class with its state), depth first in
+    product order; a prefix whose state has exact keys for both parities
+    that are in ``cut`` is cut too."""
     even, odd = state
     if even and odd and (even[2], odd[2]) in cut:
         return
@@ -1290,11 +1304,8 @@ def _combinations(class_lists: list[tuple[_ComponentClass, ...]], check, cut, st
     if i == len(class_lists):
         yield chosen
         return
-    for cls in class_lists[i]:
-        placed = [*chosen, cls]
-        nxt = check(i, placed, state)
-        if nxt is not None:
-            yield from _combinations(class_lists, check, cut, nxt, placed)
+    for cls, nxt in children(i, chosen, state, class_lists[i]):
+        yield from _combinations(class_lists, children, cut, nxt, [*chosen, cls])
 
 
 def _interval_pruner(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, pins, key_of):
@@ -1302,6 +1313,55 @@ def _interval_pruner(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, pins, 
     and the pins: a branch is cut when no later turns can give it a
     consistent abutment.  ``kept`` holds the next page's entries that
     no component touches.
+
+    Returns the state before any component is placed (None when the pins
+    and the degrees no component reaches already clash) and
+    ``children(i, chosen, state, classes)``: each of ``classes`` that
+    ``_interval_check`` keeps when it fills component i after the classes
+    ``chosen``, whose state is ``state``, as (class, next state) pairs in
+    the order of ``classes``.  A check reads, besides the class, only
+    ``i``, the state, the ``_Part`` of each chosen class on the degrees
+    ``plan.checks[i + 1]`` bounds and, on the last component of a turn
+    that is not the last, the summed ``_Flow.pack`` of the chosen
+    classes; everything else it reads is fixed for the turn.  So a DFS
+    node's children are worked out once per distinct such input, in a
+    dict that lives as long as the turn, and the search visits the same
+    prefixes, in the same order, as it would checking each class."""
+    folded = _fold_parity(pins)
+    if folded is None:
+        return None, None
+    start = []
+    for grp in folded:  # a pinned parity's bound is exact
+        key = None if grp is None else key_of(grp)
+        start.append(None if key is None else (key[0], key[0], key))
+    check = _interval_check(kept, plan, key_of)
+    final, flow = plan.final, plan.flow
+    # per component i: the (degree, earlier component) pairs its check
+    # reads (the last component on each of its degrees is i itself)
+    reads = [tuple((deg, c) for deg, at in checks for c in at[:-1]) for checks in plan.checks[1:]]
+    last_comp = len(plan.comps) - 1 if flow is not None else None
+    memo: dict[tuple, tuple[tuple[_ComponentClass, tuple], ...]] = {}
+    states: dict[tuple, tuple] = {}  # one object per distinct next state
+
+    def children(i, chosen, state, classes):
+        key = (i, state, *(chosen[c].degree_parts(final, key_of).get(deg, _NO_PART)
+                           for deg, c in reads[i]))
+        if i == last_comp:
+            key += (sum(cls.pack(flow) for cls in chosen),)
+        kids = memo.get(key)
+        if kids is None:
+            kids = memo[key] = tuple((cls, states.setdefault(nxt, nxt)) for cls in classes
+                                     if (nxt := check(i, [*chosen, cls], state)) is not None)
+        return kids
+
+    return check(-1, [], tuple(start)), children
+
+
+def _interval_check(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, key_of):
+    """The check behind ``_interval_pruner``: ``check(i, placed, state)``
+    is the state once the classes ``placed`` fill components 0..i (None
+    when the branch is cut), and ``check(-1, [], state)`` bounds the
+    degrees no component reaches.
 
     The theorem is the rank flow (``_Flow``): over Q each later arrow
     of the solve's worst-case run lowers the free rank of both its ends
@@ -1322,11 +1382,6 @@ def _interval_pruner(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, pins, 
     common free rank inside its bound.  Groups enter as keys (``key_of``
     gives one) and free ranks as ``_Flow.pack`` ints, summed once for the
     kept entries and once per class, so no node of the DFS adds groups.
-
-    Returns the state before any component is placed (None when the pins
-    and the degrees no component reaches already clash) and
-    ``check(i, placed, state)``, the state once the classes ``placed``
-    fill components 0..i (None when the branch is cut).
     """
     final, flow = plan.final, plan.flow
     kept_parts = _degree_parts(kept, final, key_of)
@@ -1352,12 +1407,4 @@ def _interval_pruner(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, pins, 
                 return None
         return tuple(out)
 
-    folded = _fold_parity(pins)
-    if folded is None:
-        return None, check
-    start = []
-    for grp in folded:  # a pinned parity's bound is exact
-        key = None if grp is None else key_of(grp)
-        start.append(None if key is None else (key[0], key[0], key))
-    return check(-1, [], tuple(start)), check
-
+    return check

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from cobcheck import spectra
+from cobcheck.abgroup import _factorize
 from cobcheck.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
@@ -109,3 +111,56 @@ def test_corpus_report_pinned(capsys, workload, scenario, code, digest):
     assert main(["check", str(path)]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Each leaf's abutment is the direct sum of its E-infinity entries (the
+# spectra module docstring).  These scenarios have a leaf whose certified
+# degree also admits a non-split extension; in every one it is Z/2 over
+# Z/2 in columns four apart (the RP^3 x RP^3 intersection at step 4 has
+# them at columns -8 and -4 of degree -2), which could abut to Z/4.  The
+# flagship (bundled paper_cp7.json) and the rest of the corpus have none:
+# in t2-s2-b2 and t2-s2-b4, Z/2 lies below Z, and that extension splits.
+NON_SPLIT = {("catalog-tables", "rp3rp3-s4"), ("catalog-tables", "rp7-s4-w2"),
+             ("catalog-tables", "rp7-s4-w4"), ("claims-fanout", "fan4-mixed"),
+             ("claims-fanout", "fan4-two-branch"), ("claims-fanout", "fan5-mixed"),
+             ("claims-fanout", "fan5-two-branch"), ("claims-fanout", "fan6-mixed"),
+             ("claims-fanout", "fan6-two-branch"), ("claims-fanout", "fan7-mixed")}
+# (workload, id, file, exit code): the flagship and every corpus scenario
+LEAF_CASES = [("flagship", "paper_cp7", Path(spectra.__file__).parent / "data" / "paper_cp7.json",
+               10), *((w, i, CORPUS / w / f, code) for w, i, f, code in decidable_scenarios())]
+
+
+def primes(grp) -> set[int]:
+    return {p for d in grp.torsion for p in _factorize(d)}
+
+
+def has_non_split_alternative(page) -> bool:
+    """Whether a certified degree of the stable ``page`` has an entry
+    with l-torsion above (in a higher column than) an entry with free
+    rank or l-torsion: the entries are the quotients of a filtration of
+    the abutment, and Ext(Z/l^a, Z) and Ext(Z/l^a, Z/l^b) are nonzero,
+    so there the abutment need not be the direct sum."""
+    for deg in spectra.certified_degrees(page):
+        column = sorted((p, grp) for (p, q), grp in page.entries if p + q == deg)
+        for k, (_, quotient) in enumerate(column):
+            ells = primes(quotient)
+            if ells and any(sub.free_rank or ells & primes(sub) for _, sub in column[:k]):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("workload, scenario, file, code", LEAF_CASES,
+                         ids=[f"{w}/{i}" for w, i, _, _ in LEAF_CASES])
+def test_leaves_with_a_non_split_alternative(monkeypatch, capsys, workload, scenario, file,
+                                             code):
+    # every leaf's stable page: the last page whose certified sums were
+    # taken when the leaf is built
+    pages, leaves = [], []
+    sums, init = spectra._certified_sums, spectra.BranchLeaf.__init__
+    monkeypatch.setattr(spectra, "_certified_sums", lambda page: pages.append(page) or sums(page))
+    monkeypatch.setattr(spectra.BranchLeaf, "__init__",
+                        lambda leaf, **kw: leaves.append(pages[-1]) or init(leaf, **kw))
+    assert main(["check", str(file)]) == code
+    capsys.readouterr()
+    assert leaves or code == 2
+    assert any(map(has_non_split_alternative, leaves)) == ((workload, scenario) in NON_SPLIT)

@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import pytest
 
 from cobcheck import spectra
 from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, cokernel, cyclic,
                               hom_images, subquotient)
 from cobcheck.graded import GradedGroup
-from cobcheck.cli import branch_lines
+from cobcheck.cli import branch_lines, main
 from cobcheck.spectra import (BigradedPage, EnumerationTable,
                               SpectraError, WindowError, _component_classes, _first_active_page,
                               build_e1, certified_degrees, solve_floer, turn_page)
@@ -18,6 +20,7 @@ H_RP7 = homology(RealProjective(7))
 H_R = homology(Product(RealProjective(3), Sphere(3)))
 H_POINT = GradedGroup.from_dict({0: Z})
 H_T2 = homology(Product(Circle(), Circle()))
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +554,70 @@ def test_turn_plans_are_keyed_by_what_they_read(monkeypatch, h, step, kw, leaves
     assert len(tree.leaves) == leaves
     assert len(built) == pages
     assert 0 < len(plans) <= most_plans
+
+
+def test_t3_checks_each_distinct_node_input_once(monkeypatch):
+    # T^3 at step 2, bound 1 (catalog-tables/t3-s2-b1), next to its
+    # 1,619 pages above: a DFS node's children are checked once per
+    # distinct input, 10,774 checks against 40,655 class by class
+    calls, interval_check = [], spectra._interval_check
+
+    def counted(*args):
+        check = interval_check(*args)
+        return lambda *call: calls.append(call[0]) or check(*call)
+
+    monkeypatch.setattr(spectra, "_interval_check", counted)
+    h = GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z})
+    tree = solve_floer(h, 2, entry_bound=1)
+    assert len(tree.leaves) == 16
+    assert len(calls) == 10774
+
+
+def children_match_class_by_class_checks(monkeypatch) -> list:
+    """Wrap ``_interval_pruner`` so that every ``children`` result is
+    checked against the classes kept one at a time by the unmemoized
+    check; returns the component index of every ``children`` call."""
+    pruner, calls = spectra._interval_pruner, []
+
+    def wrapped(kept, plan, pins, key_of):
+        start, children = pruner(kept, plan, pins, key_of)
+        check = spectra._interval_check(kept, plan, key_of)
+
+        def checked(i, chosen, state, classes):
+            got = children(i, chosen, state, classes)
+            want = [(cls, nxt) for cls in classes
+                    if (nxt := check(i, [*chosen, cls], state)) is not None]
+            assert [(id(cls), nxt) for cls, nxt in got] == [(id(cls), nxt) for cls, nxt in want]
+            calls.append(i)
+            return got
+
+        return start, checked
+
+    monkeypatch.setattr(spectra, "_interval_pruner", wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("h, step, kw, leaves", [
+    (GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z}), 2,
+     {"entry_bound": 1}, 16),
+    (H_RP7, 4, {"entry_bound": 4, "col_span": 4}, 1),
+], ids=["t3-s2-b1", "rp7-s4-w4"])
+def test_children_are_the_classes_checked_one_at_a_time(monkeypatch, h, step, kw, leaves):
+    calls = children_match_class_by_class_checks(monkeypatch)
+    assert len(solve_floer(h, step, **kw).leaves) == leaves
+    assert calls
+
+
+@pytest.mark.parametrize("path, code", [
+    (CORPUS / "flagship-sweep" / "cp7-b6-w8.json", 10),
+    (CORPUS / "claims-fanout" / "fan7-mixed.json", 10),
+], ids=["cp7-b6-w8", "fan7-mixed"])
+def test_children_are_the_classes_checked_one_at_a_time_in_a_run(monkeypatch, capsys, path,
+                                                                  code):
+    calls = children_match_class_by_class_checks(monkeypatch)
+    assert main(["check", str(path)]) == code
+    capsys.readouterr()
+    assert calls
 
 
 def test_hom_spaces_build_homs_only_when_indexed(monkeypatch):
