@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import sys
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, prod
 from operator import attrgetter, mul
 
@@ -570,26 +570,39 @@ def _run_length(run: range) -> int:
 class HomMatrixSpace(Sequence):
     """The homs source -> target whose matrix entry (i, j) runs over
     ``entries[i][j]``, in the order of ``itertools.product`` over the
-    entries in row-major order (the last entry fastest).  Stores the
-    entry ranges and each row's values (``rows``, row i running over the
-    product of its entries' ranges): matrix h is decoded from its index
-    (``matrix``), and a ``GroupHom`` is built only when one is indexed
-    or iterated."""
+    entries in row-major order (the last entry fastest), with the
+    invariants of each hom by its index.  Stores the entry ranges and
+    each row's values (``rows``, row i running over the product of its
+    entries' ranges): matrix h is decoded from its index (``matrix``),
+    and a ``GroupHom`` is built only when one is indexed.
+
+    The cokernel target / (im + relations) of a hom is fixed by the
+    number of rows and the lattice spanned by the rows of [matrix |
+    relations], so by the set of those rows up to sign.  One bit per
+    distinct row, OR-ed over a hom's rows in one pass over the space in
+    product order, gives each hom its row class: ``row_class[h]`` is the
+    first hom whose rows form the same set.  Row classes, and the
+    cokernels and images computed once per class, are worked out on
+    first use, as are kernel lattices, per hom; building a space
+    computes none of them."""
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup,
                  entries: tuple[tuple[tuple[int, ...], ...], ...]):
         self.source, self.target, self.entries = source, target, entries
         self.rows = tuple(tuple(itertools.product(*row)) for row in entries)
         self._len = prod(map(len, self.rows))
+        self._cokers: list[FgAbGroup] = []  # the distinct cokernels
+        self._coker_ids: list[int] | None = None
+        self._images: list[tuple[int, bool]] | None = None
+        self._kernels: dict[int, IntMatrix] = {}
 
     def __len__(self) -> int:
         return self._len
 
     def __getitem__(self, h: int) -> GroupHom:
-        return self._hom(self.matrix(h))
-
-    def __iter__(self):
-        return map(self._hom, itertools.product(*self.rows))
+        return GroupHom(self.source, self.target,
+                        IntMatrix(self.target.generator_count(), self.source.generator_count(),
+                                  self.matrix(h)))
 
     def matrix(self, h: int) -> tuple[tuple[int, ...], ...]:
         """The entry rows of hom h."""
@@ -602,9 +615,71 @@ class HomMatrixSpace(Sequence):
             out.append(values[x])
         return tuple(reversed(out))
 
-    def _hom(self, rows) -> GroupHom:
-        return GroupHom(self.source, self.target,
-                        IntMatrix(self.target.generator_count(), self.source.generator_count(), rows))
+    @cached_property
+    def row_class(self) -> list[int]:
+        """Per hom: the first hom whose rows of [matrix | relations] form
+        the same set up to sign."""
+        bit_of: dict[tuple[int, ...], int] = {}
+        keys = [0]
+        for values, relation in zip(self.rows, relation_matrix(self.target).entries):
+            bits = [bit_of.setdefault(min(v, tuple(-x for x in v)), 1 << len(bit_of))
+                    for v in (value + relation for value in values)]
+            keys = [key | bit for key in keys for bit in bits]
+        first: dict[int, int] = {}
+        return list(map(first.setdefault, keys, itertools.count()))
+
+    def coker_ids(self) -> list[int]:
+        """Per hom: an id of target / im(hom), equal for equal groups."""
+        if self._coker_ids is None:
+            relations = relation_matrix(self.target).entries
+            cols = self.source.generator_count() + len(self.target.torsion)
+            index: dict[FgAbGroup, int] = {}
+            of_class = {}
+            for rep in dict.fromkeys(self.row_class):
+                rows = self.matrix(rep)
+                grp = cokernel(IntMatrix(len(rows), cols,
+                                         tuple(map(tuple.__add__, rows, relations))))
+                of_class[rep] = index.setdefault(grp, len(index))
+            self._cokers = list(index)
+            self._coker_ids = list(map(of_class.__getitem__, self.row_class))
+        return self._coker_ids
+
+    def coker(self, h: int) -> FgAbGroup:
+        """target / im(hom h)."""
+        ids = self.coker_ids()  # fills ``_cokers`` on first use
+        return self._cokers[ids[h]]
+
+    def image(self, h: int) -> tuple[int, bool]:
+        """The rank of im(hom h) and whether that image is torsion-free."""
+        return self.images()[h]
+
+    def images(self) -> list[tuple[int, bool]]:
+        """``image(h)`` of every hom.  The rows fix the kernel, so it is
+        computed once per row class: into a free group the image is
+        free, of the matrix rank, and a subgroup of a finite group is
+        torsion-free only when zero, that is when the cokernel is the
+        whole target; into a target with both parts it is source /
+        kernel."""
+        if self._images is None:
+            target, ids = self.target, self.coker_ids()
+            of_class = {}
+            for rep in dict.fromkeys(self.row_class):
+                if target.free_rank and target.torsion:
+                    grp = cokernel(self.kernel(rep))
+                    of_class[rep] = (grp.free_rank, not grp.torsion)
+                else:
+                    grp = self._cokers[ids[rep]]
+                    of_class[rep] = (target.free_rank - grp.free_rank,
+                                     not target.torsion or grp == target)
+            self._images = list(map(of_class.__getitem__, self.row_class))
+        return self._images
+
+    def kernel(self, h: int) -> IntMatrix:
+        """The kernel lattice of hom h on the source generators."""
+        kernel = self._kernels.get(h)
+        if kernel is None:
+            kernel = self._kernels[h] = preimage_lattice(self[h])
+        return kernel
 
 
 def hom_matrix_space(source: FgAbGroup, target: FgAbGroup, bound: int) -> HomMatrixSpace:

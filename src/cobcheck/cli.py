@@ -357,6 +357,15 @@ def parse_scenario(data) -> ObstructionScenario:
             degree=_integer(_required(raw, "degree", path), f"{path}.degree"),
             group=_parse_group(_required(raw, "group", path), f"{path}.group"),
         ))
+    # a pair's abutment is 2-periodic, so its pins of one parity must agree
+    first_pins: dict[tuple, tuple[int, PinDecl]] = {}
+    for j, pin in enumerate(pins):
+        i, other = first_pins.setdefault((*sorted(pin.pair), pin.degree % 2), (j, pin))
+        if other.group != pin.group:
+            raise ScenarioError(
+                f"pins[{i}], pins[{j}]: the 2-periodic Floer homology of "
+                f"({pin.pair[0]}, {pin.pair[1]}) cannot be {other.group} in degree "
+                f"{other.degree} and {pin.group} in degree {pin.degree}")
 
     return ObstructionScenario(
         name=name,
@@ -614,6 +623,13 @@ def run(sc: ObstructionScenario) -> RunReport:
             if sc.claims:
                 common_grading_check(probe, sc.lagrangian(sc.claims[0].source), sc.grading)
                 check_cobordism_grading(sc.grading)
+        # a pin is read only by the solve of its pair
+        solved_pairs = {tuple(sorted((sc.probe, end))) for end in native}
+        for i, pin in enumerate(sc.pins):
+            if tuple(sorted(pin.pair)) not in solved_pairs:
+                raise AdmissibilityError(
+                    f"pins[{i}]: ({pin.pair[0]}, {pin.pair[1]}) is not a probe pair of this run, "
+                    "so no solve reads the pin")
 
     with _stage("homology"):
         # the report words these groups; a failure to compute one is this stage's

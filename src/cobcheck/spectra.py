@@ -29,12 +29,10 @@ against each value of each column of f's (exact dot products packed
 into big-int lanes), gives the masks: the mask of g is the AND over f's
 columns of the per-column bit polynomials, over f's mixed-radix index,
 of the values that all of g's rows kill.  Cokernels come from rows
-too: target / (im + relations) is fixed by the number of rows and the
-lattice the rows of [matrix | relations] span, so by the set of those
-rows up to sign.  One pass over a space in product order, OR-ing one
-bit per distinct row, gives each hom its row class, and the masks
-indexed by the space, its cokernels and its images are computed once
-per class.
+too: target / (im + relations) is fixed by the set of the rows of
+[matrix | relations] up to sign, a hom's row class in its
+``abgroup.HomMatrixSpace``, and the masks indexed by a space, its
+cokernels and its images are computed once per class.
 
 Sibling rule: under one prefix, a hom is skipped when an earlier
 sibling has the same signature, which is everything later work reads
@@ -124,12 +122,11 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, compress, count, product, repeat
 from math import prod
-from operator import mul, neg
+from operator import mul
 
-from .abgroup import (FgAbGroup, GroupHom, IntMatrix, ZERO, _Record, _factorize,
-                      bound_may_truncate, cokernel, composite_is_zero, direct_sum,
-                      hom_matrix_space, homology_at, preimage_lattice, relation_matrix,
-                      subquotient)
+from .abgroup import (FgAbGroup, GroupHom, HomMatrixSpace, ZERO, _Record, _factorize,
+                      bound_may_truncate, composite_is_zero, direct_sum, hom_matrix_space,
+                      homology_at, subquotient)
 from .graded import GradedGroup
 
 
@@ -443,84 +440,6 @@ def _degree_parts(entries: Iterable[tuple[Position, FgAbGroup]], final: frozense
     return parts
 
 
-class _HomSpace:
-    """The bounded homs source -> target, with the invariants of each
-    hom by its index in ``homs``.
-
-    The cokernel target / (im + relations) of a hom is fixed by the
-    number of rows and the lattice spanned by the rows of [matrix |
-    relations], so by the set of those rows up to sign.  One bit per
-    distinct row, OR-ed over a hom's rows in one pass over the space in
-    product order, gives each hom its row class: ``row_class[h]`` is the
-    first hom whose rows form the same set.  Cokernels, images and the
-    vanishing masks indexed by this space are computed once per class,
-    on first use; kernel lattices are computed per hom on first use."""
-
-    def __init__(self, source: FgAbGroup, target: FgAbGroup, bound: int):
-        self.target = target
-        self.homs = hom_matrix_space(source, target, bound)
-        self._relations = relation_matrix(target).entries
-        self.row_class = _first_of_class(_sets_up_to_sign(
-            [value + relation for value in values]
-            for values, relation in zip(self.homs.rows, self._relations)))
-        self._cokers: list[FgAbGroup] = []  # the distinct cokernels
-        self._coker_ids: list[int] | None = None
-        self._images: list[tuple[int, bool]] | None = None
-        self._kernels: dict[int, IntMatrix] = {}
-
-    def coker_ids(self) -> list[int]:
-        """Per hom: an id of target / im(hom), equal for equal groups."""
-        if self._coker_ids is None:
-            cols = self.homs.source.generator_count() + len(self.target.torsion)
-            index: dict[FgAbGroup, int] = {}
-            of_class = {}
-            for rep in dict.fromkeys(self.row_class):
-                rows = self.homs.matrix(rep)
-                grp = cokernel(IntMatrix(len(rows), cols,
-                                         tuple(map(tuple.__add__, rows, self._relations))))
-                of_class[rep] = index.setdefault(grp, len(index))
-            self._cokers = list(index)
-            self._coker_ids = list(map(of_class.__getitem__, self.row_class))
-        return self._coker_ids
-
-    def coker(self, h: int) -> FgAbGroup:
-        """target / im(hom h)."""
-        ids = self.coker_ids()  # fills ``_cokers`` on first use
-        return self._cokers[ids[h]]
-
-    def image(self, h: int) -> tuple[int, bool]:
-        """The rank of im(hom h) and whether that image is torsion-free."""
-        return self.images()[h]
-
-    def images(self) -> list[tuple[int, bool]]:
-        """``image(h)`` of every hom.  The rows fix the kernel, so it is
-        computed once per row class: into a free group the image is
-        free, of the matrix rank, and a subgroup of a finite group is
-        torsion-free only when zero, that is when the cokernel is the
-        whole target; into a target with both parts it is source /
-        kernel."""
-        if self._images is None:
-            target, ids = self.target, self.coker_ids()
-            of_class = {}
-            for rep in dict.fromkeys(self.row_class):
-                if target.free_rank and target.torsion:
-                    grp = cokernel(self.kernel(rep))
-                    of_class[rep] = (grp.free_rank, not grp.torsion)
-                else:
-                    grp = self._cokers[ids[rep]]
-                    of_class[rep] = (target.free_rank - grp.free_rank,
-                                     not target.torsion or grp == target)
-            self._images = list(map(of_class.__getitem__, self.row_class))
-        return self._images
-
-    def kernel(self, h: int) -> IntMatrix:
-        """The kernel lattice of hom h on the source generators."""
-        kernel = self._kernels.get(h)
-        if kernel is None:
-            kernel = self._kernels[h] = preimage_lattice(self.homs[h])
-        return kernel
-
-
 class EnumerationTable:
     """The enumeration work of one run, each piece done once and shared
     by every solve given the table: hom spaces by (source, target,
@@ -533,17 +452,17 @@ class EnumerationTable:
     outlives the run that built it."""
 
     def __init__(self):
-        self._spaces: dict[tuple[FgAbGroup, FgAbGroup, int], _HomSpace] = {}
-        self._masks: dict[tuple[_HomSpace, _HomSpace], list[int]] = {}
+        self._spaces: dict[tuple[FgAbGroup, FgAbGroup, int], HomMatrixSpace] = {}
+        self._masks: dict[tuple[HomMatrixSpace, HomMatrixSpace], list[int]] = {}
         self._shapes: dict[tuple, tuple[_ComponentClass, ...]] = {}
         self._placed: dict[tuple, tuple[_ComponentClass, ...]] = {}
         self._keys: dict[FgAbGroup, _Key] = {}
 
-    def space(self, source: FgAbGroup, target: FgAbGroup, bound: int) -> _HomSpace:
+    def space(self, source: FgAbGroup, target: FgAbGroup, bound: int) -> HomMatrixSpace:
         key = (source, target, bound)
         space = self._spaces.get(key)
         if space is None:
-            space = self._spaces[key] = _HomSpace(source, target, bound)
+            space = self._spaces[key] = hom_matrix_space(source, target, bound)
         return space
 
     def key(self, grp: FgAbGroup) -> _Key:
@@ -553,7 +472,7 @@ class EnumerationTable:
             key = self._keys[grp] = _group_key(grp)
         return key
 
-    def masks(self, first: _HomSpace, second: _HomSpace) -> list[int]:
+    def masks(self, first: HomMatrixSpace, second: HomMatrixSpace) -> list[int]:
         """``_vanishing_masks`` of the two spaces: indexed by the homs g
         of ``second``, with bits over the homs f of ``first``."""
         key = (first, second)
@@ -626,14 +545,14 @@ def _component_classes(table: EnumerationTable,
     representatives and their order are those of the full search.
 
     Homology ker(out) / im(in) at M comes from per-hom invariants that
-    ``table`` keeps per hom space for the whole run (see ``_HomSpace``):
-    coker(in) = M / im(in) (M at a chain start), and the rank r of
-    im(out) with whether it is torsion-free (r = 0 at a chain end; see
-    ``_HomSpace.image``).  A free im(out) splits off M / im(in), leaving
-    coker(in) with r fewer free generators, built once per distinct
-    result; only a torsion image falls back to ``subquotient`` on the
-    kernel lattice, memoized per position by the (incoming, outgoing)
-    pair.
+    each hom space of ``table`` keeps for the whole run (see
+    ``HomMatrixSpace``): coker(in) = M / im(in) (M at a chain start),
+    and the rank r of im(out) with whether it is torsion-free (r = 0 at
+    a chain end; see ``HomMatrixSpace.images``).  A free im(out) splits
+    off M / im(in), leaving coker(in) with r fewer free generators,
+    built once per distinct result; only a torsion image falls back to
+    ``subquotient`` on the kernel lattice, memoized per position by the
+    (incoming, outgoing) pair.
     """
     group_of = dict(groups)
     spaces = [table.space(group_of[s], group_of[t], bound) for s, t in arrows]
@@ -669,7 +588,7 @@ def _component_classes(table: EnumerationTable,
         key = (-1 if i is None else chosen[i], chosen[o])
         grp = memo.get(key)
         if grp is None:
-            inc = spaces[i].homs[key[0]] if i is not None else None
+            inc = spaces[i][key[0]] if i is not None else None
             grp = subquotient(spaces[o].kernel(key[1]), inc, group_of[pos])
             # one object per distinct group: a memo holds an entry for
             # every surviving pair
@@ -689,16 +608,16 @@ def _component_classes(table: EnumerationTable,
         if target_site:
             parts.append(space.coker_ids())
             if feeds_subquotient:
-                parts.append(range(len(space.homs)))
+                parts.append(range(len(space)))
         first: dict[tuple, int] = {}
         return list(map(first.setdefault, zip(*parts) if parts else repeat(()),
-                        range(len(space.homs))))
+                        range(len(space))))
 
     sids = [sibling_ids(k) for k in range(len(arrows))]
 
     # pending[k]: homs of arrow k not yet tried under the current prefix,
     # in product order; tried[k]: the signatures already tried under it
-    pending = [iter(range(len(spaces[0].homs)))] + [iter(())] * (len(arrows) - 1)
+    pending = [iter(range(len(spaces[0])))] + [iter(())] * (len(arrows) - 1)
     tried: list[set[int]] = [set() for _ in arrows]
     k = 0
     while k >= 0:
@@ -718,7 +637,7 @@ def _component_classes(table: EnumerationTable,
             continue
         key = tuple((site[0], homology(*site)) for site in sites)
         if key not in classes:
-            labeling = [sp.homs[h] for sp, h in zip(spaces, chosen)]
+            labeling = [sp[h] for sp, h in zip(spaces, chosen)]
             classes[key] = _ComponentClass(
                 results=key,
                 homs=tuple((arrow[0], h) for arrow, h in zip(arrows, labeling)
@@ -727,7 +646,7 @@ def _component_classes(table: EnumerationTable,
     return tuple(classes.values())
 
 
-def _vanishing_masks(first: _HomSpace, second: _HomSpace) -> list[int]:
+def _vanishing_masks(first: HomMatrixSpace, second: HomMatrixSpace) -> list[int]:
     """For each hom g of ``second``, the bitmask of the homs f of
     ``first`` with g o f = 0.  Equal masks are one object.
 
@@ -736,19 +655,19 @@ def _vanishing_masks(first: _HomSpace, second: _HomSpace) -> list[int]:
     module docstring): the mask of g is the AND, over f's columns, of
     the polynomials (``_digit_polys``) of the values that all of g's
     rows kill.  It is built once per row class of g."""
-    ranges = first.homs.entries  # ranges[j][c]: the values of entry (j, c) of f
+    ranges = first.entries  # ranges[j][c]: the values of entry (j, c) of f
     columns = [tuple(product(*column)) for column in zip(*ranges)]
     orders = second.target.generator_orders()
     # kills[c][t]: each value of row t of g -> the values of column c of f it kills
     kills = [[dict(zip(values, _orthogonal(values, column, o)))
-              for values, o in zip(second.homs.rows, orders)] for column in columns]
+              for values, o in zip(second.rows, orders)] for column in columns]
     polys = _digit_polys(ranges)
     interned: dict[int, int] = {}
     placed: dict[tuple[int, int], int] = {}
     by_class = {}
     for rep in dict.fromkeys(second.row_class):
-        rows = second.homs.matrix(rep)
-        mask = (1 << len(first.homs)) - 1
+        rows = second.matrix(rep)
+        mask = (1 << len(first)) - 1
         for c, ((offsets, others), column_kills) in enumerate(zip(polys, kills)):
             allowed = (1 << len(offsets)) - 1
             for value, row_kills in zip(rows, column_kills):
@@ -786,23 +705,6 @@ def _digit_polys(ranges: tuple[tuple[tuple[int, ...], ...], ...]) -> list[tuple[
                 others = _place(others, (1 << n) - 1, range(0, n * w, w))
         polys.append((offsets, others))
     return polys
-
-
-def _sets_up_to_sign(groups: Iterable[Sequence[tuple[int, ...]]]) -> list[int]:
-    """Over the product of ``groups`` (the last fastest), each element's
-    set of vectors up to sign, as one bit per distinct vector OR-ed."""
-    bit_of: dict[tuple[int, ...], int] = {}
-    keys = [0]
-    for vectors in groups:
-        bits = [bit_of.setdefault(min(v, tuple(map(neg, v))), 1 << len(bit_of)) for v in vectors]
-        keys = [key | bit for key in keys for bit in bits]
-    return keys
-
-
-def _first_of_class(keys: Iterable[int]) -> list[int]:
-    """For each key, the position of its first occurrence."""
-    first: dict[int, int] = {}
-    return list(map(first.setdefault, keys, count()))
 
 
 def _place(unit: int, mask: int, offsets: Sequence[int]) -> int:
@@ -993,12 +895,13 @@ class _WorstCase:
         self._flows: dict = {}
         self._plans: dict = {}  # the plans of the solve's pages, by what ``_plan`` reads
 
-    def plan(self, page: BigradedPage) -> _Plan:
-        """The plan of ``page``'s turn.  A branch's arrows are among the
-        run's, and a run arrow is the page's when its window ends are live
-        there (entries or unresolved), so the turn is the run's first from
-        the page's index that keeps an arrow.  Plans are keyed by that turn,
-        the arrows it keeps and the page's unresolved set."""
+    def plan(self, page: BigradedPage) -> _Plan | None:
+        """The plan of ``page``'s turn, None when the page is stable.  A
+        branch's arrows are among the run's, and a run arrow is the page's
+        when its window ends are live there (entries or unresolved), so the
+        turn is the run's first from the page's index that keeps an arrow.
+        Plans are keyed by that turn, the arrows it keeps and the page's
+        unresolved set."""
         def live(arrow: tuple[Position, Position]) -> bool:
             return all(pos in page._by_position or pos in page.unresolved
                        for pos in arrow if page.in_window(pos[0]))
@@ -1009,7 +912,7 @@ class _WorstCase:
                 if plan is None:
                     plan = self._plans[key] = _plan(page, self, r, kept)
                 return plan
-        return _Plan(None)
+        return None
 
     def flow(self, r: int, page: BigradedPage, unresolved: frozenset[Position]) -> _Flow | None:
         """The lookahead after turn r of ``page``, a page of this run's
@@ -1160,13 +1063,12 @@ class _Plan:
 
     __slots__ = ("r", "comps", "unresolved", "dropped", "final", "flow", "checks")
 
-    def __init__(self, r: int | None,
-                 comps: tuple[tuple[_Arrows, tuple[Position, ...], tuple[Position, ...]], ...] = (),
-                 unresolved: frozenset[Position] = frozenset(),
-                 dropped: frozenset[Position] = frozenset(),
-                 final: frozenset[Position] = frozenset(), flow: _Flow | None = None,
-                 checks: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] = ()):
-        self.r = r  # the page of the turn; None when the page is stable
+    def __init__(self, r: int,
+                 comps: tuple[tuple[_Arrows, tuple[Position, ...], tuple[Position, ...]], ...],
+                 unresolved: frozenset[Position], dropped: frozenset[Position],
+                 final: frozenset[Position], flow: _Flow | None,
+                 checks: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]):
+        self.r = r  # the page of the turn
         # per component: its arrows, its positions (sorted) and those
         # whose next entry is known (its signature)
         self.comps = comps
@@ -1234,6 +1136,13 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     if table is None:
         table = EnumerationTable()
     pins = tuple(constraints)
+    # the interval pruner's state before any degree is bounded, folded
+    # once per solve: a pinned parity's bound is exact (None when two
+    # pins of one parity differ, so that no branch agrees with them)
+    pinned = _fold_parity(pins)
+    if pinned is not None:
+        keys = [None if grp is None else table.key(grp) for grp in pinned]
+        pinned = tuple(None if key is None else (key[0], key[0], key) for key in keys)
     # first leaf per (HF_even, HF_odd), in search order
     leaves: dict[tuple[FgAbGroup, FgAbGroup], BranchLeaf] = {}
     found: set[tuple[_Key, _Key]] = set()  # the leaves' keys as the pruner states them
@@ -1252,13 +1161,14 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     def explore(page: BigradedPage, turns: list[_Turn]) -> None:
         nonlocal truncation
         plan = run.plan(page)
-        r = plan.r
-        if r is None:
+        if plan is None:
             finish(page, turns)
             return
         if not truncation:
             truncation = any(bound_may_truncate(page.entry(*s), page.entry(*t), entry_bound)
                              for arrows, _, _ in plan.comps for s, t in arrows)
+        if pinned is None:  # clashing pins: the first page notes truncation, no branch survives
+            return
         # the next page's entries that no component touches; each branch
         # adds the homology its chosen classes computed
         # (lists, not tuples: their lengths vary from branch to branch, and
@@ -1268,7 +1178,7 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
         class_lists = [table.classes(arrows, positions, tuple(map(entry, positions)),
                                      entry_bound, signature)
                        for arrows, positions, signature in plan.comps]
-        start, children = _interval_pruner(kept, plan, pins, table.key)
+        start, children = _interval_pruner(kept, plan, pinned, table.key)
         if start is None:
             return
         # on the last turn each bound is exact, so once both parities have
@@ -1277,7 +1187,8 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
         for chosen in _combinations(class_lists, children, cut, start):
             homs = tuple(sorted(hom for cls in chosen for hom in cls.homs))
             results = [res for cls in chosen for res in cls.results]
-            explore(page.turned(r + 1, plan.unresolved, kept + results), turns + [(r, homs)])
+            explore(page.turned(plan.r + 1, plan.unresolved, kept + results),
+                    turns + [(plan.r, homs)])
 
     explore(root, [])
     ordered = tuple(sorted(leaves.values(), key=lambda lf: (str(lf.hf_even), str(lf.hf_odd))))
@@ -1308,11 +1219,12 @@ def _combinations(class_lists: list[tuple[_ComponentClass, ...]], children, cut,
         yield from _combinations(class_lists, children, cut, nxt, [*chosen, cls])
 
 
-def _interval_pruner(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, pins, key_of):
+def _interval_pruner(kept: list[tuple[Position, FgAbGroup]], plan: _Plan,
+                     pinned: tuple[_Bound | None, _Bound | None], key_of):
     """Incremental check of one turn's branches against 2-periodicity
-    and the pins: a branch is cut when no later turns can give it a
-    consistent abutment.  ``kept`` holds the next page's entries that
-    no component touches.
+    and the pins, whose bounds ``pinned`` holds: a branch is cut when no
+    later turns can give it a consistent abutment.  ``kept`` holds the
+    next page's entries that no component touches.
 
     Returns the state before any component is placed (None when the pins
     and the degrees no component reaches already clash) and
@@ -1327,13 +1239,6 @@ def _interval_pruner(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, pins, 
     node's children are worked out once per distinct such input, in a
     dict that lives as long as the turn, and the search visits the same
     prefixes, in the same order, as it would checking each class."""
-    folded = _fold_parity(pins)
-    if folded is None:
-        return None, None
-    start = []
-    for grp in folded:  # a pinned parity's bound is exact
-        key = None if grp is None else key_of(grp)
-        start.append(None if key is None else (key[0], key[0], key))
     check = _interval_check(kept, plan, key_of)
     final, flow = plan.final, plan.flow
     # per component i: the (degree, earlier component) pairs its check
@@ -1354,7 +1259,7 @@ def _interval_pruner(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, pins, 
                                      if (nxt := check(i, [*chosen, cls], state)) is not None)
         return kids
 
-    return check(-1, [], tuple(start)), children
+    return check(-1, [], pinned), children
 
 
 def _interval_check(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, key_of):

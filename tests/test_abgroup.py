@@ -350,3 +350,15 @@ def test_a_hom_space_past_sys_maxsize_is_a_named_solver_limit():
     with pytest.raises(SolverLimitError, match="entry_bound 100000"):
         hom_matrix_space(FgAbGroup(2), from_orders(2 ** 40, 2 ** 40), 10 ** 29)
     assert len(hom_matrix_space(FgAbGroup(3), FgAbGroup(3), 1)) == 3 ** 9
+
+
+def test_a_hom_space_takes_cokernels_once_per_row_class_and_only_when_asked(monkeypatch):
+    # Z^3 -> Z^3 at bound 1, the largest space of the T^3 table at step
+    # 2: building its 19,683 homs takes no Smith diagonal, and its
+    # cokernels take one per row class
+    calls = []
+    monkeypatch.setattr(abgroup, "cokernel", lambda m: calls.append(m) or cokernel(m))
+    space = hom_matrix_space(FgAbGroup(3), FgAbGroup(3), 1)
+    assert not calls
+    assert len(space.coker_ids()) == len(space)
+    assert len(calls) == len(set(space.row_class))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cobcheck import cli, exactness, spectra
+from cobcheck import abgroup, cli, exactness, spectra
 from cobcheck.abgroup import FgAbGroup, preimage_lattice, relation_matrix
 from cobcheck.cli import (ObstructionScenario, ScenarioError, main,
                           parse_scenario, run)
@@ -346,12 +346,14 @@ def test_enumeration_work_is_done_once_per_run(monkeypatch, document):
     # the solves of a run share one table (in fan7-mixed two of them need
     # the same hom spaces): each hom space is built once, and each
     # (space, hom) takes at most one cokernel of M / im(hom) and, into a
-    # target with torsion, one of source / kernel
+    # target with torsion, one of source / kernel (the spaces take them
+    # in abgroup; run() words no differential, so no hom_images call
+    # adds any)
     spaces, cokernels = [], []
-    hom_matrix_space, cokernel = spectra.hom_matrix_space, spectra.cokernel
+    hom_matrix_space, cokernel = spectra.hom_matrix_space, abgroup.cokernel
     monkeypatch.setattr(spectra, "hom_matrix_space",
                         lambda *args: spaces.append(args) or hom_matrix_space(*args))
-    monkeypatch.setattr(spectra, "cokernel", lambda m: cokernels.append(m) or cokernel(m))
+    monkeypatch.setattr(abgroup, "cokernel", lambda m: cokernels.append(m) or cokernel(m))
     run(parse_scenario(json.dumps(document)))
     assert len(spaces) == len(set(spaces))
     allowed = Counter()
@@ -710,6 +712,17 @@ def _explicit_degree_0(group):
     (lambda d: d["lagrangians"].__setitem__(0, "L2"), "lagrangians[0]: expected an object"),
     (lambda d: d.update(pins=[{"pair": ["L2", "L1"], "group": {"free": 1}}]),
      "pins[0]: missing field 'degree'"),
+    # the abutment is 2-periodic: two pins of one pair, in either order,
+    # and of one parity must agree
+    (lambda d: d.update(pins=[{"pair": ["L2", "L1"], "degree": 0, "group": {"free": 0}},
+                              {"pair": ["L1", "L2"], "degree": 0, "group": {"free": 1}}]),
+     "pins[0], pins[1]: the 2-periodic Floer homology of (L1, L2) cannot be 0 in degree 0 "
+     "and Z in degree 0"),
+    (lambda d: d.update(pins=[{"pair": ["L2", "L2"], "degree": 1, "group": {"free": 1}},
+                              {"pair": ["L2", "L1"], "degree": 0, "group": {"free": 0}},
+                              {"pair": ["L2", "L1"], "degree": 2, "group": {"free": 1}}]),
+     "pins[1], pins[2]: the 2-periodic Floer homology of (L2, L1) cannot be 0 in degree 0 "
+     "and Z in degree 2"),
     (lambda d: d.update(entry_bound="x"), "entry_bound: expected an integer, got 'x'"),
     (lambda d: d["spaces"].update(E={"explicit": {"homology": {}}}),
      "spaces.E.explicit: missing field 'dim'"),
@@ -740,10 +753,11 @@ def _explicit_degree_0(group):
     (lambda d: d.update(entry_bound=1e308), "entry_bound: expected an integer, got 1e+308"),
     (lambda d: d.update(name=["x"]), "name: expected a string, got ['x']"),
 ], ids=["claim-source", "intersection-space", "spaces-list", "lagrangian-string",
-        "pin-degree", "entry-bound-string", "explicit-dim", "group-free-string",
-        "group-free-list", "group-torsion-entry", "group-torsion-int", "group-free-infinity",
-        "connected-h0-not-z", "claim-spin-string", "intersection-clean-int", "rp-float",
-        "maslov-string", "entry-bound-bool", "entry-bound-float", "name-list"])
+        "pin-degree", "pins-one-degree", "pins-one-parity", "entry-bound-string",
+        "explicit-dim", "group-free-string", "group-free-list", "group-torsion-entry",
+        "group-torsion-int", "group-free-infinity", "connected-h0-not-z", "claim-spin-string",
+        "intersection-clean-int", "rp-float", "maslov-string", "entry-bound-bool",
+        "entry-bound-float", "name-list"])
 def test_cli_malformed_documents_are_validation_errors(tmp_path, capsys, mutate, message):
     raw = json.loads(bundled("paper_cp7.json").read_text())
     mutate(raw)
@@ -751,6 +765,28 @@ def test_cli_malformed_documents_are_validation_errors(tmp_path, capsys, mutate,
     path.write_text(json.dumps(raw))
     assert main(["check", str(path)]) == 1
     assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+@pytest.mark.parametrize("claims", [True, False], ids=["claims", "tables"])
+def test_a_pin_no_solve_reads_is_rejected_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                            claims):
+    # the probe L2 is paired with L1 and L2, as the claims' ends or as
+    # the partners its intersections declare; a pin on (L1, L) would be
+    # dropped, so the admissibility stage names it and nothing is solved
+    raw = json.loads(bundled("paper_cp7.json").read_text())
+    if not claims:
+        raw["claims"] = []
+    raw["pins"] = [{"pair": ["L1", "L2"], "degree": 0, "group": {"free": 0}},
+                   {"pair": ["L1", "L"], "degree": 0, "group": {"free": 0}}]
+    solves = []
+    monkeypatch.setattr(cli, "solve_floer", lambda *args, **kw: solves.append(args))
+    path = tmp_path / "unsolved-pin.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "validation error: stage admissibility: pins[1]: (L1, L) is not a probe pair of this "
+        "run, so no solve reads the pin\n")
+    assert not solves
 
 
 def test_cli_entry_bound_past_any_hom_space_is_a_solver_limit(tmp_path, capsys):

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from cobcheck import spectra
+from cobcheck import abgroup, spectra
 from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, cokernel, cyclic,
                               hom_images, subquotient)
 from cobcheck.graded import GradedGroup
@@ -506,7 +506,9 @@ def test_pruning_keeps_the_leaves_of_a_search_without_pruning(h, step, kw):
     (H_T2, 2, 2, ((0, cyclic(3)),), 0),
     (H_RP7, 4, 4, ((0, ZERO), (3, FgAbGroup(0, (2, 2)))), 1),
     (H_RP7, 4, 4, ((-1, cyclic(2)),), 0),
-], ids=["t2-even", "t2-both", "t2-none", "rp7-s4-both", "rp7-s4-none"])
+    # two pins of one parity that differ: no branch agrees with both
+    (H_T2, 2, 2, ((0, Z), (2, ZERO)), 0),
+], ids=["t2-even", "t2-both", "t2-none", "rp7-s4-both", "rp7-s4-none", "t2-clash"])
 def test_pruning_keeps_the_leaves_of_pinned_degrees(h, step, bound, pins, kept):
     tree = assert_pruning_keeps_the_leaves(h, step, constraints=pins, entry_bound=bound)
     assert len(tree.leaves) == kept
@@ -579,8 +581,8 @@ def children_match_class_by_class_checks(monkeypatch) -> list:
     check; returns the component index of every ``children`` call."""
     pruner, calls = spectra._interval_pruner, []
 
-    def wrapped(kept, plan, pins, key_of):
-        start, children = pruner(kept, plan, pins, key_of)
+    def wrapped(kept, plan, pinned, key_of):
+        start, children = pruner(kept, plan, pinned, key_of)
         check = spectra._interval_check(kept, plan, key_of)
 
         def checked(i, chosen, state, classes):
@@ -635,7 +637,7 @@ def test_t3_cokernels_are_taken_once_per_row_class(monkeypatch):
     # a hom's rows up to sign, so the 19,683 homs of Z^3 -> Z^3 and the
     # three smaller spaces need 488 Smith diagonals in all
     calls = []
-    monkeypatch.setattr(spectra, "cokernel", lambda m: calls.append(m) or cokernel(m))
+    monkeypatch.setattr(abgroup, "cokernel", lambda m: calls.append(m) or cokernel(m))
     built = instances_built(monkeypatch, BigradedPage)
     h = GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z})
     tree = solve_floer(h, 2, entry_bound=1)
