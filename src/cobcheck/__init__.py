@@ -7,9 +7,8 @@ certificates."""
 from .abgroup import (FgAbGroup, GroupHom, IntMatrix, cokernel, direct_sum,
                       hom_images, smith_normal_form, tensor, tor)
 from .graded import GradedGroup, LaurentGrading, coefficient_change
-from .topology import (Circle, Explicit, LagrangianDescriptor, Product, RealProjective,
-                       Sphere, homology, mayer_vietoris_spin_check, monotonicity_constant,
-                       pair_maslov)
+from .topology import (Explicit, LagrangianDescriptor, Product, RealProjective, Sphere,
+                       homology, mayer_vietoris_spin_check, monotonicity_constant, pair_maslov)
 from .spectra import (BigradedPage, BranchTree, build_e1,
                       solve_floer, turn_page)
 from .exactness import (ExactSequenceProblem, FeasibilityVerdict, Known, Unknown,

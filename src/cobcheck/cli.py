@@ -30,9 +30,8 @@ from .abgroup import FgAbGroup, GroupHom, SolverLimitError, hom_images
 from .graded import GradedGroup, GradingError, LaurentGrading, coefficient_change
 from .spectra import (BranchLeaf, BranchTree, EnumerationTable, Position, SpectraError,
                       solve_floer)
-from .topology import (Circle, Explicit, LagrangianDescriptor, Product,
-                       RealProjective, SpaceExpr, Sphere, TopologyError,
-                       homology, mayer_vietoris_spin_check,
+from .topology import (Explicit, LagrangianDescriptor, Product, RealProjective, SpaceExpr,
+                       Sphere, TopologyError, homology, mayer_vietoris_spin_check,
                        monotonicity_constant, pair_maslov, z2_cohomology_dims)
 from .exactness import (AdmissibilityError, CobordismClaim, ClaimVerdict,
                         UnsupportedProblemError, certify_nonexistence,
@@ -179,7 +178,7 @@ def _parse_group(raw, path: str) -> FgAbGroup:
 def _parse_space(raw, names: dict[str, SpaceExpr], path: str) -> SpaceExpr:
     if isinstance(raw, str):
         if raw == "circle":
-            return Circle()
+            return Sphere(1)
         if raw in names:
             return names[raw]
         raise ScenarioError(f"{path}: dangling space name {raw!r}")
@@ -216,8 +215,6 @@ def describe_space(expr: SpaceExpr) -> str:
         return f"S^{expr.n}"
     if isinstance(expr, RealProjective):
         return f"RP^{expr.n}"
-    if isinstance(expr, Circle):
-        return "S^1"
     if isinstance(expr, Product):
         return f"{describe_space(expr.left)} x {describe_space(expr.right)}"
     return f"explicit(dim {expr.dimension})"
@@ -697,10 +694,10 @@ def run(sc: ObstructionScenario) -> RunReport:
     pair_results: list[PairResult] = []
     with _stage("coefficients"):
         for end, tree in solved:
-            changed = [coefficient_change(leaf.hf, LaurentGrading(-native[end]), sc.grading)
-                       for leaf in tree.leaves]
-            folded = tuple((f"branch {i}", (c.entry(0), c.entry(1)))
-                           for i, c in enumerate(changed, start=1))
+            frm = LaurentGrading(-native[end])
+            folded = tuple((f"branch {i}",
+                            coefficient_change((leaf.hf_even, leaf.hf_odd), frm, sc.grading))
+                           for i, leaf in enumerate(tree.leaves, start=1))
             pair_results.append(PairResult(end, native[end], tree, folded))
 
     claim_verdicts: list[ClaimVerdict] = []
@@ -786,6 +783,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ScenarioError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:  # the JSON decoder and _parse_space recurse per nesting level
+        print("validation error: the scenario document is nested too deeply", file=sys.stderr)
         return 1
 
     try:

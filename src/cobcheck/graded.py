@@ -1,12 +1,10 @@
 """Integer-graded families of abelian groups.
 
-A GradedGroup is a finite map degree -> group (absent degrees are zero),
-optionally with an even period: then one fundamental domain [0, period)
-is stored and lookups fold modulo the period.
+A GradedGroup is a finite map degree -> group (absent degrees are zero).
 
-The coefficient-change operation regrades Laurent coefficients from
-deg T = -N0 down to a divisor -N by direct-summing degrees that become
-identified.
+A 2-periodic group is its (even, odd) pair of groups.  The
+coefficient-change operation regrades such a pair from deg T = -N0 down
+to a divisor -N by direct-summing degrees that become identified.
 """
 
 from __future__ import annotations
@@ -36,34 +34,26 @@ class LaurentGrading:
 
 
 class GradedGroup(_Record):
-    """entries: sorted (degree, group) pairs with nonzero groups only.
-    If period is set it must be a positive even integer and all stored
-    degrees lie in [0, period)."""
+    """entries: sorted (degree, group) pairs with nonzero groups only."""
 
-    __slots__ = ("entries", "period")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[int, FgAbGroup], ...] = (), period: int | None = None):
-        if period is not None and (period <= 0 or period % 2 != 0):
-            raise GradingError(f"period must be a positive even integer, got {period}")
+    def __init__(self, entries: tuple[tuple[int, FgAbGroup], ...] = ()):
         cleaned = []
         seen = set()
         for deg, grp in entries:
             if deg in seen:
                 raise ValueError(f"duplicate degree {deg}")
             seen.add(deg)
-            if period is not None and not 0 <= deg < period:
-                raise ValueError(f"degree {deg} outside the fundamental domain")
             if not grp.is_trivial():
                 cleaned.append((deg, grp))
-        self.entries, self.period = tuple(sorted(cleaned)), period
+        self.entries = tuple(sorted(cleaned))
 
     @staticmethod
-    def from_dict(entries: dict[int, FgAbGroup], period: int | None = None) -> "GradedGroup":
-        return GradedGroup(tuple(entries.items()), period)
+    def from_dict(entries: dict[int, FgAbGroup]) -> "GradedGroup":
+        return GradedGroup(tuple(entries.items()))
 
     def entry(self, degree: int) -> FgAbGroup:
-        if self.period is not None:
-            degree %= self.period
         for deg, grp in self.entries:
             if deg == degree:
                 return grp
@@ -76,43 +66,27 @@ class GradedGroup(_Record):
         if not self.entries:
             return "0"
         body = ", ".join(f"{deg}: {grp}" for deg, grp in self.entries)
-        if self.period is not None:
-            return f"{{{body} (mod {self.period})}}"
         return f"{{{body}}}"
 
 
-def finest_period(g: GradedGroup) -> GradedGroup:
-    """Fold a periodic group to its finest even period: the smallest
-    even divisor p of its period with g(n) = g(n mod p) for every n."""
-    if g.period is None:
-        return g
-    for p in range(2, g.period, 2):
-        if g.period % p == 0 and all(g.entry(n) == g.entry(n % p) for n in range(p, g.period)):
-            return GradedGroup(tuple((n, grp) for n, grp in g.entries if n < p), p)
-    return g
-
-
-def coefficient_change(hf: GradedGroup, frm: LaurentGrading, to: LaurentGrading) -> GradedGroup:
-    """Regrade Laurent coefficients from deg T = -N0 to deg T = -N.
+def coefficient_change(hf: tuple[FgAbGroup, FgAbGroup], frm: LaurentGrading,
+                       to: LaurentGrading) -> tuple[FgAbGroup, FgAbGroup]:
+    """Regrade the (even, odd) pair of a 2-periodic group from
+    deg T = -N0 to deg T = -N.
 
     N must divide N0; the result at degree * is the direct sum of the
-    input at degrees * + k*N for k = 0 .. N0/N - 1.
+    input at degrees * + k*N for k = 0 .. N0/N - 1.  Steps are even, so
+    each of those degrees has the parity of *, and each parity sums
+    N0/N copies of its own group.
 
     >>> from .abgroup import cyclic
-    >>> odd = GradedGroup.from_dict({1: cyclic(2)}, period=2)
-    >>> changed = coefficient_change(odd, LaurentGrading(-8), LaurentGrading(-2))
-    >>> str(changed.entry(1))
-    '(Z/2)^4'
+    >>> even, odd = coefficient_change((ZERO, cyclic(2)), LaurentGrading(-8), LaurentGrading(-2))
+    >>> str(even), str(odd)
+    ('0', '(Z/2)^4')
     """
     n0, n = frm.step, to.step
     if n0 % n != 0:
         raise GradingError(f"target step {n} does not divide source step {n0}")
-    if hf.period is None or (hf.period != n0 and hf.period != 2):
-        raise GradingError(f"input must be periodic with period {n0} or 2")
     folds = n0 // n
-    result = {}
-    for deg in range(n):
-        parts = [hf.entry(deg + k * n) for k in range(folds)]
-        result[deg] = direct_sum(*parts)
-    return finest_period(GradedGroup.from_dict(
-        {d: grp for d, grp in result.items() if not grp.is_trivial()}, period=n))
+    even, odd = hf
+    return direct_sum(*[even] * folds), direct_sum(*[odd] * folds)

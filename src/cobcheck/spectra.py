@@ -199,12 +199,10 @@ def build_e1(s_homology: GradedGroup, column_step: int, col_span: int = 2) -> Bi
     """First page: a copy of the intersection homology in every window
     column, zero elsewhere, over rows 0 up to the top of its support.
 
-    s_homology must be a finite table of a connected closed manifold
+    s_homology must be the homology of a connected closed manifold
     (nonnegative support, nonzero degree 0 entry).  Whether the window
     can certify degrees 0 and 1 is ``solve_floer``'s check.
     """
-    if s_homology.period is not None:
-        raise SpectraError("intersection homology must be a finite table")
     support = s_homology.support()
     if not support or min(support) < 0:
         raise SpectraError("intersection homology must live in nonnegative degrees")
@@ -814,23 +812,18 @@ _Turn = tuple[int, tuple[tuple[Position, GroupHom], ...]]
 
 
 class BranchLeaf(_Record):
-    """One consistent outcome: the 2-periodic abutment, the certified
-    degree table behind it, and the differentials of every page turn on
-    the way to the stable page (turns whose maps all vanish included)."""
+    """One consistent outcome: the 2-periodic abutment as its groups in
+    even and odd degrees, the certified degree table behind it, and the
+    differentials of every page turn on the way to the stable page
+    (turns whose maps all vanish included)."""
 
-    __slots__ = ("hf", "certified", "turns", "stable_page")
+    __slots__ = ("hf_even", "hf_odd", "certified", "turns", "stable_page")
 
-    def __init__(self, hf: GradedGroup, certified: tuple[tuple[int, FgAbGroup], ...],
-                 turns: tuple[_Turn, ...], stable_page: int):
-        self.hf, self.certified, self.turns, self.stable_page = hf, certified, turns, stable_page
-
-    @property
-    def hf_even(self) -> FgAbGroup:
-        return self.hf.entry(0)
-
-    @property
-    def hf_odd(self) -> FgAbGroup:
-        return self.hf.entry(1)
+    def __init__(self, hf_even: FgAbGroup, hf_odd: FgAbGroup,
+                 certified: tuple[tuple[int, FgAbGroup], ...], turns: tuple[_Turn, ...],
+                 stable_page: int):
+        self.hf_even, self.hf_odd, self.certified = hf_even, hf_odd, certified
+        self.turns, self.stable_page = turns, stable_page
 
 
 class BranchTree(_Record):
@@ -1154,8 +1147,7 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
         if key is not None and key not in leaves:
             found.add((table.key(key[0]), table.key(key[1])))
             leaves[key] = BranchLeaf(
-                hf=GradedGroup.from_dict({0: key[0], 1: key[1]}, period=2),
-                certified=tuple(certified), turns=tuple(turns),
+                hf_even=key[0], hf_odd=key[1], certified=tuple(certified), turns=tuple(turns),
                 stable_page=page.page_index)
 
     def explore(page: BigradedPage, turns: list[_Turn]) -> None:
@@ -1201,22 +1193,41 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     )
 
 
-def _combinations(class_lists: list[tuple[_ComponentClass, ...]], children, cut, state,
-                  chosen: list[_ComponentClass] = ()):
-    """The combinations of one class per component, extending ``chosen``
-    (whose DFS state is ``state``), whose every prefix the pruner keeps
+def _combinations(class_lists: list[tuple[_ComponentClass, ...]], children, cut, state):
+    """The combinations of one class per component, from the DFS state
+    ``state`` before any is chosen, whose every prefix the pruner keeps
     (``children`` gives each kept class with its state), depth first in
     product order; a prefix whose state has exact keys for both parities
-    that are in ``cut`` is cut too."""
+    that are in ``cut`` is cut too.
+
+    The search keeps one stack of sibling iterators, as
+    ``_component_classes`` does, so a turn with many components does not
+    nest a generator per component.  It yields its own ``chosen`` list,
+    which changes once the caller asks for the next combination."""
     even, odd = state
     if even and odd and (even[2], odd[2]) in cut:
         return
-    i = len(chosen)
-    if i == len(class_lists):
+    chosen: list[_ComponentClass] = []
+    if not class_lists:
         yield chosen
         return
-    for cls, nxt in children(i, chosen, state, class_lists[i]):
-        yield from _combinations(class_lists, children, cut, nxt, [*chosen, cls])
+    # pending[k]: the kept children of component k not yet tried under chosen[:k]
+    pending = [iter(children(0, chosen, state, class_lists[0]))]
+    while pending:
+        for cls, state in pending[-1]:
+            even, odd = state
+            if even and odd and (even[2], odd[2]) in cut:
+                continue
+            chosen.append(cls)
+            if (i := len(chosen)) < len(class_lists):
+                pending.append(iter(children(i, chosen, state, class_lists[i])))
+                break
+            yield chosen
+            chosen.pop()
+        else:
+            pending.pop()
+            if chosen:
+                chosen.pop()
 
 
 def _interval_pruner(kept: list[tuple[Position, FgAbGroup]], plan: _Plan,

@@ -48,10 +48,6 @@ class RealProjective(_Record):
         self.n = n
 
 
-class Circle(_Record):
-    __slots__ = ()
-
-
 class Product(_Record):
     __slots__ = ("left", "right")
 
@@ -67,14 +63,12 @@ class Explicit(_Record):
     def __init__(self, homology: GradedGroup, dimension: int):
         if dimension < 0:
             raise TopologyError("dimension must be nonnegative")
-        if homology.period is not None:
-            raise TopologyError("explicit homology must be a finite table")
         if any(d < 0 for d in homology.support()):
             raise TopologyError("homology must live in nonnegative degrees")
         self.homology, self.dimension = homology, dimension
 
 
-SpaceExpr = Sphere | RealProjective | Circle | Product | Explicit
+SpaceExpr = Sphere | RealProjective | Product | Explicit
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +118,6 @@ def homology(space: SpaceExpr) -> GradedGroup:
         return GradedGroup.from_dict(_sphere_homology(space.n))
     if isinstance(space, RealProjective):
         return GradedGroup.from_dict(_rp_homology_table(space.n))
-    if isinstance(space, Circle):
-        return GradedGroup.from_dict(_sphere_homology(1))
     if isinstance(space, Product):
         return kunneth(homology(space.left), homology(space.right))
     return space.homology

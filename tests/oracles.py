@@ -12,7 +12,7 @@ from cobcheck.graded import GradedGroup
 from cobcheck.spectra import (BranchLeaf, BranchTree, EnumerationTable, SpectraError, WindowError,
                               _ComponentClass, _first_active_page, _possibly_nonzero,
                               _slots_and_unresolved, build_e1, certified_degrees)
-from cobcheck.topology import Circle, Product, RealProjective, Sphere
+from cobcheck.topology import Product, RealProjective, Sphere
 
 
 def order(grp: FgAbGroup) -> int | None:
@@ -28,8 +28,6 @@ def dimension(space) -> int:
     """The dimension of a space expression."""
     if isinstance(space, (Sphere, RealProjective)):
         return space.n
-    if isinstance(space, Circle):
-        return 1
     if isinstance(space, Product):
         return dimension(space.left) + dimension(space.right)
     return space.dimension
@@ -172,7 +170,7 @@ def solve_floer_without_pruning(s_homology, column_step, constraints=(), entry_b
                 key = (values[0], values[1])
                 if key not in leaves:
                     leaves[key] = BranchLeaf(
-                        hf=GradedGroup.from_dict({0: key[0], 1: key[1]}, period=2),
+                        hf_even=key[0], hf_odd=key[1],
                         certified=tuple((deg, direct_sum_of(grps))
                                         for deg, grps in on_degree.items()),
                         turns=tuple((turn, tuple(sorted(hom for cls in combo for hom in cls.homs)))

@@ -60,16 +60,16 @@ def test_criterion_3_coefficient_change():
     with criterion(3, "folding to step 2 gives (Z/2)^4 odd / 0 even and "
                       "(Z/2)^2 in degrees 0 and 1"):
         self_pair = solve_floer(homology(RealProjective(7)), 8).leaves[0]
-        folded = coefficient_change(self_pair.hf, LaurentGrading(-8), LaurentGrading(-2))
-        assert folded.entry(1) == from_orders(2, 2, 2, 2)
-        assert folded.entry(0) == ZERO
+        folded = coefficient_change((self_pair.hf_even, self_pair.hf_odd),
+                                    LaurentGrading(-8), LaurentGrading(-2))
+        assert folded == (ZERO, from_orders(2, 2, 2, 2))
 
         mixed = solve_floer(homology(Product(RealProjective(3), Sphere(3))), 4)
         second = mixed.leaves[1]
         assert (second.hf_even, second.hf_odd) == (cyclic(2), cyclic(2))
-        folded = coefficient_change(second.hf, LaurentGrading(-4), LaurentGrading(-2))
-        assert folded.entry(0) == from_orders(2, 2)
-        assert folded.entry(1) == from_orders(2, 2)
+        folded = coefficient_change((second.hf_even, second.hf_odd),
+                                    LaurentGrading(-4), LaurentGrading(-2))
+        assert folded == (from_orders(2, 2), from_orders(2, 2))
 
 
 def test_criterion_4_bundled_scenario_golden(capsys):

@@ -14,7 +14,7 @@ from cobcheck.abgroup import FgAbGroup, preimage_lattice, relation_matrix
 from cobcheck.cli import (ObstructionScenario, ScenarioError, main,
                           parse_scenario, run)
 from cobcheck.exactness import CertStep, Certificate, FeasibilityVerdict
-from cobcheck.topology import Circle, Explicit, Product, homology, pair_maslov
+from cobcheck.topology import Explicit, Product, Sphere, homology, pair_maslov
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -129,7 +129,7 @@ def test_roundtrip_covers_explicit_spaces_pins_and_products():
     sc = parse_scenario(raw)
     spaces = dict(sc.spaces)
     # the ternary product folds left
-    assert spaces["T3"] == Product(Product(Circle(), Circle()), Circle())
+    assert spaces["T3"] == Product(Product(Sphere(1), Sphere(1)), Sphere(1))
     assert sc.lagrangian("A").space == spaces["T3"]
     explicit = spaces["E"]
     assert isinstance(explicit, Explicit) and explicit.dimension == 2
@@ -489,6 +489,31 @@ def test_cli_emit_trace_and_json(tmp_path, capsys):
         "02a0ee4a43f847d87e4bb00b140725a0d2157a6bf2efeddd8bf6f24fd41428b1")
     assert hashlib.sha256(verdict.read_bytes()).hexdigest() == (
         "5723cb00bd6d26e60fbdeaa82933048d675a5dbf11e256031fb709e8532671cd")
+
+
+def test_cli_wide_window_keeps_the_golden_verdicts(tmp_path, capsys):
+    # at window 300 a page turn has about 1,200 components; the search
+    # over their classes nests no Python frame per component
+    verdict = tmp_path / "verdict.json"
+    code = main(["check", str(bundled("paper_cp7.json")), "--window", "300",
+                 "--json", str(verdict)])
+    capsys.readouterr()
+    assert code == 10
+    golden = bundled("golden/paper_cp7_report.txt").read_text()
+    assert verdict.read_text() == golden.split("[verdict json]\n", 1)[1]
+
+
+@pytest.mark.parametrize("document", [
+    "[" * 100000 + "]" * 100000,
+    '{"schema": 1, "spaces": {"P": ' + '{"product": ["circle", ' * 1500 + '"circle"'
+    + ']}' * 1500 + '}}',
+], ids=["json-lists", "products"])
+def test_cli_deeply_nested_document_is_a_validation_error(tmp_path, capsys, document):
+    path = tmp_path / "nested.json"
+    path.write_text(document)
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "validation error: the scenario document is nested too deeply\n")
 
 
 @pytest.mark.parametrize("flag", ["--emit-trace", "--json"])

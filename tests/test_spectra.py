@@ -10,7 +10,7 @@ from cobcheck.cli import branch_lines, main
 from cobcheck.spectra import (BigradedPage, EnumerationTable,
                               SpectraError, WindowError, _component_classes, _first_active_page,
                               build_e1, certified_degrees, solve_floer, turn_page)
-from cobcheck.topology import Circle, Product, RealProjective, Sphere, homology
+from cobcheck.topology import Product, RealProjective, Sphere, homology
 
 from oracles import (abutment, arrows_by_scan, component_classes_by_product,
                      component_classes_without_skipping, order, solve_floer_without_pruning)
@@ -19,7 +19,7 @@ from oracles import (abutment, arrows_by_scan, component_classes_by_product,
 H_RP7 = homology(RealProjective(7))
 H_R = homology(Product(RealProjective(3), Sphere(3)))
 H_POINT = GradedGroup.from_dict({0: Z})
-H_T2 = homology(Product(Circle(), Circle()))
+H_T2 = homology(Product(Sphere(1), Sphere(1)))
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
@@ -451,7 +451,7 @@ def test_sibling_rule_keeps_the_classes_of_chains(shape, bound):
 
 
 @pytest.mark.parametrize("h, step, bound", [
-    *((homology(Product(Circle(), Circle())), 2, bound) for bound in (1, 2, 3, 4)),
+    *((homology(Product(Sphere(1), Sphere(1))), 2, bound) for bound in (1, 2, 3, 4)),
     (homology(Product(RealProjective(3), RealProjective(3))), 4, 4),
 ], ids=["t2-b1", "t2-b2", "t2-b3", "t2-b4", "rp3xrp3-b4"])
 def test_sibling_rule_keeps_the_classes_of_solved_components(monkeypatch, h, step, bound):

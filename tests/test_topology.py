@@ -4,7 +4,7 @@ import pytest
 
 from cobcheck.abgroup import FgAbGroup, Z, ZERO, cyclic, from_orders
 from cobcheck.graded import GradedGroup
-from cobcheck.topology import (Circle, Explicit, LagrangianDescriptor, Product,
+from cobcheck.topology import (Explicit, LagrangianDescriptor, Product,
                                RealProjective, Sphere, TopologyError, homology, kunneth,
                                mayer_vietoris_spin_check, monotonicity_constant, pair_maslov,
                                z2_cohomology_dims)
@@ -14,7 +14,7 @@ from oracles import cellular_homology, dimension, rp_homology_cellular
 
 def test_sphere_homology():
     assert dict(homology(Sphere(3)).entries) == {0: Z, 3: Z}
-    assert dict(homology(Circle()).entries) == {0: Z, 1: Z}
+    assert dict(homology(Sphere(1)).entries) == {0: Z, 1: Z}
     assert homology(Sphere(0)).entry(0) == FgAbGroup(2)
 
 
@@ -48,7 +48,7 @@ def test_kunneth_tor_term():
 
 
 def test_kunneth_symmetric():
-    spaces = [Sphere(2), RealProjective(3), Circle(), RealProjective(2)]
+    spaces = [Sphere(2), RealProjective(3), Sphere(1), RealProjective(2)]
     for x, y in itertools.combinations(spaces, 2):
         assert homology(Product(x, y)) == homology(Product(y, x))
 
@@ -59,7 +59,7 @@ def test_poincare_duality_free_ranks():
         Product(Sphere(2), Sphere(3)),
         RealProjective(7),
         Product(RealProjective(3), Sphere(3)),
-        Product(Product(RealProjective(3), Sphere(3)), Circle()),
+        Product(Product(RealProjective(3), Sphere(3)), Sphere(1)),
     ]
     for space in closed_orientable:
         h = homology(space)
@@ -141,7 +141,7 @@ def test_z2_cohomology_dims_rp7():
 
 def test_mayer_vietoris_spin_check_paper_data():
     s_hom = homology(Product(RealProjective(3), Sphere(3)))
-    l1_hom = homology(Product(Product(RealProjective(3), Sphere(3)), Circle()))
+    l1_hom = homology(Product(Product(RealProjective(3), Sphere(3)), Sphere(1)))
     s = z2_cohomology_dims(s_hom, [1, 2])
     l1 = z2_cohomology_dims(l1_hom, [1, 2])
     assert mayer_vietoris_spin_check(l1, s, {1: 1, 2: 1})

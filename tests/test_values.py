@@ -10,8 +10,8 @@ from cobcheck.exactness import (BranchOutcome, CertStep, Certificate, ClaimVerdi
                                 ExactSequenceProblem, FeasibilityVerdict, Known, Unknown)
 from cobcheck.graded import GradedGroup, GradingError, LaurentGrading
 from cobcheck.spectra import BigradedPage, BranchLeaf, BranchTree, SpectraError, _ComponentClass
-from cobcheck.topology import (Circle, Explicit, LagrangianDescriptor, Product, RealProjective,
-                               Sphere, TopologyError)
+from cobcheck.topology import (Explicit, LagrangianDescriptor, Product, RealProjective, Sphere,
+                               TopologyError)
 
 # each class that keeps value equality, with a maker of one value; two
 # calls give equal values that are distinct objects
@@ -19,11 +19,10 @@ VALUES = {
     FgAbGroup: lambda: FgAbGroup(1, [2, 4]),
     IntMatrix: lambda: IntMatrix.from_rows([[2, 0]]),
     GroupHom: lambda: GroupHom(Z, Z, IntMatrix.from_rows([[2]])),
-    GradedGroup: lambda: GradedGroup.from_dict({0: Z, 1: cyclic(2)}, period=2),
+    GradedGroup: lambda: GradedGroup.from_dict({0: Z, 1: cyclic(2)}),
     Sphere: lambda: Sphere(3),
     RealProjective: lambda: RealProjective(3),
-    Circle: Circle,
-    Product: lambda: Product(Circle(), Sphere(2)),
+    Product: lambda: Product(Sphere(1), Sphere(2)),
     Explicit: lambda: Explicit(GradedGroup.from_dict({0: Z, 2: Z}), 2),
     Known: lambda: Known(cyclic(2)),
     Unknown: lambda: Unknown("X"),
@@ -36,7 +35,7 @@ VALUES = {
     ClaimVerdict: lambda: ClaimVerdict(("A", "B"), True, "INFEASIBLE", ()),
     _ComponentClass: lambda: _ComponentClass(
         (((0, 0), Z),), (((2, 0), GroupHom(Z, Z, IntMatrix.from_rows([[1]]))),)),
-    BranchLeaf: lambda: BranchLeaf(GradedGroup.from_dict({0: Z}, period=2), ((0, Z),), (), 2),
+    BranchLeaf: lambda: BranchLeaf(Z, ZERO, ((0, Z),), (), 2),
     BranchTree: lambda: BranchTree(2, 1, 3, (), False),
 }
 
@@ -55,7 +54,7 @@ def test_equal_fields_give_equal_values_with_equal_hashes(cls):
 def test_a_field_change_makes_a_different_value():
     assert FgAbGroup(1, (2,)) != FgAbGroup(1, (4,)) != FgAbGroup(2, (4,))
     assert GroupHom(Z, Z, IntMatrix.from_rows([[2]])) != GroupHom(Z, Z, IntMatrix.from_rows([[3]]))
-    assert Product(Circle(), Sphere(2)) != Product(Sphere(2), Circle())
+    assert Product(Sphere(1), Sphere(2)) != Product(Sphere(2), Sphere(1))
     assert VALUES[CertStep]() != CertStep("eq", 0, 1, "rk(s0.f0)", 0, 2, "dim(X)")
     grown = _ComponentClass((((0, 0), Z),), ())
     assert grown != VALUES[_ComponentClass]()
@@ -93,12 +92,8 @@ def test_two_classes_with_the_same_field_values_are_unequal():
      "matrix cols do not match"),
     (lambda: LaurentGrading(-3), GradingError, "deg T must be even and <= -2, got -3"),
     (lambda: GradedGroup(((0, Z), (0, Z))), ValueError, "duplicate degree 0"),
-    (lambda: GradedGroup(((0, Z),), period=3), GradingError, "positive even integer, got 3"),
-    (lambda: GradedGroup(((2, Z),), period=2), ValueError, "outside the fundamental domain"),
     (lambda: Sphere(-1), TopologyError, "sphere dimension must be nonnegative"),
     (lambda: RealProjective(-1), TopologyError, "projective space dimension"),
-    (lambda: Explicit(GradedGroup.from_dict({0: Z}, period=2), 1), TopologyError,
-     "explicit homology must be a finite table"),
     (lambda: Explicit(GradedGroup.from_dict({0: Z}), -1), TopologyError,
      "dimension must be nonnegative"),
     (lambda: LagrangianDescriptor("L", None, 7, 3), TopologyError,
@@ -110,7 +105,7 @@ def test_two_classes_with_the_same_field_values_are_unequal():
     (lambda: BigradedPage(1, 3, 2, 0, ()), SpectraError, "column step must be"),
     (lambda: BigradedPage(1, 2, 2, 0, (((1, 0), Z),)), SpectraError, "off the column support"),
 ], ids=["rank", "factor", "chain", "matrix", "hom-torsion", "hom-cols", "grading",
-        "degree", "period", "domain", "sphere", "rp", "explicit-period", "explicit-dim",
+        "degree", "sphere", "rp", "explicit-dim",
         "maslov", "unknown-maslov", "two-terms", "page-step", "page-column"])
 def test_bad_input_raises_the_named_error(make, error, message):
     with pytest.raises(error, match=message):
