@@ -480,11 +480,8 @@ def lattice_quotient(ambient: IntMatrix, sub: IntMatrix) -> FgAbGroup:
 def preimage_lattice(h: GroupHom) -> IntMatrix:
     """Generators (columns) of {x in Z^s : h(x) = 0 in the target},
     i.e. the kernel of the composite Z^s -> target."""
-    r_t = relation_matrix(h.target)
-    neg = IntMatrix(r_t.rows, r_t.cols,
-                    tuple(tuple(-x for x in row) for row in r_t.entries))
-    w = h.matrix.hstack(neg)
-    basis = _kernel_lattice(w)
+    # [h | R] and [h | -R] have kernels (x, y) and (x, -y): the same lattice of x
+    basis = _kernel_lattice(h.matrix.hstack(relation_matrix(h.target)))
     s = h.source.generator_count()
     data = tuple(basis.entries[i] for i in range(s))
     return IntMatrix(s, basis.cols, data)

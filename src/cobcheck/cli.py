@@ -629,12 +629,18 @@ def run(sc: ObstructionScenario) -> RunReport:
                     "so no solve reads the pin")
 
     with _stage("homology"):
-        # the report words these groups; a failure to compute one is this stage's
-        for _, expr in sc.spaces:
-            homology(expr)
-        for lag in sc.lagrangians:
-            if lag.space is not None:
-                homology(lag.space)
+        # the report and the later stages read these groups; a failure to
+        # compute one is this stage's
+        read = [(f"spaces.{key}", expr) for key, expr in sc.spaces]
+        read += [(f"lagrangians[{i}].space", lag.space) for i, lag in enumerate(sc.lagrangians)
+                 if lag.space is not None]
+        read += [(f"intersections[{i}].space", decl.space)
+                 for i, decl in enumerate(sc.intersections)]
+        for path, expr in read:
+            try:
+                homology(expr)
+            except RecursionError:  # the cache's hash of a Product recurses per level
+                raise ScenarioError(f"{path}: products nested too deeply") from None
         for i, decl in enumerate(sc.intersections):
             if decl.connected and (h0 := homology(decl.space).entry(0)) != FgAbGroup(1):
                 raise ScenarioError(f"intersections[{i}]: connected, but H_0 = {h0} is not Z")

@@ -89,16 +89,17 @@ that of all of them, and when every entry there is final its group is
 exact.  A branch is cut once the intervals and exact groups of one
 parity have no common value.  That check reads the bounds so far, the
 entries the placed classes put on the degrees it bounds and, before
-the coupled flow below, their summed free ranks, so the classes that
-survive under a prefix are worked out once per distinct such input
-of a turn, not once per prefix.  Once the last component is placed, and
-before the next page is built, the coupled flow over every later turn
-is solved degree by degree (each arrow joins degree d to d - 1): the
-branch is cut unless some choice of k leaves each parity a common
-value inside those bounds.  The last turn, the one no worst-case arrow
-comes after, is the case lo = hi, an exact check of (free rank, sorted
-prime powers) keys; there, once both parities are exact, a branch
-whose abutment is already a leaf is cut too.
+the coupled flow below, their summed free ranks, so a turn's one
+search (``_turn_combinations``) works out the classes that survive
+under a prefix once per distinct such input, not once per prefix.
+Once the last component is placed, and before the next page is built,
+the coupled flow over every later turn is solved degree by degree
+(each arrow joins degree d to d - 1): the branch is cut unless some
+choice of k leaves each parity a common value inside those bounds.
+The last turn, the one no worst-case arrow comes after, is the case
+lo = hi, an exact check of (free rank, sorted prime powers) keys;
+there, once both parities are exact, a branch whose abutment is
+already a leaf is cut too.
 
 The same run is the one window check: when it does not certify degrees
 0 and 1, the solve raises ``WindowError`` before any class is
@@ -886,7 +887,7 @@ class _WorstCase:
         # the lookahead of each turn that is not the last, by page index
         # and the unresolved set after the turn
         self._flows: dict = {}
-        self._plans: dict = {}  # the plans of the solve's pages, by what ``_plan`` reads
+        self._plans: dict = {}  # the plans of the solve's pages, by what ``_Plan`` reads
 
     def plan(self, page: BigradedPage) -> _Plan | None:
         """The plan of ``page``'s turn, None when the page is stable.  A
@@ -903,7 +904,7 @@ class _WorstCase:
             if r >= page.page_index and (kept := tuple(filter(live, arrows))):
                 plan = self._plans.get(key := (r, kept, page.unresolved))
                 if plan is None:
-                    plan = self._plans[key] = _plan(page, self, r, kept)
+                    plan = self._plans[key] = _Plan(page, self, r, kept)
                 return plan
         return None
 
@@ -1050,56 +1051,48 @@ class _Flow:
 
 
 class _Plan:
-    """What a page's turn fixes, given the solve's worst-case run: built
-    once per turn, surviving run arrows and unresolved set
-    (``_WorstCase.plan``), and shared by every page that has them."""
+    """The plan of ``page``'s turn r, given the solve's worst-case
+    ``run``, whose ``arrows`` are those of page r that touch a live
+    window position (``_arrows_at``): built once per turn, surviving run
+    arrows and unresolved set (``_WorstCase.plan``), and shared by every
+    page that has them."""
 
-    __slots__ = ("r", "comps", "unresolved", "dropped", "final", "flow", "checks")
+    __slots__ = ("r", "comps", "unresolved", "dropped", "final", "flow", "checks", "reads")
 
-    def __init__(self, r: int,
-                 comps: tuple[tuple[_Arrows, tuple[Position, ...], tuple[Position, ...]], ...],
-                 unresolved: frozenset[Position], dropped: frozenset[Position],
-                 final: frozenset[Position], flow: _Flow | None,
-                 checks: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]):
+    def __init__(self, page: BigradedPage, run: _WorstCase, r: int, arrows: _Arrows):
         self.r = r  # the page of the turn
+        slots, newly_unresolved = _slots_and_unresolved(page, arrows)
+        self.unresolved = unresolved = page.unresolved | newly_unresolved  # of the next page
         # per component: its arrows, its positions (sorted) and those
         # whose next entry is known (its signature)
-        self.comps = comps
-        self.unresolved = unresolved  # of the next page
-        self.dropped = dropped  # touched or next unresolved
-        self.final = final  # the run's final positions after r
+        comps = []
+        reach: dict[int, list[int]] = {}  # degree -> the components with an entry on it
+        for i, comp in enumerate(_components(slots)):
+            positions = sorted({pos for arrow in comp for pos in arrow})
+            signature = tuple(pos for pos in positions if pos not in unresolved)
+            comps.append((tuple(comp), tuple(positions), signature))
+            for deg in sorted({sum(pos) for pos in signature}):
+                if deg in run.degrees:
+                    reach.setdefault(deg, []).append(i)
+        self.comps = tuple(comps)
+        # touched or next unresolved
+        self.dropped = unresolved.union(*(positions for _, positions, _ in comps))
+        self.final = run.final[r]  # the run's final positions after r
         # the rank-flow lookahead over the later turns; None on the last
         # turn, the one no worst-case arrow comes after
-        self.flow = flow
-        # the interval pruner's skeleton: checks[i + 1] holds each degree
+        self.flow = run.flow(r, page, unresolved)
+        # the interval check's skeleton: checks[i + 1] holds each degree
         # whose last component is i (checks[0]: no component reaches it),
         # with the components that have an entry on its antidiagonal
-        self.checks = checks
-
-
-def _plan(page: BigradedPage, run: _WorstCase, r: int, arrows: _Arrows) -> _Plan:
-    """The plan of ``page``'s turn r, whose ``arrows`` are those of page
-    r that touch a live window position (``_arrows_at``)."""
-    slots, newly_unresolved = _slots_and_unresolved(page, arrows)
-    comps = _components(slots)
-    unresolved = page.unresolved | newly_unresolved
-    sites = []
-    reach: dict[int, list[int]] = {}  # degree -> the components with an entry on it
-    for i, comp in enumerate(comps):
-        positions = sorted({pos for arrow in comp for pos in arrow})
-        signature = tuple(pos for pos in positions if pos not in unresolved)
-        sites.append((tuple(comp), tuple(positions), signature))
-        for deg in sorted({sum(pos) for pos in signature}):
-            if deg in run.degrees:
-                reach.setdefault(deg, []).append(i)
-    checks: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(len(comps) + 1)]
-    for deg in sorted(run.degrees):
-        at = tuple(reach.get(deg, ()))
-        checks[at[-1] + 1 if at else 0].append((deg, at))
-    return _Plan(r, comps=tuple(sites), unresolved=unresolved,
-                 dropped=unresolved.union(*(positions for _, positions, _ in sites)),
-                 final=run.final[r], checks=tuple(map(tuple, checks)),
-                 flow=run.flow(r, page, unresolved))
+        checks: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(len(comps) + 1)]
+        for deg in sorted(run.degrees):
+            at = tuple(reach.get(deg, ()))
+            checks[at[-1] + 1 if at else 0].append((deg, at))
+        self.checks = tuple(map(tuple, checks))
+        # per component i: the (degree, earlier component) pairs its check
+        # reads (the last component on each of its degrees is i itself)
+        self.reads = tuple(tuple((deg, c) for deg, at in checks for c in at[:-1])
+                           for checks in self.checks[1:])
 
 
 def solve_floer(s_homology: GradedGroup, column_step: int,
@@ -1170,13 +1163,10 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
         class_lists = [table.classes(arrows, positions, tuple(map(entry, positions)),
                                      entry_bound, signature)
                        for arrows, positions, signature in plan.comps]
-        start, children = _interval_pruner(kept, plan, pinned, table.key)
-        if start is None:
-            return
         # on the last turn each bound is exact, so once both parities have
         # one, the branch's abutment is fixed: a leaf already found cuts it
         cut = found if plan.flow is None else ()
-        for chosen in _combinations(class_lists, children, cut, start):
+        for chosen in _turn_combinations(kept, plan, pinned, table.key, class_lists, cut):
             homs = tuple(sorted(hom for cls in chosen for hom in cls.homs))
             results = [res for cls in chosen for res in cls.results]
             explore(page.turned(plan.r + 1, plan.unresolved, kept + results),
@@ -1193,17 +1183,32 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     )
 
 
-def _combinations(class_lists: list[tuple[_ComponentClass, ...]], children, cut, state):
-    """The combinations of one class per component, from the DFS state
-    ``state`` before any is chosen, whose every prefix the pruner keeps
-    (``children`` gives each kept class with its state), depth first in
-    product order; a prefix whose state has exact keys for both parities
-    that are in ``cut`` is cut too.
+def _turn_combinations(kept: list[tuple[Position, FgAbGroup]], plan: _Plan,
+                       pinned: tuple[_Bound | None, _Bound | None], key_of,
+                       class_lists: list[tuple[_ComponentClass, ...]], cut):
+    """The combinations of one class per component of ``plan``'s turn
+    that ``_interval_check`` keeps at every prefix, depth first in
+    product order.  ``kept`` holds the next page's entries that no
+    component touches and ``pinned`` the bounds of the pins; a prefix
+    whose state has exact keys for both parities that are in ``cut`` is
+    cut too, read as the prefix is entered.
+
+    A check reads, besides the class, only its component i, the state,
+    the ``_Part`` of each placed class on the degrees ``plan.checks[i +
+    1]`` bounds (``plan.reads[i]``) and, on the last component of a turn
+    that is not the last, the summed ``_Flow.pack`` of the placed
+    classes; everything else it reads is fixed for the turn.  So a DFS
+    node's kept children are worked out once per distinct such input, in
+    a dict that lives as long as the turn, and the search visits the same
+    prefixes, in the same order, as it would checking each class.
 
     The search keeps one stack of sibling iterators, as
     ``_component_classes`` does, so a turn with many components does not
     nest a generator per component.  It yields its own ``chosen`` list,
     which changes once the caller asks for the next combination."""
+    check = _interval_check(kept, plan, key_of)
+    if (state := check(-1, [], pinned)) is None:
+        return
     even, odd = state
     if even and odd and (even[2], odd[2]) in cut:
         return
@@ -1211,16 +1216,34 @@ def _combinations(class_lists: list[tuple[_ComponentClass, ...]], children, cut,
     if not class_lists:
         yield chosen
         return
+    final, flow, reads = plan.final, plan.flow, plan.reads
+    last_comp = len(class_lists) - 1 if flow is not None else None
+    memo: dict[tuple, tuple[tuple[_ComponentClass, tuple], ...]] = {}
+    states: dict[tuple, tuple] = {}  # one object per distinct next state
+
+    def children(state):
+        # the kept children of the node chosen, whose state is ``state``
+        i = len(chosen)
+        key = (i, state, *(chosen[c].degree_parts(final, key_of).get(deg, _NO_PART)
+                           for deg, c in reads[i]))
+        if i == last_comp:
+            key += (sum(cls.pack(flow) for cls in chosen),)
+        kids = memo.get(key)
+        if kids is None:
+            kids = memo[key] = tuple((cls, states.setdefault(nxt, nxt)) for cls in class_lists[i]
+                                     if (nxt := check(i, [*chosen, cls], state)) is not None)
+        return iter(kids)
+
     # pending[k]: the kept children of component k not yet tried under chosen[:k]
-    pending = [iter(children(0, chosen, state, class_lists[0]))]
+    pending = [children(state)]
     while pending:
         for cls, state in pending[-1]:
             even, odd = state
             if even and odd and (even[2], odd[2]) in cut:
                 continue
             chosen.append(cls)
-            if (i := len(chosen)) < len(class_lists):
-                pending.append(iter(children(i, chosen, state, class_lists[i])))
+            if len(chosen) < len(class_lists):
+                pending.append(children(state))
                 break
             yield chosen
             chosen.pop()
@@ -1230,51 +1253,8 @@ def _combinations(class_lists: list[tuple[_ComponentClass, ...]], children, cut,
                 chosen.pop()
 
 
-def _interval_pruner(kept: list[tuple[Position, FgAbGroup]], plan: _Plan,
-                     pinned: tuple[_Bound | None, _Bound | None], key_of):
-    """Incremental check of one turn's branches against 2-periodicity
-    and the pins, whose bounds ``pinned`` holds: a branch is cut when no
-    later turns can give it a consistent abutment.  ``kept`` holds the
-    next page's entries that no component touches.
-
-    Returns the state before any component is placed (None when the pins
-    and the degrees no component reaches already clash) and
-    ``children(i, chosen, state, classes)``: each of ``classes`` that
-    ``_interval_check`` keeps when it fills component i after the classes
-    ``chosen``, whose state is ``state``, as (class, next state) pairs in
-    the order of ``classes``.  A check reads, besides the class, only
-    ``i``, the state, the ``_Part`` of each chosen class on the degrees
-    ``plan.checks[i + 1]`` bounds and, on the last component of a turn
-    that is not the last, the summed ``_Flow.pack`` of the chosen
-    classes; everything else it reads is fixed for the turn.  So a DFS
-    node's children are worked out once per distinct such input, in a
-    dict that lives as long as the turn, and the search visits the same
-    prefixes, in the same order, as it would checking each class."""
-    check = _interval_check(kept, plan, key_of)
-    final, flow = plan.final, plan.flow
-    # per component i: the (degree, earlier component) pairs its check
-    # reads (the last component on each of its degrees is i itself)
-    reads = [tuple((deg, c) for deg, at in checks for c in at[:-1]) for checks in plan.checks[1:]]
-    last_comp = len(plan.comps) - 1 if flow is not None else None
-    memo: dict[tuple, tuple[tuple[_ComponentClass, tuple], ...]] = {}
-    states: dict[tuple, tuple] = {}  # one object per distinct next state
-
-    def children(i, chosen, state, classes):
-        key = (i, state, *(chosen[c].degree_parts(final, key_of).get(deg, _NO_PART)
-                           for deg, c in reads[i]))
-        if i == last_comp:
-            key += (sum(cls.pack(flow) for cls in chosen),)
-        kids = memo.get(key)
-        if kids is None:
-            kids = memo[key] = tuple((cls, states.setdefault(nxt, nxt)) for cls in classes
-                                     if (nxt := check(i, [*chosen, cls], state)) is not None)
-        return kids
-
-    return check(-1, [], pinned), children
-
-
 def _interval_check(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, key_of):
-    """The check behind ``_interval_pruner``: ``check(i, placed, state)``
+    """The check behind ``_turn_combinations``: ``check(i, placed, state)``
     is the state once the classes ``placed`` fill components 0..i (None
     when the branch is cut), and ``check(-1, [], state)`` bounds the
     degrees no component reaches.

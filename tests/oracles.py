@@ -10,8 +10,9 @@ from cobcheck.exactness import (BranchOutcome, ClaimVerdict, ExactSequenceProble
                                 _rank_var, build_cobordism_sequences, check_feasibility)
 from cobcheck.graded import GradedGroup
 from cobcheck.spectra import (BranchLeaf, BranchTree, EnumerationTable, SpectraError, WindowError,
-                              _ComponentClass, _first_active_page, _possibly_nonzero,
-                              _slots_and_unresolved, build_e1, certified_degrees)
+                              _ComponentClass, _first_active_page, _interval_check,
+                              _possibly_nonzero, _slots_and_unresolved, build_e1,
+                              certified_degrees)
 from cobcheck.topology import Product, RealProjective, Sphere
 
 
@@ -490,3 +491,28 @@ def arrows_by_scan(page, r):
             if _possibly_nonzero(page, src) and _possibly_nonzero(page, tgt):
                 arrows.append((src, tgt))
     return tuple(arrows)
+
+
+def turn_combinations_by_check(kept, plan, pinned, key_of, class_lists, cut):
+    """Reference for ``spectra._turn_combinations``: each class under
+    each prefix checked by the unmemoized ``_interval_check``, depth first
+    in product order.  ``cut`` is read just before a kept class (or the
+    start state) is entered, as the search reads it."""
+    check = _interval_check(kept, plan, key_of)
+
+    def entered(state):
+        even, odd = state
+        return not (even and odd and (even[2], odd[2]) in cut)
+
+    def walk(chosen, state):
+        if len(chosen) == len(class_lists):
+            yield chosen
+            return
+        for cls in class_lists[len(chosen)]:
+            nxt = check(len(chosen), [*chosen, cls], state)
+            if nxt is not None and entered(nxt):
+                yield from walk([*chosen, cls], nxt)
+
+    start = check(-1, [], pinned)
+    if start is not None and entered(start):
+        yield from walk([], start)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -514,6 +515,24 @@ def test_cli_deeply_nested_document_is_a_validation_error(tmp_path, capsys, docu
     assert main(["check", str(path)]) == 1
     assert capsys.readouterr() == (
         "", "validation error: the scenario document is nested too deeply\n")
+
+
+def test_cli_deep_chain_of_named_products_is_a_validation_error(tmp_path, capsys):
+    # 1,200 named spaces, each the product of the last with S^0: every
+    # level parses alone, but hashing the chain for the homology cache
+    # recurses once per level; the stage names the first space, in name
+    # order, that is too deep
+    spaces = {"P0": {"sphere": 0}}
+    spaces.update((f"P{k}", {"product": [f"P{k - 1}", {"sphere": 0}]}) for k in range(1, 1200))
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "schema": 1, "spaces": spaces,
+        "lagrangians": [{"name": "L", "space": "P1199", "ambient": 7, "maslov": 8}]}))
+    assert main(["check", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"validation error: stage homology: spaces\.P\d+: "
+                        r"products nested too deeply\n", err)
 
 
 @pytest.mark.parametrize("flag", ["--emit-trace", "--json"])

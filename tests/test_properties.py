@@ -348,7 +348,7 @@ def assert_run_plans_match_a_full_scan(h, step, constraints=(), col_span=2):
         if found is None:
             assert plan is None
             continue
-        expected = spectra._plan(page, run, *found)
+        expected = spectra._Plan(page, run, *found)
         for name in spectra._Plan.__slots__:
             assert getattr(plan, name) == getattr(expected, name), name
 

@@ -13,7 +13,8 @@ from cobcheck.spectra import (BigradedPage, EnumerationTable,
 from cobcheck.topology import Product, RealProjective, Sphere, homology
 
 from oracles import (abutment, arrows_by_scan, component_classes_by_product,
-                     component_classes_without_skipping, order, solve_floer_without_pruning)
+                     component_classes_without_skipping, order, solve_floer_without_pruning,
+                     turn_combinations_by_check)
 
 
 H_RP7 = homology(RealProjective(7))
@@ -550,8 +551,8 @@ def test_turn_plans_are_keyed_by_what_they_read(monkeypatch, h, step, kw, leaves
                                                 most_plans):
     # a plan is built once per turn, surviving run arrows and unresolved
     # set, however many page geometries share them
-    built, plans, plan = instances_built(monkeypatch, BigradedPage), [], spectra._plan
-    monkeypatch.setattr(spectra, "_plan", lambda *args: plans.append(args) or plan(*args))
+    built = instances_built(monkeypatch, BigradedPage)
+    plans = instances_built(monkeypatch, spectra._Plan)
     tree = solve_floer(h, step, **kw)
     assert len(tree.leaves) == leaves
     assert len(built) == pages
@@ -576,27 +577,23 @@ def test_t3_checks_each_distinct_node_input_once(monkeypatch):
 
 
 def children_match_class_by_class_checks(monkeypatch) -> list:
-    """Wrap ``_interval_pruner`` so that every ``children`` result is
-    checked against the classes kept one at a time by the unmemoized
-    check; returns the component index of every ``children`` call."""
-    pruner, calls = spectra._interval_pruner, []
+    """Wrap ``_turn_combinations`` so that every combination it yields is
+    checked, class by class, against the next one of the reference that
+    checks each class under each prefix unmemoized, in lockstep, so both
+    read the growing ``found`` cut at the same moments; returns the
+    number of classes of every combination compared."""
+    search, compared = spectra._turn_combinations, []
 
-    def wrapped(kept, plan, pinned, key_of):
-        start, children = pruner(kept, plan, pinned, key_of)
-        check = spectra._interval_check(kept, plan, key_of)
+    def wrapped(*args):
+        want = turn_combinations_by_check(*args)
+        for chosen in search(*args):
+            assert list(map(id, chosen)) == list(map(id, next(want)))
+            compared.append(len(chosen))
+            yield chosen
+        assert next(want, None) is None
 
-        def checked(i, chosen, state, classes):
-            got = children(i, chosen, state, classes)
-            want = [(cls, nxt) for cls in classes
-                    if (nxt := check(i, [*chosen, cls], state)) is not None]
-            assert [(id(cls), nxt) for cls, nxt in got] == [(id(cls), nxt) for cls, nxt in want]
-            calls.append(i)
-            return got
-
-        return start, checked
-
-    monkeypatch.setattr(spectra, "_interval_pruner", wrapped)
-    return calls
+    monkeypatch.setattr(spectra, "_turn_combinations", wrapped)
+    return compared
 
 
 @pytest.mark.parametrize("h, step, kw, leaves", [
