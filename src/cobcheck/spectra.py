@@ -101,6 +101,23 @@ lo = hi, an exact check of (free rank, sorted prime powers) keys;
 there, once both parities are exact, a branch whose abutment is
 already a leaf is cut too.
 
+Torsion is bounded the same way on the turns that are not the last.
+Let d_p(M) = dim(M / pM), the free rank plus the number of cyclic
+factors of order divisible by p.  Over the local ring Z_(p), a PID,
+d_p(M) is the least number of generators of M_(p) (Nakayama's lemma),
+and a submodule or a quotient needs no more generators than its
+module; so d_p of a subquotient is at most d_p of the group, and an
+entry's d_p never grows from page to page.  d_p adds on direct sums, so
+a certified degree's final d_p lies between that of its final entries
+and that of all of them, and the degrees of one parity must meet on it
+as they must on the free rank.  A turn bounds d_p for each prime that
+divides a torsion order among its entries, its classes' results and
+the pins; for any other prime d_p is the free rank.  The last turn
+skips it: every entry there is final, so every bound is an exact key,
+which already fixes every d_p.  A bound packs the free rank and each
+d_p into one int, a field per prime (``_Lens``), so parts add in one
+int add and one parity's bounds meet in a few int operations.
+
 The same run is the one window check: when it does not certify degrees
 0 and 1, the solve raises ``WindowError`` before any class is
 enumerated, naming the smallest window whose run does.  Surviving
@@ -113,16 +130,17 @@ direct sum, of the E-infinity entries on its antidiagonal.  A spectral
 sequence fixes its abutment only up to extension: those entries are
 the quotients of a filtration of H_n, with the lower columns below, so
 Z/2 over Z/2 may also abut to Z/4, and Z/2 over Z to Z.  The leaves,
-their deduplication and the last turn's exact keys all take the direct
-sum; an extension of a quotient with l-torsion by a sub with free rank
-or l-torsion need not split, and no such leaf is marked.
+their deduplication, the last turn's exact keys and the d_p bounds all
+take the direct sum (Z/4 has d_2 = 1 where (Z/2)^2 has 2); an extension
+of a quotient with l-torsion by a sub with free rank or l-torsion need
+not split, and no such leaf is marked.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, compress, count, product, repeat
-from math import prod
+from math import lcm, prod
 from operator import mul
 
 from .abgroup import (FgAbGroup, GroupHom, HomMatrixSpace, ZERO, _Record, _factorize,
@@ -391,13 +409,13 @@ class _ComponentClass(_Record):
     def __init__(self, results: tuple[tuple[Position, FgAbGroup], ...],
                  homs: tuple[tuple[Position, GroupHom], ...]):
         self.results, self.homs = results, homs
-        self._parts: dict = {}  # ``_degree_parts`` of the results, by set of final positions
+        self._parts: dict = {}  # ``_degree_parts`` of the results, by ``_Lens``
         self._packs: dict = {}  # ``_Flow.pack`` of the results, by flow
 
-    def degree_parts(self, final: frozenset[Position], key_of) -> dict[int, _Part]:
-        parts = self._parts.get(final)
+    def degree_parts(self, lens: _Lens, key_of) -> dict[int, _Part]:
+        parts = self._parts.get(lens)
         if parts is None:
-            parts = self._parts[final] = _degree_parts(self.results, final, key_of)
+            parts = self._parts[lens] = _degree_parts(self.results, lens, key_of)
         return parts
 
     def pack(self, flow: _Flow) -> int:
@@ -418,24 +436,80 @@ def _group_key(grp: FgAbGroup) -> _Key:
                                        for p, e in _factorize(d).items()))
 
 
-# a direct sum of entries on one antidiagonal, as the pruner reads it: the
-# free rank and the (unsorted) prime powers of the final entries,
-# the free rank of the others, and whether the others are all zero
+# a direct sum of entries on one antidiagonal, as the pruner reads it
+# through a ``_Lens``: the packed free rank and d_p of the final entries,
+# their (unsorted) prime powers, the packed free rank and d_p of the
+# others, and whether the others are all zero
 _Part = tuple[int, tuple[int, ...], int, bool]
 _NO_PART: _Part = (0, (), 0, True)
 
 
-def _degree_parts(entries: Iterable[tuple[Position, FgAbGroup]], final: frozenset[Position],
+class _Lens:
+    """What one page turn's interval check reads of a group: whether its
+    position is ``final``, and its free rank and d_p for each of the
+    ``primes`` p (none on the last turn; see ``_turn_lens``), packed into
+    one int (``packed``): the free rank in field 0 and d_p of
+    ``primes[j - 1]`` in field j, each field ``width`` value bits and one
+    guard bit above them; ``meet`` meets bounds so packed.  A field holds
+    at most ``_WorstCase.top``, which ``width`` covers, so the sums over
+    one antidiagonal stay inside their fields.  With no prime the int is
+    the free rank itself.  A lens is compared by identity, one per
+    distinct reading in a run (``EnumerationTable.lens``), so a class's
+    parts are cached per lens at the cost of an id hash."""
+
+    __slots__ = ("final", "primes", "width", "ones", "guards")
+
+    def __init__(self, final: frozenset[Position], primes: tuple[int, ...], width: int):
+        self.final, self.primes, self.width = final, primes, width
+        # the free rank's field (all of the int when there is no other)
+        self.ones = (1 << width) - 1 if primes else -1
+        self.guards = sum(1 << j * (width + 1) + width for j in range(len(primes) + 1))
+
+    def packed(self, key: _Key) -> int:
+        """The free rank and d_p of the group whose ``_group_key`` is
+        ``key``: d_p is the free rank plus the number of its prime powers
+        that p divides."""
+        free, powers = key
+        return free + sum(free + sum(not q % p for q in powers) << j * (self.width + 1)
+                          for j, p in enumerate(self.primes, 1))
+
+    def meet(self, seen: _Bound | None, bound: _Bound) -> _Bound | None:
+        """``_meet`` field by field, for bounds packed by this lens.
+        Setting the guards of x and subtracting y leaves a field's guard
+        set exactly where x >= y (no field borrows from the next), and
+        those guards, less themselves shifted down by ``width``, mask the
+        fields: so the max of the lower ends and the min of the upper
+        ones take a few int operations, and lo <= hi leaves every guard
+        set."""
+        if seen is None:
+            return bound
+        if bound[2] is not None and seen[2] is not None:
+            return seen if bound[2] == seen[2] else None
+        guards, width = self.guards, self.width
+        x, y = bound[0], seen[0]
+        ge = (x | guards) - y & guards
+        lo = y ^ (x ^ y) & ge - (ge >> width)
+        x, y = bound[1], seen[1]
+        ge = (x | guards) - y & guards
+        hi = x ^ (x ^ y) & ge - (ge >> width)
+        if (hi | guards) - lo & guards != guards:
+            return None
+        return lo, hi, bound[2] or seen[2]
+
+
+def _degree_parts(entries: Iterable[tuple[Position, FgAbGroup]], lens: _Lens,
                   key_of) -> dict[int, _Part]:
-    """The ``_Part`` of the entries on each antidiagonal degree p + q;
-    ``key_of`` gives a group's ``_group_key``."""
+    """The ``_Part`` of the entries on each antidiagonal degree p + q, read
+    through ``lens``; ``key_of`` gives a group's ``_group_key``."""
+    final, primes = lens.final, lens.primes
     parts: dict[int, _Part] = {}
     for pos, grp in entries:
-        free, powers = key_of(grp)
+        free, powers = key = key_of(grp)
         deg = pos[0] + pos[1]
+        packed = lens.packed(key) if primes else free
         f, pw, slack, zero = parts.get(deg, _NO_PART)
-        parts[deg] = ((f + free, pw + powers, slack, zero) if pos in final
-                        else (f, pw, slack + free, zero and not free and not powers))
+        parts[deg] = ((f + packed, pw + powers, slack, zero) if pos in final
+                        else (f, pw, slack + packed, zero and not free and not powers))
     return parts
 
 
@@ -444,7 +518,7 @@ class EnumerationTable:
     by every solve given the table: hom spaces by (source, target,
     bound) with their per-hom invariants, vanishing masks by pair of
     spaces, component classes by normalized shape and by absolute
-    component, and the pruner's key of each group.
+    component, the pruner's key of each group and its lenses.
 
     The table is the only store: ``cli.run`` makes one per run and a
     direct ``solve_floer`` call makes its own, so no enumeration state
@@ -456,6 +530,7 @@ class EnumerationTable:
         self._shapes: dict[tuple, tuple[_ComponentClass, ...]] = {}
         self._placed: dict[tuple, tuple[_ComponentClass, ...]] = {}
         self._keys: dict[FgAbGroup, _Key] = {}
+        self._lenses: dict[tuple[frozenset[Position], tuple[int, ...], int], _Lens] = {}
 
     def space(self, source: FgAbGroup, target: FgAbGroup, bound: int) -> HomMatrixSpace:
         key = (source, target, bound)
@@ -470,6 +545,13 @@ class EnumerationTable:
         if key is None:
             key = self._keys[grp] = _group_key(grp)
         return key
+
+    def lens(self, final: frozenset[Position], primes: tuple[int, ...], width: int) -> _Lens:
+        """The one ``_Lens`` of this reading."""
+        lens = self._lenses.get(key := (final, primes, width))
+        if lens is None:
+            lens = self._lenses[key] = _Lens(final, primes, width)
+        return lens
 
     def masks(self, first: HomMatrixSpace, second: HomMatrixSpace) -> list[int]:
         """``_vanishing_masks`` of the two spaces: indexed by the homs g
@@ -854,7 +936,9 @@ def _fold_parity(values: Iterable[tuple[int, FgAbGroup]]):
 
 # what a turn knows of a degree's final value: its free rank lies in
 # [lo, hi], and key is its exact ``_group_key`` when every entry on the
-# degree's antidiagonal is final (None otherwise)
+# degree's antidiagonal is final (None otherwise); on a turn that is not
+# the last, lo and hi pack d_p's bounds too, each field as its
+# ``_Lens`` says
 _Bound = tuple[int, int, _Key | None]
 
 
@@ -873,17 +957,18 @@ class _WorstCase:
     """The page run from the first page in which every live position
     stays live (see the module docstring for what it bounds)."""
 
-    __slots__ = ("arrows", "degrees", "final", "top_rank", "_flows", "_plans")
+    __slots__ = ("arrows", "degrees", "final", "top", "_flows", "_plans")
 
     def __init__(self, arrows: dict[int, _Arrows], degrees: frozenset[int],
-                 final: dict[int, frozenset[Position]], top_rank: int):
+                 final: dict[int, frozenset[Position]], top: int):
         self.arrows = arrows  # each turn's arrows, by page index
         self.degrees = degrees  # certified on the run's stable page
         # by page index: the window positions no arrow of a later turn
         # touches, whose entries are final once that turn is taken
         self.final = final
-        # an upper bound on the free rank of any antidiagonal of any page
-        self.top_rank = top_rank
+        # an upper bound on d_p, for every prime p, and so on the free
+        # rank, of any antidiagonal of any page
+        self.top = top
         # the lookahead of each turn that is not the last, by page index
         # and the unresolved set after the turn
         self._flows: dict = {}
@@ -919,7 +1004,7 @@ class _WorstCase:
             flow = self._flows[r, unresolved] = _Flow(
                 [arrow for turn, arrows in self.arrows.items() if turn > r for arrow in arrows],
                 lambda pos: page.in_window(pos[0]) and pos not in unresolved,
-                self.degrees, self.top_rank)
+                self.degrees, self.top)
         return flow
 
 
@@ -927,10 +1012,11 @@ def _worst_case_run(page: BigradedPage) -> _WorstCase:
     """The worst-case run from ``page`` (a first page), and each window
     position's last touch: the last page index whose arrows have it as
     an endpoint."""
-    # later entries are subquotients of the first page's and an
-    # antidiagonal meets each row once, so a column's free rank bounds
-    # every antidiagonal's
-    top_rank = sum(grp.free_rank for (p, _), grp in page.entries if p == 0)
+    # later entries are subquotients of the first page's, d_p of a
+    # subquotient is at most d_p of the group, which is at most its
+    # generator count, and an antidiagonal meets each row once: so a
+    # column's generator count bounds every antidiagonal's d_p
+    top = sum(grp.generator_count() for (p, _), grp in page.entries if p == 0)
     arrows = {}
     last_touch: dict[Position, int] = {}
     while (found := _first_active_page(page)) is not None:
@@ -941,7 +1027,7 @@ def _worst_case_run(page: BigradedPage) -> _WorstCase:
                            [entry for entry in page.entries if entry[0] not in gone])
     grid = [(p, q) for p in page.window_columns() for q in range(page.row_max + 1)]
     final = {r: frozenset(pos for pos in grid if last_touch.get(pos, 0) <= r) for r in arrows}
-    return _WorstCase(arrows, frozenset(certified_degrees(page)), final, top_rank)
+    return _WorstCase(arrows, frozenset(certified_degrees(page)), final, top)
 
 
 def _smallest_window(s_homology: GradedGroup, column_step: int) -> int:
@@ -969,7 +1055,9 @@ class _Flow:
     A page enters as one int (``pack``): the free rank of each capped
     position and the summed free rank of the other entries of each
     certified degree, in fields of ``width`` bits, wide enough for
-    ``top``, the largest free rank an antidiagonal can have.  The fields
+    ``top``, a bound on any antidiagonal's d_p and so on its free rank
+    (``_WorstCase.top``); a ``_Lens`` packs d_p in fields of that width
+    on the turns that have a flow.  The fields
     are disjoint, so a page's int is the sum of the ints of its parts.
     ``values`` gives every (even, odd) pair of common free ranks that
     some choice of k leaves, memoized per int.  Every arrow joins a
@@ -1057,7 +1145,8 @@ class _Plan:
     arrows and unresolved set (``_WorstCase.plan``), and shared by every
     page that has them."""
 
-    __slots__ = ("r", "comps", "unresolved", "dropped", "final", "flow", "checks", "reads")
+    __slots__ = ("r", "comps", "unresolved", "dropped", "final", "flow", "checks", "reads",
+                 "settled")
 
     def __init__(self, page: BigradedPage, run: _WorstCase, r: int, arrows: _Arrows):
         self.r = r  # the page of the turn
@@ -1093,6 +1182,13 @@ class _Plan:
         # reads (the last component on each of its degrees is i itself)
         self.reads = tuple(tuple((deg, c) for deg, at in checks for c in at[:-1])
                            for checks in self.checks[1:])
+        # per entry of checks, on a turn that is not the last: the parities
+        # whose last degree it bounds.  After that only the flow reads
+        # their bounds, and only the free ranks, so the check drops their
+        # keys and d_p bounds, and states that differ only there are one
+        last = {deg % 2: k for k, degrees in enumerate(self.checks) for deg, _ in degrees}
+        self.settled = tuple(tuple(e for e in (0, 1) if self.flow is not None and last[e] == k)
+                             for k in range(len(self.checks)))
 
 
 def solve_floer(s_homology: GradedGroup, column_step: int,
@@ -1122,13 +1218,12 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     if table is None:
         table = EnumerationTable()
     pins = tuple(constraints)
-    # the interval pruner's state before any degree is bounded, folded
-    # once per solve: a pinned parity's bound is exact (None when two
+    # the pins folded once per solve, each parity's as its ``_group_key``,
+    # from which the interval check states its exact bound (None when two
     # pins of one parity differ, so that no branch agrees with them)
     pinned = _fold_parity(pins)
     if pinned is not None:
-        keys = [None if grp is None else table.key(grp) for grp in pinned]
-        pinned = tuple(None if key is None else (key[0], key[0], key) for key in keys)
+        pinned = tuple(None if grp is None else table.key(grp) for grp in pinned)
     # first leaf per (HF_even, HF_odd), in search order
     leaves: dict[tuple[FgAbGroup, FgAbGroup], BranchLeaf] = {}
     found: set[tuple[_Key, _Key]] = set()  # the leaves' keys as the pruner states them
@@ -1166,7 +1261,8 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
         # on the last turn each bound is exact, so once both parities have
         # one, the branch's abutment is fixed: a leaf already found cuts it
         cut = found if plan.flow is None else ()
-        for chosen in _turn_combinations(kept, plan, pinned, table.key, class_lists, cut):
+        lens = _turn_lens(table, plan, kept, class_lists, pinned)
+        for chosen in _turn_combinations(kept, plan, lens, pinned, table.key, class_lists, cut):
             homs = tuple(sorted(hom for cls in chosen for hom in cls.homs))
             results = [res for cls in chosen for res in cls.results]
             explore(page.turned(plan.r + 1, plan.unresolved, kept + results),
@@ -1183,15 +1279,35 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     )
 
 
-def _turn_combinations(kept: list[tuple[Position, FgAbGroup]], plan: _Plan,
-                       pinned: tuple[_Bound | None, _Bound | None], key_of,
+def _turn_lens(table: EnumerationTable, plan: _Plan, kept: list[tuple[Position, FgAbGroup]],
+               class_lists: list[tuple[_ComponentClass, ...]],
+               pinned: tuple[_Key | None, _Key | None]) -> _Lens:
+    """The ``_Lens`` of one page turn: ``plan.final``, and on a turn that
+    is not the last the primes that divide a torsion order among the
+    ``kept`` entries, the results of the classes in ``class_lists`` and
+    the ``pinned`` keys, in fields of the flow's width.  For any other
+    prime p every entry's d_p is its free rank, so d_p's bound would be
+    the free rank's.  The last turn reads no prime: every entry there is
+    final, so every bound is an exact key, which fixes each d_p."""
+    if plan.flow is None:
+        return table.lens(plan.final, (), 0)
+    # every such prime divides a group's last invariant factor
+    entries = chain(kept, *(cls.results for classes in class_lists for cls in classes))
+    exponent = lcm(*(grp.torsion[-1] for _, grp in entries if grp.torsion),
+                   *(lcm(*key[1]) for key in pinned if key is not None))
+    return table.lens(plan.final, tuple(sorted(_factorize(exponent))), plan.flow.width)
+
+
+def _turn_combinations(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, lens: _Lens,
+                       pinned: tuple[_Key | None, _Key | None], key_of,
                        class_lists: list[tuple[_ComponentClass, ...]], cut):
     """The combinations of one class per component of ``plan``'s turn
     that ``_interval_check`` keeps at every prefix, depth first in
     product order.  ``kept`` holds the next page's entries that no
-    component touches and ``pinned`` the bounds of the pins; a prefix
-    whose state has exact keys for both parities that are in ``cut`` is
-    cut too, read as the prefix is entered.
+    component touches, ``lens`` is the turn's (``_turn_lens``) and
+    ``pinned`` the keys of the pins; a prefix whose state has exact keys
+    for both parities that are in ``cut`` is cut too, read as the prefix
+    is entered.
 
     A check reads, besides the class, only its component i, the state,
     the ``_Part`` of each placed class on the degrees ``plan.checks[i +
@@ -1206,7 +1322,7 @@ def _turn_combinations(kept: list[tuple[Position, FgAbGroup]], plan: _Plan,
     ``_component_classes`` does, so a turn with many components does not
     nest a generator per component.  It yields its own ``chosen`` list,
     which changes once the caller asks for the next combination."""
-    check = _interval_check(kept, plan, key_of)
+    check = _interval_check(kept, plan, lens, key_of)
     if (state := check(-1, [], pinned)) is None:
         return
     even, odd = state
@@ -1216,7 +1332,7 @@ def _turn_combinations(kept: list[tuple[Position, FgAbGroup]], plan: _Plan,
     if not class_lists:
         yield chosen
         return
-    final, flow, reads = plan.final, plan.flow, plan.reads
+    flow, reads = plan.flow, plan.reads
     last_comp = len(class_lists) - 1 if flow is not None else None
     memo: dict[tuple, tuple[tuple[_ComponentClass, tuple], ...]] = {}
     states: dict[tuple, tuple] = {}  # one object per distinct next state
@@ -1224,7 +1340,7 @@ def _turn_combinations(kept: list[tuple[Position, FgAbGroup]], plan: _Plan,
     def children(state):
         # the kept children of the node chosen, whose state is ``state``
         i = len(chosen)
-        key = (i, state, *(chosen[c].degree_parts(final, key_of).get(deg, _NO_PART)
+        key = (i, state, *(chosen[c].degree_parts(lens, key_of).get(deg, _NO_PART)
                            for deg, c in reads[i]))
         if i == last_comp:
             key += (sum(cls.pack(flow) for cls in chosen),)
@@ -1253,11 +1369,12 @@ def _turn_combinations(kept: list[tuple[Position, FgAbGroup]], plan: _Plan,
                 chosen.pop()
 
 
-def _interval_check(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, key_of):
+def _interval_check(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, lens: _Lens, key_of):
     """The check behind ``_turn_combinations``: ``check(i, placed, state)``
     is the state once the classes ``placed`` fill components 0..i (None
-    when the branch is cut), and ``check(-1, [], state)`` bounds the
-    degrees no component reaches.
+    when the branch is cut), and ``check(-1, [], pinned)`` states the
+    pins' keys as exact bounds and bounds the degrees no component
+    reaches.
 
     The theorem is the rank flow (``_Flow``): over Q each later arrow
     of the solve's worst-case run lowers the free rank of both its ends
@@ -1270,31 +1387,53 @@ def _interval_check(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, key_of)
     all of a non-final entry's free rank: the free rank lies between
     that of its final entries (no worst-case arrow after the turn touches
     their positions, so no real one does) and that of all its entries,
-    and when all its entries are final its ``_group_key`` is exact.  The
-    DFS state is the common bound of each parity so far.  Once the last
-    component is placed, before the next page is built, a turn that is
-    not the last solves the coupled flow over every later turn at once:
-    the branch is cut unless some choice of k leaves each parity one
-    common free rank inside its bound.  Groups enter as keys (``key_of``
-    gives one) and free ranks as ``_Flow.pack`` ints, summed once for the
-    kept entries and once per class, so no node of the DFS adds groups.
+    and when all its entries are final its ``_group_key`` is exact.
+
+    On a turn that is not the last the same holds for d_p(M) =
+    dim(M / pM), for each prime p of ``lens``.  Over Z_(p), a PID, d_p is
+    the least number of generators (Nakayama), which no submodule or
+    quotient exceeds, so an entry's E-infinity value has d_p in [0, d_p
+    of the entry], and its own d_p when it is final; d_p adds on direct
+    sums, so a degree's final d_p lies between that of its final entries
+    and that of all of them.  The last turn reads no prime: its bounds
+    are exact keys, which fix every d_p.  Like the exact keys, the d_p
+    bound takes the split abutment: Z/4 has d_2 = 1 where (Z/2)^2 has 2.
+
+    The DFS state is the common bound of each parity so far.  Once the
+    last component is placed, before the next page is built, a turn that
+    is not the last solves the coupled flow over every later turn at
+    once: the branch is cut unless some choice of k leaves each parity
+    one common free rank inside its bound; a parity whose last degree is
+    bounded keeps its free rank alone (``_Plan.settled``).  Groups enter
+    as keys (``key_of`` gives one), free ranks and d_p as ints packed by
+    the ``_Lens`` and free ranks for the flow as ``_Flow.pack`` ints,
+    summed once for the kept entries and once per class, so no node of
+    the DFS adds groups.
     """
-    final, flow = plan.final, plan.flow
-    kept_parts = _degree_parts(kept, final, key_of)
+    flow, ones, settled = plan.flow, lens.ones, plan.settled
+    kept_parts = _degree_parts(kept, lens, key_of)
     kept_pack = flow.pack(kept) if flow is not None else 0
     last_comp = len(plan.comps) - 1
+    meet = lens.meet if lens.primes else _meet
+
+    def exact(key: _Key) -> _Bound:
+        packed = lens.packed(key)
+        return packed, packed, key
 
     def check(i, placed, state):
-        out = list(state)
+        # the pins' keys as exact bounds at the start
+        out = list(state) if i >= 0 else [key and exact(key) for key in state]
         for deg, at in plan.checks[i + 1]:
-            free, powers, slack, zero = kept_parts.get(deg, _NO_PART)
+            lo, powers, slack, zero = kept_parts.get(deg, _NO_PART)
             for c in at:
-                f, pw, sl, z = placed[c].degree_parts(final, key_of).get(deg, _NO_PART)
-                free, powers, slack, zero = free + f, powers + pw, slack + sl, zero and z
-            seen = out[deg % 2] = _meet(out[deg % 2], (
-                free, free + slack, (free, tuple(sorted(powers))) if zero else None))
+                f, pw, sl, z = placed[c].degree_parts(lens, key_of).get(deg, _NO_PART)
+                lo, powers, slack, zero = lo + f, powers + pw, slack + sl, zero and z
+            seen = out[deg % 2] = meet(out[deg % 2], (
+                lo, lo + slack, (lo & ones, tuple(sorted(powers))) if zero else None))
             if seen is None:
                 return None
+        for e in settled[i + 1]:  # only the flow reads these, and only free ranks
+            out[e] = (out[e][0] & ones, out[e][1] & ones, None)
         if i == last_comp and flow is not None:
             (lo_even, hi_even, _), (lo_odd, hi_odd, _) = out
             packed = kept_pack + sum(cls.pack(flow) for cls in placed)

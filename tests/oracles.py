@@ -493,12 +493,12 @@ def arrows_by_scan(page, r):
     return tuple(arrows)
 
 
-def turn_combinations_by_check(kept, plan, pinned, key_of, class_lists, cut):
+def turn_combinations_by_check(kept, plan, lens, pinned, key_of, class_lists, cut):
     """Reference for ``spectra._turn_combinations``: each class under
     each prefix checked by the unmemoized ``_interval_check``, depth first
     in product order.  ``cut`` is read just before a kept class (or the
     start state) is entered, as the search reads it."""
-    check = _interval_check(kept, plan, key_of)
+    check = _interval_check(kept, plan, lens, key_of)
 
     def entered(state):
         even, odd = state

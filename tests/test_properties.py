@@ -3,7 +3,8 @@ vanishing masks and the kill table behind them, of the cokernels and
 images read off row classes, the per-hom homology rule and the sibling rule
 behind ``spectra._component_classes``, of the chain walk behind
 ``spectra._components``, of the worst-case run behind the pruner and the
-window check, of the pruner's rank-flow lookahead, of the per-window
+window check, of the pruner's rank-flow lookahead and of the d_p lemma
+and packed d_p bounds behind its torsion bounds, of the per-window
 deduplication in ``exactness.certify_nonexistence``, and of whole
 scenarios against the unpruned references."""
 import contextlib
@@ -24,7 +25,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import cobcheck.abgroup as abgroup
 from cobcheck import cli, spectra
-from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO,
+from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, direct_sum,
                               cokernel, composite_is_zero, cyclic, from_orders,
                               preimage_lattice, relation_matrix, smith_normal_form,
                               subquotient)
@@ -112,6 +113,70 @@ def test_homology_from_cokernel_when_outgoing_image_is_free(data):
         coker = cokernel(inc.matrix.hstack(relation_matrix(middle)))
         assert (FgAbGroup(coker.free_rank - image.free_rank, coker.torsion)
                 == subquotient(kernel, inc, middle))
+
+
+def d_p(grp: FgAbGroup, p: int) -> int:
+    """dim(grp ⊗ F_p): Z and each cyclic factor of order divisible by p
+    give one copy of F_p, any other cyclic factor none."""
+    return grp.free_rank + sum(not d % p for d in grp.torsion)
+
+
+@settings(deadline=None, database=None)
+@given(st.data(), st.sampled_from([2, 3]))
+def test_d_p_never_grows_on_a_subquotient(data, p):
+    # the lemma behind the pruner's d_p bound: ker(out) / im(in) at M
+    # has d_p at most d_p(M), d_p adds on direct sums, and it is at least
+    # the free rank
+    middle = data.draw(groups())
+    out = data.draw(homs(middle, data.draw(groups(max_rank=2))))
+    kernel = preimage_lattice(out)
+    rank_in = data.draw(st.integers(0, 3))
+    coeffs = tuple(tuple(data.draw(st.integers(-3, 3)) for _ in range(rank_in))
+                   for _ in range(kernel.cols))
+    inc = GroupHom(FgAbGroup(rank_in), middle,
+                   kernel.mul(IntMatrix(kernel.cols, rank_in, coeffs)))
+    homology = subquotient(kernel, inc, middle)
+    assert homology.free_rank <= d_p(homology, p) <= d_p(middle, p)
+    other = data.draw(groups())
+    assert d_p(direct_sum(middle, other), p) == d_p(middle, p) + d_p(other, p)
+
+
+@settings(deadline=None, database=None)
+@given(st.lists(groups(), min_size=1, max_size=3),
+       st.sets(st.sampled_from([2, 3, 5]), min_size=1))
+def test_a_lens_packs_the_free_rank_and_each_d_p(grps, primes):
+    # fields of 4 bits hold the 15 generators of three groups
+    lens = spectra._Lens(frozenset(), tuple(sorted(primes)), 4)
+    packed = sum(lens.packed(spectra._group_key(grp)) for grp in grps)
+    assert [packed >> 5 * j & 31 for j in range(len(primes) + 1)] == [
+        sum(grp.free_rank for grp in grps),
+        *(sum(d_p(grp, p) for grp in grps) for p in sorted(primes))]
+
+
+FIELD = st.integers(0, 7)
+
+
+@settings(deadline=None, database=None, max_examples=200)
+@given(st.lists(st.tuples(FIELD, FIELD, FIELD, FIELD), min_size=1, max_size=3),
+       st.sampled_from([None, (1, ())]), st.sampled_from([None, (1, ())]))
+def test_the_packed_meet_is_the_meet_of_each_field(fields, seen_key, bound_key):
+    # fields of 3 bits under one guard bit each, the free rank's and one
+    # per prime: (seen lo, seen hi, bound lo, bound hi) per field; an
+    # exact key on one side is kept
+    def pack(values):
+        return sum(value << 4 * j for j, value in enumerate(values))
+
+    lens = spectra._Lens(frozenset(), (2, 3, 5)[:len(fields) - 1], 3)
+    seen = (pack(f[0] for f in fields), pack(f[1] for f in fields), seen_key)
+    bound = (pack(f[2] for f in fields), pack(f[3] for f in fields), bound_key)
+    got = lens.meet(seen, bound)
+    if seen_key is not None and bound_key is not None:
+        assert got == seen
+        return
+    each = [spectra._meet((s_lo, s_hi, None), (b_lo, b_hi, None))
+            for s_lo, s_hi, b_lo, b_hi in fields]
+    assert got == (None if None in each else (
+        pack(m[0] for m in each), pack(m[1] for m in each), seen_key or bound_key))
 
 
 # groups whose generators map into free, Z/2, Z/4 and Z/3 targets

@@ -495,8 +495,13 @@ def assert_pruning_keeps_the_leaves(h, step, **kw):
     (GradedGroup.from_dict({0: Z, 3: Z, 4: Z, 5: Z}), 2, {"entry_bound": 1, "col_span": 3}),
     (GradedGroup.from_dict({0: Z, 3: cyclic(2), 4: Z, 5: Z}), 2,
      {"entry_bound": 1, "col_span": 3}),
+    # the d_p bound on page 4 of RP^7 at step 4, where rows 1, 3 and 5 hold
+    # Z/2: 19 pages become 5 at window 2 and bound 1, and 68 become 6 at
+    # window 3 and bound 2
+    (H_RP7, 4, {"entry_bound": 1, "col_span": 2}),
+    (H_RP7, 4, {"entry_bound": 2, "col_span": 3}),
 ], ids=["t2-b1", "t2-b2", "t2-b3", "t2-b4", "rp3xrp3-b1", "rp7-s4-w2", "rp7-s4-w4-b1",
-        "rows-0-1-2-4", "rows-0-3-4-5", "rows-0-3t-4-5"])
+        "rows-0-1-2-4", "rows-0-3-4-5", "rows-0-3t-4-5", "rp7-s4-w2-b1", "rp7-s4-w3-b2"])
 def test_pruning_keeps_the_leaves_of_a_search_without_pruning(h, step, kw):
     assert_pruning_keeps_the_leaves(h, step, **kw)
 
@@ -507,9 +512,12 @@ def test_pruning_keeps_the_leaves_of_a_search_without_pruning(h, step, kw):
     (H_T2, 2, 2, ((0, cyclic(3)),), 0),
     (H_RP7, 4, 4, ((0, ZERO), (3, FgAbGroup(0, (2, 2)))), 1),
     (H_RP7, 4, 4, ((-1, cyclic(2)),), 0),
+    # the pin's d_2 = 2 meets the odd degrees' d_2 bounds on page 4
+    (H_RP7, 4, 2, ((1, FgAbGroup(0, (2, 2))),), 1),
     # two pins of one parity that differ: no branch agrees with both
     (H_T2, 2, 2, ((0, Z), (2, ZERO)), 0),
-], ids=["t2-even", "t2-both", "t2-none", "rp7-s4-both", "rp7-s4-none", "t2-clash"])
+], ids=["t2-even", "t2-both", "t2-none", "rp7-s4-both", "rp7-s4-none", "rp7-s4-odd-d2",
+        "t2-clash"])
 def test_pruning_keeps_the_leaves_of_pinned_degrees(h, step, bound, pins, kept):
     tree = assert_pruning_keeps_the_leaves(h, step, constraints=pins, entry_bound=bound)
     assert len(tree.leaves) == kept
@@ -540,12 +548,12 @@ def test_lookahead_cuts_dead_branches_before_their_pages(monkeypatch, h, kw, lea
 
 
 @pytest.mark.parametrize("h, step, kw, leaves, pages, most_plans", [
-    # RP^7 at step 4, window 4 (catalog-tables/rp7-s4-w4): no two pages
-    # share their entry positions, but every page turn is one of two plans
-    (H_RP7, 4, {"entry_bound": 4, "col_span": 4}, 1, 260, 2),
+    # RP^7 at step 4, window 4 (catalog-tables/rp7-s4-w4): every page turn
+    # is one of two plans, and the d_p bound on page 4 leaves 6 pages
+    (H_RP7, 4, {"entry_bound": 4, "col_span": 4}, 1, 6, 2),
     # T^3 at step 2, bound 1 (catalog-tables/t3-s2-b1)
     (GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z}), 2,
-     {"entry_bound": 1}, 16, 1619, 33),
+     {"entry_bound": 1}, 16, 1151, 33),
 ], ids=["rp7-s4-w4", "t3-s2-b1"])
 def test_turn_plans_are_keyed_by_what_they_read(monkeypatch, h, step, kw, leaves, pages,
                                                 most_plans):
@@ -561,8 +569,10 @@ def test_turn_plans_are_keyed_by_what_they_read(monkeypatch, h, step, kw, leaves
 
 def test_t3_checks_each_distinct_node_input_once(monkeypatch):
     # T^3 at step 2, bound 1 (catalog-tables/t3-s2-b1), next to its
-    # 1,619 pages above: a DFS node's children are checked once per
-    # distinct input, 10,774 checks against 40,655 class by class
+    # 1,151 pages above: a DFS node's children are checked once per
+    # distinct input, against 40,655 checks class by class.  The root
+    # turn's states bound d_2 and d_3 as well as free ranks, and a parity
+    # whose last degree is bounded keeps its free rank alone
     calls, interval_check = [], spectra._interval_check
 
     def counted(*args):
@@ -573,7 +583,18 @@ def test_t3_checks_each_distinct_node_input_once(monkeypatch):
     h = GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z})
     tree = solve_floer(h, 2, entry_bound=1)
     assert len(tree.leaves) == 16
-    assert len(calls) == 10774
+    assert len(calls) == 11476
+
+
+def test_rp3_x_rp6_at_step_4_is_cut_by_the_d_p_bound(monkeypatch):
+    # a torsion-heavy product at step 4, bound 1, smallest window: no
+    # branch comes out 2-periodic, and the d_p bound cuts most of them
+    # before their pages are built (146,406 pages with free ranks alone)
+    built = instances_built(monkeypatch, BigradedPage)
+    h = homology(Product(RealProjective(3), RealProjective(6)))
+    tree = solve_floer(h, 4, entry_bound=1, col_span=spectra._smallest_window(h, 4))
+    assert tree.leaves == ()
+    assert len(built) <= 30894
 
 
 def children_match_class_by_class_checks(monkeypatch) -> list:
