@@ -24,7 +24,6 @@ ambient lattice (through the cached ``smith_normal_form``).
 from __future__ import annotations
 
 import itertools
-import sys
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from math import gcd, prod
@@ -679,6 +678,12 @@ class HomMatrixSpace(Sequence):
         return kernel
 
 
+# the most homs one hom space may hold: a space keeps a row class per hom
+# (``HomMatrixSpace.row_class``), and the largest space the tests build,
+# Z^3 -> Z^3 at bound 1, has 19,683
+MAX_HOMS = 1 << 20
+
+
 def hom_matrix_space(source: FgAbGroup, target: FgAbGroup, bound: int) -> HomMatrixSpace:
     """All valid homs source -> target with entries bounded by ``bound``,
     one matrix per distinct map (entries canonicalized mod target
@@ -690,8 +695,9 @@ def hom_matrix_space(source: FgAbGroup, target: FgAbGroup, bound: int) -> HomMat
     product's order.  The space keeps each entry's admissible values and
     each row's (a matrix is one choice per row, its length their
     product) and builds a ``GroupHom`` only when one is indexed.  A
-    space of more homs than ``sys.maxsize``, the most its length can
-    hold, raises ``SolverLimitError`` before any entry range is built.
+    space of more than ``MAX_HOMS`` homs raises ``SolverLimitError``
+    before any entry range is built: the space keeps per-hom invariants,
+    so a larger one would exhaust memory before any search could end.
 
     >>> space = hom_matrix_space(cyclic(2), cyclic(4), 3)
     >>> len(space), space[1].matrix.entries
@@ -712,10 +718,10 @@ def hom_matrix_space(source: FgAbGroup, target: FgAbGroup, bound: int) -> HomMat
         # free slots by absolute value, so enumeration meets small representatives first
         return (0, *itertools.chain.from_iterable((x, -x) for x in range(1, bound + 1)))
 
-    if prod(count(t, d) for t in t_orders for d in s_orders) > sys.maxsize:
+    if prod(count(t, d) for t in t_orders for d in s_orders) > MAX_HOMS:
         raise SolverLimitError(
             f"the homs {source} -> {target} with entries bounded by entry_bound {bound} "
-            f"number more than {sys.maxsize}, too many to search; lower entry_bound")
+            f"number more than {MAX_HOMS}, too many to search; lower entry_bound")
     return HomMatrixSpace(source, target, tuple(tuple(slot(t, d) for d in s_orders)
                                                 for t in t_orders))
 

@@ -61,7 +61,17 @@ classes already computed (``turn_page`` is the validated public path
 to the same page).  What a page's turn fixes, its components, next
 unresolved set and pruner skeleton, is worked out once per turn,
 surviving run arrows and unresolved set: a branch turns only on arrows
-of the worst-case run below.
+of the worst-case run below.  No page is scanned for that plan: it is
+carried down.  A run arrow is a branch's when its window ends are live
+(entries or unresolved), and a position live before a turn is live
+after it unless a chosen class's result there is zero, so the next plan
+follows from the page's live positions less those the chosen classes
+zero, kept as bits.  The last turn is decided without building the
+branch's page: it reads the entries on its components, each a kept
+entry or a chosen class's result, and the parts of the entries it
+leaves untouched, which are kept's plus each chosen class's, summed
+from parts cached per (class, plan).  A page is built only for a leaf
+or for a turn that is not the last.
 
 The abutment of every stable page must be 2-periodic and agree with
 any pinned value.  Every page turn is pruned by one rule while its
@@ -91,7 +101,10 @@ parity have no common value.  That check reads the bounds so far, the
 entries the placed classes put on the degrees it bounds and, before
 the coupled flow below, their summed free ranks, so a turn's one
 search (``_turn_combinations``) works out the classes that survive
-under a prefix once per distinct such input, not once per prefix.
+under a prefix once per distinct such input, not once per prefix; with
+the parts of the untouched entries in that input, the last turn's memo
+is shared by every branch that reaches it with the same plan, so its
+nodes are worked out once across all of them.
 Once the last component is placed, and before the next page is built,
 the coupled flow over every later turn is solved degree by degree
 (each arrow joins degree d to d - 1): the branch is cut unless some
@@ -139,9 +152,10 @@ not split, and no such leaf is marked.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import reduce
 from itertools import chain, compress, count, product, repeat
 from math import lcm, prod
-from operator import mul
+from operator import mul, or_
 
 from .abgroup import (FgAbGroup, GroupHom, HomMatrixSpace, ZERO, _Record, _factorize,
                       bound_may_truncate, composite_is_zero, direct_sum, hom_matrix_space,
@@ -209,6 +223,10 @@ class BigradedPage:
 
     def in_window(self, p: int) -> bool:
         return p % self.column_step == 0 and abs(p) <= self.col_span * self.column_step
+
+    def known(self, pos: Position) -> bool:
+        """Whether ``pos`` is a window position whose entry is known."""
+        return self.in_window(pos[0]) and pos not in self.unresolved
 
     def entry(self, p: int, q: int) -> FgAbGroup:
         return self._by_position.get((p, q), ZERO)
@@ -288,25 +306,22 @@ def _arrows_at(page: BigradedPage, r: int) -> _Arrows:
     return tuple(sorted(arrows))
 
 
-def _slots_and_unresolved(page: BigradedPage, arrows: _Arrows) -> tuple[
+def _slots_and_unresolved(arrows: _Arrows, known: Callable[[Position], bool]) -> tuple[
         list[tuple[Position, Position]], frozenset[Position]]:
     """Split one page's arrows (``_arrows_at``) into assignment slots
-    (both current entries known: inside the window and not already
+    (both current entries ``known``: inside the window and not already
     unresolved) and the positions this turn makes unresolved.
 
     An arrow whose other endpoint's *current* entry is unknown carries
     an unknowable map, so the known endpoint's next entry is unknown;
     an arrow between two known entries is enumerable even when the
     neighbour's own next entry will be unknown."""
-    def current_known(pos: Position) -> bool:
-        return page.in_window(pos[0]) and pos not in page.unresolved
-
-    slots = [(s, t) for s, t in arrows if current_known(s) and current_known(t)]
+    slots = [(s, t) for s, t in arrows if known(s) and known(t)]
     newly = set()
     for src, tgt in arrows:
-        if current_known(src) and not current_known(tgt):
+        if known(src) and not known(tgt):
             newly.add(src)
-        elif current_known(tgt) and not current_known(src):
+        elif known(tgt) and not known(src):
             newly.add(tgt)
     return slots, frozenset(newly)
 
@@ -350,7 +365,7 @@ def turn_page(page: BigradedPage, r: int,
     every composite are checked); the branch solver builds the same
     pages from the homology its component classes already computed."""
     homs = _validate_assignment(page, r, homs)
-    _, newly_unresolved = _slots_and_unresolved(page, _arrows_at(page, r))
+    _, newly_unresolved = _slots_and_unresolved(_arrows_at(page, r), page.known)
     unresolved = page.unresolved | newly_unresolved
     entries = tuple(
         ((p, q), homology_at(homs.get((p + r, q - r + 1)), homs.get((p, q)), grp))
@@ -403,19 +418,39 @@ class _ComponentClass(_Record):
     """One isomorphism class of labelings of a chain of arrows: the homs
     of a representative and the entries they produce."""
 
-    __slots__ = ("results", "homs", "_parts", "_packs")
+    __slots__ = ("results", "homs", "_zeros", "_parts", "_packs")
     _compared = ("results", "homs")
 
     def __init__(self, results: tuple[tuple[Position, FgAbGroup], ...],
                  homs: tuple[tuple[Position, GroupHom], ...]):
         self.results, self.homs = results, homs
-        self._parts: dict = {}  # ``_degree_parts`` of the results, by ``_Lens``
+        self._zeros: int | None = None  # ``zeros``
+        # ``_degree_parts`` of the results, by ``_Lens``, and of those a
+        # later turn leaves untouched, by its plan
+        self._parts: dict = {}
         self._packs: dict = {}  # ``_Flow.pack`` of the results, by flow
+
+    def zeros(self, bit: Callable[[Position], int]) -> int:
+        """The bits of the positions whose result is zero, live before the
+        turn and not after it, by ``bit``, the bits of the table that
+        holds the class (``EnumerationTable.bit``)."""
+        if self._zeros is None:
+            self._zeros = sum(bit(pos) for pos, grp in self.results if grp.is_trivial())
+        return self._zeros
 
     def degree_parts(self, lens: _Lens, key_of) -> dict[int, _Part]:
         parts = self._parts.get(lens)
         if parts is None:
             parts = self._parts[lens] = _degree_parts(self.results, lens, key_of)
+        return parts
+
+    def left_parts(self, plan: _Plan, lens: _Lens, key_of) -> dict[int, _Part]:
+        """``degree_parts`` of the results that a later ``plan``'s turn,
+        whose lens is ``lens``, leaves untouched."""
+        parts = self._parts.get(plan)
+        if parts is None:
+            parts = self._parts[plan] = _degree_parts(
+                [res for res in self.results if res[0] not in plan.dropped], lens, key_of)
         return parts
 
     def pack(self, flow: _Flow) -> int:
@@ -531,6 +566,7 @@ class EnumerationTable:
         self._placed: dict[tuple, tuple[_ComponentClass, ...]] = {}
         self._keys: dict[FgAbGroup, _Key] = {}
         self._lenses: dict[tuple[frozenset[Position], tuple[int, ...], int], _Lens] = {}
+        self._bits: dict[Position, int] = {}
 
     def space(self, source: FgAbGroup, target: FgAbGroup, bound: int) -> HomMatrixSpace:
         key = (source, target, bound)
@@ -590,6 +626,14 @@ class EnumerationTable:
                             homs=tuple((unshift(pos), h) for pos, h in cls.homs))
             for cls in rel)
         return placed
+
+    def bit(self, pos: Position) -> int:
+        """The bit of ``pos`` in the live sets of the run's solves: one
+        per position, in the order they are first met."""
+        bit = self._bits.get(pos)
+        if bit is None:
+            bit = self._bits[pos] = 1 << len(self._bits)
+        return bit
 
 
 def _component_classes(table: EnumerationTable,
@@ -957,10 +1001,12 @@ class _WorstCase:
     """The page run from the first page in which every live position
     stays live (see the module docstring for what it bounds)."""
 
-    __slots__ = ("arrows", "degrees", "final", "top", "_flows", "_plans")
+    __slots__ = ("first", "arrows", "degrees", "final", "top", "_bit", "_bits", "_ends",
+                 "_reach", "_flows", "_plans", "_next")
 
-    def __init__(self, arrows: dict[int, _Arrows], degrees: frozenset[int],
-                 final: dict[int, frozenset[Position]], top: int):
+    def __init__(self, first: BigradedPage, arrows: dict[int, _Arrows], degrees: frozenset[int],
+                 final: dict[int, frozenset[Position]], top: int, bit: Callable[[Position], int]):
+        self.first = first  # the run's first page, for its geometry
         self.arrows = arrows  # each turn's arrows, by page index
         self.degrees = degrees  # certified on the run's stable page
         # by page index: the window positions no arrow of a later turn
@@ -969,65 +1015,114 @@ class _WorstCase:
         # an upper bound on d_p, for every prime p, and so on the free
         # rank, of any antidiagonal of any page
         self.top = top
+        self._bit = bit
+        # ``bits`` and per turn each arrow with the bits of its window ends
+        # (``_carried``), built when a plan is first carried down
+        self._bits: dict[Position, int] | None = None
+        self._ends: dict[int, tuple[tuple[tuple[Position, Position], int], ...]] = {}
+        self._reach: dict[int, int] = {}  # the bits of the turns from a page index on
         # the lookahead of each turn that is not the last, by page index
         # and the unresolved set after the turn
         self._flows: dict = {}
-        self._plans: dict = {}  # the plans of the solve's pages, by what ``_Plan`` reads
+        self._plans: dict = {}  # the solve's plans, by what ``_Plan`` reads
+        self._next: dict = {}  # the same plans, by what ``plan`` reads
 
-    def plan(self, page: BigradedPage) -> _Plan | None:
-        """The plan of ``page``'s turn, None when the page is stable.  A
-        branch's arrows are among the run's, and a run arrow is the page's
-        when its window ends are live there (entries or unresolved), so the
-        turn is the run's first from the page's index that keeps an arrow.
-        Plans are keyed by that turn, the arrows it keeps and the page's
-        unresolved set."""
-        def live(arrow: tuple[Position, Position]) -> bool:
-            return all(pos in page._by_position or pos in page.unresolved
-                       for pos in arrow if page.in_window(pos[0]))
+    @property
+    def bits(self) -> dict[Position, int]:
+        """The bit (``EnumerationTable.bit``) of each window end of a run
+        arrow."""
+        return self._carried()[0]
 
-        for r, arrows in self.arrows.items():
-            if r >= page.page_index and (kept := tuple(filter(live, arrows))):
-                plan = self._plans.get(key := (r, kept, page.unresolved))
-                if plan is None:
-                    plan = self._plans[key] = _Plan(page, self, r, kept)
-                return plan
-        return None
+    def _carried(self) -> tuple[dict[Position, int], dict]:
+        if self._bits is None:
+            in_window, bit = self.first.in_window, self._bit
+            self._bits = {pos: bit(pos) for turn in self.arrows.values() for arrow in turn
+                          for pos in arrow if in_window(pos[0])}
+            self._ends = {r: tuple((arrow, sum(self._bits.get(pos, 0) for pos in arrow))
+                                   for arrow in turn) for r, turn in self.arrows.items()}
+        return self._bits, self._ends
 
-    def flow(self, r: int, page: BigradedPage, unresolved: frozenset[Position]) -> _Flow | None:
-        """The lookahead after turn r of ``page``, a page of this run's
-        geometry whose next unresolved set is ``unresolved``; None on the
-        last turn."""
+    def live(self, page: BigradedPage) -> int:
+        """The bits of the positions that are live on ``page``: entries or
+        unresolved."""
+        return sum(bit for pos, bit in self.bits.items()
+                   if pos in page._by_position or pos in page.unresolved)
+
+    def first_plan(self) -> _Plan | None:
+        """The plan of the first page's turn, None when it is stable: the
+        run starts there, so the turn is the run's first, with all its
+        arrows."""
+        if not self.arrows:
+            return None
+        r = min(self.arrows)
+        return self._plan(r, self.arrows[r], self.first.unresolved)
+
+    def plan(self, after: int, live: int, unresolved: frozenset[Position]) -> _Plan | None:
+        """The plan of the turn of a page of index ``after`` whose live
+        bits are ``live`` and whose unresolved set is ``unresolved``; None
+        when the page is stable.  A branch's arrows are among the run's,
+        and a run arrow is the page's when its window ends are live, so the
+        turn is the run's first from ``after`` on that keeps an arrow.
+        Plans are found by the live bits of the turns from ``after`` on,
+        so no page is scanned: a turn's positions are live on the next
+        page unless one of its chosen classes zeroes them."""
+        _, turns = self._carried()
+        reach = self._reach.get(after)
+        if reach is None:
+            reach = self._reach[after] = reduce(or_, (bits for r, ends in turns.items()
+                                                      if r >= after for _, bits in ends), 0)
+        key = (after, live & reach, unresolved)
+        if key not in self._next:
+            self._next[key] = None
+            for r, ends in turns.items():
+                if r >= after and (kept := tuple(arrow for arrow, bits in ends
+                                                 if live & bits == bits)):
+                    self._next[key] = self._plan(r, kept, unresolved)
+                    break
+        return self._next[key]
+
+    def _plan(self, r: int, arrows: _Arrows, unresolved: frozenset[Position]) -> _Plan:
+        """The one plan of turn r with these arrows and unresolved set."""
+        plan = self._plans.get(key := (r, arrows, unresolved))
+        if plan is None:
+            plan = self._plans[key] = _Plan(self, *key)
+        return plan
+
+    def flow(self, r: int, unresolved: frozenset[Position]) -> _Flow | None:
+        """The lookahead after turn r, when the next unresolved set is
+        ``unresolved``; None on the last turn."""
         if r == max(self.arrows):
             return None
         flow = self._flows.get((r, unresolved))
         if flow is None:
             flow = self._flows[r, unresolved] = _Flow(
                 [arrow for turn, arrows in self.arrows.items() if turn > r for arrow in arrows],
-                lambda pos: page.in_window(pos[0]) and pos not in unresolved,
+                lambda pos: self.first.in_window(pos[0]) and pos not in unresolved,
                 self.degrees, self.top)
         return flow
 
 
-def _worst_case_run(page: BigradedPage) -> _WorstCase:
+def _worst_case_run(page: BigradedPage, table: EnumerationTable | None = None) -> _WorstCase:
     """The worst-case run from ``page`` (a first page), and each window
     position's last touch: the last page index whose arrows have it as
-    an endpoint."""
+    an endpoint; live sets take the bits of ``table``'s positions."""
     # later entries are subquotients of the first page's, d_p of a
     # subquotient is at most d_p of the group, which is at most its
     # generator count, and an antidiagonal meets each row once: so a
     # column's generator count bounds every antidiagonal's d_p
     top = sum(grp.generator_count() for (p, _), grp in page.entries if p == 0)
-    arrows = {}
+    first, arrows = page, {}
     last_touch: dict[Position, int] = {}
     while (found := _first_active_page(page)) is not None:
         r, arrows[r] = found
         last_touch.update((pos, r) for arrow in arrows[r] for pos in arrow)
-        gone = _slots_and_unresolved(page, arrows[r])[1]
+        gone = _slots_and_unresolved(arrows[r], page.known)[1]
         page = page.turned(r + 1, page.unresolved | gone,
                            [entry for entry in page.entries if entry[0] not in gone])
     grid = [(p, q) for p in page.window_columns() for q in range(page.row_max + 1)]
     final = {r: frozenset(pos for pos in grid if last_touch.get(pos, 0) <= r) for r in arrows}
-    return _WorstCase(arrows, frozenset(certified_degrees(page)), final, top)
+    return _WorstCase(first, arrows, frozenset(certified_degrees(page)), final, top,
+                      (table or EnumerationTable()).bit)
 
 
 def _smallest_window(s_homology: GradedGroup, column_step: int) -> int:
@@ -1139,19 +1234,20 @@ class _Flow:
 
 
 class _Plan:
-    """The plan of ``page``'s turn r, given the solve's worst-case
-    ``run``, whose ``arrows`` are those of page r that touch a live
-    window position (``_arrows_at``): built once per turn, surviving run
-    arrows and unresolved set (``_WorstCase.plan``), and shared by every
-    page that has them."""
+    """The plan of turn r of the solve's worst-case ``run`` on a page
+    whose unresolved set is ``unresolved``, where ``arrows`` are the run
+    arrows of page r whose window ends are live (``_WorstCase.plan``):
+    built once per turn, surviving run arrows and unresolved set, and
+    shared by every branch that has them."""
 
     __slots__ = ("r", "comps", "unresolved", "dropped", "final", "flow", "checks", "reads",
                  "settled")
 
-    def __init__(self, page: BigradedPage, run: _WorstCase, r: int, arrows: _Arrows):
+    def __init__(self, run: _WorstCase, r: int, arrows: _Arrows, unresolved: frozenset[Position]):
         self.r = r  # the page of the turn
-        slots, newly_unresolved = _slots_and_unresolved(page, arrows)
-        self.unresolved = unresolved = page.unresolved | newly_unresolved  # of the next page
+        slots, newly_unresolved = _slots_and_unresolved(
+            arrows, lambda pos: run.first.in_window(pos[0]) and pos not in unresolved)
+        self.unresolved = unresolved = unresolved | newly_unresolved  # of the next page
         # per component: its arrows, its positions (sorted) and those
         # whose next entry is known (its signature)
         comps = []
@@ -1169,7 +1265,7 @@ class _Plan:
         self.final = run.final[r]  # the run's final positions after r
         # the rank-flow lookahead over the later turns; None on the last
         # turn, the one no worst-case arrow comes after
-        self.flow = run.flow(r, page, unresolved)
+        self.flow = run.flow(r, unresolved)
         # the interval check's skeleton: checks[i + 1] holds each degree
         # whose last component is i (checks[0]: no component reaches it),
         # with the components that have an entry on its antidiagonal
@@ -1190,6 +1286,12 @@ class _Plan:
         self.settled = tuple(tuple(e for e in (0, 1) if self.flow is not None and last[e] == k)
                              for k in range(len(self.checks)))
 
+    def kept_at(self, parts: dict[int, _Part]) -> tuple[tuple[_Part, ...], ...]:
+        """The ``parts`` of the untouched entries on each entry of
+        ``checks``: what the interval check reads of them."""
+        return tuple(tuple(parts.get(deg, _NO_PART) for deg, _ in degrees)
+                     for degrees in self.checks)
+
 
 def solve_floer(s_homology: GradedGroup, column_step: int,
                 constraints: tuple[tuple[int, FgAbGroup], ...] = (),
@@ -1209,14 +1311,14 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     and 1.
     """
     root = build_e1(s_homology, column_step, col_span)
-    run = _worst_case_run(root)
+    if table is None:
+        table = EnumerationTable()
+    run = _worst_case_run(root, table)
     if not {0, 1} <= run.degrees:
         raise WindowError(f"window too small to certify abutment degrees 0 and 1 "
                           f"(rows 0..{root.row_max}, column step {column_step}); "
                           f"the smallest window that can is "
                           f"{_smallest_window(s_homology, column_step)}")
-    if table is None:
-        table = EnumerationTable()
     pins = tuple(constraints)
     # the pins folded once per solve, each parity's as its ``_group_key``,
     # from which the interval check states its exact bound (None when two
@@ -1238,12 +1340,14 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
                 hf_even=key[0], hf_odd=key[1], certified=tuple(certified), turns=tuple(turns),
                 stable_page=page.page_index)
 
-    def explore(page: BigradedPage, turns: list[_Turn]) -> None:
+    # the memo of each last turn's search, by plan and lens, shared by every
+    # branch that reaches it without a page
+    memos: dict[tuple[_Plan, _Lens], dict] = {}
+
+    def explore(page: BigradedPage, live: int | None, plan: _Plan, turns: list[_Turn]) -> None:
+        # ``live``: the page's live bits (``_WorstCase.bits``), carried down
+        # to every page but the first
         nonlocal truncation
-        plan = run.plan(page)
-        if plan is None:
-            finish(page, turns)
-            return
         if not truncation:
             truncation = any(bound_may_truncate(page.entry(*s), page.entry(*t), entry_bound)
                              for arrows, _, _ in plan.comps for s, t in arrows)
@@ -1258,17 +1362,60 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
         class_lists = [table.classes(arrows, positions, tuple(map(entry, positions)),
                                      entry_bound, signature)
                        for arrows, positions, signature in plan.comps]
+        lens = _turn_lens(table, plan, kept, class_lists, pinned)
+        kept_parts = plan.kept_at(_degree_parts(kept, lens, table.key))
+        kept_pack = plan.flow.pack(kept) if plan.flow is not None else 0
+        memo: dict = {}  # this page's, as a built page's turn has its own kept entries
+        state = _start_state(plan, lens, table.key, kept_parts, kept_pack, pinned, memo)
         # on the last turn each bound is exact, so once both parities have
         # one, the branch's abutment is fixed: a leaf already found cuts it
         cut = found if plan.flow is None else ()
-        lens = _turn_lens(table, plan, kept, class_lists, pinned)
-        for chosen in _turn_combinations(kept, plan, lens, pinned, table.key, class_lists, cut):
-            homs = tuple(sorted(hom for cls in chosen for hom in cls.homs))
-            results = [res for cls in chosen for res in cls.results]
-            explore(page.turned(plan.r + 1, plan.unresolved, kept + results),
-                    turns + [(plan.r, homs)])
+        if state is None or _is_cut(state, cut):
+            return
+        lasts: dict[_Plan, _LastTurn] = {}  # the last turns after this one
+        if live is None and plan.flow is not None:
+            live = run.live(page)
+        bit = table.bit
+        for chosen in _turn_combinations(plan, lens, table.key, class_lists, kept_parts,
+                                         kept_pack, state, memo, cut):
+            live_next, nxt = live, None
+            if plan.flow is not None:  # a turn comes after this one
+                for cls in chosen:
+                    live_next &= ~cls.zeros(bit)
+                nxt = run.plan(plan.r + 1, live_next, plan.unresolved)
+            if nxt is None or nxt.flow is not None:
+                page_next = page.turned(plan.r + 1, plan.unresolved,
+                                        kept + [res for cls in chosen for res in cls.results])
+                if nxt is None:
+                    finish(page_next, turns + [_turn(plan.r, chosen)])
+                else:
+                    explore(page_next, live_next, nxt, turns + [_turn(plan.r, chosen)])
+                continue
+            # the last turn is decided without building the branch's page
+            last = lasts.get(nxt)
+            if last is None:
+                last = lasts[nxt] = _LastTurn(table, plan, nxt, kept, entry, entry_bound, pinned,
+                                              memos)
+            parts = _CarriedParts(last, chosen)
+            if not truncation:
+                truncation = last.truncates(chosen)
+            state = _start_state(nxt, last.lens, table.key, parts, 0, pinned, last.memo)
+            if state is None or _is_cut(state, found):
+                continue
+            for chosen_last in _turn_combinations(nxt, last.lens, table.key,
+                                                  last.class_lists(chosen), parts, 0, state,
+                                                  last.memo, found):
+                entries = [res for res in chain(kept, *(cls.results for cls in chosen))
+                           if res[0] not in nxt.dropped]
+                entries += [res for cls in chosen_last for res in cls.results]
+                finish(page.turned(nxt.r + 1, nxt.unresolved, entries),
+                       turns + [_turn(plan.r, chosen), _turn(nxt.r, chosen_last)])
 
-    explore(root, [])
+    plan = run.first_plan()
+    if plan is None:
+        finish(root, [])
+    else:
+        explore(root, None, plan, [])
     ordered = tuple(sorted(leaves.values(), key=lambda lf: (str(lf.hf_even), str(lf.hf_odd))))
     return BranchTree(
         column_step=column_step,
@@ -1277,6 +1424,110 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
         leaves=ordered,
         bound_may_truncate=truncation,
     )
+
+
+class _LastTurn:
+    """The ``last`` turn after ``plan``'s turn of a page, decided for each
+    branch the page's search keeps without building the branch's page.
+    The branch's next entries are the page's ``kept`` entries (those no
+    component of ``plan`` touches) and its chosen classes' results, so
+    what the last turn reads of them is worked out here once per page
+    and last turn, and per branch only looked up or summed: its
+    components' entries, from ``entry`` or a class's results, and the
+    parts of the entries it leaves untouched, kept's and each class's,
+    cached per (class, plan) (``_CarriedParts``).  Its search shares
+    ``memos`` with every branch that has the plan."""
+
+    __slots__ = ("table", "last", "entry", "entry_bound", "lens", "memo", "base", "carries",
+                 "sources", "_lists")
+
+    def __init__(self, table: EnumerationTable, plan: _Plan, last: _Plan,
+                 kept: list[tuple[Position, FgAbGroup]], entry: Callable[[Position], FgAbGroup],
+                 entry_bound: int, pinned: tuple[_Key | None, _Key | None],
+                 memos: dict[tuple[_Plan, _Lens], dict]):
+        self.table, self.last, self.entry, self.entry_bound = table, last, entry, entry_bound
+        # a last turn's lens reads neither entries nor classes
+        self.lens = lens = _turn_lens(table, last, [], [], pinned)
+        self.memo = memos.setdefault((last, lens), {})
+        # ``_Plan.kept_at`` of the kept entries the last turn leaves untouched
+        self.base = last.kept_at(_degree_parts(
+            [entry for entry in kept if entry[0] not in last.dropped], lens, table.key))
+        # per entry of the last turn's checks, each component j of plan with
+        # results the last turn leaves untouched on that entry's degrees,
+        # with the (i, degree i) of those degrees
+        left = [{sum(pos) for pos in signature if pos not in last.dropped}
+                for _, _, signature in plan.comps]
+        self.carries = tuple(
+            tuple((j, at) for j, degrees_left in enumerate(left)
+                  if (at := tuple((i, deg) for i, (deg, _) in enumerate(degrees)
+                                  if deg in degrees_left)))
+            for degrees in last.checks)
+        # per component of the last turn: the components of plan whose
+        # results lie on it, and where each of its positions' entries comes
+        # from: (j, i), result i of component j's class, or None, a kept one
+        at = {pos: (j, i) for j, (_, _, signature) in enumerate(plan.comps)
+              for i, pos in enumerate(signature)}
+        self.sources = tuple((tuple(sorted({src[0] for src in comp if src})), comp)
+                             for comp in (tuple(map(at.get, positions))
+                                          for _, positions, _ in last.comps))
+        self._lists: dict[tuple, tuple[_ComponentClass, ...]] = {}  # by what a list reads
+
+    def groups(self, chosen: list[_ComponentClass], k: int) -> tuple[FgAbGroup, ...]:
+        """The entries of the last turn's component k after ``chosen``."""
+        return tuple(self.entry(pos) if src is None else chosen[src[0]].results[src[1]][1]
+                     for pos, src in zip(self.last.comps[k][1], self.sources[k][1]))
+
+    def truncates(self, chosen: list[_ComponentClass]) -> bool:
+        """Whether the bound may truncate a hom space of the last turn."""
+        for k, (arrows, positions, _) in enumerate(self.last.comps):
+            at = dict(zip(positions, self.groups(chosen, k)))
+            if any(bound_may_truncate(at[s], at[t], self.entry_bound) for s, t in arrows):
+                return True
+        return False
+
+    def class_lists(self, chosen: list[_ComponentClass]) -> list[tuple[_ComponentClass, ...]]:
+        """The class lists of the last turn's components after
+        ``chosen``, each by the classes whose results it reads."""
+        lists = []
+        for k, (arrows, positions, signature) in enumerate(self.last.comps):
+            key = (k, *map(id, map(chosen.__getitem__, self.sources[k][0])))
+            classes = self._lists.get(key)
+            if classes is None:
+                classes = self._lists[key] = self.table.classes(
+                    arrows, positions, self.groups(chosen, k), self.entry_bound, signature)
+            lists.append(classes)
+        return lists
+
+
+class _CarriedParts(dict):
+    """``_Plan.kept_at`` of a last turn after ``chosen`` (``_LastTurn``),
+    one entry of its checks at a time as the search first reads it: the
+    untouched kept entries' parts plus the parts of the chosen classes'
+    results that the last turn leaves untouched."""
+
+    __slots__ = ("turn", "chosen")
+
+    def __init__(self, turn: _LastTurn, chosen: list[_ComponentClass]):
+        self.turn, self.chosen = turn, chosen
+
+    def __missing__(self, k: int) -> tuple[_Part, ...]:
+        turn, chosen = self.turn, self.chosen
+        last, lens, key_of = turn.last, turn.lens, turn.table.key
+        parts = list(turn.base[k])
+        for j, at in turn.carries[k]:
+            left = chosen[j].left_parts(last, lens, key_of)
+            for i, deg in at:
+                lo, powers, slack, zero = parts[i]
+                f, pw, sl, z = left[deg]
+                parts[i] = (lo + f, powers + pw, slack + sl, zero and z)
+        parts = self[k] = tuple(parts)
+        return parts
+
+
+def _turn(r: int, chosen: list[_ComponentClass]) -> _Turn:
+    """The turn of page r that ``chosen`` labels: its nonzero
+    differentials by source position."""
+    return r, tuple(sorted(hom for cls in chosen for hom in cls.homs))
 
 
 def _turn_lens(table: EnumerationTable, plan: _Plan, kept: list[tuple[Position, FgAbGroup]],
@@ -1298,55 +1549,85 @@ def _turn_lens(table: EnumerationTable, plan: _Plan, kept: list[tuple[Position, 
     return table.lens(plan.final, tuple(sorted(_factorize(exponent))), plan.flow.width)
 
 
-def _turn_combinations(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, lens: _Lens,
-                       pinned: tuple[_Key | None, _Key | None], key_of,
-                       class_lists: list[tuple[_ComponentClass, ...]], cut):
+def _is_cut(state: tuple[_Bound | None, _Bound | None], cut) -> bool:
+    """Whether ``state`` has exact keys for both parities that are in
+    ``cut``."""
+    even, odd = state
+    return bool(even and odd and (even[2], odd[2]) in cut)
+
+
+def _start_state(plan: _Plan, lens: _Lens, key_of, kept_parts: Sequence[tuple[_Part, ...]],
+                 kept_pack: int, pinned: tuple[_Key | None, _Key | None], memo: dict):
+    """``check(-1, [], pinned)`` of ``_interval_check``: besides the plan,
+    the lens and the pins it reads only the untouched parts on
+    ``plan.checks[0]`` and, on a turn with no component, their
+    ``_Flow.pack``, so it is worked out once per distinct such input in
+    ``memo``, the turn's (see ``_turn_combinations``)."""
+    start = memo.get(key := (-1, kept_parts[0], kept_pack))
+    if start is None:
+        check = _interval_check(plan, lens, key_of, kept_parts, kept_pack)
+        start = memo[key] = (check(-1, [], pinned),)
+    return start[0]
+
+
+def _turn_combinations(plan: _Plan, lens: _Lens, key_of,
+                       class_lists: list[tuple[_ComponentClass, ...]],
+                       kept_parts: Sequence[tuple[_Part, ...]], kept_pack: int,
+                       state: tuple[_Bound | None, _Bound | None], memo: dict, cut):
     """The combinations of one class per component of ``plan``'s turn
     that ``_interval_check`` keeps at every prefix, depth first in
-    product order.  ``kept`` holds the next page's entries that no
-    component touches, ``lens`` is the turn's (``_turn_lens``) and
-    ``pinned`` the keys of the pins; a prefix whose state has exact keys
+    product order, from the start ``state`` (``_start_state``).
+    ``kept_parts[k]`` holds the parts of the next page's entries that no
+    component touches on the degrees of ``plan.checks[k]``
+    (``_Plan.kept_at``), ``kept_pack`` their ``_Flow.pack`` and ``lens``
+    is the turn's (``_turn_lens``); a prefix whose state has exact keys
     for both parities that are in ``cut`` is cut too, read as the prefix
     is entered.
 
-    A check reads, besides the class, only its component i, the state,
-    the ``_Part`` of each placed class on the degrees ``plan.checks[i +
-    1]`` bounds (``plan.reads[i]``) and, on the last component of a turn
-    that is not the last, the summed ``_Flow.pack`` of the placed
-    classes; everything else it reads is fixed for the turn.  So a DFS
-    node's kept children are worked out once per distinct such input, in
-    a dict that lives as long as the turn, and the search visits the same
-    prefixes, in the same order, as it would checking each class.
+    A check reads, besides the class, only its component i and that
+    component's class list, the state, the untouched parts and the
+    ``_Part`` of each placed class on the degrees ``plan.checks[i + 1]``
+    bounds (``plan.reads[i]``) and, on the last component of a turn that
+    is not the last, the summed ``_Flow.pack``; everything else it reads
+    is fixed by the plan and the lens.  So a DFS node's kept children are
+    worked out once per distinct such input, in ``memo``, which may
+    serve every branch with that plan and lens (the solve shares a last
+    turn's), and the search visits the same prefixes, in the same order,
+    as it would checking each class.
 
     The search keeps one stack of sibling iterators, as
     ``_component_classes`` does, so a turn with many components does not
     nest a generator per component.  It yields its own ``chosen`` list,
     which changes once the caller asks for the next combination."""
-    check = _interval_check(kept, plan, lens, key_of)
-    if (state := check(-1, [], pinned)) is None:
-        return
-    even, odd = state
-    if even and odd and (even[2], odd[2]) in cut:
-        return
     chosen: list[_ComponentClass] = []
     if not class_lists:
         yield chosen
         return
-    flow, reads = plan.flow, plan.reads
-    last_comp = len(class_lists) - 1 if flow is not None else None
-    memo: dict[tuple, tuple[tuple[_ComponentClass, tuple], ...]] = {}
-    states: dict[tuple, tuple] = {}  # one object per distinct next state
+    flow, reads, last = plan.flow, plan.reads, len(class_lists) - 1
+    check = None  # the turn's ``_interval_check``, built at the first miss
+    # per placed class: its ``degree_parts`` and, on a turn that is not the
+    # last, the summed ``_Flow.pack`` of the untouched entries and the
+    # classes placed so far
+    parts: list[dict[int, _Part]] = []
+    packs = [kept_pack]
 
     def children(state):
         # the kept children of the node chosen, whose state is ``state``
+        nonlocal check
         i = len(chosen)
-        key = (i, state, *(chosen[c].degree_parts(lens, key_of).get(deg, _NO_PART)
-                           for deg, c in reads[i]))
-        if i == last_comp:
-            key += (sum(cls.pack(flow) for cls in chosen),)
+        classes = class_lists[i]
+        key = (i, id(classes), state, kept_parts[i + 1])
+        if reads[i]:
+            key += tuple(parts[c].get(deg, _NO_PART) for deg, c in reads[i])
+        if i == last and flow is not None:
+            key += (packs[i],)
         kids = memo.get(key)
         if kids is None:
-            kids = memo[key] = tuple((cls, states.setdefault(nxt, nxt)) for cls in class_lists[i]
+            if check is None:
+                check = _interval_check(plan, lens, key_of, kept_parts, kept_pack)
+            # one object per distinct next state, keyed by itself (a pair
+            # of bounds, never a node's key)
+            kids = memo[key] = tuple((cls, memo.setdefault(nxt, nxt)) for cls in classes
                                      if (nxt := check(i, [*chosen, cls], state)) is not None)
         return iter(kids)
 
@@ -1358,7 +1639,10 @@ def _turn_combinations(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, lens
             if even and odd and (even[2], odd[2]) in cut:
                 continue
             chosen.append(cls)
-            if len(chosen) < len(class_lists):
+            if len(chosen) <= last:
+                parts.append(cls.degree_parts(lens, key_of))
+                if flow is not None:
+                    packs.append(packs[-1] + cls.pack(flow))
                 pending.append(children(state))
                 break
             yield chosen
@@ -1367,9 +1651,13 @@ def _turn_combinations(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, lens
             pending.pop()
             if chosen:
                 chosen.pop()
+                parts.pop()
+                if flow is not None:
+                    packs.pop()
 
 
-def _interval_check(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, lens: _Lens, key_of):
+def _interval_check(plan: _Plan, lens: _Lens, key_of, kept_parts: Sequence[tuple[_Part, ...]],
+                    kept_pack: int):
     """The check behind ``_turn_combinations``: ``check(i, placed, state)``
     is the state once the classes ``placed`` fill components 0..i (None
     when the branch is cut), and ``check(-1, [], pinned)`` states the
@@ -1411,8 +1699,6 @@ def _interval_check(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, lens: _
     the DFS adds groups.
     """
     flow, ones, settled = plan.flow, lens.ones, plan.settled
-    kept_parts = _degree_parts(kept, lens, key_of)
-    kept_pack = flow.pack(kept) if flow is not None else 0
     last_comp = len(plan.comps) - 1
     meet = lens.meet if lens.primes else _meet
 
@@ -1423,8 +1709,7 @@ def _interval_check(kept: list[tuple[Position, FgAbGroup]], plan: _Plan, lens: _
     def check(i, placed, state):
         # the pins' keys as exact bounds at the start
         out = list(state) if i >= 0 else [key and exact(key) for key in state]
-        for deg, at in plan.checks[i + 1]:
-            lo, powers, slack, zero = kept_parts.get(deg, _NO_PART)
+        for (deg, at), (lo, powers, slack, zero) in zip(plan.checks[i + 1], kept_parts[i + 1]):
             for c in at:
                 f, pw, sl, z = placed[c].degree_parts(lens, key_of).get(deg, _NO_PART)
                 lo, powers, slack, zero = lo + f, powers + pw, slack + sl, zero and z

@@ -179,7 +179,7 @@ def solve_floer_without_pruning(s_homology, column_step, constraints=(), entry_b
                         stable_page=page.page_index)
             return
         r, arrows = found
-        slots, newly_unresolved = _slots_and_unresolved(page, arrows)
+        slots, newly_unresolved = _slots_and_unresolved(arrows, page.known)
         truncation |= any(bound_may_truncate(page.entry(*s), page.entry(*t), entry_bound)
                           for s, t in slots)
         unresolved = page.unresolved | newly_unresolved
@@ -493,12 +493,14 @@ def arrows_by_scan(page, r):
     return tuple(arrows)
 
 
-def turn_combinations_by_check(kept, plan, lens, pinned, key_of, class_lists, cut):
+def turn_combinations_by_check(plan, lens, key_of, class_lists, kept_parts, kept_pack, state,
+                               memo, cut):
     """Reference for ``spectra._turn_combinations``: each class under
     each prefix checked by the unmemoized ``_interval_check``, depth first
-    in product order.  ``cut`` is read just before a kept class (or the
-    start state) is entered, as the search reads it."""
-    check = _interval_check(kept, plan, lens, key_of)
+    in product order from the start ``state``.  ``cut`` is read just
+    before a kept class is entered, as the search reads it; ``memo`` is
+    not read."""
+    check = _interval_check(plan, lens, key_of, kept_parts, kept_pack)
 
     def entered(state):
         even, odd = state
@@ -513,6 +515,4 @@ def turn_combinations_by_check(kept, plan, lens, pinned, key_of, class_lists, cu
             if nxt is not None and entered(nxt):
                 yield from walk([*chosen, cls], nxt)
 
-    start = check(-1, [], pinned)
-    if start is not None and entered(start):
-        yield from walk([], start)
+    yield from walk([], state)

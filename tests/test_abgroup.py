@@ -352,6 +352,19 @@ def test_a_hom_space_past_sys_maxsize_is_a_named_solver_limit():
     assert len(hom_matrix_space(FgAbGroup(3), FgAbGroup(3), 1)) == 3 ** 9
 
 
+def test_a_hom_space_past_the_hom_limit_is_a_named_solver_limit():
+    # a space of more than MAX_HOMS homs is refused before any row is
+    # built, though its length fits a C ssize_t: Z/10^12 -> Z/10^12 + Z
+    # has 10^12 homs once the bound covers the order, and Z -> Z^2 at
+    # bound 10^6 has (2 * 10^6 + 1)^2
+    with pytest.raises(SolverLimitError, match=f"entry_bound {10 ** 29} "):
+        hom_matrix_space(cyclic(10 ** 12), from_orders(0, 10 ** 12), 10 ** 29)
+    with pytest.raises(SolverLimitError, match=f"more than {abgroup.MAX_HOMS}, "):
+        hom_matrix_space(FgAbGroup(1), FgAbGroup(2), 10 ** 6)
+    # a space just under the limit is built
+    assert len(hom_matrix_space(FgAbGroup(1), FgAbGroup(2), 511)) == 1023 ** 2 <= abgroup.MAX_HOMS
+
+
 def test_a_hom_space_takes_cokernels_once_per_row_class_and_only_when_asked(monkeypatch):
     # Z^3 -> Z^3 at bound 1, the largest space of the T^3 table at step
     # 2: building its 19,683 homs takes no Smith diagonal, and its

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -844,6 +845,22 @@ def test_cli_entry_bound_past_any_hom_space_is_a_solver_limit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("solver limit: stage floer: ") and err.count("\n") == 1
     assert f"entry_bound {10 ** 29}" in err
+
+
+def test_cli_entry_bound_past_the_hom_limit_is_a_solver_limit(tmp_path, capsys):
+    # an entry_bound whose hom spaces fit a C ssize_t but not MAX_HOMS
+    # ends in a named solver limit before any hom space is built: the
+    # flagship's Z -> Z^2 at bound 10^6 holds 4 * 10^12 homs
+    raw = json.loads(bundled("paper_cp7.json").read_text())
+    raw["entry_bound"] = 10 ** 6
+    path = tmp_path / "large-bound.json"
+    path.write_text(json.dumps(raw))
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 2
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert err.startswith("solver limit: stage floer: ") and err.count("\n") == 1
+    assert f"entry_bound {10 ** 6}" in err
 
 
 def test_cli_missing_file(capsys):

@@ -386,36 +386,52 @@ def pages(draw):
 def test_chain_walk_finds_the_union_find_components(page):
     # every page turn's slots, as the solver's plans take them
     for r in range(page.column_step, page.row_max + 2, page.column_step):
-        slots, _ = _slots_and_unresolved(page, _arrows_at(page, r))
+        slots, _ = _slots_and_unresolved(_arrows_at(page, r), page.known)
         assert _components(slots) == components_by_union_find(slots)
 
 
 def assert_run_plans_match_a_full_scan(h, step, constraints=(), col_span=2):
-    """The run keys a plan by its turn, the run arrows whose window ends
-    are live and the unresolved set; on every page of the search that
-    prunes nothing, that plan is the one built from the page's own arrows
-    (a full scan of page indices), field by field."""
+    """The solver carries each plan down instead of scanning the page: on
+    every page turn of the search that prunes nothing, the next page's
+    plan is found from its turn's page index, its unresolved set and the
+    live bits of the page less those of the positions the turn's chosen
+    classes zero.  That carried plan is the one built from the next
+    page's own arrows (a full scan of page indices), slot by slot, and
+    the carried live bits are the next page's; so is the first page's
+    plan, the run's first turn with all its arrows."""
     run = _worst_case_run(build_e1(h, step, col_span))
-    pages = []
-    init = spectra.BigradedPage.__init__
+    turned, turn = [], spectra.BigradedPage.turned
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(spectra.BigradedPage, "__init__",
-                            lambda page, *args, **kw: init(page, *args, **kw) or pages.append(page))
+        monkeypatch.setattr(spectra.BigradedPage, "turned",
+                            lambda page, *args: turned.append((page, turn(page, *args)))
+                            or turned[-1][1])
         try:
             solve_floer_without_pruning(h, step, constraints=constraints, entry_bound=1,
                                         col_span=col_span)
         except WindowError:
             pass
-    assert pages
-    for page in pages:
+
+    def scanned(page):
         found = _first_active_page(page)
-        plan = run.plan(page)
-        if found is None:
-            assert plan is None
-            continue
-        expected = spectra._Plan(page, run, *found)
+        return None if found is None else spectra._Plan(run, *found, page.unresolved)
+
+    def assert_same(carried, expected):
+        if expected is None:
+            assert carried is None
+            return
         for name in spectra._Plan.__slots__:
-            assert getattr(plan, name) == getattr(expected, name), name
+            assert getattr(carried, name) == getattr(expected, name), name
+
+    root = build_e1(h, step, col_span)
+    assert_same(run.first_plan(), scanned(root))
+    assert_same(run.plan(root.page_index, run.live(root), root.unresolved), scanned(root))
+    for page, child in turned:
+        plan = scanned(page)
+        zeroed = sum(run.bits.get(pos, 0) for _, _, signature in plan.comps
+                     for pos in signature if pos not in child._by_position)
+        live = run.live(page) & ~zeroed
+        assert live == run.live(child)
+        assert_same(run.plan(plan.r + 1, live, plan.unresolved), scanned(child))
 
 
 @settings(deadline=None, database=None, max_examples=40)
@@ -433,6 +449,35 @@ def test_run_plans_match_plans_of_a_full_scan_when_only_the_unresolved_set_diffe
     # different plans
     h = GradedGroup.from_dict({0: Z, 1: cyclic(2), 4: cyclic(3), 5: Z})
     assert_run_plans_match_a_full_scan(h, 2, col_span=3)
+
+
+@settings(deadline=None, database=None, max_examples=30)
+@given(st.lists(st.sampled_from([ZERO, Z, cyclic(2), from_orders(0, 2)]), min_size=5, max_size=5),
+       st.data())
+def test_plans_found_by_live_bits_match_a_scan_of_the_run(upper, data):
+    # the run finds a plan by the live bits of the turns from a page index
+    # on, one lookup after another; each is the plan of the run's first
+    # turn from that index with an arrow whose window ends are all live,
+    # and the arrows it keeps, for live sets that differ in one position
+    h = GradedGroup.from_dict({0: Z, **{q: grp for q, grp in enumerate(upper, start=1)
+                                        if not grp.is_trivial()}})
+    first = build_e1(h, 2, 3)
+    run = _worst_case_run(first)
+    positions = sorted(run.bits)
+    after = data.draw(st.integers(1, max(run.arrows, default=0) + 1))
+    for gone in [None, *positions]:
+        live = [pos for pos in positions if pos != gone]
+        expected = None
+        for r, arrows in run.arrows.items():
+            kept = tuple(arrow for arrow in arrows
+                         if all(pos in live for pos in arrow if first.in_window(pos[0])))
+            if r >= after and kept:
+                expected = spectra._Plan(run, r, kept, frozenset())
+                break
+        plan = run.plan(after, sum(map(run.bits.__getitem__, live)), frozenset())
+        assert (plan is None) == (expected is None)
+        for name in () if plan is None else spectra._Plan.__slots__:
+            assert getattr(plan, name) == getattr(expected, name), name
 
 
 @st.composite

@@ -532,12 +532,15 @@ def instances_built(monkeypatch, cls) -> list:
 
 
 @pytest.mark.parametrize("h, kw, leaves, most_pages", [
-    # the T^3 table at step 2, bound 1: of the 11,629 page-3 pages the
-    # interval bounds keep, only 11 have a child that survives page 4
-    (GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z}), {}, 16, 1700),
-    # pages 2, 4 and 6 turn: 6,676 pages without the lookahead, 2,694 with
-    # it, and 3,766 when a later arrow's k may exceed the smaller free rank
-    (GradedGroup.from_dict({0: Z, 1: Z, 4: Z, 5: Z}), {"col_span": 3}, 3, 2700),
+    # the T^3 table at step 2, bound 1: the interval bounds and the
+    # lookahead keep 1,132 root-turn branches, and only 11 of them have a
+    # combination that survives page 4; page 4 is the last turn, decided
+    # without a page, so the pages are the first, the worst-case run's 2
+    # and one per leaf
+    (GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z}), {}, 16, 19),
+    # pages 2, 4 and 6 turn, and page 6 is decided without a page: 4,076
+    # pages without the lookahead and 1,318 with it
+    (GradedGroup.from_dict({0: Z, 1: Z, 4: Z, 5: Z}), {"col_span": 3}, 3, 1318),
 ], ids=["t3", "rows-0-1-4-5"])
 def test_lookahead_cuts_dead_branches_before_their_pages(monkeypatch, h, kw, leaves, most_pages):
     # the rank-flow lookahead cuts a branch before its next page is built
@@ -549,11 +552,13 @@ def test_lookahead_cuts_dead_branches_before_their_pages(monkeypatch, h, kw, lea
 
 @pytest.mark.parametrize("h, step, kw, leaves, pages, most_plans", [
     # RP^7 at step 4, window 4 (catalog-tables/rp7-s4-w4): every page turn
-    # is one of two plans, and the d_p bound on page 4 leaves 6 pages
-    (H_RP7, 4, {"entry_bound": 4, "col_span": 4}, 1, 6, 2),
-    # T^3 at step 2, bound 1 (catalog-tables/t3-s2-b1)
+    # is one of two plans; page 8, the last turn, is decided without a
+    # page, so the pages are the first, the worst-case run's 2 and the leaf
+    (H_RP7, 4, {"entry_bound": 4, "col_span": 4}, 1, 4, 2),
+    # T^3 at step 2, bound 1 (catalog-tables/t3-s2-b1): the same, with a
+    # page per leaf
     (GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z}), 2,
-     {"entry_bound": 1}, 16, 1151, 33),
+     {"entry_bound": 1}, 16, 19, 33),
 ], ids=["rp7-s4-w4", "t3-s2-b1"])
 def test_turn_plans_are_keyed_by_what_they_read(monkeypatch, h, step, kw, leaves, pages,
                                                 most_plans):
@@ -568,11 +573,13 @@ def test_turn_plans_are_keyed_by_what_they_read(monkeypatch, h, step, kw, leaves
 
 
 def test_t3_checks_each_distinct_node_input_once(monkeypatch):
-    # T^3 at step 2, bound 1 (catalog-tables/t3-s2-b1), next to its
-    # 1,151 pages above: a DFS node's children are checked once per
-    # distinct input, against 40,655 checks class by class.  The root
-    # turn's states bound d_2 and d_3 as well as free ranks, and a parity
-    # whose last degree is bounded keeps its free rank alone
+    # T^3 at step 2, bound 1 (catalog-tables/t3-s2-b1): a DFS node's
+    # children are checked once per distinct input, against 40,655 checks
+    # class by class.  The root turn's states bound d_2 and d_3 as well as
+    # free ranks, and a parity whose last degree is bounded keeps its free
+    # rank alone.  The last turn's memo is shared by every root-turn
+    # branch with the same plan, and its key reads the untouched parts, so
+    # the 1,132 branches make 476 last-turn checks, not 2,348
     calls, interval_check = [], spectra._interval_check
 
     def counted(*args):
@@ -583,27 +590,68 @@ def test_t3_checks_each_distinct_node_input_once(monkeypatch):
     h = GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z})
     tree = solve_floer(h, 2, entry_bound=1)
     assert len(tree.leaves) == 16
-    assert len(calls) == 11476
+    assert len(calls) == 9604
 
 
 def test_rp3_x_rp6_at_step_4_is_cut_by_the_d_p_bound(monkeypatch):
     # a torsion-heavy product at step 4, bound 1, smallest window: no
-    # branch comes out 2-periodic, and the d_p bound cuts most of them
-    # before their pages are built (146,406 pages with free ranks alone)
+    # branch comes out 2-periodic, and the d_p bound cuts most of them on
+    # the root turn.  The last turn builds no page, so the cut shows in
+    # the interval checks: 7,952, against 20,034 with free ranks alone
+    # (and 146,406 pages built with free ranks alone before the last turn
+    # went page-less)
+    calls, interval_check = [], spectra._interval_check
+
+    def counted(*args):
+        check = interval_check(*args)
+        return lambda *call: calls.append(call[0]) or check(*call)
+
+    monkeypatch.setattr(spectra, "_interval_check", counted)
     built = instances_built(monkeypatch, BigradedPage)
     h = homology(Product(RealProjective(3), RealProjective(6)))
     tree = solve_floer(h, 4, entry_bound=1, col_span=spectra._smallest_window(h, 4))
     assert tree.leaves == ()
+    assert len(calls) == 7952
     assert len(built) <= 30894
+
+
+@pytest.mark.parametrize("h, step, kw, pages", [
+    (GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z}), 2,
+     {"entry_bound": 1}, (19, 531)),
+    (H_RP7, 4, {"entry_bound": 4, "col_span": 4}, (4, 5)),
+    (homology(Product(RealProjective(3), RealProjective(3))), 4, {"entry_bound": 1}, (3, 3)),
+], ids=["t3-s2-b1", "rp7-s4-w4", "rp3xrp3-s4"])
+def test_the_found_cut_changes_no_leaf(monkeypatch, h, step, kw, pages):
+    # the last turn cuts a branch once its abutment is a leaf already
+    # found; handed an empty cut instead, the solve builds a page for
+    # every branch that survives its last turn (the second count), and
+    # keeps the same first leaf per abutment, with the same turns, in the
+    # same order
+    built = instances_built(monkeypatch, BigradedPage)
+    tree = solve_floer(h, step, **kw)
+    plain = len(built)
+    search = spectra._turn_combinations
+    monkeypatch.setattr(spectra, "_is_cut", lambda state, cut: False)
+    monkeypatch.setattr(spectra, "_turn_combinations", lambda *args: search(*args[:-1], ()))
+    assert solve_floer(h, step, **kw).leaves == tree.leaves
+    assert tree.leaves and (plain, len(built) - plain) == pages
 
 
 def children_match_class_by_class_checks(monkeypatch) -> list:
     """Wrap ``_turn_combinations`` so that every combination it yields is
     checked, class by class, against the next one of the reference that
     checks each class under each prefix unmemoized, in lockstep, so both
-    read the growing ``found`` cut at the same moments; returns the
-    number of classes of every combination compared."""
-    search, compared = spectra._turn_combinations, []
+    read the growing ``found`` cut at the same moments, and wrap
+    ``_start_state`` so that every start state, of a built page or not,
+    is checked against the unmemoized check; returns the number of
+    classes of every combination compared."""
+    search, start, compared = spectra._turn_combinations, spectra._start_state, []
+
+    def started(plan, lens, key_of, kept_parts, kept_pack, pinned, memo):
+        state = start(plan, lens, key_of, kept_parts, kept_pack, pinned, memo)
+        check = spectra._interval_check(plan, lens, key_of, kept_parts, kept_pack)
+        assert state == check(-1, [], pinned)
+        return state
 
     def wrapped(*args):
         want = turn_combinations_by_check(*args)
@@ -613,6 +661,7 @@ def children_match_class_by_class_checks(monkeypatch) -> list:
             yield chosen
         assert next(want, None) is None
 
+    monkeypatch.setattr(spectra, "_start_state", started)
     monkeypatch.setattr(spectra, "_turn_combinations", wrapped)
     return compared
 
