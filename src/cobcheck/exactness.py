@@ -10,19 +10,21 @@ dimension and the map ranks.
 
 The solver takes the problems the cobordism windows below build: at
 most one unknown name X per problem, at most once per sequence
-(``UnsupportedProblemError`` names the rule otherwise).  There interval
-propagation decides feasibility on its own.  Each sequence is a path of
-rank variables.  X enters it either as the sum r_{j-1} + r_j = X at one
-interior term, which gives an interval of feasible X, or as a cap
-r <= X at an end, which gives an up-closed set.  Bounds propagation is
-exact along a path, and the sequences meet only in X, so the problem is
-infeasible exactly when propagation reaches an empty interval; each
-tightening is logged as a re-checkable deduction step citing the
-constraint used, and the chain ending in the empty interval is the
-infeasibility certificate.  Otherwise an ascending search over X's
-propagated interval finds the witness.  Endpoint caps do not raise X's
-lower bound, so the least X that works need not be the interval's low
-end.
+(``UnsupportedProblemError`` names the rule otherwise).  Each sequence
+is a path of rank variables, and X enters it as the sum r_{j-1} + r_j =
+X at an interior term or as a cap r <= X at an end; no feasible X
+exceeds ub (``_unknown_bounds``).  The witness is the least X in [0, ub]
+at which every sequence has a chain of ranks (the AND of per-sequence
+bitmasks over X), with each sequence's chain of least first rank.  It is
+the witness an ascending search over X's propagated interval finds:
+each propagation step applies a constraint every solution satisfies, so
+no interval loses a solution's value, a problem with a witness reaches
+no contradiction, and X's interval, inside [0, ub], holds the least
+feasible X.  Only a problem without one is propagated, on int slots.
+Bounds propagation is exact along a path, and the sequences meet only
+in X, so it reaches an empty interval; the tightenings that
+contradiction relies on, each a re-checkable step citing its
+constraint, are the infeasibility certificate.
 
 The cobordism application: a cobordism with ordered ends (A, B) and a
 probe K contributes the five-term window
@@ -57,17 +59,23 @@ class AdmissibilityError(ValueError):
 
 
 class Known(_Record):
-    __slots__ = ("group",)
+    """A known term; ``dim``, which equality ignores, is its dimension
+    over Z/2, or None for a group that is not elementary abelian."""
+
+    __slots__ = ("group", "dim")
+    _compared = ("group",)
 
     def __init__(self, group: FgAbGroup):
         self.group = group
+        self.dim = len(group.torsion) if group.is_elementary_two() else None
 
 
 class Unknown(_Record):
-    __slots__ = ("name",)
+    __slots__ = ("name", "dim")
+    _compared = ("name",)
 
     def __init__(self, name: str):
-        self.name = name
+        self.name, self.dim = name, f"dim({name})"
 
 
 Term = Known | Unknown
@@ -141,26 +149,20 @@ class FeasibilityVerdict(_Record):
 # Internal problem form
 
 
-def _term_dim(term: Term) -> int | str:
-    """Known terms become dimensions; unknowns keep their name."""
-    if isinstance(term, Unknown):
-        return f"dim({term.name})"
-    if not term.group.is_elementary_two():
-        raise UnsupportedProblemError(
-            f"term {term.group} is not an elementary abelian 2-group")
-    return len(term.group.torsion)
-
-
 def _dims_table(problem: ExactSequenceProblem) -> list[list[int | str]]:
     """The problem as dimensions, unknowns kept by name; raises
     UnsupportedProblemError outside the solver's domain."""
-    dims = [[_term_dim(t) for t in seq] for seq in problem.sequences]
-    names = sorted({d for seq in dims for d in seq if isinstance(d, str)})
+    dims = [[t.dim for t in seq] for seq in problem.sequences]
+    for seq, terms in zip(dims, problem.sequences):
+        if None in seq:
+            raise UnsupportedProblemError(
+                f"term {terms[seq.index(None)].group} is not an elementary abelian 2-group")
+    names = sorted({d for seq in dims for d in seq if type(d) is str})
     if len(names) > 1:
         raise UnsupportedProblemError(
             f"unknowns {', '.join(names)}: the solver takes one unknown name per problem")
-    for s, seq in enumerate(dims):
-        if sum(isinstance(d, str) for d in seq) > 1:
+    for s, seq in enumerate(dims if names else ()):
+        if seq.count(names[0]) > 1:
             raise UnsupportedProblemError(
                 f"unknown {names[0]} occurs more than once in sequence {s}: the solver "
                 f"takes an unknown at most once per sequence")
@@ -177,165 +179,158 @@ def _unknown_bounds(dims: list[list[int | str]]) -> dict[str, int]:
     two known neighbours together.  An endpoint-only unknown never
     constrains exactness from above and gets the total known dimension,
     which no such sum exceeds."""
-    total_known = sum(d for seq in dims for d in seq if isinstance(d, int))
+    total_known = sum(d for seq in dims for d in seq if type(d) is int)
     ub: dict[str, int] = {}
     for seq in dims:
         for j, d in enumerate(seq):
-            if isinstance(d, str):
+            if type(d) is str:
                 hi = seq[j - 1] + seq[j + 1] if 0 < j < len(seq) - 1 else total_known
                 ub[d] = min(ub.get(d, hi), hi)
     return ub
 
 
-class _State:
-    """Interval store with deduction logging."""
-
-    def __init__(self, dims: list[list[int | str]], ub: dict[str, int]):
-        self.dims = dims
-        big = sum(ub.values()) + sum(d for seq in dims for d in seq if isinstance(d, int)) + 1
-        self.iv: dict[str, tuple[int, int]] = {}
-        for name, hi in ub.items():
-            self.iv[name] = (0, hi)
-        for s, seq in enumerate(dims):
-            for i in range(len(seq) - 1):
-                self.iv[_rank_var(s, i)] = (0, big)
-        self.steps: list[CertStep] = []
-        self.contradiction = False
-
-    def interval(self, x: int | str) -> tuple[int, int]:
-        return (x, x) if isinstance(x, int) else self.iv[x]
-
-    def tighten(self, var: str, lo: int, hi: int, kind: str, seq: int, pos: int) -> bool:
-        cur_lo, cur_hi = self.iv[var]
-        lo, hi = max(lo, cur_lo), min(hi, cur_hi)
-        if (lo, hi) == (cur_lo, cur_hi):
-            return False
-        self.iv[var] = (lo, hi)
-        self.steps.append(CertStep(kind, seq, pos, var, lo, hi, self.dims[seq][pos]))
-        if lo > hi:
-            self.contradiction = True
-        return True
-
-
-def _attempts(dims) -> tuple[list[tuple[str, str, int, int, int | str, str | None]],
-                              dict[str, list[int]]]:
-    """Every tightening of one propagation sweep, in sweep order, as
-    (variable, rule, sequence, position, x, y): "le" bounds a rank by
-    term x, "diff" sets one rank of an exactness equation to term x
-    minus rank y, and "sum" sets an unknown term to ranks x plus y.
-    Also, per variable, the attempts that read it."""
-    out = []
-    readers: dict[str, list[int]] = {}
-    for s, seq in enumerate(dims):
-        ranks = [_rank_var(s, i) for i in range(len(seq) - 1)]
-        for i, rv in enumerate(ranks):
-            for j in (i, i + 1):
-                out.append((rv, "le", s, j, seq[j], None))
-        for j in range(1, len(seq) - 1):
-            a, b, d = ranks[j - 1], ranks[j], seq[j]
-            out.append((a, "diff", s, j, d, b))
-            out.append((b, "diff", s, j, d, a))
-            if isinstance(d, str):
-                out.append((d, "sum", s, j, a, b))
-    for k, (_, _, _, _, x, y) in enumerate(out):
-        if isinstance(x, str):
-            readers.setdefault(x, []).append(k)
-        if y is not None:
-            readers.setdefault(y, []).append(k)
-    return out, readers
-
-
-def _propagate(state: _State) -> None:
-    """Run all constraints to a fixpoint, logging each tightening.
-
-    Sweeps run the attempts in order until one changes nothing.  An
-    attempt only shrinks its variable into a range its other variables
-    fix, so until one of those changes, running it again would change
-    nothing, and the sweeps skip it."""
-    attempts, readers = _attempts(state.dims)
-    stale = [True] * len(attempts)
-    changed = True
-    while changed:
-        changed = False
-        for k, (var, rule, s, j, x, y) in enumerate(attempts):
-            if not stale[k]:
-                continue
-            stale[k] = False
-            if rule == "le":
-                lo, hi = 0, state.interval(x)[1]
-            elif rule == "diff":
-                (lo_x, hi_x), (lo_y, hi_y) = state.interval(x), state.iv[y]
-                lo, hi = lo_x - hi_y, hi_x - lo_y
-            else:
-                (lo_x, hi_x), (lo_y, hi_y) = state.iv[x], state.iv[y]
-                lo, hi = lo_x + lo_y, hi_x + hi_y
-            if state.tighten(var, lo, hi, "le" if rule == "le" else "eq", s, j):
-                if state.contradiction:
-                    return
-                changed = True
-                for r in readers.get(var, ()):
-                    stale[r] = True
-
-
-def _prune_steps(dims, steps: list[CertStep]) -> tuple[CertStep, ...]:
-    """Keep only steps the final contradiction transitively relies on
-    (best-effort minimality).  A step relies on every earlier step that
-    set a variable its cited constraint reads, and on earlier settings
-    of its own variable (replay folds each step into the current
-    interval)."""
-
-    def reads(step: CertStep) -> set[str]:
-        s, j = step.seq, step.pos
-        d = dims[s][j]
-        out = {d} if isinstance(d, str) else set()
-        if step.kind == "eq":
-            out |= {_rank_var(s, j - 1), _rank_var(s, j)}
-            out.discard(step.var)
-        return out
-
-    keep = [False] * len(steps)
-    keep[-1] = True
-    needed = {steps[-1].var} | reads(steps[-1])
-    for idx in range(len(steps) - 2, -1, -1):
-        step = steps[idx]
-        if step.var in needed:
-            keep[idx] = True
-            needed |= reads(step)
-    return tuple(s for s, k in zip(steps, keep) if k)
+def _rank_cap(dims: list[list[int | str]], ub: dict[str, int]) -> int:
+    """Every rank's initial upper end, above any value it can take."""
+    return sum(ub.values()) + sum(d for seq in dims for d in seq if type(d) is int) + 1
 
 
 def _first_chain(d: list[int]) -> list[int] | None:
     """The ranks of an exact sequence of dimensions ``d`` with the least
-    first rank (exactness makes every other rank a consequence of the
-    first), or None when there are none."""
-    for r0 in range(min(d[0], d[1]) + 1):
-        chain = [r0]
-        for j in range(1, len(d) - 1):
-            nxt = d[j] - chain[-1]
-            if nxt < 0 or nxt > min(d[j], d[j + 1]):
-                break
-            chain.append(nxt)
+    first rank r, or None when there are none.  Exactness makes rank j
+    c_j + (-1)^j r, with c_0 = 0 and c_j = d_j - c_{j-1}, so each bound
+    0 <= rank j <= min(d_j, d_{j+1}) bounds r."""
+    lo, hi, c = 0, min(d[0], d[1]), 0
+    for j in range(1, len(d) - 1):
+        c = d[j] - c
+        cap = d[j] if d[j] < d[j + 1] else d[j + 1]
+        if j % 2:
+            lo, hi = c - cap if c - cap > lo else lo, c if c < hi else hi
         else:
-            return chain
-    return None
+            lo, hi = -c if -c > lo else lo, cap - c if cap - c < hi else hi
+    if lo > hi:
+        return None
+    chain = [lo]
+    for j in range(1, len(d) - 1):
+        chain.append(d[j] - chain[-1])
+    return chain
 
 
-def _search_witness(dims, state: _State) -> dict | None:
-    """Exhaustive search inside the propagated intervals: the unknown's
-    dimension in ascending order, then one rank chain per sequence."""
-    names = sorted({d for seq in dims for d in seq if isinstance(d, str)})
-    boxes = [range(state.iv[n][0], state.iv[n][1] + 1) for n in names]
-    for combo in itertools.product(*boxes):
-        val = dict(zip(names, combo))
-        ranks = []
-        for seq in dims:
-            chain = _first_chain([x if isinstance(x, int) else val[x] for x in seq])
-            if chain is None:
-                break
-            ranks.append(chain)
-        else:
-            return {"dims": val, "ranks": {f"s{s}": tuple(r) for s, r in enumerate(ranks)}}
-    return None
+def _witness(dims: list[list[int | str]], ub: dict[str, int]) -> dict | None:
+    """The least X in [0, ub] at which every sequence has a chain, with
+    those chains, or None: bit x of a sequence's mask is set when it has
+    a ``_first_chain`` at X = x, and the problem's mask is their AND."""
+    (name, top), = ub.items() or [(None, 0)]
+    common, chains = (2 << top) - 1, []
+    for seq in dims:
+        j = seq.index(name) if name in seq else None
+        row = [_first_chain(seq if j is None else [*seq[:j], x, *seq[j + 1:]])
+               for x in range(top + 1)]
+        common &= sum(1 << x for x, chain in enumerate(row) if chain is not None)
+        if not common:
+            return None
+        chains.append(row)
+    x = (common & -common).bit_length() - 1
+    return {"dims": {} if name is None else {name: x},
+            "ranks": {f"s{s}": tuple(row[x]) for s, row in enumerate(chains)}}
+
+
+class _Sweep:
+    """Bounds propagation on int slots: the unknowns, the ranks (s, i)
+    and fixed ones for the known dimensions, named by ``labels``, slot k
+    in [lo[k], hi[k]].  ``attempts`` holds one sweep's tightenings in
+    order as (slot, rule, x, y): rule 0 bounds a rank by term x (= y),
+    rule 1 sets a rank of an exactness equation to term x minus rank y,
+    rule 2 an unknown term to ranks x plus y.  ``cites`` gives each
+    one's (kind, sequence, position), and ``log`` every tightening as
+    (attempt, lo, hi)."""
+
+    __slots__ = ("dims", "labels", "lo", "hi", "attempts", "cites", "log")
+
+    def __init__(self, dims: list[list[int | str]], ub: dict[str, int]):
+        self.dims, self.log, cap = dims, [], _rank_cap(dims, ub)
+        ranks = [(s, i) for s, seq in enumerate(dims) for i in range(len(seq) - 1)]
+        known = sorted({d for seq in dims for d in seq if type(d) is int})
+        self.labels = [*ub, *ranks, *known]
+        self.lo = [0] * (len(ub) + len(ranks)) + known
+        self.hi = [*ub.values(), *[cap] * len(ranks), *known]
+        slot = {name: k for k, name in enumerate(ub)}
+        slot.update((d, k) for k, d in enumerate(known, len(ub) + len(ranks)))
+        attempts, cites = self.attempts, self.cites = [], []
+        first = len(ub)  # the slot of each sequence's rank 0
+        for s, seq in enumerate(dims):
+            terms, edges = [slot[d] for d in seq], range(len(seq) - 1)
+            attempts += [(first + i, 0, terms[j], terms[j]) for i in edges for j in (i, i + 1)]
+            cites += [("le", s, j) for i in edges for j in (i, i + 1)]
+            for j in range(1, len(seq) - 1):
+                a, b, d = first + j - 1, first + j, terms[j]
+                attempts += (a, 1, d, b), (b, 1, d, a)
+                cites += ("eq", s, j), ("eq", s, j)
+                if d < len(ub):
+                    attempts.append((d, 2, a, b))
+                    cites.append(("eq", s, j))
+            first += len(seq) - 1
+
+    def run(self) -> bool:
+        """Sweep the attempts until a sweep changes nothing; True when an
+        interval empties.  An attempt only shrinks its slot into a range
+        the slots it reads fix, so until one of those changes, running it
+        again would change nothing, and the sweeps skip it: slot v last
+        changed at step ``changed[v]``, attempt k last ran at ``ran[k]``."""
+        attempts, lo, hi, log = self.attempts, self.lo, self.hi, self.log
+        changed, ran, t, swept = [0] * len(lo), [-1] * len(attempts), 0, -1
+        while swept < len(log):
+            swept = len(log)
+            for k, (v, rule, x, y) in enumerate(attempts):
+                t += 1
+                if changed[x] <= ran[k] and changed[y] <= ran[k]:
+                    continue
+                ran[k] = t
+                if rule == 0:
+                    a, b = 0, hi[x]
+                elif rule == 1:
+                    a, b = lo[x] - hi[y], hi[x] - lo[y]
+                else:
+                    a, b = lo[x] + lo[y], hi[x] + hi[y]
+                cur_lo, cur_hi = lo[v], hi[v]
+                if a < cur_lo:
+                    a = cur_lo
+                if b > cur_hi:
+                    b = cur_hi
+                if a == cur_lo and b == cur_hi:
+                    continue
+                lo[v], hi[v], changed[v] = a, b, t
+                log.append((k, a, b))
+                if a > b:
+                    return True
+        return False
+
+    def pruned(self) -> list[tuple[int, int, int]]:
+        """The log entries the contradiction transitively relies on: an
+        entry relies on every earlier one that set a slot its attempt
+        reads, and on earlier settings of its own slot (replay folds each
+        step into the current interval)."""
+        attempts, labels = self.attempts, self.labels
+
+        def reads(k):
+            return {u for u in attempts[k][2:] if type(labels[u]) is not int}
+
+        last = self.log[-1][0]
+        needed, kept = {attempts[last][0], *reads(last)}, []
+        for entry in reversed(self.log[:-1]):
+            if attempts[entry[0]][0] in needed:
+                kept.append(entry)
+                needed |= reads(entry[0])
+        return [*reversed(kept), self.log[-1]]
+
+    def steps(self, entries: list[tuple[int, int, int]]) -> tuple[CertStep, ...]:
+        """Log ``entries`` as certificate steps."""
+        out = []
+        for k, lo, hi in entries:
+            kind, s, j = self.cites[k]
+            label = self.labels[self.attempts[k][0]]
+            var = label if type(label) is str else _rank_var(*label)
+            out.append(CertStep(kind, s, j, var, lo, hi, self.dims[s][j]))
+        return tuple(out)
 
 
 def check_feasibility(problem: ExactSequenceProblem) -> FeasibilityVerdict:
@@ -343,17 +338,16 @@ def check_feasibility(problem: ExactSequenceProblem) -> FeasibilityVerdict:
     infeasibility certificate of replayable deduction steps."""
     dims = _dims_table(problem)
     ub = _unknown_bounds(dims)
+    witness = _witness(dims, ub)
+    if witness is not None:
+        return FeasibilityVerdict(True, witness=witness)
+    sweep = _Sweep(dims, ub)
+    if not sweep.run():
+        raise AssertionError("propagation found no contradiction and the search no witness")
     preamble = tuple(f"initial bound: {name} in [0, {hi}] (from the exactness rank equations)"
                      for name, hi in sorted(ub.items()))
-    state = _State(dims, ub)
-    _propagate(state)
-    if state.contradiction:
-        return FeasibilityVerdict(False, certificate=Certificate(
-            _prune_steps(dims, state.steps), preamble))
-    witness = _search_witness(dims, state)
-    if witness is None:
-        raise AssertionError("propagation found no contradiction and the search no witness")
-    return FeasibilityVerdict(True, witness=witness)
+    return FeasibilityVerdict(False, certificate=Certificate(sweep.steps(sweep.pruned()),
+                                                             preamble))
 
 
 # ---------------------------------------------------------------------------
@@ -361,23 +355,22 @@ def check_feasibility(problem: ExactSequenceProblem) -> FeasibilityVerdict:
 
 
 def verify_witness(problem: ExactSequenceProblem, witness: dict) -> bool:
+    """True when ``witness`` gives the unknown a dimension and every
+    sequence exact ranks, all ints; False on any other input."""
     dims = _dims_table(problem)
-    val = witness["dims"]
-
-    def dim_of(x):
-        return x if isinstance(x, int) else val[x]
-
+    witness = witness if isinstance(witness, dict) else {}
+    val, ranks_of = witness.get("dims"), witness.get("ranks")
+    if not (isinstance(val, dict) and isinstance(ranks_of, dict)):
+        return False
     for s, seq in enumerate(dims):
-        ranks = witness["ranks"][f"s{s}"]
-        if len(ranks) != len(seq) - 1:
+        ranks = ranks_of.get(f"s{s}")
+        d = [x if type(x) is int else val.get(x) for x in seq]
+        if (not isinstance(ranks, (tuple, list)) or len(ranks) != len(seq) - 1
+                or any(type(x) is not int for x in (*d, *ranks))):
             return False
-        d = [dim_of(x) for x in seq]
-        for i, r in enumerate(ranks):
-            if r < 0 or r > min(d[i], d[i + 1]):
-                return False
-        for j in range(1, len(seq) - 1):
-            if ranks[j - 1] + ranks[j] != d[j]:
-                return False
+        if any(r < 0 or r > min(d[i], d[i + 1]) for i, r in enumerate(ranks)) or any(
+                ranks[j - 1] + ranks[j] != d[j] for j in range(1, len(seq) - 1)):
+            return False
     return True
 
 
@@ -385,37 +378,42 @@ def verify_certificate(problem: ExactSequenceProblem, cert: Certificate) -> bool
     """Re-derive every step from its cited constraint, starting from the
     initial bounds; True when the chain ends in an empty interval.  A
     step citing a sequence, term or variable the problem lacks (an
-    ``eq`` step needs an interior term) makes it False."""
+    ``eq`` step needs an interior term), or holding a field of another
+    type, makes it False."""
     dims = _dims_table(problem)
-    iv = _State(dims, _unknown_bounds(dims)).iv
-
-    def interval(x):
-        return (x, x) if isinstance(x, int) else iv[x]
-
-    for step in cert.steps:
+    ub = _unknown_bounds(dims)
+    iv = {name: (0, hi) for name, hi in ub.items()}  # and each rank once a step sets it
+    start = (0, _rank_cap(dims, ub))  # a rank's interval before that
+    steps = getattr(cert, "steps", None)
+    if not isinstance(steps, (tuple, list)):
+        return False
+    for step in steps:
+        if not (isinstance(step, CertStep) and type(var := step.var) is str
+                and all(type(x) is int for x in (step.seq, step.pos, step.lo, step.hi))):
+            return False
         s, j = step.seq, step.pos
-        if not 0 <= s < len(dims) or step.var not in iv:
-            return False
         inner = 1 if step.kind == "eq" else 0  # an eq step cites an interior term
-        if not inner <= j < len(dims[s]) - inner:
+        if not (0 <= s < len(dims) and inner <= j < len(dims[s]) - inner):
             return False
-        a, b = _rank_var(s, j - 1), _rank_var(s, j)
-        lo_d, hi_d = interval(dims[s][j])
-        if step.kind == "le" and step.var in (a, b):
+        # the ranks leaving terms j - 1 and j, where the sequence has them
+        a = _rank_var(s, j - 1) if j else None
+        b = _rank_var(s, j) if j < len(dims[s]) - 1 else None
+        lo_d, hi_d = (d, d) if type(d := dims[s][j]) is int else iv[d]
+        if step.kind == "le" and var in (a, b):
             allowed = (0, hi_d)
-        elif step.kind == "eq" and step.var in (a, b):
-            lo_o, hi_o = iv[b if step.var == a else a]
+        elif step.kind == "eq" and var in (a, b):
+            lo_o, hi_o = iv.get(b if var == a else a, start)
             allowed = (lo_d - hi_o, hi_d - lo_o)
-        elif step.kind == "eq" and step.var == dims[s][j]:
-            (lo_a, hi_a), (lo_b, hi_b) = iv[a], iv[b]
+        elif step.kind == "eq" and var == d:
+            (lo_a, hi_a), (lo_b, hi_b) = iv.get(a, start), iv.get(b, start)
             allowed = (lo_a + lo_b, hi_a + hi_b)
         else:
             return False
-        cur_lo, cur_hi = iv[step.var]
+        cur_lo, cur_hi = iv.get(var, start)
         lo, hi = max(cur_lo, allowed[0]), min(cur_hi, allowed[1])
         if (lo, hi) != (step.lo, step.hi):
             return False
-        iv[step.var] = (lo, hi)
+        iv[var] = (lo, hi)
         if lo > hi:
             return True  # contradiction reached; remaining steps would be vacuous
     return False
@@ -544,10 +542,10 @@ def certify_nonexistence(claims: list[CobordismClaim],
     ends_at = [[end_names.index(lag.name) for lag in c.ends] for c in claims]
     windows: dict[tuple[int, int, int], int] = {}
     ids: dict[tuple[Term, ...], int] = {}
-    combos = []
-    for combo in itertools.product(*(range(len(branch_sets[name])) for name in end_names)):
-        label = ", ".join("HF({},{}) = ({}, {})".format(probe.name, name, *branch_sets[name][b][1])
-                          for name, b in zip(end_names, combo))
+    combos, words = [], [["HF({},{}) = ({}, {})".format(probe.name, name, *hf)
+                          for _, hf in branch_sets[name]] for name in end_names]
+    for combo in itertools.product(*map(range, map(len, words))):
+        label = ", ".join(map(list.__getitem__, words, combo))
         row = []
         for k, c in enumerate(claims):
             key = (k, combo[ends_at[k][0]], combo[ends_at[k][1]])
@@ -566,7 +564,7 @@ def certify_nonexistence(claims: list[CobordismClaim],
         used = granted + ([k] if not claim.granted else [])
         outcomes = []
         for label, row in combos:
-            key = tuple(dict.fromkeys(row[j] for j in used))
+            key = tuple(dict.fromkeys(map(row.__getitem__, used)))
             if key not in verdicts:
                 problem = ExactSequenceProblem(tuple(sequences[i] for i in key))
                 verdict = check_feasibility(problem)

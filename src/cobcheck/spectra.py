@@ -70,8 +70,8 @@ zero, kept as bits.  The last turn is decided without building the
 branch's page: it reads the entries on its components, each a kept
 entry or a chosen class's result, and the parts of the entries it
 leaves untouched, which are kept's plus each chosen class's, summed
-from parts cached per (class, plan).  A page is built only for a leaf
-or for a turn that is not the last.
+from parts cached per class, lens and dropped positions.  A page is
+built only for a leaf or for a turn that is not the last.
 
 The abutment of every stable page must be 2-periodic and agree with
 any pinned value.  Every page turn is pruned by one rule while its
@@ -418,15 +418,16 @@ class _ComponentClass(_Record):
     """One isomorphism class of labelings of a chain of arrows: the homs
     of a representative and the entries they produce."""
 
-    __slots__ = ("results", "homs", "_zeros", "_parts", "_packs")
+    __slots__ = ("results", "homs", "_zeros", "_positions", "_parts", "_packs")
     _compared = ("results", "homs")
 
     def __init__(self, results: tuple[tuple[Position, FgAbGroup], ...],
                  homs: tuple[tuple[Position, GroupHom], ...]):
         self.results, self.homs = results, homs
         self._zeros: int | None = None  # ``zeros``
+        self._positions = frozenset(pos for pos, _ in results)
         # ``_degree_parts`` of the results, by ``_Lens``, and of those a
-        # later turn leaves untouched, by its plan
+        # later turn leaves untouched, by lens and the positions it drops
         self._parts: dict = {}
         self._packs: dict = {}  # ``_Flow.pack`` of the results, by flow
 
@@ -449,8 +450,12 @@ class _ComponentClass(_Record):
         whose lens is ``lens``, leaves untouched."""
         parts = self._parts.get(plan)
         if parts is None:
-            parts = self._parts[plan] = _degree_parts(
-                [res for res in self.results if res[0] not in plan.dropped], lens, key_of)
+            key = lens, plan.dropped.intersection(self._positions)
+            parts = self._parts.get(key)
+            if parts is None:
+                parts = self._parts[key] = _degree_parts(
+                    [res for res in self.results if res[0] not in key[1]], lens, key_of)
+            self._parts[plan] = parts
         return parts
 
     def pack(self, flow: _Flow) -> int:
@@ -1435,8 +1440,9 @@ class _LastTurn:
     and last turn, and per branch only looked up or summed: its
     components' entries, from ``entry`` or a class's results, and the
     parts of the entries it leaves untouched, kept's and each class's,
-    cached per (class, plan) (``_CarriedParts``).  Its search shares
-    ``memos`` with every branch that has the plan."""
+    cached per class by lens and the positions the last turn drops
+    (``_CarriedParts``).  Its search shares ``memos`` with every branch
+    that has the plan."""
 
     __slots__ = ("table", "last", "entry", "entry_bound", "lens", "memo", "base", "carries",
                  "sources", "_lists")

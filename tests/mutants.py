@@ -1,0 +1,118 @@
+"""Mutation gate: each theorem the solver's speed rests on is broken on
+purpose, in a temporary copy of the repository, and a named fast subset
+of the tier-1 tests must then fail.
+
+    python tests/mutants.py            # every mutation
+    python tests/mutants.py NAME ...   # the named ones
+
+Each mutation replaces one exact piece of source text, which must occur
+exactly once.  The subsets are first run on the unmutated copy, where
+they must pass.  The script exits 1 when a mutation survives (its subset
+still passes), no longer applies, or an unmutated subset fails: a
+surviving mutation is a gap in the tests, not a fault in the code.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+EXACTNESS = "src/cobcheck/exactness.py"
+SPECTRA = "src/cobcheck/spectra.py"
+REFERENCE = "tests/test_exactness.py::test_verdicts_match_the_propagation_reference"
+T3_MEMO = ["tests/test_spectra.py::test_t3_checks_each_distinct_node_input_once",
+           "tests/test_spectra.py::test_children_are_the_classes_checked_one_at_a_time"]
+TORSION = ["tests/test_spectra.py::test_pruning_keeps_the_leaves_of_a_search_without_pruning",
+           "tests/test_spectra.py::test_pruning_keeps_the_leaves_of_pinned_degrees"]
+
+# (name, file, source text, its mutation, the tests that must fail)
+MUTATIONS = [
+    ("witness-greatest-x", EXACTNESS,
+     "x = (common & -common).bit_length() - 1",
+     "x = common.bit_length() - 1",
+     [REFERENCE]),
+    ("witness-masks-or", EXACTNESS,
+     "common &= sum(1 << x",
+     "common |= sum(1 << x",
+     [REFERENCE]),
+    ("pruning-drops-last-reads", EXACTNESS,
+     "needed, kept = {attempts[last][0], *reads(last)}, []",
+     "needed, kept = {attempts[last][0]}, []",
+     [REFERENCE]),
+    ("memo-key-without-flow-pack", SPECTRA,
+     "        if i == last and flow is not None:\n            key += (packs[i],)\n",
+     "",
+     T3_MEMO),
+    ("non-final-d_p-in-lower-end", SPECTRA,
+     "else (f, pw, slack + packed, zero and not free and not powers))",
+     "else (f + (packed & ~lens.ones), pw, slack + (packed & lens.ones),\n"
+     "                              zero and not free and not powers))",
+     TORSION),
+    ("meet-smaller-lower-end", SPECTRA,
+     "lo = y ^ (x ^ y) & ge - (ge >> width)",
+     "lo = x ^ (x ^ y) & ge - (ge >> width)",
+     ["tests/test_properties.py::test_the_packed_meet_is_the_meet_of_each_field"]),
+    ("pins-without-d_p", SPECTRA,
+     "else [key and exact(key) for key in state]",
+     "else [key and (key[0], key[0], key) for key in state]",
+     TORSION),
+]
+
+
+def _pytest(root: Path, tests: list[str]) -> int:
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--no-header", "-o", "addopts=", *tests],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def _copy(into: Path) -> None:
+    for part in ("src", "tests", "perfbench/corpus", "pyproject.toml"):
+        source, target = ROOT / part, into / part
+        if source.is_dir():
+            shutil.copytree(source, target, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(source, target)
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTATIONS if not names or m[0] in names]
+    if names and len(chosen) != len(set(names)):
+        print(f"unknown mutation among {names}")
+        return 1
+    failed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        _copy(root)
+        subsets = sorted({test for *_, tests in chosen for test in tests})
+        if _pytest(root, subsets) != 0:
+            print("the unmutated subsets do not pass")
+            return 1
+        for name, path, old, new, tests in chosen:
+            source = (root / path).read_text()
+            if source.count(old) != 1:
+                failed.append(name)
+                print(f"{name}: no longer applies to {path}")
+                continue
+            (root / path).write_text(source.replace(old, new))
+            try:
+                code = _pytest(root, tests)
+            finally:
+                (root / path).write_text(source)
+            killed = code == 1  # tests ran and some failed
+            print(f"{name}: {'killed' if killed else f'not killed (pytest exit {code})'}")
+            if not killed:
+                failed.append(name)
+    print(f"{len(chosen) - len(failed)} of {len(chosen)} mutations killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -6,8 +6,10 @@ import operator
 
 from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, bound_may_truncate, composite_is_zero, direct_sum,
                               hom_matrix_space, homology_at)
-from cobcheck.exactness import (BranchOutcome, ClaimVerdict, ExactSequenceProblem,
-                                _rank_var, build_cobordism_sequences, check_feasibility)
+from cobcheck.exactness import (BranchOutcome, CertStep, Certificate, ClaimVerdict,
+                                ExactSequenceProblem, FeasibilityVerdict, _dims_table,
+                                _rank_var, _unknown_bounds, build_cobordism_sequences,
+                                check_feasibility)
 from cobcheck.graded import GradedGroup
 from cobcheck.spectra import (BranchLeaf, BranchTree, EnumerationTable, SpectraError, WindowError,
                               _ComponentClass, _first_active_page, _interval_check,
@@ -445,9 +447,95 @@ def certify_nonexistence_per_branch(claims, branch_sets, probe, grading):
     return out
 
 
+class State:
+    """The string-keyed interval store of the reference propagation,
+    with deduction logging: unknowns at [0, ub], ranks at [0, a cap above
+    any value they can take]."""
+
+    def __init__(self, dims, ub):
+        self.dims = dims
+        big = sum(ub.values()) + sum(d for seq in dims for d in seq if isinstance(d, int)) + 1
+        self.iv = {name: (0, hi) for name, hi in ub.items()}
+        for s, seq in enumerate(dims):
+            for i in range(len(seq) - 1):
+                self.iv[_rank_var(s, i)] = (0, big)
+        self.steps = []
+        self.contradiction = False
+
+    def interval(self, x):
+        return (x, x) if isinstance(x, int) else self.iv[x]
+
+    def tighten(self, var, lo, hi, kind, seq, pos) -> bool:
+        cur_lo, cur_hi = self.iv[var]
+        lo, hi = max(lo, cur_lo), min(hi, cur_hi)
+        if (lo, hi) == (cur_lo, cur_hi):
+            return False
+        self.iv[var] = (lo, hi)
+        self.steps.append(CertStep(kind, seq, pos, var, lo, hi, self.dims[seq][pos]))
+        if lo > hi:
+            self.contradiction = True
+        return True
+
+
+def attempts_by_name(dims):
+    """Every tightening of one propagation sweep, in sweep order, as
+    (variable, rule, sequence, position, x, y): "le" bounds a rank by
+    term x, "diff" sets one rank of an exactness equation to term x
+    minus rank y, and "sum" sets an unknown term to ranks x plus y.
+    Also, per variable, the attempts that read it."""
+    out = []
+    readers = {}
+    for s, seq in enumerate(dims):
+        ranks = [_rank_var(s, i) for i in range(len(seq) - 1)]
+        for i, rv in enumerate(ranks):
+            for j in (i, i + 1):
+                out.append((rv, "le", s, j, seq[j], None))
+        for j in range(1, len(seq) - 1):
+            a, b, d = ranks[j - 1], ranks[j], seq[j]
+            out.append((a, "diff", s, j, d, b))
+            out.append((b, "diff", s, j, d, a))
+            if isinstance(d, str):
+                out.append((d, "sum", s, j, a, b))
+    for k, (_, _, _, _, x, y) in enumerate(out):
+        if isinstance(x, str):
+            readers.setdefault(x, []).append(k)
+        if y is not None:
+            readers.setdefault(y, []).append(k)
+    return out, readers
+
+
+def propagate(state) -> None:
+    """Run all constraints to a fixpoint, logging each tightening, and
+    skip an attempt until a variable it reads changes."""
+    attempts, readers = attempts_by_name(state.dims)
+    stale = [True] * len(attempts)
+    changed = True
+    while changed:
+        changed = False
+        for k, (var, rule, s, j, x, y) in enumerate(attempts):
+            if not stale[k]:
+                continue
+            stale[k] = False
+            if rule == "le":
+                lo, hi = 0, state.interval(x)[1]
+            elif rule == "diff":
+                (lo_x, hi_x), (lo_y, hi_y) = state.interval(x), state.iv[y]
+                lo, hi = lo_x - hi_y, hi_x - lo_y
+            else:
+                (lo_x, hi_x), (lo_y, hi_y) = state.iv[x], state.iv[y]
+                lo, hi = lo_x + lo_y, hi_x + hi_y
+            if state.tighten(var, lo, hi, "le" if rule == "le" else "eq", s, j):
+                if state.contradiction:
+                    return
+                changed = True
+                for r in readers.get(var, ()):
+                    stale[r] = True
+
+
 def propagate_by_full_sweeps(state) -> None:
-    """Reference for ``exactness._propagate``: every constraint of every
-    sequence in each sweep, until a sweep changes nothing."""
+    """Reference for the stale-attempt skipping of ``propagate`` (and of
+    ``exactness._Sweep.run``): every constraint of every sequence in each
+    sweep, until a sweep changes nothing."""
     dims = state.dims
     while True:
         changed = False
@@ -476,6 +564,84 @@ def propagate_by_full_sweeps(state) -> None:
                         return
         if not changed:
             return
+
+
+def prune_steps(dims, steps):
+    """The steps the final contradiction transitively relies on: a step
+    relies on every earlier step that set a variable its cited
+    constraint reads, and on earlier settings of its own variable."""
+
+    def reads(step):
+        s, j = step.seq, step.pos
+        d = dims[s][j]
+        out = {d} if isinstance(d, str) else set()
+        if step.kind == "eq":
+            out |= {_rank_var(s, j - 1), _rank_var(s, j)}
+            out.discard(step.var)
+        return out
+
+    keep = [False] * len(steps)
+    keep[-1] = True
+    needed = {steps[-1].var} | reads(steps[-1])
+    for idx in range(len(steps) - 2, -1, -1):
+        step = steps[idx]
+        if step.var in needed:
+            keep[idx] = True
+            needed |= reads(step)
+    return tuple(s for s, k in zip(steps, keep) if k)
+
+
+def first_chain_by_trial(d):
+    """Reference for ``exactness._first_chain``: each first rank in
+    ascending order, the chain it forces checked rank by rank."""
+    for r0 in range(min(d[0], d[1]) + 1):
+        chain = [r0]
+        for j in range(1, len(d) - 1):
+            nxt = d[j] - chain[-1]
+            if nxt < 0 or nxt > min(d[j], d[j + 1]):
+                break
+            chain.append(nxt)
+        else:
+            return chain
+    return None
+
+
+def search_witness(dims, state):
+    """Exhaustive search inside the propagated intervals: the unknown's
+    dimension in ascending order, then one rank chain per sequence."""
+    names = sorted({d for seq in dims for d in seq if isinstance(d, str)})
+    boxes = [range(state.iv[n][0], state.iv[n][1] + 1) for n in names]
+    for combo in itertools.product(*boxes):
+        val = dict(zip(names, combo))
+        ranks = []
+        for seq in dims:
+            chain = first_chain_by_trial([x if isinstance(x, int) else val[x] for x in seq])
+            if chain is None:
+                break
+            ranks.append(chain)
+        else:
+            return {"dims": val, "ranks": {f"s{s}": tuple(r) for s, r in enumerate(ranks)}}
+    return None
+
+
+def check_feasibility_by_propagation(problem, propagate=propagate) -> FeasibilityVerdict:
+    """Reference for ``exactness.check_feasibility``: string-keyed
+    propagation on every problem, a certificate from its pruned log when
+    it empties an interval, and otherwise an ascending search over the
+    unknown's propagated interval."""
+    dims = _dims_table(problem)
+    ub = _unknown_bounds(dims)
+    preamble = tuple(f"initial bound: {name} in [0, {hi}] (from the exactness rank equations)"
+                     for name, hi in sorted(ub.items()))
+    state = State(dims, ub)
+    propagate(state)
+    if state.contradiction:
+        return FeasibilityVerdict(False, certificate=Certificate(
+            prune_steps(dims, state.steps), preamble))
+    witness = search_witness(dims, state)
+    if witness is None:
+        raise AssertionError("propagation found no contradiction and the search no witness")
+    return FeasibilityVerdict(True, witness=witness)
 
 
 def arrows_by_scan(page, r):

@@ -17,7 +17,8 @@ from cobcheck.exactness import (AdmissibilityError, CertStep, Certificate, Cobor
                                 certify_nonexistence, check_feasibility,
                                 verify_certificate, verify_witness)
 
-from oracles import propagate_by_full_sweeps
+from oracles import (State, check_feasibility_by_propagation, first_chain_by_trial,
+                     propagate_by_full_sweeps)
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 FLAGSHIP = resources.files("cobcheck") / "data" / "paper_cp7.json"
@@ -182,9 +183,10 @@ def test_certify_nonexistence_builds_problems_in_the_domain(scenario, capsys, mo
 
 
 def test_no_contradiction_and_no_witness_is_an_internal_error(capsys, monkeypatch):
-    # propagation decides the domain, so a search that finds nothing
-    # there is a fault, reported without any verdict
-    monkeypatch.setattr(exactness, "_search_witness", lambda dims, state: None)
+    # propagation decides the domain, so a problem that has no witness and
+    # that propagation does not refute is a fault, reported without any
+    # verdict
+    monkeypatch.setattr(exactness, "_witness", lambda dims, ub: None)
     assert main(["check", str(FLAGSHIP)]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", "internal error: propagation found no contradiction and the "
@@ -244,9 +246,9 @@ def test_certificates_replay_on_random_infeasible_problems():
         seen += 1
 
 
-def test_skipping_stale_attempts_keeps_every_step(monkeypatch):
+def test_skipping_stale_attempts_keeps_every_step():
     # the same intervals and logged steps as sweeping every constraint in
-    # every round, and so the same verdicts and certificates.  _propagate
+    # every round, and so the same verdicts and certificates.  The sweep
     # reads any table, so the tables are built directly and may hold two
     # unknowns, each more than once in a sequence
     rng = random.Random(2718)
@@ -254,16 +256,46 @@ def test_skipping_stale_attempts_keeps_every_step(monkeypatch):
         dims = [[rng.choice(["dim(X)", "dim(Y)"]) if rng.random() < 0.3 else rng.randrange(0, 5)
                  for _ in range(rng.randrange(3, 8))] for _ in range(rng.randrange(1, 5))]
         ub = {"dim(X)": rng.randrange(0, 9), "dim(Y)": rng.randrange(0, 9)}
-        swept, skipped = exactness._State(dims, ub), exactness._State(dims, ub)
+        swept, sweep = State(dims, ub), exactness._Sweep(dims, ub)
         propagate_by_full_sweeps(swept)
-        exactness._propagate(skipped)
-        assert (skipped.iv, skipped.steps) == (swept.iv, swept.steps)
+        assert sweep.run() == swept.contradiction
+        iv = {label if isinstance(label, str) else exactness._rank_var(*label): (lo, hi)
+              for label, lo, hi in zip(sweep.labels, sweep.lo, sweep.hi)
+              if not isinstance(label, int)}
+        assert (iv, sweep.steps(sweep.log)) == (swept.iv, tuple(swept.steps))
     problems = [_random_problem(rng, max_dim=4, max_len=7, n_seq=rng.randrange(1, 5))
                 for _ in range(200)]
     verdicts = [check_feasibility(problem) for problem in problems]
-    monkeypatch.setattr(exactness, "_propagate", propagate_by_full_sweeps)
-    assert [check_feasibility(problem) for problem in problems] == verdicts
+    assert verdicts == [check_feasibility_by_propagation(problem, propagate_by_full_sweeps)
+                        for problem in problems]
     assert {verdict.feasible for verdict in verdicts} == {True, False}
+
+
+def test_least_first_rank_chains_match_trial_by_first_rank():
+    for n in (3, 4, 5, 6):
+        for dims in itertools.product(range(4), repeat=n):
+            assert exactness._first_chain(list(dims)) == first_chain_by_trial(dims), dims
+
+
+def test_verdicts_match_the_propagation_reference(capsys, monkeypatch):
+    # the least X with a chain in every sequence is the witness the
+    # reference's ascending search over the propagated interval finds,
+    # and a problem without one gets the reference's certificate, step
+    # for step: on random problems and on every problem the flagship and
+    # the claims-fanout scenarios decide
+    rng = random.Random(1618)
+    problems = [_random_problem(rng, max_dim=4, max_len=7, n_seq=rng.randrange(1, 5))
+                for _ in range(600)]
+    decided = len(problems)
+    monkeypatch.setattr(exactness, "check_feasibility",
+                        lambda problem: problems.append(problem) or check_feasibility(problem))
+    for scenario in [FLAGSHIP, *sorted((CORPUS / "claims-fanout").glob("fan*.json"))]:
+        assert main(["check", str(scenario)]) in (0, 10)
+    capsys.readouterr()
+    assert len(problems) - decided > 400
+    verdicts = [check_feasibility(problem) for problem in problems]
+    assert verdicts == [check_feasibility_by_propagation(problem) for problem in problems]
+    assert {v.feasible for v in verdicts[:decided]} == {v.feasible for v in verdicts} == {True, False}
 
 
 def test_a_step_citing_a_constraint_on_another_variable_fails_replay():
@@ -301,8 +333,16 @@ def test_steps_citing_what_the_problem_lacks_fail_replay(capsys, monkeypatch):
     for step in (CertStep("le", 5, 1, "rk(s0.f0)", 0, 0, 4),  # no sequence 5
                  CertStep("eq", 0, 0, "rk(s0.f0)", 0, 0, 0),  # eq at an end term
                  CertStep("eq", 0, -1, "dim(X)", 0, 0, "dim(X)"),  # no term -1
-                 CertStep("le", 0, 0, "rk(s0.f-1)", 0, 0, 0)):  # no rank f-1
+                 CertStep("le", 0, 0, "rk(s0.f-1)", 0, 0, 0),  # no rank f-1
+                 CertStep("le", "0", 1, "rk(s0.f0)", 0, 0, 4),  # fields of other types
+                 CertStep("le", 0, None, "rk(s0.f0)", 0, 0, 4),
+                 CertStep("le", 0, 1, ["rk(s0.f0)"], 0, 0, 4),
+                 CertStep("le", 0, 1, "rk(s0.f0)", 0.0, None, 4),
+                 CertStep("le", True, 1, "rk(s0.f0)", 0, 0, 4),
+                 None):
         assert not verify_certificate(problem, Certificate((step,)))
+    for cert in (Certificate(None), Certificate(5), None, "steps"):
+        assert not verify_certificate(problem, cert)
     # every certificate the flagship prints still replays
     solved = []
     monkeypatch.setattr(exactness, "check_feasibility",
@@ -311,6 +351,28 @@ def test_steps_citing_what_the_problem_lacks_fail_replay(capsys, monkeypatch):
     capsys.readouterr()
     certified = [(p, v.certificate) for p, v in solved if not v.feasible]
     assert certified and all(verify_certificate(p, c) for p, c in certified)
+
+
+def test_malformed_witnesses_fail_verification():
+    # a missing key, a rank or dimension of another type, bool and float
+    # included, is a False verification, not a KeyError or a TypeError
+    problem = ExactSequenceProblem(sequences=((Known(ZERO), Known(Z2(2)), Unknown("X")),
+                                              (Known(Z2(1)), Unknown("X"), Known(Z2(1)))))
+    good = check_feasibility(problem).witness
+    assert good == {"dims": {"dim(X)": 2}, "ranks": {"s0": (0, 2), "s1": (1, 1)}}
+    assert verify_witness(problem, good)
+    bad = [{"ranks": good["ranks"]}, {"dims": good["dims"]}, {"dims": {}, "ranks": good["ranks"]},
+           {"dims": good["dims"], "ranks": {"s0": good["ranks"]["s0"]}},
+           {"dims": None, "ranks": good["ranks"]}, {"dims": good["dims"], "ranks": ()},
+           None, "witness", ()]
+    for value in ("4", None, True, 4.0, [4]):
+        bad.append({"dims": {"dim(X)": value}, "ranks": good["ranks"]})
+    for value in ("0", None, False, 0.0, (0,)):
+        bad.append({"dims": good["dims"], "ranks": {**good["ranks"], "s0": (value, 2)}})
+    for ranks in (None, "02", 2):
+        bad.append({"dims": good["dims"], "ranks": {**good["ranks"], "s0": ranks}})
+    for witness in bad:
+        assert not verify_witness(problem, witness), witness
 
 
 # ---------------------------------------------------------------------------

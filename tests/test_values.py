@@ -62,6 +62,10 @@ def test_a_field_change_makes_a_different_value():
     cached = VALUES[_ComponentClass]()
     cached._parts[frozenset()] = {}
     assert cached == VALUES[_ComponentClass]()
+    # nor does a known term's dimension, which the solver reads
+    known = VALUES[Known]()
+    known.dim = 5
+    assert known == VALUES[Known]() and hash(known) == hash(VALUES[Known]())
 
 
 def test_two_classes_with_the_same_field_values_are_unequal():
