@@ -66,12 +66,16 @@ carried down.  A run arrow is a branch's when its window ends are live
 (entries or unresolved), and a position live before a turn is live
 after it unless a chosen class's result there is zero, so the next plan
 follows from the page's live positions less those the chosen classes
-zero, kept as bits.  The last turn is decided without building the
-branch's page: it reads the entries on its components, each a kept
-entry or a chosen class's result, and the parts of the entries it
-leaves untouched, which are kept's plus each chosen class's, summed
-from parts cached per class, lens and dropped positions.  A page is
-built only for a leaf or for a turn that is not the last.
+zero, kept as bits.  Every last turn, a solve's only turn included, is
+decided without building the branch's page: it reads the entries on its
+components, each a kept entry or a chosen class's result, and the parts
+of the entries it leaves untouched, which are kept's plus each chosen
+class's, summed from the parts each class caches per lens.  Those are
+the untouched results' parts on the degrees the last turn carries:
+every arrow lowers p + q by one, so a component's positions have
+pairwise distinct degrees, and a class has at most one result per
+degree.  A page is built only for a leaf or for a turn that is not the
+last.
 
 The abutment of every stable page must be 2-periodic and agree with
 any pinned value.  Every page turn is pruned by one rule while its
@@ -102,9 +106,10 @@ entries the placed classes put on the degrees it bounds and, before
 the coupled flow below, their summed free ranks, so a turn's one
 search (``_turn_combinations``) works out the classes that survive
 under a prefix once per distinct such input, not once per prefix; with
-the parts of the untouched entries in that input, the last turn's memo
-is shared by every branch that reaches it with the same plan, so its
-nodes are worked out once across all of them.
+the parts of the untouched entries in that input, each turn's memo
+lives as long as the solve and is shared by every branch that reaches
+the turn with the same plan and lens, so its nodes are worked out once
+across all of them.
 Once the last component is placed, and before the next page is built,
 the coupled flow over every later turn is solved degree by degree
 (each arrow joins degree d to d - 1): the branch is cut unless some
@@ -128,8 +133,9 @@ divides a torsion order among its entries, its classes' results and
 the pins; for any other prime d_p is the free rank.  The last turn
 skips it: every entry there is final, so every bound is an exact key,
 which already fixes every d_p.  A bound packs the free rank and each
-d_p into one int, a field per prime (``_Lens``), so parts add in one
-int add and one parity's bounds meet in a few int operations.
+d_p into one int, a field each (``_Lens``; the last turn's holds the
+free rank alone), so on every turn parts add in one int add and one
+parity's bounds meet in a few int operations.
 
 The same run is the one window check: when it does not certify degrees
 0 and 1, the solve raises ``WindowError`` before any class is
@@ -418,17 +424,14 @@ class _ComponentClass(_Record):
     """One isomorphism class of labelings of a chain of arrows: the homs
     of a representative and the entries they produce."""
 
-    __slots__ = ("results", "homs", "_zeros", "_positions", "_parts", "_packs")
+    __slots__ = ("results", "homs", "_zeros", "_parts", "_packs")
     _compared = ("results", "homs")
 
     def __init__(self, results: tuple[tuple[Position, FgAbGroup], ...],
                  homs: tuple[tuple[Position, GroupHom], ...]):
         self.results, self.homs = results, homs
         self._zeros: int | None = None  # ``zeros``
-        self._positions = frozenset(pos for pos, _ in results)
-        # ``_degree_parts`` of the results, by ``_Lens``, and of those a
-        # later turn leaves untouched, by lens and the positions it drops
-        self._parts: dict = {}
+        self._parts: dict = {}  # ``_degree_parts`` of the results, by ``_Lens``
         self._packs: dict = {}  # ``_Flow.pack`` of the results, by flow
 
     def zeros(self, bit: Callable[[Position], int]) -> int:
@@ -443,19 +446,6 @@ class _ComponentClass(_Record):
         parts = self._parts.get(lens)
         if parts is None:
             parts = self._parts[lens] = _degree_parts(self.results, lens, key_of)
-        return parts
-
-    def left_parts(self, plan: _Plan, lens: _Lens, key_of) -> dict[int, _Part]:
-        """``degree_parts`` of the results that a later ``plan``'s turn,
-        whose lens is ``lens``, leaves untouched."""
-        parts = self._parts.get(plan)
-        if parts is None:
-            key = lens, plan.dropped.intersection(self._positions)
-            parts = self._parts.get(key)
-            if parts is None:
-                parts = self._parts[key] = _degree_parts(
-                    [res for res in self.results if res[0] not in key[1]], lens, key_of)
-            self._parts[plan] = parts
         return parts
 
     def pack(self, flow: _Flow) -> int:
@@ -487,22 +477,22 @@ _NO_PART: _Part = (0, (), 0, True)
 class _Lens:
     """What one page turn's interval check reads of a group: whether its
     position is ``final``, and its free rank and d_p for each of the
-    ``primes`` p (none on the last turn; see ``_turn_lens``), packed into
-    one int (``packed``): the free rank in field 0 and d_p of
-    ``primes[j - 1]`` in field j, each field ``width`` value bits and one
-    guard bit above them; ``meet`` meets bounds so packed.  A field holds
-    at most ``_WorstCase.top``, which ``width`` covers, so the sums over
-    one antidiagonal stay inside their fields.  With no prime the int is
-    the free rank itself.  A lens is compared by identity, one per
-    distinct reading in a run (``EnumerationTable.lens``), so a class's
-    parts are cached per lens at the cost of an id hash."""
+    ``primes`` p (none on the last turn, whose bounds are exact keys; see
+    ``_turn_lens``), packed into one int (``packed``): the free rank in
+    field 0 and d_p of ``primes[j - 1]`` in field j, each field ``width``
+    value bits and one guard bit above them; ``meet`` meets bounds so
+    packed, on every turn.  A field holds at most ``_WorstCase.width``
+    bits, so the sums over one antidiagonal stay inside their fields.
+    With no prime the int is the free rank itself.  A lens is compared by
+    identity, one per distinct reading in a run
+    (``EnumerationTable.lens``), so a class's parts are cached per lens
+    at the cost of an id hash."""
 
     __slots__ = ("final", "primes", "width", "ones", "guards")
 
     def __init__(self, final: frozenset[Position], primes: tuple[int, ...], width: int):
         self.final, self.primes, self.width = final, primes, width
-        # the free rank's field (all of the int when there is no other)
-        self.ones = (1 << width) - 1 if primes else -1
+        self.ones = (1 << width) - 1  # the free rank's field
         self.guards = sum(1 << j * (width + 1) + width for j in range(len(primes) + 1))
 
     def packed(self, key: _Key) -> int:
@@ -514,13 +504,15 @@ class _Lens:
                           for j, p in enumerate(self.primes, 1))
 
     def meet(self, seen: _Bound | None, bound: _Bound) -> _Bound | None:
-        """``_meet`` field by field, for bounds packed by this lens.
-        Setting the guards of x and subtracting y leaves a field's guard
-        set exactly where x >= y (no field borrows from the next), and
-        those guards, less themselves shifted down by ``width``, mask the
-        fields: so the max of the lower ends and the min of the upper
-        ones take a few int operations, and lo <= hi leaves every guard
-        set."""
+        """The common value of one parity, ``seen`` so far, narrowed by
+        one more degree's ``bound``, both packed by this lens; None when
+        no group satisfies both.  Two exact keys must be equal; otherwise
+        each field takes the max of the lower ends and the min of the
+        upper ones.  Setting the guards of x and subtracting y leaves a
+        field's guard set exactly where x >= y (no field borrows from the
+        next), and those guards, less themselves shifted down by
+        ``width``, mask the fields: so the max and the min take a few int
+        operations, and lo <= hi leaves every guard set."""
         if seen is None:
             return bound
         if bound[2] is not None and seen[2] is not None:
@@ -991,23 +983,12 @@ def _fold_parity(values: Iterable[tuple[int, FgAbGroup]]):
 _Bound = tuple[int, int, _Key | None]
 
 
-def _meet(seen: _Bound | None, bound: _Bound) -> _Bound | None:
-    """The common value of one parity narrowed by one more degree's
-    bound; None when no group satisfies both."""
-    if seen is None:
-        return bound
-    if bound[2] is not None and seen[2] is not None:
-        return seen if bound[2] == seen[2] else None
-    lo, hi = max(bound[0], seen[0]), min(bound[1], seen[1])
-    return (lo, hi, bound[2] or seen[2]) if lo <= hi else None
-
-
 class _WorstCase:
     """The page run from the first page in which every live position
     stays live (see the module docstring for what it bounds)."""
 
-    __slots__ = ("first", "arrows", "degrees", "final", "top", "_bit", "_bits", "_ends",
-                 "_reach", "_flows", "_plans", "_next")
+    __slots__ = ("first", "arrows", "degrees", "final", "width", "bits", "_ends", "_reach",
+                 "_flows", "_plans", "_next")
 
     def __init__(self, first: BigradedPage, arrows: dict[int, _Arrows], degrees: frozenset[int],
                  final: dict[int, frozenset[Position]], top: int, bit: Callable[[Position], int]):
@@ -1017,14 +998,15 @@ class _WorstCase:
         # by page index: the window positions no arrow of a later turn
         # touches, whose entries are final once that turn is taken
         self.final = final
-        # an upper bound on d_p, for every prime p, and so on the free
-        # rank, of any antidiagonal of any page
-        self.top = top
-        self._bit = bit
-        # ``bits`` and per turn each arrow with the bits of its window ends
-        # (``_carried``), built when a plan is first carried down
-        self._bits: dict[Position, int] | None = None
-        self._ends: dict[int, tuple[tuple[tuple[Position, Position], int], ...]] = {}
+        # the bits of a bound's field: ``top`` bounds d_p, for every prime
+        # p, and so the free rank, of any antidiagonal of any page
+        self.width = max(top.bit_length(), 1)
+        # the bit (``EnumerationTable.bit``) of each window end of a run
+        # arrow, and per turn each arrow with the bits of its window ends
+        self.bits = {pos: bit(pos) for turn in arrows.values() for arrow in turn
+                     for pos in arrow if first.in_window(pos[0])}
+        self._ends = {r: tuple((arrow, sum(self.bits.get(pos, 0) for pos in arrow))
+                               for arrow in turn) for r, turn in arrows.items()}
         self._reach: dict[int, int] = {}  # the bits of the turns from a page index on
         # the lookahead of each turn that is not the last, by page index
         # and the unresolved set after the turn
@@ -1032,35 +1014,11 @@ class _WorstCase:
         self._plans: dict = {}  # the solve's plans, by what ``_Plan`` reads
         self._next: dict = {}  # the same plans, by what ``plan`` reads
 
-    @property
-    def bits(self) -> dict[Position, int]:
-        """The bit (``EnumerationTable.bit``) of each window end of a run
-        arrow."""
-        return self._carried()[0]
-
-    def _carried(self) -> tuple[dict[Position, int], dict]:
-        if self._bits is None:
-            in_window, bit = self.first.in_window, self._bit
-            self._bits = {pos: bit(pos) for turn in self.arrows.values() for arrow in turn
-                          for pos in arrow if in_window(pos[0])}
-            self._ends = {r: tuple((arrow, sum(self._bits.get(pos, 0) for pos in arrow))
-                                   for arrow in turn) for r, turn in self.arrows.items()}
-        return self._bits, self._ends
-
     def live(self, page: BigradedPage) -> int:
         """The bits of the positions that are live on ``page``: entries or
         unresolved."""
         return sum(bit for pos, bit in self.bits.items()
                    if pos in page._by_position or pos in page.unresolved)
-
-    def first_plan(self) -> _Plan | None:
-        """The plan of the first page's turn, None when it is stable: the
-        run starts there, so the turn is the run's first, with all its
-        arrows."""
-        if not self.arrows:
-            return None
-        r = min(self.arrows)
-        return self._plan(r, self.arrows[r], self.first.unresolved)
 
     def plan(self, after: int, live: int, unresolved: frozenset[Position]) -> _Plan | None:
         """The plan of the turn of a page of index ``after`` whose live
@@ -1071,27 +1029,23 @@ class _WorstCase:
         Plans are found by the live bits of the turns from ``after`` on,
         so no page is scanned: a turn's positions are live on the next
         page unless one of its chosen classes zeroes them."""
-        _, turns = self._carried()
         reach = self._reach.get(after)
         if reach is None:
-            reach = self._reach[after] = reduce(or_, (bits for r, ends in turns.items()
+            reach = self._reach[after] = reduce(or_, (bits for r, ends in self._ends.items()
                                                       if r >= after for _, bits in ends), 0)
         key = (after, live & reach, unresolved)
         if key not in self._next:
             self._next[key] = None
-            for r, ends in turns.items():
+            for r, ends in self._ends.items():
                 if r >= after and (kept := tuple(arrow for arrow, bits in ends
                                                  if live & bits == bits)):
-                    self._next[key] = self._plan(r, kept, unresolved)
+                    # the one plan of turn r with these arrows and unresolved set
+                    plan = self._plans.get(found := (r, kept, unresolved))
+                    if plan is None:
+                        plan = self._plans[found] = _Plan(self, *found)
+                    self._next[key] = plan
                     break
         return self._next[key]
-
-    def _plan(self, r: int, arrows: _Arrows, unresolved: frozenset[Position]) -> _Plan:
-        """The one plan of turn r with these arrows and unresolved set."""
-        plan = self._plans.get(key := (r, arrows, unresolved))
-        if plan is None:
-            plan = self._plans[key] = _Plan(self, *key)
-        return plan
 
     def flow(self, r: int, unresolved: frozenset[Position]) -> _Flow | None:
         """The lookahead after turn r, when the next unresolved set is
@@ -1103,7 +1057,7 @@ class _WorstCase:
             flow = self._flows[r, unresolved] = _Flow(
                 [arrow for turn, arrows in self.arrows.items() if turn > r for arrow in arrows],
                 lambda pos: self.first.in_window(pos[0]) and pos not in unresolved,
-                self.degrees, self.top)
+                self.degrees, self.width)
         return flow
 
 
@@ -1154,11 +1108,10 @@ class _Flow:
 
     A page enters as one int (``pack``): the free rank of each capped
     position and the summed free rank of the other entries of each
-    certified degree, in fields of ``width`` bits, wide enough for
-    ``top``, a bound on any antidiagonal's d_p and so on its free rank
-    (``_WorstCase.top``); a ``_Lens`` packs d_p in fields of that width
-    on the turns that have a flow.  The fields
-    are disjoint, so a page's int is the sum of the ints of its parts.
+    certified degree, in fields of ``width`` bits, wide enough for any
+    antidiagonal's d_p and so its free rank (``_WorstCase.width``), the
+    width of every ``_Lens``'s fields too.  The fields are disjoint, so a
+    page's int is the sum of the ints of its parts.
     ``values`` gives every (even, odd) pair of common free ranks that
     some choice of k leaves, memoized per int.  Every arrow joins a
     degree d to d - 1, so the k are chosen degree by degree from the top,
@@ -1169,9 +1122,9 @@ class _Flow:
     __slots__ = ("width", "nodes", "bases", "steps", "_values", "_distinct")
 
     def __init__(self, arrows: Sequence[tuple[Position, Position]],
-                 known: Callable[[Position], bool], degrees: Iterable[int], top: int):
+                 known: Callable[[Position], bool], degrees: Iterable[int], width: int):
         nodes = sorted({pos for arrow in arrows for pos in arrow if known(pos)})
-        self.width = w = max(top.bit_length(), 1)
+        self.width = w = width
         self.nodes = {pos: i for i, pos in enumerate(nodes)}  # capped positions
         self.bases = {deg: (len(nodes) + j) * w for j, deg in enumerate(sorted(degrees))}
         # per degree, from the top: the arrows out of it, each as the
@@ -1345,13 +1298,13 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
                 hf_even=key[0], hf_odd=key[1], certified=tuple(certified), turns=tuple(turns),
                 stable_page=page.page_index)
 
-    # the memo of each last turn's search, by plan and lens, shared by every
-    # branch that reaches it without a page
+    # the node memo of each turn's search, by plan and lens, shared by every
+    # branch that reaches the turn
     memos: dict[tuple[_Plan, _Lens], dict] = {}
 
-    def explore(page: BigradedPage, live: int | None, plan: _Plan, turns: list[_Turn]) -> None:
-        # ``live``: the page's live bits (``_WorstCase.bits``), carried down
-        # to every page but the first
+    def explore(page: BigradedPage, live: int, plan: _Plan, turns: list[_Turn]) -> None:
+        # a turn that is not the last; ``live``: the page's live bits
+        # (``_WorstCase.bits``)
         nonlocal truncation
         if not truncation:
             truncation = any(bound_may_truncate(page.entry(*s), page.entry(*t), entry_bound)
@@ -1369,58 +1322,66 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
                        for arrows, positions, signature in plan.comps]
         lens = _turn_lens(table, plan, kept, class_lists, pinned)
         kept_parts = plan.kept_at(_degree_parts(kept, lens, table.key))
-        kept_pack = plan.flow.pack(kept) if plan.flow is not None else 0
-        memo: dict = {}  # this page's, as a built page's turn has its own kept entries
-        state = _start_state(plan, lens, table.key, kept_parts, kept_pack, pinned, memo)
-        # on the last turn each bound is exact, so once both parities have
-        # one, the branch's abutment is fixed: a leaf already found cuts it
-        cut = found if plan.flow is None else ()
-        if state is None or _is_cut(state, cut):
+        kept_pack = plan.flow.pack(kept)
+        memo = memos.setdefault((plan, lens), {})
+        state = _start_state(plan, lens, table.key, kept_parts, kept_pack, pinned, memo, ())
+        if state is None:
             return
         lasts: dict[_Plan, _LastTurn] = {}  # the last turns after this one
-        if live is None and plan.flow is not None:
-            live = run.live(page)
         bit = table.bit
         for chosen in _turn_combinations(plan, lens, table.key, class_lists, kept_parts,
-                                         kept_pack, state, memo, cut):
-            live_next, nxt = live, None
-            if plan.flow is not None:  # a turn comes after this one
-                for cls in chosen:
-                    live_next &= ~cls.zeros(bit)
-                nxt = run.plan(plan.r + 1, live_next, plan.unresolved)
-            if nxt is None or nxt.flow is not None:
-                page_next = page.turned(plan.r + 1, plan.unresolved,
-                                        kept + [res for cls in chosen for res in cls.results])
-                if nxt is None:
-                    finish(page_next, turns + [_turn(plan.r, chosen)])
-                else:
-                    explore(page_next, live_next, nxt, turns + [_turn(plan.r, chosen)])
+                                         kept_pack, state, memo, ()):
+            live_next = live
+            for cls in chosen:
+                live_next &= ~cls.zeros(bit)
+            nxt = run.plan(plan.r + 1, live_next, plan.unresolved)
+            if nxt is not None and nxt.flow is None:
+                last = lasts.get(nxt)
+                if last is None:
+                    last = lasts[nxt] = _LastTurn(table, plan.comps, nxt, kept, entry,
+                                                  entry_bound, run.width, memos)
+                decide(last, chosen, turns, plan.r)
                 continue
-            # the last turn is decided without building the branch's page
-            last = lasts.get(nxt)
-            if last is None:
-                last = lasts[nxt] = _LastTurn(table, plan, nxt, kept, entry, entry_bound, pinned,
-                                              memos)
-            parts = _CarriedParts(last, chosen)
-            if not truncation:
-                truncation = last.truncates(chosen)
-            state = _start_state(nxt, last.lens, table.key, parts, 0, pinned, last.memo)
-            if state is None or _is_cut(state, found):
-                continue
-            for chosen_last in _turn_combinations(nxt, last.lens, table.key,
-                                                  last.class_lists(chosen), parts, 0, state,
-                                                  last.memo, found):
-                entries = [res for res in chain(kept, *(cls.results for cls in chosen))
-                           if res[0] not in nxt.dropped]
-                entries += [res for cls in chosen_last for res in cls.results]
-                finish(page.turned(nxt.r + 1, nxt.unresolved, entries),
-                       turns + [_turn(plan.r, chosen), _turn(nxt.r, chosen_last)])
+            page_next = page.turned(plan.r + 1, plan.unresolved,
+                                    kept + [res for cls in chosen for res in cls.results])
+            if nxt is None:
+                finish(page_next, turns + [_turn(plan.r, chosen)])
+            else:
+                explore(page_next, live_next, nxt, turns + [_turn(plan.r, chosen)])
 
-    plan = run.first_plan()
+    def decide(last: _LastTurn, chosen: list[_ComponentClass], turns: list[_Turn],
+               r: int | None) -> None:
+        # the last turn after the classes ``chosen`` on turn r (None and no
+        # classes at the root), without building the branch's page
+        nonlocal truncation
+        if not truncation:
+            truncation = last.truncates(chosen)
+        if pinned is None:
+            return
+        parts = _CarriedParts(last, chosen)
+        plan = last.last
+        state = _start_state(plan, last.lens, table.key, parts, 0, pinned, last.memo, found)
+        if state is None:
+            return
+        for chosen_last in _turn_combinations(plan, last.lens, table.key,
+                                              last.class_lists(chosen), parts, 0, state,
+                                              last.memo, found):
+            entries = last.kept + [res for cls in chosen for res in cls.results
+                                   if res[0] not in plan.dropped]
+            entries += [res for cls in chosen_last for res in cls.results]
+            head = turns if r is None else turns + [_turn(r, chosen)]
+            finish(root.turned(plan.r + 1, plan.unresolved, entries),
+                   head + [_turn(plan.r, chosen_last)])
+
+    live = run.live(root)
+    plan = run.plan(root.page_index, live, root.unresolved)
     if plan is None:
         finish(root, [])
+    elif plan.flow is None:
+        decide(_LastTurn(table, (), plan, list(root.entries), root._by_position.__getitem__,
+                         entry_bound, run.width, memos), [], [], None)
     else:
-        explore(root, None, plan, [])
+        explore(root, live, plan, [])
     ordered = tuple(sorted(leaves.values(), key=lambda lf: (str(lf.hf_even), str(lf.hf_odd))))
     return BranchTree(
         column_step=column_step,
@@ -1432,46 +1393,46 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
 
 
 class _LastTurn:
-    """The ``last`` turn after ``plan``'s turn of a page, decided for each
-    branch the page's search keeps without building the branch's page.
-    The branch's next entries are the page's ``kept`` entries (those no
-    component of ``plan`` touches) and its chosen classes' results, so
+    """The ``last`` turn after an earlier turn of a page, whose components
+    are ``comps`` (none at the first page), decided for each branch the
+    page's search keeps without building the branch's page.  The
+    branch's next entries are the page's ``kept`` entries (those no
+    component of ``comps`` touches) and its chosen classes' results, so
     what the last turn reads of them is worked out here once per page
     and last turn, and per branch only looked up or summed: its
     components' entries, from ``entry`` or a class's results, and the
-    parts of the entries it leaves untouched, kept's and each class's,
-    cached per class by lens and the positions the last turn drops
-    (``_CarriedParts``).  Its search shares ``memos`` with every branch
-    that has the plan."""
+    parts of the entries it leaves untouched, kept's and each class's
+    (``_CarriedParts``).  Its lens has fields of ``width`` bits and no
+    prime, since every bound there is an exact key, and its search
+    shares ``memos`` with every branch that has the plan."""
 
-    __slots__ = ("table", "last", "entry", "entry_bound", "lens", "memo", "base", "carries",
-                 "sources", "_lists")
+    __slots__ = ("table", "last", "entry", "entry_bound", "lens", "memo", "kept", "base",
+                 "carries", "sources", "_lists")
 
-    def __init__(self, table: EnumerationTable, plan: _Plan, last: _Plan,
+    def __init__(self, table: EnumerationTable, comps: tuple, last: _Plan,
                  kept: list[tuple[Position, FgAbGroup]], entry: Callable[[Position], FgAbGroup],
-                 entry_bound: int, pinned: tuple[_Key | None, _Key | None],
-                 memos: dict[tuple[_Plan, _Lens], dict]):
+                 entry_bound: int, width: int, memos: dict[tuple[_Plan, _Lens], dict]):
         self.table, self.last, self.entry, self.entry_bound = table, last, entry, entry_bound
-        # a last turn's lens reads neither entries nor classes
-        self.lens = lens = _turn_lens(table, last, [], [], pinned)
+        self.lens = lens = table.lens(last.final, (), width)
         self.memo = memos.setdefault((last, lens), {})
-        # ``_Plan.kept_at`` of the kept entries the last turn leaves untouched
-        self.base = last.kept_at(_degree_parts(
-            [entry for entry in kept if entry[0] not in last.dropped], lens, table.key))
-        # per entry of the last turn's checks, each component j of plan with
-        # results the last turn leaves untouched on that entry's degrees,
-        # with the (i, degree i) of those degrees
+        # the kept entries the last turn leaves untouched, and their
+        # ``_Plan.kept_at``
+        self.kept = [entry for entry in kept if entry[0] not in last.dropped]
+        self.base = last.kept_at(_degree_parts(self.kept, lens, table.key))
+        # per entry of the last turn's checks, each component j of comps
+        # with results the last turn leaves untouched on that entry's
+        # degrees, with the (i, degree i) of those degrees
         left = [{sum(pos) for pos in signature if pos not in last.dropped}
-                for _, _, signature in plan.comps]
+                for _, _, signature in comps]
         self.carries = tuple(
             tuple((j, at) for j, degrees_left in enumerate(left)
                   if (at := tuple((i, deg) for i, (deg, _) in enumerate(degrees)
                                   if deg in degrees_left)))
             for degrees in last.checks)
-        # per component of the last turn: the components of plan whose
+        # per component of the last turn: the components of comps whose
         # results lie on it, and where each of its positions' entries comes
         # from: (j, i), result i of component j's class, or None, a kept one
-        at = {pos: (j, i) for j, (_, _, signature) in enumerate(plan.comps)
+        at = {pos: (j, i) for j, (_, _, signature) in enumerate(comps)
               for i, pos in enumerate(signature)}
         self.sources = tuple((tuple(sorted({src[0] for src in comp if src})), comp)
                              for comp in (tuple(map(at.get, positions))
@@ -1509,7 +1470,10 @@ class _CarriedParts(dict):
     """``_Plan.kept_at`` of a last turn after ``chosen`` (``_LastTurn``),
     one entry of its checks at a time as the search first reads it: the
     untouched kept entries' parts plus the parts of the chosen classes'
-    results that the last turn leaves untouched."""
+    results that the last turn leaves untouched.  A class's positions
+    have pairwise distinct degrees (each arrow lowers p + q by one), so
+    on a degree the last turn carries its results' parts are those of
+    the one untouched result there."""
 
     __slots__ = ("turn", "chosen")
 
@@ -1518,10 +1482,10 @@ class _CarriedParts(dict):
 
     def __missing__(self, k: int) -> tuple[_Part, ...]:
         turn, chosen = self.turn, self.chosen
-        last, lens, key_of = turn.last, turn.lens, turn.table.key
+        lens, key_of = turn.lens, turn.table.key
         parts = list(turn.base[k])
         for j, at in turn.carries[k]:
-            left = chosen[j].left_parts(last, lens, key_of)
+            left = chosen[j].degree_parts(lens, key_of)
             for i, deg in at:
                 lo, powers, slack, zero = parts[i]
                 f, pw, sl, z = left[deg]
@@ -1539,15 +1503,12 @@ def _turn(r: int, chosen: list[_ComponentClass]) -> _Turn:
 def _turn_lens(table: EnumerationTable, plan: _Plan, kept: list[tuple[Position, FgAbGroup]],
                class_lists: list[tuple[_ComponentClass, ...]],
                pinned: tuple[_Key | None, _Key | None]) -> _Lens:
-    """The ``_Lens`` of one page turn: ``plan.final``, and on a turn that
-    is not the last the primes that divide a torsion order among the
-    ``kept`` entries, the results of the classes in ``class_lists`` and
-    the ``pinned`` keys, in fields of the flow's width.  For any other
-    prime p every entry's d_p is its free rank, so d_p's bound would be
-    the free rank's.  The last turn reads no prime: every entry there is
-    final, so every bound is an exact key, which fixes each d_p."""
-    if plan.flow is None:
-        return table.lens(plan.final, (), 0)
+    """The ``_Lens`` of a turn that is not the last: ``plan.final``, and
+    the primes that divide a torsion order among the ``kept`` entries,
+    the results of the classes in ``class_lists`` and the ``pinned``
+    keys, in fields of the flow's width.  For any other prime p every
+    entry's d_p is its free rank, so d_p's bound would be the free
+    rank's.  (The last turn reads no prime, see ``_LastTurn``.)"""
     # every such prime divides a group's last invariant factor
     entries = chain(kept, *(cls.results for classes in class_lists for cls in classes))
     exponent = lcm(*(grp.torsion[-1] for _, grp in entries if grp.torsion),
@@ -1555,25 +1516,23 @@ def _turn_lens(table: EnumerationTable, plan: _Plan, kept: list[tuple[Position, 
     return table.lens(plan.final, tuple(sorted(_factorize(exponent))), plan.flow.width)
 
 
-def _is_cut(state: tuple[_Bound | None, _Bound | None], cut) -> bool:
-    """Whether ``state`` has exact keys for both parities that are in
-    ``cut``."""
-    even, odd = state
-    return bool(even and odd and (even[2], odd[2]) in cut)
-
-
 def _start_state(plan: _Plan, lens: _Lens, key_of, kept_parts: Sequence[tuple[_Part, ...]],
-                 kept_pack: int, pinned: tuple[_Key | None, _Key | None], memo: dict):
-    """``check(-1, [], pinned)`` of ``_interval_check``: besides the plan,
-    the lens and the pins it reads only the untouched parts on
-    ``plan.checks[0]`` and, on a turn with no component, their
-    ``_Flow.pack``, so it is worked out once per distinct such input in
-    ``memo``, the turn's (see ``_turn_combinations``)."""
+                 kept_pack: int, pinned: tuple[_Key | None, _Key | None], memo: dict, cut):
+    """``check(-1, [], pinned)`` of ``_interval_check``, or None when it
+    has exact keys for both parities that are in ``cut`` (the leaves
+    already found, on a last turn).  Besides the plan, the lens and the
+    pins the check reads only the untouched parts on ``plan.checks[0]``
+    and, on a turn with no component, their ``_Flow.pack``, so it is
+    worked out once per distinct such input in ``memo``, the turn's (see
+    ``_turn_combinations``)."""
     start = memo.get(key := (-1, kept_parts[0], kept_pack))
     if start is None:
         check = _interval_check(plan, lens, key_of, kept_parts, kept_pack)
         start = memo[key] = (check(-1, [], pinned),)
-    return start[0]
+    state = start[0]
+    if state is not None and state[0] and state[1] and (state[0][2], state[1][2]) in cut:
+        return None
+    return state
 
 
 def _turn_combinations(plan: _Plan, lens: _Lens, key_of,
@@ -1586,9 +1545,9 @@ def _turn_combinations(plan: _Plan, lens: _Lens, key_of,
     ``kept_parts[k]`` holds the parts of the next page's entries that no
     component touches on the degrees of ``plan.checks[k]``
     (``_Plan.kept_at``), ``kept_pack`` their ``_Flow.pack`` and ``lens``
-    is the turn's (``_turn_lens``); a prefix whose state has exact keys
-    for both parities that are in ``cut`` is cut too, read as the prefix
-    is entered.
+    is the turn's (``_turn_lens``, or ``_LastTurn.lens`` on the last
+    turn); a prefix whose state has exact keys for both parities that
+    are in ``cut`` is cut too, read as the prefix is entered.
 
     A check reads, besides the class, only its component i and that
     component's class list, the state, the untouched parts and the
@@ -1596,10 +1555,10 @@ def _turn_combinations(plan: _Plan, lens: _Lens, key_of,
     bounds (``plan.reads[i]``) and, on the last component of a turn that
     is not the last, the summed ``_Flow.pack``; everything else it reads
     is fixed by the plan and the lens.  So a DFS node's kept children are
-    worked out once per distinct such input, in ``memo``, which may
-    serve every branch with that plan and lens (the solve shares a last
-    turn's), and the search visits the same prefixes, in the same order,
-    as it would checking each class.
+    worked out once per distinct such input, in ``memo``, which the solve
+    shares among every branch with that plan and lens, and the search
+    visits the same prefixes, in the same order, as it would checking
+    each class.
 
     The search keeps one stack of sibling iterators, as
     ``_component_classes`` does, so a turn with many components does not
@@ -1693,7 +1652,8 @@ def _interval_check(plan: _Plan, lens: _Lens, key_of, kept_parts: Sequence[tuple
     are exact keys, which fix every d_p.  Like the exact keys, the d_p
     bound takes the split abutment: Z/4 has d_2 = 1 where (Z/2)^2 has 2.
 
-    The DFS state is the common bound of each parity so far.  Once the
+    The DFS state is the common bound of each parity so far, narrowed
+    one degree at a time by ``_Lens.meet`` on every turn.  Once the
     last component is placed, before the next page is built, a turn that
     is not the last solves the coupled flow over every later turn at
     once: the branch is cut unless some choice of k leaves each parity
@@ -1704,9 +1664,8 @@ def _interval_check(plan: _Plan, lens: _Lens, key_of, kept_parts: Sequence[tuple
     summed once for the kept entries and once per class, so no node of
     the DFS adds groups.
     """
-    flow, ones, settled = plan.flow, lens.ones, plan.settled
+    flow, ones, settled, meet = plan.flow, lens.ones, plan.settled, lens.meet
     last_comp = len(plan.comps) - 1
-    meet = lens.meet if lens.primes else _meet
 
     def exact(key: _Key) -> _Bound:
         packed = lens.packed(key)

@@ -29,6 +29,7 @@ T3_MEMO = ["tests/test_spectra.py::test_t3_checks_each_distinct_node_input_once"
            "tests/test_spectra.py::test_children_are_the_classes_checked_one_at_a_time"]
 TORSION = ["tests/test_spectra.py::test_pruning_keeps_the_leaves_of_a_search_without_pruning",
            "tests/test_spectra.py::test_pruning_keeps_the_leaves_of_pinned_degrees"]
+HAND_DERIVED = ["tests/test_spectra.py::test_two_stage_turning_hand_derived"]
 
 # (name, file, source text, its mutation, the tests that must fail)
 MUTATIONS = [
@@ -61,6 +62,19 @@ MUTATIONS = [
      "else [key and exact(key) for key in state]",
      "else [key and (key[0], key[0], key) for key in state]",
      TORSION),
+    ("carried-live-bits-keep-zeros", SPECTRA,
+     "live_next &= ~cls.zeros(bit)",
+     "live_next &= ~0",
+     ["tests/test_spectra.py::test_pruning_keeps_the_leaves_of_a_search_without_pruning"
+      "[rows-0-3-4-5]"]),
+    ("last-turn-without-carried-parts", SPECTRA,
+     "for j, at in turn.carries[k]:",
+     "for j, at in ():",
+     HAND_DERIVED),
+    ("node-key-without-kept-parts", SPECTRA,
+     "key = (i, id(classes), state, kept_parts[i + 1])",
+     "key = (i, id(classes), state)",
+     HAND_DERIVED),
 ]
 
 

@@ -231,6 +231,19 @@ def flow_values_by_product(arrows, ranks, degrees):
     return out
 
 
+def meet_of_each_field(seen, bound):
+    """Reference for ``spectra._Lens.meet`` on one field: the common value
+    of one parity, ``seen`` so far, narrowed by one more degree's
+    ``bound``, each a (lo, hi, exact key or None) triple; None when no
+    group satisfies both."""
+    if seen is None:
+        return bound
+    if bound[2] is not None and seen[2] is not None:
+        return seen if bound[2] == seen[2] else None
+    lo, hi = max(bound[0], seen[0]), min(bound[1], seen[1])
+    return (lo, hi, bound[2] or seen[2]) if lo <= hi else None
+
+
 def zero_hom(source: FgAbGroup, target: FgAbGroup) -> GroupHom:
     return GroupHom(source, target, zero_matrix(target.generator_count(),
                                                 source.generator_count()))

@@ -173,7 +173,7 @@ def test_the_packed_meet_is_the_meet_of_each_field(fields, seen_key, bound_key):
     if seen_key is not None and bound_key is not None:
         assert got == seen
         return
-    each = [spectra._meet((s_lo, s_hi, None), (b_lo, b_hi, None))
+    each = [oracles.meet_of_each_field((s_lo, s_hi, None), (b_lo, b_hi, None))
             for s_lo, s_hi, b_lo, b_hi in fields]
     assert got == (None if None in each else (
         pack(m[0] for m in each), pack(m[1] for m in each), seen_key or bound_key))
@@ -366,6 +366,36 @@ def test_branch_arrows_are_worst_case_arrows_of_random_tables(upper, pins):
         assert set(arrows) <= set(run.arrows.get(r, ()))
 
 
+@settings(deadline=None, database=None, max_examples=40)
+@given(st.lists(PRUNED_TABLE_GROUPS, min_size=4, max_size=4),
+       st.lists(st.tuples(st.integers(-2, 3), PRUNED_TABLE_GROUPS), max_size=2))
+def test_component_positions_lie_on_distinct_degrees_of_random_tables(upper, pins):
+    # every arrow of a page lowers p + q by one, so on every page turn of
+    # the search that prunes nothing each component, a chain, has its
+    # positions on pairwise distinct degrees: a class has at most one
+    # result per degree, so the last turn reads a class's parts whole on
+    # the degrees it carries
+    h = GradedGroup.from_dict({0: Z, **{q: grp for q, grp in enumerate(upper, start=1)
+                                        if not grp.is_trivial()}})
+    comps = []
+
+    def recorded(page):
+        found = _first_active_page(page)
+        if found is not None:
+            comps.extend(_components(_slots_and_unresolved(found[1], page.known)[0]))
+        return found
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(oracles, "_first_active_page", recorded)
+        try:
+            solve_floer_without_pruning(h, 2, constraints=tuple(pins), entry_bound=1)
+        except WindowError:
+            pass
+    for comp in comps:
+        positions = {pos for arrow in comp for pos in arrow}
+        assert len({p + q for p, q in positions}) == len(positions)
+
+
 @st.composite
 def pages(draw):
     """Pages of any geometry: each window position an entry, unresolved
@@ -398,7 +428,8 @@ def assert_run_plans_match_a_full_scan(h, step, constraints=(), col_span=2):
     classes zero.  That carried plan is the one built from the next
     page's own arrows (a full scan of page indices), slot by slot, and
     the carried live bits are the next page's; so is the first page's
-    plan, the run's first turn with all its arrows."""
+    plan, found from its own live bits: the run's first turn with all
+    its arrows."""
     run = _worst_case_run(build_e1(h, step, col_span))
     turned, turn = [], spectra.BigradedPage.turned
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -423,7 +454,6 @@ def assert_run_plans_match_a_full_scan(h, step, constraints=(), col_span=2):
             assert getattr(carried, name) == getattr(expected, name), name
 
     root = build_e1(h, step, col_span)
-    assert_same(run.first_plan(), scanned(root))
     assert_same(run.plan(root.page_index, run.live(root), root.unresolved), scanned(root))
     for page, child in turned:
         plan = scanned(page)
@@ -504,7 +534,8 @@ def test_flow_values_match_a_product_over_every_k(system):
     # the lookahead chooses the k degree by degree; trying every k of
     # every arrow must reach the same (even, odd) pairs
     arrows, ranks, degrees = system
-    flow = spectra._Flow(arrows, ranks.__contains__, degrees, sum(ranks.values()))
+    flow = spectra._Flow(arrows, ranks.__contains__, degrees,
+                         max(sum(ranks.values()).bit_length(), 1))
     packed = flow.pack((pos, FgAbGroup(rank)) for pos, rank in ranks.items())
     assert flow.values(packed) == flow_values_by_product(arrows, ranks, degrees)
 

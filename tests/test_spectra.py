@@ -630,8 +630,8 @@ def test_the_found_cut_changes_no_leaf(monkeypatch, h, step, kw, pages):
     built = instances_built(monkeypatch, BigradedPage)
     tree = solve_floer(h, step, **kw)
     plain = len(built)
-    search = spectra._turn_combinations
-    monkeypatch.setattr(spectra, "_is_cut", lambda state, cut: False)
+    search, start = spectra._turn_combinations, spectra._start_state
+    monkeypatch.setattr(spectra, "_start_state", lambda *args: start(*args[:-1], ()))
     monkeypatch.setattr(spectra, "_turn_combinations", lambda *args: search(*args[:-1], ()))
     assert solve_floer(h, step, **kw).leaves == tree.leaves
     assert tree.leaves and (plain, len(built) - plain) == pages
@@ -643,14 +643,18 @@ def children_match_class_by_class_checks(monkeypatch) -> list:
     checks each class under each prefix unmemoized, in lockstep, so both
     read the growing ``found`` cut at the same moments, and wrap
     ``_start_state`` so that every start state, of a built page or not,
-    is checked against the unmemoized check; returns the number of
-    classes of every combination compared."""
+    is checked against the unmemoized check, None when its exact keys
+    are in the cut; returns the number of classes of every combination
+    compared."""
     search, start, compared = spectra._turn_combinations, spectra._start_state, []
 
-    def started(plan, lens, key_of, kept_parts, kept_pack, pinned, memo):
-        state = start(plan, lens, key_of, kept_parts, kept_pack, pinned, memo)
+    def started(plan, lens, key_of, kept_parts, kept_pack, pinned, memo, cut):
+        state = start(plan, lens, key_of, kept_parts, kept_pack, pinned, memo, cut)
         check = spectra._interval_check(plan, lens, key_of, kept_parts, kept_pack)
-        assert state == check(-1, [], pinned)
+        want = check(-1, [], pinned)
+        if want and want[0] and want[1] and (want[0][2], want[1][2]) in cut:
+            want = None
+        assert state == want
         return state
 
     def wrapped(*args):
@@ -670,7 +674,13 @@ def children_match_class_by_class_checks(monkeypatch) -> list:
     (GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z}), 2,
      {"entry_bound": 1}, 16),
     (H_RP7, 4, {"entry_bound": 4, "col_span": 4}, 1),
-], ids=["t3-s2-b1", "rp7-s4-w4"])
+    # pages 2, 4 and 6 turn, and the middle turn, which is not the last,
+    # starts on 1,311, 64 and 102 pages that share its memo
+    (GradedGroup.from_dict({0: Z, 1: Z, 4: Z, 5: Z}), 2, {"entry_bound": 1, "col_span": 3}, 3),
+    (GradedGroup.from_dict({0: Z, 1: cyclic(2), 4: cyclic(3), 5: Z}), 2,
+     {"entry_bound": 1, "col_span": 3}, 4),
+    (GradedGroup.from_dict({0: Z, 3: Z, 4: Z, 5: Z}), 2, {"entry_bound": 1, "col_span": 3}, 3),
+], ids=["t3-s2-b1", "rp7-s4-w4", "rows-0-1-4-5", "rows-0-1-4-5-torsion", "rows-0-3-4-5"])
 def test_children_are_the_classes_checked_one_at_a_time(monkeypatch, h, step, kw, leaves):
     calls = children_match_class_by_class_checks(monkeypatch)
     assert len(solve_floer(h, step, **kw).leaves) == leaves
