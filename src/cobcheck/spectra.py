@@ -115,27 +115,36 @@ the coupled flow over every later turn is solved degree by degree
 (each arrow joins degree d to d - 1): the branch is cut unless some
 choice of k leaves each parity a common value inside those bounds.
 The last turn, the one no worst-case arrow comes after, is the case
-lo = hi, an exact check of (free rank, sorted prime powers) keys;
-there, once both parities are exact, a branch whose abutment is
-already a leaf is cut too.
+lo = hi: every entry there is final, so each bound is one exact group;
+there, once both parities are exact, a branch whose abutment is already
+a leaf is cut too.
 
 Torsion is bounded the same way on the turns that are not the last.
-Let d_p(M) = dim(M / pM), the free rank plus the number of cyclic
-factors of order divisible by p.  Over the local ring Z_(p), a PID,
-d_p(M) is the least number of generators of M_(p) (Nakayama's lemma),
-and a submodule or a quotient needs no more generators than its
-module; so d_p of a subquotient is at most d_p of the group, and an
-entry's d_p never grows from page to page.  d_p adds on direct sums, so
-a certified degree's final d_p lies between that of its final entries
-and that of all of them, and the degrees of one parity must meet on it
-as they must on the free rank.  A turn bounds d_p for each prime that
-divides a torsion order among its entries, its classes' results and
-the pins; for any other prime d_p is the free rank.  The last turn
-skips it: every entry there is final, so every bound is an exact key,
-which already fixes every d_p.  A bound packs the free rank and each
-d_p into one int, a field each (``_Lens``; the last turn's holds the
-free rank alone), so on every turn parts add in one int add and one
-parity's bounds meet in a few int operations.
+For a prime power q = p^k let u_q(M) = dim(p^(k-1) M / p^k M), the
+free rank plus the number of invariant factors divisible by q; u_p =
+d_p(M) = dim(M / pM).  Over the local ring Z_(p), a PID, d_p(M) is the
+least number of generators of M_(p) (Nakayama's lemma), and a
+submodule or a quotient needs no more generators than its module, so
+d_p never grows on a subquotient.  Nor does u_q: if S = A / B with B in
+A in M, then p^(k-1) S = (p^(k-1) A + B) / B is a quotient of p^(k-1) A,
+a submodule of p^(k-1) M, and u_q(S) = d_p(p^(k-1) S) <= d_p(p^(k-1) A)
+<= d_p(p^(k-1) M) = u_q(M).  So an entry's u_q never grows from page to
+page.  u_q adds on direct sums, so a certified degree's final u_q lies
+between that of its final entries and that of all of them, and the
+degrees of one parity must meet on it as they must on the free rank.
+Together the u_q fix a group whose exponent divides E, for q running
+over the prime powers that divide E: Z/p^k occurs u_(p^k) - u_(p^(k+1))
+times, and u_(p^(k+1)) is the free rank once p^(k+1) does not divide
+E.  A turn reads the u_q of the prime powers dividing the exponent E of
+every torsion order among its entries, its classes' results and the
+pins (for any other prime power u_q is the free rank), so lo = hi
+there is one exact group, and its bounds pack the free rank and each u_q
+into one int, a field each (``_Lens``), so parts add in one int add and
+one parity's bounds meet in a few int operations.  The last turn's
+classes are only known per branch, so its one lens per solve packs the
+free rank and the multiplicity of each prime power instead, which is
+additive and fixes every group; its bounds are all exact and meet by
+equality.
 
 The same run is the one window check: when it does not certify degrees
 0 and 1, the solve raises ``WindowError`` before any class is
@@ -149,10 +158,14 @@ direct sum, of the E-infinity entries on its antidiagonal.  A spectral
 sequence fixes its abutment only up to extension: those entries are
 the quotients of a filtration of H_n, with the lower columns below, so
 Z/2 over Z/2 may also abut to Z/4, and Z/2 over Z to Z.  The leaves,
-their deduplication, the last turn's exact keys and the d_p bounds all
-take the direct sum (Z/4 has d_2 = 1 where (Z/2)^2 has 2); an extension
-of a quotient with l-torsion by a sub with free rank or l-torsion need
-not split, and no such leaf is marked.
+their deduplication, the last turn's exact bounds and the u_q bounds
+all take the direct sum (Z/4 has d_2 = 1 where (Z/2)^2 has 2); an
+extension of a quotient with l-torsion by a sub with free rank or
+l-torsion need not split, and no such leaf is marked.  Under a
+non-split extension d_p stays subadditive, but u_q for k >= 2 does not
+(Z/2 over Z/2 abuts to Z/4, where u_4 goes from 0 + 0 to 1), so the
+upper end of a k >= 2 field would need a cap of its own, such as the
+d_p upper end, since u_q <= d_p; that cap is still open.
 """
 
 from __future__ import annotations
@@ -442,10 +455,10 @@ class _ComponentClass(_Record):
             self._zeros = sum(bit(pos) for pos, grp in self.results if grp.is_trivial())
         return self._zeros
 
-    def degree_parts(self, lens: _Lens, key_of) -> dict[int, _Part]:
+    def degree_parts(self, lens: _Lens) -> dict[int, _Bound]:
         parts = self._parts.get(lens)
         if parts is None:
-            parts = self._parts[lens] = _degree_parts(self.results, lens, key_of)
+            parts = self._parts[lens] = _degree_parts(self.results, lens)
         return parts
 
     def pack(self, flow: _Flow) -> int:
@@ -455,68 +468,72 @@ class _ComponentClass(_Record):
         return packed
 
 
-# a group's isomorphism class as (free rank, sorted prime powers)
-_Key = tuple[int, tuple[int, ...]]
-
-
-def _group_key(grp: FgAbGroup) -> _Key:
-    """The free rank and the sorted prime powers of the torsion: equal
-    exactly for isomorphic groups, and cheap to add."""
-    return grp.free_rank, tuple(sorted(p ** e for d in grp.torsion
-                                       for p, e in _factorize(d).items()))
-
-
-# a direct sum of entries on one antidiagonal, as the pruner reads it
-# through a ``_Lens``: the packed free rank and d_p of the final entries,
-# their (unsorted) prime powers, the packed free rank and d_p of the
-# others, and whether the others are all zero
-_Part = tuple[int, tuple[int, ...], int, bool]
-_NO_PART: _Part = (0, (), 0, True)
+# what a turn knows of a degree's final value, or of the part of it that
+# some entries on its antidiagonal give: each field of its ``_Lens`` lies
+# in [lo, hi], lo the packed sum of the final entries and hi that of all
+# of them; lo = hi is one exact group, as when every entry is final
+_Bound = tuple[int, int]
+_NO_PART: _Bound = (0, 0)
 
 
 class _Lens:
     """What one page turn's interval check reads of a group: whether its
-    position is ``final``, and its free rank and d_p for each of the
-    ``primes`` p (none on the last turn, whose bounds are exact keys; see
-    ``_turn_lens``), packed into one int (``packed``): the free rank in
-    field 0 and d_p of ``primes[j - 1]`` in field j, each field ``width``
-    value bits and one guard bit above them; ``meet`` meets bounds so
-    packed, on every turn.  A field holds at most ``_WorstCase.width``
-    bits, so the sums over one antidiagonal stay inside their fields.
-    With no prime the int is the free rank itself.  A lens is compared by
-    identity, one per distinct reading in a run
+    position is ``final``, and the group packed into one int
+    (``packed``), fields of ``width`` value bits under one guard bit
+    each, the free rank in field 0.  On a turn that is not the last,
+    field j holds u_q = the free rank plus the number of invariant
+    factors divisible by q, for q the j-th of the turn's prime ``powers``
+    (``_turn_lens``); a bound is an int pair (lo, hi), and ``meet`` meets
+    bounds so packed.  A field holds at most ``_WorstCase.width`` bits,
+    so the sums over one antidiagonal stay inside their fields.
+
+    The last turn's lens (``powers`` None, one per solve) packs the free
+    rank and, for each prime power, how many elementary divisors equal
+    it, in a field assigned on first sight.  That packing is additive and
+    fixes the group, and every bound there is exact (lo = hi), so it
+    meets by equality alone (its guards cover the free rank only).  A
+    lens is compared by identity, one per distinct reading in a run
     (``EnumerationTable.lens``), so a class's parts are cached per lens
     at the cost of an id hash."""
 
-    __slots__ = ("final", "primes", "width", "ones", "guards")
+    __slots__ = ("final", "powers", "width", "ones", "guards", "_fields", "_packed")
 
-    def __init__(self, final: frozenset[Position], primes: tuple[int, ...], width: int):
-        self.final, self.primes, self.width = final, primes, width
+    def __init__(self, final: frozenset[Position], powers: tuple[int, ...] | None, width: int):
+        self.final, self.powers, self.width = final, powers, width
         self.ones = (1 << width) - 1  # the free rank's field
-        self.guards = sum(1 << j * (width + 1) + width for j in range(len(primes) + 1))
+        self.guards = sum(1 << j * (width + 1) + width for j in range(len(powers or ()) + 1))
+        self._fields: dict[int, int] = {}  # the last turn's field of each prime power
+        self._packed: dict[FgAbGroup, int] = {}
 
-    def packed(self, key: _Key) -> int:
-        """The free rank and d_p of the group whose ``_group_key`` is
-        ``key``: d_p is the free rank plus the number of its prime powers
-        that p divides."""
-        free, powers = key
-        return free + sum(free + sum(not q % p for q in powers) << j * (self.width + 1)
-                          for j, p in enumerate(self.primes, 1))
+    def packed(self, grp: FgAbGroup) -> int:
+        """``grp`` packed by this lens, worked out once per distinct group."""
+        packed = self._packed.get(grp)
+        if packed is None:
+            free, shift = grp.free_rank, self.width + 1
+            if self.powers is None:
+                fields = self._fields
+                packed = free + sum(1 << shift * fields.setdefault(p ** e, len(fields) + 1)
+                                    for d in grp.torsion for p, e in _factorize(d).items())
+            else:
+                packed = free + sum(free + sum(not d % q for d in grp.torsion) << shift * j
+                                    for j, q in enumerate(self.powers, 1))
+            self._packed[grp] = packed
+        return packed
 
     def meet(self, seen: _Bound | None, bound: _Bound) -> _Bound | None:
         """The common value of one parity, ``seen`` so far, narrowed by
         one more degree's ``bound``, both packed by this lens; None when
-        no group satisfies both.  Two exact keys must be equal; otherwise
-        each field takes the max of the lower ends and the min of the
-        upper ones.  Setting the guards of x and subtracting y leaves a
-        field's guard set exactly where x >= y (no field borrows from the
-        next), and those guards, less themselves shifted down by
-        ``width``, mask the fields: so the max and the min take a few int
-        operations, and lo <= hi leaves every guard set."""
+        no group satisfies both.  Two exact groups (lo = hi) must be
+        equal; otherwise each field takes the max of the lower ends and
+        the min of the upper ones.  Setting the guards of x and
+        subtracting y leaves a field's guard set exactly where x >= y (no
+        field borrows from the next), and those guards, less themselves
+        shifted down by ``width``, mask the fields: so the max and the min
+        take a few int operations, and lo <= hi leaves every guard set."""
         if seen is None:
             return bound
-        if bound[2] is not None and seen[2] is not None:
-            return seen if bound[2] == seen[2] else None
+        if bound[0] == bound[1] and seen[0] == seen[1]:
+            return seen if bound[0] == seen[0] else None
         guards, width = self.guards, self.width
         x, y = bound[0], seen[0]
         ge = (x | guards) - y & guards
@@ -526,22 +543,19 @@ class _Lens:
         hi = x ^ (x ^ y) & ge - (ge >> width)
         if (hi | guards) - lo & guards != guards:
             return None
-        return lo, hi, bound[2] or seen[2]
+        return lo, hi
 
 
-def _degree_parts(entries: Iterable[tuple[Position, FgAbGroup]], lens: _Lens,
-                  key_of) -> dict[int, _Part]:
-    """The ``_Part`` of the entries on each antidiagonal degree p + q, read
-    through ``lens``; ``key_of`` gives a group's ``_group_key``."""
-    final, primes = lens.final, lens.primes
-    parts: dict[int, _Part] = {}
+def _degree_parts(entries: Iterable[tuple[Position, FgAbGroup]], lens: _Lens) -> dict[int, _Bound]:
+    """The bound the entries on each antidiagonal degree p + q put on it,
+    read through ``lens``."""
+    final = lens.final
+    parts: dict[int, _Bound] = {}
     for pos, grp in entries:
-        free, powers = key = key_of(grp)
         deg = pos[0] + pos[1]
-        packed = lens.packed(key) if primes else free
-        f, pw, slack, zero = parts.get(deg, _NO_PART)
-        parts[deg] = ((f + packed, pw + powers, slack, zero) if pos in final
-                        else (f, pw, slack + packed, zero and not free and not powers))
+        packed = lens.packed(grp)
+        lo, hi = parts.get(deg, _NO_PART)
+        parts[deg] = (lo + packed, hi + packed) if pos in final else (lo, hi + packed)
     return parts
 
 
@@ -550,7 +564,7 @@ class EnumerationTable:
     by every solve given the table: hom spaces by (source, target,
     bound) with their per-hom invariants, vanishing masks by pair of
     spaces, component classes by normalized shape and by absolute
-    component, the pruner's key of each group and its lenses.
+    component, and the pruner's lenses.
 
     The table is the only store: ``cli.run`` makes one per run and a
     direct ``solve_floer`` call makes its own, so no enumeration state
@@ -561,8 +575,7 @@ class EnumerationTable:
         self._masks: dict[tuple[HomMatrixSpace, HomMatrixSpace], list[int]] = {}
         self._shapes: dict[tuple, tuple[_ComponentClass, ...]] = {}
         self._placed: dict[tuple, tuple[_ComponentClass, ...]] = {}
-        self._keys: dict[FgAbGroup, _Key] = {}
-        self._lenses: dict[tuple[frozenset[Position], tuple[int, ...], int], _Lens] = {}
+        self._lenses: dict[tuple[frozenset[Position], tuple[int, ...] | None, int], _Lens] = {}
         self._bits: dict[Position, int] = {}
 
     def space(self, source: FgAbGroup, target: FgAbGroup, bound: int) -> HomMatrixSpace:
@@ -572,18 +585,12 @@ class EnumerationTable:
             space = self._spaces[key] = hom_matrix_space(source, target, bound)
         return space
 
-    def key(self, grp: FgAbGroup) -> _Key:
-        """``_group_key(grp)``, computed once per distinct group."""
-        key = self._keys.get(grp)
-        if key is None:
-            key = self._keys[grp] = _group_key(grp)
-        return key
-
-    def lens(self, final: frozenset[Position], primes: tuple[int, ...], width: int) -> _Lens:
+    def lens(self, final: frozenset[Position], powers: tuple[int, ...] | None,
+             width: int) -> _Lens:
         """The one ``_Lens`` of this reading."""
-        lens = self._lenses.get(key := (final, primes, width))
+        lens = self._lenses.get(key := (final, powers, width))
         if lens is None:
-            lens = self._lenses[key] = _Lens(final, primes, width)
+            lens = self._lenses[key] = _Lens(final, powers, width)
         return lens
 
     def masks(self, first: HomMatrixSpace, second: HomMatrixSpace) -> list[int]:
@@ -975,14 +982,6 @@ def _fold_parity(values: Iterable[tuple[int, FgAbGroup]]):
     return tuple(out)
 
 
-# what a turn knows of a degree's final value: its free rank lies in
-# [lo, hi], and key is its exact ``_group_key`` when every entry on the
-# degree's antidiagonal is final (None otherwise); on a turn that is not
-# the last, lo and hi pack d_p's bounds too, each field as its
-# ``_Lens`` says
-_Bound = tuple[int, int, _Key | None]
-
-
 class _WorstCase:
     """The page run from the first page in which every live position
     stays live (see the module docstring for what it bounds)."""
@@ -999,7 +998,8 @@ class _WorstCase:
         # touches, whose entries are final once that turn is taken
         self.final = final
         # the bits of a bound's field: ``top`` bounds d_p, for every prime
-        # p, and so the free rank, of any antidiagonal of any page
+        # p, and so each u_q, each prime power's multiplicity and the free
+        # rank, of any antidiagonal of any page
         self.width = max(top.bit_length(), 1)
         # the bit (``EnumerationTable.bit``) of each window end of a run
         # arrow, and per turn each arrow with the bits of its window ends
@@ -1239,12 +1239,12 @@ class _Plan:
         # per entry of checks, on a turn that is not the last: the parities
         # whose last degree it bounds.  After that only the flow reads
         # their bounds, and only the free ranks, so the check drops their
-        # keys and d_p bounds, and states that differ only there are one
+        # torsion fields, and states that differ only there are one
         last = {deg % 2: k for k, degrees in enumerate(self.checks) for deg, _ in degrees}
         self.settled = tuple(tuple(e for e in (0, 1) if self.flow is not None and last[e] == k)
                              for k in range(len(self.checks)))
 
-    def kept_at(self, parts: dict[int, _Part]) -> tuple[tuple[_Part, ...], ...]:
+    def kept_at(self, parts: dict[int, _Bound]) -> tuple[tuple[_Bound, ...], ...]:
         """The ``parts`` of the untouched entries on each entry of
         ``checks``: what the interval check reads of them."""
         return tuple(tuple(parts.get(deg, _NO_PART) for deg, _ in degrees)
@@ -1278,22 +1278,23 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
                           f"the smallest window that can is "
                           f"{_smallest_window(s_homology, column_step)}")
     pins = tuple(constraints)
-    # the pins folded once per solve, each parity's as its ``_group_key``,
-    # from which the interval check states its exact bound (None when two
-    # pins of one parity differ, so that no branch agrees with them)
+    # the pins folded once per solve, from which the interval check states
+    # its exact bounds (None when two pins of one parity differ, so that no
+    # branch agrees with them)
     pinned = _fold_parity(pins)
-    if pinned is not None:
-        pinned = tuple(None if grp is None else table.key(grp) for grp in pinned)
+    # the last turn's lens, one per solve: every position is final there
+    exact = table.lens(run.final[max(run.arrows)] if run.arrows else frozenset(), None,
+                       run.width)
     # first leaf per (HF_even, HF_odd), in search order
     leaves: dict[tuple[FgAbGroup, FgAbGroup], BranchLeaf] = {}
-    found: set[tuple[_Key, _Key]] = set()  # the leaves' keys as the pruner states them
+    found: set[tuple[int, int]] = set()  # the leaves' abutments, packed by ``exact``
     truncation = False
 
     def finish(page: BigradedPage, turns: list[_Turn]) -> None:
         certified = _certified_sums(page)
         key = _fold_parity(chain(pins, certified))
         if key is not None and key not in leaves:
-            found.add((table.key(key[0]), table.key(key[1])))
+            found.add((exact.packed(key[0]), exact.packed(key[1])))
             leaves[key] = BranchLeaf(
                 hf_even=key[0], hf_odd=key[1], certified=tuple(certified), turns=tuple(turns),
                 stable_page=page.page_index)
@@ -1321,16 +1322,16 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
                                      entry_bound, signature)
                        for arrows, positions, signature in plan.comps]
         lens = _turn_lens(table, plan, kept, class_lists, pinned)
-        kept_parts = plan.kept_at(_degree_parts(kept, lens, table.key))
+        kept_parts = plan.kept_at(_degree_parts(kept, lens))
         kept_pack = plan.flow.pack(kept)
         memo = memos.setdefault((plan, lens), {})
-        state = _start_state(plan, lens, table.key, kept_parts, kept_pack, pinned, memo, ())
+        state = _start_state(plan, lens, kept_parts, kept_pack, pinned, memo, ())
         if state is None:
             return
         lasts: dict[_Plan, _LastTurn] = {}  # the last turns after this one
         bit = table.bit
-        for chosen in _turn_combinations(plan, lens, table.key, class_lists, kept_parts,
-                                         kept_pack, state, memo, ()):
+        for chosen in _turn_combinations(plan, lens, class_lists, kept_parts, kept_pack, state,
+                                         memo, ()):
             live_next = live
             for cls in chosen:
                 live_next &= ~cls.zeros(bit)
@@ -1339,7 +1340,7 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
                 last = lasts.get(nxt)
                 if last is None:
                     last = lasts[nxt] = _LastTurn(table, plan.comps, nxt, kept, entry,
-                                                  entry_bound, run.width, memos)
+                                                  entry_bound, exact, memos)
                 decide(last, chosen, turns, plan.r)
                 continue
             page_next = page.turned(plan.r + 1, plan.unresolved,
@@ -1360,12 +1361,11 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
             return
         parts = _CarriedParts(last, chosen)
         plan = last.last
-        state = _start_state(plan, last.lens, table.key, parts, 0, pinned, last.memo, found)
+        state = _start_state(plan, exact, parts, 0, pinned, last.memo, found)
         if state is None:
             return
-        for chosen_last in _turn_combinations(plan, last.lens, table.key,
-                                              last.class_lists(chosen), parts, 0, state,
-                                              last.memo, found):
+        for chosen_last in _turn_combinations(plan, exact, last.class_lists(chosen), parts, 0,
+                                              state, last.memo, found):
             entries = last.kept + [res for cls in chosen for res in cls.results
                                    if res[0] not in plan.dropped]
             entries += [res for cls in chosen_last for res in cls.results]
@@ -1379,7 +1379,7 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
         finish(root, [])
     elif plan.flow is None:
         decide(_LastTurn(table, (), plan, list(root.entries), root._by_position.__getitem__,
-                         entry_bound, run.width, memos), [], [], None)
+                         entry_bound, exact, memos), [], [], None)
     else:
         explore(root, live, plan, [])
     ordered = tuple(sorted(leaves.values(), key=lambda lf: (str(lf.hf_even), str(lf.hf_odd))))
@@ -1402,23 +1402,23 @@ class _LastTurn:
     and last turn, and per branch only looked up or summed: its
     components' entries, from ``entry`` or a class's results, and the
     parts of the entries it leaves untouched, kept's and each class's
-    (``_CarriedParts``).  Its lens has fields of ``width`` bits and no
-    prime, since every bound there is an exact key, and its search
-    shares ``memos`` with every branch that has the plan."""
+    (``_CarriedParts``).  Its ``lens`` is the solve's last-turn lens,
+    under which every bound is exact, and its search shares ``memos``
+    with every branch that has the plan."""
 
     __slots__ = ("table", "last", "entry", "entry_bound", "lens", "memo", "kept", "base",
                  "carries", "sources", "_lists")
 
     def __init__(self, table: EnumerationTable, comps: tuple, last: _Plan,
                  kept: list[tuple[Position, FgAbGroup]], entry: Callable[[Position], FgAbGroup],
-                 entry_bound: int, width: int, memos: dict[tuple[_Plan, _Lens], dict]):
+                 entry_bound: int, lens: _Lens, memos: dict[tuple[_Plan, _Lens], dict]):
         self.table, self.last, self.entry, self.entry_bound = table, last, entry, entry_bound
-        self.lens = lens = table.lens(last.final, (), width)
+        self.lens = lens
         self.memo = memos.setdefault((last, lens), {})
         # the kept entries the last turn leaves untouched, and their
         # ``_Plan.kept_at``
         self.kept = [entry for entry in kept if entry[0] not in last.dropped]
-        self.base = last.kept_at(_degree_parts(self.kept, lens, table.key))
+        self.base = last.kept_at(_degree_parts(self.kept, lens))
         # per entry of the last turn's checks, each component j of comps
         # with results the last turn leaves untouched on that entry's
         # degrees, with the (i, degree i) of those degrees
@@ -1480,16 +1480,15 @@ class _CarriedParts(dict):
     def __init__(self, turn: _LastTurn, chosen: list[_ComponentClass]):
         self.turn, self.chosen = turn, chosen
 
-    def __missing__(self, k: int) -> tuple[_Part, ...]:
+    def __missing__(self, k: int) -> tuple[_Bound, ...]:
         turn, chosen = self.turn, self.chosen
-        lens, key_of = turn.lens, turn.table.key
         parts = list(turn.base[k])
         for j, at in turn.carries[k]:
-            left = chosen[j].degree_parts(lens, key_of)
+            left = chosen[j].degree_parts(turn.lens)
             for i, deg in at:
-                lo, powers, slack, zero = parts[i]
-                f, pw, sl, z = left[deg]
-                parts[i] = (lo + f, powers + pw, slack + sl, zero and z)
+                lo, hi = parts[i]
+                f, h = left[deg]
+                parts[i] = (lo + f, hi + h)
         parts = self[k] = tuple(parts)
         return parts
 
@@ -1502,42 +1501,46 @@ def _turn(r: int, chosen: list[_ComponentClass]) -> _Turn:
 
 def _turn_lens(table: EnumerationTable, plan: _Plan, kept: list[tuple[Position, FgAbGroup]],
                class_lists: list[tuple[_ComponentClass, ...]],
-               pinned: tuple[_Key | None, _Key | None]) -> _Lens:
+               pinned: tuple[FgAbGroup | None, FgAbGroup | None]) -> _Lens:
     """The ``_Lens`` of a turn that is not the last: ``plan.final``, and
-    the primes that divide a torsion order among the ``kept`` entries,
-    the results of the classes in ``class_lists`` and the ``pinned``
-    keys, in fields of the flow's width.  For any other prime p every
-    entry's d_p is its free rank, so d_p's bound would be the free
-    rank's.  (The last turn reads no prime, see ``_LastTurn``.)"""
-    # every such prime divides a group's last invariant factor
-    entries = chain(kept, *(cls.results for classes in class_lists for cls in classes))
-    exponent = lcm(*(grp.torsion[-1] for _, grp in entries if grp.torsion),
-                   *(lcm(*key[1]) for key in pinned if key is not None))
-    return table.lens(plan.final, tuple(sorted(_factorize(exponent))), plan.flow.width)
+    each prime power q = p^k dividing the exponent E of the torsion among
+    the ``kept`` entries, the results of the classes in ``class_lists``
+    and the ``pinned`` groups, in fields of the flow's width.  Every group
+    the turn's check reads has an exponent dividing E, so these fields
+    and the free rank fix it (see the module docstring), and lo = hi is
+    one exact group.  (The last turn reads the solve's own lens, see
+    ``_LastTurn``.)"""
+    entries = chain(kept, *(cls.results for classes in class_lists for cls in classes),
+                    ((None, grp) for grp in pinned if grp is not None))
+    # the exponent of a group is its last invariant factor
+    exponent = lcm(*(grp.torsion[-1] for _, grp in entries if grp.torsion))
+    powers = tuple(p ** k for p, e in sorted(_factorize(exponent).items()) for k in range(1, e + 1))
+    return table.lens(plan.final, powers, plan.flow.width)
 
 
-def _start_state(plan: _Plan, lens: _Lens, key_of, kept_parts: Sequence[tuple[_Part, ...]],
-                 kept_pack: int, pinned: tuple[_Key | None, _Key | None], memo: dict, cut):
-    """``check(-1, [], pinned)`` of ``_interval_check``, or None when it
-    has exact keys for both parities that are in ``cut`` (the leaves
-    already found, on a last turn).  Besides the plan, the lens and the
-    pins the check reads only the untouched parts on ``plan.checks[0]``
-    and, on a turn with no component, their ``_Flow.pack``, so it is
-    worked out once per distinct such input in ``memo``, the turn's (see
-    ``_turn_combinations``)."""
+def _start_state(plan: _Plan, lens: _Lens, kept_parts: Sequence[tuple[_Bound, ...]],
+                 kept_pack: int, pinned: tuple[FgAbGroup | None, FgAbGroup | None], memo: dict,
+                 cut):
+    """``check(-1, [], pinned)`` of ``_interval_check``, or None when both
+    parities are bounded and their lower ends are in ``cut`` (the leaves
+    already found, on a last turn, where every bound is exact).  Besides
+    the plan, the lens and the pins the check reads only the untouched
+    parts on ``plan.checks[0]`` and, on a turn with no component, their
+    ``_Flow.pack``, so it is worked out once per distinct such input in
+    ``memo``, the turn's (see ``_turn_combinations``)."""
     start = memo.get(key := (-1, kept_parts[0], kept_pack))
     if start is None:
-        check = _interval_check(plan, lens, key_of, kept_parts, kept_pack)
+        check = _interval_check(plan, lens, kept_parts, kept_pack)
         start = memo[key] = (check(-1, [], pinned),)
     state = start[0]
-    if state is not None and state[0] and state[1] and (state[0][2], state[1][2]) in cut:
+    if state is not None and state[0] and state[1] and (state[0][0], state[1][0]) in cut:
         return None
     return state
 
 
-def _turn_combinations(plan: _Plan, lens: _Lens, key_of,
+def _turn_combinations(plan: _Plan, lens: _Lens,
                        class_lists: list[tuple[_ComponentClass, ...]],
-                       kept_parts: Sequence[tuple[_Part, ...]], kept_pack: int,
+                       kept_parts: Sequence[tuple[_Bound, ...]], kept_pack: int,
                        state: tuple[_Bound | None, _Bound | None], memo: dict, cut):
     """The combinations of one class per component of ``plan``'s turn
     that ``_interval_check`` keeps at every prefix, depth first in
@@ -1546,12 +1549,12 @@ def _turn_combinations(plan: _Plan, lens: _Lens, key_of,
     component touches on the degrees of ``plan.checks[k]``
     (``_Plan.kept_at``), ``kept_pack`` their ``_Flow.pack`` and ``lens``
     is the turn's (``_turn_lens``, or ``_LastTurn.lens`` on the last
-    turn); a prefix whose state has exact keys for both parities that
-    are in ``cut`` is cut too, read as the prefix is entered.
+    turn); a prefix whose state bounds both parities with lower ends in
+    ``cut`` is cut too, read as the prefix is entered.
 
     A check reads, besides the class, only its component i and that
     component's class list, the state, the untouched parts and the
-    ``_Part`` of each placed class on the degrees ``plan.checks[i + 1]``
+    parts of each placed class on the degrees ``plan.checks[i + 1]``
     bounds (``plan.reads[i]``) and, on the last component of a turn that
     is not the last, the summed ``_Flow.pack``; everything else it reads
     is fixed by the plan and the lens.  So a DFS node's kept children are
@@ -1573,7 +1576,7 @@ def _turn_combinations(plan: _Plan, lens: _Lens, key_of,
     # per placed class: its ``degree_parts`` and, on a turn that is not the
     # last, the summed ``_Flow.pack`` of the untouched entries and the
     # classes placed so far
-    parts: list[dict[int, _Part]] = []
+    parts: list[dict[int, _Bound]] = []
     packs = [kept_pack]
 
     def children(state):
@@ -1589,7 +1592,7 @@ def _turn_combinations(plan: _Plan, lens: _Lens, key_of,
         kids = memo.get(key)
         if kids is None:
             if check is None:
-                check = _interval_check(plan, lens, key_of, kept_parts, kept_pack)
+                check = _interval_check(plan, lens, kept_parts, kept_pack)
             # one object per distinct next state, keyed by itself (a pair
             # of bounds, never a node's key)
             kids = memo[key] = tuple((cls, memo.setdefault(nxt, nxt)) for cls in classes
@@ -1601,11 +1604,11 @@ def _turn_combinations(plan: _Plan, lens: _Lens, key_of,
     while pending:
         for cls, state in pending[-1]:
             even, odd = state
-            if even and odd and (even[2], odd[2]) in cut:
+            if even and odd and (even[0], odd[0]) in cut:
                 continue
             chosen.append(cls)
             if len(chosen) <= last:
-                parts.append(cls.degree_parts(lens, key_of))
+                parts.append(cls.degree_parts(lens))
                 if flow is not None:
                     packs.append(packs[-1] + cls.pack(flow))
                 pending.append(children(state))
@@ -1621,12 +1624,12 @@ def _turn_combinations(plan: _Plan, lens: _Lens, key_of,
                     packs.pop()
 
 
-def _interval_check(plan: _Plan, lens: _Lens, key_of, kept_parts: Sequence[tuple[_Part, ...]],
+def _interval_check(plan: _Plan, lens: _Lens, kept_parts: Sequence[tuple[_Bound, ...]],
                     kept_pack: int):
     """The check behind ``_turn_combinations``: ``check(i, placed, state)``
     is the state once the classes ``placed`` fill components 0..i (None
     when the branch is cut), and ``check(-1, [], pinned)`` states the
-    pins' keys as exact bounds and bounds the degrees no component
+    pinned groups as exact bounds and bounds the degrees no component
     reaches.
 
     The theorem is the rank flow (``_Flow``): over Q each later arrow
@@ -1639,18 +1642,17 @@ def _interval_check(plan: _Plan, lens: _Lens, key_of, kept_parts: Sequence[tuple
     is the flow with the degree's arrows uncoupled, each free to take
     all of a non-final entry's free rank: the free rank lies between
     that of its final entries (no worst-case arrow after the turn touches
-    their positions, so no real one does) and that of all its entries,
-    and when all its entries are final its ``_group_key`` is exact.
+    their positions, so no real one does) and that of all its entries.
 
-    On a turn that is not the last the same holds for d_p(M) =
-    dim(M / pM), for each prime p of ``lens``.  Over Z_(p), a PID, d_p is
-    the least number of generators (Nakayama), which no submodule or
-    quotient exceeds, so an entry's E-infinity value has d_p in [0, d_p
-    of the entry], and its own d_p when it is final; d_p adds on direct
-    sums, so a degree's final d_p lies between that of its final entries
-    and that of all of them.  The last turn reads no prime: its bounds
-    are exact keys, which fix every d_p.  Like the exact keys, the d_p
-    bound takes the split abutment: Z/4 has d_2 = 1 where (Z/2)^2 has 2.
+    The same holds for each u_q = dim(p^(k-1) M / p^k M) that ``lens``
+    packs, q = p^k a prime power of the turn (see the module docstring):
+    u_q never grows on a subquotient, so an entry's E-infinity value has
+    u_q in [0, u_q of the entry], and its own u_q when it is final, and
+    u_q adds on direct sums.  So a bound is the packed pair (lo, hi) of
+    the final entries' sum and all the entries' sum, and when all its
+    entries are final lo = hi is the degree's exact group.  Like the
+    leaves, these bounds take the split abutment: Z/4 has d_2 = 1 where
+    (Z/2)^2 has 2.
 
     The DFS state is the common bound of each parity so far, narrowed
     one degree at a time by ``_Lens.meet`` on every turn.  Once the
@@ -1659,33 +1661,27 @@ def _interval_check(plan: _Plan, lens: _Lens, key_of, kept_parts: Sequence[tuple
     once: the branch is cut unless some choice of k leaves each parity
     one common free rank inside its bound; a parity whose last degree is
     bounded keeps its free rank alone (``_Plan.settled``).  Groups enter
-    as keys (``key_of`` gives one), free ranks and d_p as ints packed by
-    the ``_Lens`` and free ranks for the flow as ``_Flow.pack`` ints,
-    summed once for the kept entries and once per class, so no node of
-    the DFS adds groups.
+    as ints packed by the ``_Lens`` and free ranks for the flow as
+    ``_Flow.pack`` ints, summed once for the kept entries and once per
+    class, so no node of the DFS adds groups.
     """
     flow, ones, settled, meet = plan.flow, lens.ones, plan.settled, lens.meet
     last_comp = len(plan.comps) - 1
 
-    def exact(key: _Key) -> _Bound:
-        packed = lens.packed(key)
-        return packed, packed, key
-
     def check(i, placed, state):
-        # the pins' keys as exact bounds at the start
-        out = list(state) if i >= 0 else [key and exact(key) for key in state]
-        for (deg, at), (lo, powers, slack, zero) in zip(plan.checks[i + 1], kept_parts[i + 1]):
+        # the pins as exact bounds at the start
+        out = list(state) if i >= 0 else [grp and (lens.packed(grp),) * 2 for grp in state]
+        for (deg, at), (lo, hi) in zip(plan.checks[i + 1], kept_parts[i + 1]):
             for c in at:
-                f, pw, sl, z = placed[c].degree_parts(lens, key_of).get(deg, _NO_PART)
-                lo, powers, slack, zero = lo + f, powers + pw, slack + sl, zero and z
-            seen = out[deg % 2] = meet(out[deg % 2], (
-                lo, lo + slack, (lo & ones, tuple(sorted(powers))) if zero else None))
+                f, h = placed[c].degree_parts(lens).get(deg, _NO_PART)
+                lo, hi = lo + f, hi + h
+            seen = out[deg % 2] = meet(out[deg % 2], (lo, hi))
             if seen is None:
                 return None
         for e in settled[i + 1]:  # only the flow reads these, and only free ranks
-            out[e] = (out[e][0] & ones, out[e][1] & ones, None)
+            out[e] = (out[e][0] & ones, out[e][1] & ones)
         if i == last_comp and flow is not None:
-            (lo_even, hi_even, _), (lo_odd, hi_odd, _) = out
+            (lo_even, hi_even), (lo_odd, hi_odd) = out
             packed = kept_pack + sum(cls.pack(flow) for cls in placed)
             if not any(lo_even <= even <= hi_even and lo_odd <= odd <= hi_odd
                        for even, odd in flow.values(packed)):

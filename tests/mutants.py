@@ -30,6 +30,7 @@ T3_MEMO = ["tests/test_spectra.py::test_t3_checks_each_distinct_node_input_once"
 TORSION = ["tests/test_spectra.py::test_pruning_keeps_the_leaves_of_a_search_without_pruning",
            "tests/test_spectra.py::test_pruning_keeps_the_leaves_of_pinned_degrees"]
 HAND_DERIVED = ["tests/test_spectra.py::test_two_stage_turning_hand_derived"]
+PACKED_MEET = "tests/test_properties.py::test_the_packed_meet_is_the_meet_of_each_field"
 
 # (name, file, source text, its mutation, the tests that must fail)
 MUTATIONS = [
@@ -50,18 +51,32 @@ MUTATIONS = [
      "",
      T3_MEMO),
     ("non-final-d_p-in-lower-end", SPECTRA,
-     "else (f, pw, slack + packed, zero and not free and not powers))",
-     "else (f + (packed & ~lens.ones), pw, slack + (packed & lens.ones),\n"
-     "                              zero and not free and not powers))",
+     "else (lo, hi + packed)",
+     "else (lo + (packed & ~lens.ones), hi + packed)",
      TORSION),
+    ("k2-fields-of-non-final-in-lower-end", SPECTRA,
+     "else (lo, hi + packed)",
+     "else (lo + (packed & sum(lens.ones << j * (lens.width + 1)\n"
+     "                                       for j, q in enumerate(lens.powers or (), 1)\n"
+     "                                       if _factorize(q) != {q: 1})), hi + packed)",
+     ["tests/test_corpus.py::test_corpus_report_pinned[catalog-tables/t3-s2-b1]",
+      "tests/test_spectra.py::test_the_found_cut_changes_no_leaf[t3-s2-b1]"]),
     ("meet-smaller-lower-end", SPECTRA,
      "lo = y ^ (x ^ y) & ge - (ge >> width)",
      "lo = x ^ (x ^ y) & ge - (ge >> width)",
-     ["tests/test_properties.py::test_the_packed_meet_is_the_meet_of_each_field"]),
+     [PACKED_MEET]),
+    ("meet-free-rank-only", SPECTRA,
+     "return seen if bound[0] == seen[0] else None",
+     "return seen if bound[0] & self.ones == seen[0] & self.ones else None",
+     [PACKED_MEET]),
     ("pins-without-d_p", SPECTRA,
-     "else [key and exact(key) for key in state]",
-     "else [key and (key[0], key[0], key) for key in state]",
+     "else [grp and (lens.packed(grp),) * 2 for grp in state]",
+     "else [grp and (grp.free_rank,) * 2 for grp in state]",
      TORSION),
+    ("last-turn-field-by-prime", SPECTRA,
+     "fields.setdefault(p ** e, len(fields) + 1)",
+     "fields.setdefault(p, len(fields) + 1)",
+     ["tests/test_properties.py::test_the_last_turn_packing_is_additive_and_injective"]),
     ("carried-live-bits-keep-zeros", SPECTRA,
      "live_next &= ~cls.zeros(bit)",
      "live_next &= ~0",

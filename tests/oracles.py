@@ -234,14 +234,11 @@ def flow_values_by_product(arrows, ranks, degrees):
 def meet_of_each_field(seen, bound):
     """Reference for ``spectra._Lens.meet`` on one field: the common value
     of one parity, ``seen`` so far, narrowed by one more degree's
-    ``bound``, each a (lo, hi, exact key or None) triple; None when no
-    group satisfies both."""
+    ``bound``, each a (lo, hi) pair; None when no value lies in both."""
     if seen is None:
         return bound
-    if bound[2] is not None and seen[2] is not None:
-        return seen if bound[2] == seen[2] else None
     lo, hi = max(bound[0], seen[0]), min(bound[1], seen[1])
-    return (lo, hi, bound[2] or seen[2]) if lo <= hi else None
+    return (lo, hi) if lo <= hi else None
 
 
 def zero_hom(source: FgAbGroup, target: FgAbGroup) -> GroupHom:
@@ -672,18 +669,17 @@ def arrows_by_scan(page, r):
     return tuple(arrows)
 
 
-def turn_combinations_by_check(plan, lens, key_of, class_lists, kept_parts, kept_pack, state,
-                               memo, cut):
+def turn_combinations_by_check(plan, lens, class_lists, kept_parts, kept_pack, state, memo, cut):
     """Reference for ``spectra._turn_combinations``: each class under
     each prefix checked by the unmemoized ``_interval_check``, depth first
     in product order from the start ``state``.  ``cut`` is read just
     before a kept class is entered, as the search reads it; ``memo`` is
     not read."""
-    check = _interval_check(plan, lens, key_of, kept_parts, kept_pack)
+    check = _interval_check(plan, lens, kept_parts, kept_pack)
 
     def entered(state):
         even, odd = state
-        return not (even and odd and (even[2], odd[2]) in cut)
+        return not (even and odd and (even[0], odd[0]) in cut)
 
     def walk(chosen, state):
         if len(chosen) == len(class_lists):

@@ -3,8 +3,8 @@ vanishing masks and the kill table behind them, of the cokernels and
 images read off row classes, the per-hom homology rule and the sibling rule
 behind ``spectra._component_classes``, of the chain walk behind
 ``spectra._components``, of the worst-case run behind the pruner and the
-window check, of the pruner's rank-flow lookahead and of the d_p lemma
-and packed d_p bounds behind its torsion bounds, of the per-window
+window check, of the pruner's rank-flow lookahead and of the d_p and
+u_{p,k} lemmas and packed bounds behind its torsion bounds, of the per-window
 deduplication in ``exactness.certify_nonexistence``, and of whole
 scenarios against the unpruned references."""
 import contextlib
@@ -121,6 +121,19 @@ def d_p(grp: FgAbGroup, p: int) -> int:
     return grp.free_rank + sum(not d % p for d in grp.torsion)
 
 
+def drawn_homology(data, middle: FgAbGroup, target: FgAbGroup) -> FgAbGroup:
+    """ker(out) / im(in) at ``middle``, for a drawn hom out of it into
+    ``target`` and a drawn map into that kernel."""
+    out = data.draw(homs(middle, target))
+    kernel = preimage_lattice(out)
+    rank_in = data.draw(st.integers(0, 3))
+    coeffs = tuple(tuple(data.draw(st.integers(-3, 3)) for _ in range(rank_in))
+                   for _ in range(kernel.cols))
+    inc = GroupHom(FgAbGroup(rank_in), middle,
+                   kernel.mul(IntMatrix(kernel.cols, rank_in, coeffs)))
+    return subquotient(kernel, inc, middle)
+
+
 @settings(deadline=None, database=None)
 @given(st.data(), st.sampled_from([2, 3]))
 def test_d_p_never_grows_on_a_subquotient(data, p):
@@ -128,55 +141,114 @@ def test_d_p_never_grows_on_a_subquotient(data, p):
     # has d_p at most d_p(M), d_p adds on direct sums, and it is at least
     # the free rank
     middle = data.draw(groups())
-    out = data.draw(homs(middle, data.draw(groups(max_rank=2))))
-    kernel = preimage_lattice(out)
-    rank_in = data.draw(st.integers(0, 3))
-    coeffs = tuple(tuple(data.draw(st.integers(-3, 3)) for _ in range(rank_in))
-                   for _ in range(kernel.cols))
-    inc = GroupHom(FgAbGroup(rank_in), middle,
-                   kernel.mul(IntMatrix(kernel.cols, rank_in, coeffs)))
-    homology = subquotient(kernel, inc, middle)
+    homology = drawn_homology(data, middle, data.draw(groups(max_rank=2)))
     assert homology.free_rank <= d_p(homology, p) <= d_p(middle, p)
     other = data.draw(groups())
     assert d_p(direct_sum(middle, other), p) == d_p(middle, p) + d_p(other, p)
 
 
+def u(grp: FgAbGroup, p: int, k: int) -> int:
+    """u_{p,k} = dim(p^(k-1) grp / p^k grp): Z gives one copy of F_p, and
+    a cyclic factor of order d gives p^(k-1) Z/d over p^k Z/d, of order
+    gcd(d, p^k) / gcd(d, p^(k-1)), which is p when p^k divides d and 1
+    otherwise."""
+    return grp.free_rank + sum(gcd(d, p ** k) // gcd(d, p ** (k - 1)) == p for d in grp.torsion)
+
+
+@st.composite
+def deep_groups(draw, max_rank=2):
+    """Groups with cyclic factors up to order 8 and 9, so u_{p,k} differs
+    from d_p for k = 2 and 3."""
+    return from_orders(*[0] * draw(st.integers(0, max_rank)),
+                       *draw(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), max_size=3)))
+
+
 @settings(deadline=None, database=None)
-@given(st.lists(groups(), min_size=1, max_size=3),
-       st.sets(st.sampled_from([2, 3, 5]), min_size=1))
-def test_a_lens_packs_the_free_rank_and_each_d_p(grps, primes):
-    # fields of 4 bits hold the 15 generators of three groups
-    lens = spectra._Lens(frozenset(), tuple(sorted(primes)), 4)
-    packed = sum(lens.packed(spectra._group_key(grp)) for grp in grps)
-    assert [packed >> 5 * j & 31 for j in range(len(primes) + 1)] == [
+@given(st.data(), st.sampled_from([2, 3]), st.integers(1, 3))
+def test_u_p_k_never_grows_on_a_subquotient(data, p, k):
+    # the lemma behind the pruner's prime-power fields: p^(k-1) of a
+    # subquotient A / B of M is a quotient of p^(k-1) A, inside p^(k-1) M,
+    # so u_{p,k} = d_p(p^(k-1) -) never grows, and it adds on direct sums;
+    # u_{p,k} is the free rank plus the invariant factors divisible by p^k
+    middle = data.draw(deep_groups())
+    homology = drawn_homology(data, middle, data.draw(deep_groups()))
+    assert homology.free_rank <= u(homology, p, k) <= u(middle, p, k)
+    assert u(middle, p, k) == middle.free_rank + sum(not d % p ** k for d in middle.torsion)
+    other = data.draw(deep_groups())
+    assert u(direct_sum(middle, other), p, k) == u(middle, p, k) + u(other, p, k)
+
+
+# an exponent E, and the prime powers dividing it, as ``_turn_lens`` takes them
+EXPONENTS = {4: (2, 4), 6: (2, 3), 8: (2, 4, 8), 12: (2, 4, 3), 36: (2, 4, 3, 9)}
+
+
+@st.composite
+def groups_dividing(draw, exponent):
+    """Groups whose exponent divides ``exponent``."""
+    divisors = [d for d in range(2, exponent + 1) if not exponent % d]
+    return from_orders(*[0] * draw(st.integers(0, 2)),
+                       *draw(st.lists(st.sampled_from(divisors), max_size=3)))
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(st.data(), st.sampled_from(sorted(EXPONENTS)))
+def test_the_prime_powers_of_an_exponent_fix_its_groups(data, exponent):
+    # two groups whose exponents divide E are equal exactly when the lens
+    # of E's prime powers packs them equally: the multiplicity of Z/p^k is
+    # u_{p,k} - u_{p,k+1}, and u_{p,k} is the free rank past E's power of p
+    lens = spectra._Lens(frozenset(), EXPONENTS[exponent], 4)
+    one, other = data.draw(groups_dividing(exponent)), data.draw(groups_dividing(exponent))
+    assert (lens.packed(one) == lens.packed(other)) == (one == other)
+
+
+@settings(deadline=None, database=None)
+@given(st.lists(deep_groups(), min_size=2, max_size=3))
+@example(grps=[cyclic(2), cyclic(4)])
+def test_the_last_turn_packing_is_additive_and_injective(grps):
+    # fields of 5 bits hold the 15 generators of three groups
+    lens = spectra._Lens(frozenset(), None, 5)
+    assert sum(map(lens.packed, grps)) == lens.packed(direct_sum(*grps))
+    assert (lens.packed(grps[0]) == lens.packed(grps[1])) == (grps[0] == grps[1])
+
+
+@settings(deadline=None, database=None)
+@given(st.lists(deep_groups(), min_size=1, max_size=3),
+       st.sets(st.sampled_from([2, 4, 8, 3, 9, 5]), min_size=1))
+def test_a_lens_packs_the_free_rank_and_each_d_p(grps, powers):
+    # fields of 4 bits hold the 15 generators of three groups; field j
+    # holds u_q for the j-th prime power q = p^k, d_p where k = 1
+    lens = spectra._Lens(frozenset(), tuple(sorted(powers)), 4)
+    packed = sum(map(lens.packed, grps))
+    by_power = {p ** k: (p, k) for p in (2, 3, 5) for k in (1, 2, 3)}
+    assert [packed >> 5 * j & 31 for j in range(len(powers) + 1)] == [
         sum(grp.free_rank for grp in grps),
-        *(sum(d_p(grp, p) for grp in grps) for p in sorted(primes))]
+        *(sum(u(grp, *by_power[q]) for grp in grps) for q in sorted(powers))]
 
 
 FIELD = st.integers(0, 7)
 
 
 @settings(deadline=None, database=None, max_examples=200)
-@given(st.lists(st.tuples(FIELD, FIELD, FIELD, FIELD), min_size=1, max_size=3),
-       st.sampled_from([None, (1, ())]), st.sampled_from([None, (1, ())]))
-def test_the_packed_meet_is_the_meet_of_each_field(fields, seen_key, bound_key):
+@given(st.lists(st.tuples(FIELD, FIELD, FIELD, FIELD), min_size=1, max_size=4),
+       st.booleans(), st.booleans())
+# two exact bounds that share only the free rank do not meet
+@example(fields=[(1, 1, 1, 1), (2, 2, 3, 3)], seen_exact=True, bound_exact=True)
+def test_the_packed_meet_is_the_meet_of_each_field(fields, seen_exact, bound_exact):
     # fields of 3 bits under one guard bit each, the free rank's and one
-    # per prime: (seen lo, seen hi, bound lo, bound hi) per field; an
-    # exact key on one side is kept
+    # per prime power: (seen lo, seen hi, bound lo, bound hi) per field;
+    # an exact bound has hi = lo in every field
     def pack(values):
         return sum(value << 4 * j for j, value in enumerate(values))
 
-    lens = spectra._Lens(frozenset(), (2, 3, 5)[:len(fields) - 1], 3)
-    seen = (pack(f[0] for f in fields), pack(f[1] for f in fields), seen_key)
-    bound = (pack(f[2] for f in fields), pack(f[3] for f in fields), bound_key)
-    got = lens.meet(seen, bound)
-    if seen_key is not None and bound_key is not None:
-        assert got == seen
-        return
-    each = [oracles.meet_of_each_field((s_lo, s_hi, None), (b_lo, b_hi, None))
+    fields = [(s_lo, s_lo if seen_exact else s_hi, b_lo, b_lo if bound_exact else b_hi)
+              for s_lo, s_hi, b_lo, b_hi in fields]
+    lens = spectra._Lens(frozenset(), (2, 4, 3)[:len(fields) - 1], 3)
+    seen = (pack(f[0] for f in fields), pack(f[1] for f in fields))
+    bound = (pack(f[2] for f in fields), pack(f[3] for f in fields))
+    each = [oracles.meet_of_each_field((s_lo, s_hi), (b_lo, b_hi))
             for s_lo, s_hi, b_lo, b_hi in fields]
-    assert got == (None if None in each else (
-        pack(m[0] for m in each), pack(m[1] for m in each), seen_key or bound_key))
+    assert lens.meet(seen, bound) == (None if None in each else (
+        pack(m[0] for m in each), pack(m[1] for m in each)))
 
 
 # groups whose generators map into free, Z/2, Z/4 and Z/3 targets

@@ -3,8 +3,8 @@ from pathlib import Path
 import pytest
 
 from cobcheck import abgroup, spectra
-from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, cokernel, cyclic,
-                              hom_images, subquotient)
+from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, _factorize, cokernel,
+                              cyclic, hom_images, subquotient)
 from cobcheck.graded import GradedGroup
 from cobcheck.cli import branch_lines, main
 from cobcheck.spectra import (BigradedPage, EnumerationTable,
@@ -21,6 +21,9 @@ H_RP7 = homology(RealProjective(7))
 H_R = homology(Product(RealProjective(3), Sphere(3)))
 H_POINT = GradedGroup.from_dict({0: Z})
 H_T2 = homology(Product(Sphere(1), Sphere(1)))
+# the T^3 table at step 2 (catalog-tables/t3-s2-b1) and a torsion-heavy product
+H_T3 = GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z})
+H_RP3_RP6 = homology(Product(RealProjective(3), RealProjective(6)))
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
@@ -572,14 +575,9 @@ def test_turn_plans_are_keyed_by_what_they_read(monkeypatch, h, step, kw, leaves
     assert 0 < len(plans) <= most_plans
 
 
-def test_t3_checks_each_distinct_node_input_once(monkeypatch):
-    # T^3 at step 2, bound 1 (catalog-tables/t3-s2-b1): a DFS node's
-    # children are checked once per distinct input, against 40,655 checks
-    # class by class.  The root turn's states bound d_2 and d_3 as well as
-    # free ranks, and a parity whose last degree is bounded keeps its free
-    # rank alone.  The last turn's memo is shared by every root-turn
-    # branch with the same plan, and its key reads the untouched parts, so
-    # the 1,132 branches make 476 last-turn checks, not 2,348
+def checks_made(monkeypatch) -> list:
+    """The component index of every interval check made from here to the
+    test's end."""
     calls, interval_check = [], spectra._interval_check
 
     def counted(*args):
@@ -587,31 +585,42 @@ def test_t3_checks_each_distinct_node_input_once(monkeypatch):
         return lambda *call: calls.append(call[0]) or check(*call)
 
     monkeypatch.setattr(spectra, "_interval_check", counted)
-    h = GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z})
-    tree = solve_floer(h, 2, entry_bound=1)
+    return calls
+
+
+def test_t3_checks_each_distinct_node_input_once(monkeypatch):
+    # T^3 at step 2, bound 1 (catalog-tables/t3-s2-b1): a DFS node's
+    # children are checked once per distinct input, against 40,655 checks
+    # class by class.  The root turn's states bound d_2, u_4 and d_3 as
+    # well as free ranks, and a parity whose last degree is bounded keeps
+    # its free rank alone.  The last turn's memo is shared by every
+    # root-turn branch with the same plan, and its key reads the untouched
+    # parts, so the 1,132 branches make 476 last-turn checks, not 2,348.
+    # With exact (free rank, prime powers) keys beside the packed
+    # bounds the states were finer: 9,604 checks.  The u_4 field (k >= 2:
+    # the 3 x 3 minors of +-1 matrices give cokernels Z/4) cuts no branch
+    # here; without it the checks are 8,202
+    calls = checks_made(monkeypatch)
+    tree = solve_floer(H_T3, 2, entry_bound=1)
     assert len(tree.leaves) == 16
-    assert len(calls) == 9604
+    assert len(calls) == 8843
 
 
 def test_rp3_x_rp6_at_step_4_is_cut_by_the_d_p_bound(monkeypatch):
     # a torsion-heavy product at step 4, bound 1, smallest window: no
     # branch comes out 2-periodic, and the d_p bound cuts most of them on
     # the root turn.  The last turn builds no page, so the cut shows in
-    # the interval checks: 7,952, against 20,034 with free ranks alone
-    # (and 146,406 pages built with free ranks alone before the last turn
-    # went page-less)
-    calls, interval_check = [], spectra._interval_check
-
-    def counted(*args):
-        check = interval_check(*args)
-        return lambda *call: calls.append(call[0]) or check(*call)
-
-    monkeypatch.setattr(spectra, "_interval_check", counted)
+    # the interval checks: 7,674 (every torsion order is 2, so d_2 is the
+    # only field past the free rank), 7,952 when exact (free rank, prime
+    # powers) keys rode beside the packed bounds and split their states,
+    # and 20,034 with free ranks and those keys alone (and 146,406 pages
+    # built so before the last turn went page-less)
+    calls = checks_made(monkeypatch)
     built = instances_built(monkeypatch, BigradedPage)
-    h = homology(Product(RealProjective(3), RealProjective(6)))
-    tree = solve_floer(h, 4, entry_bound=1, col_span=spectra._smallest_window(h, 4))
+    tree = solve_floer(H_RP3_RP6, 4, entry_bound=1,
+                       col_span=spectra._smallest_window(H_RP3_RP6, 4))
     assert tree.leaves == ()
-    assert len(calls) == 7952
+    assert len(calls) == 7674
     assert len(built) <= 30894
 
 
@@ -637,22 +646,65 @@ def test_the_found_cut_changes_no_leaf(monkeypatch, h, step, kw, pages):
     assert tree.leaves and (plain, len(built) - plain) == pages
 
 
+def lens_without(powers):
+    """A ``_turn_lens`` that keeps only the turn's prime powers that
+    ``powers`` keeps."""
+    turn_lens = spectra._turn_lens
+
+    def lens_of(table, plan, *args):
+        lens = turn_lens(table, plan, *args)
+        return table.lens(lens.final, tuple(filter(powers, lens.powers)), lens.width)
+
+    return lens_of
+
+
+@pytest.mark.parametrize("h, step, kw, checks", [
+    # the interval checks with every field, with the k >= 2 fields turned
+    # off, and with only the free rank's field; the u_4 field cuts no
+    # branch of T^3's root turn (1,132 kept either way), it only splits
+    # node states, and with the free rank's field alone the root turn
+    # keeps 1,764
+    (H_T3, 2, {"entry_bound": 1}, (8843, 8202, 5539)),
+    (H_RP7, 4, {"entry_bound": 4, "col_span": 4}, (53, 53, 53)),
+    (homology(Product(RealProjective(3), RealProjective(3))), 4, {"entry_bound": 1},
+     (68, 68, 68)),
+    # E = 2 on every turn, so there is no k >= 2 field; with the free
+    # rank's field alone the solve runs for more than nine minutes, so
+    # that ablation is left out here
+    (H_RP3_RP6, 4, {"entry_bound": 1, "col_span": 2}, (7674, 7674)),
+], ids=["t3-s2-b1", "rp7-s4-w4", "rp3xrp3-s4", "rp3xrp6-s4"])
+def test_the_prime_power_fields_change_no_leaf(monkeypatch, h, step, kw, checks):
+    # a cut ablation: the fields of a turn's lens only cut branches that
+    # have no leaf, so turning them off keeps the same leaves, with the
+    # same turns, in the same order
+    calls = checks_made(monkeypatch)
+    tree = solve_floer(h, step, **kw)
+    counts = [len(calls)]
+    for lens_of in [lens_without(lambda q: _factorize(q) == {q: 1}),
+                    lens_without(lambda q: False)][:len(checks) - 1]:
+        monkeypatch.setattr(spectra, "_turn_lens", lens_of)
+        calls.clear()
+        assert solve_floer(h, step, **kw).leaves == tree.leaves
+        counts.append(len(calls))
+    assert tuple(counts) == checks
+
+
 def children_match_class_by_class_checks(monkeypatch) -> list:
     """Wrap ``_turn_combinations`` so that every combination it yields is
     checked, class by class, against the next one of the reference that
     checks each class under each prefix unmemoized, in lockstep, so both
     read the growing ``found`` cut at the same moments, and wrap
     ``_start_state`` so that every start state, of a built page or not,
-    is checked against the unmemoized check, None when its exact keys
+    is checked against the unmemoized check, None when its exact bounds
     are in the cut; returns the number of classes of every combination
     compared."""
     search, start, compared = spectra._turn_combinations, spectra._start_state, []
 
-    def started(plan, lens, key_of, kept_parts, kept_pack, pinned, memo, cut):
-        state = start(plan, lens, key_of, kept_parts, kept_pack, pinned, memo, cut)
-        check = spectra._interval_check(plan, lens, key_of, kept_parts, kept_pack)
+    def started(plan, lens, kept_parts, kept_pack, pinned, memo, cut):
+        state = start(plan, lens, kept_parts, kept_pack, pinned, memo, cut)
+        check = spectra._interval_check(plan, lens, kept_parts, kept_pack)
         want = check(-1, [], pinned)
-        if want and want[0] and want[1] and (want[0][2], want[1][2]) in cut:
+        if want and want[0] and want[1] and (want[0][0], want[1][0]) in cut:
             want = None
         assert state == want
         return state
