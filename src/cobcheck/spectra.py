@@ -55,27 +55,27 @@ are one object, and a ``GroupHom`` is built only for a kernel lattice
 or a representative's differentials.  Hom spaces, these invariants and
 the classes of each component shape live in an ``EnumerationTable``
 that the solves of one run share and that is dropped with the run, so
-no enumeration state outlives it.  The solver turns each page once: the
-next page is the untouched entries plus the homology the chosen
-classes already computed (``turn_page`` is the validated public path
-to the same page).  What a page's turn fixes, its components, next
-unresolved set and pruner skeleton, is worked out once per turn,
+no enumeration state outlives it.  The solver turns each branch once
+per turn: its next entries are the untouched entries plus the homology
+the chosen classes already computed (``turn_page`` is the validated
+public path to the same page).  What a turn fixes, its components,
+next unresolved set and pruner skeleton, is worked out once per turn,
 surviving run arrows and unresolved set: a branch turns only on arrows
 of the worst-case run below.  No page is scanned for that plan: it is
 carried down.  A run arrow is a branch's when its window ends are live
 (entries or unresolved), and a position live before a turn is live
 after it unless a chosen class's result there is zero, so the next plan
 follows from the page's live positions less those the chosen classes
-zero, kept as bits.  Every last turn, a solve's only turn included, is
-decided without building the branch's page: it reads the entries on its
-components, each a kept entry or a chosen class's result, and the parts
-of the entries it leaves untouched, which are kept's plus each chosen
-class's, summed from the parts each class caches per lens.  Those are
-the untouched results' parts on the degrees the last turn carries:
-every arrow lowers p + q by one, so a component's positions have
-pairwise distinct degrees, and a class has at most one result per
-degree.  A page is built only for a leaf or for a turn that is not the
-last.
+zero, kept as bits.  Every turn, the first, a middle and the last
+alike, is decided without building the branch's page: it reads the
+entries on its components, each one the earlier turn kept or a chosen
+class's result, and the parts of the entries it leaves untouched,
+which are kept's plus each chosen class's, summed from the parts each
+class caches per lens.  Those are the untouched results' parts on the
+degrees the turn carries: every arrow lowers p + q by one, so a
+component's positions have pairwise distinct degrees, and a class has
+at most one result per degree.  A page is built only for the first
+page, the worst-case run and a leaf.
 
 The abutment of every stable page must be 2-periodic and agree with
 any pinned value.  Every page turn is pruned by one rule while its
@@ -110,7 +110,7 @@ the parts of the untouched entries in that input, each turn's memo
 lives as long as the solve and is shared by every branch that reaches
 the turn with the same plan and lens, so its nodes are worked out once
 across all of them.
-Once the last component is placed, and before the next page is built,
+Once the last component is placed, and before the next turn starts,
 the coupled flow over every later turn is solved degree by degree
 (each arrow joins degree d to d - 1): the branch is cut unless some
 choice of k leaves each parity a common value inside those bounds.
@@ -940,6 +940,9 @@ def _components(slots: list[tuple[Position, Position]]) -> list[list[tuple[Posit
 # one page turn of a branch: the page index and its nonzero differentials
 # by source position, sorted
 _Turn = tuple[int, tuple[tuple[Position, GroupHom], ...]]
+# the turns a branch has taken: each page index with the classes chosen
+# there, which stay as they are while the branch's later turns run
+_Chosen = tuple[tuple[int, list[_ComponentClass]], ...]
 
 
 class BranchLeaf(_Record):
@@ -1199,7 +1202,7 @@ class _Plan:
     shared by every branch that has them."""
 
     __slots__ = ("r", "comps", "unresolved", "dropped", "final", "flow", "checks", "reads",
-                 "settled")
+                 "settled", "_after")
 
     def __init__(self, run: _WorstCase, r: int, arrows: _Arrows, unresolved: frozenset[Position]):
         self.r = r  # the page of the turn
@@ -1243,6 +1246,34 @@ class _Plan:
         last = {deg % 2: k for k, degrees in enumerate(self.checks) for deg, _ in degrees}
         self.settled = tuple(tuple(e for e in (0, 1) if self.flow is not None and last[e] == k)
                              for k in range(len(self.checks)))
+        self._after: dict[_Plan | None, tuple[tuple, tuple]] = {}  # ``after``, by earlier plan
+
+    def after(self, earlier: _Plan | None) -> tuple[tuple, tuple]:
+        """What the turn reads of the turn of ``earlier`` (None at the first
+        page), worked out once per pair of plans.  First, per entry of
+        ``checks``, each component j of ``earlier`` with results the turn
+        leaves untouched on that entry's degrees, with the (i, degree i) of
+        those degrees.  Second, per component of the turn, the components
+        of ``earlier`` whose results lie on it, and where each of its
+        positions' entries comes from: (j, i), result i of component j's
+        class, or None, an entry ``earlier`` leaves untouched."""
+        layout = self._after.get(earlier)
+        if layout is None:
+            comps = () if earlier is None else earlier.comps
+            left = [{sum(pos) for pos in signature if pos not in self.dropped}
+                    for _, _, signature in comps]
+            carries = tuple(
+                tuple((j, at) for j, degrees_left in enumerate(left)
+                      if (at := tuple((i, deg) for i, (deg, _) in enumerate(degrees)
+                                      if deg in degrees_left)))
+                for degrees in self.checks)
+            at = {pos: (j, i) for j, (_, _, signature) in enumerate(comps)
+                  for i, pos in enumerate(signature)}
+            sources = tuple((tuple(sorted({src[0] for src in comp if src})), comp)
+                            for comp in (tuple(map(at.get, positions))
+                                         for _, positions, _ in self.comps))
+            layout = self._after[earlier] = (carries, sources)
+        return layout
 
     def kept_at(self, parts: dict[int, _Bound]) -> tuple[tuple[_Bound, ...], ...]:
         """The ``parts`` of the untouched entries on each entry of
@@ -1290,98 +1321,67 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     found: set[tuple[int, int]] = set()  # the leaves' abutments, packed by ``exact``
     truncation = False
 
-    def finish(page: BigradedPage, turns: list[_Turn]) -> None:
+    def finish(page: BigradedPage, turns: _Chosen) -> None:
         certified = _certified_sums(page)
         key = _fold_parity(chain(pins, certified))
         if key is not None and key not in leaves:
             found.add((exact.packed(key[0]), exact.packed(key[1])))
             leaves[key] = BranchLeaf(
-                hf_even=key[0], hf_odd=key[1], certified=tuple(certified), turns=tuple(turns),
+                hf_even=key[0], hf_odd=key[1], certified=tuple(certified),
+                turns=tuple(_turn(r, chosen) for r, chosen in turns),
                 stable_page=page.page_index)
 
     # the node memo of each turn's search, by plan and lens, shared by every
     # branch that reaches the turn
     memos: dict[tuple[_Plan, _Lens], dict] = {}
+    bit = table.bit
 
-    def explore(page: BigradedPage, live: int, plan: _Plan, turns: list[_Turn]) -> None:
-        # a turn that is not the last; ``live``: the page's live bits
-        # (``_WorstCase.bits``)
+    def turn(after: _TurnAfter, live: int, turns: _Chosen) -> None:
+        # the turn ``after.plan`` of a branch that took ``turns`` (none at
+        # the first page); ``live``: its live bits (``_WorstCase.bits``)
         nonlocal truncation
+        prev = turns[-1][1] if turns else []  # the classes of the earlier turn
         if not truncation:
-            truncation = any(bound_may_truncate(page.entry(*s), page.entry(*t), entry_bound)
-                             for arrows, _, _ in plan.comps for s, t in arrows)
+            truncation = after.truncates(prev)
         if pinned is None:  # clashing pins: the first page notes truncation, no branch survives
             return
-        # the next page's entries that no component touches; each branch
-        # adds the homology its chosen classes computed
-        # (lists, not tuples: their lengths vary from branch to branch, and
-        # freed tuples stay cached per length)
-        kept = [entry for entry in page.entries if entry[0] not in plan.dropped]
-        entry = page._by_position.__getitem__
-        class_lists = [table.classes(arrows, positions, tuple(map(entry, positions)),
-                                     entry_bound, signature)
-                       for arrows, positions, signature in plan.comps]
-        lens = _turn_lens(table, plan, kept, class_lists, pinned)
-        kept_parts = plan.kept_at(_degree_parts(kept, lens))
-        kept_pack = plan.flow.pack(kept)
-        memo = memos.setdefault((plan, lens), {})
-        state = _start_state(plan, lens, kept_parts, kept_pack, pinned, memo, ())
+        plan, kept, class_lists = after.plan, None, None
+        if plan.flow is None:  # the last turn: every bound is exact
+            lens, kept_pack, cut = exact, 0, found
+        else:
+            kept, class_lists = after.untouched(prev), after.class_lists(prev)
+            lens = _turn_lens(table, plan, kept, class_lists, pinned)
+            kept_pack, cut = plan.flow.pack(kept), ()
+        base, memo = after.at(lens)
+        parts = _CarriedParts(after, lens, base, prev)
+        state = _start_state(plan, lens, parts, kept_pack, pinned, memo, cut)
         if state is None:
             return
-        lasts: dict[_Plan, _LastTurn] = {}  # the last turns after this one
-        bit = table.bit
-        for chosen in _turn_combinations(plan, lens, class_lists, kept_parts, kept_pack, state,
-                                         memo, ()):
+        if class_lists is None:  # most last turns end at their start, their lists unread
+            class_lists = after.class_lists(prev)
+        nexts: dict[_Plan, _TurnAfter] = {}  # the turns after this one
+        for chosen in _turn_combinations(plan, lens, class_lists, parts, kept_pack, state, memo,
+                                         cut):
             live_next = live
             for cls in chosen:
                 live_next &= ~cls.zeros(bit)
-            nxt = run.plan(plan.r + 1, live_next, plan.unresolved)
-            if nxt is not None and nxt.flow is None:
-                last = lasts.get(nxt)
-                if last is None:
-                    last = lasts[nxt] = _LastTurn(table, plan.comps, nxt, kept, entry,
-                                                  entry_bound, exact, memos)
-                decide(last, chosen, turns, plan.r)
-                continue
-            page_next = page.turned(plan.r + 1, plan.unresolved,
-                                    kept + [res for cls in chosen for res in cls.results])
+            nxt = run.plan(plan.r + 1, live_next, plan.unresolved)  # None after the last turn
             if nxt is None:
-                finish(page_next, turns + [_turn(plan.r, chosen)])
-            else:
-                explore(page_next, live_next, nxt, turns + [_turn(plan.r, chosen)])
-
-    def decide(last: _LastTurn, chosen: list[_ComponentClass], turns: list[_Turn],
-               r: int | None) -> None:
-        # the last turn after the classes ``chosen`` on turn r (None and no
-        # classes at the root), without building the branch's page
-        nonlocal truncation
-        if not truncation:
-            truncation = last.truncates(chosen)
-        if pinned is None:
-            return
-        parts = _CarriedParts(last, chosen)
-        plan = last.last
-        state = _start_state(plan, exact, parts, 0, pinned, last.memo, found)
-        if state is None:
-            return
-        for chosen_last in _turn_combinations(plan, exact, last.class_lists(chosen), parts, 0,
-                                              state, last.memo, found):
-            entries = last.kept + [res for cls in chosen for res in cls.results
-                                   if res[0] not in plan.dropped]
-            entries += [res for cls in chosen_last for res in cls.results]
-            head = turns if r is None else turns + [_turn(r, chosen)]
-            finish(root.turned(plan.r + 1, plan.unresolved, entries),
-                   head + [_turn(plan.r, chosen_last)])
+                finish(root.turned(plan.r + 1, plan.unresolved, after.untouched(prev)
+                                   + [res for cls in chosen for res in cls.results]),
+                       (*turns, (plan.r, chosen)))
+                continue
+            following = nexts.get(nxt)
+            if following is None:
+                following = nexts[nxt] = _TurnAfter(table, plan, nxt, kept, entry_bound, memos)
+            turn(following, live_next, (*turns, (plan.r, chosen)))
 
     live = run.live(root)
     plan = run.plan(root.page_index, live, root.unresolved)
     if plan is None:
-        finish(root, [])
-    elif plan.flow is None:
-        decide(_LastTurn(table, (), plan, list(root.entries), root._by_position.__getitem__,
-                         entry_bound, exact, memos), [], [], None)
+        finish(root, ())
     else:
-        explore(root, live, plan, [])
+        turn(_TurnAfter(table, None, plan, list(root.entries), entry_bound, memos), live, ())
     ordered = tuple(sorted(leaves.values(), key=lambda lf: (str(lf.hf_even), str(lf.hf_odd))))
     return BranchTree(
         column_step=column_step,
@@ -1392,71 +1392,66 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     )
 
 
-class _LastTurn:
-    """The ``last`` turn after an earlier turn of a page, whose components
-    are ``comps`` (none at the first page), decided for each branch the
-    page's search keeps without building the branch's page.  The
-    branch's next entries are the page's ``kept`` entries (those no
-    component of ``comps`` touches) and its chosen classes' results, so
-    what the last turn reads of them is worked out here once per page
-    and last turn, and per branch only looked up or summed: its
-    components' entries, from ``entry`` or a class's results, and the
-    parts of the entries it leaves untouched, kept's and each class's
-    (``_CarriedParts``).  Its ``lens`` is the solve's last-turn lens,
-    under which every bound is exact, and its search shares ``memos``
-    with every branch that has the plan."""
+class _TurnAfter:
+    """The turn ``plan`` after the turn of the plan ``earlier`` (None at
+    the first page), decided for each branch the earlier turn keeps
+    without building the branch's page.  The branch's entries are
+    ``kept``, those the earlier turn leaves untouched, and its chosen
+    classes' results, so what the turn reads of them is worked out here
+    once per earlier page and plan (``_Plan.after``, once per pair of
+    plans), and per branch only looked up or summed: its components'
+    entries, from ``kept`` or a class's results, and the parts of the
+    entries it leaves untouched, kept's and each class's
+    (``_CarriedParts``).  Kept's parts and the node memo, which the turn
+    shares through ``memos`` with every branch that has the plan, are
+    fetched once per lens (``at``)."""
 
-    __slots__ = ("table", "last", "entry", "entry_bound", "lens", "memo", "kept", "base",
-                 "carries", "sources", "_lists")
+    __slots__ = ("table", "plan", "entry", "entry_bound", "memos", "kept", "carries", "sources",
+                 "_lists", "_at")
 
-    def __init__(self, table: EnumerationTable, comps: tuple, last: _Plan,
-                 kept: list[tuple[Position, FgAbGroup]], entry: Callable[[Position], FgAbGroup],
-                 entry_bound: int, lens: _Lens, memos: dict[tuple[_Plan, _Lens], dict]):
-        self.table, self.last, self.entry, self.entry_bound = table, last, entry, entry_bound
-        self.lens = lens
-        self.memo = memos.setdefault((last, lens), {})
-        # the kept entries the last turn leaves untouched, and their
-        # ``_Plan.kept_at``
-        self.kept = [entry for entry in kept if entry[0] not in last.dropped]
-        self.base = last.kept_at(_degree_parts(self.kept, lens))
-        # per entry of the last turn's checks, each component j of comps
-        # with results the last turn leaves untouched on that entry's
-        # degrees, with the (i, degree i) of those degrees
-        left = [{sum(pos) for pos in signature if pos not in last.dropped}
-                for _, _, signature in comps]
-        self.carries = tuple(
-            tuple((j, at) for j, degrees_left in enumerate(left)
-                  if (at := tuple((i, deg) for i, (deg, _) in enumerate(degrees)
-                                  if deg in degrees_left)))
-            for degrees in last.checks)
-        # per component of the last turn: the components of comps whose
-        # results lie on it, and where each of its positions' entries comes
-        # from: (j, i), result i of component j's class, or None, a kept one
-        at = {pos: (j, i) for j, (_, _, signature) in enumerate(comps)
-              for i, pos in enumerate(signature)}
-        self.sources = tuple((tuple(sorted({src[0] for src in comp if src})), comp)
-                             for comp in (tuple(map(at.get, positions))
-                                          for _, positions, _ in last.comps))
+    def __init__(self, table: EnumerationTable, earlier: _Plan | None, plan: _Plan,
+                 kept: list[tuple[Position, FgAbGroup]], entry_bound: int,
+                 memos: dict[tuple[_Plan, _Lens], dict]):
+        self.table, self.plan, self.entry_bound, self.memos = table, plan, entry_bound, memos
+        self.entry = dict(kept).__getitem__
+        # the kept entries the turn leaves untouched
+        self.kept = [entry for entry in kept if entry[0] not in plan.dropped]
+        self.carries, self.sources = plan.after(earlier)
         self._lists: dict[tuple, tuple[_ComponentClass, ...]] = {}  # by what a list reads
+        self._at: dict[_Lens, tuple[tuple[tuple[_Bound, ...], ...], dict]] = {}
+
+    def at(self, lens: _Lens) -> tuple[tuple[tuple[_Bound, ...], ...], dict]:
+        """The untouched kept entries' ``_Plan.kept_at`` under ``lens``,
+        and the turn's node memo there."""
+        at = self._at.get(lens)
+        if at is None:
+            at = self._at[lens] = (self.plan.kept_at(_degree_parts(self.kept, lens)),
+                                   self.memos.setdefault((self.plan, lens), {}))
+        return at
+
+    def untouched(self, chosen: list[_ComponentClass]) -> list[tuple[Position, FgAbGroup]]:
+        """The entries after ``chosen`` that the turn leaves untouched."""
+        dropped = self.plan.dropped
+        return self.kept + [res for cls in chosen for res in cls.results if res[0] not in dropped]
 
     def groups(self, chosen: list[_ComponentClass], k: int) -> tuple[FgAbGroup, ...]:
-        """The entries of the last turn's component k after ``chosen``."""
+        """The entries of the turn's component k after ``chosen``."""
         return tuple(self.entry(pos) if src is None else chosen[src[0]].results[src[1]][1]
-                     for pos, src in zip(self.last.comps[k][1], self.sources[k][1]))
+                     for pos, src in zip(self.plan.comps[k][1], self.sources[k][1]))
 
     def truncates(self, chosen: list[_ComponentClass]) -> bool:
-        """Whether the bound may truncate a hom space of the last turn."""
-        for k, (arrows, positions, _) in enumerate(self.last.comps):
+        """Whether the bound may truncate a hom space of the turn."""
+        for k, (arrows, positions, _) in enumerate(self.plan.comps):
             at = dict(zip(positions, self.groups(chosen, k)))
             if any(bound_may_truncate(at[s], at[t], self.entry_bound) for s, t in arrows):
                 return True
         return False
 
     def class_lists(self, chosen: list[_ComponentClass]) -> list[tuple[_ComponentClass, ...]]:
-        """The class lists of the last turn's components after
-        ``chosen``, each by the classes whose results it reads."""
+        """The class lists of the turn's components after ``chosen``, each
+        by the classes whose results it reads."""
         lists = []
-        for k, (arrows, positions, signature) in enumerate(self.last.comps):
+        for k, (arrows, positions, signature) in enumerate(self.plan.comps):
             key = (k, *map(id, map(chosen.__getitem__, self.sources[k][0])))
             classes = self._lists.get(key)
             if classes is None:
@@ -1467,24 +1462,25 @@ class _LastTurn:
 
 
 class _CarriedParts(dict):
-    """``_Plan.kept_at`` of a last turn after ``chosen`` (``_LastTurn``),
-    one entry of its checks at a time as the search first reads it: the
-    untouched kept entries' parts plus the parts of the chosen classes'
-    results that the last turn leaves untouched.  A class's positions
-    have pairwise distinct degrees (each arrow lowers p + q by one), so
-    on a degree the last turn carries its results' parts are those of
-    the one untouched result there."""
+    """``_Plan.kept_at`` of a turn after ``chosen`` (``_TurnAfter``) under
+    ``lens``, one entry of its checks at a time as the search first reads
+    it: the untouched kept entries' parts (``base``) plus the parts of
+    the chosen classes' results that the turn leaves untouched.  A
+    class's positions have pairwise distinct degrees (each arrow lowers
+    p + q by one), so on a degree the turn carries its results' parts
+    are those of the one untouched result there."""
 
-    __slots__ = ("turn", "chosen")
+    __slots__ = ("turn", "lens", "base", "chosen")
 
-    def __init__(self, turn: _LastTurn, chosen: list[_ComponentClass]):
-        self.turn, self.chosen = turn, chosen
+    def __init__(self, turn: _TurnAfter, lens: _Lens, base: tuple[tuple[_Bound, ...], ...],
+                 chosen: list[_ComponentClass]):
+        self.turn, self.lens, self.base, self.chosen = turn, lens, base, chosen
 
     def __missing__(self, k: int) -> tuple[_Bound, ...]:
         turn, chosen = self.turn, self.chosen
-        parts = list(turn.base[k])
+        parts = list(self.base[k])
         for j, at in turn.carries[k]:
-            left = chosen[j].degree_parts(turn.lens)
+            left = chosen[j].degree_parts(self.lens)
             for i, deg in at:
                 lo, hi = parts[i]
                 f, h = left[deg]
@@ -1508,8 +1504,8 @@ def _turn_lens(table: EnumerationTable, plan: _Plan, kept: list[tuple[Position, 
     and the ``pinned`` groups, in fields of the flow's width.  Every group
     the turn's check reads has an exponent dividing E, so these fields
     and the free rank fix it (see the module docstring), and lo = hi is
-    one exact group.  (The last turn reads the solve's own lens, see
-    ``_LastTurn``.)"""
+    one exact group.  (The last turn reads the solve's own lens, under
+    which every bound is exact.)"""
     entries = chain(kept, *(cls.results for classes in class_lists for cls in classes),
                     ((None, grp) for grp in pinned if grp is not None))
     # the exponent of a group is its last invariant factor
@@ -1548,7 +1544,7 @@ def _turn_combinations(plan: _Plan, lens: _Lens,
     ``kept_parts[k]`` holds the parts of the next page's entries that no
     component touches on the degrees of ``plan.checks[k]``
     (``_Plan.kept_at``), ``kept_pack`` their ``_Flow.pack`` and ``lens``
-    is the turn's (``_turn_lens``, or ``_LastTurn.lens`` on the last
+    is the turn's (``_turn_lens``, or the solve's exact lens on the last
     turn); a prefix whose state bounds both parities with lower ends in
     ``cut`` is cut too, read as the prefix is entered.
 
@@ -1656,7 +1652,7 @@ def _interval_check(plan: _Plan, lens: _Lens, kept_parts: Sequence[tuple[_Bound,
 
     The DFS state is the common bound of each parity so far, narrowed
     one degree at a time by ``_Lens.meet`` on every turn.  Once the
-    last component is placed, before the next page is built, a turn that
+    last component is placed, before the next turn starts, a turn that
     is not the last solves the coupled flow over every later turn at
     once: the branch is cut unless some choice of k leaves each parity
     one common free rank inside its bound; a parity whose last degree is

@@ -534,23 +534,48 @@ def instances_built(monkeypatch, cls) -> list:
     return built
 
 
-@pytest.mark.parametrize("h, kw, leaves, most_pages", [
+class _Anything:
+    """A free rank that lies inside every bound."""
+
+    def __le__(self, other):
+        return True
+
+    __ge__ = __le__
+
+
+@pytest.mark.parametrize("h, kw, leaves, turns", [
     # the T^3 table at step 2, bound 1: the interval bounds and the
-    # lookahead keep 1,132 root-turn branches, and only 11 of them have a
-    # combination that survives page 4; page 4 is the last turn, decided
-    # without a page, so the pages are the first, the worst-case run's 2
-    # and one per leaf
-    (GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z}), {}, 16, 19),
-    # pages 2, 4 and 6 turn, and page 6 is decided without a page: 4,076
-    # pages without the lookahead and 1,318 with it
-    (GradedGroup.from_dict({0: Z, 1: Z, 4: Z, 5: Z}), {"col_span": 3}, 3, 1318),
+    # lookahead keep 1,132 root-turn branches, each of which starts the
+    # last turn (page 4), and only 11 of them have a combination that
+    # survives it; without the lookahead 7,004 branches start it
+    (GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z}), {}, 16, (1133, 7005)),
+    # pages 2, 4 and 6 turn, so the lookahead after page 2 spans two
+    # later turns, and page 6 is the last
+    (GradedGroup.from_dict({0: Z, 1: Z, 4: Z, 5: Z}), {"col_span": 3}, 3, (2688, 6670)),
 ], ids=["t3", "rows-0-1-4-5"])
-def test_lookahead_cuts_dead_branches_before_their_pages(monkeypatch, h, kw, leaves, most_pages):
-    # the rank-flow lookahead cuts a branch before its next page is built
-    built = instances_built(monkeypatch, BigradedPage)
+def test_lookahead_cuts_dead_branches_before_their_turns(monkeypatch, h, kw, leaves, turns):
+    # the rank-flow lookahead cuts a branch before its next turn starts;
+    # with every later free rank admitted it cuts nothing, and the solve
+    # keeps the same leaves, with the same turns, in the same order
+    started = instances_built(monkeypatch, spectra._CarriedParts)
     tree = solve_floer(h, 2, entry_bound=1, **kw)
+    counts = [len(started)]
+    monkeypatch.setattr(spectra._Flow, "values", lambda flow, packed: ((_Anything(),) * 2,))
+    started.clear()
+    assert solve_floer(h, 2, entry_bound=1, **kw).leaves == tree.leaves
+    counts.append(len(started))
     assert len(tree.leaves) == leaves
-    assert len(built) <= most_pages
+    assert tuple(counts) == turns
+
+
+def test_pages_are_built_only_for_the_first_page_the_run_and_the_leaves(monkeypatch):
+    # pages 2, 4 and 6 turn, and no turn builds its branch's page: the
+    # pages are the first, the worst-case run's 3 and one per leaf
+    built = instances_built(monkeypatch, BigradedPage)
+    tree = solve_floer(GradedGroup.from_dict({0: Z, 1: Z, 4: Z, 5: Z}), 2, entry_bound=1,
+                       col_span=3)
+    assert len(tree.leaves) == 3
+    assert len(built) == 7
 
 
 @pytest.mark.parametrize("h, step, kw, leaves, pages, most_plans", [
@@ -727,7 +752,7 @@ def children_match_class_by_class_checks(monkeypatch) -> list:
      {"entry_bound": 1}, 16),
     (H_RP7, 4, {"entry_bound": 4, "col_span": 4}, 1),
     # pages 2, 4 and 6 turn, and the middle turn, which is not the last,
-    # starts on 1,311, 64 and 102 pages that share its memo
+    # starts on 1,311, 64 and 102 branches that share its memo
     (GradedGroup.from_dict({0: Z, 1: Z, 4: Z, 5: Z}), 2, {"entry_bound": 1, "col_span": 3}, 3),
     (GradedGroup.from_dict({0: Z, 1: cyclic(2), 4: cyclic(3), 5: Z}), 2,
      {"entry_bound": 1, "col_span": 3}, 4),
