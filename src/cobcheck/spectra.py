@@ -55,7 +55,11 @@ are one object, and a ``GroupHom`` is built only for a kernel lattice
 or a representative's differentials.  Hom spaces, these invariants and
 the classes of each component shape live in an ``EnumerationTable``
 that the solves of one run share and that is dropped with the run, so
-no enumeration state outlives it.  The solver turns each branch once
+no enumeration state outlives it.  A shape is its chain moved to start
+at column 0, and its classes are built once: a component reads them at
+its column offset, their parts by the shape's degrees, and their
+results moved only where a leaf, a later turn's untouched entries or
+the flow read them.  The solver turns each branch once
 per turn: its next entries are the untouched entries plus the homology
 the chosen classes already computed (``turn_page`` is the validated
 public path to the same page).  What a turn fixes, its components,
@@ -71,10 +75,10 @@ alike, is decided without building the branch's page: it reads the
 entries on its components, each one the earlier turn kept or a chosen
 class's result, and the parts of the entries it leaves untouched,
 which are kept's plus each chosen class's, summed from the parts each
-class caches per lens.  Those are the untouched results' parts on the
-degrees the turn carries: every arrow lowers p + q by one, so a
-component's positions have pairwise distinct degrees, and a class has
-at most one result per degree.  A page is built only for the first
+class caches per lens and finality of its results.  Those are the
+untouched results' parts on the degrees the turn carries: every arrow
+lowers p + q by one, so a component's positions have pairwise distinct
+degrees, and a class has at most one result per degree.  A page is built only for the first
 page, the worst-case run and a leaf.
 
 The abutment of every stable page must be 2-periodic and agree with
@@ -117,7 +121,11 @@ choice of k leaves each parity a common value inside those bounds.
 The last turn, the one no worst-case arrow comes after, is the case
 lo = hi: every entry there is final, so each bound is one exact group;
 there, once both parities are exact, a branch whose abutment is already
-a leaf is cut too.
+a leaf is cut too, and the check is equality: a class survives exactly
+when its parts on the degrees its component completes are what the
+parity values leave, less the untouched parts and the earlier classes'
+parts.  So the search finds those classes by lookup, in an index of the
+class list by those parts, and checks only them.
 
 Torsion is bounded the same way on the turns that are not the last.
 For a prime power q = p^k let u_q(M) = dim(p^(k-1) M / p^k M), the
@@ -170,7 +178,7 @@ d_p upper end, since u_q <= d_p; that cap is still open.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Container, Iterable, Iterator, Sequence
 from functools import reduce
 from itertools import chain, compress, count, product, repeat
 from math import lcm, prod
@@ -434,37 +442,53 @@ def _certified_sums(page: BigradedPage) -> list[tuple[int, FgAbGroup]]:
 
 
 class _ComponentClass(_Record):
-    """One isomorphism class of labelings of a chain of arrows: the homs
-    of a representative and the entries they produce."""
+    """One isomorphism class of labelings of a component shape, a chain of
+    arrows moved to start at column 0: the homs of a representative and
+    the entries they produce.  A component of the shape at column offset
+    ``base`` (``_Plan.bases``) reads them through that offset, so one
+    class serves every column where its shape occurs: its parts read the
+    shape's degrees, and only a leaf, the entries a later turn leaves
+    untouched and the flow's ``pack`` read its results moved (``at``).
+    ``zeros`` has bit i set when result i is zero (see ``_Plan.zero_bits``)."""
 
-    __slots__ = ("results", "homs", "_zeros", "_parts", "_packs")
+    __slots__ = ("results", "homs", "zeros", "_at", "_parts", "_packs")
     _compared = ("results", "homs")
 
     def __init__(self, results: tuple[tuple[Position, FgAbGroup], ...],
                  homs: tuple[tuple[Position, GroupHom], ...]):
         self.results, self.homs = results, homs
-        self._zeros: int | None = None  # ``zeros``
-        self._parts: dict = {}  # ``_degree_parts`` of the results, by ``_Lens``
-        self._packs: dict = {}  # ``_Flow.pack`` of the results, by flow
+        self.zeros = sum(1 << i for i, (_, grp) in enumerate(results) if grp.is_trivial())
+        self._at: dict[int, tuple[tuple[Position, FgAbGroup], ...]] = {}  # ``at``, by offset
+        self._parts: dict = {}  # ``degree_parts``, by lens and final results
+        # ``pack``, by flow and then offset: a pair key costs about twice as
+        # much per lookup, and a middle turn looks it up per placed class
+        self._packs: dict[_Flow, dict[int, int]] = {}
 
-    def zeros(self, bit: Callable[[Position], int]) -> int:
-        """The bits of the positions whose result is zero, live before the
-        turn and not after it, by ``bit``, the bits of the table that
-        holds the class (``EnumerationTable.bit``)."""
-        if self._zeros is None:
-            self._zeros = sum(bit(pos) for pos, grp in self.results if grp.is_trivial())
-        return self._zeros
+    def at(self, base: int) -> tuple[tuple[Position, FgAbGroup], ...]:
+        """The results at column offset ``base``, moved once per offset."""
+        placed = self._at.get(base)
+        if placed is None:
+            placed = self._at[base] = tuple(((p + base, q), grp) for (p, q), grp in self.results)
+        return placed
 
-    def degree_parts(self, lens: _Lens) -> dict[int, _Bound]:
-        parts = self._parts.get(lens)
+    def degree_parts(self, lens: _Lens, final: int | None) -> dict[int, _Bound]:
+        """``_degree_parts`` of the results by the shape's degrees, bit i of
+        ``final`` set when result i is final where the class is placed, and
+        ``final`` None when every result is (``_shape_finals``), as on every
+        last turn: those parts are keyed by the lens alone."""
+        parts = self._parts.get(key := lens if final is None else (lens, final))
         if parts is None:
-            parts = self._parts[lens] = _degree_parts(self.results, lens)
+            parts = self._parts[key] = _degree_parts(self.results, lens, {
+                pos for i, (pos, _) in enumerate(self.results) if final is None or final >> i & 1})
         return parts
 
-    def pack(self, flow: _Flow) -> int:
-        packed = self._packs.get(flow)
+    def pack(self, flow: _Flow, base: int) -> int:
+        by_base = self._packs.get(flow)
+        if by_base is None:
+            by_base = self._packs[flow] = {}
+        packed = by_base.get(base)
         if packed is None:
-            packed = self._packs[flow] = flow.pack(self.results)
+            packed = by_base[base] = flow.pack(self.at(base))
         return packed
 
 
@@ -494,9 +518,10 @@ class _Lens:
     meets by equality alone (its guards cover the free rank only).  A
     lens is compared by identity, one per distinct reading in a run
     (``EnumerationTable.lens``), so a class's parts are cached per lens
-    at the cost of an id hash."""
+    at the cost of an id hash (and per final results too where some of
+    them are not final)."""
 
-    __slots__ = ("final", "powers", "width", "ones", "guards", "_fields", "_packed")
+    __slots__ = ("final", "powers", "width", "ones", "guards", "_fields", "_packed", "_indexes")
 
     def __init__(self, final: frozenset[Position], powers: tuple[int, ...] | None, width: int):
         self.final, self.powers, self.width = final, powers, width
@@ -504,6 +529,7 @@ class _Lens:
         self.guards = sum(1 << j * (width + 1) + width for j in range(len(powers or ()) + 1))
         self._fields: dict[int, int] = {}  # the last turn's field of each prime power
         self._packed: dict[FgAbGroup, int] = {}
+        self._indexes: dict[tuple, dict[tuple[int, ...], list[_ComponentClass]]] = {}
 
     def packed(self, grp: FgAbGroup) -> int:
         """``grp`` packed by this lens, worked out once per distinct group."""
@@ -519,6 +545,22 @@ class _Lens:
                                     for j, q in enumerate(self.powers, 1))
             self._packed[grp] = packed
         return packed
+
+    def index(self, classes: Sequence[_ComponentClass], final: int | None,
+              degrees: tuple[int, ...]) -> dict[tuple[int, ...], list[_ComponentClass]]:
+        """The ``classes`` of one shape by the lower ends of their parts
+        (``_ComponentClass.degree_parts`` with ``final``) on the shape's
+        ``degrees``, each group in list order; worked out once per class
+        list.  Every class has a result on each of the degrees its
+        component reaches, and under the last turn's lens lower ends are
+        whole parts."""
+        index = self._indexes.get(key := (id(classes), final, degrees))
+        if index is None:
+            index = self._indexes[key] = {}
+            for cls in classes:
+                parts = cls.degree_parts(self, final)
+                index.setdefault(tuple(parts[deg][0] for deg in degrees), []).append(cls)
+        return index
 
     def meet(self, seen: _Bound | None, bound: _Bound) -> _Bound | None:
         """The common value of one parity, ``seen`` so far, narrowed by
@@ -546,10 +588,10 @@ class _Lens:
         return lo, hi
 
 
-def _degree_parts(entries: Iterable[tuple[Position, FgAbGroup]], lens: _Lens) -> dict[int, _Bound]:
+def _degree_parts(entries: Iterable[tuple[Position, FgAbGroup]], lens: _Lens,
+                  final: Container[Position]) -> dict[int, _Bound]:
     """The bound the entries on each antidiagonal degree p + q put on it,
-    read through ``lens``."""
-    final = lens.final
+    read through ``lens``, the entries at ``final`` positions final."""
     parts: dict[int, _Bound] = {}
     for pos, grp in entries:
         deg = pos[0] + pos[1]
@@ -563,8 +605,9 @@ class EnumerationTable:
     """The enumeration work of one run, each piece done once and shared
     by every solve given the table: hom spaces by (source, target,
     bound) with their per-hom invariants, vanishing masks by pair of
-    spaces, component classes by normalized shape and by absolute
-    component, and the pruner's lenses.
+    spaces, component classes once per component shape (a component
+    reads its shape's classes at its column offset, so no class is copied
+    per column), and the pruner's lenses.
 
     The table is the only store: ``cli.run`` makes one per run and a
     direct ``solve_floer`` call makes its own, so no enumeration state
@@ -574,7 +617,6 @@ class EnumerationTable:
         self._spaces: dict[tuple[FgAbGroup, FgAbGroup, int], HomMatrixSpace] = {}
         self._masks: dict[tuple[HomMatrixSpace, HomMatrixSpace], list[int]] = {}
         self._shapes: dict[tuple, tuple[_ComponentClass, ...]] = {}
-        self._placed: dict[tuple, tuple[_ComponentClass, ...]] = {}
         self._lenses: dict[tuple[frozenset[Position], tuple[int, ...] | None, int], _Lens] = {}
         self._bits: dict[Position, int] = {}
 
@@ -602,34 +644,21 @@ class EnumerationTable:
             masks = self._masks[key] = _vanishing_masks(first, second)
         return masks
 
-    def classes(self, arrows: _Arrows,
-                positions: tuple[Position, ...], groups: tuple[FgAbGroup, ...], bound: int,
+    def classes(self, arrows: _Arrows, groups: tuple[FgAbGroup, ...], bound: int,
                 signature: tuple[Position, ...]) -> tuple[_ComponentClass, ...]:
-        """``_component_classes`` of one component, at its absolute
-        positions (``positions``, sorted, with their ``groups``); the
-        positions left out of ``signature`` (next entry unknowable) stay
-        out of the dedup signature.  Each shape is enumerated once:
-        positions are shifted so the component starts at column 0, and
-        the classes are shifted back once per component."""
+        """``_component_classes`` of one component shape (``_Plan.shapes``):
+        its arrows moved to start at column 0, the ``groups`` of its
+        positions in sorted order, and the positions left out of
+        ``signature`` (next entry unknowable) out of the dedup signature.
+        Each shape is enumerated once per run, and every component of that
+        shape reads the same classes at its column offset."""
         key = (arrows, groups, bound, signature)
-        placed = self._placed.get(key)
-        if placed is not None:
-            return placed
-        groups = tuple(zip(positions, groups))
-        base_p = min(p for (p, _), _ in arrows)
-        shift = lambda pos: (pos[0] - base_p, pos[1])
-        unshift = lambda pos: (pos[0] + base_p, pos[1])
-        shape = (tuple((shift(s), shift(t)) for s, t in arrows),
-                 tuple((shift(pos), grp) for pos, grp in groups), bound,
-                 tuple(map(shift, signature)))
-        rel = self._shapes.get(shape)
-        if rel is None:
-            rel = self._shapes[shape] = _component_classes(self, *shape)
-        placed = self._placed[key] = tuple(
-            _ComponentClass(results=tuple((unshift(pos), grp) for pos, grp in cls.results),
-                            homs=tuple((unshift(pos), h) for pos, h in cls.homs))
-            for cls in rel)
-        return placed
+        classes = self._shapes.get(key)
+        if classes is None:
+            positions = sorted({pos for arrow in arrows for pos in arrow})
+            classes = self._shapes[key] = _component_classes(
+                self, arrows, tuple(zip(positions, groups)), bound, signature)
+        return classes
 
     def bit(self, pos: Position) -> int:
         """The bit of ``pos`` in the live sets of the run's solves: one
@@ -650,7 +679,9 @@ def _component_classes(table: EnumerationTable,
     homology groups at ``signature_positions`` (positions whose next
     entry is unknowable are excluded by the caller).  Each call
     enumerates afresh; ``EnumerationTable.classes`` keeps the result
-    per shape for the rest of the run.
+    per shape, the chain moved to start at column 0, for the rest of
+    the run, and every component of that shape reads it at its column
+    offset.
 
     ``arrows`` is one chain in source order, as ``_components`` gives
     it: arrow k - 1 leaves arrow k's target.  A depth-first search
@@ -940,9 +971,9 @@ def _components(slots: list[tuple[Position, Position]]) -> list[list[tuple[Posit
 # one page turn of a branch: the page index and its nonzero differentials
 # by source position, sorted
 _Turn = tuple[int, tuple[tuple[Position, GroupHom], ...]]
-# the turns a branch has taken: each page index with the classes chosen
-# there, which stay as they are while the branch's later turns run
-_Chosen = tuple[tuple[int, list[_ComponentClass]], ...]
+# the turns a branch has taken: each plan with the classes chosen for its
+# components, which stay as they are while the branch's later turns run
+_Chosen = tuple[tuple["_Plan", list[_ComponentClass]], ...]
 
 
 class BranchLeaf(_Record):
@@ -989,8 +1020,8 @@ class _WorstCase:
     """The page run from the first page in which every live position
     stays live (see the module docstring for what it bounds)."""
 
-    __slots__ = ("first", "arrows", "degrees", "final", "width", "bits", "_ends", "_reach",
-                 "_flows", "_plans", "_next")
+    __slots__ = ("first", "arrows", "degrees", "final", "width", "bits", "layouts", "_ends",
+                 "_reach", "_flows", "_plans", "_next")
 
     def __init__(self, first: BigradedPage, arrows: dict[int, _Arrows], degrees: frozenset[int],
                  final: dict[int, frozenset[Position]], top: int, bit: Callable[[Position], int]):
@@ -1015,6 +1046,9 @@ class _WorstCase:
         # and the unresolved set after the turn
         self._flows: dict = {}
         self._plans: dict = {}  # the solve's plans, by what ``_Plan`` reads
+        # what the plans read of their components alone (``_layout``), by
+        # page index and components, so the plans that share them share it
+        self.layouts: dict = {}
         self._next: dict = {}  # the same plans, by what ``plan`` reads
 
     def live(self, page: BigradedPage) -> int:
@@ -1199,10 +1233,12 @@ class _Plan:
     whose unresolved set is ``unresolved``, where ``arrows`` are the run
     arrows of page r whose window ends are live (``_WorstCase.plan``):
     built once per turn, surviving run arrows and unresolved set, and
-    shared by every branch that has them."""
+    shared by every branch that has them.  Each component reads the
+    classes of its shape at its column offset, so what the turn's check
+    reads of a class is kept here by the shape's degrees."""
 
-    __slots__ = ("r", "comps", "unresolved", "dropped", "final", "flow", "checks", "reads",
-                 "settled", "_after")
+    __slots__ = ("r", "comps", "shapes", "bases", "zero_bits", "unresolved", "dropped", "final",
+                 "finals", "flow", "checks", "reads", "read", "settled", "_after")
 
     def __init__(self, run: _WorstCase, r: int, arrows: _Arrows, unresolved: frozenset[Position]):
         self.r = r  # the page of the turn
@@ -1212,33 +1248,21 @@ class _Plan:
         # per component: its arrows, its positions (sorted) and those
         # whose next entry is known (its signature)
         comps = []
-        reach: dict[int, list[int]] = {}  # degree -> the components with an entry on it
-        for i, comp in enumerate(_components(slots)):
+        for comp in _components(slots):
             positions = sorted({pos for arrow in comp for pos in arrow})
-            signature = tuple(pos for pos in positions if pos not in unresolved)
-            comps.append((tuple(comp), tuple(positions), signature))
-            for deg in sorted({sum(pos) for pos in signature}):
-                if deg in run.degrees:
-                    reach.setdefault(deg, []).append(i)
-        self.comps = tuple(comps)
+            comps.append((tuple(comp), tuple(positions),
+                          tuple(pos for pos in positions if pos not in unresolved)))
+        layout = run.layouts.get(key := (r, tuple(comps)))
+        if layout is None:
+            layout = run.layouts[key] = _layout(run, *key)
+        (self.comps, self.shapes, self.bases, self.zero_bits, self.finals, self.checks, self.reads,
+         self.read) = layout
         # touched or next unresolved
         self.dropped = unresolved.union(*(positions for _, positions, _ in comps))
-        self.final = run.final[r]  # the run's final positions after r
+        self.final = run.final[r]  # the run's final positions after r, read by the turn's lens
         # the rank-flow lookahead over the later turns; None on the last
         # turn, the one no worst-case arrow comes after
         self.flow = run.flow(r, unresolved)
-        # the interval check's skeleton: checks[i + 1] holds each degree
-        # whose last component is i (checks[0]: no component reaches it),
-        # with the components that have an entry on its antidiagonal
-        checks: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(len(comps) + 1)]
-        for deg in sorted(run.degrees):
-            at = tuple(reach.get(deg, ()))
-            checks[at[-1] + 1 if at else 0].append((deg, at))
-        self.checks = tuple(map(tuple, checks))
-        # per component i: the (degree, earlier component) pairs its check
-        # reads (the last component on each of its degrees is i itself)
-        self.reads = tuple(tuple((deg, c) for deg, at in checks for c in at[:-1])
-                           for checks in self.checks[1:])
         # per entry of checks, on a turn that is not the last: the parities
         # whose last degree it bounds.  After that only the flow reads
         # their bounds, and only the free ranks, so the check drops their
@@ -1246,17 +1270,21 @@ class _Plan:
         last = {deg % 2: k for k, degrees in enumerate(self.checks) for deg, _ in degrees}
         self.settled = tuple(tuple(e for e in (0, 1) if self.flow is not None and last[e] == k)
                              for k in range(len(self.checks)))
-        self._after: dict[_Plan | None, tuple[tuple, tuple]] = {}  # ``after``, by earlier plan
+        # ``after``, by earlier plan
+        self._after: dict[_Plan | None, tuple[tuple, tuple, tuple]] = {}
 
-    def after(self, earlier: _Plan | None) -> tuple[tuple, tuple]:
+    def after(self, earlier: _Plan | None) -> tuple[tuple, tuple, tuple]:
         """What the turn reads of the turn of ``earlier`` (None at the first
         page), worked out once per pair of plans.  First, per entry of
         ``checks``, each component j of ``earlier`` with results the turn
-        leaves untouched on that entry's degrees, with the (i, degree i) of
-        those degrees.  Second, per component of the turn, the components
-        of ``earlier`` whose results lie on it, and where each of its
-        positions' entries comes from: (j, i), result i of component j's
-        class, or None, an entry ``earlier`` leaves untouched."""
+        leaves untouched on that entry's degrees, with the (i, degree of
+        j's shape) of those degrees, i their index in the entry.  Second,
+        per component of the turn, the components of ``earlier`` whose
+        results lie on it, and where each of its positions' entries comes
+        from: (j, i), result i of component j's class, or None, an entry
+        ``earlier`` leaves untouched.  Third, ``_shape_finals`` of
+        ``earlier``'s components on this turn's final positions, which its
+        lens reads."""
         layout = self._after.get(earlier)
         if layout is None:
             comps = () if earlier is None else earlier.comps
@@ -1264,7 +1292,8 @@ class _Plan:
                     for _, _, signature in comps]
             carries = tuple(
                 tuple((j, at) for j, degrees_left in enumerate(left)
-                      if (at := tuple((i, deg) for i, (deg, _) in enumerate(degrees)
+                      if (at := tuple((i, deg - earlier.bases[j])
+                                      for i, (deg, _) in enumerate(degrees)
                                       if deg in degrees_left)))
                 for degrees in self.checks)
             at = {pos: (j, i) for j, (_, _, signature) in enumerate(comps)
@@ -1272,14 +1301,81 @@ class _Plan:
             sources = tuple((tuple(sorted({src[0] for src in comp if src})), comp)
                             for comp in (tuple(map(at.get, positions))
                                          for _, positions, _ in self.comps))
-            layout = self._after[earlier] = (carries, sources)
+            finals = _shape_finals(comps, self.final)
+            layout = self._after[earlier] = (carries, sources, finals)
         return layout
+
+    def results(self, chosen: list[_ComponentClass]) -> list[tuple[Position, FgAbGroup]]:
+        """The results of the classes ``chosen`` for the turn's components,
+        at their column offsets."""
+        return [res for cls, base in zip(chosen, self.bases) for res in cls.at(base)]
 
     def kept_at(self, parts: dict[int, _Bound]) -> tuple[tuple[_Bound, ...], ...]:
         """The ``parts`` of the untouched entries on each entry of
         ``checks``: what the interval check reads of them."""
         return tuple(tuple(parts.get(deg, _NO_PART) for deg, _ in degrees)
                      for degrees in self.checks)
+
+
+def _layout(run: _WorstCase, r: int, comps: tuple) -> tuple:
+    """What a plan of turn r of ``run`` reads of its components ``comps``
+    alone (``_Plan``), worked out once per run for every plan that has
+    them.  Per component: its shape, its arrows and signature moved to
+    start at column 0; its column offset; the live bits
+    (``_WorstCase.bits``) that a class's ``zeros`` clear, those of the
+    positions whose result is zero; and ``_shape_finals``.  Then the
+    interval check's skeleton: checks[i + 1] holds each degree whose last
+    component is i (checks[0]: no component reaches it), with each
+    component c that has an entry on its antidiagonal, as (c, the degree
+    on c's shape); per component i, the (earlier component, its degree)
+    pairs its check reads (the last component on each of its degrees is i
+    itself); and whether a later component's check reads its class's
+    parts."""
+    shapes, bases = [], []
+    reach: dict[int, list[int]] = {}  # degree -> the components with an entry on it
+    for i, (arrows, _, signature) in enumerate(comps):
+        base = min(p for (p, _), _ in arrows)
+        move = lambda pos: (pos[0] - base, pos[1])
+        shapes.append((tuple((move(s), move(t)) for s, t in arrows), tuple(map(move, signature))))
+        bases.append(base)
+        for deg in sorted({sum(pos) for pos in signature}):
+            if deg in run.degrees:
+                reach.setdefault(deg, []).append(i)
+    zero_bits = tuple(_Bits(tuple(map(run.bits.__getitem__, signature)))
+                      for _, _, signature in comps)
+    skeleton: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [
+        [] for _ in range(len(comps) + 1)]
+    for deg in sorted(run.degrees):
+        at = tuple((c, deg - bases[c]) for c in reach.get(deg, ()))
+        skeleton[at[-1][0] + 1 if at else 0].append((deg, at))
+    checks = tuple(map(tuple, skeleton))
+    reads = tuple(tuple(pair for _, at in degrees for pair in at[:-1]) for degrees in checks[1:])
+    read = tuple(any(c == i for pairs in reads for c, _ in pairs) for i in range(len(comps)))
+    return (comps, tuple(shapes), tuple(bases), zero_bits, _shape_finals(comps, run.final[r]),
+            checks, reads, read)
+
+
+def _shape_finals(comps: Sequence[tuple[_Arrows, tuple[Position, ...], tuple[Position, ...]]],
+                  final: frozenset[Position]) -> tuple[int | None, ...]:
+    """Per component of ``comps``: which of its classes' results lie on
+    ``final`` positions, bit i for result i, or None when all of them do."""
+    return tuple(None if final.issuperset(signature) else
+                 sum(1 << i for i, pos in enumerate(signature) if pos in final)
+                 for _, _, signature in comps)
+
+
+class _Bits(dict):
+    """The sum of the ``bits`` that a mask selects, bit i for ``bits[i]``,
+    by mask, each worked out at its first lookup."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: tuple[int, ...]):
+        self.bits = bits
+
+    def __missing__(self, mask: int) -> int:
+        total = self[mask] = sum(bit for i, bit in enumerate(self.bits) if mask >> i & 1)
+        return total
 
 
 def solve_floer(s_homology: GradedGroup, column_step: int,
@@ -1328,13 +1424,12 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
             found.add((exact.packed(key[0]), exact.packed(key[1])))
             leaves[key] = BranchLeaf(
                 hf_even=key[0], hf_odd=key[1], certified=tuple(certified),
-                turns=tuple(_turn(r, chosen) for r, chosen in turns),
+                turns=tuple(_turn(plan, chosen) for plan, chosen in turns),
                 stable_page=page.page_index)
 
     # the node memo of each turn's search, by plan and lens, shared by every
     # branch that reaches the turn
     memos: dict[tuple[_Plan, _Lens], dict] = {}
-    bit = table.bit
 
     def turn(after: _TurnAfter, live: int, turns: _Chosen) -> None:
         # the turn ``after.plan`` of a branch that took ``turns`` (none at
@@ -1363,18 +1458,18 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
         for chosen in _turn_combinations(plan, lens, class_lists, parts, kept_pack, state, memo,
                                          cut):
             live_next = live
-            for cls in chosen:
-                live_next &= ~cls.zeros(bit)
+            for cls, zero_bits in zip(chosen, plan.zero_bits):
+                live_next &= ~zero_bits[cls.zeros]
             nxt = run.plan(plan.r + 1, live_next, plan.unresolved)  # None after the last turn
             if nxt is None:
-                finish(root.turned(plan.r + 1, plan.unresolved, after.untouched(prev)
-                                   + [res for cls in chosen for res in cls.results]),
-                       (*turns, (plan.r, chosen)))
+                finish(root.turned(plan.r + 1, plan.unresolved,
+                                   after.untouched(prev) + plan.results(chosen)),
+                       (*turns, (plan, chosen)))
                 continue
             following = nexts.get(nxt)
             if following is None:
                 following = nexts[nxt] = _TurnAfter(table, plan, nxt, kept, entry_bound, memos)
-            turn(following, live_next, (*turns, (plan.r, chosen)))
+            turn(following, live_next, (*turns, (plan, chosen)))
 
     live = run.live(root)
     plan = run.plan(root.page_index, live, root.unresolved)
@@ -1406,17 +1501,18 @@ class _TurnAfter:
     shares through ``memos`` with every branch that has the plan, are
     fetched once per lens (``at``)."""
 
-    __slots__ = ("table", "plan", "entry", "entry_bound", "memos", "kept", "carries", "sources",
-                 "_lists", "_at")
+    __slots__ = ("table", "earlier", "plan", "entry", "entry_bound", "memos", "kept", "carries",
+                 "sources", "finals", "_lists", "_at")
 
     def __init__(self, table: EnumerationTable, earlier: _Plan | None, plan: _Plan,
                  kept: list[tuple[Position, FgAbGroup]], entry_bound: int,
                  memos: dict[tuple[_Plan, _Lens], dict]):
-        self.table, self.plan, self.entry_bound, self.memos = table, plan, entry_bound, memos
+        self.table, self.earlier, self.plan = table, earlier, plan
+        self.entry_bound, self.memos = entry_bound, memos
         self.entry = dict(kept).__getitem__
         # the kept entries the turn leaves untouched
         self.kept = [entry for entry in kept if entry[0] not in plan.dropped]
-        self.carries, self.sources = plan.after(earlier)
+        self.carries, self.sources, self.finals = plan.after(earlier)
         self._lists: dict[tuple, tuple[_ComponentClass, ...]] = {}  # by what a list reads
         self._at: dict[_Lens, tuple[tuple[tuple[_Bound, ...], ...], dict]] = {}
 
@@ -1425,14 +1521,15 @@ class _TurnAfter:
         and the turn's node memo there."""
         at = self._at.get(lens)
         if at is None:
-            at = self._at[lens] = (self.plan.kept_at(_degree_parts(self.kept, lens)),
+            at = self._at[lens] = (self.plan.kept_at(_degree_parts(self.kept, lens, lens.final)),
                                    self.memos.setdefault((self.plan, lens), {}))
         return at
 
     def untouched(self, chosen: list[_ComponentClass]) -> list[tuple[Position, FgAbGroup]]:
         """The entries after ``chosen`` that the turn leaves untouched."""
         dropped = self.plan.dropped
-        return self.kept + [res for cls in chosen for res in cls.results if res[0] not in dropped]
+        placed = self.earlier.results(chosen) if self.earlier else []
+        return self.kept + [res for res in placed if res[0] not in dropped]
 
     def groups(self, chosen: list[_ComponentClass], k: int) -> tuple[FgAbGroup, ...]:
         """The entries of the turn's component k after ``chosen``."""
@@ -1451,12 +1548,12 @@ class _TurnAfter:
         """The class lists of the turn's components after ``chosen``, each
         by the classes whose results it reads."""
         lists = []
-        for k, (arrows, positions, signature) in enumerate(self.plan.comps):
+        for k, (arrows, signature) in enumerate(self.plan.shapes):
             key = (k, *map(id, map(chosen.__getitem__, self.sources[k][0])))
             classes = self._lists.get(key)
             if classes is None:
                 classes = self._lists[key] = self.table.classes(
-                    arrows, positions, self.groups(chosen, k), self.entry_bound, signature)
+                    arrows, self.groups(chosen, k), self.entry_bound, signature)
             lists.append(classes)
         return lists
 
@@ -1465,10 +1562,11 @@ class _CarriedParts(dict):
     """``_Plan.kept_at`` of a turn after ``chosen`` (``_TurnAfter``) under
     ``lens``, one entry of its checks at a time as the search first reads
     it: the untouched kept entries' parts (``base``) plus the parts of
-    the chosen classes' results that the turn leaves untouched.  A
-    class's positions have pairwise distinct degrees (each arrow lowers
-    p + q by one), so on a degree the turn carries its results' parts
-    are those of the one untouched result there."""
+    the chosen classes' results that the turn leaves untouched, read by
+    the degrees of each class's shape (``_Plan.after``).  A class's
+    positions have pairwise distinct degrees (each arrow lowers p + q by
+    one), so on a degree the turn carries its results' parts are those
+    of the one untouched result there."""
 
     __slots__ = ("turn", "lens", "base", "chosen")
 
@@ -1477,10 +1575,11 @@ class _CarriedParts(dict):
         self.turn, self.lens, self.base, self.chosen = turn, lens, base, chosen
 
     def __missing__(self, k: int) -> tuple[_Bound, ...]:
-        turn, chosen = self.turn, self.chosen
+        turn, chosen, lens = self.turn, self.chosen, self.lens
+        finals = turn.finals
         parts = list(self.base[k])
         for j, at in turn.carries[k]:
-            left = chosen[j].degree_parts(self.lens)
+            left = chosen[j].degree_parts(lens, finals[j])
             for i, deg in at:
                 lo, hi = parts[i]
                 f, h = left[deg]
@@ -1489,10 +1588,11 @@ class _CarriedParts(dict):
         return parts
 
 
-def _turn(r: int, chosen: list[_ComponentClass]) -> _Turn:
-    """The turn of page r that ``chosen`` labels: its nonzero
-    differentials by source position."""
-    return r, tuple(sorted(hom for cls in chosen for hom in cls.homs))
+def _turn(plan: _Plan, chosen: list[_ComponentClass]) -> _Turn:
+    """The turn of ``plan`` that ``chosen`` labels: its page index and its
+    nonzero differentials by source position."""
+    return plan.r, tuple(sorted(((p + base, q), hom) for cls, base in zip(chosen, plan.bases)
+                                for (p, q), hom in cls.homs))
 
 
 def _turn_lens(table: EnumerationTable, plan: _Plan, kept: list[tuple[Position, FgAbGroup]],
@@ -1557,7 +1657,17 @@ def _turn_combinations(plan: _Plan, lens: _Lens,
     worked out once per distinct such input, in ``memo``, which the solve
     shares among every branch with that plan and lens, and the search
     visits the same prefixes, in the same order, as it would checking
-    each class.
+    each class.  A placed class's parts are read at its component's
+    column offset (``_Plan.bases``), by the degrees of its shape.
+
+    On the last turn every bound is exact, so at a node whose parities
+    are both exact ``_Lens.meet`` is integer equality, and a class
+    survives exactly when its parts on the degrees component i completes
+    (those of ``plan.checks[i + 1]``) equal the needed remainder: each parity value
+    less the untouched parts and the earlier classes' parts there.  Such
+    a node checks only the classes that ``_Lens.index`` files under that
+    remainder, in list order; every other class would fail its check, so
+    the kept children are the same.
 
     The search keeps one stack of sibling iterators, as
     ``_component_classes`` does, so a turn with many components does not
@@ -1567,12 +1677,13 @@ def _turn_combinations(plan: _Plan, lens: _Lens,
     if not class_lists:
         yield chosen
         return
-    flow, reads, last = plan.flow, plan.reads, len(class_lists) - 1
+    flow, reads, read, finals, bases = plan.flow, plan.reads, plan.read, plan.finals, plan.bases
+    last = len(class_lists) - 1
     check = None  # the turn's ``_interval_check``, built at the first miss
-    # per placed class: its ``degree_parts`` and, on a turn that is not the
-    # last, the summed ``_Flow.pack`` of the untouched entries and the
-    # classes placed so far
-    parts: list[dict[int, _Bound]] = []
+    # per placed class: its ``degree_parts`` when a later check reads them
+    # (``_Plan.read``) and, on a turn that is not the last, the summed
+    # ``_Flow.pack`` of the untouched entries and the classes placed so far
+    parts: list[dict[int, _Bound] | None] = []
     packs = [kept_pack]
 
     def children(state):
@@ -1582,13 +1693,25 @@ def _turn_combinations(plan: _Plan, lens: _Lens,
         classes = class_lists[i]
         key = (i, id(classes), state, kept_parts[i + 1])
         if reads[i]:
-            key += tuple(parts[c].get(deg, _NO_PART) for deg, c in reads[i])
+            key += tuple(parts[c].get(deg, _NO_PART) for c, deg in reads[i])
         if i == last and flow is not None:
             key += (packs[i],)
         kids = memo.get(key)
         if kids is None:
             if check is None:
                 check = _interval_check(plan, lens, kept_parts, kept_pack)
+            if flow is None and state[0] and state[1]:
+                # the last turn's bounds are exact, so with both parities
+                # exact the check is equality: a class survives exactly
+                # when its parts on the degrees component i completes are
+                # what the parity values leave, less the untouched parts
+                # and the earlier classes' parts
+                degrees = plan.checks[i + 1]
+                needed = tuple(state[deg % 2][0] - lo
+                               - sum(parts[c].get(rel, _NO_PART)[0] for c, rel in at[:-1])
+                               for (deg, at), (lo, _) in zip(degrees, kept_parts[i + 1]))
+                completes = tuple(at[-1][1] for _, at in degrees)
+                classes = lens.index(classes, finals[i], completes).get(needed, ())
             # one object per distinct next state, keyed by itself (a pair
             # of bounds, never a node's key)
             kids = memo[key] = tuple((cls, memo.setdefault(nxt, nxt)) for cls in classes
@@ -1602,11 +1725,12 @@ def _turn_combinations(plan: _Plan, lens: _Lens,
             even, odd = state
             if even and odd and (even[0], odd[0]) in cut:
                 continue
+            i = len(chosen)
             chosen.append(cls)
-            if len(chosen) <= last:
-                parts.append(cls.degree_parts(lens))
+            if i < last:
+                parts.append(cls.degree_parts(lens, finals[i]) if read[i] else None)
                 if flow is not None:
-                    packs.append(packs[-1] + cls.pack(flow))
+                    packs.append(packs[-1] + cls.pack(flow, bases[i]))
                 pending.append(children(state))
                 break
             yield chosen
@@ -1662,14 +1786,14 @@ def _interval_check(plan: _Plan, lens: _Lens, kept_parts: Sequence[tuple[_Bound,
     class, so no node of the DFS adds groups.
     """
     flow, ones, settled, meet = plan.flow, lens.ones, plan.settled, lens.meet
-    last_comp = len(plan.comps) - 1
+    finals, bases, last_comp = plan.finals, plan.bases, len(plan.comps) - 1
 
     def check(i, placed, state):
         # the pins as exact bounds at the start
         out = list(state) if i >= 0 else [grp and (lens.packed(grp),) * 2 for grp in state]
         for (deg, at), (lo, hi) in zip(plan.checks[i + 1], kept_parts[i + 1]):
-            for c in at:
-                f, h = placed[c].degree_parts(lens).get(deg, _NO_PART)
+            for c, rel in at:
+                f, h = placed[c].degree_parts(lens, finals[c]).get(rel, _NO_PART)
                 lo, hi = lo + f, hi + h
             seen = out[deg % 2] = meet(out[deg % 2], (lo, hi))
             if seen is None:
@@ -1678,7 +1802,7 @@ def _interval_check(plan: _Plan, lens: _Lens, kept_parts: Sequence[tuple[_Bound,
             out[e] = (out[e][0] & ones, out[e][1] & ones)
         if i == last_comp and flow is not None:
             (lo_even, hi_even), (lo_odd, hi_odd) = out
-            packed = kept_pack + sum(cls.pack(flow) for cls in placed)
+            packed = kept_pack + sum(cls.pack(flow, base) for cls, base in zip(placed, bases))
             if not any(lo_even <= even <= hi_even and lo_odd <= odd <= hi_odd
                        for even, odd in flow.values(packed)):
                 return None

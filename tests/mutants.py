@@ -31,6 +31,7 @@ TORSION = ["tests/test_spectra.py::test_pruning_keeps_the_leaves_of_a_search_wit
            "tests/test_spectra.py::test_pruning_keeps_the_leaves_of_pinned_degrees"]
 HAND_DERIVED = ["tests/test_spectra.py::test_two_stage_turning_hand_derived"]
 PACKED_MEET = "tests/test_properties.py::test_the_packed_meet_is_the_meet_of_each_field"
+LOOKUP = ["tests/test_spectra.py::test_children_are_the_classes_checked_one_at_a_time[rp7-s4-w4]"]
 
 # (name, file, source text, its mutation, the tests that must fail)
 MUTATIONS = [
@@ -78,7 +79,7 @@ MUTATIONS = [
      "fields.setdefault(p, len(fields) + 1)",
      ["tests/test_properties.py::test_the_last_turn_packing_is_additive_and_injective"]),
     ("carried-live-bits-keep-zeros", SPECTRA,
-     "live_next &= ~cls.zeros(bit)",
+     "live_next &= ~zero_bits[cls.zeros]",
      "live_next &= ~0",
      # a stale live bit reads a zero result where a page entry was, so it
      # adds work (the pinned check count) and keeps the leaves
@@ -90,6 +91,14 @@ MUTATIONS = [
     ("node-key-without-kept-parts", SPECTRA,
      "key = (i, id(classes), state, kept_parts[i + 1])",
      "key = (i, id(classes), state)",
+     HAND_DERIVED),
+    ("lookup-remainder-without-kept-parts", SPECTRA,
+     "needed = tuple(state[deg % 2][0] - lo\n",
+     "needed = tuple(state[deg % 2][0]\n",
+     LOOKUP),
+    ("placed-results-one-column-off", SPECTRA,
+     "((p + base, q), grp)",
+     "((p + base + 2, q), grp)",
      HAND_DERIVED),
 ]
 

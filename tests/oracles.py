@@ -12,9 +12,9 @@ from cobcheck.exactness import (BranchOutcome, CertStep, Certificate, ClaimVerdi
                                 check_feasibility)
 from cobcheck.graded import GradedGroup
 from cobcheck.spectra import (BranchLeaf, BranchTree, EnumerationTable, SpectraError, WindowError,
-                              _ComponentClass, _first_active_page, _interval_check,
-                              _possibly_nonzero, _slots_and_unresolved, build_e1,
-                              certified_degrees)
+                              _ComponentClass, _component_classes, _first_active_page,
+                              _interval_check, _possibly_nonzero, _slots_and_unresolved,
+                              build_e1, certified_degrees)
 from cobcheck.topology import Product, RealProjective, Sphere
 
 
@@ -138,8 +138,11 @@ def solve_floer_without_pruning(s_homology, column_step, constraints=(), entry_b
     page as the untouched entries plus the homology its classes hold;
     2-periodicity and the pins are checked on the stable page only.  The
     first branch per abutment is kept, in search order, and leaves are
-    sorted as the solver sorts them."""
+    sorted as the solver sorts them.  Each component's classes are
+    enumerated at its own positions, not read from a shape moved to
+    column 0 as the solver reads them."""
     table = EnumerationTable()
+    placed = {}  # the classes of each component, by its arrows, groups and signature
     root = build_e1(s_homology, column_step, col_span)
     leaves = {}
     truncation = False
@@ -191,9 +194,11 @@ def solve_floer_without_pruning(s_homology, column_step, constraints=(), entry_b
         class_lists = []
         for comp in components_by_union_find(slots):
             positions = tuple(sorted({pos for arrow in comp for pos in arrow}))
-            class_lists.append(table.classes(
-                tuple(comp), positions, tuple(page.entry(*pos) for pos in positions), entry_bound,
-                tuple(pos for pos in positions if pos not in unresolved)))
+            key = (tuple(comp), tuple((pos, page.entry(*pos)) for pos in positions),
+                   tuple(pos for pos in positions if pos not in unresolved))
+            if key not in placed:
+                placed[key] = _component_classes(table, key[0], key[1], entry_bound, key[2])
+            class_lists.append(placed[key])
         for combo in itertools.product(*class_lists):
             results = tuple(res for cls in combo for res in cls.results)
             explore(page.turned(r + 1, unresolved, kept + results),

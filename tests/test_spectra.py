@@ -265,12 +265,18 @@ def test_solve_window_independence():
 
 
 def test_solve_bound_monotone():
-    for hom_table, step in [(H_RP7, 8), (H_R, 4)]:
-        leaves = {}
-        for bound in (2, 3, 4):
-            leaves[bound] = {(l.hf_even, l.hf_odd)
-                             for l in solve_floer(hom_table, step, entry_bound=bound).leaves}
-        assert leaves[2] <= leaves[3] <= leaves[4]
+    # a relation, not an oracle: every hom space at bound B lies inside
+    # the one at B + 1, so every branch at B is a branch at B + 1, and
+    # the leaf pairs at B lie inside those at B + 1
+    for hom_table, step, bounds in [
+            (H_RP7, 8, (2, 3, 4)),
+            (H_R, 4, (2, 3, 4)),
+            (H_RP7, 4, (1, 2, 3, 4)),
+            (homology(Product(RealProjective(3), RealProjective(3))), 4, (1, 2, 3, 4))]:
+        leaves = [{(leaf.hf_even, leaf.hf_odd)
+                   for leaf in solve_floer(hom_table, step, entry_bound=bound).leaves}
+                  for bound in bounds]
+        assert all(smaller <= larger for smaller, larger in zip(leaves, leaves[1:]))
 
 
 def test_solve_pin_constraint():
@@ -278,6 +284,25 @@ def test_solve_pin_constraint():
     assert [(l.hf_even, l.hf_odd) for l in pinned.leaves] == [(ZERO, ZERO)]
     pinned2 = solve_floer(H_R, 4, constraints=((1, cyclic(2)),))
     assert [(l.hf_even, l.hf_odd) for l in pinned2.leaves] == [(cyclic(2), cyclic(2))]
+
+
+@pytest.mark.parametrize("h, step, kw", [
+    (H_T2, 2, {"entry_bound": 2}),
+    (H_T2, 2, {"entry_bound": 4}),
+    (homology(Product(RealProjective(3), RealProjective(3))), 4, {"entry_bound": 4}),
+    (H_RP7, 4, {"entry_bound": 4, "col_span": 4}),
+], ids=["t2-s2-b2", "t2-s2-b4", "rp3rp3-s4", "rp7-s4-w4"])
+def test_pinning_a_leaf_gives_exactly_that_leaf(h, step, kw):
+    # a relation, not an oracle: a pinned solve visits the unpinned one's
+    # branches in the same order and keeps those whose folded values agree
+    # with the pins, so pinning a leaf's (HF_even, HF_odd) keeps exactly
+    # the first branch that reaches them: that leaf, with the same turns
+    tree = solve_floer(h, step, **kw)
+    assert tree.leaves
+    for leaf in tree.leaves:
+        pinned = solve_floer(h, step, constraints=((0, leaf.hf_even), (1, leaf.hf_odd)), **kw)
+        assert pinned.leaves == (leaf,)
+        assert pinned.leaves[0].turns == leaf.turns
 
 
 def test_solve_contradictory_pin_is_empty():
@@ -624,28 +649,33 @@ def test_t3_checks_each_distinct_node_input_once(monkeypatch):
     # With exact (free rank, prime powers) keys beside the packed
     # bounds the states were finer: 9,604 checks.  The u_4 field (k >= 2:
     # the 3 x 3 minors of +-1 matrices give cokernels Z/4) cuts no branch
-    # here; without it the checks are 8,202
+    # here; without it the checks are 8,024.  Once both parities of a
+    # last-turn node are exact, only the classes whose parts match what
+    # they leave are checked (8,843 checks when every class was): no leaf
+    # moves, since each class skipped would fail its equality check
     calls = checks_made(monkeypatch)
     tree = solve_floer(H_T3, 2, entry_bound=1)
     assert len(tree.leaves) == 16
-    assert len(calls) == 8843
+    assert len(calls) == 8665
 
 
 def test_rp3_x_rp6_at_step_4_is_cut_by_the_d_p_bound(monkeypatch):
     # a torsion-heavy product at step 4, bound 1, smallest window: no
     # branch comes out 2-periodic, and the d_p bound cuts most of them on
     # the root turn.  The last turn builds no page, so the cut shows in
-    # the interval checks: 7,674 (every torsion order is 2, so d_2 is the
-    # only field past the free rank), 7,952 when exact (free rank, prime
-    # powers) keys rode beside the packed bounds and split their states,
-    # and 20,034 with free ranks and those keys alone (and 146,406 pages
-    # built so before the last turn went page-less)
+    # the interval checks: 6,634 (every torsion order is 2, so d_2 is the
+    # only field past the free rank), 7,674 while the last turn checked
+    # every class at every node instead of those its lookup finds, 7,952
+    # when exact (free rank, prime powers) keys rode beside the packed
+    # bounds and split their states, and 20,034 with free ranks and those
+    # keys alone (and 146,406 pages built so before the last turn went
+    # page-less)
     calls = checks_made(monkeypatch)
     built = instances_built(monkeypatch, BigradedPage)
     tree = solve_floer(H_RP3_RP6, 4, entry_bound=1,
                        col_span=spectra._smallest_window(H_RP3_RP6, 4))
     assert tree.leaves == ()
-    assert len(calls) == 7674
+    assert len(calls) == 6634
     assert len(built) <= 30894
 
 
@@ -688,15 +718,17 @@ def lens_without(powers):
     # off, and with only the free rank's field; the u_4 field cuts no
     # branch of T^3's root turn (1,132 kept either way), it only splits
     # node states, and with the free rank's field alone the root turn
-    # keeps 1,764
-    (H_T3, 2, {"entry_bound": 1}, (8843, 8202, 5539)),
-    (H_RP7, 4, {"entry_bound": 4, "col_span": 4}, (53, 53, 53)),
+    # keeps 1,764.  The last turn checks only the classes its lookup finds
+    # (8,843, 8,202 and 5,539 checks, 53, 68 and 7,674 while it checked
+    # every class)
+    (H_T3, 2, {"entry_bound": 1}, (8665, 8024, 5329)),
+    (H_RP7, 4, {"entry_bound": 4, "col_span": 4}, (25, 25, 25)),
     (homology(Product(RealProjective(3), RealProjective(3))), 4, {"entry_bound": 1},
-     (68, 68, 68)),
+     (16, 16, 16)),
     # E = 2 on every turn, so there is no k >= 2 field; with the free
     # rank's field alone the solve runs for more than nine minutes, so
     # that ablation is left out here
-    (H_RP3_RP6, 4, {"entry_bound": 1, "col_span": 2}, (7674, 7674)),
+    (H_RP3_RP6, 4, {"entry_bound": 1, "col_span": 2}, (6634, 6634)),
 ], ids=["t3-s2-b1", "rp7-s4-w4", "rp3xrp3-s4", "rp3xrp6-s4"])
 def test_the_prime_power_fields_change_no_leaf(monkeypatch, h, step, kw, checks):
     # a cut ablation: the fields of a turn's lens only cut branches that
@@ -757,7 +789,12 @@ def children_match_class_by_class_checks(monkeypatch) -> list:
     (GradedGroup.from_dict({0: Z, 1: cyclic(2), 4: cyclic(3), 5: Z}), 2,
      {"entry_bound": 1, "col_span": 3}, 4),
     (GradedGroup.from_dict({0: Z, 3: Z, 4: Z, 5: Z}), 2, {"entry_bound": 1, "col_span": 3}, 3),
-], ids=["t3-s2-b1", "rp7-s4-w4", "rows-0-1-4-5", "rows-0-1-4-5-torsion", "rows-0-3-4-5"])
+    # pins make the last turn's start state exact, so its lookup runs from
+    # the first component on (both degrees pinned) or from a later one
+    (H_R, 4, {"constraints": ((0, ZERO), (1, ZERO))}, 1),
+    (H_R, 4, {"constraints": ((1, cyclic(2)),)}, 1),
+], ids=["t3-s2-b1", "rp7-s4-w4", "rows-0-1-4-5", "rows-0-1-4-5-torsion", "rows-0-3-4-5",
+        "r-s4-pinned-0-1", "r-s4-pinned-1"])
 def test_children_are_the_classes_checked_one_at_a_time(monkeypatch, h, step, kw, leaves):
     calls = children_match_class_by_class_checks(monkeypatch)
     assert len(solve_floer(h, step, **kw).leaves) == leaves
@@ -774,6 +811,32 @@ def test_children_are_the_classes_checked_one_at_a_time_in_a_run(monkeypatch, ca
     assert main(["check", str(path)]) == code
     capsys.readouterr()
     assert calls
+
+
+def test_the_last_turn_checks_only_the_classes_its_lookup_finds(monkeypatch, capsys):
+    # the flagship at entry bound 6, window 8 (flagship-sweep/cp7-b6-w8):
+    # every solve is decided on its last turn, whose bounds are exact, so
+    # once both parities of a node are exact a class survives exactly when
+    # its parts equal what the parity values leave.  The lookup finds those
+    # classes, and every class it hands the check passes: 86 checks, 84
+    # of them of classes and 2 of start states, against 1,762 when every
+    # class was checked at every node
+    passed, interval_check = [], spectra._interval_check
+
+    def counted(*args):
+        check = interval_check(*args)
+
+        def call(*state):
+            out = check(*state)
+            passed.append(out is not None)
+            return out
+
+        return call
+
+    monkeypatch.setattr(spectra, "_interval_check", counted)
+    assert main(["check", str(CORPUS / "flagship-sweep" / "cp7-b6-w8.json")]) == 10
+    capsys.readouterr()
+    assert len(passed) == 86 and all(passed)
 
 
 def test_hom_spaces_build_homs_only_when_indexed(monkeypatch):
