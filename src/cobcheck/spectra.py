@@ -128,31 +128,27 @@ parts.  So the search finds those classes by lookup, in an index of the
 class list by those parts, and checks only them.
 
 Torsion is bounded the same way on the turns that are not the last.
-For a prime power q = p^k let u_q(M) = dim(p^(k-1) M / p^k M), the
-free rank plus the number of invariant factors divisible by q; u_p =
-d_p(M) = dim(M / pM).  Over the local ring Z_(p), a PID, d_p(M) is the
-least number of generators of M_(p) (Nakayama's lemma), and a
-submodule or a quotient needs no more generators than its module, so
-d_p never grows on a subquotient.  Nor does u_q: if S = A / B with B in
-A in M, then p^(k-1) S = (p^(k-1) A + B) / B is a quotient of p^(k-1) A,
-a submodule of p^(k-1) M, and u_q(S) = d_p(p^(k-1) S) <= d_p(p^(k-1) A)
-<= d_p(p^(k-1) M) = u_q(M).  So an entry's u_q never grows from page to
-page.  u_q adds on direct sums, so a certified degree's final u_q lies
-between that of its final entries and that of all of them, and the
-degrees of one parity must meet on it as they must on the free rank.
-Together the u_q fix a group whose exponent divides E, for q running
-over the prime powers that divide E: Z/p^k occurs u_(p^k) - u_(p^(k+1))
-times, and u_(p^(k+1)) is the free rank once p^(k+1) does not divide
-E.  A turn reads the u_q of the prime powers dividing the exponent E of
-every torsion order among its entries, its classes' results and the
-pins (for any other prime power u_q is the free rank), so lo = hi
-there is one exact group, and its bounds pack the free rank and each u_q
-into one int, a field each (``_Lens``), so parts add in one int add and
-one parity's bounds meet in a few int operations.  The last turn's
-classes are only known per branch, so its one lens per solve packs the
-free rank and the multiplicity of each prime power instead, which is
-additive and fixes every group; its bounds are all exact and meet by
-equality.
+For a prime p let d_p(M) = dim(M ⊗ F_p) = dim(M / pM), the free rank
+plus the number of invariant factors divisible by p.  Over the local
+ring Z_(p), a PID, d_p(M) is the least number of generators of M_(p)
+(Nakayama's lemma), and a submodule or a quotient needs no more
+generators than its module, so d_p never grows on a subquotient, and an
+entry's d_p never grows from page to page.  d_p adds on direct sums, so
+a certified degree's final d_p lies between that of its final entries
+and that of all of them, and the degrees of one parity must meet on it
+as they must on the free rank.  A turn reads d_p for each prime p that
+divides the exponent E of every torsion order among its entries, its
+classes' results and the pins (for any other prime d_p is the free
+rank), and its bounds pack the free rank and each d_p into one int, a
+field each (``_Lens``), so parts add in one int add and one parity's
+bounds meet in a few int operations.  These fields do not fix a group
+(Z/2 and Z/4 pack alike), so on such a turn lo = hi is one exact packed
+value, not always one group.  Two exact bounds that differ in a field
+still admit no common group, so the meet stays sound, only coarser than
+a meet of groups.  The last turn's classes are only known per branch,
+so its one lens per solve packs the free rank and the multiplicity of
+each prime power instead, which is additive and fixes every group; its
+bounds are all exact groups and meet by equality.
 
 The same run is the one window check: when it does not certify degrees
 0 and 1, the solve raises ``WindowError`` before any class is
@@ -166,14 +162,13 @@ direct sum, of the E-infinity entries on its antidiagonal.  A spectral
 sequence fixes its abutment only up to extension: those entries are
 the quotients of a filtration of H_n, with the lower columns below, so
 Z/2 over Z/2 may also abut to Z/4, and Z/2 over Z to Z.  The leaves,
-their deduplication, the last turn's exact bounds and the u_q bounds
+their deduplication, the last turn's exact bounds and the d_p bounds
 all take the direct sum (Z/4 has d_2 = 1 where (Z/2)^2 has 2); an
 extension of a quotient with l-torsion by a sub with free rank or
 l-torsion need not split, and no such leaf is marked.  Under a
-non-split extension d_p stays subadditive, but u_q for k >= 2 does not
-(Z/2 over Z/2 abuts to Z/4, where u_4 goes from 0 + 0 to 1), so the
-upper end of a k >= 2 field would need a cap of its own, such as the
-d_p upper end, since u_q <= d_p; that cap is still open.
+non-split extension d_p stays subadditive: for a sub A of M, A ⊗ F_p ->
+M ⊗ F_p -> (M / A) ⊗ F_p -> 0 is exact, so d_p(M) <= d_p(A) + d_p(M / A),
+and only the lower end of a d_p field rests on the split choice.
 """
 
 from __future__ import annotations
@@ -495,7 +490,7 @@ class _ComponentClass(_Record):
 # what a turn knows of a degree's final value, or of the part of it that
 # some entries on its antidiagonal give: each field of its ``_Lens`` lies
 # in [lo, hi], lo the packed sum of the final entries and hi that of all
-# of them; lo = hi is one exact group, as when every entry is final
+# of them; lo = hi is exact, as when every entry is final
 _Bound = tuple[int, int]
 _NO_PART: _Bound = (0, 0)
 
@@ -505,13 +500,14 @@ class _Lens:
     position is ``final``, and the group packed into one int
     (``packed``), fields of ``width`` value bits under one guard bit
     each, the free rank in field 0.  On a turn that is not the last,
-    field j holds u_q = the free rank plus the number of invariant
-    factors divisible by q, for q the j-th of the turn's prime ``powers``
-    (``_turn_lens``); a bound is an int pair (lo, hi), and ``meet`` meets
-    bounds so packed.  A field holds at most ``_WorstCase.width`` bits,
-    so the sums over one antidiagonal stay inside their fields.
+    field j holds d_p = the free rank plus the number of invariant
+    factors divisible by p, for p the j-th of the turn's ``primes``
+    (``_turn_lens``), so Z/2 and Z/4 pack alike; a bound is an int pair
+    (lo, hi), and ``meet`` meets bounds so packed.  A field holds at most
+    ``_WorstCase.width`` bits, so the sums over one antidiagonal stay
+    inside their fields.
 
-    The last turn's lens (``powers`` None, one per solve) packs the free
+    The last turn's lens (``primes`` None, one per solve) packs the free
     rank and, for each prime power, how many elementary divisors equal
     it, in a field assigned on first sight.  That packing is additive and
     fixes the group, and every bound there is exact (lo = hi), so it
@@ -521,12 +517,12 @@ class _Lens:
     at the cost of an id hash (and per final results too where some of
     them are not final)."""
 
-    __slots__ = ("final", "powers", "width", "ones", "guards", "_fields", "_packed", "_indexes")
+    __slots__ = ("final", "primes", "width", "ones", "guards", "_fields", "_packed", "_indexes")
 
-    def __init__(self, final: frozenset[Position], powers: tuple[int, ...] | None, width: int):
-        self.final, self.powers, self.width = final, powers, width
+    def __init__(self, final: frozenset[Position], primes: tuple[int, ...] | None, width: int):
+        self.final, self.primes, self.width = final, primes, width
         self.ones = (1 << width) - 1  # the free rank's field
-        self.guards = sum(1 << j * (width + 1) + width for j in range(len(powers or ()) + 1))
+        self.guards = sum(1 << j * (width + 1) + width for j in range(len(primes or ()) + 1))
         self._fields: dict[int, int] = {}  # the last turn's field of each prime power
         self._packed: dict[FgAbGroup, int] = {}
         self._indexes: dict[tuple, dict[tuple[int, ...], list[_ComponentClass]]] = {}
@@ -536,13 +532,13 @@ class _Lens:
         packed = self._packed.get(grp)
         if packed is None:
             free, shift = grp.free_rank, self.width + 1
-            if self.powers is None:
+            if self.primes is None:
                 fields = self._fields
                 packed = free + sum(1 << shift * fields.setdefault(p ** e, len(fields) + 1)
                                     for d in grp.torsion for p, e in _factorize(d).items())
             else:
-                packed = free + sum(free + sum(not d % q for d in grp.torsion) << shift * j
-                                    for j, q in enumerate(self.powers, 1))
+                packed = free + sum(free + sum(not d % p for d in grp.torsion) << shift * j
+                                    for j, p in enumerate(self.primes, 1))
             self._packed[grp] = packed
         return packed
 
@@ -565,7 +561,7 @@ class _Lens:
     def meet(self, seen: _Bound | None, bound: _Bound) -> _Bound | None:
         """The common value of one parity, ``seen`` so far, narrowed by
         one more degree's ``bound``, both packed by this lens; None when
-        no group satisfies both.  Two exact groups (lo = hi) must be
+        no group satisfies both.  Two exact bounds (lo = hi) must be
         equal; otherwise each field takes the max of the lower ends and
         the min of the upper ones.  Setting the guards of x and
         subtracting y leaves a field's guard set exactly where x >= y (no
@@ -627,12 +623,12 @@ class EnumerationTable:
             space = self._spaces[key] = hom_matrix_space(source, target, bound)
         return space
 
-    def lens(self, final: frozenset[Position], powers: tuple[int, ...] | None,
+    def lens(self, final: frozenset[Position], primes: tuple[int, ...] | None,
              width: int) -> _Lens:
         """The one ``_Lens`` of this reading."""
-        lens = self._lenses.get(key := (final, powers, width))
+        lens = self._lenses.get(key := (final, primes, width))
         if lens is None:
-            lens = self._lenses[key] = _Lens(final, powers, width)
+            lens = self._lenses[key] = _Lens(final, primes, width)
         return lens
 
     def masks(self, first: HomMatrixSpace, second: HomMatrixSpace) -> list[int]:
@@ -1032,8 +1028,8 @@ class _WorstCase:
         # touches, whose entries are final once that turn is taken
         self.final = final
         # the bits of a bound's field: ``top`` bounds d_p, for every prime
-        # p, and so each u_q, each prime power's multiplicity and the free
-        # rank, of any antidiagonal of any page
+        # p, and so each prime power's multiplicity and the free rank, of
+        # any antidiagonal of any page
         self.width = max(top.bit_length(), 1)
         # the bit (``EnumerationTable.bit``) of each window end of a run
         # arrow, and per turn each arrow with the bits of its window ends
@@ -1599,19 +1595,18 @@ def _turn_lens(table: EnumerationTable, plan: _Plan, kept: list[tuple[Position, 
                class_lists: list[tuple[_ComponentClass, ...]],
                pinned: tuple[FgAbGroup | None, FgAbGroup | None]) -> _Lens:
     """The ``_Lens`` of a turn that is not the last: ``plan.final``, and
-    each prime power q = p^k dividing the exponent E of the torsion among
-    the ``kept`` entries, the results of the classes in ``class_lists``
-    and the ``pinned`` groups, in fields of the flow's width.  Every group
-    the turn's check reads has an exponent dividing E, so these fields
-    and the free rank fix it (see the module docstring), and lo = hi is
-    one exact group.  (The last turn reads the solve's own lens, under
-    which every bound is exact.)"""
+    each prime p dividing the exponent E of the torsion among the
+    ``kept`` entries, the results of the classes in ``class_lists`` and
+    the ``pinned`` groups, in fields of the flow's width.  For any other
+    prime d_p is the free rank, so the turn reads every d_p of its groups
+    (see the module docstring); the fields do not fix a group, so lo = hi
+    is one exact packed value.  (The last turn reads the solve's own
+    lens, under which every bound is one exact group.)"""
     entries = chain(kept, *(cls.results for classes in class_lists for cls in classes),
                     ((None, grp) for grp in pinned if grp is not None))
     # the exponent of a group is its last invariant factor
     exponent = lcm(*(grp.torsion[-1] for _, grp in entries if grp.torsion))
-    powers = tuple(p ** k for p, e in sorted(_factorize(exponent).items()) for k in range(1, e + 1))
-    return table.lens(plan.final, powers, plan.flow.width)
+    return table.lens(plan.final, tuple(sorted(_factorize(exponent))), plan.flow.width)
 
 
 def _start_state(plan: _Plan, lens: _Lens, kept_parts: Sequence[tuple[_Bound, ...]],
@@ -1764,15 +1759,15 @@ def _interval_check(plan: _Plan, lens: _Lens, kept_parts: Sequence[tuple[_Bound,
     that of its final entries (no worst-case arrow after the turn touches
     their positions, so no real one does) and that of all its entries.
 
-    The same holds for each u_q = dim(p^(k-1) M / p^k M) that ``lens``
-    packs, q = p^k a prime power of the turn (see the module docstring):
-    u_q never grows on a subquotient, so an entry's E-infinity value has
-    u_q in [0, u_q of the entry], and its own u_q when it is final, and
-    u_q adds on direct sums.  So a bound is the packed pair (lo, hi) of
-    the final entries' sum and all the entries' sum, and when all its
-    entries are final lo = hi is the degree's exact group.  Like the
-    leaves, these bounds take the split abutment: Z/4 has d_2 = 1 where
-    (Z/2)^2 has 2.
+    The same holds for each d_p = dim(M ⊗ F_p) that ``lens`` packs, p a
+    prime of the turn (see the module docstring): d_p never grows on a
+    subquotient, so an entry's E-infinity value has d_p in [0, d_p of the
+    entry], and its own d_p when it is final, and d_p adds on direct
+    sums.  So a bound is the packed pair (lo, hi) of the final entries'
+    sum and all the entries' sum, and when all its entries are final,
+    lo = hi is the degree's exact packed value (on the last turn, its
+    exact group).  Like the leaves, these bounds take the split abutment:
+    Z/4 has d_2 = 1 where (Z/2)^2 has 2.
 
     The DFS state is the common bound of each parity so far, narrowed
     one degree at a time by ``_Lens.meet`` on every turn.  Once the

@@ -55,13 +55,10 @@ MUTATIONS = [
      "else (lo, hi + packed)",
      "else (lo + (packed & ~lens.ones), hi + packed)",
      TORSION),
-    ("k2-fields-of-non-final-in-lower-end", SPECTRA,
-     "else (lo, hi + packed)",
-     "else (lo + (packed & sum(lens.ones << j * (lens.width + 1)\n"
-     "                                       for j, q in enumerate(lens.powers or (), 1)\n"
-     "                                       if _factorize(q) != {q: 1})), hi + packed)",
-     ["tests/test_corpus.py::test_corpus_report_pinned[catalog-tables/t3-s2-b1]",
-      "tests/test_spectra.py::test_the_found_cut_changes_no_leaf[t3-s2-b1]"]),
+    ("d_p-without-free-rank", SPECTRA,
+     "free + sum(free + sum(not d % p",
+     "free + sum(sum(not d % p",
+     TORSION),
     ("meet-smaller-lower-end", SPECTRA,
      "lo = y ^ (x ^ y) & ge - (ge >> width)",
      "lo = x ^ (x ^ y) & ge - (ge >> width)",

@@ -3,8 +3,8 @@ from pathlib import Path
 import pytest
 
 from cobcheck import abgroup, spectra
-from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, _factorize, cokernel,
-                              cyclic, hom_images, subquotient)
+from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, cokernel, cyclic,
+                              hom_images, subquotient)
 from cobcheck.graded import GradedGroup
 from cobcheck.cli import branch_lines, main
 from cobcheck.spectra import (BigradedPage, EnumerationTable,
@@ -572,8 +572,10 @@ class _Anything:
     # the T^3 table at step 2, bound 1: the interval bounds and the
     # lookahead keep 1,132 root-turn branches, each of which starts the
     # last turn (page 4), and only 11 of them have a combination that
-    # survives it; without the lookahead 7,004 branches start it
-    (GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z}), {}, 16, (1133, 7005)),
+    # survives it; without the lookahead 7,252 branches start it (7,004
+    # while the root turn's lens also packed u_4: with the flow off, that
+    # field cut 248 branches the d_p fields keep)
+    (GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z}), {}, 16, (1133, 7253)),
     # pages 2, 4 and 6 turn, so the lookahead after page 2 spans two
     # later turns, and page 6 is the last
     (GradedGroup.from_dict({0: Z, 1: Z, 4: Z, 5: Z}), {"col_span": 3}, 3, (2688, 6670)),
@@ -641,22 +643,24 @@ def checks_made(monkeypatch) -> list:
 def test_t3_checks_each_distinct_node_input_once(monkeypatch):
     # T^3 at step 2, bound 1 (catalog-tables/t3-s2-b1): a DFS node's
     # children are checked once per distinct input, against 40,655 checks
-    # class by class.  The root turn's states bound d_2, u_4 and d_3 as
-    # well as free ranks, and a parity whose last degree is bounded keeps
-    # its free rank alone.  The last turn's memo is shared by every
-    # root-turn branch with the same plan, and its key reads the untouched
-    # parts, so the 1,132 branches make 476 last-turn checks, not 2,348.
-    # With exact (free rank, prime powers) keys beside the packed
-    # bounds the states were finer: 9,604 checks.  The u_4 field (k >= 2:
-    # the 3 x 3 minors of +-1 matrices give cokernels Z/4) cuts no branch
-    # here; without it the checks are 8,024.  Once both parities of a
-    # last-turn node are exact, only the classes whose parts match what
-    # they leave are checked (8,843 checks when every class was): no leaf
-    # moves, since each class skipped would fail its equality check
+    # class by class.  The root turn's states bound d_2 and d_3 as well as
+    # free ranks, and a parity whose last degree is bounded keeps its free
+    # rank alone; there is no u_4 field (the 3 x 3 minors of +-1 matrices
+    # give cokernels Z/4, which pack as Z/2 does).  The last turn's memo
+    # is shared by every root-turn branch with the same plan, and its key
+    # reads the untouched parts, so the 1,132 branches make 298 last-turn
+    # checks (476 before the lookup below), not 2,348.  With exact (free
+    # rank, prime powers) keys beside the packed bounds the states were
+    # finer: 9,604 checks, and 8,665 while the root turn's lens also
+    # packed u_4, which cut no branch here but split node states.  Once
+    # both parities of a last-turn node are exact, only the classes whose
+    # parts match what they leave are checked (8,202 checks when every
+    # class was): no leaf moves, since each class skipped would fail its
+    # equality check
     calls = checks_made(monkeypatch)
     tree = solve_floer(H_T3, 2, entry_bound=1)
     assert len(tree.leaves) == 16
-    assert len(calls) == 8665
+    assert len(calls) == 8024
 
 
 def test_rp3_x_rp6_at_step_4_is_cut_by_the_d_p_bound(monkeypatch):
@@ -701,45 +705,33 @@ def test_the_found_cut_changes_no_leaf(monkeypatch, h, step, kw, pages):
     assert tree.leaves and (plain, len(built) - plain) == pages
 
 
-def lens_without(powers):
-    """A ``_turn_lens`` that keeps only the turn's prime powers that
-    ``powers`` keeps."""
-    turn_lens = spectra._turn_lens
-
-    def lens_of(table, plan, *args):
-        lens = turn_lens(table, plan, *args)
-        return table.lens(lens.final, tuple(filter(powers, lens.powers)), lens.width)
-
-    return lens_of
+def free_rank_lens(table, plan, *args):
+    """A ``_turn_lens`` that packs the free rank alone, no d_p field."""
+    return table.lens(plan.final, (), plan.flow.width)
 
 
 @pytest.mark.parametrize("h, step, kw, checks", [
-    # the interval checks with every field, with the k >= 2 fields turned
-    # off, and with only the free rank's field; the u_4 field cuts no
-    # branch of T^3's root turn (1,132 kept either way), it only splits
-    # node states, and with the free rank's field alone the root turn
-    # keeps 1,764.  The last turn checks only the classes its lookup finds
-    # (8,843, 8,202 and 5,539 checks, 53, 68 and 7,674 while it checked
-    # every class)
-    (H_T3, 2, {"entry_bound": 1}, (8665, 8024, 5329)),
-    (H_RP7, 4, {"entry_bound": 4, "col_span": 4}, (25, 25, 25)),
-    (homology(Product(RealProjective(3), RealProjective(3))), 4, {"entry_bound": 1},
-     (16, 16, 16)),
-    # E = 2 on every turn, so there is no k >= 2 field; with the free
-    # rank's field alone the solve runs for more than nine minutes, so
-    # that ablation is left out here
-    (H_RP3_RP6, 4, {"entry_bound": 1, "col_span": 2}, (6634, 6634)),
+    # the interval checks with every field, and with only the free rank's
+    # field; with the free rank's field alone T^3's root turn keeps 1,764
+    # branches, not 1,132.  The last turn checks only the classes its
+    # lookup finds (while it checked every class: 8,202 and 5,539 checks
+    # on T^3, and 53, 68 and 7,674 with every field on the others)
+    (H_T3, 2, {"entry_bound": 1}, (8024, 5329)),
+    (H_RP7, 4, {"entry_bound": 4, "col_span": 4}, (25, 25)),
+    (homology(Product(RealProjective(3), RealProjective(3))), 4, {"entry_bound": 1}, (16, 16)),
+    # with the free rank's field alone the solve runs for more than nine
+    # minutes, so that ablation is left out here
+    (H_RP3_RP6, 4, {"entry_bound": 1, "col_span": 2}, (6634,)),
 ], ids=["t3-s2-b1", "rp7-s4-w4", "rp3xrp3-s4", "rp3xrp6-s4"])
-def test_the_prime_power_fields_change_no_leaf(monkeypatch, h, step, kw, checks):
-    # a cut ablation: the fields of a turn's lens only cut branches that
-    # have no leaf, so turning them off keeps the same leaves, with the
-    # same turns, in the same order
+def test_the_d_p_fields_change_no_leaf(monkeypatch, h, step, kw, checks):
+    # a cut ablation: the d_p fields of a turn's lens only cut branches
+    # that have no leaf, so turning them off keeps the same leaves, with
+    # the same turns, in the same order
     calls = checks_made(monkeypatch)
     tree = solve_floer(h, step, **kw)
     counts = [len(calls)]
-    for lens_of in [lens_without(lambda q: _factorize(q) == {q: 1}),
-                    lens_without(lambda q: False)][:len(checks) - 1]:
-        monkeypatch.setattr(spectra, "_turn_lens", lens_of)
+    if len(checks) > 1:
+        monkeypatch.setattr(spectra, "_turn_lens", free_rank_lens)
         calls.clear()
         assert solve_floer(h, step, **kw).leaves == tree.leaves
         counts.append(len(calls))
