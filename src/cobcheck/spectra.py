@@ -109,11 +109,12 @@ parity have no common value.  That check reads the bounds so far, the
 entries the placed classes put on the degrees it bounds and, before
 the coupled flow below, their summed free ranks, so a turn's one
 search (``_turn_combinations``) works out the classes that survive
-under a prefix once per distinct such input, not once per prefix; with
-the parts of the untouched entries in that input, each turn's memo
-lives as long as the solve and is shared by every branch that reaches
-the turn with the same plan and lens, so its nodes are worked out once
-across all of them.
+under a prefix once per distinct such input, not once per prefix.  With
+the parts of the untouched entries in that input, the rest of what the
+check reads is the turn's component layout (``_layout``: page index,
+components, offsets, finals and skeleton), its flow (None exactly on
+the last turn) and its lens, so one node memo per layout, flow and lens
+lives as long as the solve, and every plan with them shares it.
 Once the last component is placed, and before the next turn starts,
 the coupled flow over every later turn is solved degree by degree
 (each arrow joins degree d to d - 1): the branch is cut unless some
@@ -1161,18 +1162,18 @@ class _Flow:
         self.nodes = {pos: i for i, pos in enumerate(nodes)}  # capped positions
         self.bases = {deg: (len(nodes) + j) * w for j, deg in enumerate(sorted(degrees))}
         # per degree, from the top: the arrows out of it, each as the
-        # indices of its capped ends; its capped positions, and a 0/1 mask
-        # that clears them once settled (None when it has none); its field
-        arrows = [(sum(s), ends) for s, t in arrows
-                  if (ends := tuple(self.nodes[pos] for pos in (s, t) if pos in self.nodes))]
-        steps = []
-        for deg in sorted({*(deg for deg, _ in arrows), *map(sum, nodes), *self.bases},
-                          reverse=True):
-            settled = tuple(i for i, pos in enumerate(nodes) if sum(pos) == deg)
-            keep = tuple(int(i not in settled) for i in range(len(nodes))) if settled else None
-            steps.append((tuple(ends for source, ends in arrows if source == deg), settled, keep,
-                          self.bases.get(deg), deg % 2))
-        self.steps = tuple(steps)
+        # indices of its capped ends; its capped positions, cleared once
+        # settled; its field
+        out_of: dict[int, list[tuple[int, ...]]] = {}
+        for s, t in arrows:
+            if ends := tuple(self.nodes[pos] for pos in (s, t) if pos in self.nodes):
+                out_of.setdefault(sum(s), []).append(ends)
+        at: dict[int, list[int]] = {}
+        for i, pos in enumerate(nodes):
+            at.setdefault(sum(pos), []).append(i)
+        self.steps = tuple((tuple(out_of.get(deg, ())), tuple(at.get(deg, ())),
+                            self.bases.get(deg), deg % 2)
+                           for deg in sorted({*out_of, *at, *self.bases}, reverse=True))
         self._values: dict[int, frozenset[tuple[int, int]]] = {}
         self._distinct: dict[frozenset, frozenset] = {}
 
@@ -1200,7 +1201,7 @@ class _Flow:
         w, ones = self.width, (1 << self.width) - 1
         # (free rank left at each capped position, (even, odd) value or None)
         states = {(tuple(packed >> (i * w) & ones for i in range(len(self.nodes))), (None, None))}
-        for arrows, settled, keep, base, parity in self.steps:
+        for arrows, settled, base, parity in self.steps:
             for ends in arrows:
                 grown = set()
                 for left, values in states:
@@ -1219,7 +1220,12 @@ class _Flow:
                         values = (value, values[1]) if parity == 0 else (values[0], value)
                     elif values[parity] != value:
                         continue
-                done.add((left if keep is None else tuple(map(mul, left, keep)), values))
+                if settled:
+                    left = list(left)
+                    for i in settled:
+                        left[i] = 0
+                    left = tuple(left)
+                done.add((left, values))
             states = done
         return frozenset(values for _, values in states)
 
@@ -1234,7 +1240,7 @@ class _Plan:
     reads of a class is kept here by the shape's degrees."""
 
     __slots__ = ("r", "comps", "shapes", "bases", "zero_bits", "unresolved", "dropped", "final",
-                 "finals", "flow", "checks", "reads", "read", "settled", "_after")
+                 "finals", "flow", "checks", "reads", "read", "memos", "settled", "_after")
 
     def __init__(self, run: _WorstCase, r: int, arrows: _Arrows, unresolved: frozenset[Position]):
         self.r = r  # the page of the turn
@@ -1252,7 +1258,7 @@ class _Plan:
         if layout is None:
             layout = run.layouts[key] = _layout(run, *key)
         (self.comps, self.shapes, self.bases, self.zero_bits, self.finals, self.checks, self.reads,
-         self.read) = layout
+         self.read, self.memos) = layout
         # touched or next unresolved
         self.dropped = unresolved.union(*(positions for _, positions, _ in comps))
         self.final = run.final[r]  # the run's final positions after r, read by the turn's lens
@@ -1284,14 +1290,17 @@ class _Plan:
         layout = self._after.get(earlier)
         if layout is None:
             comps = () if earlier is None else earlier.comps
-            left = [{sum(pos) for pos in signature if pos not in self.dropped}
-                    for _, _, signature in comps]
-            carries = tuple(
-                tuple((j, at) for j, degrees_left in enumerate(left)
-                      if (at := tuple((i, deg - earlier.bases[j])
-                                      for i, (deg, _) in enumerate(degrees)
-                                      if deg in degrees_left)))
-                for degrees in self.checks)
+            # each degree's entry k of ``checks`` and its index i there
+            where = {deg: (k, i) for k, degrees in enumerate(self.checks)
+                     for i, (deg, _) in enumerate(degrees)}
+            carries = [{} for _ in self.checks]
+            for j, (_, _, signature) in enumerate(comps):
+                for pos in signature:
+                    if pos not in self.dropped and (found := where.get(deg := sum(pos))):
+                        k, i = found
+                        carries[k].setdefault(j, []).append((i, deg - earlier.bases[j]))
+            carries = tuple(tuple((j, tuple(at)) for j, at in by_comp.items())
+                            for by_comp in carries)
             at = {pos: (j, i) for j, (_, _, signature) in enumerate(comps)
                   for i, pos in enumerate(signature)}
             sources = tuple((tuple(sorted({src[0] for src in comp if src})), comp)
@@ -1325,8 +1334,9 @@ def _layout(run: _WorstCase, r: int, comps: tuple) -> tuple:
     component c that has an entry on its antidiagonal, as (c, the degree
     on c's shape); per component i, the (earlier component, its degree)
     pairs its check reads (the last component on each of its degrees is i
-    itself); and whether a later component's check reads its class's
-    parts."""
+    itself); whether a later component's check reads its class's parts;
+    and the node memos of the turns with these components, by flow and
+    lens (``_turn_combinations``)."""
     shapes, bases = [], []
     reach: dict[int, list[int]] = {}  # degree -> the components with an entry on it
     for i, (arrows, _, signature) in enumerate(comps):
@@ -1346,9 +1356,10 @@ def _layout(run: _WorstCase, r: int, comps: tuple) -> tuple:
         skeleton[at[-1][0] + 1 if at else 0].append((deg, at))
     checks = tuple(map(tuple, skeleton))
     reads = tuple(tuple(pair for _, at in degrees for pair in at[:-1]) for degrees in checks[1:])
-    read = tuple(any(c == i for pairs in reads for c, _ in pairs) for i in range(len(comps)))
+    readers = {c for pairs in reads for c, _ in pairs}
+    read = tuple(i in readers for i in range(len(comps)))
     return (comps, tuple(shapes), tuple(bases), zero_bits, _shape_finals(comps, run.final[r]),
-            checks, reads, read)
+            checks, reads, read, {})
 
 
 def _shape_finals(comps: Sequence[tuple[_Arrows, tuple[Position, ...], tuple[Position, ...]]],
@@ -1423,10 +1434,6 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
                 turns=tuple(_turn(plan, chosen) for plan, chosen in turns),
                 stable_page=page.page_index)
 
-    # the node memo of each turn's search, by plan and lens, shared by every
-    # branch that reaches the turn
-    memos: dict[tuple[_Plan, _Lens], dict] = {}
-
     def turn(after: _TurnAfter, live: int, turns: _Chosen) -> None:
         # the turn ``after.plan`` of a branch that took ``turns`` (none at
         # the first page); ``live``: its live bits (``_WorstCase.bits``)
@@ -1464,7 +1471,7 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
                 continue
             following = nexts.get(nxt)
             if following is None:
-                following = nexts[nxt] = _TurnAfter(table, plan, nxt, kept, entry_bound, memos)
+                following = nexts[nxt] = _TurnAfter(table, plan, nxt, kept, entry_bound)
             turn(following, live_next, (*turns, (plan, chosen)))
 
     live = run.live(root)
@@ -1472,7 +1479,7 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     if plan is None:
         finish(root, ())
     else:
-        turn(_TurnAfter(table, None, plan, list(root.entries), entry_bound, memos), live, ())
+        turn(_TurnAfter(table, None, plan, list(root.entries), entry_bound), live, ())
     ordered = tuple(sorted(leaves.values(), key=lambda lf: (str(lf.hf_even), str(lf.hf_odd))))
     return BranchTree(
         column_step=column_step,
@@ -1493,18 +1500,15 @@ class _TurnAfter:
     plans), and per branch only looked up or summed: its components'
     entries, from ``kept`` or a class's results, and the parts of the
     entries it leaves untouched, kept's and each class's
-    (``_CarriedParts``).  Kept's parts and the node memo, which the turn
-    shares through ``memos`` with every branch that has the plan, are
-    fetched once per lens (``at``)."""
+    (``_CarriedParts``).  Kept's parts and the node memo, the plan's
+    layout's for its flow and lens, are fetched once per lens (``at``)."""
 
-    __slots__ = ("table", "earlier", "plan", "entry", "entry_bound", "memos", "kept", "carries",
-                 "sources", "finals", "_lists", "_at")
+    __slots__ = ("table", "earlier", "plan", "entry", "entry_bound", "kept", "carries", "sources",
+                 "finals", "_lists", "_at")
 
     def __init__(self, table: EnumerationTable, earlier: _Plan | None, plan: _Plan,
-                 kept: list[tuple[Position, FgAbGroup]], entry_bound: int,
-                 memos: dict[tuple[_Plan, _Lens], dict]):
-        self.table, self.earlier, self.plan = table, earlier, plan
-        self.entry_bound, self.memos = entry_bound, memos
+                 kept: list[tuple[Position, FgAbGroup]], entry_bound: int):
+        self.table, self.earlier, self.plan, self.entry_bound = table, earlier, plan, entry_bound
         self.entry = dict(kept).__getitem__
         # the kept entries the turn leaves untouched
         self.kept = [entry for entry in kept if entry[0] not in plan.dropped]
@@ -1518,7 +1522,7 @@ class _TurnAfter:
         at = self._at.get(lens)
         if at is None:
             at = self._at[lens] = (self.plan.kept_at(_degree_parts(self.kept, lens, lens.final)),
-                                   self.memos.setdefault((self.plan, lens), {}))
+                                   self.plan.memos.setdefault((self.plan.flow, lens), {}))
         return at
 
     def untouched(self, chosen: list[_ComponentClass]) -> list[tuple[Position, FgAbGroup]]:
@@ -1615,10 +1619,11 @@ def _start_state(plan: _Plan, lens: _Lens, kept_parts: Sequence[tuple[_Bound, ..
     """``check(-1, [], pinned)`` of ``_interval_check``, or None when both
     parities are bounded and their lower ends are in ``cut`` (the leaves
     already found, on a last turn, where every bound is exact).  Besides
-    the plan, the lens and the pins the check reads only the untouched
-    parts on ``plan.checks[0]`` and, on a turn with no component, their
-    ``_Flow.pack``, so it is worked out once per distinct such input in
-    ``memo``, the turn's (see ``_turn_combinations``)."""
+    the plan's layout and flow, the lens and the pins (one per solve) the
+    check reads only the untouched parts on ``plan.checks[0]`` and, on a
+    turn with no component, their ``_Flow.pack``, so it is worked out
+    once per distinct such input in ``memo`` (see
+    ``_turn_combinations``)."""
     start = memo.get(key := (-1, kept_parts[0], kept_pack))
     if start is None:
         check = _interval_check(plan, lens, kept_parts, kept_pack)
@@ -1647,13 +1652,15 @@ def _turn_combinations(plan: _Plan, lens: _Lens,
     component's class list, the state, the untouched parts and the
     parts of each placed class on the degrees ``plan.checks[i + 1]``
     bounds (``plan.reads[i]``) and, on the last component of a turn that
-    is not the last, the summed ``_Flow.pack``; everything else it reads
-    is fixed by the plan and the lens.  So a DFS node's kept children are
-    worked out once per distinct such input, in ``memo``, which the solve
-    shares among every branch with that plan and lens, and the search
-    visits the same prefixes, in the same order, as it would checking
-    each class.  A placed class's parts are read at its component's
-    column offset (``_Plan.bases``), by the degrees of its shape.
+    is not the last, the summed ``_Flow.pack``; the rest is fixed by the
+    lens, the flow (None exactly on the last turn, so with the skeleton
+    it fixes ``plan.settled``) and the plan's ``_layout``, by page index
+    and components.  So a DFS node's kept children are worked out once
+    per distinct such input, in ``memo``, the layout's for that flow and
+    lens, and the search visits the same prefixes, in the same order, as
+    it would checking each class.  A placed class's parts are read at its
+    component's column offset (``_Plan.bases``), by the degrees of its
+    shape.
 
     On the last turn every bound is exact, so at a node whose parities
     are both exact ``_Lens.meet`` is integer equality, and a class

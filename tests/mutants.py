@@ -97,6 +97,10 @@ MUTATIONS = [
      "((p + base, q), grp)",
      "((p + base + 2, q), grp)",
      HAND_DERIVED),
+    ("memo-shared-across-flows", SPECTRA,
+     "self.plan.memos.setdefault((self.plan.flow, lens), {})",
+     "self.plan.memos.setdefault(lens, {})",
+     ["tests/test_spectra.py::test_turns_share_a_node_memo_exactly_when_they_share_its_key"]),
 ]
 
 

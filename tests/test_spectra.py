@@ -256,9 +256,12 @@ def test_window_error_comes_before_any_enumeration(monkeypatch):
 
 
 def test_solve_window_independence():
-    for hom_table, step in [(H_RP7, 8), (H_R, 4)]:
+    # RP^7 at step 4, window 200, also keeps the plans' and the flow's
+    # set-up linear in the window: it took 0.67 s while three scans there
+    # grew quadratically, and takes about 0.2 s
+    for hom_table, step, spans in [(H_RP7, 8, (3, 4)), (H_R, 4, (3, 4)), (H_RP7, 4, (200,))]:
         base = {(l.hf_even, l.hf_odd) for l in solve_floer(hom_table, step).leaves}
-        for span in (3, 4):
+        for span in spans:
             wider = {(l.hf_even, l.hf_odd)
                      for l in solve_floer(hom_table, step, col_span=span).leaves}
             assert wider == base
@@ -647,9 +650,11 @@ def test_t3_checks_each_distinct_node_input_once(monkeypatch):
     # free ranks, and a parity whose last degree is bounded keeps its free
     # rank alone; there is no u_4 field (the 3 x 3 minors of +-1 matrices
     # give cokernels Z/4, which pack as Z/2 does).  The last turn's memo
-    # is shared by every root-turn branch with the same plan, and its key
-    # reads the untouched parts, so the 1,132 branches make 298 last-turn
-    # checks (476 before the lookup below), not 2,348.  With exact (free
+    # is shared by every root-turn branch whose plan has the same component
+    # layout, not only the same plan, and its key reads the untouched
+    # parts, so the 1,132 branches make 91 last-turn checks (298 with a
+    # memo per plan, 476 before the lookup below), not 2,348; in all
+    # 7,817 checks, 8,024 with a memo per plan.  With exact (free
     # rank, prime powers) keys beside the packed bounds the states were
     # finer: 9,604 checks, and 8,665 while the root turn's lens also
     # packed u_4, which cut no branch here but split node states.  Once
@@ -660,15 +665,43 @@ def test_t3_checks_each_distinct_node_input_once(monkeypatch):
     calls = checks_made(monkeypatch)
     tree = solve_floer(H_T3, 2, entry_bound=1)
     assert len(tree.leaves) == 16
-    assert len(calls) == 8024
+    assert len(calls) == 7817
+
+
+def test_turns_share_a_node_memo_exactly_when_they_share_its_key(monkeypatch):
+    # rows 0, 1, 4 and 5 at step 2, window 3, bound 1: a node memo belongs
+    # to a component layout (page index and components), by flow and lens,
+    # so two turns get one memo exactly when all four agree: 528 memos for
+    # the 2,688 turns (1,088 with a memo per plan).  8 of the 9 middle-turn
+    # layouts are shared by plans with different flows, so a memo keyed by
+    # the lens alone would hand one flow's children to another
+    seen, start = [], spectra._start_state
+
+    def started(plan, lens, kept_parts, kept_pack, pinned, memo, cut):
+        seen.append(((plan.r, plan.comps, plan.flow, lens), memo))
+        return start(plan, lens, kept_parts, kept_pack, pinned, memo, cut)
+
+    monkeypatch.setattr(spectra, "_start_state", started)
+    tree = solve_floer(GradedGroup.from_dict({0: Z, 1: Z, 4: Z, 5: Z}), 2, entry_bound=1,
+                       col_span=3)
+    assert len(tree.leaves) == 3 and len(seen) == 2688
+    flows: dict = {}
+    for (r, comps, flow, _), _ in seen:
+        if flow is not None:
+            flows.setdefault((r, comps), set()).add(flow)
+    assert (len(flows), sum(len(shared) > 1 for shared in flows.values())) == (9, 8)
+    keys = {key for key, _ in seen}
+    assert len(keys) == len({id(memo) for _, memo in seen}) == 528
+    assert len({(key, id(memo)) for key, memo in seen}) == len(keys)
 
 
 def test_rp3_x_rp6_at_step_4_is_cut_by_the_d_p_bound(monkeypatch):
     # a torsion-heavy product at step 4, bound 1, smallest window: no
     # branch comes out 2-periodic, and the d_p bound cuts most of them on
     # the root turn.  The last turn builds no page, so the cut shows in
-    # the interval checks: 6,634 (every torsion order is 2, so d_2 is the
-    # only field past the free rank), 7,674 while the last turn checked
+    # the interval checks: 1,849 (every torsion order is 2, so d_2 is the
+    # only field past the free rank), 6,634 with a node memo per plan, not
+    # per component layout, 7,674 while the last turn checked
     # every class at every node instead of those its lookup finds, 7,952
     # when exact (free rank, prime powers) keys rode beside the packed
     # bounds and split their states, and 20,034 with free ranks and those
@@ -679,7 +712,7 @@ def test_rp3_x_rp6_at_step_4_is_cut_by_the_d_p_bound(monkeypatch):
     tree = solve_floer(H_RP3_RP6, 4, entry_bound=1,
                        col_span=spectra._smallest_window(H_RP3_RP6, 4))
     assert tree.leaves == ()
-    assert len(calls) == 6634
+    assert len(calls) == 1849
     assert len(built) <= 30894
 
 
@@ -715,13 +748,15 @@ def free_rank_lens(table, plan, *args):
     # field; with the free rank's field alone T^3's root turn keeps 1,764
     # branches, not 1,132.  The last turn checks only the classes its
     # lookup finds (while it checked every class: 8,202 and 5,539 checks
-    # on T^3, and 53, 68 and 7,674 with every field on the others)
-    (H_T3, 2, {"entry_bound": 1}, (8024, 5329)),
+    # on T^3, and 53, 68 and 7,674 with every field on the others), and
+    # the node memo is shared per component layout (with a memo per plan:
+    # (8,024, 5,329) on T^3 and 6,634 on RP^3 x RP^6)
+    (H_T3, 2, {"entry_bound": 1}, (7817, 5104)),
     (H_RP7, 4, {"entry_bound": 4, "col_span": 4}, (25, 25)),
     (homology(Product(RealProjective(3), RealProjective(3))), 4, {"entry_bound": 1}, (16, 16)),
     # with the free rank's field alone the solve runs for more than nine
     # minutes, so that ablation is left out here
-    (H_RP3_RP6, 4, {"entry_bound": 1, "col_span": 2}, (6634,)),
+    (H_RP3_RP6, 4, {"entry_bound": 1, "col_span": 2}, (1849,)),
 ], ids=["t3-s2-b1", "rp7-s4-w4", "rp3xrp3-s4", "rp3xrp6-s4"])
 def test_the_d_p_fields_change_no_leaf(monkeypatch, h, step, kw, checks):
     # a cut ablation: the d_p fields of a turn's lens only cut branches
