@@ -70,29 +70,36 @@ carried down.  A run arrow is a branch's when its window ends are live
 (entries or unresolved), and a position live before a turn is live
 after it unless a chosen class's result there is zero, so the next plan
 follows from the page's live positions less those the chosen classes
-zero, kept as bits.  Every turn, the first, a middle and the last
-alike, is decided without building the branch's page: it reads the
-entries on its components, each one the earlier turn kept or a chosen
-class's result, and the parts of the entries it leaves untouched,
-which are kept's plus each chosen class's, summed from the parts each
-class caches per lens and finality of its results.  Those are the
+zero, kept as bits.  Only a later turn's plan lookup reads them, so a
+bit goes only to a window end of a run arrow after the run's first
+turn: the one earlier lookup is the first page's, where every position
+is live.  Every turn, the first, a middle and the last alike, is
+decided without building the branch's page: it reads the entries on
+its components, each one the earlier turn kept or a chosen class's
+result, and the parts of the entries it leaves untouched, which are
+kept's plus each chosen class's, summed from the parts each class
+caches per lens and finality of its results.  Those are the
 untouched results' parts on the degrees the turn carries: every arrow
 lowers p + q by one, so a component's positions have pairwise distinct
-degrees, and a class has at most one result per degree.  A page is built only for the first
-page, the worst-case run and a leaf.
+degrees, and a class has at most one result per degree.  A page is
+built only for the first page, the worst-case run's stable page, which
+has no entries, and a leaf.
 
-The abutment of every stable page must be 2-periodic and agree with
-any pinned value.  Every page turn is pruned by one rule while its
-classes are chosen, a theorem and not a heuristic.  It reads one
-worst-case run per solve: the page run from the first page in which
-every live position stays live (the branch whose differentials all
-vanish).  Entries only shrink, so at every page index a real branch's
-arrows are a subset of that run's and its unresolved set lies inside
-that run's.  The degrees the run certifies on its stable page are
-therefore certified on every branch's, and an entry is final after
-turn r when its position's last touch (the last page whose worst-case
-arrows have it as an endpoint) is at most r: no later differential
-starts or ends there, so it is already its E-infinity value.
+The abutment of every stable page must be 2-periodic and agree with any
+pinned value.  Every page turn is pruned by one rule while its classes
+are chosen, a theorem and not a heuristic.  It reads one worst-case run
+per solve: the page run from the first page in which every live
+position stays live (the branch whose differentials all vanish).  No
+entry of it vanishes, so each of its pages has the first page's live
+positions and arrows: its turns are read off the first page, and only
+its unresolved set grows.  Entries only shrink, so at every page index a
+real branch's arrows are a subset of that run's and its unresolved set
+lies inside that run's.  The degrees the run certifies on its stable
+page are therefore certified on every branch's, and an entry is final
+after turn r when its position's last touch (the last page whose
+worst-case arrows have it as an endpoint) is at most r: no later
+differential starts or ends there, so it is already its E-infinity
+value.
 
 The rule is a rank flow.  Over Q a later differential of rank k lowers
 the free rank of its source and of its target by k, so every later
@@ -497,11 +504,10 @@ _NO_PART: _Bound = (0, 0)
 
 
 class _Lens:
-    """What one page turn's interval check reads of a group: whether its
-    position is ``final``, and the group packed into one int
-    (``packed``), fields of ``width`` value bits under one guard bit
-    each, the free rank in field 0.  On a turn that is not the last,
-    field j holds d_p = the free rank plus the number of invariant
+    """What one page turn's interval check reads of a group: the group
+    packed into one int (``packed``), fields of ``width`` value bits under
+    one guard bit each, the free rank in field 0.  On a turn that is not the
+    last, field j holds d_p = the free rank plus the number of invariant
     factors divisible by p, for p the j-th of the turn's ``primes``
     (``_turn_lens``), so Z/2 and Z/4 pack alike; a bound is an int pair
     (lo, hi), and ``meet`` meets bounds so packed.  A field holds at most
@@ -513,15 +519,15 @@ class _Lens:
     it, in a field assigned on first sight.  That packing is additive and
     fixes the group, and every bound there is exact (lo = hi), so it
     meets by equality alone (its guards cover the free rank only).  A
-    lens is compared by identity, one per distinct reading in a run
-    (``EnumerationTable.lens``), so a class's parts are cached per lens
-    at the cost of an id hash (and per final results too where some of
-    them are not final)."""
+    lens is only its packing, compared by identity, one per distinct
+    packing in a run (``EnumerationTable.lens``), so a class's parts are
+    cached per lens at the cost of an id hash (and per final results too
+    where some of them are not final)."""
 
-    __slots__ = ("final", "primes", "width", "ones", "guards", "_fields", "_packed", "_indexes")
+    __slots__ = ("primes", "width", "ones", "guards", "_fields", "_packed", "_indexes")
 
-    def __init__(self, final: frozenset[Position], primes: tuple[int, ...] | None, width: int):
-        self.final, self.primes, self.width = final, primes, width
+    def __init__(self, primes: tuple[int, ...] | None, width: int):
+        self.primes, self.width = primes, width
         self.ones = (1 << width) - 1  # the free rank's field
         self.guards = sum(1 << j * (width + 1) + width for j in range(len(primes or ()) + 1))
         self._fields: dict[int, int] = {}  # the last turn's field of each prime power
@@ -614,8 +620,7 @@ class EnumerationTable:
         self._spaces: dict[tuple[FgAbGroup, FgAbGroup, int], HomMatrixSpace] = {}
         self._masks: dict[tuple[HomMatrixSpace, HomMatrixSpace], list[int]] = {}
         self._shapes: dict[tuple, tuple[_ComponentClass, ...]] = {}
-        self._lenses: dict[tuple[frozenset[Position], tuple[int, ...] | None, int], _Lens] = {}
-        self._bits: dict[Position, int] = {}
+        self._lenses: dict[tuple[tuple[int, ...] | None, int], _Lens] = {}
 
     def space(self, source: FgAbGroup, target: FgAbGroup, bound: int) -> HomMatrixSpace:
         key = (source, target, bound)
@@ -624,12 +629,11 @@ class EnumerationTable:
             space = self._spaces[key] = hom_matrix_space(source, target, bound)
         return space
 
-    def lens(self, final: frozenset[Position], primes: tuple[int, ...] | None,
-             width: int) -> _Lens:
-        """The one ``_Lens`` of this reading."""
-        lens = self._lenses.get(key := (final, primes, width))
+    def lens(self, primes: tuple[int, ...] | None, width: int) -> _Lens:
+        """The one ``_Lens`` of this packing."""
+        lens = self._lenses.get(key := (primes, width))
         if lens is None:
-            lens = self._lenses[key] = _Lens(final, primes, width)
+            lens = self._lenses[key] = _Lens(primes, width)
         return lens
 
     def masks(self, first: HomMatrixSpace, second: HomMatrixSpace) -> list[int]:
@@ -656,14 +660,6 @@ class EnumerationTable:
             classes = self._shapes[key] = _component_classes(
                 self, arrows, tuple(zip(positions, groups)), bound, signature)
         return classes
-
-    def bit(self, pos: Position) -> int:
-        """The bit of ``pos`` in the live sets of the run's solves: one
-        per position, in the order they are first met."""
-        bit = self._bits.get(pos)
-        if bit is None:
-            bit = self._bits[pos] = 1 << len(self._bits)
-        return bit
 
 
 def _component_classes(table: EnumerationTable,
@@ -1015,15 +1011,16 @@ def _fold_parity(values: Iterable[tuple[int, FgAbGroup]]):
 
 class _WorstCase:
     """The page run from the first page in which every live position
-    stays live (see the module docstring for what it bounds)."""
+    stays live (see the module docstring for what it bounds), read off
+    that page by ``_worst_case_run``."""
 
     __slots__ = ("first", "arrows", "degrees", "final", "width", "bits", "layouts", "_ends",
                  "_reach", "_flows", "_plans", "_next")
 
     def __init__(self, first: BigradedPage, arrows: dict[int, _Arrows], degrees: frozenset[int],
-                 final: dict[int, frozenset[Position]], top: int, bit: Callable[[Position], int]):
+                 final: dict[int, frozenset[Position]], top: int):
         self.first = first  # the run's first page, for its geometry
-        self.arrows = arrows  # each turn's arrows, by page index
+        self.arrows = arrows  # each turn's arrows, by ascending page index
         self.degrees = degrees  # certified on the run's stable page
         # by page index: the window positions no arrow of a later turn
         # touches, whose entries are final once that turn is taken
@@ -1032,10 +1029,12 @@ class _WorstCase:
         # p, and so each prime power's multiplicity and the free rank, of
         # any antidiagonal of any page
         self.width = max(top.bit_length(), 1)
-        # the bit (``EnumerationTable.bit``) of each window end of a run
-        # arrow, and per turn each arrow with the bits of its window ends
-        self.bits = {pos: bit(pos) for turn in arrows.values() for arrow in turn
-                     for pos in arrow if first.in_window(pos[0])}
+        # a live bit for each window end of an arrow after the first turn:
+        # only a later turn's plan lookup reads them (the first page's has
+        # every position live); per turn, each arrow with its ends' bits
+        self.bits = {pos: 1 << i for i, pos in enumerate(dict.fromkeys(
+            pos for r in list(arrows)[1:] for arrow in arrows[r] for pos in arrow
+            if first.in_window(pos[0])))}
         self._ends = {r: tuple((arrow, sum(self.bits.get(pos, 0) for pos in arrow))
                                for arrow in turn) for r, turn in arrows.items()}
         self._reach: dict[int, int] = {}  # the bits of the turns from a page index on
@@ -1047,12 +1046,6 @@ class _WorstCase:
         # page index and components, so the plans that share them share it
         self.layouts: dict = {}
         self._next: dict = {}  # the same plans, by what ``plan`` reads
-
-    def live(self, page: BigradedPage) -> int:
-        """The bits of the positions that are live on ``page``: entries or
-        unresolved."""
-        return sum(bit for pos, bit in self.bits.items()
-                   if pos in page._by_position or pos in page.unresolved)
 
     def plan(self, after: int, live: int, unresolved: frozenset[Position]) -> _Plan | None:
         """The plan of the turn of a page of index ``after`` whose live
@@ -1095,27 +1088,29 @@ class _WorstCase:
         return flow
 
 
-def _worst_case_run(page: BigradedPage, table: EnumerationTable | None = None) -> _WorstCase:
-    """The worst-case run from ``page`` (a first page), and each window
+def _worst_case_run(first: BigradedPage) -> _WorstCase:
+    """The worst-case run from ``first`` (a first page), and each window
     position's last touch: the last page index whose arrows have it as
-    an endpoint; live sets take the bits of ``table``'s positions."""
+    an endpoint.  No entry of the run vanishes, so its turns' arrows are
+    ``first``'s, and only its unresolved set grows; its one page is its
+    stable page, with no entries, for the certified degrees."""
     # later entries are subquotients of the first page's, d_p of a
     # subquotient is at most d_p of the group, which is at most its
     # generator count, and an antidiagonal meets each row once: so a
     # column's generator count bounds every antidiagonal's d_p
-    top = sum(grp.generator_count() for (p, _), grp in page.entries if p == 0)
-    first, arrows = page, {}
+    top = sum(grp.generator_count() for (p, _), grp in first.entries if p == 0)
+    unresolved, arrows = first.unresolved, {}
     last_touch: dict[Position, int] = {}
-    while (found := _first_active_page(page)) is not None:
-        r, arrows[r] = found
-        last_touch.update((pos, r) for arrow in arrows[r] for pos in arrow)
-        gone = _slots_and_unresolved(arrows[r], page.known)[1]
-        page = page.turned(r + 1, page.unresolved | gone,
-                           [entry for entry in page.entries if entry[0] not in gone])
-    grid = [(p, q) for p in page.window_columns() for q in range(page.row_max + 1)]
+    for r in range(first.column_step, first.row_max + 2, first.column_step):
+        if turn := _arrows_at(first, r):
+            arrows[r] = turn
+            last_touch.update((pos, r) for arrow in turn for pos in arrow)
+            known = lambda pos, gone=unresolved: first.in_window(pos[0]) and pos not in gone
+            unresolved |= _slots_and_unresolved(turn, known)[1]
+    grid = [(p, q) for p in first.window_columns() for q in range(first.row_max + 1)]
     final = {r: frozenset(pos for pos in grid if last_touch.get(pos, 0) <= r) for r in arrows}
-    return _WorstCase(first, arrows, frozenset(certified_degrees(page)), final, top,
-                      (table or EnumerationTable()).bit)
+    stable = first.turned(first.row_max + 2, unresolved, ())
+    return _WorstCase(first, arrows, frozenset(certified_degrees(stable)), final, top)
 
 
 def _smallest_window(s_homology: GradedGroup, column_step: int) -> int:
@@ -1261,7 +1256,7 @@ class _Plan:
          self.read, self.memos) = layout
         # touched or next unresolved
         self.dropped = unresolved.union(*(positions for _, positions, _ in comps))
-        self.final = run.final[r]  # the run's final positions after r, read by the turn's lens
+        self.final = run.final[r]  # the run's final positions after r, read by the turn's check
         # the rank-flow lookahead over the later turns; None on the last
         # turn, the one no worst-case arrow comes after
         self.flow = run.flow(r, unresolved)
@@ -1286,7 +1281,7 @@ class _Plan:
         from: (j, i), result i of component j's class, or None, an entry
         ``earlier`` leaves untouched.  Third, ``_shape_finals`` of
         ``earlier``'s components on this turn's final positions, which its
-        lens reads."""
+        check reads."""
         layout = self._after.get(earlier)
         if layout is None:
             comps = () if earlier is None else earlier.comps
@@ -1347,7 +1342,7 @@ def _layout(run: _WorstCase, r: int, comps: tuple) -> tuple:
         for deg in sorted({sum(pos) for pos in signature}):
             if deg in run.degrees:
                 reach.setdefault(deg, []).append(i)
-    zero_bits = tuple(_Bits(tuple(map(run.bits.__getitem__, signature)))
+    zero_bits = tuple(_Bits(tuple(run.bits.get(pos, 0) for pos in signature))
                       for _, _, signature in comps)
     skeleton: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [
         [] for _ in range(len(comps) + 1)]
@@ -1405,7 +1400,7 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     root = build_e1(s_homology, column_step, col_span)
     if table is None:
         table = EnumerationTable()
-    run = _worst_case_run(root, table)
+    run = _worst_case_run(root)
     if not {0, 1} <= run.degrees:
         raise WindowError(f"window too small to certify abutment degrees 0 and 1 "
                           f"(rows 0..{root.row_max}, column step {column_step}); "
@@ -1417,8 +1412,7 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     # branch agrees with them)
     pinned = _fold_parity(pins)
     # the last turn's lens, one per solve: every position is final there
-    exact = table.lens(run.final[max(run.arrows)] if run.arrows else frozenset(), None,
-                       run.width)
+    exact = table.lens(None, run.width)
     # first leaf per (HF_even, HF_odd), in search order
     leaves: dict[tuple[FgAbGroup, FgAbGroup], BranchLeaf] = {}
     found: set[tuple[int, int]] = set()  # the leaves' abutments, packed by ``exact``
@@ -1474,7 +1468,7 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
                 following = nexts[nxt] = _TurnAfter(table, plan, nxt, kept, entry_bound)
             turn(following, live_next, (*turns, (plan, chosen)))
 
-    live = run.live(root)
+    live = (1 << len(run.bits)) - 1  # every position is live on the first page
     plan = run.plan(root.page_index, live, root.unresolved)
     if plan is None:
         finish(root, ())
@@ -1521,7 +1515,8 @@ class _TurnAfter:
         and the turn's node memo there."""
         at = self._at.get(lens)
         if at is None:
-            at = self._at[lens] = (self.plan.kept_at(_degree_parts(self.kept, lens, lens.final)),
+            at = self._at[lens] = (self.plan.kept_at(_degree_parts(self.kept, lens,
+                                                                   self.plan.final)),
                                    self.plan.memos.setdefault((self.plan.flow, lens), {}))
         return at
 
@@ -1598,19 +1593,19 @@ def _turn(plan: _Plan, chosen: list[_ComponentClass]) -> _Turn:
 def _turn_lens(table: EnumerationTable, plan: _Plan, kept: list[tuple[Position, FgAbGroup]],
                class_lists: list[tuple[_ComponentClass, ...]],
                pinned: tuple[FgAbGroup | None, FgAbGroup | None]) -> _Lens:
-    """The ``_Lens`` of a turn that is not the last: ``plan.final``, and
-    each prime p dividing the exponent E of the torsion among the
-    ``kept`` entries, the results of the classes in ``class_lists`` and
-    the ``pinned`` groups, in fields of the flow's width.  For any other
-    prime d_p is the free rank, so the turn reads every d_p of its groups
-    (see the module docstring); the fields do not fix a group, so lo = hi
-    is one exact packed value.  (The last turn reads the solve's own
-    lens, under which every bound is one exact group.)"""
+    """The ``_Lens`` of a turn that is not the last: each prime p dividing
+    the exponent E of the torsion among the ``kept`` entries, the results
+    of the classes in ``class_lists`` and the ``pinned`` groups, in fields
+    of the flow's width.  For any other prime d_p is the free rank, so the
+    turn reads every d_p of its groups (see the module docstring); the
+    fields do not fix a group, so lo = hi is one exact packed value.  (The
+    last turn reads the solve's own lens, under which every bound is one
+    exact group.)"""
     entries = chain(kept, *(cls.results for classes in class_lists for cls in classes),
                     ((None, grp) for grp in pinned if grp is not None))
     # the exponent of a group is its last invariant factor
     exponent = lcm(*(grp.torsion[-1] for _, grp in entries if grp.torsion))
-    return table.lens(plan.final, tuple(sorted(_factorize(exponent))), plan.flow.width)
+    return table.lens(tuple(sorted(_factorize(exponent))), plan.flow.width)
 
 
 def _start_state(plan: _Plan, lens: _Lens, kept_parts: Sequence[tuple[_Bound, ...]],

@@ -202,7 +202,7 @@ def test_d_p_is_subadditive_over_extensions(h, p):
 @example(grps=[cyclic(2), cyclic(4)])
 def test_the_last_turn_packing_is_additive_and_injective(grps):
     # fields of 5 bits hold the 15 generators of three groups
-    lens = spectra._Lens(frozenset(), None, 5)
+    lens = spectra._Lens(None, 5)
     assert sum(map(lens.packed, grps)) == lens.packed(direct_sum(*grps))
     assert (lens.packed(grps[0]) == lens.packed(grps[1])) == (grps[0] == grps[1])
 
@@ -213,7 +213,7 @@ def test_the_last_turn_packing_is_additive_and_injective(grps):
 def test_a_lens_packs_the_free_rank_and_each_d_p(grps, primes):
     # fields of 4 bits hold the 15 generators of three groups; field j
     # holds d_p for the j-th prime p
-    lens = spectra._Lens(frozenset(), tuple(sorted(primes)), 4)
+    lens = spectra._Lens(tuple(sorted(primes)), 4)
     packed = sum(map(lens.packed, grps))
     assert [packed >> 5 * j & 31 for j in range(len(primes) + 1)] == [
         sum(grp.free_rank for grp in grps),
@@ -237,7 +237,7 @@ def test_the_packed_meet_is_the_meet_of_each_field(fields, seen_exact, bound_exa
 
     fields = [(s_lo, s_lo if seen_exact else s_hi, b_lo, b_lo if bound_exact else b_hi)
               for s_lo, s_hi, b_lo, b_hi in fields]
-    lens = spectra._Lens(frozenset(), (2, 4, 3)[:len(fields) - 1], 3)
+    lens = spectra._Lens((2, 4, 3)[:len(fields) - 1], 3)
     seen = (pack(f[0] for f in fields), pack(f[1] for f in fields))
     bound = (pack(f[2] for f in fields), pack(f[3] for f in fields))
     each = [oracles.meet_of_each_field((s_lo, s_hi), (b_lo, b_hi))
@@ -495,8 +495,8 @@ def assert_run_plans_match_a_full_scan(h, step, constraints=(), col_span=2):
     classes zero.  That carried plan is the one built from the next
     page's own arrows (a full scan of page indices), slot by slot, and
     the carried live bits are the next page's; so is the first page's
-    plan, found from its own live bits: the run's first turn with all
-    its arrows."""
+    plan, found with every bit live: the run's first turn with all its
+    arrows."""
     run = _worst_case_run(build_e1(h, step, col_span))
     turned, turn = [], spectra.BigradedPage.turned
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -513,6 +513,11 @@ def assert_run_plans_match_a_full_scan(h, step, constraints=(), col_span=2):
         found = _first_active_page(page)
         return None if found is None else spectra._Plan(run, *found, page.unresolved)
 
+    def live_on(page):
+        """The live bits of ``page``: its entries and unresolved positions."""
+        return sum(bit for pos, bit in run.bits.items()
+                   if pos in page._by_position or pos in page.unresolved)
+
     def assert_same(carried, expected):
         if expected is None:
             assert carried is None
@@ -521,13 +526,14 @@ def assert_run_plans_match_a_full_scan(h, step, constraints=(), col_span=2):
             assert getattr(carried, name) == getattr(expected, name), name
 
     root = build_e1(h, step, col_span)
-    assert_same(run.plan(root.page_index, run.live(root), root.unresolved), scanned(root))
+    assert live_on(root) == (1 << len(run.bits)) - 1
+    assert_same(run.plan(root.page_index, live_on(root), root.unresolved), scanned(root))
     for page, child in turned:
         plan = scanned(page)
         zeroed = sum(run.bits.get(pos, 0) for _, _, signature in plan.comps
                      for pos in signature if pos not in child._by_position)
-        live = run.live(page) & ~zeroed
-        assert live == run.live(child)
+        live = live_on(page) & ~zeroed
+        assert live == live_on(child)
         assert_same(run.plan(plan.r + 1, live, plan.unresolved), scanned(child))
 
 
@@ -555,14 +561,19 @@ def test_plans_found_by_live_bits_match_a_scan_of_the_run(upper, data):
     # the run finds a plan by the live bits of the turns from a page index
     # on, one lookup after another; each is the plan of the run's first
     # turn from that index with an arrow whose window ends are all live,
-    # and the arrows it keeps, for live sets that differ in one position
+    # and the arrows it keeps, for live sets that lack any one window end
+    # of a run arrow.  Only lookups after the first turn lack one: the
+    # lookup at or before it is the first page's, where every position is
+    # live
     h = GradedGroup.from_dict({0: Z, **{q: grp for q, grp in enumerate(upper, start=1)
                                         if not grp.is_trivial()}})
     first = build_e1(h, 2, 3)
     run = _worst_case_run(first)
-    positions = sorted(run.bits)
+    positions = sorted({pos for arrows in run.arrows.values() for arrow in arrows
+                        for pos in arrow if first.in_window(pos[0])})
     after = data.draw(st.integers(1, max(run.arrows, default=0) + 1))
-    for gone in [None, *positions]:
+    later = run.arrows and after > min(run.arrows)
+    for gone in [None, *positions] if later else [None]:
         live = [pos for pos in positions if pos != gone]
         expected = None
         for r, arrows in run.arrows.items():
@@ -571,7 +582,7 @@ def test_plans_found_by_live_bits_match_a_scan_of_the_run(upper, data):
             if r >= after and kept:
                 expected = spectra._Plan(run, r, kept, frozenset())
                 break
-        plan = run.plan(after, sum(map(run.bits.__getitem__, live)), frozenset())
+        plan = run.plan(after, sum(run.bits.get(pos, 0) for pos in live), frozenset())
         assert (plan is None) == (expected is None)
         for name in () if plan is None else spectra._Plan.__slots__:
             assert getattr(plan, name) == getattr(expected, name), name

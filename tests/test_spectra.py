@@ -600,23 +600,36 @@ def test_lookahead_cuts_dead_branches_before_their_turns(monkeypatch, h, kw, lea
 
 def test_pages_are_built_only_for_the_first_page_the_run_and_the_leaves(monkeypatch):
     # pages 2, 4 and 6 turn, and no turn builds its branch's page: the
-    # pages are the first, the worst-case run's 3 and one per leaf
+    # pages are the first, the worst-case run's stable page, which has no
+    # entries, and one per leaf (7 while the run built a page per turn)
     built = instances_built(monkeypatch, BigradedPage)
     tree = solve_floer(GradedGroup.from_dict({0: Z, 1: Z, 4: Z, 5: Z}), 2, entry_bound=1,
                        col_span=3)
     assert len(tree.leaves) == 3
-    assert len(built) == 7
+    assert len(built) == 5
+
+
+@pytest.mark.parametrize("h, step", [(H_RP7, 8), (H_R, 4)], ids=["rp7-s8", "flagship-l1-l2-s4"])
+def test_a_single_turn_run_numbers_no_position(h, step):
+    # only the plan lookup of a turn after the run's first reads live bits,
+    # so a run of one turn, as both flagship pairs have at their native
+    # steps, gives no position a bit at any window (8,002 and 20,005 bits
+    # at span 2000 while every window end of a run arrow had one)
+    run = spectra._worst_case_run(build_e1(h, step, 2000))
+    assert len(run.arrows) == 1
+    assert run.bits == {}
 
 
 @pytest.mark.parametrize("h, step, kw, leaves, pages, most_plans", [
     # RP^7 at step 4, window 4 (catalog-tables/rp7-s4-w4): every page turn
     # is one of two plans; page 8, the last turn, is decided without a
-    # page, so the pages are the first, the worst-case run's 2 and the leaf
-    (H_RP7, 4, {"entry_bound": 4, "col_span": 4}, 1, 4, 2),
+    # page, so the pages are the first, the worst-case run's stable page
+    # and the leaf (4 while the run built a page for each of its 2 turns)
+    (H_RP7, 4, {"entry_bound": 4, "col_span": 4}, 1, 3, 2),
     # T^3 at step 2, bound 1 (catalog-tables/t3-s2-b1): the same, with a
-    # page per leaf
+    # page per leaf (19 while the run built a page per turn)
     (GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z}), 2,
-     {"entry_bound": 1}, 16, 19, 33),
+     {"entry_bound": 1}, 16, 18, 33),
 ], ids=["rp7-s4-w4", "t3-s2-b1"])
 def test_turn_plans_are_keyed_by_what_they_read(monkeypatch, h, step, kw, leaves, pages,
                                                 most_plans):
@@ -718,8 +731,8 @@ def test_rp3_x_rp6_at_step_4_is_cut_by_the_d_p_bound(monkeypatch):
 
 @pytest.mark.parametrize("h, step, kw, pages", [
     (GradedGroup.from_dict({0: Z, 1: FgAbGroup(3), 2: FgAbGroup(3), 3: Z}), 2,
-     {"entry_bound": 1}, (19, 531)),
-    (H_RP7, 4, {"entry_bound": 4, "col_span": 4}, (4, 5)),
+     {"entry_bound": 1}, (18, 530)),
+    (H_RP7, 4, {"entry_bound": 4, "col_span": 4}, (3, 4)),
     (homology(Product(RealProjective(3), RealProjective(3))), 4, {"entry_bound": 1}, (3, 3)),
 ], ids=["t3-s2-b1", "rp7-s4-w4", "rp3xrp3-s4"])
 def test_the_found_cut_changes_no_leaf(monkeypatch, h, step, kw, pages):
@@ -727,7 +740,8 @@ def test_the_found_cut_changes_no_leaf(monkeypatch, h, step, kw, pages):
     # found; handed an empty cut instead, the solve builds a page for
     # every branch that survives its last turn (the second count), and
     # keeps the same first leaf per abutment, with the same turns, in the
-    # same order
+    # same order ((19, 531) on t3-s2-b1 and (4, 5) on rp7-s4-w4 while the
+    # worst-case run built a page per turn)
     built = instances_built(monkeypatch, BigradedPage)
     tree = solve_floer(h, step, **kw)
     plain = len(built)
@@ -740,7 +754,7 @@ def test_the_found_cut_changes_no_leaf(monkeypatch, h, step, kw, pages):
 
 def free_rank_lens(table, plan, *args):
     """A ``_turn_lens`` that packs the free rank alone, no d_p field."""
-    return table.lens(plan.final, (), plan.flow.width)
+    return table.lens((), plan.flow.width)
 
 
 @pytest.mark.parametrize("h, step, kw, checks", [
