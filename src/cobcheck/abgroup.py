@@ -577,19 +577,26 @@ class HomMatrixSpace(Sequence):
     relations], so by the set of those rows up to sign.  One bit per
     distinct row, OR-ed over a hom's rows in one pass over the space in
     product order, gives each hom its row class: ``row_class[h]`` is the
-    first hom whose rows form the same set.  Row classes, and the
-    cokernels and images computed once per class, are worked out on
-    first use, as are kernel lattices, per hom; building a space
-    computes none of them."""
+    first hom whose rows form the same set.  A cokernel or an image is
+    a fact of the row class, taken the first time a hom of the class
+    asks for it (``coker``, ``image``), and a kernel lattice a fact of
+    the hom; building a space computes none of them, and a search that
+    reaches few homs takes few.
+
+    ``canonical`` is the set of homs least in their orbits under the
+    signed permutations of equal-order source generators, one bitmask
+    over the space built from the entry ranges alone (see its docstring
+    and ``spectra``'s orbit rule)."""
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup,
                  entries: tuple[tuple[tuple[int, ...], ...], ...]):
         self.source, self.target, self.entries = source, target, entries
         self.rows = tuple(tuple(itertools.product(*row)) for row in entries)
         self._len = prod(map(len, self.rows))
-        self._cokers: list[FgAbGroup] = []  # the distinct cokernels
-        self._coker_ids: list[int] | None = None
-        self._images: list[tuple[int, bool]] | None = None
+        self.relations = relation_matrix(target)
+        # by row class: the cokernel and the image of its homs
+        self._cokers: dict[int, FgAbGroup] = {}
+        self._images: dict[int, tuple[int, bool]] = {}
         self._kernels: dict[int, IntMatrix] = {}
 
     def __len__(self) -> int:
@@ -617,58 +624,43 @@ class HomMatrixSpace(Sequence):
         the same set up to sign."""
         bit_of: dict[tuple[int, ...], int] = {}
         keys = [0]
-        for values, relation in zip(self.rows, relation_matrix(self.target).entries):
+        for values, relation in zip(self.rows, self.relations.entries):
             bits = [bit_of.setdefault(min(v, tuple(-x for x in v)), 1 << len(bit_of))
                     for v in (value + relation for value in values)]
             keys = [key | bit for key in keys for bit in bits]
         first: dict[int, int] = {}
         return list(map(first.setdefault, keys, itertools.count()))
 
-    def coker_ids(self) -> list[int]:
-        """Per hom: an id of target / im(hom), equal for equal groups."""
-        if self._coker_ids is None:
-            relations = relation_matrix(self.target).entries
-            cols = self.source.generator_count() + len(self.target.torsion)
-            index: dict[FgAbGroup, int] = {}
-            of_class = {}
-            for rep in dict.fromkeys(self.row_class):
-                rows = self.matrix(rep)
-                grp = cokernel(IntMatrix(len(rows), cols,
-                                         tuple(map(tuple.__add__, rows, relations))))
-                of_class[rep] = index.setdefault(grp, len(index))
-            self._cokers = list(index)
-            self._coker_ids = list(map(of_class.__getitem__, self.row_class))
-        return self._coker_ids
-
     def coker(self, h: int) -> FgAbGroup:
-        """target / im(hom h)."""
-        ids = self.coker_ids()  # fills ``_cokers`` on first use
-        return self._cokers[ids[h]]
+        """target / im(hom h), one Smith diagonal per row class."""
+        rep = self.row_class[h]
+        grp = self._cokers.get(rep)
+        if grp is None:
+            rows = self.matrix(rep)
+            grp = self._cokers[rep] = cokernel(IntMatrix(
+                len(rows), self.source.generator_count() + self.relations.cols,
+                tuple(map(tuple.__add__, rows, self.relations.entries))))
+        return grp
 
     def image(self, h: int) -> tuple[int, bool]:
-        """The rank of im(hom h) and whether that image is torsion-free."""
-        return self.images()[h]
-
-    def images(self) -> list[tuple[int, bool]]:
-        """``image(h)`` of every hom.  The rows fix the kernel, so it is
-        computed once per row class: into a free group the image is
-        free, of the matrix rank, and a subgroup of a finite group is
-        torsion-free only when zero, that is when the cokernel is the
-        whole target; into a target with both parts it is source /
-        kernel."""
-        if self._images is None:
-            target, ids = self.target, self.coker_ids()
-            of_class = {}
-            for rep in dict.fromkeys(self.row_class):
-                if target.free_rank and target.torsion:
-                    grp = cokernel(self.kernel(rep))
-                    of_class[rep] = (grp.free_rank, not grp.torsion)
-                else:
-                    grp = self._cokers[ids[rep]]
-                    of_class[rep] = (target.free_rank - grp.free_rank,
-                                     not target.torsion or grp == target)
-            self._images = list(map(of_class.__getitem__, self.row_class))
-        return self._images
+        """The rank of im(hom h) and whether that image is torsion-free,
+        once per row class, since the rows fix the kernel: into a free
+        group the image is free, of the matrix rank, and a subgroup of a
+        finite group is torsion-free only when zero, that is when the
+        cokernel is the whole target; into a target with both parts it
+        is source / kernel."""
+        rep = self.row_class[h]
+        img = self._images.get(rep)
+        if img is None:
+            target = self.target
+            if target.free_rank and target.torsion:
+                grp = cokernel(self.kernel(rep))
+                img = (grp.free_rank, not grp.torsion)
+            else:
+                grp = self.coker(rep)
+                img = (target.free_rank - grp.free_rank, not target.torsion or grp == target)
+            self._images[rep] = img
+        return img
 
     def kernel(self, h: int) -> IntMatrix:
         """The kernel lattice of hom h on the source generators."""
@@ -676,6 +668,60 @@ class HomMatrixSpace(Sequence):
         if kernel is None:
             kernel = self._kernels[h] = preimage_lattice(self[h])
         return kernel
+
+    @cached_property
+    def canonical(self) -> int | None:
+        """The homs that are least, in product order, in their orbits
+        under the signed permutations of equal-order source generators,
+        as one bitmask over the space, built once per space; None when
+        that group moves a hom at most to its negation (each block of
+        equal orders one generator, and the negation of all but one of
+        them fixing every column, as for a lone Z, Z/2 or Z + Z/2), and
+        then costs no more than that test.
+
+        Such a permutation sends a hom to the same matrix with its
+        columns permuted within blocks and negated, and the space to
+        itself: a free entry runs over 0, 1, -1, ..., B, -B, and a
+        torsion entry's residue runs are closed under x -> t - x.
+        Product order is row-major, so it compares the columns of a
+        block as top-down vectors (by value index): the least matrix of
+        an orbit takes each column to the lesser of it and its negation,
+        and sorts each block's columns ascending.  The mask is built per
+        block from ``combinations_with_replacement`` over the
+        sign-minimal columns, never by a scan of the space: the homs
+        are the products of one choice per block, whose offsets in the
+        index lie on disjoint digits, so the mask is the product of the
+        blocks' bit polynomials.
+
+        >>> bin(hom_matrix_space(FgAbGroup(2), Z, 1).canonical)  # (0 0), (0 1), (1 1)
+        '0b10011'
+        """
+        entries, t_orders = self.entries, self.target.generator_orders()
+        blocks, cols = [], 0  # the columns of each block
+        for _, run in itertools.groupby(self.source.generator_orders()):
+            blocks.append(range(cols, cols := cols + len(list(run))))
+        if all(len(block) == 1 for block in blocks) and sum(
+                any((-x % t if t else -x) != x for row, t in zip(entries, t_orders)
+                    for x in row[block[0]]) for block in blocks) <= 1:
+            return None
+        # steps[e]: the index step of entry e in row-major order, the last fastest
+        lens = [len(values) for row in entries for values in row]
+        steps = list(itertools.accumulate(reversed(lens[1:]), mul, initial=1))[::-1]
+        mask, upright = 1, (0,) * len(entries)
+        for block in blocks:
+            # each row's values in the block's columns: -1 below the value's
+            # negation in value order, 0 equal to it, 1 above it
+            block_signs = [[(2 * x > t) - (0 < 2 * x < t) if t else (x < 0) - (x > 0)
+                            for x in row[block[0]]] for row, t in zip(entries, t_orders)]
+            minimal = [sign <= upright for sign in itertools.product(*block_signs)]
+            # the index offset of each sign-minimal column at each column of the block
+            offsets = [list(itertools.compress(map(sum, itertools.product(*(
+                range(0, len(row) * step, step) for row, step in zip(block_signs, steps[j::cols])))),
+                minimal)) for j in block]
+            mask *= sum(1 << sum(map(list.__getitem__, offsets, combo))
+                        for combo in itertools.combinations_with_replacement(
+                            range(len(offsets[0])), len(block)))
+        return mask
 
 
 # the most homs one hom space may hold: a space keeps a row class per hom

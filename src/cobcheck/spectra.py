@@ -31,8 +31,10 @@ columns of the per-column bit polynomials, over f's mixed-radix index,
 of the values that all of g's rows kill.  Cokernels come from rows
 too: target / (im + relations) is fixed by the set of the rows of
 [matrix | relations] up to sign, a hom's row class in its
-``abgroup.HomMatrixSpace``, and the masks indexed by a space, its
-cokernels and its images are computed once per class.
+``abgroup.HomMatrixSpace``.  The masks indexed by a space, its
+cokernels and its images are facts of a row class, each taken the
+first time a hom the search reaches asks for it, so a class no reached
+hom belongs to costs nothing.
 
 Sibling rule: under one prefix, a hom is skipped when an earlier
 sibling has the same signature, which is everything later work reads
@@ -42,7 +44,35 @@ subquotient.  The earlier sibling admits the same completions, with the
 same homology, at lexicographically smaller labelings that the search
 visits first, so the skipped subtree holds no first representative:
 the classes, their representatives and their order do not change.
-Each arrow's signatures are read in one zip over per-hom part lists.
+
+Orbit rule: arrow k tries only the homs least in their orbits under
+the signed permutations of equal-order generators of its source
+(``HomMatrixSpace.canonical``).  Such a permutation s is an
+automorphism of the source of arrow k, which is the target of arrow
+k + 1, so it acts on a labeling by h_k -> h_k s^-1 and h_(k+1) -> s
+h_(k+1) and leaves every other hom as it is.  It maps each bounded hom
+space to itself (it permutes a matrix's rows or columns within blocks
+of equal orders and negates some; free entries run over 0, +-1, ...,
++-B and torsion residue runs are closed under x -> t - x), keeps every
+composite zero (h_k s^-1 s h_(k+1) = h_k h_(k+1)), and gives isomorphic
+homology at every position (s carries ker h_k / im h_(k+1) onto the new
+one).  So it maps a labeling to one of the same class, and the two
+first differ on arrow k, which comes before arrow k + 1 in product
+order: a labeling whose h_k is not least in its orbit has a smaller
+labeling in its class.  The first representative of a class, the least
+labeling of the class in product order, is therefore least in its
+orbit on every arrow, and the two rules compose: neither skips a hom of
+it.  The orbit rule skips only homs that are not least in their orbits,
+and the sibling rule skips a hom only when a sibling tried before it
+under the same prefix (so itself skipped by neither rule) has its
+signature, and that sibling with the same completion would be a
+smaller labeling of the class.  The search visits the labelings it
+keeps in product order, so the first it meets of each class is that
+representative, and the classes, representatives and order are those
+of the full search.  Where the group only negates homs (``canonical``
+is None) every hom is tried: a hom's negation has its image, cokernel
+and masks, so the sibling rule already skips it unless a torsion image
+puts the hom itself in its signature.
 
 The homology at each position comes from invariants of each hom: M /
 im(in) for the incoming map, and the rank of im(out) for the outgoing
@@ -50,7 +80,7 @@ one; when that image is free it splits off M / im(in), and only a
 torsion image falls back to the kernel-lattice subquotient.  A hom
 space keeps only each entry's and each row's admissible values
 (``abgroup.hom_matrix_space``); masks and invariants are read off them
-and off one representative's entry rows per row class, equal results
+and off one representative's entry rows per row class, equal masks
 are one object, and a ``GroupHom`` is built only for a kernel lattice
 or a representative's differentials.  Hom spaces, these invariants and
 the classes of each component shape live in an ``EnumerationTable``
@@ -183,7 +213,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Container, Iterable, Iterator, Sequence
 from functools import reduce
-from itertools import chain, compress, count, product, repeat
+from itertools import chain, compress, count, product
 from math import lcm, prod
 from operator import mul, or_
 
@@ -431,9 +461,10 @@ def certified_degrees(page: BigradedPage) -> list[int]:
     return out
 
 
-def _certified_sums(page: BigradedPage) -> list[tuple[int, FgAbGroup]]:
-    """Each certified degree with the direct sum of its antidiagonal."""
-    parts: dict[int, list[FgAbGroup]] = {deg: [] for deg in certified_degrees(page)}
+def _certified_sums(page: BigradedPage, degrees: Iterable[int]) -> list[tuple[int, FgAbGroup]]:
+    """Each certified degree of ``page`` (``degrees``, its
+    ``certified_degrees``) with the direct sum of its antidiagonal."""
+    parts: dict[int, list[FgAbGroup]] = {deg: [] for deg in degrees}
     for (p, q), grp in page.entries:
         if p + q in parts:
             parts[p + q].append(grp)
@@ -618,7 +649,7 @@ class EnumerationTable:
 
     def __init__(self):
         self._spaces: dict[tuple[FgAbGroup, FgAbGroup, int], HomMatrixSpace] = {}
-        self._masks: dict[tuple[HomMatrixSpace, HomMatrixSpace], list[int]] = {}
+        self._masks: dict[tuple[HomMatrixSpace, HomMatrixSpace], _VanishingMasks] = {}
         self._shapes: dict[tuple, tuple[_ComponentClass, ...]] = {}
         self._lenses: dict[tuple[tuple[int, ...] | None, int], _Lens] = {}
 
@@ -636,13 +667,13 @@ class EnumerationTable:
             lens = self._lenses[key] = _Lens(primes, width)
         return lens
 
-    def masks(self, first: HomMatrixSpace, second: HomMatrixSpace) -> list[int]:
-        """``_vanishing_masks`` of the two spaces: indexed by the homs g
+    def masks(self, first: HomMatrixSpace, second: HomMatrixSpace) -> _VanishingMasks:
+        """The ``_VanishingMasks`` of the two spaces: indexed by the homs g
         of ``second``, with bits over the homs f of ``first``."""
         key = (first, second)
         masks = self._masks.get(key)
         if masks is None:
-            masks = self._masks[key] = _vanishing_masks(first, second)
+            masks = self._masks[key] = _VanishingMasks(first, second)
         return masks
 
     def classes(self, arrows: _Arrows, groups: tuple[FgAbGroup, ...], bound: int,
@@ -678,11 +709,22 @@ def _component_classes(table: EnumerationTable,
 
     ``arrows`` is one chain in source order, as ``_components`` gives
     it: arrow k - 1 leaves arrow k's target.  A depth-first search
-    places one hom per arrow in that order, the first from its whole
-    space and arrow k only from the homs that compose to zero with the
-    hom placed on arrow k - 1 (its vanishing mask, from ``table``).  It
+    places one hom per arrow in that order, arrow k only from the homs
+    that compose to zero with the hom placed on arrow k - 1 (its
+    vanishing mask, from ``table``) and, on every arrow, only from the
+    homs least in their orbits under the signed permutations of
+    equal-order source generators (``HomMatrixSpace.canonical``).  It
     visits labelings in the lexicographic order of the full product, so
     each class keeps the same first representative.
+
+    Orbit rule: such a permutation s of arrow k's source, the target of
+    arrow k + 1, maps a labeling to one with h_k s^-1 and s h_(k+1) in
+    place of h_k and h_(k+1).  It keeps every hom in its bounded space,
+    every composite zero and every position's homology up to
+    isomorphism, so the image is in the same class, and it is smaller
+    when h_k s^-1 is: a labeling whose h_k is not least in its orbit is
+    not the first of its class.  The module docstring has the proof in
+    full, and why the rule composes with the sibling rule below.
 
     Sibling rule: under one prefix, a hom on arrow k is skipped when an
     earlier hom tried there has the same signature.  The signature is
@@ -698,10 +740,11 @@ def _component_classes(table: EnumerationTable,
     representatives and their order are those of the full search.
 
     Homology ker(out) / im(in) at M comes from per-hom invariants that
-    each hom space of ``table`` keeps for the whole run (see
+    each hom space of ``table`` takes per row class the first time a
+    reached hom asks, and keeps for the whole run (see
     ``HomMatrixSpace``): coker(in) = M / im(in) (M at a chain start),
     and the rank r of im(out) with whether it is torsion-free (r = 0 at
-    a chain end; see ``HomMatrixSpace.images``).  A free im(out) splits
+    a chain end; see ``HomMatrixSpace.image``).  A free im(out) splits
     off M / im(in), leaving coker(in) with r fewer free generators,
     built once per distinct result; only a torsion image falls back to
     ``subquotient`` on the kernel lattice, memoized per position by the
@@ -748,46 +791,32 @@ def _component_classes(table: EnumerationTable,
             grp = memo[key] = interned.setdefault(grp, grp)
         return grp
 
-    def sibling_ids(k: int) -> list[int]:
-        """Per hom of arrow k, the first hom with its signature (see the
-        sibling rule), from one zip over the signature's parts."""
+    def signature(k: int, h: int) -> tuple:
+        """The signature of hom h of arrow k (see the sibling rule), read
+        off the facts of its row class, which its space takes on first
+        use."""
         space = spaces[k]
         source_site, target_site, feeds_subquotient = touches[k]
-        parts = constraint[k + 1:k + 2]  # the next arrow's mask, if any
+        sig = (constraint[k + 1][h],) if k + 1 < len(arrows) else ()
         if source_site:
-            images = space.images()
-            parts.append(images if not space.target.torsion else
-                         [img if img[1] else (img, h) for h, img in enumerate(images)])
+            img = space.image(h)
+            sig += (img if img[1] else (img, h),)
         if target_site:
-            parts.append(space.coker_ids())
-            if feeds_subquotient:
-                parts.append(range(len(space)))
-        first: dict[tuple, int] = {}
-        return list(map(first.setdefault, zip(*parts) if parts else repeat(()),
-                        range(len(space))))
+            coker = space.coker(h)
+            sig += (coker.free_rank, coker.torsion, h if feeds_subquotient else None)
+        return sig
 
-    sids = [sibling_ids(k) for k in range(len(arrows))]
+    # pending[k]: the canonical homs of arrow k (every hom where
+    # ``canonical`` is None) not yet tried under the current prefix, in
+    # product order; tried[k]: the signatures already tried under it
+    canonical = [space.canonical for space in spaces]
+    pending = [iter(range(len(spaces[0]))) if canonical[0] is None else _set_bits(canonical[0])]
+    pending += [iter(())] * (len(arrows) - 1)
+    tried: list[set[tuple]] = [set() for _ in arrows]
 
-    # pending[k]: homs of arrow k not yet tried under the current prefix,
-    # in product order; tried[k]: the signatures already tried under it
-    pending = [iter(range(len(spaces[0])))] + [iter(())] * (len(arrows) - 1)
-    tried: list[set[int]] = [set() for _ in arrows]
-    k = 0
-    while k >= 0:
-        h = next(pending[k], None)
-        if h is None:
-            k -= 1
-            continue
-        sid = sids[k][h]
-        if sid in tried[k]:
-            continue
-        tried[k].add(sid)
-        chosen[k] = h
-        if k + 1 < len(arrows):
-            k += 1
-            pending[k] = _set_bits(constraint[k][h])
-            tried[k].clear()
-            continue
+    def leaf():
+        """The labeling ``chosen``, reached on the last arrow: its class
+        keeps it when it is the class's first."""
         key = tuple((site[0], homology(*site)) for site in sites)
         if key not in classes:
             labeling = [sp[h] for sp, h in zip(spaces, chosen)]
@@ -796,41 +825,68 @@ def _component_classes(table: EnumerationTable,
                 homs=tuple((arrow[0], h) for arrow, h in zip(arrows, labeling)
                            if not h.is_zero()),
             )
+
+    k = 0
+    while k >= 0:
+        h = next(pending[k], None)
+        if h is None:
+            k -= 1
+            continue
+        sig = signature(k, h)
+        if sig in tried[k]:
+            continue
+        tried[k].add(sig)
+        chosen[k] = h
+        if k + 1 < len(arrows):
+            k += 1
+            mask = constraint[k][h]
+            pending[k] = _set_bits(mask if canonical[k] is None else mask & canonical[k])
+            tried[k].clear()
+            continue
+        leaf()
     return tuple(classes.values())
 
 
-def _vanishing_masks(first: HomMatrixSpace, second: HomMatrixSpace) -> list[int]:
-    """For each hom g of ``second``, the bitmask of the homs f of
-    ``first`` with g o f = 0.  Equal masks are one object.
+class _VanishingMasks(dict):
+    """For each hom g of ``second`` (the key), the bitmask of the homs f
+    of ``first`` with g o f = 0, worked out per row class of g the first
+    time a hom of that class is read.  Equal masks are one object.
 
     One kill table, each row value of ``second`` against each value of
     each column of ``first`` (``_orthogonal``), gives the masks (see the
     module docstring): the mask of g is the AND, over f's columns, of
     the polynomials (``_digit_polys``) of the values that all of g's
-    rows kill.  It is built once per row class of g."""
-    ranges = first.entries  # ranges[j][c]: the values of entry (j, c) of f
-    columns = [tuple(product(*column)) for column in zip(*ranges)]
-    orders = second.target.generator_orders()
-    # kills[c][t]: each value of row t of g -> the values of column c of f it kills
-    kills = [[dict(zip(values, _orthogonal(values, column, o)))
-              for values, o in zip(second.rows, orders)] for column in columns]
-    polys = _digit_polys(ranges)
-    interned: dict[int, int] = {}
-    placed: dict[tuple[int, int], int] = {}
-    by_class = {}
-    for rep in dict.fromkeys(second.row_class):
-        rows = second.matrix(rep)
-        mask = (1 << len(first)) - 1
-        for c, ((offsets, others), column_kills) in enumerate(zip(polys, kills)):
-            allowed = (1 << len(offsets)) - 1
-            for value, row_kills in zip(rows, column_kills):
-                allowed &= row_kills[value]
-            poly = placed.get((c, allowed))
-            if poly is None:
-                poly = placed[c, allowed] = _place(others, allowed, offsets)
-            mask &= poly
-        by_class[rep] = interned.setdefault(mask, mask)
-    return list(map(by_class.__getitem__, second.row_class))
+    rows kill."""
+
+    def __init__(self, first: HomMatrixSpace, second: HomMatrixSpace):
+        super().__init__()
+        columns = [tuple(product(*column)) for column in zip(*first.entries)]
+        orders = second.target.generator_orders()
+        # kills[c][t]: each value of row t of g -> the values of column c of f it kills
+        self.kills = [[dict(zip(values, _orthogonal(values, column, o)))
+                       for values, o in zip(second.rows, orders)] for column in columns]
+        self.polys = _digit_polys(first.entries)
+        self.second, self.full = second, (1 << len(first)) - 1
+        self.placed: dict[tuple[int, int], int] = {}
+        self.interned: dict[int, int] = {}
+
+    def __missing__(self, g: int) -> int:
+        rep = self.second.row_class[g]
+        if rep != g:
+            mask = self[rep]
+        else:
+            mask = self.full
+            for c, ((offsets, others), column_kills) in enumerate(zip(self.polys, self.kills)):
+                allowed = (1 << len(offsets)) - 1
+                for value, row_kills in zip(self.second.matrix(rep), column_kills):
+                    allowed &= row_kills[value]
+                poly = self.placed.get((c, allowed))
+                if poly is None:
+                    poly = self.placed[c, allowed] = _place(others, allowed, offsets)
+                mask &= poly
+            mask = self.interned.setdefault(mask, mask)
+        self[g] = mask
+        return mask
 
 
 def _digit_polys(ranges: tuple[tuple[tuple[int, ...], ...], ...]) -> list[tuple[list[int], int]]:
@@ -1416,10 +1472,16 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     # first leaf per (HF_even, HF_odd), in search order
     leaves: dict[tuple[FgAbGroup, FgAbGroup], BranchLeaf] = {}
     found: set[tuple[int, int]] = set()  # the leaves' abutments, packed by ``exact``
+    # the certified degrees of a leaf's page by its unresolved set: every
+    # page of the solve has the root's geometry, which is all else they read
+    certifies: dict[frozenset[Position], list[int]] = {}
     truncation = False
 
     def finish(page: BigradedPage, turns: _Chosen) -> None:
-        certified = _certified_sums(page)
+        degrees = certifies.get(page.unresolved)
+        if degrees is None:
+            degrees = certifies[page.unresolved] = certified_degrees(page)
+        certified = _certified_sums(page, degrees)
         key = _fold_parity(chain(pins, certified))
         if key is not None and key not in leaves:
             found.add((exact.packed(key[0]), exact.packed(key[1])))

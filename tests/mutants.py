@@ -32,6 +32,9 @@ TORSION = ["tests/test_spectra.py::test_pruning_keeps_the_leaves_of_a_search_wit
 HAND_DERIVED = ["tests/test_spectra.py::test_two_stage_turning_hand_derived"]
 PACKED_MEET = "tests/test_properties.py::test_the_packed_meet_is_the_meet_of_each_field"
 LOOKUP = ["tests/test_spectra.py::test_children_are_the_classes_checked_one_at_a_time[rp7-s4-w4]"]
+ORBIT = ["tests/test_properties.py::test_canonical_homs_of_pinned_spaces",
+         "tests/test_spectra.py::test_orbit_rule_keeps_the_classes_of_the_flagship_chain"]
+ABGROUP = "src/cobcheck/abgroup.py"
 
 # (name, file, source text, its mutation, the tests that must fail)
 MUTATIONS = [
@@ -109,6 +112,17 @@ MUTATIONS = [
      "self.plan.memos.setdefault((self.plan.flow, lens), {})",
      "self.plan.memos.setdefault(lens, {})",
      ["tests/test_spectra.py::test_turns_share_a_node_memo_exactly_when_they_share_its_key"]),
+    # the orbit rule keeps each column's larger sign, or sorts a block's
+    # columns descending: the mask misses orbit minima, so the search
+    # misses first representatives
+    ("orbit-sign-keeps-larger", ABGROUP,
+     "minimal = [sign <= upright",
+     "minimal = [sign >= upright",
+     ORBIT),
+    ("orbit-columns-descending", ABGROUP,
+     "sum(map(list.__getitem__, offsets, combo))",
+     "sum(map(list.__getitem__, offsets, combo[::-1]))",
+     ORBIT),
 ]
 
 

@@ -5,7 +5,7 @@ import math
 import operator
 
 from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, bound_may_truncate, composite_is_zero, direct_sum,
-                              hom_matrix_space, homology_at)
+                              from_orders, hom_matrix_space, homology_at)
 from cobcheck.exactness import (BranchOutcome, CertStep, Certificate, ClaimVerdict,
                                 ExactSequenceProblem, FeasibilityVerdict, _dims_table,
                                 _rank_var, _unknown_bounds, build_cobordism_sequences,
@@ -251,6 +251,33 @@ def zero_hom(source: FgAbGroup, target: FgAbGroup) -> GroupHom:
                                                 source.generator_count()))
 
 
+def signed_permutation_orbits(space):
+    """Reference for ``HomMatrixSpace.canonical``: the orbit of each hom
+    of ``space``, as a set of indexes, under every signed permutation of
+    equal-order source generators, which permutes a matrix's columns
+    within each block of equal orders and negates any of them (entries
+    reduced modulo the target orders); and the index of each hom's
+    negation."""
+    s_orders, t_orders = space.source.generator_orders(), space.target.generator_orders()
+    index = {space.matrix(h): h for h in range(len(space))}
+    blocks = [list(run) for _, run in itertools.groupby(range(len(s_orders)),
+                                                        key=s_orders.__getitem__)]
+    moves = [(tuple(itertools.chain(*perms)), signs)
+             for perms in itertools.product(*map(itertools.permutations, blocks))
+             for signs in itertools.product((1, -1), repeat=len(s_orders))]
+    orbits = []
+    for h in range(len(space)):
+        rows = space.matrix(h)
+        orbits.append({index[tuple(tuple(sign * row[j] % t if t else sign * row[j]
+                                         for j, sign in zip(order, signs))
+                                   for row, t in zip(rows, t_orders))]
+                       for order, signs in moves})
+    negations = [index[tuple(tuple(-x % t if t else -x for x in row)
+                             for row, t in zip(space.matrix(h), t_orders))]
+                 for h in range(len(space))]
+    return orbits, negations
+
+
 def component_classes_by_product(arrows, groups, bound, signature_positions):
     """Reference for ``spectra._component_classes``: every labeling in the
     full product of the per-arrow hom spaces, tested for vanishing
@@ -286,11 +313,16 @@ def component_classes_by_product(arrows, groups, bound, signature_positions):
 
 
 def component_classes_without_skipping(arrows, groups, bound, signature_positions):
-    """Reference for the sibling rule of ``spectra._component_classes``:
-    the same depth-first search in product order, extending every prefix
-    with every hom whose composites with the placed neighbours vanish
-    (``composite_is_zero``), and ``homology_at`` at every leaf; classes
-    keep their first labeling."""
+    """Reference for the sibling and orbit rules of
+    ``spectra._component_classes``: the same depth-first search in
+    product order, extending every prefix with every hom whose composites
+    with the placed neighbours vanish, and ``homology_at`` at every leaf;
+    classes keep their first labeling.
+
+    A composite g o f vanishes exactly when each row of g, a map into
+    one cyclic summand of its target, kills each column of f, the image
+    of one cyclic summand of f's source; each (column, row) pair is
+    tested once, with ``composite_is_zero``."""
     group_of = dict(groups)
     spaces = [hom_matrix_space(group_of[s], group_of[t], bound) for s, t in arrows]
     incoming_idx = {t: i for i, (_, t) in enumerate(arrows)}
@@ -306,6 +338,28 @@ def component_classes_without_skipping(arrows, groups, bound, signature_position
     chosen = []
     homology = {}
     classes = {}
+    killed = {}
+    # per arrow: each hom's rows and columns, and the orders of its source
+    # and target generators
+    rows = [[space.matrix(h) for h in range(len(space))] for space in spaces]
+    columns = [[tuple(zip(*matrix)) for matrix in matrices] for matrices in rows]
+    orders = [(space.source.generator_orders(), space.target.generator_orders())
+              for space in spaces]
+
+    def vanishes(a, f, b, g):
+        """Whether hom f of arrow a then hom g of arrow b composes to zero."""
+        middle = spaces[b].source
+        for d, column in zip(orders[a][0], columns[a][f]):
+            for t, row in zip(orders[b][1], rows[b][g]):
+                key = (b, d, column, t, row)
+                if key not in killed:
+                    killed[key] = composite_is_zero(
+                        GroupHom(from_orders(d), middle,
+                                 IntMatrix(len(column), 1, tuple((x,) for x in column))),
+                        GroupHom(middle, from_orders(t), IntMatrix(1, len(row), (row,))))
+                if not killed[key]:
+                    return False
+        return True
 
     def site(pos):
         i, o = incoming_idx.get(pos), outgoing_idx.get(pos)
@@ -326,9 +380,8 @@ def component_classes_without_skipping(arrows, groups, bound, signature_position
                     homs=tuple((arrows[i][0], h) for i, h in enumerate(labeling)
                                if not h.is_zero()))
             return
-        for h, hom in enumerate(spaces[k]):
-            if all(composite_is_zero(spaces[i][chosen[i]], hom) if i_first
-                   else composite_is_zero(hom, spaces[i][chosen[i]])
+        for h in range(len(spaces[k])):
+            if all(vanishes(i, chosen[i], k, h) if i_first else vanishes(k, h, i, chosen[i])
                    for i, i_first in neighbours[k]):
                 chosen.append(h)
                 extend(k + 1)

@@ -367,11 +367,18 @@ def test_a_hom_space_past_the_hom_limit_is_a_named_solver_limit():
 
 def test_a_hom_space_takes_cokernels_once_per_row_class_and_only_when_asked(monkeypatch):
     # Z^3 -> Z^3 at bound 1, the largest space of the T^3 table at step
-    # 2: building its 19,683 homs takes no Smith diagonal, and its
-    # cokernels take one per row class
+    # 2: building its 19,683 homs takes no Smith diagonal, a hom's
+    # cokernel takes one for its row class the first time a hom of the
+    # class asks, and all of them take one per row class
     calls = []
     monkeypatch.setattr(abgroup, "cokernel", lambda m: calls.append(m) or cokernel(m))
     space = hom_matrix_space(FgAbGroup(3), FgAbGroup(3), 1)
     assert not calls
-    assert len(space.coker_ids()) == len(space)
+    last = len(space) - 1
+    space.coker(last)
+    assert len(calls) == 1
+    rep = space.row_class[last]  # the all -1 matrix shares (1 1 1)'s rows up to sign
+    assert rep != last
+    assert space.coker(rep) is space.coker(last) and len(calls) == 1
+    assert len([space.coker(h) for h in range(len(space))]) == len(space)
     assert len(calls) == len(set(space.row_class))

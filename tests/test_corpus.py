@@ -160,7 +160,8 @@ def test_leaves_with_a_non_split_alternative(monkeypatch, capsys, workload, scen
     # taken when the leaf is built
     pages, leaves = [], []
     sums, init = spectra._certified_sums, spectra.BranchLeaf.__init__
-    monkeypatch.setattr(spectra, "_certified_sums", lambda page: pages.append(page) or sums(page))
+    monkeypatch.setattr(spectra, "_certified_sums",
+                        lambda page, degrees: pages.append(page) or sums(page, degrees))
     monkeypatch.setattr(spectra.BranchLeaf, "__init__",
                         lambda leaf, **kw: leaves.append(pages[-1]) or init(leaf, **kw))
     assert main(["check", str(file)]) == code

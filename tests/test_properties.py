@@ -27,8 +27,8 @@ import cobcheck.abgroup as abgroup
 from cobcheck import cli, spectra
 from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, Z, ZERO, direct_sum,
                               cokernel, composite_is_zero, cyclic, from_orders,
-                              preimage_lattice, relation_matrix, smith_normal_form,
-                              subquotient)
+                              hom_matrix_space, preimage_lattice, relation_matrix,
+                              smith_normal_form, subquotient)
 from cobcheck.cli import main
 from cobcheck.exactness import CobordismClaim, certify_nonexistence
 from cobcheck.graded import GradedGroup, LaurentGrading
@@ -40,8 +40,8 @@ from cobcheck.topology import LagrangianDescriptor
 import oracles
 from oracles import (certify_nonexistence_per_branch, component_classes_by_product,
                      components_by_union_find, entry_values, flow_values_by_product,
-                     orthogonal_by_loop, solve_floer_without_pruning, transpose_masks,
-                     vanishing_masks_by_loop)
+                     orthogonal_by_loop, signed_permutation_orbits, solve_floer_without_pruning,
+                     transpose_masks, vanishing_masks_by_loop)
 from test_spectra import assert_pruning_keeps_the_leaves, classes_match_search_without_skipping
 
 
@@ -259,6 +259,56 @@ def space_size(source: FgAbGroup, target: FgAbGroup, bound: int) -> int:
     return n
 
 
+# sources and targets of the orbit oracle: free, torsion of orders 2, 3,
+# 4 and 6, and mixed
+ORBIT_GROUPS = [from_orders(*orders) for orders in
+                [(), (0,), (0, 0), (0, 0, 0), (2,), (3,), (4,), (6,), (2, 2), (3, 3), (2, 4),
+                 (2, 6), (0, 2), (0, 3), (0, 4), (0, 0, 2), (0, 2, 2)]]
+
+
+def assert_canonical_is_the_orbit_minima(space):
+    """``space.canonical`` against ``signed_permutation_orbits``: the homs
+    least in their orbits, or None only where the group moves no hom
+    beyond its negation (every orbit is {h, -h})."""
+    orbits, negations = signed_permutation_orbits(space)
+    if space.canonical is None:
+        assert all(orbit <= {h, minus} for h, (minus, orbit) in enumerate(zip(negations, orbits)))
+    else:
+        assert space.canonical == sum(1 << h for h, orbit in enumerate(orbits) if h == min(orbit))
+
+
+@settings(deadline=None, database=None, max_examples=80)
+@given(st.data())
+def test_canonical_homs_are_the_least_of_their_signed_permutation_orbits(data):
+    bound = data.draw(st.integers(1, 4))
+    source, target = data.draw(st.tuples(*[st.sampled_from(ORBIT_GROUPS)] * 2).filter(
+        lambda g: space_size(g[0], g[1], bound) <= 2000))
+    assert_canonical_is_the_orbit_minima(hom_matrix_space(source, target, bound))
+
+
+@pytest.mark.parametrize("source, target, bound, canonical", [
+    (FgAbGroup(3), FgAbGroup(3), 1, 560),  # T^3's Z^3 -> Z^3, of 19,683 homs
+    (FgAbGroup(2), Z, 6, 28),  # the flagship's Z^2 -> Z at its largest bound, of 169
+    (from_orders(0, 0, 2), from_orders(0, 4), 1, 15),
+    (from_orders(2, 2), from_orders(2, 4), 2, 10),
+    (from_orders(3, 3), from_orders(0, 3), 2, 3),
+    (from_orders(0, 3), from_orders(0, 3), 2, 16),
+    (from_orders(0, 4), cyclic(4), 2, 9),
+    (from_orders(0, 2, 2), from_orders(2, 4), 1, 12),
+    # a group that moves no hom beyond its negation, a lone Z/2 included
+    (from_orders(0, 2), from_orders(0, 2), 3, None),
+    (from_orders(2, 6), from_orders(2, 6), 2, None),
+    (cyclic(2), FgAbGroup(2), 4, None),
+], ids=["Z3-Z3-b1", "Z2-Z-b6", "Z2+Z2-Z+Z4-b1", "Z2^2-Z2+Z4-b2", "Z3^2-Z+Z3-b2",
+        "Z+Z3-Z+Z3-b2", "Z+Z4-Z4-b2", "Z+Z2^2-Z2+Z4-b1", "Z+Z2-Z+Z2-b3", "Z2+Z6-Z2+Z6-b2",
+        "Z2-Z2-b4"])
+def test_canonical_homs_of_pinned_spaces(source, target, bound, canonical):
+    space = hom_matrix_space(source, target, bound)
+    if len(space) <= 2000:
+        assert_canonical_is_the_orbit_minima(space)
+    assert (None if space.canonical is None else bin(space.canonical).count("1")) == canonical
+
+
 def columns(homs):
     """The columns of the matrices of ``homs``, in order."""
     return [col for h in homs for col in zip(*h.matrix.entries)]
@@ -282,8 +332,9 @@ def test_packed_masks_match_the_loop_over_hom_spaces(data):
     source, middle, target = shape
     table = EnumerationTable()
     first, second = table.space(source, middle, bound), table.space(middle, target, bound)
-    want = vanishing_masks_by_loop(first, second, target)
-    assert table.masks(first, second) == transpose_masks(want, len(second))
+    want = transpose_masks(vanishing_masks_by_loop(first, second, target), len(second))
+    masks = table.masks(first, second)
+    assert [masks[g] for g in range(len(second))] == want
     some_first = data.draw(st.lists(st.sampled_from(first), max_size=30))
     some_second = data.draw(st.lists(st.sampled_from(second), max_size=30))
     for t, o in enumerate(target.generator_orders()):
@@ -330,7 +381,8 @@ def test_masks_of_the_t3_pairs_match_composites(shape):
     table = EnumerationTable()
     first, second = table.space(source, middle, 1), table.space(middle, target, 1)
     masks = table.masks(first, second)
-    assert masks == transpose_masks(vanishing_masks_by_loop(first, second, target), len(second))
+    want = transpose_masks(vanishing_masks_by_loop(first, second, target), len(second))
+    assert [masks[g] for g in range(len(second))] == want
     rng = random.Random(0)
     for _ in range(300):
         f, g = rng.randrange(len(first)), rng.randrange(len(second))

@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -491,6 +492,82 @@ def test_sibling_rule_keeps_the_classes_of_solved_components(monkeypatch, h, ste
 
 
 # ---------------------------------------------------------------------------
+# the orbit rule: only column-canonical homs are tried
+
+def t3_chain_problems():
+    """The ``_component_classes`` calls of T^3's solve at step 2, bound 1
+    that have more than one arrow: its three chain shapes."""
+    calls = []
+
+    def recorded(table, *problem):
+        calls.append(problem)
+        return _component_classes(table, *problem)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(spectra, "_component_classes", recorded)
+        solve_floer(H_T3, 2, entry_bound=1)
+    return [problem for problem in calls if len(problem[0]) > 1]
+
+
+def enumerator_leaves(run) -> int:
+    """Run ``run()`` and count the labelings the chain enumerator reaches
+    on its last arrow: the calls of ``_component_classes``'s ``leaf``."""
+    leaf = next(code for code in _component_classes.__code__.co_consts
+                if getattr(code, "co_name", None) == "leaf")
+    leaves = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is leaf:
+            leaves[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return leaves[0]
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4, 5, 6])
+def test_orbit_rule_keeps_the_classes_of_the_flagship_chain(bound):
+    # Z -> Z^2 -> Z, the flagship's chain, against the search that skips
+    # nothing: the same classes, representatives and order
+    positions = CHAIN[:3]
+    groups = tuple(zip(positions, (Z, FgAbGroup(2), Z)))
+    arrows = tuple(zip(positions, positions[1:]))[::-1]
+    got = _component_classes(EnumerationTable(), arrows, groups, bound, positions)
+    want = component_classes_without_skipping(arrows, groups, bound, positions)
+    assert got == want
+    assert [cls.homs for cls in got] == [cls.homs for cls in want]
+
+
+def test_orbit_rule_keeps_the_classes_of_the_t3_chains(monkeypatch):
+    # T^3's three chain shapes at bound 1, where a space has 19,683 homs
+    # and 560 canonical ones, against the same search trying every hom:
+    # the same classes, representatives and order, from fewer leaves (the
+    # search that skips nothing takes seconds per shape; CI runs it)
+    problems = t3_chain_problems()
+    assert sorted(len(arrows) for arrows, *_ in problems) == [2, 2, 3]
+    got = [_component_classes(EnumerationTable(), *problem) for problem in problems]
+    leaves = enumerator_leaves(lambda: [_component_classes(EnumerationTable(), *problem)
+                                        for problem in problems])
+    monkeypatch.setattr(abgroup.HomMatrixSpace, "canonical", None)
+    want = [_component_classes(EnumerationTable(), *problem) for problem in problems]
+    assert got == want
+    assert [[cls.homs for cls in classes] for classes in got] == [
+        [cls.homs for cls in classes] for classes in want]
+    assert leaves < enumerator_leaves(lambda: [_component_classes(EnumerationTable(), *problem)
+                                               for problem in problems])
+
+
+def test_t3_enumerator_reaches_142_leaves():
+    # the T^3 table at step 2, bound 1: the enumerator reaches 142
+    # labelings on the last arrows of its chains, 1,070 while every hom
+    # was tried and not only the column-canonical ones
+    assert enumerator_leaves(lambda: solve_floer(H_T3, 2, entry_bound=1)) == 142
+
+
+# ---------------------------------------------------------------------------
 # the interval pruner against a search that prunes nothing
 
 def assert_pruning_keeps_the_leaves(h, step, **kw):
@@ -892,8 +969,10 @@ def test_hom_spaces_build_homs_only_when_indexed(monkeypatch):
 
 def test_t3_cokernels_are_taken_once_per_row_class(monkeypatch):
     # the T^3 table at step 2, bound 1: a cokernel is fixed by the set of
-    # a hom's rows up to sign, so the 19,683 homs of Z^3 -> Z^3 and the
-    # three smaller spaces need 488 Smith diagonals in all
+    # a hom's rows up to sign, and taken the first time a reached hom of
+    # its row class asks, so the 19,683 homs of Z^3 -> Z^3 and the three
+    # smaller spaces need 148 Smith diagonals (488 while every row class
+    # was taken)
     calls = []
     monkeypatch.setattr(abgroup, "cokernel", lambda m: calls.append(m) or cokernel(m))
     built = instances_built(monkeypatch, BigradedPage)
@@ -901,4 +980,4 @@ def test_t3_cokernels_are_taken_once_per_row_class(monkeypatch):
     tree = solve_floer(h, 2, entry_bound=1)
     assert len(tree.leaves) == 16
     assert len(built) <= 1700
-    assert 0 < len(calls) <= 488
+    assert len(calls) == 148
