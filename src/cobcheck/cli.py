@@ -237,8 +237,9 @@ def parse_scenario(data) -> ObstructionScenario:
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"not valid JSON: {exc}") from exc
     _expect(data, dict, "top level")
-    if data.get("schema") != 1:
-        raise ScenarioError(f"schema: expected 1, got {data.get('schema')!r}")
+    schema = data.get("schema")
+    if type(schema) is not int or schema != 1:
+        raise ScenarioError(f"schema: expected 1, got {schema!r}")
     name = data.get("name", "scenario")
     if not isinstance(name, str):
         raise ScenarioError(f"name: expected a string, got {name!r}")
@@ -691,10 +692,12 @@ def run(sc: ObstructionScenario) -> RunReport:
                 trees[key] = solve_floer(*key, entry_bound=sc.entry_bound, col_span=sc.window,
                                          table=table)
             if not trees[key].leaves:
+                # a bound that cut no hom space left nothing out: no bound helps
+                advice = (f"under entry bound {sc.entry_bound}; raise entry_bound"
+                          if trees[key].bound_may_truncate else "under any entry bound")
                 raise SolverLimitError(
-                    f"no consistent spectral sequence for pair ({sc.probe}, {end}) under "
-                    f"entry bound {sc.entry_bound}; raise entry_bound (this is not an "
-                    "infeasibility verdict)")
+                    f"no consistent spectral sequence for pair ({sc.probe}, {end}) {advice} "
+                    "(this is not an infeasibility verdict)")
             solved.append((end, trees[key]))
 
     pair_results: list[PairResult] = []

@@ -111,7 +111,12 @@ kept's plus each chosen class's, summed from the parts each class
 caches per lens and finality of its results.  Those are the
 untouched results' parts on the degrees the turn carries: every arrow
 lowers p + q by one, so a component's positions have pairwise distinct
-degrees, and a class has at most one result per degree.  A page is
+degrees, and a class has at most one result per degree.  Which results
+a turn carries and where its components' entries come from is fixed by
+the two turns' component layouts, and worked out once per pair of
+layouts (``_Layout.after``): on a degree the worst-case run certifies
+no position is ever unresolved, so a result there is carried exactly
+when no component of the turn touches its position.  A page is
 built only for the first page, the worst-case run's stable page, which
 has no entries, and a leaf.
 
@@ -148,7 +153,7 @@ the coupled flow below, their summed free ranks, so a turn's one
 search (``_turn_combinations``) works out the classes that survive
 under a prefix once per distinct such input, not once per prefix.  With
 the parts of the untouched entries in that input, the rest of what the
-check reads is the turn's component layout (``_layout``: page index,
+check reads is the turn's component layout (``_Layout``: page index,
 components, offsets, finals and skeleton), its flow (None exactly on
 the last turn) and its lens, so one node memo per layout, flow and lens
 lives as long as the solve, and every plan with them shares it.
@@ -479,11 +484,11 @@ class _ComponentClass(_Record):
     """One isomorphism class of labelings of a component shape, a chain of
     arrows moved to start at column 0: the homs of a representative and
     the entries they produce.  A component of the shape at column offset
-    ``base`` (``_Plan.bases``) reads them through that offset, so one
+    ``base`` (``_Layout.bases``) reads them through that offset, so one
     class serves every column where its shape occurs: its parts read the
     shape's degrees, and only a leaf, the entries a later turn leaves
     untouched and the flow's ``pack`` read its results moved (``at``).
-    ``zeros`` has bit i set when result i is zero (see ``_Plan.zero_bits``)."""
+    ``zeros`` has bit i set when result i is zero (see ``_Layout.zero_bits``)."""
 
     __slots__ = ("results", "homs", "zeros", "_at", "_parts", "_packs")
     _compared = ("results", "homs")
@@ -678,7 +683,7 @@ class EnumerationTable:
 
     def classes(self, arrows: _Arrows, groups: tuple[FgAbGroup, ...], bound: int,
                 signature: tuple[Position, ...]) -> tuple[_ComponentClass, ...]:
-        """``_component_classes`` of one component shape (``_Plan.shapes``):
+        """``_component_classes`` of one component shape (``_Layout.shapes``):
         its arrows moved to start at column 0, the ``groups`` of its
         positions in sorted order, and the positions left out of
         ``signature`` (next entry unknowable) out of the dedup signature.
@@ -1020,9 +1025,9 @@ def _components(slots: list[tuple[Position, Position]]) -> list[list[tuple[Posit
 # one page turn of a branch: the page index and its nonzero differentials
 # by source position, sorted
 _Turn = tuple[int, tuple[tuple[Position, GroupHom], ...]]
-# the turns a branch has taken: each plan with the classes chosen for its
-# components, which stay as they are while the branch's later turns run
-_Chosen = tuple[tuple["_Plan", list[_ComponentClass]], ...]
+# the turns a branch has taken: each plan's layout with the classes chosen
+# for its components, which stay as they are while the branch's later turns run
+_Chosen = tuple[tuple["_Layout", list[_ComponentClass]], ...]
 
 
 class BranchLeaf(_Record):
@@ -1098,7 +1103,7 @@ class _WorstCase:
         # and the unresolved set after the turn
         self._flows: dict = {}
         self._plans: dict = {}  # the solve's plans, by what ``_Plan`` reads
-        # what the plans read of their components alone (``_layout``), by
+        # what the plans read of their components alone (``_Layout``), by
         # page index and components, so the plans that share them share it
         self.layouts: dict = {}
         self._next: dict = {}  # the same plans, by what ``plan`` reads
@@ -1286,15 +1291,14 @@ class _Plan:
     whose unresolved set is ``unresolved``, where ``arrows`` are the run
     arrows of page r whose window ends are live (``_WorstCase.plan``):
     built once per turn, surviving run arrows and unresolved set, and
-    shared by every branch that has them.  Each component reads the
-    classes of its shape at its column offset, so what the turn's check
-    reads of a class is kept here by the shape's degrees."""
+    shared by every branch that has them.  It keeps what its unresolved
+    set fixes, the next unresolved set, the positions the turn drops and
+    the flow; the rest of what the turn reads is its component
+    ``layout``."""
 
-    __slots__ = ("r", "comps", "shapes", "bases", "zero_bits", "unresolved", "dropped", "final",
-                 "finals", "flow", "checks", "reads", "read", "memos", "settled", "_after")
+    __slots__ = ("layout", "unresolved", "dropped", "flow")
 
     def __init__(self, run: _WorstCase, r: int, arrows: _Arrows, unresolved: frozenset[Position]):
-        self.r = r  # the page of the turn
         slots, newly_unresolved = _slots_and_unresolved(
             arrows, lambda pos: run.first.in_window(pos[0]) and pos not in unresolved)
         self.unresolved = unresolved = unresolved | newly_unresolved  # of the next page
@@ -1305,49 +1309,112 @@ class _Plan:
             positions = sorted({pos for arrow in comp for pos in arrow})
             comps.append((tuple(comp), tuple(positions),
                           tuple(pos for pos in positions if pos not in unresolved)))
-        layout = run.layouts.get(key := (r, tuple(comps)))
-        if layout is None:
-            layout = run.layouts[key] = _layout(run, *key)
-        (self.comps, self.shapes, self.bases, self.zero_bits, self.finals, self.checks, self.reads,
-         self.read, self.memos) = layout
+        self.layout = run.layouts.get(key := (r, tuple(comps)))
+        if self.layout is None:
+            self.layout = run.layouts[key] = _Layout(run, *key)
         # touched or next unresolved
         self.dropped = unresolved.union(*(positions for _, positions, _ in comps))
-        self.final = run.final[r]  # the run's final positions after r, read by the turn's check
         # the rank-flow lookahead over the later turns; None on the last
         # turn, the one no worst-case arrow comes after
         self.flow = run.flow(r, unresolved)
-        # per entry of checks, on a turn that is not the last: the parities
-        # whose last degree it bounds.  After that only the flow reads
-        # their bounds, and only the free ranks, so the check drops their
-        # torsion fields, and states that differ only there are one
-        last = {deg % 2: k for k, degrees in enumerate(self.checks) for deg, _ in degrees}
-        self.settled = tuple(tuple(e for e in (0, 1) if self.flow is not None and last[e] == k)
-                             for k in range(len(self.checks)))
-        # ``after``, by earlier plan
-        self._after: dict[_Plan | None, tuple[tuple, tuple, tuple]] = {}
 
-    def after(self, earlier: _Plan | None) -> tuple[tuple, tuple, tuple]:
-        """What the turn reads of the turn of ``earlier`` (None at the first
-        page), worked out once per pair of plans.  First, per entry of
-        ``checks``, each component j of ``earlier`` with results the turn
-        leaves untouched on that entry's degrees, with the (i, degree of
-        j's shape) of those degrees, i their index in the entry.  Second,
-        per component of the turn, the components of ``earlier`` whose
-        results lie on it, and where each of its positions' entries comes
-        from: (j, i), result i of component j's class, or None, an entry
-        ``earlier`` leaves untouched.  Third, ``_shape_finals`` of
-        ``earlier``'s components on this turn's final positions, which its
-        check reads."""
-        layout = self._after.get(earlier)
-        if layout is None:
+
+class _Layout:
+    """What a plan of turn ``r`` of ``run`` reads of its components
+    ``comps`` alone (``_Plan``): one object per page index and components
+    in a run (``_WorstCase.layouts``, compared by identity), shared by
+    every plan that has them.  Per component: its shape, its arrows and
+    signature moved to start at column 0 (``shapes``); its column offset
+    (``bases``); the live bits (``_WorstCase.bits``) that a class's
+    ``zeros`` clear, those of the positions whose result is zero
+    (``zero_bits``); and ``_shape_finals`` on the run's ``final``
+    positions after turn r, which the turn's check reads (``finals``).
+    Then the interval check's skeleton: checks[i + 1] holds each degree
+    whose last component is i (checks[0]: no component reaches it), with
+    each component c that has an entry on its antidiagonal, as (c, the
+    degree on c's shape); per component i, the (earlier component, its
+    degree) pairs its check reads (``reads``; the last component on each
+    of its degrees is i itself); whether a later component's check reads
+    its class's parts (``read``); and per entry of checks, on a turn that
+    is not the last, the parities whose last degree it bounds
+    (``settled``).  After that only the flow reads their bounds, and only
+    the free ranks, so the check drops their torsion fields, and states
+    that differ only there are one.  The page index fixes ``settled``:
+    the flow is None exactly on the last turn.  Last, the node memos of
+    the turns with these components, by flow and lens (``memos``, see
+    ``_turn_combinations``), and ``after``."""
+
+    __slots__ = ("r", "comps", "shapes", "bases", "zero_bits", "final", "finals", "checks",
+                 "reads", "read", "settled", "memos", "_after")
+
+    def __init__(self, run: _WorstCase, r: int, comps: tuple):
+        self.r, self.comps = r, comps
+        shapes, bases = [], []
+        reach: dict[int, list[int]] = {}  # degree -> the components with an entry on it
+        for i, (arrows, _, signature) in enumerate(comps):
+            base = min(p for (p, _), _ in arrows)
+            move = lambda pos: (pos[0] - base, pos[1])
+            shapes.append((tuple((move(s), move(t)) for s, t in arrows),
+                           tuple(map(move, signature))))
+            bases.append(base)
+            for deg in sorted({sum(pos) for pos in signature}):
+                if deg in run.degrees:
+                    reach.setdefault(deg, []).append(i)
+        self.shapes, self.bases = tuple(shapes), tuple(bases)
+        self.zero_bits = tuple(_Bits(tuple(run.bits.get(pos, 0) for pos in signature))
+                               for _, _, signature in comps)
+        self.final = run.final[r]
+        self.finals = _shape_finals(comps, self.final)
+        skeleton: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [
+            [] for _ in range(len(comps) + 1)]
+        for deg in sorted(run.degrees):
+            at = tuple((c, deg - bases[c]) for c in reach.get(deg, ()))
+            skeleton[at[-1][0] + 1 if at else 0].append((deg, at))
+        self.checks = checks = tuple(map(tuple, skeleton))
+        self.reads = tuple(tuple(pair for _, at in degrees for pair in at[:-1])
+                           for degrees in checks[1:])
+        readers = {c for pairs in self.reads for c, _ in pairs}
+        self.read = tuple(i in readers for i in range(len(comps)))
+        last = {deg % 2: k for k, degrees in enumerate(checks) for deg, _ in degrees}
+        self.settled = tuple(tuple(e for e in (0, 1) if r < max(run.arrows) and last[e] == k)
+                             for k in range(len(checks)))
+        self.memos: dict = {}
+        self._after: dict[_Layout | None, tuple[tuple, tuple, tuple]] = {}  # by earlier layout
+
+    def after(self, earlier: _Layout | None) -> tuple[tuple, tuple, tuple]:
+        """What the turn reads of the turn of the layout ``earlier`` (None
+        at the first page), worked out once per pair of layouts.  First,
+        per entry of ``checks``, each component j of ``earlier`` with
+        results the turn leaves untouched on that entry's degrees, with the
+        (i, degree of j's shape) of those degrees, i their index in the
+        entry.  Second, per component of the turn, the components of
+        ``earlier`` whose results lie on it, and where each of its
+        positions' entries comes from: (j, i), result i of component j's
+        class, or None, an entry ``earlier`` leaves untouched.  Third,
+        ``_shape_finals`` of ``earlier``'s components on this turn's final
+        positions, which its check reads.
+
+        The two layouts fix all three.  Only the first reads more than the
+        components and offsets of both, the check skeleton and the final
+        positions: whether a plan drops a result's position, touching it
+        or leaving it unresolved on the next page.  It reads that only on
+        a degree the run certifies, the degrees of ``checks``.  A plan's
+        unresolved set lies inside the worst-case run's, which only grows,
+        and no position of the run's last unresolved set lies on a degree
+        the run certifies: that is what certifying it means.  So on those
+        degrees a plan drops exactly the positions its components touch,
+        which the layout fixes, and no plan's own dropped set is read."""
+        after = self._after.get(earlier)
+        if after is None:
             comps = () if earlier is None else earlier.comps
             # each degree's entry k of ``checks`` and its index i there
             where = {deg: (k, i) for k, degrees in enumerate(self.checks)
                      for i, (deg, _) in enumerate(degrees)}
+            touched = {pos for _, positions, _ in self.comps for pos in positions}
             carries = [{} for _ in self.checks]
             for j, (_, _, signature) in enumerate(comps):
                 for pos in signature:
-                    if pos not in self.dropped and (found := where.get(deg := sum(pos))):
+                    if pos not in touched and (found := where.get(deg := sum(pos))):
                         k, i = found
                         carries[k].setdefault(j, []).append((i, deg - earlier.bases[j]))
             carries = tuple(tuple((j, tuple(at)) for j, at in by_comp.items())
@@ -1357,9 +1424,8 @@ class _Plan:
             sources = tuple((tuple(sorted({src[0] for src in comp if src})), comp)
                             for comp in (tuple(map(at.get, positions))
                                          for _, positions, _ in self.comps))
-            finals = _shape_finals(comps, self.final)
-            layout = self._after[earlier] = (carries, sources, finals)
-        return layout
+            after = self._after[earlier] = (carries, sources, _shape_finals(comps, self.final))
+        return after
 
     def results(self, chosen: list[_ComponentClass]) -> list[tuple[Position, FgAbGroup]]:
         """The results of the classes ``chosen`` for the turn's components,
@@ -1371,46 +1437,6 @@ class _Plan:
         ``checks``: what the interval check reads of them."""
         return tuple(tuple(parts.get(deg, _NO_PART) for deg, _ in degrees)
                      for degrees in self.checks)
-
-
-def _layout(run: _WorstCase, r: int, comps: tuple) -> tuple:
-    """What a plan of turn r of ``run`` reads of its components ``comps``
-    alone (``_Plan``), worked out once per run for every plan that has
-    them.  Per component: its shape, its arrows and signature moved to
-    start at column 0; its column offset; the live bits
-    (``_WorstCase.bits``) that a class's ``zeros`` clear, those of the
-    positions whose result is zero; and ``_shape_finals``.  Then the
-    interval check's skeleton: checks[i + 1] holds each degree whose last
-    component is i (checks[0]: no component reaches it), with each
-    component c that has an entry on its antidiagonal, as (c, the degree
-    on c's shape); per component i, the (earlier component, its degree)
-    pairs its check reads (the last component on each of its degrees is i
-    itself); whether a later component's check reads its class's parts;
-    and the node memos of the turns with these components, by flow and
-    lens (``_turn_combinations``)."""
-    shapes, bases = [], []
-    reach: dict[int, list[int]] = {}  # degree -> the components with an entry on it
-    for i, (arrows, _, signature) in enumerate(comps):
-        base = min(p for (p, _), _ in arrows)
-        move = lambda pos: (pos[0] - base, pos[1])
-        shapes.append((tuple((move(s), move(t)) for s, t in arrows), tuple(map(move, signature))))
-        bases.append(base)
-        for deg in sorted({sum(pos) for pos in signature}):
-            if deg in run.degrees:
-                reach.setdefault(deg, []).append(i)
-    zero_bits = tuple(_Bits(tuple(run.bits.get(pos, 0) for pos in signature))
-                      for _, _, signature in comps)
-    skeleton: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [
-        [] for _ in range(len(comps) + 1)]
-    for deg in sorted(run.degrees):
-        at = tuple((c, deg - bases[c]) for c in reach.get(deg, ()))
-        skeleton[at[-1][0] + 1 if at else 0].append((deg, at))
-    checks = tuple(map(tuple, skeleton))
-    reads = tuple(tuple(pair for _, at in degrees for pair in at[:-1]) for degrees in checks[1:])
-    readers = {c for pairs in reads for c, _ in pairs}
-    read = tuple(i in readers for i in range(len(comps)))
-    return (comps, tuple(shapes), tuple(bases), zero_bits, _shape_finals(comps, run.final[r]),
-            checks, reads, read, {})
 
 
 def _shape_finals(comps: Sequence[tuple[_Arrows, tuple[Position, ...], tuple[Position, ...]]],
@@ -1487,7 +1513,7 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
             found.add((exact.packed(key[0]), exact.packed(key[1])))
             leaves[key] = BranchLeaf(
                 hf_even=key[0], hf_odd=key[1], certified=tuple(certified),
-                turns=tuple(_turn(plan, chosen) for plan, chosen in turns),
+                turns=tuple(_turn(layout, chosen) for layout, chosen in turns),
                 stable_page=page.page_index)
 
     def turn(after: _TurnAfter, live: int, turns: _Chosen) -> None:
@@ -1500,6 +1526,7 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
         if pinned is None:  # clashing pins: the first page notes truncation, no branch survives
             return
         plan, kept, class_lists = after.plan, None, None
+        layout = plan.layout
         if plan.flow is None:  # the last turn: every bound is exact
             lens, kept_pack, cut = exact, 0, found
         else:
@@ -1517,18 +1544,18 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
         for chosen in _turn_combinations(plan, lens, class_lists, parts, kept_pack, state, memo,
                                          cut):
             live_next = live
-            for cls, zero_bits in zip(chosen, plan.zero_bits):
+            for cls, zero_bits in zip(chosen, layout.zero_bits):
                 live_next &= ~zero_bits[cls.zeros]
-            nxt = run.plan(plan.r + 1, live_next, plan.unresolved)  # None after the last turn
+            nxt = run.plan(layout.r + 1, live_next, plan.unresolved)  # None after the last turn
             if nxt is None:
-                finish(root.turned(plan.r + 1, plan.unresolved,
-                                   after.untouched(prev) + plan.results(chosen)),
-                       (*turns, (plan, chosen)))
+                finish(root.turned(layout.r + 1, plan.unresolved,
+                                   after.untouched(prev) + layout.results(chosen)),
+                       (*turns, (layout, chosen)))
                 continue
             following = nexts.get(nxt)
             if following is None:
                 following = nexts[nxt] = _TurnAfter(table, plan, nxt, kept, entry_bound)
-            turn(following, live_next, (*turns, (plan, chosen)))
+            turn(following, live_next, (*turns, (layout, chosen)))
 
     live = (1 << len(run.bits)) - 1  # every position is live on the first page
     plan = run.plan(root.page_index, live, root.unresolved)
@@ -1552,11 +1579,11 @@ class _TurnAfter:
     without building the branch's page.  The branch's entries are
     ``kept``, those the earlier turn leaves untouched, and its chosen
     classes' results, so what the turn reads of them is worked out here
-    once per earlier page and plan (``_Plan.after``, once per pair of
-    plans), and per branch only looked up or summed: its components'
-    entries, from ``kept`` or a class's results, and the parts of the
-    entries it leaves untouched, kept's and each class's
-    (``_CarriedParts``).  Kept's parts and the node memo, the plan's
+    once per earlier page and plan, and of the classes' results once per
+    pair of layouts (``_Layout.after``), and per branch only looked up or
+    summed: its components' entries, from ``kept`` or a class's results,
+    and the parts of the entries it leaves untouched, kept's and each
+    class's (``_CarriedParts``).  Kept's parts and the node memo, the plan's
     layout's for its flow and lens, are fetched once per lens (``at``)."""
 
     __slots__ = ("table", "earlier", "plan", "entry", "entry_bound", "kept", "carries", "sources",
@@ -1568,34 +1595,34 @@ class _TurnAfter:
         self.entry = dict(kept).__getitem__
         # the kept entries the turn leaves untouched
         self.kept = [entry for entry in kept if entry[0] not in plan.dropped]
-        self.carries, self.sources, self.finals = plan.after(earlier)
+        self.carries, self.sources, self.finals = plan.layout.after(earlier and earlier.layout)
         self._lists: dict[tuple, tuple[_ComponentClass, ...]] = {}  # by what a list reads
         self._at: dict[_Lens, tuple[tuple[tuple[_Bound, ...], ...], dict]] = {}
 
     def at(self, lens: _Lens) -> tuple[tuple[tuple[_Bound, ...], ...], dict]:
-        """The untouched kept entries' ``_Plan.kept_at`` under ``lens``,
+        """The untouched kept entries' ``_Layout.kept_at`` under ``lens``,
         and the turn's node memo there."""
         at = self._at.get(lens)
         if at is None:
-            at = self._at[lens] = (self.plan.kept_at(_degree_parts(self.kept, lens,
-                                                                   self.plan.final)),
-                                   self.plan.memos.setdefault((self.plan.flow, lens), {}))
+            layout = self.plan.layout
+            at = self._at[lens] = (layout.kept_at(_degree_parts(self.kept, lens, layout.final)),
+                                   layout.memos.setdefault((self.plan.flow, lens), {}))
         return at
 
     def untouched(self, chosen: list[_ComponentClass]) -> list[tuple[Position, FgAbGroup]]:
         """The entries after ``chosen`` that the turn leaves untouched."""
         dropped = self.plan.dropped
-        placed = self.earlier.results(chosen) if self.earlier else []
+        placed = self.earlier.layout.results(chosen) if self.earlier else []
         return self.kept + [res for res in placed if res[0] not in dropped]
 
     def groups(self, chosen: list[_ComponentClass], k: int) -> tuple[FgAbGroup, ...]:
         """The entries of the turn's component k after ``chosen``."""
         return tuple(self.entry(pos) if src is None else chosen[src[0]].results[src[1]][1]
-                     for pos, src in zip(self.plan.comps[k][1], self.sources[k][1]))
+                     for pos, src in zip(self.plan.layout.comps[k][1], self.sources[k][1]))
 
     def truncates(self, chosen: list[_ComponentClass]) -> bool:
         """Whether the bound may truncate a hom space of the turn."""
-        for k, (arrows, positions, _) in enumerate(self.plan.comps):
+        for k, (arrows, positions, _) in enumerate(self.plan.layout.comps):
             at = dict(zip(positions, self.groups(chosen, k)))
             if any(bound_may_truncate(at[s], at[t], self.entry_bound) for s, t in arrows):
                 return True
@@ -1605,7 +1632,7 @@ class _TurnAfter:
         """The class lists of the turn's components after ``chosen``, each
         by the classes whose results it reads."""
         lists = []
-        for k, (arrows, signature) in enumerate(self.plan.shapes):
+        for k, (arrows, signature) in enumerate(self.plan.layout.shapes):
             key = (k, *map(id, map(chosen.__getitem__, self.sources[k][0])))
             classes = self._lists.get(key)
             if classes is None:
@@ -1616,11 +1643,11 @@ class _TurnAfter:
 
 
 class _CarriedParts(dict):
-    """``_Plan.kept_at`` of a turn after ``chosen`` (``_TurnAfter``) under
+    """``_Layout.kept_at`` of a turn after ``chosen`` (``_TurnAfter``) under
     ``lens``, one entry of its checks at a time as the search first reads
     it: the untouched kept entries' parts (``base``) plus the parts of
     the chosen classes' results that the turn leaves untouched, read by
-    the degrees of each class's shape (``_Plan.after``).  A class's
+    the degrees of each class's shape (``_Layout.after``).  A class's
     positions have pairwise distinct degrees (each arrow lowers p + q by
     one), so on a degree the turn carries its results' parts are those
     of the one untouched result there."""
@@ -1645,11 +1672,11 @@ class _CarriedParts(dict):
         return parts
 
 
-def _turn(plan: _Plan, chosen: list[_ComponentClass]) -> _Turn:
-    """The turn of ``plan`` that ``chosen`` labels: its page index and its
-    nonzero differentials by source position."""
-    return plan.r, tuple(sorted(((p + base, q), hom) for cls, base in zip(chosen, plan.bases)
-                                for (p, q), hom in cls.homs))
+def _turn(layout: _Layout, chosen: list[_ComponentClass]) -> _Turn:
+    """The turn of a plan of ``layout`` that ``chosen`` labels: its page
+    index and its nonzero differentials by source position."""
+    return layout.r, tuple(sorted(((p + base, q), hom) for cls, base in zip(chosen, layout.bases)
+                                  for (p, q), hom in cls.homs))
 
 
 def _turn_lens(table: EnumerationTable, plan: _Plan, kept: list[tuple[Position, FgAbGroup]],
@@ -1677,7 +1704,7 @@ def _start_state(plan: _Plan, lens: _Lens, kept_parts: Sequence[tuple[_Bound, ..
     parities are bounded and their lower ends are in ``cut`` (the leaves
     already found, on a last turn, where every bound is exact).  Besides
     the plan's layout and flow, the lens and the pins (one per solve) the
-    check reads only the untouched parts on ``plan.checks[0]`` and, on a
+    check reads only the untouched parts on ``plan.layout.checks[0]`` and, on a
     turn with no component, their ``_Flow.pack``, so it is worked out
     once per distinct such input in ``memo`` (see
     ``_turn_combinations``)."""
@@ -1699,31 +1726,32 @@ def _turn_combinations(plan: _Plan, lens: _Lens,
     that ``_interval_check`` keeps at every prefix, depth first in
     product order, from the start ``state`` (``_start_state``).
     ``kept_parts[k]`` holds the parts of the next page's entries that no
-    component touches on the degrees of ``plan.checks[k]``
-    (``_Plan.kept_at``), ``kept_pack`` their ``_Flow.pack`` and ``lens``
+    component touches on the degrees of ``plan.layout.checks[k]``
+    (``_Layout.kept_at``), ``kept_pack`` their ``_Flow.pack`` and ``lens``
     is the turn's (``_turn_lens``, or the solve's exact lens on the last
     turn); a prefix whose state bounds both parities with lower ends in
     ``cut`` is cut too, read as the prefix is entered.
 
     A check reads, besides the class, only its component i and that
     component's class list, the state, the untouched parts and the
-    parts of each placed class on the degrees ``plan.checks[i + 1]``
-    bounds (``plan.reads[i]``) and, on the last component of a turn that
-    is not the last, the summed ``_Flow.pack``; the rest is fixed by the
-    lens, the flow (None exactly on the last turn, so with the skeleton
-    it fixes ``plan.settled``) and the plan's ``_layout``, by page index
-    and components.  So a DFS node's kept children are worked out once
+    parts of each placed class on the degrees ``plan.layout.checks[i +
+    1]`` bounds (``_Layout.reads``) and, on the last component of a turn
+    that is not the last, the summed ``_Flow.pack``; the rest is fixed by
+    the lens, the flow and the plan's ``_Layout``, by page index and
+    components (whose page index fixes ``_Layout.settled``, the flow
+    being None exactly on the last turn).  So a DFS node's kept children are worked out once
     per distinct such input, in ``memo``, the layout's for that flow and
     lens, and the search visits the same prefixes, in the same order, as
     it would checking each class.  A placed class's parts are read at its
-    component's column offset (``_Plan.bases``), by the degrees of its
+    component's column offset (``_Layout.bases``), by the degrees of its
     shape.
 
     On the last turn every bound is exact, so at a node whose parities
     are both exact ``_Lens.meet`` is integer equality, and a class
     survives exactly when its parts on the degrees component i completes
-    (those of ``plan.checks[i + 1]``) equal the needed remainder: each parity value
-    less the untouched parts and the earlier classes' parts there.  Such
+    (those of ``plan.layout.checks[i + 1]``) equal the needed remainder:
+    each parity value less the untouched parts and the earlier classes'
+    parts there.  Such
     a node checks only the classes that ``_Lens.index`` files under that
     remainder, in list order; every other class would fail its check, so
     the kept children are the same.
@@ -1736,11 +1764,12 @@ def _turn_combinations(plan: _Plan, lens: _Lens,
     if not class_lists:
         yield chosen
         return
-    flow, reads, read, finals, bases = plan.flow, plan.reads, plan.read, plan.finals, plan.bases
+    layout, flow = plan.layout, plan.flow
+    reads, read, finals, bases = layout.reads, layout.read, layout.finals, layout.bases
     last = len(class_lists) - 1
     check = None  # the turn's ``_interval_check``, built at the first miss
     # per placed class: its ``degree_parts`` when a later check reads them
-    # (``_Plan.read``) and, on a turn that is not the last, the summed
+    # (``_Layout.read``) and, on a turn that is not the last, the summed
     # ``_Flow.pack`` of the untouched entries and the classes placed so far
     parts: list[dict[int, _Bound] | None] = []
     packs = [kept_pack]
@@ -1765,7 +1794,7 @@ def _turn_combinations(plan: _Plan, lens: _Lens,
                 # when its parts on the degrees component i completes are
                 # what the parity values leave, less the untouched parts
                 # and the earlier classes' parts
-                degrees = plan.checks[i + 1]
+                degrees = layout.checks[i + 1]
                 needed = tuple(state[deg % 2][0] - lo
                                - sum(parts[c].get(rel, _NO_PART)[0] for c, rel in at[:-1])
                                for (deg, at), (lo, _) in zip(degrees, kept_parts[i + 1]))
@@ -1839,18 +1868,19 @@ def _interval_check(plan: _Plan, lens: _Lens, kept_parts: Sequence[tuple[_Bound,
     is not the last solves the coupled flow over every later turn at
     once: the branch is cut unless some choice of k leaves each parity
     one common free rank inside its bound; a parity whose last degree is
-    bounded keeps its free rank alone (``_Plan.settled``).  Groups enter
+    bounded keeps its free rank alone (``_Layout.settled``).  Groups enter
     as ints packed by the ``_Lens`` and free ranks for the flow as
     ``_Flow.pack`` ints, summed once for the kept entries and once per
     class, so no node of the DFS adds groups.
     """
-    flow, ones, settled, meet = plan.flow, lens.ones, plan.settled, lens.meet
-    finals, bases, last_comp = plan.finals, plan.bases, len(plan.comps) - 1
+    layout, flow, ones, meet = plan.layout, plan.flow, lens.ones, lens.meet
+    checks, settled, finals, bases = layout.checks, layout.settled, layout.finals, layout.bases
+    last_comp = len(layout.comps) - 1
 
     def check(i, placed, state):
         # the pins as exact bounds at the start
         out = list(state) if i >= 0 else [grp and (lens.packed(grp),) * 2 for grp in state]
-        for (deg, at), (lo, hi) in zip(plan.checks[i + 1], kept_parts[i + 1]):
+        for (deg, at), (lo, hi) in zip(checks[i + 1], kept_parts[i + 1]):
             for c, rel in at:
                 f, h = placed[c].degree_parts(lens, finals[c]).get(rel, _NO_PART)
                 lo, hi = lo + f, hi + h

@@ -13,8 +13,8 @@ from cobcheck.exactness import (BranchOutcome, CertStep, Certificate, ClaimVerdi
 from cobcheck.graded import GradedGroup
 from cobcheck.spectra import (BranchLeaf, BranchTree, EnumerationTable, SpectraError, WindowError,
                               _ComponentClass, _component_classes, _first_active_page,
-                              _interval_check, _possibly_nonzero, _slots_and_unresolved,
-                              build_e1, certified_degrees)
+                              _interval_check, _possibly_nonzero, _shape_finals,
+                              _slots_and_unresolved, build_e1, certified_degrees)
 from cobcheck.topology import Product, RealProjective, Sphere
 
 
@@ -749,3 +749,29 @@ def turn_combinations_by_check(plan, lens, class_lists, kept_parts, kept_pack, s
                 yield from walk([*chosen, cls], nxt)
 
     yield from walk([], state)
+
+
+def turn_after_by_dropped_set(earlier, plan):
+    """Reference for ``spectra._Layout.after``: what the turn of ``plan``
+    reads of the turn of the plan ``earlier`` (None at the first page),
+    worked out from the two plans, as the solver did once per pair of
+    plans.  An earlier result is carried on an entry of the turn's checks
+    when its position is not in ``plan.dropped``, the positions the turn
+    touches or leaves unresolved on the next page."""
+    layout = plan.layout
+    comps = () if earlier is None else earlier.layout.comps
+    where = {deg: (k, i) for k, degrees in enumerate(layout.checks)
+             for i, (deg, _) in enumerate(degrees)}
+    carries = [{} for _ in layout.checks]
+    for j, (_, _, signature) in enumerate(comps):
+        for pos in signature:
+            if pos not in plan.dropped and (found := where.get(deg := sum(pos))):
+                k, i = found
+                carries[k].setdefault(j, []).append((i, deg - earlier.layout.bases[j]))
+    carries = tuple(tuple((j, tuple(at)) for j, at in by_comp.items()) for by_comp in carries)
+    at = {pos: (j, i) for j, (_, _, signature) in enumerate(comps)
+          for i, pos in enumerate(signature)}
+    sources = tuple((tuple(sorted({src[0] for src in comp if src})), comp)
+                    for comp in (tuple(map(at.get, positions))
+                                 for _, positions, _ in layout.comps))
+    return carries, sources, _shape_finals(comps, layout.final)

@@ -55,8 +55,11 @@ def test_parse_rejects_no_lagrangians():
 
 
 def test_parse_rejects_bad_schema():
-    with pytest.raises(ScenarioError, match="schema"):
-        parse_scenario({"schema": 2, "lagrangians": [{}]})
+    # the schema is a JSON integer: True and 1.0 equal 1 in Python, but
+    # neither is one
+    for schema in (2, True, 1.0, "1", None):
+        with pytest.raises(ScenarioError, match=f"^schema: expected 1, got {schema!r}$"):
+            parse_scenario({"schema": schema, "lagrangians": [{}]})
 
 
 def test_parse_rejects_unknown_space_constructor():
@@ -832,6 +835,26 @@ def test_a_pin_no_solve_reads_is_rejected_before_any_solve(tmp_path, capsys, mon
         "validation error: stage admissibility: pins[1]: (L1, L) is not a probe pair of this "
         "run, so no solve reads the pin\n")
     assert not solves
+
+
+def test_cli_no_leaf_advice_follows_whether_the_bound_truncates(tmp_path, capsys):
+    # a tree without leaves is a solver limit either way, exit 2; it says
+    # to raise entry_bound only when the bound cut some hom space, since
+    # otherwise the enumeration was complete and no bound can help
+    raw = json.loads(bundled("paper_cp7.json").read_text())
+    raw["intersections"][0]["space"] = {"rp": 0}  # (L1, L2) at step 4
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "solver limit: stage floer: no consistent spectral sequence for pair (L2, L1) under "
+        "any entry bound (this is not an infeasibility verdict)\n")
+    # RP^7 at step 4, bound 1 (catalog-tables/rp7-s4-b1): the bound truncates
+    corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+    assert main(["check", str(corpus / "catalog-tables" / "rp7-s4-b1.json")]) == 2
+    assert capsys.readouterr().err == (
+        "solver limit: stage floer: no consistent spectral sequence for pair (M1, M5) under "
+        "entry bound 1; raise entry_bound (this is not an infeasibility verdict)\n")
 
 
 def test_cli_entry_bound_past_any_hom_space_is_a_solver_limit(tmp_path, capsys):

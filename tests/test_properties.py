@@ -42,7 +42,8 @@ from oracles import (certify_nonexistence_per_branch, component_classes_by_produ
                      components_by_union_find, entry_values, flow_values_by_product,
                      orthogonal_by_loop, signed_permutation_orbits, solve_floer_without_pruning,
                      transpose_masks, vanishing_masks_by_loop)
-from test_spectra import assert_pruning_keeps_the_leaves, classes_match_search_without_skipping
+from test_spectra import (assert_pruning_keeps_the_leaves, assert_turns_read_the_dropped_sets,
+                          classes_match_search_without_skipping, instances_built)
 
 
 ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12))
@@ -458,6 +459,28 @@ def test_pruning_keeps_the_leaves_of_random_tables(upper, pins):
 
 @settings(deadline=None, database=None, max_examples=40)
 @given(st.lists(PRUNED_TABLE_GROUPS, min_size=4, max_size=4),
+       st.lists(st.tuples(st.integers(-2, 3), PRUNED_TABLE_GROUPS), max_size=2),
+       st.sampled_from([1, 2]))
+def test_a_turn_reads_of_the_turn_before_what_the_dropped_set_gives(upper, pins, bound):
+    # the theorem behind ``_Layout.after``: on the degrees the worst-case
+    # run certifies no position is ever unresolved, so of the positions a
+    # plan drops its turn reads only those its components touch, and what
+    # it reads of the turn before is the same for every pair of plans with
+    # the same two layouts (window 3: at window 2 most of these tables
+    # raise ``WindowError``)
+    h = GradedGroup.from_dict({0: Z, **{q: grp for q, grp in enumerate(upper, start=1)
+                                        if not grp.is_trivial()}})
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        turns = instances_built(monkeypatch, spectra._TurnAfter)
+        try:
+            solve_floer(h, 2, constraints=tuple(pins), entry_bound=bound, col_span=3)
+        except WindowError:
+            pass
+    assert_turns_read_the_dropped_sets(turns)
+
+
+@settings(deadline=None, database=None, max_examples=40)
+@given(st.lists(PRUNED_TABLE_GROUPS, min_size=4, max_size=4),
        st.lists(st.tuples(st.integers(-2, 3), PRUNED_TABLE_GROUPS), max_size=2))
 def test_branch_arrows_are_worst_case_arrows_of_random_tables(upper, pins):
     # the theorem behind every use of the worst-case run (certified
@@ -582,11 +605,11 @@ def assert_run_plans_match_a_full_scan(h, step, constraints=(), col_span=2):
     assert_same(run.plan(root.page_index, live_on(root), root.unresolved), scanned(root))
     for page, child in turned:
         plan = scanned(page)
-        zeroed = sum(run.bits.get(pos, 0) for _, _, signature in plan.comps
+        zeroed = sum(run.bits.get(pos, 0) for _, _, signature in plan.layout.comps
                      for pos in signature if pos not in child._by_position)
         live = live_on(page) & ~zeroed
         assert live == live_on(child)
-        assert_same(run.plan(plan.r + 1, live, plan.unresolved), scanned(child))
+        assert_same(run.plan(plan.layout.r + 1, live, plan.unresolved), scanned(child))
 
 
 @settings(deadline=None, database=None, max_examples=40)

@@ -15,7 +15,7 @@ from cobcheck.topology import Product, RealProjective, Sphere, homology
 
 from oracles import (abutment, arrows_by_scan, component_classes_by_product,
                      component_classes_without_skipping, order, solve_floer_without_pruning,
-                     turn_combinations_by_check)
+                     turn_after_by_dropped_set, turn_combinations_by_check)
 
 
 H_RP7 = homology(RealProjective(7))
@@ -720,6 +720,41 @@ def test_turn_plans_are_keyed_by_what_they_read(monkeypatch, h, step, kw, leaves
     assert 0 < len(plans) <= most_plans
 
 
+def assert_turns_read_the_dropped_sets(turns) -> None:
+    """Each ``_TurnAfter`` of ``turns`` reads of the turn before it what
+    the reference that reads the plan's dropped set gives for its pair of
+    plans: its carries, sources and finals."""
+    for turn in turns:
+        want = turn_after_by_dropped_set(turn.earlier, turn.plan)
+        assert (turn.carries, turn.sources, turn.finals) == want
+
+
+@pytest.mark.parametrize("h, kw, plan_pairs, computed", [
+    # rows 0, 1, 4 and 5 at step 2, window 3, bound 1: 1,824 turn objects
+    # on 1,728 pairs of plans, which fall on 68 pairs of layouts
+    (GradedGroup.from_dict({0: Z, 1: Z, 4: Z, 5: Z}), {"entry_bound": 1, "col_span": 3},
+     1728, 68),
+    # T^3 at step 2, bound 1 (catalog-tables/t3-s2-b1)
+    (H_T3, {"entry_bound": 1}, 33, 9),
+], ids=["rows-0-1-4-5", "t3-s2-b1"])
+def test_a_turn_reads_the_turn_before_once_per_pair_of_layouts(monkeypatch, h, kw, plan_pairs,
+                                                                computed):
+    # what a turn reads of the turn before it is fixed by the two layouts
+    # (``_Layout.after``), so it is worked out once per pair of layouts,
+    # not once per pair of plans, and it is what the plans' dropped sets
+    # give
+    runs, worst_case_run = [], spectra._worst_case_run
+    monkeypatch.setattr(spectra, "_worst_case_run",
+                        lambda first: runs.append(worst_case_run(first)) or runs[-1])
+    turns = instances_built(monkeypatch, spectra._TurnAfter)
+    solve_floer(h, 2, **kw)
+    assert len({(turn.earlier, turn.plan) for turn in turns}) == plan_pairs
+    layouts = {(turn.earlier and turn.earlier.layout, turn.plan.layout) for turn in turns}
+    assert len(layouts) == computed
+    assert sum(len(layout._after) for layout in runs[-1].layouts.values()) == computed
+    assert_turns_read_the_dropped_sets(turns)
+
+
 def checks_made(monkeypatch) -> list:
     """The component index of every interval check made from here to the
     test's end."""
@@ -768,7 +803,7 @@ def test_turns_share_a_node_memo_exactly_when_they_share_its_key(monkeypatch):
     seen, start = [], spectra._start_state
 
     def started(plan, lens, kept_parts, kept_pack, pinned, memo, cut):
-        seen.append(((plan.r, plan.comps, plan.flow, lens), memo))
+        seen.append(((plan.layout.r, plan.layout.comps, plan.flow, lens), memo))
         return start(plan, lens, kept_parts, kept_pack, pinned, memo, cut)
 
     monkeypatch.setattr(spectra, "_start_state", started)
