@@ -158,9 +158,18 @@ components, offsets, finals and skeleton), its flow (None exactly on
 the last turn) and its lens, so one node memo per layout, flow and lens
 lives as long as the solve, and every plan with them shares it.
 Once the last component is placed, and before the next turn starts,
-the coupled flow over every later turn is solved degree by degree
-(each arrow joins degree d to d - 1): the branch is cut unless some
-choice of k leaves each parity a common value inside those bounds.
+the coupled flow over every later turn is solved: the branch is cut
+unless some choice of k leaves each parity a common value inside those
+bounds.  Each arrow joins degree d to d - 1, and a degree's value reads
+only the capped positions on it, so the flow falls apart into blocks,
+runs of degrees linked through the capped ends of their arrows, which
+share no position: only each parity's common value couples them.  The
+flow's values are the join, on the parities each block defines, of
+every block's (even | None, odd | None) values, each block solved degree
+by degree over its own positions alone and memoized by its own fields
+(free ranks and degree sums), one memo per block shape; a block that
+certifies no degree is dropped, and a certified degree with no capped
+position is one value its parity must take.
 The last turn, the one no worst-case arrow comes after, is the case
 lo = hi: every entry there is final, so each bound is one exact group;
 there, once both parities are exact, a branch whose abutment is already
@@ -1196,68 +1205,143 @@ class _Flow:
     Positions that are not known cap nothing; the certified ``degrees``,
     both parities among them, hold none of them.
 
-    A page enters as one int (``pack``): the free rank of each capped
-    position and the summed free rank of the other entries of each
-    certified degree, in fields of ``width`` bits, wide enough for any
-    antidiagonal's d_p and so its free rank (``_WorstCase.width``), the
-    width of every ``_Lens``'s fields too.  The fields are disjoint, so a
-    page's int is the sum of the ints of its parts.
-    ``values`` gives every (even, odd) pair of common free ranks that
-    some choice of k leaves, memoized per int.  Every arrow joins a
-    degree d to d - 1, so the k are chosen degree by degree from the top,
-    keeping the set of distinct states (free ranks left, even value, odd
-    value): a degree is settled once the arrows out of it are chosen,
-    and no product over all arrows is formed."""
+    Every arrow joins a degree d to d - 1, and a degree's value reads
+    only the capped positions on it, so the flow falls apart into
+    blocks: runs of degrees joined through the capped ends of their
+    arrows.  Blocks share no position and no k; only the common value of
+    each parity couples them.  A block with no certified degree is
+    dropped (its k can all be 0, and they change no value), and a lone
+    certified degree, one with no capped position, is the summed free
+    rank of its known entries, one more value its parity must take.
 
-    __slots__ = ("width", "nodes", "bases", "steps", "_values", "_distinct")
+    A page enters as one int (``pack``): the free rank of each capped
+    position of a kept block and the summed free rank of the other
+    entries of each certified degree, in fields of ``width`` bits, wide
+    enough for any antidiagonal's d_p and so its free rank
+    (``_WorstCase.width``), the width of every ``_Lens``'s fields too.
+    The fields are disjoint, so a page's int is the sum of the ints of its
+    parts.  A block's positions have adjacent fields, and so do its
+    degrees, so two shifts and masks read the block's own fields as two
+    narrow ints; the lone degrees of each parity are adjacent too.
+    ``values`` gives every (even, odd) pair of common free ranks that
+    some choice of k leaves: the join, on the parities they define, of
+    the lone degrees' values and of each block's (even | None, odd |
+    None) pairs, which are solved once per distinct value of the block's
+    fields (``_solve``), in a memo that the blocks of the same shape
+    share."""
+
+    __slots__ = ("width", "nodes", "bases", "lone", "blocks", "_values")
 
     def __init__(self, arrows: Sequence[tuple[Position, Position]],
                  known: Callable[[Position], bool], degrees: Iterable[int], width: int):
-        nodes = sorted({pos for arrow in arrows for pos in arrow if known(pos)})
         self.width = w = width
-        self.nodes = {pos: i for i, pos in enumerate(nodes)}  # capped positions
-        self.bases = {deg: (len(nodes) + j) * w for j, deg in enumerate(sorted(degrees))}
-        # per degree, from the top: the arrows out of it, each as the
-        # indices of its capped ends; its capped positions, cleared once
-        # settled; its field
-        out_of: dict[int, list[tuple[int, ...]]] = {}
-        for s, t in arrows:
-            if ends := tuple(self.nodes[pos] for pos in (s, t) if pos in self.nodes):
-                out_of.setdefault(sum(s), []).append(ends)
-        at: dict[int, list[int]] = {}
-        for i, pos in enumerate(nodes):
-            at.setdefault(sum(pos), []).append(i)
-        self.steps = tuple((tuple(out_of.get(deg, ())), tuple(at.get(deg, ())),
-                            self.bases.get(deg), deg % 2)
-                           for deg in sorted({*out_of, *at, *self.bases}, reverse=True))
+        degrees = set(degrees)
+        capped = {pos for arrow in arrows for pos in arrow if known(pos)}
+        at: dict[int, list[Position]] = {}  # the capped positions of each degree
+        for pos in sorted(capped):
+            at.setdefault(sum(pos), []).append(pos)
+        # per degree, the arrows whose highest capped end lies on it, each
+        # as its capped ends, source first
+        out_of: dict[int, list[tuple[Position, ...]]] = {}
+        for arrow in arrows:
+            if ends := tuple(pos for pos in arrow if pos in capped):
+                out_of.setdefault(sum(ends[0]), []).append(ends)
+        # the blocks that hold a capped position, from the top: a degree
+        # starts one unless an arrow of the block above reaches it
+        blocks: list[list[int]] = []
+        reached: set[int] = set()
+        for deg in sorted(at, reverse=True):
+            if deg not in reached:
+                blocks.append([])
+            blocks[-1].append(deg)
+            reached.update(sum(pos) for ends in out_of.get(deg, ()) for pos in ends)
+        blocks = [block for block in blocks if degrees.intersection(block)]
+        # the fields: the kept blocks' positions, their certified degrees,
+        # then the lone degrees of each parity
+        self.nodes = {pos: i * w for i, pos in enumerate(
+            pos for block in blocks for deg in block for pos in at[deg])}
+        lone = [[deg for deg in sorted(degrees - at.keys()) if deg % 2 == parity]
+                for parity in (0, 1)]
+        self.bases = {deg: (len(self.nodes) + j) * w for j, deg in enumerate(
+            [deg for block in blocks for deg in block if deg in degrees] + lone[0] + lone[1])}
+        # per parity with lone degrees: their fields' offset and mask, and
+        # the int with a 1 in each field
+        self.lone = tuple((parity, self.bases[group[0]], (1 << w * len(group)) - 1,
+                           ((1 << w * len(group)) - 1) // ((1 << w) - 1))
+                          for parity, group in enumerate(lone) if group)
+        # per block: its positions' offset and mask, its degrees' offset
+        # and mask, its memo, its position count and per degree from
+        # the top the arrows out of it as the indices of their capped ends,
+        # its capped positions (cleared once settled), its field in the
+        # degrees' int or None and its parity.  Those steps fix what a
+        # block's fields give, so blocks with the same steps share a memo
+        self.blocks, memos = [], {}
+        for block in blocks:
+            positions = [pos for deg in block for pos in at[deg]]
+            certified = [deg for deg in block if deg in degrees]
+            index = {pos: i for i, pos in enumerate(positions)}
+            bases = {deg: j * w for j, deg in enumerate(certified)}
+            steps = tuple((tuple(tuple(map(index.__getitem__, ends))
+                                 for ends in out_of.get(deg, ())),
+                           tuple(map(index.__getitem__, at[deg])), bases.get(deg), deg % 2)
+                          for deg in block)
+            self.blocks.append((self.nodes[positions[0]], (1 << w * len(positions)) - 1,
+                                self.bases[certified[0]], (1 << w * len(certified)) - 1,
+                                memos.setdefault(steps, {}), len(positions), steps))
         self._values: dict[int, frozenset[tuple[int, int]]] = {}
-        self._distinct: dict[frozenset, frozenset] = {}
 
     def pack(self, entries: Iterable[tuple[Position, FgAbGroup]]) -> int:
         """The int of known entries: a capped position's free rank in its
         field, any other on a certified degree added to the degree's."""
         packed = 0
         for pos, grp in entries:
-            shift = self.nodes.get(pos)
-            shift = self.bases.get(pos[0] + pos[1]) if shift is None else shift * self.width
+            shift = self.nodes.get(pos, self.bases.get(pos[0] + pos[1]))
             if shift is not None:
                 packed += grp.free_rank << shift
         return packed
 
     def values(self, packed: int) -> frozenset[tuple[int, int]]:
-        """The (even, odd) common free ranks the later turns can leave."""
+        """The (even, odd) common free ranks the later turns can leave,
+        memoized per int: sibling classes of a turn's last component whose
+        fields here agree ask for the same int."""
         values = self._values.get(packed)
         if values is None:
-            values = self._solve(packed)
-            # one object per distinct set: most pages share a few
-            values = self._values[packed] = self._distinct.setdefault(values, values)
+            values = self._values[packed] = self._join(packed)
         return values
 
-    def _solve(self, packed: int) -> frozenset[tuple[int, int]]:
+    def _join(self, packed: int) -> frozenset[tuple[int, int]]:
+        ones = (1 << self.width) - 1
+        common: list = [None, None]
+        for parity, shift, mask, repeat in self.lone:  # one equality test per parity
+            fields = packed >> shift & mask
+            if fields != (fields & ones) * repeat:
+                return frozenset()
+            common[parity] = fields & ones
+        out = {tuple(common)}
+        for at, mask, sums_at, sums_mask, memo, count, steps in self.blocks:
+            ranks, sums = packed >> at & mask, packed >> sums_at & sums_mask
+            found = memo.get(key := ranks | sums << mask.bit_length())
+            if found is None:
+                found = memo[key] = self._solve(ranks, sums, count, steps)
+            out = {(even if e is None else e, odd if o is None else o)
+                   for e, o in out for even, odd in found
+                   if (e is None or even is None or e == even)
+                   and (o is None or odd is None or o == odd)}
+            if not out:
+                break
+        return frozenset(out)
+
+    def _solve(self, ranks: int, sums: int, count: int, steps: tuple) -> frozenset:
+        """A block's (even | None, odd | None) values from the free ranks
+        of its ``count`` positions and its degrees' sums, each packed as a
+        block's fields are: the k are chosen degree by degree from the top,
+        keeping the set of distinct states (free ranks left at the block's
+        positions, even value, odd value); a degree is settled once the
+        arrows out of it are chosen, and no product over all arrows is
+        formed."""
         w, ones = self.width, (1 << self.width) - 1
-        # (free rank left at each capped position, (even, odd) value or None)
-        states = {(tuple(packed >> (i * w) & ones for i in range(len(self.nodes))), (None, None))}
-        for arrows, settled, base, parity in self.steps:
+        states = {(tuple(ranks >> (i * w) & ones for i in range(count)), (None, None))}
+        for arrows, settled, base, parity in steps:
             for ends in arrows:
                 grown = set()
                 for left, values in states:
@@ -1271,7 +1355,7 @@ class _Flow:
             done = set()
             for left, values in states:
                 if base is not None:
-                    value = (packed >> base & ones) + sum(map(left.__getitem__, settled))
+                    value = (sums >> base & ones) + sum(map(left.__getitem__, settled))
                     if values[parity] is None:
                         values = (value, values[1]) if parity == 0 else (values[0], value)
                     elif values[parity] != value:

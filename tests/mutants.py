@@ -35,6 +35,8 @@ LOOKUP = ["tests/test_spectra.py::test_children_are_the_classes_checked_one_at_a
 ORBIT = ["tests/test_properties.py::test_canonical_homs_of_pinned_spaces",
          "tests/test_spectra.py::test_orbit_rule_keeps_the_classes_of_the_flagship_chain"]
 ABGROUP = "src/cobcheck/abgroup.py"
+FLOW = ["tests/test_properties.py::test_flow_values_match_a_product_over_every_k",
+        "tests/test_spectra.py::test_the_flow_gives_what_the_whole_flow_gives_on_every_call"]
 
 # (name, file, source text, its mutation, the tests that must fail)
 MUTATIONS = [
@@ -120,6 +122,19 @@ MUTATIONS = [
      "if pos not in touched and (found := where.get(deg := sum(pos))):",
      "if (found := where.get(deg := sum(pos))):",
      ["tests/test_spectra.py::test_pinning_a_leaf_gives_exactly_that_leaf[rp7-s4-w4]"]),
+    # a block's memo is keyed by its positions' free ranks alone: a page
+    # whose degree sums differ reads the values of an earlier page
+    ("flow-block-memo-without-sums", SPECTRA,
+     "found = memo.get(key := ranks | sums << mask.bit_length())",
+     "found = memo.get(key := ranks)",
+     FLOW),
+    # a degree is linked only to the source ends of its arrows, which lie
+    # on it, not to their target ends on the degree below: an arrow's two
+    # ends fall in two blocks
+    ("flow-blocks-linked-by-sources-only", SPECTRA,
+     "reached.update(sum(pos) for ends in out_of.get(deg, ()) for pos in ends)",
+     "reached.update(sum(pos) for ends in out_of.get(deg, ()) for pos in ends[:1])",
+     FLOW),
     # the orbit rule keeps each column's larger sign, or sorts a block's
     # columns descending: the mask misses orbit minima, so the search
     # misses first representatives

@@ -236,6 +236,73 @@ def flow_values_by_product(arrows, ranks, degrees):
     return out
 
 
+class WholeFlow:
+    """Reference for ``spectra._Flow.values``: the flow built on the same
+    ``arrows``, ``known`` positions, certified ``degrees`` and field
+    ``width``, solved whole, with no blocks: one state over every capped
+    position, the k chosen degree by degree from the top, keeping the set
+    of distinct states (free ranks left, even value, odd value)."""
+
+    def __init__(self, arrows, known, degrees, width):
+        nodes = sorted({pos for arrow in arrows for pos in arrow if known(pos)})
+        self.width = width
+        self.nodes = {pos: i for i, pos in enumerate(nodes)}  # capped positions
+        self.degrees = sorted(degrees)
+        # per degree, from the top: the arrows out of it, each as the
+        # indices of its capped ends; its capped positions, cleared once
+        # settled; its index among the certified degrees
+        out_of = {}
+        for s, t in arrows:
+            if ends := tuple(self.nodes[pos] for pos in (s, t) if pos in self.nodes):
+                out_of.setdefault(sum(s), []).append(ends)
+        at = {}
+        for i, pos in enumerate(nodes):
+            at.setdefault(sum(pos), []).append(i)
+        index = {deg: j for j, deg in enumerate(self.degrees)}
+        self.steps = tuple((tuple(out_of.get(deg, ())), tuple(at.get(deg, ())),
+                            index.get(deg), deg % 2)
+                           for deg in sorted({*out_of, *at, *index}, reverse=True))
+
+    def values_of(self, flow, packed):
+        """The values of ``packed``, an int of ``flow`` (built on the same
+        arrows, known positions, degrees and width), read into one state.
+        A capped position that ``flow`` does not pack, one whose block
+        certifies no degree, gets a full field: then its arrows can take
+        the most, and still no value may change."""
+        ones = (1 << self.width) - 1
+        ranks = tuple(packed >> flow.nodes[pos] & ones if pos in flow.nodes else ones
+                      for pos in self.nodes)
+        sums = [packed >> flow.bases[deg] & ones for deg in self.degrees]
+        states = {(ranks, (None, None))}
+        for arrows, settled, j, parity in self.steps:
+            for ends in arrows:
+                grown = set()
+                for left, values in states:
+                    grown.add((left, values))
+                    for k in range(1, min(map(left.__getitem__, ends)) + 1):
+                        cut = list(left)
+                        for i in ends:
+                            cut[i] -= k
+                        grown.add((tuple(cut), values))
+                states = grown
+            done = set()
+            for left, values in states:
+                if j is not None:
+                    value = sums[j] + sum(map(left.__getitem__, settled))
+                    if values[parity] is None:
+                        values = (value, values[1]) if parity == 0 else (values[0], value)
+                    elif values[parity] != value:
+                        continue
+                if settled:
+                    left = list(left)
+                    for i in settled:
+                        left[i] = 0
+                    left = tuple(left)
+                done.add((left, values))
+            states = done
+        return frozenset(values for _, values in states)
+
+
 def meet_of_each_field(seen, bound):
     """Reference for ``spectra._Lens.meet`` on one field: the common value
     of one parity, ``seen`` so far, narrowed by one more degree's

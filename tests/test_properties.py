@@ -38,7 +38,7 @@ from cobcheck.spectra import (BigradedPage, EnumerationTable, WindowError, _arro
 from cobcheck.topology import LagrangianDescriptor
 
 import oracles
-from oracles import (certify_nonexistence_per_branch, component_classes_by_product,
+from oracles import (WholeFlow, certify_nonexistence_per_branch, component_classes_by_product,
                      components_by_union_find, entry_values, flow_values_by_product,
                      orthogonal_by_loop, signed_permutation_orbits, solve_floer_without_pruning,
                      transpose_masks, vanishing_masks_by_loop)
@@ -457,17 +457,28 @@ def test_pruning_keeps_the_leaves_of_random_tables(upper, pins):
     assert_pruning_keeps_the_leaves(h, 2, constraints=tuple(pins), entry_bound=1)
 
 
+# rows 1..4 and an entry bound whose solve at step 2, window 3 is bounded:
+# bound 1 on rows without (Z/2)^2 (at most about 2.3 s each, 0.12 s on
+# average), bound 2 on rows whose row 1 is 0 (at most about 0.4 s).  With
+# (Z/2)^2 at bound 1, or Z, Z/2 or Z/3 in row 1 at bound 2, some solves
+# run for more than 10 s (CHANGES.md names them)
+BOUNDED_TABLES = st.one_of(
+    st.tuples(st.lists(st.sampled_from([ZERO, Z, cyclic(2), cyclic(3), cyclic(4)]),
+                       min_size=4, max_size=4), st.just(1)),
+    st.tuples(st.lists(PRUNED_TABLE_GROUPS, min_size=3, max_size=3).map(
+        lambda rows: [ZERO, *rows]), st.just(2)))
+
+
 @settings(deadline=None, database=None, max_examples=40)
-@given(st.lists(PRUNED_TABLE_GROUPS, min_size=4, max_size=4),
-       st.lists(st.tuples(st.integers(-2, 3), PRUNED_TABLE_GROUPS), max_size=2),
-       st.sampled_from([1, 2]))
-def test_a_turn_reads_of_the_turn_before_what_the_dropped_set_gives(upper, pins, bound):
+@given(BOUNDED_TABLES, st.lists(st.tuples(st.integers(-2, 3), PRUNED_TABLE_GROUPS), max_size=2))
+def test_a_turn_reads_of_the_turn_before_what_the_dropped_set_gives(table, pins):
     # the theorem behind ``_Layout.after``: on the degrees the worst-case
     # run certifies no position is ever unresolved, so of the positions a
     # plan drops its turn reads only those its components touch, and what
     # it reads of the turn before is the same for every pair of plans with
     # the same two layouts (window 3: at window 2 most of these tables
     # raise ``WindowError``)
+    upper, bound = table
     h = GradedGroup.from_dict({0: Z, **{q: grp for q, grp in enumerate(upper, start=1)
                                         if not grp.is_trivial()}})
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -666,8 +677,9 @@ def test_plans_found_by_live_bits_match_a_scan_of_the_run(upper, data):
 @st.composite
 def arrow_systems(draw):
     """Arrows from degree d to d - 1 among positions of a small grid, the
-    free ranks of the known positions (the others cap nothing), and the
-    certified degrees, both parities among them."""
+    certified degrees, both parities among them, and 2 to 4 pages: the
+    free ranks of the same known positions (the others cap nothing), each
+    page after the first a few ranks changed from the one before."""
     grid = [(p, q) for p in range(-2, 3) for q in range(3)]
     ranks = draw(st.dictionaries(st.sampled_from(grid), st.integers(0, 2)))
     sources = draw(st.lists(st.sampled_from(grid), max_size=6))
@@ -678,19 +690,41 @@ def arrow_systems(draw):
             arrows.append(arrow)
     degrees = {draw(st.integers(-1, 2)) * 2, draw(st.integers(-1, 2)) * 2 + 1}
     degrees |= draw(st.sets(st.integers(-2, 4)))
-    return arrows, ranks, sorted(degrees)
+    # a page changes ranks only at arrow ends or only elsewhere, so pages
+    # often agree on every capped position and differ on a degree's sum
+    ends = {pos for arrow in arrows for pos in arrow}
+    pools = [sorted(pool) for pool in (ranks.keys() & ends, ranks.keys() - ends) if pool]
+    pages = [ranks]
+    for _ in range(draw(st.integers(1, 3))):
+        page = dict(pages[-1])
+        if pools:
+            for pos in draw(st.sets(st.sampled_from(draw(st.sampled_from(pools))), min_size=1,
+                                    max_size=2)):
+                page[pos] = (page[pos] + draw(st.integers(1, 2))) % 3
+        pages.append(page)
+    return arrows, pages, sorted(degrees)
 
 
 @settings(deadline=None, database=None, max_examples=200)
 @given(arrow_systems())
+# two pages that agree on the block's capped positions and differ only in
+# the sum of degree 1's other entries
+@example(([((0, 1), (0, 0))], [{(0, 1): 1, (0, 0): 1, (1, 0): 0},
+                               {(0, 1): 1, (0, 0): 1, (1, 0): 1}], [0, 1]))
 def test_flow_values_match_a_product_over_every_k(system):
-    # the lookahead chooses the k degree by degree; trying every k of
-    # every arrow must reach the same (even, odd) pairs
-    arrows, ranks, degrees = system
-    flow = spectra._Flow(arrows, ranks.__contains__, degrees,
-                         max(sum(ranks.values()).bit_length(), 1))
-    packed = flow.pack((pos, FgAbGroup(rank)) for pos, rank in ranks.items())
-    assert flow.values(packed) == flow_values_by_product(arrows, ranks, degrees)
+    # the lookahead joins the values of its blocks, each chosen degree by
+    # degree and memoized by the block's own fields; trying every k of
+    # every arrow, or solving the whole flow as one state, must reach the
+    # same (even, odd) pairs on every page of one flow, so a block memo
+    # that a later page reuses is checked too
+    arrows, pages, degrees = system
+    width = max(sum(ranks.values()).bit_length() for ranks in pages) or 1
+    flow = spectra._Flow(arrows, pages[0].__contains__, degrees, width)
+    whole = WholeFlow(arrows, pages[0].__contains__, degrees, width)
+    for ranks in pages:
+        packed = flow.pack((pos, FgAbGroup(rank)) for pos, rank in ranks.items())
+        want = flow_values_by_product(arrows, ranks, degrees)
+        assert flow.values(packed) == want == whole.values_of(flow, packed)
 
 
 class _Enumerated(Exception):

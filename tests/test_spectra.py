@@ -13,7 +13,7 @@ from cobcheck.spectra import (BigradedPage, EnumerationTable,
                               build_e1, certified_degrees, solve_floer, turn_page)
 from cobcheck.topology import Product, RealProjective, Sphere, homology
 
-from oracles import (abutment, arrows_by_scan, component_classes_by_product,
+from oracles import (WholeFlow, abutment, arrows_by_scan, component_classes_by_product,
                      component_classes_without_skipping, order, solve_floer_without_pruning,
                      turn_after_by_dropped_set, turn_combinations_by_check)
 
@@ -779,18 +779,21 @@ def test_t3_checks_each_distinct_node_input_once(monkeypatch):
     # layout, not only the same plan, and its key reads the untouched
     # parts, so the 1,132 branches make 91 last-turn checks (298 with a
     # memo per plan, 476 before the lookup below), not 2,348; in all
-    # 7,817 checks, 8,024 with a memo per plan.  With exact (free
-    # rank, prime powers) keys beside the packed bounds the states were
-    # finer: 9,604 checks, and 8,665 while the root turn's lens also
+    # 7,817 checks then (see below), 8,024 with a memo per plan.  With
+    # exact (free rank, prime powers) keys beside the packed bounds the
+    # states were finer: 9,604 checks, and 8,665 while the root turn's lens also
     # packed u_4, which cut no branch here but split node states.  Once
     # both parities of a last-turn node are exact, only the classes whose
     # parts match what they leave are checked (8,202 checks when every
     # class was): no leaf moves, since each class skipped would fail its
-    # equality check
+    # equality check.  The last component's key reads the flow's packed
+    # int, which holds no field of a block that certifies no degree, so
+    # children that differ only there share a key: 6,991 checks, 7,817
+    # while the flow packed every capped position
     calls = checks_made(monkeypatch)
     tree = solve_floer(H_T3, 2, entry_bound=1)
     assert len(tree.leaves) == 16
-    assert len(calls) == 7817
+    assert len(calls) == 6991
 
 
 def test_turns_share_a_node_memo_exactly_when_they_share_its_key(monkeypatch):
@@ -820,13 +823,53 @@ def test_turns_share_a_node_memo_exactly_when_they_share_its_key(monkeypatch):
     assert len({(key, id(memo)) for key, memo in seen}) == len(keys)
 
 
+@pytest.mark.parametrize("h, kw, calls, solves", [
+    # T^3 at step 2, bound 1 (catalog-tables/t3-s2-b1): three blocks of two
+    # positions and two certified degrees each, all of one shape, so they
+    # share one memo and are solved 41 times in all (99 times with a memo
+    # per block); rows 0, 1, 4 and 5: 1,101 times (1,500)
+    (H_T3, {"entry_bound": 1}, 826, 41),
+    (GradedGroup.from_dict({0: Z, 1: Z, 4: Z, 5: Z}), {"entry_bound": 1, "col_span": 3}, 2607,
+     1101),
+], ids=["t3-s2-b1", "rows-0-1-4-5"])
+def test_the_flow_gives_what_the_whole_flow_gives_on_every_call(monkeypatch, h, kw, calls,
+                                                                  solves):
+    # the rank flow joins the values of its blocks, each solved once per
+    # distinct value of its own fields: on every call of a solve it gives
+    # what the flow solved whole, as one state over every capped position,
+    # gives.  It is asked 826 and 2,607 times (1,652 and 6,191 while the
+    # packed int held the positions of blocks that certify no degree, and
+    # so told more node keys apart, each call then one whole solve)
+    wholes, made, init, values, solve = {}, [], spectra._Flow.__init__, spectra._Flow.values, \
+        spectra._Flow._solve
+
+    def built(flow, *args):
+        init(flow, *args)
+        wholes[flow] = WholeFlow(*args)
+
+    def checked(flow, packed):
+        got = values(flow, packed)
+        assert got == wholes[flow].values_of(flow, packed)
+        made.append(packed)
+        return got
+
+    monkeypatch.setattr(spectra._Flow, "__init__", built)
+    monkeypatch.setattr(spectra._Flow, "values", checked)
+    monkeypatch.setattr(spectra._Flow, "_solve",
+                        lambda flow, *args: made.append(None) or solve(flow, *args))
+    solve_floer(h, 2, **kw)
+    assert (len(made) - made.count(None), made.count(None)) == (calls, solves)
+
+
 def test_rp3_x_rp6_at_step_4_is_cut_by_the_d_p_bound(monkeypatch):
     # a torsion-heavy product at step 4, bound 1, smallest window: no
     # branch comes out 2-periodic, and the d_p bound cuts most of them on
     # the root turn.  The last turn builds no page, so the cut shows in
-    # the interval checks: 1,849 (every torsion order is 2, so d_2 is the
-    # only field past the free rank), 6,634 with a node memo per plan, not
-    # per component layout, 7,674 while the last turn checked
+    # the interval checks: 1,847 (every torsion order is 2, so d_2 is the
+    # only field past the free rank), 1,849 while the flow's packed int
+    # held the positions of blocks that certify no degree, 6,634 with a
+    # node memo per plan, not per component layout, 7,674 while the last
+    # turn checked
     # every class at every node instead of those its lookup finds, 7,952
     # when exact (free rank, prime powers) keys rode beside the packed
     # bounds and split their states, and 20,034 with free ranks and those
@@ -837,7 +880,7 @@ def test_rp3_x_rp6_at_step_4_is_cut_by_the_d_p_bound(monkeypatch):
     tree = solve_floer(H_RP3_RP6, 4, entry_bound=1,
                        col_span=spectra._smallest_window(H_RP3_RP6, 4))
     assert tree.leaves == ()
-    assert len(calls) == 1849
+    assert len(calls) == 1847
     assert len(built) <= 30894
 
 
@@ -876,13 +919,15 @@ def free_rank_lens(table, plan, *args):
     # lookup finds (while it checked every class: 8,202 and 5,539 checks
     # on T^3, and 53, 68 and 7,674 with every field on the others), and
     # the node memo is shared per component layout (with a memo per plan:
-    # (8,024, 5,329) on T^3 and 6,634 on RP^3 x RP^6)
-    (H_T3, 2, {"entry_bound": 1}, (7817, 5104)),
+    # (8,024, 5,329) on T^3 and 6,634 on RP^3 x RP^6), and the flow packs
+    # no field of a block that certifies no degree ((7,817, 5,104) on T^3
+    # and 1,849 on RP^3 x RP^6 while it did)
+    (H_T3, 2, {"entry_bound": 1}, (6991, 4278)),
     (H_RP7, 4, {"entry_bound": 4, "col_span": 4}, (25, 25)),
     (homology(Product(RealProjective(3), RealProjective(3))), 4, {"entry_bound": 1}, (16, 16)),
     # with the free rank's field alone the solve runs for more than nine
     # minutes, so that ablation is left out here
-    (H_RP3_RP6, 4, {"entry_bound": 1, "col_span": 2}, (1849,)),
+    (H_RP3_RP6, 4, {"entry_bound": 1, "col_span": 2}, (1847,)),
 ], ids=["t3-s2-b1", "rp7-s4-w4", "rp3xrp3-s4", "rp3xrp6-s4"])
 def test_the_d_p_fields_change_no_leaf(monkeypatch, h, step, kw, checks):
     # a cut ablation: the d_p fields of a turn's lens only cut branches
