@@ -46,14 +46,14 @@ class _Record:
     with a written-out ``__init__``: equality and hashing over the
     tuple ``_fields`` of the fields a class names in ``_compared`` (by
     default every slot), between objects of one exact type as a frozen
-    dataclass compares, and a dataclass-style ``repr``.  Each class
-    reads its fields through one ``operator.attrgetter``."""
+    dataclass compares, and a dataclass-style ``repr`` of those fields.
+    Each class reads its fields through one ``operator.attrgetter``."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        names = cls.__dict__.get("_compared", cls.__slots__)
+        names = cls._compared = cls.__dict__.get("_compared", cls.__slots__)
         if len(names) == 1:  # an attrgetter of one name gives the bare value
             get = attrgetter(*names)
             cls._fields = property(lambda self: (get(self),))
@@ -67,7 +67,7 @@ class _Record:
         return hash(self._fields)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
         return f"{type(self).__name__}({fields})"
 
 
@@ -125,7 +125,10 @@ class FgAbGroup(_Record):
     True
     """
 
-    __slots__ = ("free_rank", "torsion")
+    __slots__ = ("free_rank", "torsion", "_hash")
+    # the hash of the compared fields, kept in a slot: the enumerator
+    # hashes groups on every dict lookup of a leaf
+    _compared = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()):
         if free_rank < 0:
@@ -138,6 +141,10 @@ class FgAbGroup(_Record):
             if b % a != 0:
                 raise ValueError(f"invariant factors violate divisibility: {a} then {b}")
         self.free_rank, self.torsion = free_rank, tors
+        self._hash = hash((free_rank, tors))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
@@ -577,11 +584,11 @@ class HomMatrixSpace(Sequence):
     relations], so by the set of those rows up to sign.  One bit per
     distinct row, OR-ed over a hom's rows in one pass over the space in
     product order, gives each hom its row class: ``row_class[h]`` is the
-    first hom whose rows form the same set.  A cokernel or an image is
-    a fact of the row class, taken the first time a hom of the class
-    asks for it (``coker``, ``image``), and a kernel lattice a fact of
-    the hom; building a space computes none of them, and a search that
-    reaches few homs takes few.
+    first hom whose rows form the same set.  The cokernel and the image
+    are facts of the row class, one record of them taken the first time
+    a hom of the class is read (``facts``), and a kernel lattice a fact
+    of the hom; building a space computes none of them, and a search
+    that reaches few homs takes few.
 
     ``canonical`` is the set of homs least in their orbits under the
     signed permutations of equal-order source generators, one bitmask
@@ -594,9 +601,7 @@ class HomMatrixSpace(Sequence):
         self.rows = tuple(tuple(itertools.product(*row)) for row in entries)
         self._len = prod(map(len, self.rows))
         self.relations = relation_matrix(target)
-        # by row class: the cokernel and the image of its homs
-        self._cokers: dict[int, FgAbGroup] = {}
-        self._images: dict[int, tuple[int, bool]] = {}
+        self.facts = _Facts(self)
         self._kernels: dict[int, IntMatrix] = {}
 
     def __len__(self) -> int:
@@ -630,37 +635,6 @@ class HomMatrixSpace(Sequence):
             keys = [key | bit for key in keys for bit in bits]
         first: dict[int, int] = {}
         return list(map(first.setdefault, keys, itertools.count()))
-
-    def coker(self, h: int) -> FgAbGroup:
-        """target / im(hom h), one Smith diagonal per row class."""
-        rep = self.row_class[h]
-        grp = self._cokers.get(rep)
-        if grp is None:
-            rows = self.matrix(rep)
-            grp = self._cokers[rep] = cokernel(IntMatrix(
-                len(rows), self.source.generator_count() + self.relations.cols,
-                tuple(map(tuple.__add__, rows, self.relations.entries))))
-        return grp
-
-    def image(self, h: int) -> tuple[int, bool]:
-        """The rank of im(hom h) and whether that image is torsion-free,
-        once per row class, since the rows fix the kernel: into a free
-        group the image is free, of the matrix rank, and a subgroup of a
-        finite group is torsion-free only when zero, that is when the
-        cokernel is the whole target; into a target with both parts it
-        is source / kernel."""
-        rep = self.row_class[h]
-        img = self._images.get(rep)
-        if img is None:
-            target = self.target
-            if target.free_rank and target.torsion:
-                grp = cokernel(self.kernel(rep))
-                img = (grp.free_rank, not grp.torsion)
-            else:
-                grp = self.coker(rep)
-                img = (target.free_rank - grp.free_rank, not target.torsion or grp == target)
-            self._images[rep] = img
-        return img
 
     def kernel(self, h: int) -> IntMatrix:
         """The kernel lattice of hom h on the source generators."""
@@ -722,6 +696,41 @@ class HomMatrixSpace(Sequence):
                         for combo in itertools.combinations_with_replacement(
                             range(len(offsets[0])), len(block)))
         return mask
+
+
+class _Facts(dict):
+    """The facts of each hom of ``space`` by its index: the record of its
+    row class, ((free rank, torsion) of target / im, (rank of im, whether
+    im is torsion-free)), one tuple per row class, taken when a hom of the
+    class is first read.  The rows fix the kernel, so the image too: into
+    a free group the image is free, of the matrix rank, and a subgroup of
+    a finite group is torsion-free only when zero, that is when the
+    cokernel is the whole target; into a target with both parts it is
+    source / kernel."""
+
+    __slots__ = ("space",)
+
+    def __init__(self, space: HomMatrixSpace):
+        self.space = space
+
+    def __missing__(self, h: int) -> tuple[tuple[int, tuple[int, ...]], tuple[int, bool]]:
+        space = self.space
+        rep = space.row_class[h]
+        if rep != h:
+            facts = self[rep]
+        else:
+            rows, target = space.matrix(h), space.target
+            coker = cokernel(IntMatrix(
+                len(rows), space.source.generator_count() + space.relations.cols,
+                tuple(map(tuple.__add__, rows, space.relations.entries))))
+            if target.free_rank and target.torsion:
+                image = cokernel(space.kernel(h))
+                image = (image.free_rank, not image.torsion)
+            else:
+                image = (target.free_rank - coker.free_rank, not target.torsion or coker == target)
+            facts = ((coker.free_rank, coker.torsion), image)
+        self[h] = facts
+        return facts
 
 
 # the most homs one hom space may hold: a space keeps a row class per hom

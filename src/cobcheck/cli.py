@@ -383,29 +383,30 @@ def parse_scenario(data) -> ObstructionScenario:
 # Pipeline
 
 
-# (image, kernel, cokernel) of each differential a report describes
-_Images = dict[GroupHom, tuple[FgAbGroup, FgAbGroup, FgAbGroup]]
+# the wording after the arrow of each differential a report describes:
+# its groups, its matrix and its (image, kernel, cokernel)
+_Images = dict[GroupHom, str]
 
 
 def _describe_hom(r: int, src: Position, h: GroupHom, images: _Images) -> str:
-    found = images.get(h)
-    if found is None:
-        found = images[h] = hom_images(h)
-    image, kernel, coker = found
-    rows = [list(row) for row in h.matrix.entries]
-    text = (f"d{r} {src}->{(src[0] - r, src[1] + r - 1)}: {h.source} -> {h.target}, "
-            f"matrix {rows}, image {image}, kernel {kernel}, cokernel {coker}")
-    if h.source == FgAbGroup(1) and h.target == FgAbGroup(1):
-        m = abs(h.matrix.entries[0][0])
-        if m:
-            text += f" (image index {m} in Z)"
-    return text
+    text = images.get(h)
+    if text is None:
+        image, kernel, coker = hom_images(h)
+        rows = [list(row) for row in h.matrix.entries]
+        text = (f": {h.source} -> {h.target}, "
+                f"matrix {rows}, image {image}, kernel {kernel}, cokernel {coker}")
+        if h.source == FgAbGroup(1) and h.target == FgAbGroup(1):
+            m = abs(h.matrix.entries[0][0])
+            if m:
+                text += f" (image index {m} in Z)"
+        images[h] = text
+    return f"d{r} {src}->{(src[0] - r, src[1] + r - 1)}{text}"
 
 
 def branch_lines(tree: BranchTree, leaf: BranchLeaf, images: _Images | None = None) -> list[str]:
     """The derivation of one leaf of ``tree``: the first page, each page
     turn's differentials, and the stable abutment.  ``images`` keeps the
-    groups of each differential described, for the next leaf."""
+    wording of each differential described, for the next leaf."""
     if images is None:
         images = {}
     lines = [f"E^1: columns at multiples of {tree.column_step}, "

@@ -3,9 +3,10 @@
 The first page has E^1_(p,q) = H_q(S) for p in N*Z and zero elsewhere;
 differentials on page r have bidegree (-r, r-1), so only page indices
 divisible by N can carry nonzero maps, and no page beyond the row height
-can.  Pages are stored over a finite window of columns; entries whose
-fate depends on columns outside the window are tracked as *unresolved*
-and excluded from the certified part of the abutment.
+can.  Pages are stored over a finite window of columns, one set of
+window columns per geometry that every page turned from it shares;
+entries whose fate depends on columns outside the window are tracked
+as *unresolved* and excluded from the certified part of the abutment.
 
 Undetermined differentials are enumerated exhaustively: arrows between
 known nonzero entries are grouped into connected chains, every chain is
@@ -31,10 +32,11 @@ columns of the per-column bit polynomials, over f's mixed-radix index,
 of the values that all of g's rows kill.  Cokernels come from rows
 too: target / (im + relations) is fixed by the set of the rows of
 [matrix | relations] up to sign, a hom's row class in its
-``abgroup.HomMatrixSpace``.  The masks indexed by a space, its
-cokernels and its images are facts of a row class, each taken the
-first time a hom the search reaches asks for it, so a class no reached
-hom belongs to costs nothing.
+``abgroup.HomMatrixSpace``.  The masks indexed by a space are facts of
+a row class, and so are its cokernels and images, one record of both
+per row class (``HomMatrixSpace.facts``); each is taken the first time
+a hom the search reaches is read, so a class no reached hom belongs to
+costs nothing.
 
 Sibling rule: under one prefix, a hom is skipped when an earlier
 sibling has the same signature, which is everything later work reads
@@ -77,15 +79,20 @@ puts the hom itself in its signature.
 The homology at each position comes from invariants of each hom: M /
 im(in) for the incoming map, and the rank of im(out) for the outgoing
 one; when that image is free it splits off M / im(in), and only a
-torsion image falls back to the kernel-lattice subquotient.  A hom
+torsion image falls back to the kernel-lattice subquotient.  The search
+reads a reached hom's facts record once, for its signature, and keeps
+the record of each chosen hom for the homology at the leaf.  A hom
 space keeps only each entry's and each row's admissible values
 (``abgroup.hom_matrix_space``); masks and invariants are read off them
-and off one representative's entry rows per row class, equal masks
-are one object, and a ``GroupHom`` is built only for a kernel lattice
-or a representative's differentials.  Hom spaces, these invariants and
-the classes of each component shape live in an ``EnumerationTable``
-that the solves of one run share and that is dropped with the run, so
-no enumeration state outlives it.  A shape is its chain moved to start
+and off one representative's entry rows per row class, and equal masks
+are one object.  A class keeps its representative's nonzero homs as
+indexes into their spaces (hom 0 of every space is its zero map, and
+only it) and builds their ``GroupHom``s only when they are first read,
+for a leaf's turns or the report, since few classes reach a leaf;
+otherwise a ``GroupHom`` is built only for a kernel lattice.  Hom
+spaces, these invariants and the classes of each component shape live
+in an ``EnumerationTable`` that the solves of one run share and that is
+dropped with the run, so no enumeration state outlives it.  A shape is its chain moved to start
 at column 0, and its classes are built once: a component reads them at
 its column offset, their parts by the shape's degrees, and their
 results moved only where a leaf, a later turn's untouched entries or
@@ -210,7 +217,8 @@ leaf is data only: its abutment, certified degrees and the
 differentials of each page turn; the report renders it.
 
 A leaf's abutment in a certified degree is the split extension, the
-direct sum, of the E-infinity entries on its antidiagonal.  A spectral
+direct sum, of the E-infinity entries on its antidiagonal, worked out
+once per solve for each tuple of entries, since leaves share most.  A spectral
 sequence fixes its abutment only up to extension: those entries are
 the quotients of a filtration of H_n, with the lower columns below, so
 Z/2 over Z/2 may also abut to Z/4, and Z/2 over Z to Z.  The leaves,
@@ -261,12 +269,13 @@ class BigradedPage:
     """
 
     __slots__ = ("page_index", "column_step", "col_span", "row_max", "entries", "unresolved",
-                 "base_row_support", "_by_position")
+                 "base_row_support", "columns", "_by_position")
 
     def __init__(self, page_index: int, column_step: int, col_span: int, row_max: int,
                  entries: Iterable[tuple[Position, FgAbGroup]],
                  unresolved: frozenset[Position] = frozenset(),
-                 base_row_support: frozenset[int] = frozenset()):
+                 base_row_support: frozenset[int] = frozenset(),
+                 columns: frozenset[int] | None = None):
         if column_step <= 0 or column_step % 2 != 0:
             raise SpectraError("column step must be a positive even integer")
         if col_span < 2:
@@ -282,6 +291,9 @@ class BigradedPage:
                 cleaned.append(entry)
         self.page_index, self.column_step, self.col_span = page_index, column_step, col_span
         self.row_max, self.unresolved, self.base_row_support = row_max, unresolved, base_row_support
+        # the window columns, one set per geometry, which ``turned`` pages share
+        self.columns = frozenset(range(-col_span * column_step, col_span * column_step + 1,
+                                       column_step)) if columns is None else columns
         self.entries = tuple(sorted(cleaned))
         self._by_position = dict(self.entries)
 
@@ -289,14 +301,13 @@ class BigradedPage:
                entries: Iterable[tuple[Position, FgAbGroup]]) -> BigradedPage:
         """The page of this geometry at ``page_index`` with these entries."""
         return BigradedPage(page_index, self.column_step, self.col_span, self.row_max, entries,
-                            unresolved, self.base_row_support)
+                            unresolved, self.base_row_support, self.columns)
 
     def window_columns(self) -> tuple[int, ...]:
-        n = self.column_step
-        return tuple(k * n for k in range(-self.col_span, self.col_span + 1))
+        return tuple(sorted(self.columns))
 
     def in_window(self, p: int) -> bool:
-        return p % self.column_step == 0 and abs(p) <= self.col_span * self.column_step
+        return p in self.columns
 
     def known(self, pos: Position) -> bool:
         """Whether ``pos`` is a window position whose entry is known."""
@@ -475,14 +486,22 @@ def certified_degrees(page: BigradedPage) -> list[int]:
     return out
 
 
-def _certified_sums(page: BigradedPage, degrees: Iterable[int]) -> list[tuple[int, FgAbGroup]]:
+def _certified_sums(page: BigradedPage, degrees: Iterable[int],
+                    sums: dict[tuple[FgAbGroup, ...], FgAbGroup]) -> list[tuple[int, FgAbGroup]]:
     """Each certified degree of ``page`` (``degrees``, its
-    ``certified_degrees``) with the direct sum of its antidiagonal."""
+    ``certified_degrees``) with the direct sum of its antidiagonal, taken
+    from ``sums`` by the antidiagonal's groups, or worked out there."""
     parts: dict[int, list[FgAbGroup]] = {deg: [] for deg in degrees}
     for (p, q), grp in page.entries:
         if p + q in parts:
             parts[p + q].append(grp)
-    return [(deg, direct_sum(*grps)) for deg, grps in parts.items()]
+    certified = []
+    for deg, grps in parts.items():
+        total = sums.get(key := tuple(grps))
+        if total is None:
+            total = sums[key] = direct_sum(*grps)
+        certified.append((deg, total))
+    return certified
 
 
 # ---------------------------------------------------------------------------
@@ -491,26 +510,37 @@ def _certified_sums(page: BigradedPage, degrees: Iterable[int]) -> list[tuple[in
 
 class _ComponentClass(_Record):
     """One isomorphism class of labelings of a component shape, a chain of
-    arrows moved to start at column 0: the homs of a representative and
-    the entries they produce.  A component of the shape at column offset
-    ``base`` (``_Layout.bases``) reads them through that offset, so one
-    class serves every column where its shape occurs: its parts read the
-    shape's degrees, and only a leaf, the entries a later turn leaves
-    untouched and the flow's ``pack`` read its results moved (``at``).
-    ``zeros`` has bit i set when result i is zero (see ``_Layout.zero_bits``)."""
+    arrows moved to start at column 0: the nonzero homs of a
+    representative and the entries they produce.  The homs are kept as
+    (source position, hom space, index) (``reps``) and built into
+    ``GroupHom``s when ``homs`` is first read, for a recorded leaf's turns
+    or the report: most classes never reach a leaf.  A component of the
+    shape at column offset ``base`` (``_Layout.bases``) reads them through
+    that offset, so one class serves every column where its shape occurs:
+    its parts read the shape's degrees, and only a leaf, the entries a
+    later turn leaves untouched and the flow's ``pack`` read its results
+    moved (``at``).  ``zeros`` has bit i set when result i is zero (see
+    ``_Layout.zero_bits``)."""
 
-    __slots__ = ("results", "homs", "zeros", "_at", "_parts", "_packs")
+    __slots__ = ("results", "reps", "zeros", "_homs", "_at", "_parts", "_packs")
     _compared = ("results", "homs")
 
     def __init__(self, results: tuple[tuple[Position, FgAbGroup], ...],
-                 homs: tuple[tuple[Position, GroupHom], ...]):
-        self.results, self.homs = results, homs
+                 reps: tuple[tuple[Position, HomMatrixSpace, int], ...]):
+        self.results, self.reps, self._homs = results, reps, None
         self.zeros = sum(1 << i for i, (_, grp) in enumerate(results) if grp.is_trivial())
         self._at: dict[int, tuple[tuple[Position, FgAbGroup], ...]] = {}  # ``at``, by offset
         self._parts: dict = {}  # ``degree_parts``, by lens and final results
         # ``pack``, by flow and then offset: a pair key costs about twice as
         # much per lookup, and a middle turn looks it up per placed class
         self._packs: dict[_Flow, dict[int, int]] = {}
+
+    @property
+    def homs(self) -> tuple[tuple[Position, GroupHom], ...]:
+        """The nonzero homs of the representative by source position."""
+        if self._homs is None:
+            self._homs = tuple((pos, space[h]) for pos, space, h in self.reps)
+        return self._homs
 
     def at(self, base: int) -> tuple[tuple[Position, FgAbGroup], ...]:
         """The results at column offset ``base``, moved once per offset."""
@@ -753,43 +783,49 @@ def _component_classes(table: EnumerationTable,
     therefore holds no first representative, and the classes, their
     representatives and their order are those of the full search.
 
-    Homology ker(out) / im(in) at M comes from per-hom invariants that
-    each hom space of ``table`` takes per row class the first time a
-    reached hom asks, and keeps for the whole run (see
-    ``HomMatrixSpace``): coker(in) = M / im(in) (M at a chain start),
-    and the rank r of im(out) with whether it is torsion-free (r = 0 at
-    a chain end; see ``HomMatrixSpace.image``).  A free im(out) splits
-    off M / im(in), leaving coker(in) with r fewer free generators,
-    built once per distinct result; only a torsion image falls back to
-    ``subquotient`` on the kernel lattice, memoized per position by the
-    (incoming, outgoing) pair.
+    Homology ker(out) / im(in) at M comes from the facts record of each
+    placed hom, which each hom space of ``table`` takes per row class the
+    first time a reached hom is read and keeps for the whole run (see
+    ``HomMatrixSpace.facts``): the signature reads it once per reached
+    hom, and the search keeps the record of each chosen hom for the
+    leaf.  It holds coker(in) = M / im(in) (M at a chain start), and the
+    rank r of im(out) with whether it is torsion-free (r = 0 at a chain
+    end).  A free im(out) splits off M / im(in), leaving coker(in) with r
+    fewer free generators, built once per distinct result; only a torsion
+    image falls back to ``subquotient`` on the kernel lattice, memoized
+    per position by the (incoming, outgoing) pair.  A class keeps its
+    representative's nonzero homs by index (hom 0 of a space is its zero
+    map, and only it), and builds them only when they are read.
     """
     group_of = dict(groups)
     spaces = [table.space(group_of[s], group_of[t], bound) for s, t in arrows]
     incoming_idx = {t: i for i, (_, t) in enumerate(arrows)}
     outgoing_idx = {s: i for i, (s, _) in enumerate(arrows)}
-    # constraint[k] (k >= 1): masks[h] has bit b set when hom b of arrow
-    # k composes to zero with hom h of arrow k - 1
-    constraint = [None] + [table.masks(spaces[k], spaces[k - 1]) for k in range(1, len(arrows))]
-    sites = [(pos, incoming_idx.get(pos), outgoing_idx.get(pos), {})
-             for pos in signature_positions]
+    sites = [(pos, incoming_idx.get(pos), outgoing_idx.get(pos), {},
+              (group_of[pos].free_rank, group_of[pos].torsion)) for pos in signature_positions]
     in_sites = set(signature_positions)
-    # (source, target) of arrow k as sites, and whether the target's
-    # outgoing map can have a torsion image, sending the hom on arrow k
-    # to subquotient there
-    touches = [(s in in_sites, t in in_sites,
-                t in outgoing_idx and bool(spaces[outgoing_idx[t]].target.torsion))
-               for s, t in arrows]
+    # per arrow k: its space's facts when a site reads them (its source or
+    # its target is a site), whether each end is a site, whether its
+    # target's outgoing map can have a torsion image, sending the hom on
+    # arrow k to subquotient there, and (but on the last arrow) the masks
+    # of arrow k + 1: masks[h] has bit b set when hom b of arrow k + 1
+    # composes to zero with hom h of arrow k
+    reads = [(spaces[k].facts if s in in_sites or t in in_sites else None, s in in_sites,
+              t in in_sites, t in outgoing_idx and bool(spaces[outgoing_idx[t]].target.torsion),
+              table.masks(spaces[k + 1], spaces[k]) if k + 1 < len(arrows) else None)
+             for k, (s, t) in enumerate(arrows)]
     interned: dict[FgAbGroup, FgAbGroup] = {}
     split: dict[tuple[int, tuple[int, ...]], FgAbGroup] = {}
+    # the hom placed on each arrow, and the facts record its signature read
     chosen = [0] * len(arrows)
+    held: list[tuple | None] = [None] * len(arrows)
     classes: dict[tuple, _ComponentClass] = {}
 
-    def homology(pos, i, o, memo):
-        rank, free = (0, True) if o is None else spaces[o].image(chosen[o])
+    def homology(pos, i, o, memo, whole):
+        rank, free = (0, True) if o is None else held[o][1]
         if free:
-            coker = group_of[pos] if i is None else spaces[i].coker(chosen[i])
-            key = (coker.free_rank - rank, coker.torsion)
+            coker = whole if i is None else held[i][0]
+            key = (coker[0] - rank, coker[1])
             grp = split.get(key)
             if grp is None:
                 grp = FgAbGroup(*key)
@@ -805,21 +841,6 @@ def _component_classes(table: EnumerationTable,
             grp = memo[key] = interned.setdefault(grp, grp)
         return grp
 
-    def signature(k: int, h: int) -> tuple:
-        """The signature of hom h of arrow k (see the sibling rule), read
-        off the facts of its row class, which its space takes on first
-        use."""
-        space = spaces[k]
-        source_site, target_site, feeds_subquotient = touches[k]
-        sig = (constraint[k + 1][h],) if k + 1 < len(arrows) else ()
-        if source_site:
-            img = space.image(h)
-            sig += (img if img[1] else (img, h),)
-        if target_site:
-            coker = space.coker(h)
-            sig += (coker.free_rank, coker.torsion, h if feeds_subquotient else None)
-        return sig
-
     # pending[k]: the canonical homs of arrow k (every hom where
     # ``canonical`` is None) not yet tried under the current prefix, in
     # product order; tried[k]: the signatures already tried under it
@@ -830,15 +851,12 @@ def _component_classes(table: EnumerationTable,
 
     def leaf():
         """The labeling ``chosen``, reached on the last arrow: its class
-        keeps it when it is the class's first."""
+        keeps it when it is the class's first, with its nonzero homs (hom 0
+        of every space is its zero map, and only it)."""
         key = tuple((site[0], homology(*site)) for site in sites)
         if key not in classes:
-            labeling = [sp[h] for sp, h in zip(spaces, chosen)]
-            classes[key] = _ComponentClass(
-                results=key,
-                homs=tuple((arrow[0], h) for arrow, h in zip(arrows, labeling)
-                           if not h.is_zero()),
-            )
+            classes[key] = _ComponentClass(key, tuple(
+                (arrow[0], space, h) for arrow, space, h in zip(arrows, spaces, chosen) if h))
 
     k = 0
     while k >= 0:
@@ -846,14 +864,24 @@ def _component_classes(table: EnumerationTable,
         if h is None:
             k -= 1
             continue
-        sig = signature(k, h)
+        # the signature of hom h (see the sibling rule), read off the facts
+        # record of its row class, which its space takes on first use
+        facts, source_site, target_site, feeds_subquotient, after = reads[k]
+        mask = None if after is None else after[h]
+        sig = (mask,)
+        if facts is not None:
+            record = held[k] = facts[h]
+            if source_site:
+                img = record[1]
+                sig += (img if img[1] else (img, h),)
+            if target_site:
+                sig += (record[0], h if feeds_subquotient else None)
         if sig in tried[k]:
             continue
         tried[k].add(sig)
         chosen[k] = h
-        if k + 1 < len(arrows):
+        if mask is not None:
             k += 1
-            mask = constraint[k][h]
             pending[k] = _set_bits(mask if canonical[k] is None else mask & canonical[k])
             tried[k].clear()
             continue
@@ -1585,13 +1613,16 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     # the certified degrees of a leaf's page by its unresolved set: every
     # page of the solve has the root's geometry, which is all else they read
     certifies: dict[frozenset[Position], list[int]] = {}
+    # each certified degree's direct sum by the groups on its antidiagonal:
+    # leaves share most of them
+    sums: dict[tuple[FgAbGroup, ...], FgAbGroup] = {}
     truncation = False
 
     def finish(page: BigradedPage, turns: _Chosen) -> None:
         degrees = certifies.get(page.unresolved)
         if degrees is None:
             degrees = certifies[page.unresolved] = certified_degrees(page)
-        certified = _certified_sums(page, degrees)
+        certified = _certified_sums(page, degrees, sums)
         key = _fold_parity(chain(pins, certified))
         if key is not None and key not in leaves:
             found.add((exact.packed(key[0]), exact.packed(key[1])))

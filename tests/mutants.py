@@ -37,6 +37,8 @@ ORBIT = ["tests/test_properties.py::test_canonical_homs_of_pinned_spaces",
 ABGROUP = "src/cobcheck/abgroup.py"
 FLOW = ["tests/test_properties.py::test_flow_values_match_a_product_over_every_k",
         "tests/test_spectra.py::test_the_flow_gives_what_the_whole_flow_gives_on_every_call"]
+PRODUCT = ["tests/test_spectra.py::test_component_classes_match_product_enumeration"]
+CORPUS = ["tests/test_corpus.py::test_corpus_report_pinned"]
 
 # (name, file, source text, its mutation, the tests that must fail)
 MUTATIONS = [
@@ -135,6 +137,19 @@ MUTATIONS = [
      "reached.update(sum(pos) for ends in out_of.get(deg, ()) for pos in ends)",
      "reached.update(sum(pos) for ends in out_of.get(deg, ()) for pos in ends[:1])",
      FLOW),
+    # a class representative keeps its zero homs too: its differentials
+    # list maps that vanish
+    ("class-reps-keep-zero-homs", SPECTRA,
+     "for arrow, space, h in zip(arrows, spaces, chosen) if h))",
+     "for arrow, space, h in zip(arrows, spaces, chosen)))",
+     PRODUCT),
+    # the solve's direct sums are keyed by degree, not by the groups on
+    # the degree's antidiagonal: every later leaf reads the first leaf's
+    # abutment there
+    ("certified-sums-by-degree", SPECTRA,
+     "total = sums.get(key := tuple(grps))",
+     "total = sums.get(key := deg)",
+     CORPUS),
     # the orbit rule keeps each column's larger sign, or sorts a block's
     # columns descending: the mask misses orbit minima, so the search
     # misses first representatives

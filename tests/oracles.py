@@ -5,7 +5,8 @@ import math
 import operator
 
 from cobcheck.abgroup import (FgAbGroup, GroupHom, IntMatrix, bound_may_truncate, composite_is_zero, direct_sum,
-                              from_orders, hom_matrix_space, homology_at)
+                              from_orders, hom_matrix_space, homology_at, preimage_lattice,
+                              relation_matrix)
 from cobcheck.exactness import (BranchOutcome, CertStep, Certificate, ClaimVerdict,
                                 ExactSequenceProblem, FeasibilityVerdict, _dims_table,
                                 _rank_var, _unknown_bounds, build_cobordism_sequences,
@@ -355,7 +356,8 @@ def component_classes_by_product(arrows, groups, bound, signature_positions):
     incoming_idx = {t: i for i, (_, t) in enumerate(arrows)}
     outgoing_idx = {s: i for i, (s, _) in enumerate(arrows)}
     classes = {}
-    for labeling in itertools.product(*spaces):
+    for indexes in itertools.product(*map(range, map(len, spaces))):
+        labeling = [space[h] for space, h in zip(spaces, indexes)]
         ok = True
         for i, (src, tgt) in enumerate(arrows):
             j = outgoing_idx.get(tgt)
@@ -371,12 +373,37 @@ def component_classes_by_product(arrows, groups, bound, signature_positions):
             results.append((pos, homology_at(inc, out, group_of[pos])))
         key = tuple(results)
         if key not in classes:
-            classes[key] = _ComponentClass(
-                results=key,
-                homs=tuple((arrows[i][0], labeling[i]) for i in range(len(arrows))
-                           if not labeling[i].is_zero()),
-            )
+            classes[key] = _ComponentClass(key, tuple(
+                (arrows[i][0], spaces[i], indexes[i]) for i in range(len(arrows))
+                if not labeling[i].is_zero()))
     return tuple(classes.values())
+
+
+def hermite_basis(vectors, k: int) -> tuple[tuple[int, ...], ...]:
+    """The Hermite normal form of the lattice that the integer ``vectors``
+    of Z^k span: an echelon basis whose first nonzero entries (the
+    pivots, on ascending coordinates) are positive, with every entry
+    above a pivot in [0, pivot).  Equal lattices give equal forms."""
+    rest, basis = [list(v) for v in vectors if any(v)], []
+    for row in range(k):
+        pivots = [v for v in rest if v[row]]
+        rest = [v for v in rest if not v[row]]
+        while len(pivots) > 1:  # Euclid on this coordinate
+            pivots.sort(key=lambda v: abs(v[row]))
+            p, reduced = pivots[0], [pivots[0]]
+            for v in pivots[1:]:
+                q = v[row] // p[row]
+                w = [a - q * b for a, b in zip(v, p)]
+                (reduced if w[row] else rest).append(w)
+            pivots = reduced
+            rest = [v for v in rest if any(v)]
+        if pivots:
+            p = pivots[0] if pivots[0][row] > 0 else [-a for a in pivots[0]]
+            for v in basis:  # earlier pivots vanish here, so no pivot moves
+                q = v[row] // p[row]
+                v[:] = [a - q * b for a, b in zip(v, p)]
+            basis.append(p)
+    return tuple(map(tuple, basis))
 
 
 def component_classes_without_skipping(arrows, groups, bound, signature_positions):
@@ -389,7 +416,11 @@ def component_classes_without_skipping(arrows, groups, bound, signature_position
     A composite g o f vanishes exactly when each row of g, a map into
     one cyclic summand of its target, kills each column of f, the image
     of one cyclic summand of f's source; each (column, row) pair is
-    tested once, with ``composite_is_zero``."""
+    tested once, with ``composite_is_zero``.  The homology ker(out) /
+    im(in) at a position is fixed by the two lattices it reads on the
+    position's generators, ker(out) and im(in) plus the relations, so it
+    is taken once per pair of their Hermite forms, each worked out once
+    per placed hom."""
     group_of = dict(groups)
     spaces = [hom_matrix_space(group_of[s], group_of[t], bound) for s, t in arrows]
     incoming_idx = {t: i for i, (_, t) in enumerate(arrows)}
@@ -403,7 +434,7 @@ def component_classes_without_skipping(arrows, groups, bound, signature_position
         if tgt in outgoing_idx and outgoing_idx[tgt] < k:
             neighbours[k].append((outgoing_idx[tgt], False))
     chosen = []
-    homology = {}
+    homology, lattices = {}, {}
     classes = {}
     killed = {}
     # per arrow: each hom's rows and columns, and the orders of its source
@@ -428,9 +459,23 @@ def component_classes_without_skipping(arrows, groups, bound, signature_position
                     return False
         return True
 
+    def lattice(k, h, of_image):
+        """The Hermite form of im(hom h of arrow k) plus its target's
+        relations, or of its kernel lattice."""
+        key = (k, h, of_image)
+        if key not in lattices:
+            hom = spaces[k][h]
+            if of_image:
+                span = hom.matrix.hstack(relation_matrix(hom.target))
+            else:
+                span = preimage_lattice(hom)
+            lattices[key] = hermite_basis(zip(*span.entries), span.rows)
+        return lattices[key]
+
     def site(pos):
         i, o = incoming_idx.get(pos), outgoing_idx.get(pos)
-        key = (pos, None if i is None else chosen[i], None if o is None else chosen[o])
+        key = (pos, None if i is None else lattice(i, chosen[i], True),
+               None if o is None else lattice(o, chosen[o], False))
         if key not in homology:
             homology[key] = homology_at(None if i is None else spaces[i][chosen[i]],
                                         None if o is None else spaces[o][chosen[o]],
@@ -441,11 +486,9 @@ def component_classes_without_skipping(arrows, groups, bound, signature_position
         if k == len(arrows):
             key = tuple((pos, site(pos)) for pos in signature_positions)
             if key not in classes:
-                labeling = [sp[h] for sp, h in zip(spaces, chosen)]
-                classes[key] = _ComponentClass(
-                    results=key,
-                    homs=tuple((arrows[i][0], h) for i, h in enumerate(labeling)
-                               if not h.is_zero()))
+                classes[key] = _ComponentClass(key, tuple(
+                    (arrows[i][0], spaces[i], h) for i, h in enumerate(chosen)
+                    if not spaces[i][h].is_zero()))
             return
         for h in range(len(spaces[k])):
             if all(vanishes(i, chosen[i], k, h) if i_first else vanishes(k, h, i, chosen[i])

@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cobcheck.abgroup as abgroup
 from cobcheck.abgroup import (FgAbGroup, GroupHom, HomValidationError, IntMatrix,
@@ -308,6 +309,21 @@ def test_hom_matrix_space_matches_the_product_enumeration(bound):
                 space[len(want)]
 
 
+ORDER_LISTS = st.lists(st.sampled_from([0, 2, 3, 4, 6, 8, 9]), max_size=2)
+
+
+@settings(deadline=None, database=None, max_examples=80)
+@given(ORDER_LISTS, ORDER_LISTS, st.integers(1, 4))
+def test_hom_zero_of_every_space_is_its_zero_map_and_no_other_is(s_orders, t_orders, bound):
+    # the enumerator keeps a class representative's nonzero homs by their
+    # indexes and drops index 0: each entry runs over distinct residues
+    # (or integers) starting at 0, so the all-0 matrix comes first and
+    # is the only one that vanishes
+    space = hom_matrix_space(from_orders(*s_orders), from_orders(*t_orders), bound)
+    assert [h for h, hom in enumerate(space) if hom.is_zero()] == [0]
+    assert space[0] == zero_hom(space.source, space.target)
+
+
 def test_torsion_slots_take_residues_without_a_range_over_the_bound():
     # a bound far past every order gives the residues a bound of the
     # largest order gives; no range over the bound is built, so a bound
@@ -367,18 +383,19 @@ def test_a_hom_space_past_the_hom_limit_is_a_named_solver_limit():
 
 def test_a_hom_space_takes_cokernels_once_per_row_class_and_only_when_asked(monkeypatch):
     # Z^3 -> Z^3 at bound 1, the largest space of the T^3 table at step
-    # 2: building its 19,683 homs takes no Smith diagonal, a hom's
-    # cokernel takes one for its row class the first time a hom of the
-    # class asks, and all of them take one per row class
+    # 2: building its 19,683 homs takes no Smith diagonal, a hom's facts
+    # record (cokernel and image) takes one for its row class the first
+    # time a hom of the class is read, and all of them take one per row
+    # class
     calls = []
     monkeypatch.setattr(abgroup, "cokernel", lambda m: calls.append(m) or cokernel(m))
     space = hom_matrix_space(FgAbGroup(3), FgAbGroup(3), 1)
     assert not calls
     last = len(space) - 1
-    space.coker(last)
+    space.facts[last]
     assert len(calls) == 1
     rep = space.row_class[last]  # the all -1 matrix shares (1 1 1)'s rows up to sign
     assert rep != last
-    assert space.coker(rep) is space.coker(last) and len(calls) == 1
-    assert len([space.coker(h) for h in range(len(space))]) == len(space)
+    assert space.facts[rep] is space.facts[last] and len(calls) == 1
+    assert len([space.facts[h] for h in range(len(space))]) == len(space)
     assert len(calls) == len(set(space.row_class))

@@ -161,7 +161,7 @@ def test_leaves_with_a_non_split_alternative(monkeypatch, capsys, workload, scen
     pages, leaves = [], []
     sums, init = spectra._certified_sums, spectra.BranchLeaf.__init__
     monkeypatch.setattr(spectra, "_certified_sums",
-                        lambda page, degrees: pages.append(page) or sums(page, degrees))
+                        lambda page, *args: pages.append(page) or sums(page, *args))
     monkeypatch.setattr(spectra.BranchLeaf, "__init__",
                         lambda leaf, **kw: leaves.append(pages[-1]) or init(leaf, **kw))
     assert main(["check", str(file)]) == code

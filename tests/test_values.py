@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from cobcheck.abgroup import (FgAbGroup, GroupHom, HomValidationError, IntMatrix, Z, ZERO,
-                              cyclic)
+                              cyclic, hom_matrix_space)
 from cobcheck.exactness import (BranchOutcome, CertStep, Certificate, ClaimVerdict,
                                 ExactSequenceProblem, FeasibilityVerdict, Known, Unknown)
 from cobcheck.graded import GradedGroup, GradingError, LaurentGrading
@@ -33,8 +33,7 @@ VALUES = {
     FeasibilityVerdict: lambda: FeasibilityVerdict(False, certificate=Certificate(())),
     BranchOutcome: lambda: BranchOutcome("branch 1", FeasibilityVerdict(True)),
     ClaimVerdict: lambda: ClaimVerdict(("A", "B"), True, "INFEASIBLE", ()),
-    _ComponentClass: lambda: _ComponentClass(
-        (((0, 0), Z),), (((2, 0), GroupHom(Z, Z, IntMatrix.from_rows([[1]]))),)),
+    _ComponentClass: lambda: _ComponentClass((((0, 0), Z),), (((2, 0), hom_matrix_space(Z, Z, 1), 1),)),
     BranchLeaf: lambda: BranchLeaf(Z, ZERO, ((0, Z),), (), 2),
     BranchTree: lambda: BranchTree(2, 1, 3, (), False),
 }
