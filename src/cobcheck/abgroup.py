@@ -435,9 +435,6 @@ class GroupHom(_Record):
                     "a torsion generator maps to an element its order does not kill")
         self.source, self.target, self.matrix = source, target, matrix
 
-    def is_zero(self) -> bool:
-        return _zero_mod_orders(self.matrix.entries, self.target.generator_orders())
-
 
 def _zero_mod_orders(rows, orders: tuple[int, ...]) -> bool:
     """Whether a matrix into a group with these generator orders is the

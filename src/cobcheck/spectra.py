@@ -158,7 +158,9 @@ parity have no common value.  That check reads the bounds so far, the
 entries the placed classes put on the degrees it bounds and, before
 the coupled flow below, their summed free ranks, so a turn's one
 search (``_turn_combinations``) works out the classes that survive
-under a prefix once per distinct such input, not once per prefix.  With
+under a prefix once per distinct such input, not once per prefix, and
+the same for the turn's start, the pins with the degrees no component
+reaches, which it checks before it reads any class list.  With
 the parts of the untouched entries in that input, the rest of what the
 check reads is the turn's component layout (``_Layout``: page index,
 components, offsets, finals and skeleton), its flow (None exactly on
@@ -175,8 +177,9 @@ flow's values are the join, on the parities each block defines, of
 every block's (even | None, odd | None) values, each block solved degree
 by degree over its own positions alone and memoized by its own fields
 (free ranks and degree sums), one memo per block shape; a block that
-certifies no degree is dropped, and a certified degree with no capped
-position is one value its parity must take.
+certifies no degree is dropped, and the certified degrees with no
+capped position form one block per parity, of no position, whose
+degrees must take one value.
 The last turn, the one no worst-case arrow comes after, is the case
 lo = hi: every entry there is final, so each bound is one exact group;
 there, once both parities are exact, a branch whose abutment is already
@@ -1084,7 +1087,14 @@ class BranchLeaf(_Record):
 
 class BranchTree(_Record):
     """Exhaustive solve result: all consistent Floer homology outcomes
-    under the entry bound, deduplicated by abutment in degrees 0, 1."""
+    under the entry bound, deduplicated by abutment in degrees 0, 1.
+
+    ``bound_may_truncate`` is True when the entry bound may cut a hom
+    space (``abgroup.bound_may_truncate``) of a turn that the solve
+    starts.  A turn on a branch the pruner has already cut is not
+    started, and no cut reads the bound, so when it is False every
+    started turn saw all of its classes, and a larger entry bound gives
+    the same leaves."""
 
     __slots__ = ("column_step", "entry_bound", "row_max", "leaves", "bound_may_truncate")
 
@@ -1238,9 +1248,11 @@ class _Flow:
     blocks: runs of degrees joined through the capped ends of their
     arrows.  Blocks share no position and no k; only the common value of
     each parity couples them.  A block with no certified degree is
-    dropped (its k can all be 0, and they change no value), and a lone
-    certified degree, one with no capped position, is the summed free
-    rank of its known entries, one more value its parity must take.
+    dropped (its k can all be 0, and they change no value).  The
+    certified degrees with no capped position form one more block per
+    parity, with no position: each such degree is the summed free rank of
+    its known entries, so the block's value is that sum when all its
+    degrees agree, and it has none otherwise.
 
     A page enters as one int (``pack``): the free rank of each capped
     position of a kept block and the summed free rank of the other
@@ -1250,15 +1262,14 @@ class _Flow:
     The fields are disjoint, so a page's int is the sum of the ints of its
     parts.  A block's positions have adjacent fields, and so do its
     degrees, so two shifts and masks read the block's own fields as two
-    narrow ints; the lone degrees of each parity are adjacent too.
-    ``values`` gives every (even, odd) pair of common free ranks that
-    some choice of k leaves: the join, on the parities they define, of
-    the lone degrees' values and of each block's (even | None, odd |
-    None) pairs, which are solved once per distinct value of the block's
-    fields (``_solve``), in a memo that the blocks of the same shape
-    share."""
+    narrow ints; the position-less blocks' degrees come after all the
+    others.  ``values`` gives every (even, odd) pair of common free ranks
+    that some choice of k leaves: the join, on the parities they define,
+    of each block's (even | None, odd | None) pairs, which are solved
+    once per distinct value of the block's fields (``_solve``), in a memo
+    that the blocks of the same shape share."""
 
-    __slots__ = ("width", "nodes", "bases", "lone", "blocks", "_values")
+    __slots__ = ("width", "nodes", "bases", "blocks", "_values")
 
     def __init__(self, arrows: Sequence[tuple[Position, Position]],
                  known: Callable[[Position], bool], degrees: Iterable[int], width: int):
@@ -1284,38 +1295,36 @@ class _Flow:
             blocks[-1].append(deg)
             reached.update(sum(pos) for ends in out_of.get(deg, ()) for pos in ends)
         blocks = [block for block in blocks if degrees.intersection(block)]
-        # the fields: the kept blocks' positions, their certified degrees,
-        # then the lone degrees of each parity
+        # the certified degrees with no capped position: one block of no
+        # position per parity, whose degrees must take one common value
+        blocks += [lone for parity in (0, 1)
+                   if (lone := [deg for deg in sorted(degrees - at.keys()) if deg % 2 == parity])]
+        # the fields: the blocks' positions, then their certified degrees
         self.nodes = {pos: i * w for i, pos in enumerate(
-            pos for block in blocks for deg in block for pos in at[deg])}
-        lone = [[deg for deg in sorted(degrees - at.keys()) if deg % 2 == parity]
-                for parity in (0, 1)]
+            pos for block in blocks for deg in block for pos in at.get(deg, ()))}
         self.bases = {deg: (len(self.nodes) + j) * w for j, deg in enumerate(
-            [deg for block in blocks for deg in block if deg in degrees] + lone[0] + lone[1])}
-        # per parity with lone degrees: their fields' offset and mask, and
-        # the int with a 1 in each field
-        self.lone = tuple((parity, self.bases[group[0]], (1 << w * len(group)) - 1,
-                           ((1 << w * len(group)) - 1) // ((1 << w) - 1))
-                          for parity, group in enumerate(lone) if group)
+            deg for block in blocks for deg in block if deg in degrees)}
         # per block: its positions' offset and mask, its degrees' offset
         # and mask, its memo, its position count and per degree from
         # the top the arrows out of it as the indices of their capped ends,
         # its capped positions (cleared once settled), its field in the
         # degrees' int or None and its parity.  Those steps fix what a
         # block's fields give, so blocks with the same steps share a memo
-        self.blocks, memos = [], {}
+        self.blocks, memos, first = [], {}, 0
         for block in blocks:
-            positions = [pos for deg in block for pos in at[deg]]
+            positions = [pos for deg in block for pos in at.get(deg, ())]
             certified = [deg for deg in block if deg in degrees]
             index = {pos: i for i, pos in enumerate(positions)}
             bases = {deg: j * w for j, deg in enumerate(certified)}
             steps = tuple((tuple(tuple(map(index.__getitem__, ends))
                                  for ends in out_of.get(deg, ())),
-                           tuple(map(index.__getitem__, at[deg])), bases.get(deg), deg % 2)
+                           tuple(map(index.__getitem__, at.get(deg, ()))), bases.get(deg),
+                           deg % 2)
                           for deg in block)
-            self.blocks.append((self.nodes[positions[0]], (1 << w * len(positions)) - 1,
+            self.blocks.append((first * w, (1 << w * len(positions)) - 1,
                                 self.bases[certified[0]], (1 << w * len(certified)) - 1,
                                 memos.setdefault(steps, {}), len(positions), steps))
+            first += len(positions)
         self._values: dict[int, frozenset[tuple[int, int]]] = {}
 
     def pack(self, entries: Iterable[tuple[Position, FgAbGroup]]) -> int:
@@ -1329,35 +1338,26 @@ class _Flow:
         return packed
 
     def values(self, packed: int) -> frozenset[tuple[int, int]]:
-        """The (even, odd) common free ranks the later turns can leave,
-        memoized per int: sibling classes of a turn's last component whose
-        fields here agree ask for the same int."""
+        """The (even, odd) common free ranks the later turns can leave: the
+        join of every block's values, memoized per int, since sibling
+        classes of a turn's last component whose fields here agree ask for
+        the same int."""
         values = self._values.get(packed)
         if values is None:
-            values = self._values[packed] = self._join(packed)
+            out = {(None, None)}
+            for at, mask, sums_at, sums_mask, memo, count, steps in self.blocks:
+                ranks, sums = packed >> at & mask, packed >> sums_at & sums_mask
+                found = memo.get(key := ranks | sums << mask.bit_length())
+                if found is None:
+                    found = memo[key] = self._solve(ranks, sums, count, steps)
+                out = {(even if e is None else e, odd if o is None else o)
+                       for e, o in out for even, odd in found
+                       if (e is None or even is None or e == even)
+                       and (o is None or odd is None or o == odd)}
+                if not out:
+                    break
+            values = self._values[packed] = frozenset(out)
         return values
-
-    def _join(self, packed: int) -> frozenset[tuple[int, int]]:
-        ones = (1 << self.width) - 1
-        common: list = [None, None]
-        for parity, shift, mask, repeat in self.lone:  # one equality test per parity
-            fields = packed >> shift & mask
-            if fields != (fields & ones) * repeat:
-                return frozenset()
-            common[parity] = fields & ones
-        out = {tuple(common)}
-        for at, mask, sums_at, sums_mask, memo, count, steps in self.blocks:
-            ranks, sums = packed >> at & mask, packed >> sums_at & sums_mask
-            found = memo.get(key := ranks | sums << mask.bit_length())
-            if found is None:
-                found = memo[key] = self._solve(ranks, sums, count, steps)
-            out = {(even if e is None else e, odd if o is None else o)
-                   for e, o in out for even, odd in found
-                   if (e is None or even is None or e == even)
-                   and (o is None or odd is None or o == odd)}
-            if not out:
-                break
-        return frozenset(out)
 
     def _solve(self, ranks: int, sums: int, count: int, steps: tuple) -> frozenset:
         """A block's (even | None, odd | None) values from the free ranks
@@ -1587,6 +1587,10 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
     component classes) shared with the other solves of a run; without
     one the solve builds its own, which is dropped when it returns.
 
+    The tree's ``bound_may_truncate`` reads only the turns the solve
+    starts (see ``BranchTree``): a search that prunes nothing starts more
+    of them, and may note truncation where this solve does not.
+
     Raises ``WindowError``, naming the smallest window that can, before
     any class is enumerated when the window cannot certify degrees 0
     and 1.
@@ -1640,24 +1644,20 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
             truncation = after.truncates(prev)
         if pinned is None:  # clashing pins: the first page notes truncation, no branch survives
             return
-        plan, kept, class_lists = after.plan, None, None
+        plan, kept = after.plan, None
         layout = plan.layout
         if plan.flow is None:  # the last turn: every bound is exact
             lens, kept_pack, cut = exact, 0, found
+            # most last turns end at their start, their lists unread
+            lists = lambda: after.class_lists(prev)
         else:
             kept, class_lists = after.untouched(prev), after.class_lists(prev)
             lens = _turn_lens(table, plan, kept, class_lists, pinned)
-            kept_pack, cut = plan.flow.pack(kept), ()
+            kept_pack, cut, lists = plan.flow.pack(kept), (), lambda: class_lists
         base, memo = after.at(lens)
-        parts = _CarriedParts(after, lens, base, prev)
-        state = _start_state(plan, lens, parts, kept_pack, pinned, memo, cut)
-        if state is None:
-            return
-        if class_lists is None:  # most last turns end at their start, their lists unread
-            class_lists = after.class_lists(prev)
         nexts: dict[_Plan, _TurnAfter] = {}  # the turns after this one
-        for chosen in _turn_combinations(plan, lens, class_lists, parts, kept_pack, state, memo,
-                                         cut):
+        for chosen in _turn_combinations(plan, lens, lists, _CarriedParts(after, lens, base, prev),
+                                         kept_pack, pinned, memo, cut):
             live_next = live
             for cls, zero_bits in zip(chosen, layout.zero_bits):
                 live_next &= ~zero_bits[cls.zeros]
@@ -1812,40 +1812,21 @@ def _turn_lens(table: EnumerationTable, plan: _Plan, kept: list[tuple[Position, 
     return table.lens(tuple(sorted(_factorize(exponent))), plan.flow.width)
 
 
-def _start_state(plan: _Plan, lens: _Lens, kept_parts: Sequence[tuple[_Bound, ...]],
-                 kept_pack: int, pinned: tuple[FgAbGroup | None, FgAbGroup | None], memo: dict,
-                 cut):
-    """``check(-1, [], pinned)`` of ``_interval_check``, or None when both
-    parities are bounded and their lower ends are in ``cut`` (the leaves
-    already found, on a last turn, where every bound is exact).  Besides
-    the plan's layout and flow, the lens and the pins (one per solve) the
-    check reads only the untouched parts on ``plan.layout.checks[0]`` and, on a
-    turn with no component, their ``_Flow.pack``, so it is worked out
-    once per distinct such input in ``memo`` (see
-    ``_turn_combinations``)."""
-    start = memo.get(key := (-1, kept_parts[0], kept_pack))
-    if start is None:
-        check = _interval_check(plan, lens, kept_parts, kept_pack)
-        start = memo[key] = (check(-1, [], pinned),)
-    state = start[0]
-    if state is not None and state[0] and state[1] and (state[0][0], state[1][0]) in cut:
-        return None
-    return state
-
-
 def _turn_combinations(plan: _Plan, lens: _Lens,
-                       class_lists: list[tuple[_ComponentClass, ...]],
+                       lists: Callable[[], list[tuple[_ComponentClass, ...]]],
                        kept_parts: Sequence[tuple[_Bound, ...]], kept_pack: int,
-                       state: tuple[_Bound | None, _Bound | None], memo: dict, cut):
+                       pinned: tuple[FgAbGroup | None, FgAbGroup | None], memo: dict, cut):
     """The combinations of one class per component of ``plan``'s turn
-    that ``_interval_check`` keeps at every prefix, depth first in
-    product order, from the start ``state`` (``_start_state``).
-    ``kept_parts[k]`` holds the parts of the next page's entries that no
-    component touches on the degrees of ``plan.layout.checks[k]``
-    (``_Layout.kept_at``), ``kept_pack`` their ``_Flow.pack`` and ``lens``
-    is the turn's (``_turn_lens``, or the solve's exact lens on the last
-    turn); a prefix whose state bounds both parities with lower ends in
-    ``cut`` is cut too, read as the prefix is entered.
+    that ``_interval_check`` keeps at its start and at every prefix, depth
+    first in product order.  ``kept_parts[k]`` holds the parts of the
+    next page's entries that no component touches on the degrees of
+    ``plan.layout.checks[k]`` (``_Layout.kept_at``), ``kept_pack`` their
+    ``_Flow.pack`` and ``lens`` is the turn's (``_turn_lens``, or the
+    solve's exact lens on the last turn).  The start is ``check(-1, [],
+    pinned)``; a start or a prefix whose state bounds both parities with
+    lower ends in ``cut`` (the leaves already found, on a last turn) is cut
+    too, read as it is entered.  ``lists`` gives the components' class
+    lists, read only once the start survives: most last turns end there.
 
     A check reads, besides the class, only its component i and that
     component's class list, the state, the untouched parts and the
@@ -1854,12 +1835,14 @@ def _turn_combinations(plan: _Plan, lens: _Lens,
     that is not the last, the summed ``_Flow.pack``; the rest is fixed by
     the lens, the flow and the plan's ``_Layout``, by page index and
     components (whose page index fixes ``_Layout.settled``, the flow
-    being None exactly on the last turn).  So a DFS node's kept children are worked out once
-    per distinct such input, in ``memo``, the layout's for that flow and
-    lens, and the search visits the same prefixes, in the same order, as
-    it would checking each class.  A placed class's parts are read at its
-    component's column offset (``_Layout.bases``), by the degrees of its
-    shape.
+    being None exactly on the last turn).  The start reads only the pins
+    (one per solve), the untouched parts on ``plan.layout.checks[0]`` and,
+    on a turn with no component, ``kept_pack``.  So the start and a DFS
+    node's kept children are worked out once per distinct such input, in
+    ``memo``, the layout's for that flow and lens, and the search visits
+    the same prefixes, in the same order, as it would checking each
+    class.  A placed class's parts are read at its component's column
+    offset (``_Layout.bases``), by the degrees of its shape.
 
     On the last turn every bound is exact, so at a node whose parities
     are both exact ``_Lens.meet`` is integer equality, and a class
@@ -1875,6 +1858,15 @@ def _turn_combinations(plan: _Plan, lens: _Lens,
     ``_component_classes`` does, so a turn with many components does not
     nest a generator per component.  It yields its own ``chosen`` list,
     which changes once the caller asks for the next combination."""
+    check = None  # the turn's ``_interval_check``, built at the first miss
+    start = memo.get(key := (-1, kept_parts[0], kept_pack))
+    if start is None:
+        check = _interval_check(plan, lens, kept_parts, kept_pack)
+        start = memo[key] = (check(-1, [], pinned),)
+    state = start[0]
+    if state is None or state[0] and state[1] and (state[0][0], state[1][0]) in cut:
+        return
+    class_lists = lists()
     chosen: list[_ComponentClass] = []
     if not class_lists:
         yield chosen
@@ -1882,7 +1874,6 @@ def _turn_combinations(plan: _Plan, lens: _Lens,
     layout, flow = plan.layout, plan.flow
     reads, read, finals, bases = layout.reads, layout.read, layout.finals, layout.bases
     last = len(class_lists) - 1
-    check = None  # the turn's ``_interval_check``, built at the first miss
     # per placed class: its ``degree_parts`` when a later check reads them
     # (``_Layout.read``) and, on a turn that is not the last, the summed
     # ``_Flow.pack`` of the untouched entries and the classes placed so far

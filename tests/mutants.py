@@ -137,6 +137,21 @@ MUTATIONS = [
      "reached.update(sum(pos) for ends in out_of.get(deg, ()) for pos in ends)",
      "reached.update(sum(pos) for ends in out_of.get(deg, ()) for pos in ends[:1])",
      FLOW),
+    # the certified degrees with no capped position get no block: the flow
+    # no longer asks the degrees of one parity to agree there
+    ("flow-drops-degree-only-blocks", SPECTRA,
+     "        blocks += [lone for parity in (0, 1)\n"
+     "                   if (lone := [deg for deg in sorted(degrees - at.keys()) "
+     "if deg % 2 == parity])]\n",
+     "",
+     FLOW[:1]),
+    # a turn's start is cut only when its check fails, not when its exact
+    # bounds are a leaf already found: such a turn is still searched, and
+    # one with no component hands on a branch the reference cuts
+    ("search-start-skips-found-cut", SPECTRA,
+     "    if state is None or state[0] and state[1] and (state[0][0], state[1][0]) in cut:\n",
+     "    if state is None:\n",
+     T3_MEMO[1:]),
     # a class representative keeps its zero homs too: its differentials
     # list maps that vanish
     ("class-reps-keep-zero-homs", SPECTRA,

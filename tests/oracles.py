@@ -24,6 +24,13 @@ def order(grp: FgAbGroup) -> int | None:
     return None if grp.free_rank else math.prod(grp.torsion)
 
 
+def is_zero(hom: GroupHom) -> bool:
+    """Whether ``hom`` is the zero map: each row of its matrix vanishes
+    modulo the order of its target generator (a free one: exactly)."""
+    return all(x % o == 0 if o else x == 0
+               for row, o in zip(hom.matrix.entries, hom.target.generator_orders()) for x in row)
+
+
 def zero_matrix(rows: int, cols: int) -> IntMatrix:
     return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
@@ -375,7 +382,7 @@ def component_classes_by_product(arrows, groups, bound, signature_positions):
         if key not in classes:
             classes[key] = _ComponentClass(key, tuple(
                 (arrows[i][0], spaces[i], indexes[i]) for i in range(len(arrows))
-                if not labeling[i].is_zero()))
+                if not is_zero(labeling[i])))
     return tuple(classes.values())
 
 
@@ -488,7 +495,7 @@ def component_classes_without_skipping(arrows, groups, bound, signature_position
             if key not in classes:
                 classes[key] = _ComponentClass(key, tuple(
                     (arrows[i][0], spaces[i], h) for i, h in enumerate(chosen)
-                    if not spaces[i][h].is_zero()))
+                    if not is_zero(spaces[i][h])))
             return
         for h in range(len(spaces[k])):
             if all(vanishes(i, chosen[i], k, h) if i_first else vanishes(k, h, i, chosen[i])
@@ -837,12 +844,12 @@ def arrows_by_scan(page, r):
     return tuple(arrows)
 
 
-def turn_combinations_by_check(plan, lens, class_lists, kept_parts, kept_pack, state, memo, cut):
-    """Reference for ``spectra._turn_combinations``: each class under
-    each prefix checked by the unmemoized ``_interval_check``, depth first
-    in product order from the start ``state``.  ``cut`` is read just
-    before a kept class is entered, as the search reads it; ``memo`` is
-    not read."""
+def turn_combinations_by_check(plan, lens, lists, kept_parts, kept_pack, pinned, memo, cut):
+    """Reference for ``spectra._turn_combinations``: the start
+    ``check(-1, [], pinned)`` and each class under each prefix checked by
+    the unmemoized ``_interval_check``, depth first in product order.
+    ``cut`` is read just before the start or a kept class is entered, as
+    the search reads it; ``memo`` is not read."""
     check = _interval_check(plan, lens, kept_parts, kept_pack)
 
     def entered(state):
@@ -858,7 +865,10 @@ def turn_combinations_by_check(plan, lens, class_lists, kept_parts, kept_pack, s
             if nxt is not None and entered(nxt):
                 yield from walk([*chosen, cls], nxt)
 
-    yield from walk([], state)
+    start = check(-1, [], pinned)
+    if start is not None and entered(start):
+        class_lists = lists()
+        yield from walk([], start)
 
 
 def turn_after_by_dropped_set(earlier, plan):

@@ -1,9 +1,12 @@
 """Layout rules for ``src/``: code that only tests call does not belong
-there, and start-up imports nothing it does not use."""
+there, a top-level definition or a class's method alike, and start-up
+imports nothing it does not use."""
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
+from collections.abc import Iterator
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cobcheck"
@@ -18,17 +21,16 @@ def _defined_names(node: ast.stmt) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def _references(node: ast.AST) -> set[str]:
-    """Every name the node loads, reads as an attribute or imports."""
-    out = set()
+def _references(node: ast.AST) -> Iterator[str]:
+    """Every name the node loads, reads as an attribute or imports, once
+    per reference."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
-            out.add(sub.id)
+            yield sub.id
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            yield sub.attr
         elif isinstance(sub, ast.ImportFrom):
-            out.update(alias.name for alias in sub.names)
-    return out
+            yield from (alias.name for alias in sub.names)
 
 
 # public top-level names that no other src/ code uses, each with the
@@ -43,7 +45,7 @@ def _unreferenced(paths) -> list[str]:
     """The top-level names defined in the files at ``paths`` that no
     statement of those files other than their own definition refers to."""
     statements = [node for path in paths for node in ast.parse(path.read_text(), str(path)).body]
-    refs = [_references(node) for node in statements]
+    refs = [set(_references(node)) for node in statements]
     return [name for i, node in enumerate(statements) for name in _defined_names(node)
             if not any(name in r for j, r in enumerate(refs) if j != i)]
 
@@ -63,6 +65,20 @@ def test_every_public_definition_in_src_is_used_in_src_or_allowed():
     assert not unused - UNUSED_PUBLIC.keys(), (
         f"public definitions that no other src/ code refers to: {sorted(unused)}")
     assert UNUSED_PUBLIC.keys() <= unused, "allowed names that src/ now uses: drop them"
+
+
+def test_every_method_in_src_is_used_in_src():
+    # a method of a src/ class that only tests call belongs in the tests;
+    # a method counts as used when some src/ code other than its own body
+    # names it, and dunders are exempt: the language calls them by protocol
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    counts = Counter(name for tree in trees for name in _references(tree))
+    unused = [f"{cls.name}.{node.name}" for tree in trees for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) for node in cls.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not (node.name.startswith("__") and node.name.endswith("__"))
+              and counts[node.name] == Counter(_references(node))[node.name]]
+    assert not unused, f"methods that no other src/ code refers to: {unused}"
 
 
 def test_every_parameter_in_src_is_read():

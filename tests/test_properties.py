@@ -491,6 +491,32 @@ def test_a_turn_reads_of_the_turn_before_what_the_dropped_set_gives(table, pins)
     assert_turns_read_the_dropped_sets(turns)
 
 
+@st.composite
+def two_row_tables(draw):
+    """Rows 1..4 with exactly two of them nonzero, above Z in row 0."""
+    rows = draw(st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True))
+    groups = st.sampled_from([Z, cyclic(2), cyclic(3), cyclic(4), FgAbGroup(0, (2, 2))])
+    return GradedGroup.from_dict({0: Z, **{q: draw(groups) for q in sorted(rows)}})
+
+
+@settings(deadline=None, database=None, max_examples=40)
+@given(two_row_tables(), st.integers(1, 2),
+       st.lists(st.tuples(st.integers(-2, 3), PRUNED_TABLE_GROUPS), max_size=2))
+def test_pruning_keeps_the_leaves_of_random_tables_that_decide(h, bound, pins):
+    # two nonzero rows among rows 1..4 at step 2, window 3: every such
+    # table decides (at window 2 most raise ``WindowError``), at bound 1
+    # or 2 in at most about 7.5 s, nearly all of it the reference's (Z/4
+    # in row 1 and Z in row 3 at bound 2).  The solver notes truncation
+    # only on the turns it starts, and the search that prunes nothing on
+    # every turn of every branch, so the solver's flag implies the
+    # reference's
+    kw = {"constraints": tuple(pins), "entry_bound": bound, "col_span": 3}
+    got, want = solve_floer(h, 2, **kw), solve_floer_without_pruning(h, 2, **kw)
+    assert got.leaves == want.leaves
+    assert [leaf.turns for leaf in got.leaves] == [leaf.turns for leaf in want.leaves]
+    assert want.bound_may_truncate or not got.bound_may_truncate
+
+
 @settings(deadline=None, database=None, max_examples=40)
 @given(st.lists(PRUNED_TABLE_GROUPS, min_size=4, max_size=4),
        st.lists(st.tuples(st.integers(-2, 3), PRUNED_TABLE_GROUPS), max_size=2))

@@ -631,6 +631,19 @@ def test_pruning_keeps_the_leaves_of_pinned_degrees(h, step, bound, pins, kept):
     assert len(tree.leaves) == kept
 
 
+def test_the_truncation_flag_reads_only_the_turns_the_solve_starts():
+    # rows 0, 3 and 4 at step 2, bound 2, window 3, degree 0 pinned to 0:
+    # degree 0 keeps free rank 1, so neither solver finds a leaf.  The
+    # pruner cuts every branch before page 4's Z -> Z/2 arrows, whose hom
+    # spaces the bound may cut, so the solver notes no truncation; the
+    # search that prunes nothing reaches them and notes it
+    h = GradedGroup.from_dict({0: Z, 3: cyclic(2), 4: cyclic(2)})
+    kw = {"constraints": ((0, ZERO),), "entry_bound": 2, "col_span": 3}
+    got, want = solve_floer(h, 2, **kw), solve_floer_without_pruning(h, 2, **kw)
+    assert got.leaves == want.leaves == ()
+    assert (got.bound_may_truncate, want.bound_may_truncate) == (False, True)
+
+
 def instances_built(monkeypatch, cls) -> list:
     """Every instance of ``cls`` built from here to the test's end."""
     built, init = [], cls.__init__
@@ -803,13 +816,13 @@ def test_turns_share_a_node_memo_exactly_when_they_share_its_key(monkeypatch):
     # the 2,688 turns (1,088 with a memo per plan).  8 of the 9 middle-turn
     # layouts are shared by plans with different flows, so a memo keyed by
     # the lens alone would hand one flow's children to another
-    seen, start = [], spectra._start_state
+    seen, search = [], spectra._turn_combinations
 
-    def started(plan, lens, kept_parts, kept_pack, pinned, memo, cut):
+    def started(plan, lens, lists, kept_parts, kept_pack, pinned, memo, cut):
         seen.append(((plan.layout.r, plan.layout.comps, plan.flow, lens), memo))
-        return start(plan, lens, kept_parts, kept_pack, pinned, memo, cut)
+        return search(plan, lens, lists, kept_parts, kept_pack, pinned, memo, cut)
 
-    monkeypatch.setattr(spectra, "_start_state", started)
+    monkeypatch.setattr(spectra, "_turn_combinations", started)
     tree = solve_floer(GradedGroup.from_dict({0: Z, 1: Z, 4: Z, 5: Z}), 2, entry_bound=1,
                        col_span=3)
     assert len(tree.leaves) == 3 and len(seen) == 2688
@@ -900,8 +913,7 @@ def test_the_found_cut_changes_no_leaf(monkeypatch, h, step, kw, pages):
     built = instances_built(monkeypatch, BigradedPage)
     tree = solve_floer(h, step, **kw)
     plain = len(built)
-    search, start = spectra._turn_combinations, spectra._start_state
-    monkeypatch.setattr(spectra, "_start_state", lambda *args: start(*args[:-1], ()))
+    search = spectra._turn_combinations
     monkeypatch.setattr(spectra, "_turn_combinations", lambda *args: search(*args[:-1], ()))
     assert solve_floer(h, step, **kw).leaves == tree.leaves
     assert tree.leaves and (plain, len(built) - plain) == pages
@@ -947,22 +959,10 @@ def test_the_d_p_fields_change_no_leaf(monkeypatch, h, step, kw, checks):
 def children_match_class_by_class_checks(monkeypatch) -> list:
     """Wrap ``_turn_combinations`` so that every combination it yields is
     checked, class by class, against the next one of the reference that
-    checks each class under each prefix unmemoized, in lockstep, so both
-    read the growing ``found`` cut at the same moments, and wrap
-    ``_start_state`` so that every start state, of a built page or not,
-    is checked against the unmemoized check, None when its exact bounds
-    are in the cut; returns the number of classes of every combination
-    compared."""
-    search, start, compared = spectra._turn_combinations, spectra._start_state, []
-
-    def started(plan, lens, kept_parts, kept_pack, pinned, memo, cut):
-        state = start(plan, lens, kept_parts, kept_pack, pinned, memo, cut)
-        check = spectra._interval_check(plan, lens, kept_parts, kept_pack)
-        want = check(-1, [], pinned)
-        if want and want[0] and want[1] and (want[0][0], want[1][0]) in cut:
-            want = None
-        assert state == want
-        return state
+    checks the start and each class under each prefix unmemoized, in
+    lockstep, so both read the growing ``found`` cut at the same moments;
+    returns the number of classes of every combination compared."""
+    search, compared = spectra._turn_combinations, []
 
     def wrapped(*args):
         want = turn_combinations_by_check(*args)
@@ -972,7 +972,6 @@ def children_match_class_by_class_checks(monkeypatch) -> list:
             yield chosen
         assert next(want, None) is None
 
-    monkeypatch.setattr(spectra, "_start_state", started)
     monkeypatch.setattr(spectra, "_turn_combinations", wrapped)
     return compared
 
