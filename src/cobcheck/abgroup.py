@@ -36,9 +36,10 @@ class HomValidationError(ValueError):
 
 
 class SolverLimitError(RuntimeError):
-    """The search cannot run as asked: a hom space too large to index,
-    or no consistent branch, which usually means the entry bound is too
-    small rather than the scenario being infeasible."""
+    """The search cannot run as asked: a hom space too large to index, a
+    first page too large to search, or no consistent branch, which
+    usually means the entry bound is too small rather than the scenario
+    being infeasible."""
 
 
 class _Record:
@@ -578,14 +579,16 @@ class HomMatrixSpace(Sequence):
 
     The cokernel target / (im + relations) of a hom is fixed by the
     number of rows and the lattice spanned by the rows of [matrix |
-    relations], so by the set of those rows up to sign.  One bit per
-    distinct row, OR-ed over a hom's rows in one pass over the space in
-    product order, gives each hom its row class: ``row_class[h]`` is the
-    first hom whose rows form the same set.  The cokernel and the image
-    are facts of the row class, one record of them taken the first time
-    a hom of the class is read (``facts``), and a kernel lattice a fact
-    of the hom; building a space computes none of them, and a search
-    that reaches few homs takes few.
+    relations], so by the set of those rows up to sign, the hom's row
+    class.  ``row_key(h)`` is that set as bits, one bit per distinct row
+    up to sign, decoded from the index h as ``matrix`` decodes the rows,
+    by per-row tables of each value's bit built from the entry ranges
+    the first time a key is read.  The cokernel and the image are facts
+    of the row class, one record of them taken the first time a hom of
+    the class is read (``facts``, by row key), and a kernel lattice a
+    fact of the hom; building a space computes none of them, no pass
+    over the space keys its homs, and a search that reaches few homs
+    reads few keys and takes few records.
 
     ``canonical`` is the set of homs least in their orbits under the
     signed permutations of equal-order source generators, one bitmask
@@ -621,17 +624,22 @@ class HomMatrixSpace(Sequence):
         return tuple(reversed(out))
 
     @cached_property
-    def row_class(self) -> list[int]:
-        """Per hom: the first hom whose rows of [matrix | relations] form
-        the same set up to sign."""
+    def _row_bits(self) -> tuple[tuple[int, ...], ...]:
+        """Per row, the bit of each of its values: one bit per distinct
+        row of [matrix | relations] up to sign."""
         bit_of: dict[tuple[int, ...], int] = {}
-        keys = [0]
-        for values, relation in zip(self.rows, self.relations.entries):
-            bits = [bit_of.setdefault(min(v, tuple(-x for x in v)), 1 << len(bit_of))
-                    for v in (value + relation for value in values)]
-            keys = [key | bit for key in keys for bit in bits]
-        first: dict[int, int] = {}
-        return list(map(first.setdefault, keys, itertools.count()))
+        return tuple(tuple(bit_of.setdefault(min(v, tuple(-x for x in v)), 1 << len(bit_of))
+                           for v in (value + relation for value in values))
+                     for values, relation in zip(self.rows, self.relations.entries))
+
+    def row_key(self, h: int) -> int:
+        """The row class of hom h: the set of the rows of its [matrix |
+        relations] up to sign, as bits (``_row_bits``)."""
+        key = 0
+        for bits in reversed(self._row_bits):
+            h, x = divmod(h, len(bits))
+            key |= bits[x]
+        return key
 
     def kernel(self, h: int) -> IntMatrix:
         """The kernel lattice of hom h on the source generators."""
@@ -698,24 +706,24 @@ class HomMatrixSpace(Sequence):
 class _Facts(dict):
     """The facts of each hom of ``space`` by its index: the record of its
     row class, ((free rank, torsion) of target / im, (rank of im, whether
-    im is torsion-free)), one tuple per row class, taken when a hom of the
-    class is first read.  The rows fix the kernel, so the image too: into
-    a free group the image is free, of the matrix rank, and a subgroup of
-    a finite group is torsion-free only when zero, that is when the
-    cokernel is the whole target; into a target with both parts it is
-    source / kernel."""
+    im is torsion-free)), one tuple per row class (``records``, by
+    ``HomMatrixSpace.row_key``), taken from the first hom of the class
+    read.  The rows fix the kernel, so the image too: into a free group
+    the image is free, of the matrix rank, and a subgroup of a finite
+    group is torsion-free only when zero, that is when the cokernel is
+    the whole target; into a target with both parts it is source /
+    kernel."""
 
-    __slots__ = ("space",)
+    __slots__ = ("space", "records")
 
     def __init__(self, space: HomMatrixSpace):
         self.space = space
+        self.records: dict[int, tuple[tuple[int, tuple[int, ...]], tuple[int, bool]]] = {}
 
     def __missing__(self, h: int) -> tuple[tuple[int, tuple[int, ...]], tuple[int, bool]]:
         space = self.space
-        rep = space.row_class[h]
-        if rep != h:
-            facts = self[rep]
-        else:
+        facts = self.records.get(key := space.row_key(h))
+        if facts is None:
             rows, target = space.matrix(h), space.target
             coker = cokernel(IntMatrix(
                 len(rows), space.source.generator_count() + space.relations.cols,
@@ -725,14 +733,15 @@ class _Facts(dict):
                 image = (image.free_rank, not image.torsion)
             else:
                 image = (target.free_rank - coker.free_rank, not target.torsion or coker == target)
-            facts = ((coker.free_rank, coker.torsion), image)
+            facts = self.records[key] = ((coker.free_rank, coker.torsion), image)
         self[h] = facts
         return facts
 
 
-# the most homs one hom space may hold: a space keeps a row class per hom
-# (``HomMatrixSpace.row_class``), and the largest space the tests build,
-# Z^3 -> Z^3 at bound 1, has 19,683
+# the most homs one hom space may hold: its orbit mask
+# (``HomMatrixSpace.canonical``) and every vanishing mask over it hold a
+# bit per hom, and a search may reach every hom; the largest space the
+# tests build, Z^3 -> Z^3 at bound 1, has 19,683
 MAX_HOMS = 1 << 20
 
 

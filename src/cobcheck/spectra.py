@@ -32,11 +32,13 @@ columns of the per-column bit polynomials, over f's mixed-radix index,
 of the values that all of g's rows kill.  Cokernels come from rows
 too: target / (im + relations) is fixed by the set of the rows of
 [matrix | relations] up to sign, a hom's row class in its
-``abgroup.HomMatrixSpace``.  The masks indexed by a space are facts of
+``abgroup.HomMatrixSpace``, read as bits off the hom's index
+(``HomMatrixSpace.row_key``).  The masks indexed by a space are facts of
 a row class, and so are its cokernels and images, one record of both
-per row class (``HomMatrixSpace.facts``); each is taken the first time
-a hom the search reaches is read, so a class no reached hom belongs to
-costs nothing.
+per row class (``HomMatrixSpace.facts``), each kept by its row key; each
+is taken the first time a hom the search reaches is read, so a class no
+reached hom belongs to costs nothing, and no hom the search does not
+reach is keyed.
 
 Sibling rule: under one prefix, a hom is skipped when an earlier
 sibling has the same signature, which is everything later work reads
@@ -160,7 +162,8 @@ the coupled flow below, their summed free ranks, so a turn's one
 search (``_turn_combinations``) works out the classes that survive
 under a prefix once per distinct such input, not once per prefix, and
 the same for the turn's start, the pins with the degrees no component
-reaches, which it checks before it reads any class list.  With
+reaches, which it checks before it reads any class list.  A node's
+classes are checked in one pass (``_interval_check``).  With
 the parts of the untouched entries in that input, the rest of what the
 check reads is the turn's component layout (``_Layout``: page index,
 components, offsets, finals and skeleton), its flow (None exactly on
@@ -242,9 +245,9 @@ from itertools import chain, compress, count, product
 from math import lcm, prod
 from operator import mul, or_
 
-from .abgroup import (FgAbGroup, GroupHom, HomMatrixSpace, ZERO, _Record, _factorize,
-                      bound_may_truncate, composite_is_zero, direct_sum, hom_matrix_space,
-                      homology_at, subquotient)
+from .abgroup import (FgAbGroup, GroupHom, HomMatrixSpace, SolverLimitError, ZERO, _Record,
+                      _factorize, bound_may_truncate, composite_is_zero, direct_sum,
+                      hom_matrix_space, homology_at, subquotient)
 from .graded import GradedGroup
 
 
@@ -895,7 +898,9 @@ def _component_classes(table: EnumerationTable,
 class _VanishingMasks(dict):
     """For each hom g of ``second`` (the key), the bitmask of the homs f
     of ``first`` with g o f = 0, worked out per row class of g the first
-    time a hom of that class is read.  Equal masks are one object.
+    time a hom of that class is read, and kept by its row key
+    (``HomMatrixSpace.row_key``) in ``by_key``.  Equal masks are one
+    object.
 
     One kill table, each row value of ``second`` against each value of
     each column of ``first`` (``_orthogonal``), gives the masks (see the
@@ -913,23 +918,22 @@ class _VanishingMasks(dict):
         self.polys = _digit_polys(first.entries)
         self.second, self.full = second, (1 << len(first)) - 1
         self.placed: dict[tuple[int, int], int] = {}
+        self.by_key: dict[int, int] = {}  # by the row key of g (``HomMatrixSpace.row_key``)
         self.interned: dict[int, int] = {}
 
     def __missing__(self, g: int) -> int:
-        rep = self.second.row_class[g]
-        if rep != g:
-            mask = self[rep]
-        else:
+        mask = self.by_key.get(key := self.second.row_key(g))
+        if mask is None:
             mask = self.full
             for c, ((offsets, others), column_kills) in enumerate(zip(self.polys, self.kills)):
                 allowed = (1 << len(offsets)) - 1
-                for value, row_kills in zip(self.second.matrix(rep), column_kills):
+                for value, row_kills in zip(self.second.matrix(g), column_kills):
                     allowed &= row_kills[value]
                 poly = self.placed.get((c, allowed))
                 if poly is None:
                     poly = self.placed[c, allowed] = _place(others, allowed, offsets)
                 mask &= poly
-            mask = self.interned.setdefault(mask, mask)
+            mask = self.by_key[key] = self.interned.setdefault(mask, mask)
         self[g] = mask
         return mask
 
@@ -1574,6 +1578,13 @@ class _Bits(dict):
         return total
 
 
+# the most positions (window columns times rows) a first page may hold: a
+# solve keeps state per position, so a page much wider takes minutes and
+# gigabytes; the widest page the tests and CI build, the flagship at
+# window 2000, has 32,008
+MAX_FIRST_PAGE = 1 << 16
+
+
 def solve_floer(s_homology: GradedGroup, column_step: int,
                 constraints: tuple[tuple[int, FgAbGroup], ...] = (),
                 entry_bound: int = 4, col_span: int = 2,
@@ -1593,8 +1604,14 @@ def solve_floer(s_homology: GradedGroup, column_step: int,
 
     Raises ``WindowError``, naming the smallest window that can, before
     any class is enumerated when the window cannot certify degrees 0
-    and 1.
+    and 1, and ``SolverLimitError`` before the first page is built when
+    it would hold more than ``MAX_FIRST_PAGE`` positions.
     """
+    rows = max(s_homology.support(), default=0) + 1
+    if (2 * col_span + 1) * rows > MAX_FIRST_PAGE:
+        raise SolverLimitError(
+            f"window {col_span} gives a first page of {2 * col_span + 1} columns of {rows} "
+            f"rows, more than {MAX_FIRST_PAGE} positions, too many to search; lower window")
     root = build_e1(s_homology, column_step, col_span)
     if table is None:
         table = EnumerationTable()
@@ -1822,47 +1839,44 @@ def _turn_combinations(plan: _Plan, lens: _Lens,
     next page's entries that no component touches on the degrees of
     ``plan.layout.checks[k]`` (``_Layout.kept_at``), ``kept_pack`` their
     ``_Flow.pack`` and ``lens`` is the turn's (``_turn_lens``, or the
-    solve's exact lens on the last turn).  The start is ``check(-1, [],
-    pinned)``; a start or a prefix whose state bounds both parities with
-    lower ends in ``cut`` (the leaves already found, on a last turn) is cut
-    too, read as it is entered.  ``lists`` gives the components' class
-    lists, read only once the start survives: most last turns end there.
+    solve's exact lens on the last turn).  The start is the start check
+    of ``pinned``; a start or a prefix whose state bounds both parities
+    with lower ends in ``cut`` (the leaves already found, on a last turn)
+    is cut too, read as it is entered.  ``lists`` gives the components'
+    class lists, read only once the start survives: most last turns end
+    there.
 
-    A check reads, besides the class, only its component i and that
-    component's class list, the state, the untouched parts and the
-    parts of each placed class on the degrees ``plan.layout.checks[i +
+    A DFS node's kept children are what one node pass keeps of component
+    i's class list under the classes placed on components 0..i - 1.  It
+    reads, besides the list, only i, the state, the untouched parts and
+    the placed classes' parts on the degrees ``plan.layout.checks[i +
     1]`` bounds (``_Layout.reads``) and, on the last component of a turn
-    that is not the last, the summed ``_Flow.pack``; the rest is fixed by
-    the lens, the flow and the plan's ``_Layout``, by page index and
-    components (whose page index fixes ``_Layout.settled``, the flow
-    being None exactly on the last turn).  The start reads only the pins
-    (one per solve), the untouched parts on ``plan.layout.checks[0]`` and,
-    on a turn with no component, ``kept_pack``.  So the start and a DFS
+    that is not the last, their summed ``_Flow.pack``; the lens, the flow
+    and the plan's ``_Layout`` fix the rest.  The start reads only the
+    pins (one per solve), the untouched parts on ``plan.layout.checks[0]``
+    and, on a turn with no component, ``kept_pack``.  So the start and a
     node's kept children are worked out once per distinct such input, in
     ``memo``, the layout's for that flow and lens, and the search visits
-    the same prefixes, in the same order, as it would checking each
-    class.  A placed class's parts are read at its component's column
-    offset (``_Layout.bases``), by the degrees of its shape.
+    the prefixes a check of each class would, in the same order.
 
     On the last turn every bound is exact, so at a node whose parities
     are both exact ``_Lens.meet`` is integer equality, and a class
     survives exactly when its parts on the degrees component i completes
     (those of ``plan.layout.checks[i + 1]``) equal the needed remainder:
     each parity value less the untouched parts and the earlier classes'
-    parts there.  Such
-    a node checks only the classes that ``_Lens.index`` files under that
-    remainder, in list order; every other class would fail its check, so
-    the kept children are the same.
+    parts there.  Such a node's pass gets only the classes that
+    ``_Lens.index`` files under that remainder, in list order; every
+    other class would fail its check, so the kept children are the same.
 
     The search keeps one stack of sibling iterators, as
     ``_component_classes`` does, so a turn with many components does not
     nest a generator per component.  It yields its own ``chosen`` list,
     which changes once the caller asks for the next combination."""
-    check = None  # the turn's ``_interval_check``, built at the first miss
+    node = None  # the turn's node pass, built with its start check at the first miss
     start = memo.get(key := (-1, kept_parts[0], kept_pack))
     if start is None:
-        check = _interval_check(plan, lens, kept_parts, kept_pack)
-        start = memo[key] = (check(-1, [], pinned),)
+        check, node = _interval_check(plan, lens, kept_parts, kept_pack, memo)
+        start = memo[key] = (check(pinned),)
     state = start[0]
     if state is None or state[0] and state[1] and (state[0][0], state[1][0]) in cut:
         return
@@ -1882,7 +1896,7 @@ def _turn_combinations(plan: _Plan, lens: _Lens,
 
     def children(state):
         # the kept children of the node chosen, whose state is ``state``
-        nonlocal check
+        nonlocal node
         i = len(chosen)
         classes = class_lists[i]
         key = (i, id(classes), state, kept_parts[i + 1])
@@ -1892,8 +1906,8 @@ def _turn_combinations(plan: _Plan, lens: _Lens,
             key += (packs[i],)
         kids = memo.get(key)
         if kids is None:
-            if check is None:
-                check = _interval_check(plan, lens, kept_parts, kept_pack)
+            if node is None:
+                node = _interval_check(plan, lens, kept_parts, kept_pack, memo)[1]
             if flow is None and state[0] and state[1]:
                 # the last turn's bounds are exact, so with both parities
                 # exact the check is equality: a class survives exactly
@@ -1906,10 +1920,7 @@ def _turn_combinations(plan: _Plan, lens: _Lens,
                                for (deg, at), (lo, _) in zip(degrees, kept_parts[i + 1]))
                 completes = tuple(at[-1][1] for _, at in degrees)
                 classes = lens.index(classes, finals[i], completes).get(needed, ())
-            # one object per distinct next state, keyed by itself (a pair
-            # of bounds, never a node's key)
-            kids = memo[key] = tuple((cls, memo.setdefault(nxt, nxt)) for cls in classes
-                                     if (nxt := check(i, [*chosen, cls], state)) is not None)
+            kids = memo[key] = node(i, classes, state, parts, packs[-1])
         return iter(kids)
 
     # pending[k]: the kept children of component k not yet tried under chosen[:k]
@@ -1939,68 +1950,84 @@ def _turn_combinations(plan: _Plan, lens: _Lens,
 
 
 def _interval_check(plan: _Plan, lens: _Lens, kept_parts: Sequence[tuple[_Bound, ...]],
-                    kept_pack: int):
-    """The check behind ``_turn_combinations``: ``check(i, placed, state)``
-    is the state once the classes ``placed`` fill components 0..i (None
-    when the branch is cut), and ``check(-1, [], pinned)`` states the
-    pinned groups as exact bounds and bounds the degrees no component
-    reaches.
+                    kept_pack: int, states: dict):
+    """The checks behind ``_turn_combinations``, the pair (start, node
+    pass), on the bounds of the module docstring's rank flow and d_p
+    fields.  ``start(pinned)`` is the turn's start state: the pinned
+    groups as exact bounds, narrowed by the degrees no component reaches,
+    or None when the branch is cut.  ``node(i, classes, state, parts,
+    pack)`` gives, in list order, the (class, next state) pairs of
+    ``classes`` that survive on component i under a prefix whose state is
+    ``state``: ``parts[c]`` holds the parts of the class on an earlier
+    component c that a check reads (``_Layout.read``), and ``pack`` the
+    summed ``_Flow.pack`` of the untouched entries and the placed
+    classes.  The pass sums what its classes share once, on each degree
+    component i completes the untouched and the earlier classes' parts,
+    and each class adds its own parts there (and its own ``pack`` on the
+    last component).
 
-    The theorem is the rank flow (``_Flow``): over Q each later arrow
-    of the solve's worst-case run lowers the free rank of both its ends
-    by one k >= 0, and the k at a position sum to at most its free rank
-    on the next page.  Each degree certified on every stable page (those
-    of the run) gets a bound on its final value once the last component
-    with an entry on its antidiagonal is placed (degrees no component
-    reaches are bounded with the pins before any is placed).  That bound
-    is the flow with the degree's arrows uncoupled, each free to take
-    all of a non-final entry's free rank: the free rank lies between
-    that of its final entries (no worst-case arrow after the turn touches
-    their positions, so no real one does) and that of all its entries.
-
-    The same holds for each d_p = dim(M ⊗ F_p) that ``lens`` packs, p a
-    prime of the turn (see the module docstring): d_p never grows on a
-    subquotient, so an entry's E-infinity value has d_p in [0, d_p of the
-    entry], and its own d_p when it is final, and d_p adds on direct
-    sums.  So a bound is the packed pair (lo, hi) of the final entries'
-    sum and all the entries' sum, and when all its entries are final,
-    lo = hi is the degree's exact packed value (on the last turn, its
-    exact group).  Like the leaves, these bounds take the split abutment:
-    Z/4 has d_2 = 1 where (Z/2)^2 has 2.
-
-    The DFS state is the common bound of each parity so far, narrowed
-    one degree at a time by ``_Lens.meet`` on every turn.  Once the
-    last component is placed, before the next turn starts, a turn that
-    is not the last solves the coupled flow over every later turn at
-    once: the branch is cut unless some choice of k leaves each parity
-    one common free rank inside its bound; a parity whose last degree is
-    bounded keeps its free rank alone (``_Layout.settled``).  Groups enter
-    as ints packed by the ``_Lens`` and free ranks for the flow as
-    ``_Flow.pack`` ints, summed once for the kept entries and once per
-    class, so no node of the DFS adds groups.
+    A state is the common bound of each parity so far, narrowed one
+    degree at a time by ``_Lens.meet``.  A degree is bounded once the
+    last component with an entry on its antidiagonal is placed, by the
+    packed pair (lo, hi) of its final entries' sum and all its entries'
+    sum (no worst-case arrow after the turn touches a final position, so
+    no real one does), exact when lo = hi.  A parity whose last degree is
+    bounded keeps its free rank alone (``_Layout.settled``): only the
+    flow reads it.  Once the last component of a turn that is not the
+    last is placed, the coupled flow over every later turn must leave
+    each parity one common free rank inside its bound.  Next states are
+    one object per distinct value, in ``states``, keyed by themselves (a
+    pair of bounds, never a node's key).
     """
     layout, flow, ones, meet = plan.layout, plan.flow, lens.ones, lens.meet
     checks, settled, finals, bases = layout.checks, layout.settled, layout.finals, layout.bases
     last_comp = len(layout.comps) - 1
 
-    def check(i, placed, state):
-        # the pins as exact bounds at the start
-        out = list(state) if i >= 0 else [grp and (lens.packed(grp),) * 2 for grp in state]
-        for (deg, at), (lo, hi) in zip(checks[i + 1], kept_parts[i + 1]):
-            for c, rel in at:
-                f, h = placed[c].degree_parts(lens, finals[c]).get(rel, _NO_PART)
-                lo, hi = lo + f, hi + h
-            seen = out[deg % 2] = meet(out[deg % 2], (lo, hi))
+    def flows(out, packed):
+        # whether some choice of the flow's k leaves each parity a common
+        # free rank inside its bound
+        (lo_even, hi_even), (lo_odd, hi_odd) = out
+        return any(lo_even <= even <= hi_even and lo_odd <= odd <= hi_odd
+                   for even, odd in flow.values(packed))
+
+    def start(pinned):
+        out = [grp and (lens.packed(grp),) * 2 for grp in pinned]
+        for (deg, _), bound in zip(checks[0], kept_parts[0]):
+            seen = out[deg % 2] = meet(out[deg % 2], bound)
             if seen is None:
                 return None
-        for e in settled[i + 1]:  # only the flow reads these, and only free ranks
+        for e in settled[0]:  # only the flow reads these, and only free ranks
             out[e] = (out[e][0] & ones, out[e][1] & ones)
-        if i == last_comp and flow is not None:
-            (lo_even, hi_even), (lo_odd, hi_odd) = out
-            packed = kept_pack + sum(cls.pack(flow, base) for cls, base in zip(placed, bases))
-            if not any(lo_even <= even <= hi_even and lo_odd <= odd <= hi_odd
-                       for even, odd in flow.values(packed)):
-                return None
+        if last_comp < 0 and flow is not None and not flows(out, kept_pack):
+            return None
         return tuple(out)
 
-    return check
+    def node(i, classes, state, parts, pack):
+        # per degree component i completes: its parity, the untouched and
+        # earlier classes' parts there, and the degree on i's shape
+        steps = []
+        for (deg, at), (lo, hi) in zip(checks[i + 1], kept_parts[i + 1]):
+            for c, rel in at[:-1]:
+                f, h = parts[c].get(rel, _NO_PART)
+                lo, hi = lo + f, hi + h
+            steps.append((deg % 2, lo, hi, at[-1][1]))
+        final, settles, base = finals[i], settled[i + 1], bases[i]
+        last = i == last_comp and flow is not None
+        kept = []
+        for cls in classes:
+            own, out = cls.degree_parts(lens, final), list(state)
+            for e, lo, hi, rel in steps:
+                f, h = own[rel]
+                seen = out[e] = meet(out[e], (lo + f, hi + h))
+                if seen is None:
+                    break
+            else:
+                for e in settles:
+                    out[e] = (out[e][0] & ones, out[e][1] & ones)
+                if last and not flows(out, pack + cls.pack(flow, base)):
+                    continue
+                out = tuple(out)
+                kept.append((cls, states.setdefault(out, out)))
+        return tuple(kept)
+
+    return start, node

@@ -9,7 +9,9 @@ not finish.
 
 Each case logs one line: its leaves, the pages built (the window search's
 included where the case uses the smallest window), the turns started,
-the interval checks, the times what a turn reads of the turn before is
+the interval checks and the node-memo misses (each miss is one start
+check or one node pass over a class list, so checks per miss is the
+work per pass), the times what a turn reads of the turn before is
 worked out (``_Layout.after``, once per pair of layouts), the calls and
 seconds of the rank flow (``_Flow``, built and solved), the seconds and
 the peak RSS.  Only the leaf count is a gate.  The counts are taken by
@@ -89,7 +91,7 @@ def run_case(name: str) -> int:
 
     _, label, factors, step, bound, window, leaves, _ = next(case for case in CASES
                                                              if case[0] == name)
-    counts = dict.fromkeys(("pages", "turns", "checks", "flow calls"), 0)
+    counts = dict.fromkeys(("pages", "turns", "checks", "node misses", "flow calls"), 0)
     flow_seconds = 0.0
 
     def counting(key, method):
@@ -103,12 +105,18 @@ def run_case(name: str) -> int:
     interval_check, worst_case_run, runs = spectra._interval_check, spectra._worst_case_run, []
 
     def counted_check(*args):
-        check = interval_check(*args)
+        start, node = interval_check(*args)
 
-        def call(*state):
+        def started(pinned):
             counts["checks"] += 1
-            return check(*state)
-        return call
+            counts["node misses"] += 1
+            return start(pinned)
+
+        def checked(i, classes, *rest):
+            counts["checks"] += len(classes)
+            counts["node misses"] += 1
+            return node(i, classes, *rest)
+        return started, checked
 
     def timed(method):
         def call(flow, *args):
@@ -138,6 +146,7 @@ def run_case(name: str) -> int:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"{label}: {len(tree.leaves)} leaves, {counts['pages']} pages, "
           f"{counts['turns']} turns started, {counts['checks']} interval checks, "
+          f"{counts['node misses']} node-memo misses, "
           f"{after} after computations, {counts['flow calls']} flow calls, "
           f"{flow_seconds:.2f} s in the flow, {seconds:.1f} s, {peak:.1f} MB peak RSS", flush=True)
     return 0 if len(tree.leaves) == leaves else 1

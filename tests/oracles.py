@@ -12,9 +12,9 @@ from cobcheck.exactness import (BranchOutcome, CertStep, Certificate, ClaimVerdi
                                 _rank_var, _unknown_bounds, build_cobordism_sequences,
                                 check_feasibility)
 from cobcheck.graded import GradedGroup
-from cobcheck.spectra import (BranchLeaf, BranchTree, EnumerationTable, SpectraError, WindowError,
-                              _ComponentClass, _component_classes, _first_active_page,
-                              _interval_check, _possibly_nonzero, _shape_finals,
+from cobcheck.spectra import (_NO_PART, BranchLeaf, BranchTree, EnumerationTable, SpectraError,
+                              WindowError, _ComponentClass, _component_classes,
+                              _first_active_page, _possibly_nonzero, _shape_finals,
                               _slots_and_unresolved, build_e1, certified_degrees)
 from cobcheck.topology import Product, RealProjective, Sphere
 
@@ -844,13 +844,47 @@ def arrows_by_scan(page, r):
     return tuple(arrows)
 
 
+def interval_check_by_class(plan, lens, kept_parts, kept_pack):
+    """Reference for ``spectra._interval_check``, one class at a time:
+    ``check(i, placed, state)`` is the state once the classes ``placed``
+    fill components 0..i (None when the branch is cut), with every placed
+    class's parts summed afresh on each degree component i completes, and
+    ``check(-1, [], pinned)`` states the pinned groups as exact bounds and
+    bounds the degrees no component reaches."""
+    layout, flow, ones, meet = plan.layout, plan.flow, lens.ones, lens.meet
+    checks, settled, finals, bases = layout.checks, layout.settled, layout.finals, layout.bases
+    last_comp = len(layout.comps) - 1
+
+    def check(i, placed, state):
+        # the pins as exact bounds at the start
+        out = list(state) if i >= 0 else [grp and (lens.packed(grp),) * 2 for grp in state]
+        for (deg, at), (lo, hi) in zip(checks[i + 1], kept_parts[i + 1]):
+            for c, rel in at:
+                f, h = placed[c].degree_parts(lens, finals[c]).get(rel, _NO_PART)
+                lo, hi = lo + f, hi + h
+            seen = out[deg % 2] = meet(out[deg % 2], (lo, hi))
+            if seen is None:
+                return None
+        for e in settled[i + 1]:  # only the flow reads these, and only free ranks
+            out[e] = (out[e][0] & ones, out[e][1] & ones)
+        if i == last_comp and flow is not None:
+            (lo_even, hi_even), (lo_odd, hi_odd) = out
+            packed = kept_pack + sum(cls.pack(flow, base) for cls, base in zip(placed, bases))
+            if not any(lo_even <= even <= hi_even and lo_odd <= odd <= hi_odd
+                       for even, odd in flow.values(packed)):
+                return None
+        return tuple(out)
+
+    return check
+
+
 def turn_combinations_by_check(plan, lens, lists, kept_parts, kept_pack, pinned, memo, cut):
     """Reference for ``spectra._turn_combinations``: the start
     ``check(-1, [], pinned)`` and each class under each prefix checked by
-    the unmemoized ``_interval_check``, depth first in product order.
+    ``interval_check_by_class``, unmemoized, depth first in product order.
     ``cut`` is read just before the start or a kept class is entered, as
     the search reads it; ``memo`` is not read."""
-    check = _interval_check(plan, lens, kept_parts, kept_pack)
+    check = interval_check_by_class(plan, lens, kept_parts, kept_pack)
 
     def entered(state):
         even, odd = state

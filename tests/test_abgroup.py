@@ -384,19 +384,20 @@ def test_a_hom_space_past_the_hom_limit_is_a_named_solver_limit():
 
 def test_a_hom_space_takes_cokernels_once_per_row_class_and_only_when_asked(monkeypatch):
     # Z^3 -> Z^3 at bound 1, the largest space of the T^3 table at step
-    # 2: building its 19,683 homs takes no Smith diagonal, a hom's facts
-    # record (cokernel and image) takes one for its row class the first
-    # time a hom of the class is read, and all of them take one per row
-    # class
+    # 2: building its 19,683 homs takes no Smith diagonal and keys none
+    # of them, a hom's facts record (cokernel and image) takes one for
+    # its row class the first time a hom of the class is read, and all of
+    # them take one per row key
     calls = []
     monkeypatch.setattr(abgroup, "cokernel", lambda m: calls.append(m) or cokernel(m))
     space = hom_matrix_space(FgAbGroup(3), FgAbGroup(3), 1)
-    assert not calls
+    assert not calls and "_row_bits" not in vars(space)
     last = len(space) - 1
     space.facts[last]
     assert len(calls) == 1
-    rep = space.row_class[last]  # the all -1 matrix shares (1 1 1)'s rows up to sign
+    # the all -1 matrix shares (1 1 1)'s rows up to sign
+    rep = next(h for h in range(len(space)) if space.row_key(h) == space.row_key(last))
     assert rep != last
     assert space.facts[rep] is space.facts[last] and len(calls) == 1
     assert len([space.facts[h] for h in range(len(space))]) == len(space)
-    assert len(calls) == len(set(space.row_class))
+    assert len(calls) == len({space.row_key(h) for h in range(len(space))})

@@ -886,6 +886,19 @@ def test_cli_entry_bound_past_the_hom_limit_is_a_solver_limit(tmp_path, capsys):
     assert f"entry_bound {10 ** 6}" in err
 
 
+@pytest.mark.parametrize("window", [10 ** 6, 10 ** 29], ids=["10^6", "10^29"])
+def test_cli_window_past_the_first_page_limit_is_a_solver_limit(window, capsys):
+    # a window whose first page holds more than MAX_FIRST_PAGE positions
+    # ends in a named solver limit before the page is built (without the
+    # limit the flagship at window 10^6 ran for minutes)
+    start = time.perf_counter()
+    assert main(["check", str(bundled("paper_cp7.json")), "--window", str(window)]) == 2
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert err.startswith("solver limit: stage floer: ") and err.count("\n") == 1
+    assert f"window {window} " in err
+
+
 def test_cli_missing_file(capsys):
     code = main(["check", "/nonexistent/path.json"])
     err = capsys.readouterr().err

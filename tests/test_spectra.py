@@ -770,12 +770,15 @@ def test_a_turn_reads_the_turn_before_once_per_pair_of_layouts(monkeypatch, h, k
 
 def checks_made(monkeypatch) -> list:
     """The component index of every interval check made from here to the
-    test's end."""
+    test's end: -1 for each start check, and i for each class that a node
+    pass on component i checks."""
     calls, interval_check = [], spectra._interval_check
 
     def counted(*args):
-        check = interval_check(*args)
-        return lambda *call: calls.append(call[0]) or check(*call)
+        start, node = interval_check(*args)
+        return (lambda pinned: calls.append(-1) or start(pinned),
+                lambda i, classes, *rest: calls.extend([i] * len(classes))
+                or node(i, classes, *rest))
 
     monkeypatch.setattr(spectra, "_interval_check", counted)
     return calls
@@ -1021,14 +1024,19 @@ def test_the_last_turn_checks_only_the_classes_its_lookup_finds(monkeypatch, cap
     passed, interval_check = [], spectra._interval_check
 
     def counted(*args):
-        check = interval_check(*args)
+        start, node = interval_check(*args)
 
-        def call(*state):
-            out = check(*state)
+        def started(pinned):
+            out = start(pinned)
             passed.append(out is not None)
             return out
 
-        return call
+        def checked(i, classes, *rest):
+            kept = node(i, classes, *rest)
+            passed.extend([True] * len(kept) + [False] * (len(classes) - len(kept)))
+            return kept
+
+        return started, checked
 
     monkeypatch.setattr(spectra, "_interval_check", counted)
     assert main(["check", str(CORPUS / "flagship-sweep" / "cp7-b6-w8.json")]) == 10
